@@ -176,10 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         elif cmd == "verify":
             status |= _run_verify(args.size_class)
         elif cmd == "solve":
-            from repro.pde import solve_problem
+            from repro.pde import get_workload, solve_problem
 
             modes = tuple(m.strip() for m in args.modes.split(",")
                           if m.strip())
+            # npb-mg returns core's MGResult, which has no ``nx``.
+            nx = get_workload(args.problem).grid_size(args.size_class)
             collected[cmd] = {}
             for mode in modes:
                 res = solve_problem(args.problem, args.size_class,
@@ -187,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                 ok = bool(res.verified)
                 status |= 0 if ok else 1
                 collected[cmd][mode] = {
-                    "problem": args.problem, "nx": res.nx,
+                    "problem": args.problem, "nx": nx,
                     "iterations": getattr(res, "iterations", None),
                     "rnm2": res.rnm2, "verified": ok,
                 }

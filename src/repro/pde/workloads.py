@@ -174,9 +174,9 @@ class NpbMgWorkload(Workload):
             return res
         if mode == "threaded":
             from repro.runtime.parallel_mg import ParallelMG
-            pmg = ParallelMG(nthreads, workspace=workspace is not None,
-                             monitor=monitor)
-            res = pmg.solve(size_class, on_iteration=on_iteration)
+            with ParallelMG(nthreads, workspace=workspace is not None,
+                            monitor=monitor) as pmg:
+                res = pmg.solve(size_class, on_iteration=on_iteration)
             return res
         raise ValueError(f"unsupported mode {mode!r} for npb-mg "
                          "(serial or threaded; distributed runs go "

@@ -94,6 +94,7 @@ def _bench_threaded(sc, nit: int, repeats: int, nthreads: int) -> PerfReport:
                   if allocs_before_warm else -1)
         if dt < best:
             best, best_monitor = dt, monitor
+    solver.close()
     return PerfReport(
         size_class=sc.name, mode="threaded", nit=nit, seconds=best,
         repeats=repeats, per_op_seconds=best_monitor.seconds,

@@ -12,9 +12,9 @@ iterations.
 pool of scratch arrays, one buffer per ``(name, tag, shape, dtype)``
 key, handed out by :meth:`get`/:meth:`zeros` and reused on every
 subsequent request.  Shapes differ per V-cycle level, so keying by shape
-yields exactly one set of extended-grid scratch arrays per level; chunk
-kernels add a ``tag`` (their plane range) so concurrent worker threads
-never share a buffer.
+yields exactly one set of extended-grid scratch arrays per level; the
+threaded chunk kernels take disjoint plane-range views of those
+level-wide buffers, so the footprint does not depend on the partition.
 
 Accounting rides on the existing
 :class:`~repro.runtime.memory.RefCountingManager` model — the real

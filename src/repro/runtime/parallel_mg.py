@@ -1,15 +1,18 @@
 """Shared-memory parallel MG kernels (implicit parallelization target).
 
 Each V-cycle kernel is expressed as a *chunk kernel* over a range of
-result planes plus a fork-join dispatch through a :class:`ThreadTeam` —
+result planes plus a dispatch through a :class:`ThreadTeam` region —
 exactly the code shape the SAC compiler emits for its multithreaded
-WITH-loops.  Workers write disjoint plane slabs of the shared output
-array; the border exchange (``comm3``) runs on the master between
-regions, as in SAC's runtime.
+WITH-loops, including its choice to run small loops sequentially: the
+team forks a region or runs it inline as one chunk, whichever it
+measured faster for that operator and grid shape.  Workers write
+disjoint plane slabs of the shared output array; the border exchange
+(``comm3``) runs on the master between regions, as in SAC's runtime.
 
 Per-element arithmetic matches the serial kernels expression-for-
 expression, so parallel results are bit-identical to serial ones for
-any team size (tested) — determinism the paper's runtime also provides.
+any team size and partition (tested) — determinism the paper's runtime
+also provides.
 """
 
 from __future__ import annotations
@@ -51,13 +54,17 @@ def _zrange(z0: int, z1: int, off: int = 0) -> slice:
     return slice(z0 + 1 + off, z1 + 1 + off)
 
 
-def _scratch(ws, name: str, shape: tuple[int, ...], tag: tuple) -> np.ndarray:
-    """Uninitialized scratch, pooled per ``(name, tag, shape)`` when a
-    workspace is given.  The tag is the chunk's plane range, so worker
-    threads running disjoint chunks never share a buffer."""
+def _scratch(ws, name: str, planes: int, tail: tuple[int, ...],
+             z0: int, z1: int) -> np.ndarray:
+    """Uninitialized scratch for planes ``[z0, z1)`` of a level.
+
+    With a workspace this is a plane-range view of one pooled
+    ``(planes, *tail)`` buffer: disjoint chunks get disjoint memory, and
+    the pool's footprint is the same for every partition and team size.
+    """
     if ws is None:
-        return np.empty(shape)
-    return ws.get(name, shape, tag=tag)
+        return np.empty((z1 - z0,) + tail)
+    return ws.get(name, (planes,) + tail)[z0:z1]
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +76,17 @@ def resid_chunk(u: np.ndarray, v: np.ndarray, a, r: np.ndarray,
     """``r = v - A u`` on interior planes ``[z0, z1)``."""
     a = tuple(float(x) for x in a)
     zc, zm, zp = _zrange(z0, z1), _zrange(z0, z1, -1), _zrange(z0, z1, +1)
-    tag = (z0, z1)
-    nz, n2, n1 = z1 - z0, u.shape[1], u.shape[2]
-    u1 = _scratch(ws, "chunk.u1", (nz, n2 - 2, n1), tag)
-    u2 = _scratch(ws, "chunk.u2", (nz, n2 - 2, n1), tag)
+    m, n2, n1 = u.shape[0] - 2, u.shape[1], u.shape[2]
+    u1 = _scratch(ws, "chunk.u1", m, (n2 - 2, n1), z0, z1)
+    u2 = _scratch(ws, "chunk.u2", m, (n2 - 2, n1), z0, z1)
     np.add(u[zc, _M, :], u[zc, _P, :], out=u1)
     np.add(u1, u[zm, _C, :], out=u1)
     np.add(u1, u[zp, _C, :], out=u1)
     np.add(u[zm, _M, :], u[zm, _P, :], out=u2)
     np.add(u2, u[zp, _M, :], out=u2)
     np.add(u2, u[zp, _P, :], out=u2)
-    acc = _scratch(ws, "chunk.acc", (nz, n2 - 2, n1 - 2), tag)
-    tmp = _scratch(ws, "chunk.tmp", (nz, n2 - 2, n1 - 2), tag)
+    acc = _scratch(ws, "chunk.acc", m, (n2 - 2, n1 - 2), z0, z1)
+    tmp = _scratch(ws, "chunk.tmp", m, (n2 - 2, n1 - 2), z0, z1)
     np.multiply(u[zc, _C, _C], a[0], out=tmp)
     np.subtract(v[zc, _C, _C], tmp, out=acc)
     if a[1] != 0.0:
@@ -103,18 +109,17 @@ def psinv_chunk(r: np.ndarray, u: np.ndarray, c,
     """``u += S r`` on interior planes ``[z0, z1)``."""
     c = tuple(float(x) for x in c)
     zc, zm, zp = _zrange(z0, z1), _zrange(z0, z1, -1), _zrange(z0, z1, +1)
-    tag = (z0, z1)
-    nz, n2, n1 = z1 - z0, r.shape[1], r.shape[2]
-    r1 = _scratch(ws, "chunk.u1", (nz, n2 - 2, n1), tag)
-    r2 = _scratch(ws, "chunk.u2", (nz, n2 - 2, n1), tag)
+    m, n2, n1 = r.shape[0] - 2, r.shape[1], r.shape[2]
+    r1 = _scratch(ws, "chunk.u1", m, (n2 - 2, n1), z0, z1)
+    r2 = _scratch(ws, "chunk.u2", m, (n2 - 2, n1), z0, z1)
     np.add(r[zc, _M, :], r[zc, _P, :], out=r1)
     np.add(r1, r[zm, _C, :], out=r1)
     np.add(r1, r[zp, _C, :], out=r1)
     np.add(r[zm, _M, :], r[zm, _P, :], out=r2)
     np.add(r2, r[zp, _M, :], out=r2)
     np.add(r2, r[zp, _P, :], out=r2)
-    acc = _scratch(ws, "chunk.acc", (nz, n2 - 2, n1 - 2), tag)
-    tmp = _scratch(ws, "chunk.tmp", (nz, n2 - 2, n1 - 2), tag)
+    acc = _scratch(ws, "chunk.acc", m, (n2 - 2, n1 - 2), z0, z1)
+    tmp = _scratch(ws, "chunk.tmp", m, (n2 - 2, n1 - 2), z0, z1)
     np.multiply(r[zc, _C, _C], c[0], out=tmp)
     np.add(u[zc, _C, _C], tmp, out=acc)
     np.add(r[zc, _C, _M], r[zc, _C, _P], out=tmp)
@@ -147,26 +152,25 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
     zc = slice(2 * (j0 + 1), 2 * j1 + 1, 2)
     zm = slice(2 * (j0 + 1) - 1, 2 * j1, 2)
     zp = slice(2 * (j0 + 1) + 1, 2 * j1 + 2, 2)
-    tag = (j0, j1)
-    nj, mh = j1 - j0, (n - 2) // 2
-    x1 = _scratch(ws, "chunk.x1", (nj, mh, mh + 1), tag)
-    y1 = _scratch(ws, "chunk.y1", (nj, mh, mh + 1), tag)
+    mj, mh = (r.shape[0] - 2) // 2, (n - 2) // 2
+    x1 = _scratch(ws, "chunk.x1", mj, (mh, mh + 1), j0, j1)
+    y1 = _scratch(ws, "chunk.y1", mj, (mh, mh + 1), j0, j1)
     np.add(r[zc, m1, ox], r[zc, p1, ox], out=x1)
     np.add(x1, r[zm, c1, ox], out=x1)
     np.add(x1, r[zp, c1, ox], out=x1)
     np.add(r[zm, m1, ox], r[zp, m1, ox], out=y1)
     np.add(y1, r[zm, p1, ox], out=y1)
     np.add(y1, r[zp, p1, ox], out=y1)
-    x2 = _scratch(ws, "chunk.x2", (nj, mh, mh), tag)
-    y2 = _scratch(ws, "chunk.y2", (nj, mh, mh), tag)
+    x2 = _scratch(ws, "chunk.x2", mj, (mh, mh), j0, j1)
+    y2 = _scratch(ws, "chunk.y2", mj, (mh, mh), j0, j1)
     np.add(r[zc, m1, c1], r[zc, p1, c1], out=x2)
     np.add(x2, r[zm, c1, c1], out=x2)
     np.add(x2, r[zp, c1, c1], out=x2)
     np.add(r[zm, m1, c1], r[zp, m1, c1], out=y2)
     np.add(y2, r[zm, p1, c1], out=y2)
     np.add(y2, r[zp, p1, c1], out=y2)
-    acc = _scratch(ws, "chunk.racc", (nj, mh, mh), tag)
-    tmp = _scratch(ws, "chunk.rtmp", (nj, mh, mh), tag)
+    acc = _scratch(ws, "chunk.racc", mj, (mh, mh), j0, j1)
+    tmp = _scratch(ws, "chunk.rtmp", mj, (mh, mh), j0, j1)
     np.multiply(r[zc, c1, c1], 0.5, out=acc)
     np.add(r[zc, c1, m1], r[zc, c1, p1], out=tmp)
     np.add(tmp, x2, out=tmp)
@@ -187,44 +191,47 @@ def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
     """Prolongate coarse plane rows ``[j0, j1)`` (0..m inclusive range)
     into fine ``u``.  Each coarse row ``j`` owns fine planes ``2j`` and
     ``2j+1``, so slabs of distinct ``j`` never overlap.  ``z``/``u`` may
-    be z-slabs: the x/y slicing derives from the (cubic) x/y extent."""
+    be z-slabs: the x/y slicing derives from the (cubic) x/y extent.
+
+    Whole-slab ufunc chains, term for term in the order of
+    ``core.mg.interp_add`` (bit-identical to it): a handful of large
+    GIL-releasing calls per chunk instead of two dozen per plane.
+    """
     n = u.shape[1]
     L = slice(0, -1)
     H = slice(1, None)
     E = slice(0, n - 1, 2)
     O = slice(1, n, 2)
-    tag = (j0, j1)
-    nc = z.shape[1]
-    z1 = _scratch(ws, "chunk.z1", (nc - 1, nc), tag)
-    z2 = _scratch(ws, "chunk.z2", (nc - 1, nc), tag)
-    z3 = _scratch(ws, "chunk.z3", (nc - 1, nc), tag)
-    tmp = _scratch(ws, "chunk.itmp", (nc - 1, nc - 1), tag)
-    for j3 in range(j0, j1):
-        zc, zn = z[j3], z[j3 + 1]
-        np.add(zc[H, :], zc[L, :], out=z1)
-        np.add(zn[L, :], zc[L, :], out=z2)
-        np.add(zn[H, :], zn[L, :], out=z3)
-        np.add(z3, z1, out=z3)
-        e3, o3 = 2 * j3, 2 * j3 + 1
-        u[e3, E, E] += zc[L, L]
-        np.add(zc[L, H], zc[L, L], out=tmp)
-        np.multiply(tmp, 0.5, out=tmp)
-        u[e3, E, O] += tmp
-        np.multiply(z1[:, :-1], 0.5, out=tmp)
-        u[e3, O, E] += tmp
-        np.add(z1[:, :-1], z1[:, 1:], out=tmp)
-        np.multiply(tmp, 0.25, out=tmp)
-        u[e3, O, O] += tmp
-        np.multiply(z2[:, :-1], 0.5, out=tmp)
-        u[o3, E, E] += tmp
-        np.add(z2[:, :-1], z2[:, 1:], out=tmp)
-        np.multiply(tmp, 0.25, out=tmp)
-        u[o3, E, O] += tmp
-        np.multiply(z3[:, :-1], 0.25, out=tmp)
-        u[o3, O, E] += tmp
-        np.add(z3[:, :-1], z3[:, 1:], out=tmp)
-        np.multiply(tmp, 0.125, out=tmp)
-        u[o3, O, O] += tmp
+    rows, nc = z.shape[0] - 1, z.shape[1]
+    zc, zn = z[j0:j1], z[j0 + 1:j1 + 1]
+    ue, uo = u[2 * j0:2 * j1:2], u[2 * j0 + 1:2 * j1 + 1:2]
+    z1 = _scratch(ws, "chunk.z1", rows, (nc - 1, nc), j0, j1)
+    z2 = _scratch(ws, "chunk.z2", rows, (nc - 1, nc), j0, j1)
+    z3 = _scratch(ws, "chunk.z3", rows, (nc - 1, nc), j0, j1)
+    tmp = _scratch(ws, "chunk.itmp", rows, (nc - 1, nc - 1), j0, j1)
+    np.add(zc[:, H, :], zc[:, L, :], out=z1)
+    np.add(zn[:, L, :], zc[:, L, :], out=z2)
+    np.add(zn[:, H, :], zn[:, L, :], out=z3)
+    np.add(z3, z1, out=z3)
+    ue[:, E, E] += zc[:, L, L]
+    np.add(zc[:, L, H], zc[:, L, L], out=tmp)
+    np.multiply(tmp, 0.5, out=tmp)
+    ue[:, E, O] += tmp
+    np.multiply(z1[:, :, :-1], 0.5, out=tmp)
+    ue[:, O, E] += tmp
+    np.add(z1[:, :, :-1], z1[:, :, 1:], out=tmp)
+    np.multiply(tmp, 0.25, out=tmp)
+    ue[:, O, O] += tmp
+    np.multiply(z2[:, :, :-1], 0.5, out=tmp)
+    uo[:, E, E] += tmp
+    np.add(z2[:, :, :-1], z2[:, :, 1:], out=tmp)
+    np.multiply(tmp, 0.25, out=tmp)
+    uo[:, E, O] += tmp
+    np.multiply(z3[:, :, :-1], 0.25, out=tmp)
+    uo[:, O, E] += tmp
+    np.add(z3[:, :, :-1], z3[:, :, 1:], out=tmp)
+    np.multiply(tmp, 0.125, out=tmp)
+    uo[:, O, O] += tmp
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +244,31 @@ def _plane_chunks(nplanes: int, team: ThreadTeam) -> list[Chunk]:
 
 def parallel_resid(u: np.ndarray, v: np.ndarray, a, team: ThreadTeam,
                    lib=None, ws=None, monitor=None,
-                   boundary=comm3) -> np.ndarray:
+                   boundary=comm3, *, out=None) -> np.ndarray:
     """``r = v - A u``; with ``lib`` (a
     :class:`~repro.runtime.kernels.SacKernelLibrary`) the per-slab
     stencil is the compiled SAC ``RelaxKernel`` instead of the NumPy
-    chunk kernel — one shared specialization per slab shape.
+    chunk kernel — one shared specialization per slab shape, so that
+    path always forks (an inline visit would compile a whole-grid
+    specialization per level just to time it).
 
-    The pooled output buffer (``ws`` given) is fully overwritten —
-    interior by the chunks, which tile all planes, ghosts by the
-    master-side ``boundary`` fill (default: periodic ``comm3``).
+    ``out`` (default: the pooled buffer when ``ws`` is given) is fully
+    overwritten — interior by the chunks, which tile all planes, ghosts
+    by the master-side ``boundary`` fill (default: periodic ``comm3``).
+    It may alias ``v`` as in ``core.mg.resid``: each chunk reads its own
+    planes of ``v`` once, before writing them.
     """
     t0 = time.perf_counter() if monitor is not None else 0.0
-    r = np.zeros_like(u) if ws is None else ws.get("presid.r", u.shape)
+    r = out
+    if r is None:
+        r = np.zeros_like(u) if ws is None else ws.get("presid.r", u.shape)
     m = u.shape[0] - 2
     if lib is not None:
         team.run(lambda c: lib.resid_slab(u, v, a, r, c.lo[0], c.hi[0]),
                  _plane_chunks(m, team))
     else:
-        team.run(lambda c: resid_chunk(u, v, a, r, c.lo[0], c.hi[0], ws=ws),
-                 _plane_chunks(m, team))
+        team.region(("resid", u.shape), lambda c: resid_chunk(
+            u, v, a, r, c.lo[0], c.hi[0], ws=ws), m, ws)
     boundary(r)
     if monitor is not None:
         monitor.add("resid", time.perf_counter() - t0)
@@ -271,8 +284,8 @@ def parallel_psinv(r: np.ndarray, u: np.ndarray, c, team: ThreadTeam,
         team.run(lambda ch: lib.psinv_slab(r, u, c, ch.lo[0], ch.hi[0]),
                  _plane_chunks(m, team))
     else:
-        team.run(lambda ch: psinv_chunk(r, u, c, ch.lo[0], ch.hi[0], ws=ws),
-                 _plane_chunks(m, team))
+        team.region(("psinv", u.shape), lambda ch: psinv_chunk(
+            r, u, c, ch.lo[0], ch.hi[0], ws=ws), m, ws)
     boundary(u)
     if monitor is not None:
         monitor.add("psinv", time.perf_counter() - t0)
@@ -288,8 +301,8 @@ def parallel_rprj3(r: np.ndarray, team: ThreadTeam, ws=None,
     mj = nf // 2
     # Fully overwritten: interior by the chunks, ghosts by comm3.
     s = make_grid(mj) if ws is None else ws.get("prprj3.s", (mj + 2,) * 3)
-    team.run(lambda c: rprj3_chunk(r, s, c.lo[0], c.hi[0], ws=ws),
-             _plane_chunks(mj, team))
+    team.region(("rprj3", r.shape), lambda c: rprj3_chunk(
+        r, s, c.lo[0], c.hi[0], ws=ws), mj, ws)
     boundary(s)
     if monitor is not None:
         monitor.add("rprj3", time.perf_counter() - t0)
@@ -303,8 +316,8 @@ def parallel_interp_add(z: np.ndarray, u: np.ndarray, team: ThreadTeam,
     nf = u.shape[0] - 2
     if nf != 2 * m:
         raise ValueError(f"interp shape mismatch: coarse {m} fine {nf}")
-    team.run(lambda c: interp_chunk(z, u, c.lo[0], c.hi[0], ws=ws),
-             _plane_chunks(m + 1, team))
+    team.region(("interp", u.shape), lambda c: interp_chunk(
+        z, u, c.lo[0], c.hi[0], ws=ws), m + 1, ws)
     if monitor is not None:
         monitor.add("interp", time.perf_counter() - t0)
     return u
@@ -319,6 +332,12 @@ class ParallelMG:
     specializations from the shared driver cache — each slab shape is
     compiled once (or loaded warm from disk) and shared by every worker
     thread; results then match serial to floating-point tolerance.
+
+    The solver keeps one :class:`ThreadTeam` for its lifetime, so the
+    team's measured fork policy (see :meth:`ThreadTeam.region`) learned
+    in one solve — a warm-up, say — serves every later one;
+    :attr:`decisions` shows it.  :meth:`close` (or ``with``) joins the
+    workers; an unclosed solver's workers exit when it is collected.
     """
 
     def __init__(self, nthreads: int, *, kernels: str = "numpy",
@@ -346,6 +365,23 @@ class ParallelMG:
             self.workspace = workspace or None
         #: Master-side per-operator timer (any ``add(section, dt)``).
         self.monitor = monitor
+        self.team = ThreadTeam(nthreads)
+
+    @property
+    def decisions(self):
+        """The team's fork-policy table: ``(op, grid shape)`` ->
+        :class:`~repro.runtime.executor.Decision` (forked?, t_inline,
+        t_forked) — why each level ran inline or forked."""
+        return self.team.decisions
+
+    def close(self) -> None:
+        self.team.shutdown()
+
+    def __enter__(self) -> "ParallelMG":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def solve(self, size_class: str | SizeClass,
               nit: int | None = None, *,
@@ -356,36 +392,37 @@ class ParallelMG:
         c = S_COEFFS_A if sc.smoother == "a" else S_COEFFS_B
         lt, lb = sc.lt, 1
         lib = self.kernel_library
-        ws, mon = self.workspace, self.monitor
-        with ThreadTeam(self.nthreads) as team:
-            u = make_grid(sc.nx)
-            v = zran3(sc.nx)
-            r = {lt: parallel_resid(u, v, a, team, lib, ws, mon)}
-            for it in range(iters):
-                for k in range(lt, lb, -1):
-                    r[k - 1] = parallel_rprj3(r[k], team, ws, mon)
+        ws, mon, team = self.workspace, self.monitor, self.team
+        u = make_grid(sc.nx)
+        v = zran3(sc.nx)
+        r = {lt: parallel_resid(u, v, a, team, lib, ws, mon)}
+        for it in range(iters):
+            for k in range(lt, lb, -1):
+                r[k - 1] = parallel_rprj3(r[k], team, ws, mon)
+            if ws is None:
+                uk = make_grid(1 << lb)
+            else:
+                uk = ws.zeros("pmg.u", ((1 << lb) + 2,) * 3)
+            parallel_psinv(r[lb], uk, c, team, lib, ws, mon)
+            u_levels = {lb: uk}
+            for k in range(lb + 1, lt):
                 if ws is None:
-                    uk = make_grid(1 << lb)
+                    uk = make_grid(1 << k)
                 else:
-                    uk = ws.zeros("pmg.u", ((1 << lb) + 2,) * 3)
-                parallel_psinv(r[lb], uk, c, team, lib, ws, mon)
-                u_levels = {lb: uk}
-                for k in range(lb + 1, lt):
-                    if ws is None:
-                        uk = make_grid(1 << k)
-                    else:
-                        uk = ws.zeros("pmg.u", ((1 << k) + 2,) * 3)
-                    parallel_interp_add(u_levels[k - 1], uk, team, ws, mon)
-                    r[k] = parallel_resid(uk, r[k], a, team, lib, ws, mon)
-                    parallel_psinv(r[k], uk, c, team, lib, ws, mon)
-                    u_levels[k] = uk
-                parallel_interp_add(u_levels[lt - 1], u, team, ws, mon)
-                r[lt] = parallel_resid(u, v, a, team, lib, ws, mon)
-                parallel_psinv(r[lt], u, c, team, lib, ws, mon)
-                r[lt] = parallel_resid(u, v, a, team, lib, ws, mon)
-                if on_iteration is not None:
-                    # Residual-trajectory hook (the supervisor's
-                    # numerical watchdog); raising aborts the solve here.
-                    on_iteration(it, norm2u3(r[lt])[0])
-            rnm2, rnmu = norm2u3(r[lt])
+                    uk = ws.zeros("pmg.u", ((1 << k) + 2,) * 3)
+                parallel_interp_add(u_levels[k - 1], uk, team, ws, mon)
+                # Pooled: update r[k] in place, as core.mg3P does.
+                r[k] = parallel_resid(uk, r[k], a, team, lib, ws, mon,
+                                      out=r[k] if ws is not None else None)
+                parallel_psinv(r[k], uk, c, team, lib, ws, mon)
+                u_levels[k] = uk
+            parallel_interp_add(u_levels[lt - 1], u, team, ws, mon)
+            r[lt] = parallel_resid(u, v, a, team, lib, ws, mon)
+            parallel_psinv(r[lt], u, c, team, lib, ws, mon)
+            r[lt] = parallel_resid(u, v, a, team, lib, ws, mon)
+            if on_iteration is not None:
+                # Residual-trajectory hook (the supervisor's
+                # numerical watchdog); raising aborts the solve here.
+                on_iteration(it, norm2u3(r[lt])[0])
+        rnm2, rnmu = norm2u3(r[lt])
         return MGResult(sc, rnm2, rnmu, u, r[lt])

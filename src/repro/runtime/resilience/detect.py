@@ -212,6 +212,8 @@ class HeartbeatMonitor:
         # stalled: pause() exempts them from suspicion (the barrier's
         # own deadline covers a genuine deadlock there).
         self._paused = [0] * size
+        # Recoveries proven by retire(), reported by the next check().
+        self._pending: list[tuple[int, str, str]] = []
 
     def beat(self, rank: int) -> None:
         """Record one liveness beat from ``rank``."""
@@ -247,8 +249,14 @@ class HeartbeatMonitor:
             self._paused[rank] = 0
 
     def retire(self, rank: int) -> None:
-        """``rank`` finished its program; stop expecting beats."""
+        """``rank`` finished its program; stop expecting beats.
+
+        A suspect that reaches the end of its program has recovered,
+        whether or not a sweep ran between its last beat and now: the
+        transition is queued for the next :meth:`check`."""
         with self._lock:
+            if self._states[rank] == SUSPECT:
+                self._pending.append((rank, SUSPECT, ALIVE))
             self._states[rank] = RETIRED
 
     def state(self, rank: int) -> str:
@@ -276,8 +284,8 @@ class HeartbeatMonitor:
         """Sweep the beat table; returns ``(rank, old, new)`` transitions."""
         cfg = self.config
         now = self._clock()
-        transitions: list[tuple[int, str, str]] = []
         with self._lock:
+            transitions, self._pending = self._pending, []
             for rank, state in enumerate(self._states):
                 if state in (DEAD, RETIRED):
                     continue

@@ -309,6 +309,10 @@ class World:
         t = self._hb_thread
         if t is not None:
             t.join(timeout=2.0)
+            if not self.cancel.is_set():
+                # Final sweep: a recovery after the loop's last tick
+                # still counts.
+                self._hb_sweep()
         self.transport.close()
 
     @property
@@ -347,26 +351,28 @@ class World:
             self.liveness.resume(rank)
 
     def _hb_loop(self) -> None:
-        cfg = self.heartbeat_config
-        mon = self.liveness
-        while not self._hb_stop.wait(cfg.interval):
+        while not self._hb_stop.wait(self.heartbeat_config.interval):
             if self.cancel.is_set():
                 return
-            for rank, _old, new in mon.check():
-                if new == "suspect":
-                    self.stats.bump("suspects")
-                elif new == "alive":
-                    self.stats.bump("recoveries")
-                elif new == "dead":
-                    self.stats.bump("deaths")
-                    lost = HeartbeatLost(
-                        rank,
-                        silent_for=mon.silence(rank),
-                        dead_after=cfg.dead_after,
-                        beats=mon.beats(rank),
-                        phi=mon.phi(rank))
-                    self.rank_failed(RankFailure(rank, op="heartbeat",
-                                                 cause=lost))
+            self._hb_sweep()
+
+    def _hb_sweep(self) -> None:
+        mon = self.liveness
+        for rank, _old, new in mon.check():
+            if new == "suspect":
+                self.stats.bump("suspects")
+            elif new == "alive":
+                self.stats.bump("recoveries")
+            elif new == "dead":
+                self.stats.bump("deaths")
+                lost = HeartbeatLost(
+                    rank,
+                    silent_for=mon.silence(rank),
+                    dead_after=self.heartbeat_config.dead_after,
+                    beats=mon.beats(rank),
+                    phi=mon.phi(rank))
+                self.rank_failed(RankFailure(rank, op="heartbeat",
+                                             cause=lost))
 
     # -- failure handling ---------------------------------------------------
 

@@ -255,9 +255,9 @@ class SupervisedSolver:
                     if world is not None:
                         report.heals.extend(world.heal_log)
         if rung.mode == "threaded":
-            mg = ParallelMG(rung.workers, kernels=rung.kernels,
-                            kernel_library=lib)
-            return mg.solve(sc, nit, on_iteration=on_iter)
+            with ParallelMG(rung.workers, kernels=rung.kernels,
+                            kernel_library=lib) as mg:
+                return mg.solve(sc, nit, on_iteration=on_iter)
         return serial_solve(sc, nit, on_iteration=on_iter)
 
     # -- the supervised solve ----------------------------------------------

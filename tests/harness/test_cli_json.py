@@ -24,6 +24,18 @@ class TestJsonExport:
         data = json.loads(out.read_text())
         assert data["npb"]["Class"] == "T"
 
+    @pytest.mark.parametrize("problem", ["npb-mg", "heat2d"])
+    def test_solve_command_reports_nx(self, problem, tmp_path, capsys):
+        # npb-mg returns core's MGResult (no ``nx``): the command used
+        # to die with AttributeError after solving.
+        out = tmp_path / "solve.json"
+        assert main(["solve", "-c", "S", "--problem", problem,
+                     "--json", str(out)]) == 0
+        capsys.readouterr()
+        modes = json.loads(out.read_text())["solve"]
+        assert set(modes) == {"serial", "threaded"}
+        assert all(m["nx"] == 32 and m["verified"] for m in modes.values())
+
     def test_future_and_related_render(self, capsys):
         assert main(["future", "related"]) == 0
         out = capsys.readouterr().out

@@ -91,6 +91,23 @@ class TestParallelPooled:
         assert solver.workspace.allocations == warm
         np.testing.assert_array_equal(again.u, pooled.u)
 
+    @pytest.mark.parametrize("nthreads", [2, 3])
+    def test_warm_after_two_cycles_and_no_larger_than_serial(self, nthreads):
+        # Chunk scratch is a view of level-wide buffers, so trying both
+        # partitions allocates nothing and the footprint is the serial
+        # solve's for any team width.
+        serial = Workspace()
+        solve("S", ws=serial)
+        with ParallelMG(nthreads, workspace=True) as solver:
+            solver.solve("S", 2)
+            warm = solver.workspace.allocations
+            solver.solve("S")
+            assert solver.workspace.allocations == warm
+            assert all(d.forked is not None
+                       for d in solver.decisions.values())
+            assert (solver.workspace.bytes_allocated
+                    <= serial.bytes_allocated)
+
     def test_workspace_instance_can_be_shared(self):
         ws = Workspace("caller-owned")
         solver = ParallelMG(2, workspace=ws)

@@ -113,6 +113,18 @@ class TestHeartbeatMonitor:
         assert all(r != 0 for r, _, _ in mon.check())
         assert mon.state(0) == RETIRED
 
+    def test_suspect_that_retires_before_a_sweep_still_recovers(self):
+        # The race World.close()'s final sweep closes: the rank beats and
+        # finishes between two sweeps, so no sweep sees it ALIVE again.
+        mon, clock = self._monitor()
+        clock.advance(2.0)
+        assert (0, ALIVE, SUSPECT) in mon.check()
+        mon.beat(0)
+        mon.retire(0)
+        assert mon.check() == [(0, SUSPECT, ALIVE)]
+        assert mon.state(0) == RETIRED
+        assert mon.check() == []
+
     def test_reset_revives_a_dead_slot(self):
         mon, clock = self._monitor()
         clock.advance(2.0)

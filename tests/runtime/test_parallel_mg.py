@@ -1,5 +1,6 @@
 """Tests for the shared-memory parallel MG kernels: results must be
-bit-identical to the serial kernels for any team size."""
+bit-identical to the serial kernels for any partition, any team size and
+whichever way the team's fork policy falls."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from repro.core import (
     resid,
     rprj3,
 )
+from repro.core.mg import solve
+from repro.perf import Workspace
 from repro.runtime import (
     ParallelMG,
     ThreadTeam,
@@ -22,6 +25,12 @@ from repro.runtime import (
     parallel_psinv,
     parallel_resid,
     parallel_rprj3,
+)
+from repro.runtime.parallel_mg import (
+    interp_chunk,
+    psinv_chunk,
+    resid_chunk,
+    rprj3_chunk,
 )
 
 
@@ -32,38 +41,155 @@ def _random_periodic(m, seed=0):
     return comm3(u)
 
 
+def _forced_team(nthreads: int, fork: bool) -> ThreadTeam:
+    """A team whose clock makes every key fall one way: time stands
+    still inline and runs forwards (backwards) across a fork."""
+    team = ThreadTeam(
+        nthreads, clock=lambda: -team.forks if fork else team.forks)
+    return team
+
+
 @pytest.fixture(params=[1, 2, 3, 7], scope="module")
 def team(request):
     with ThreadTeam(request.param) as t:
         yield t
 
 
+# -- the four chunk kernels against core.mg ----------------------------------
+
+def _inputs(op, m):
+    """The two extended input grids of ``op`` at fine interior ``m``."""
+    if op == "interp":  # coarse z, fine u (non-zero, to check the "+=")
+        return _random_periodic(m // 2, 1), _random_periodic(m, 2)
+    return _random_periodic(m, 1), _random_periodic(m, 2)
+
+
+def _serial(op, a, b):
+    if op == "resid":
+        return resid(a, b, A_COEFFS)
+    if op == "psinv":
+        return psinv(a, b.copy(), S_COEFFS_A)
+    if op == "rprj3":
+        return rprj3(a)
+    return interp_add(a, b.copy())
+
+
+def _extent(op, a):
+    """Result-plane rows ``op`` produces from (a z-slab of) ``a``."""
+    n = a.shape[0] - 2
+    return {"resid": n, "psinv": n, "rprj3": n // 2, "interp": n + 1}[op]
+
+
+def _chunked(op, a, b, ranges, ws):
+    """Run ``op``'s chunk kernel over ``ranges``; ghosts are not filled."""
+    if op == "resid":
+        out = np.zeros_like(a)
+        for z0, z1 in ranges:
+            resid_chunk(a, b, A_COEFFS, out, z0, z1, ws=ws)
+    elif op == "psinv":
+        out = b.copy()
+        for z0, z1 in ranges:
+            psinv_chunk(a, out, S_COEFFS_A, z0, z1, ws=ws)
+    elif op == "rprj3":
+        out = np.zeros(tuple((n - 2) // 2 + 2 for n in a.shape))
+        for j0, j1 in ranges:
+            rprj3_chunk(a, out, j0, j1, ws=ws)
+    else:
+        out = b.copy()
+        for j0, j1 in ranges:
+            interp_chunk(a, out, j0, j1, ws=ws)
+    return out
+
+
+def _ranges(partition, extent):
+    cuts = {
+        "one": [0, extent],
+        "two-even": [0, extent // 2, extent],
+        "three-uneven": [0, 1, extent - extent // 3, extent],
+        "per-plane": list(range(extent + 1)),
+    }[partition]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
+class TestChunkKernels:
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["unpooled", "pooled"])
+    @pytest.mark.parametrize(
+        "partition", ["one", "two-even", "three-uneven", "per-plane"])
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("op", ["resid", "psinv", "rprj3", "interp"])
+    def test_bit_identical_to_core(self, op, level, partition, pooled):
+        a, b = _inputs(op, 1 << level)
+        ws = Workspace() if pooled else None
+        out = _chunked(op, a, b, _ranges(partition, _extent(op, a)), ws)
+        if op != "interp":  # interp writes its own ghosts
+            comm3(out)
+        np.testing.assert_array_equal(out, _serial(op, a, b))
+        if pooled:
+            # One level-wide buffer per name, whatever the partition.
+            assert ws.allocations == (6 if op == "rprj3" else 4)
+
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["unpooled", "pooled"])
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("op", ["resid", "psinv", "rprj3", "interp"])
+    def test_spmd_whole_slab_call(self, op, level, pooled):
+        # runtime.spmd hands each rank's z-slab (one halo plane either
+        # side) to the kernel as a single whole-slab chunk.
+        m = 1 << level
+        a, b = _inputs(op, m)
+        want = _serial(op, a, b)
+        inner = (slice(None),) * 2 if op == "interp" else (slice(1, -1),) * 2
+        for rank in range(2):
+            # Interior planes [lo, hi) of a (coarse z for interp), and
+            # the factor to the other grid's plane numbering.
+            half = (a.shape[0] - 2) // 2
+            lo, hi = rank * half, (rank + 1) * half
+            sa = a[lo:hi + 2].copy()
+            fb = 2 if op == "interp" else 1
+            sb = b[fb * lo:fb * hi + 2].copy()
+            ws = Workspace() if pooled else None
+            out = _chunked(op, sa, sb, [(0, _extent(op, sa))], ws)
+            fo = {"rprj3": 0.5, "interp": 2}.get(op, 1)
+            olo, ohi = int(fo * lo), int(fo * hi)
+            np.testing.assert_array_equal(
+                out[(slice(1, -1),) + inner],
+                want[(slice(olo + 1, ohi + 1),) + inner])
+
+
 class TestKernels:
+    """The fork-join wrappers through live teams of 1, 2, 3 and 7: three
+    visits each, so the inline calibration visit, the forked one and the
+    decided path are all compared with ``core.mg``."""
+
     def test_resid(self, team):
         u = _random_periodic(8, 1)
         v = _random_periodic(8, 2)
-        np.testing.assert_array_equal(
-            parallel_resid(u, v, A_COEFFS, team), resid(u, v, A_COEFFS)
-        )
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                parallel_resid(u, v, A_COEFFS, team), resid(u, v, A_COEFFS))
 
     def test_psinv(self, team):
         r = _random_periodic(8, 3)
-        u1 = _random_periodic(8, 4)
-        u2 = u1.copy()
-        parallel_psinv(r, u1, S_COEFFS_A, team)
-        psinv(r, u2, S_COEFFS_A)
-        np.testing.assert_array_equal(u1, u2)
+        for _ in range(3):
+            u1 = _random_periodic(8, 4)
+            u2 = u1.copy()
+            parallel_psinv(r, u1, S_COEFFS_A, team)
+            psinv(r, u2, S_COEFFS_A)
+            np.testing.assert_array_equal(u1, u2)
 
     def test_rprj3(self, team):
         r = _random_periodic(8, 5)
-        np.testing.assert_array_equal(parallel_rprj3(r, team), rprj3(r))
+        for _ in range(3):
+            np.testing.assert_array_equal(parallel_rprj3(r, team), rprj3(r))
 
     def test_interp(self, team):
         z = _random_periodic(4, 6)
-        u1, u2 = make_grid(8), make_grid(8)
-        parallel_interp_add(z, u1, team)
-        interp_add(z, u2)
-        np.testing.assert_array_equal(u1, u2)
+        for _ in range(3):
+            u1, u2 = make_grid(8), make_grid(8)
+            parallel_interp_add(z, u1, team)
+            interp_add(z, u2)
+            np.testing.assert_array_equal(u1, u2)
 
     def test_rprj3_rejects_tiny(self, team):
         with pytest.raises(ValueError):
@@ -86,3 +212,28 @@ class TestFullSolve:
     def test_class_s_verifies(self):
         res = ParallelMG(2).solve("S")
         assert res.verified
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["inline", "forked"])
+    @pytest.mark.parametrize("nthreads", [2, 3])
+    @pytest.mark.parametrize("klass,nit", [("S", None), ("W", 4)])
+    def test_forced_policy_bit_equal_to_serial(self, klass, nit, nthreads,
+                                               fork):
+        with ParallelMG(nthreads) as solver:
+            solver.team.shutdown()
+            solver.team = _forced_team(nthreads, fork)
+            par = solver.solve(klass, nit)
+            table, forks = solver.decisions, solver.team.forks
+            assert all(d.forked is fork for d in table.values())
+            # Inline: each key forked once, for its calibration, only.
+            assert forks > len(table) if fork else forks == len(table)
+        assert par.rnm2 == solve(klass, nit).rnm2
+
+    def test_warm_up_solve_trains_later_solves(self):
+        with ParallelMG(2) as solver:
+            solver.solve("S", 2)
+            table = dict(solver.decisions)
+            # Every level of class S, all four operators, all decided.
+            assert {shape[0] - 2 for _, shape in table} == {2, 4, 8, 16, 32}
+            assert all(d.forked is not None for d in table.values())
+            solver.solve("S")
+            assert dict(solver.decisions) == table

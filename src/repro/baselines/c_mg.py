@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.classes import SizeClass
 from repro.core.grid import comm3, make_grid
-from repro.core.mg import MGResult
-from repro.core.trace import Trace
 
-from .common import MGImplementation, MGKernels, run_mg
+from .common import MGImplementation, MGKernels
 
 __all__ = ["CMG", "C_KERNELS", "resid_planes", "psinv_planes",
            "rprj3_planes", "interp_add_planes"]
@@ -37,12 +34,15 @@ def _plane_sums_at(w: np.ndarray, i3: int) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def resid_planes(u: np.ndarray, v: np.ndarray, a, trace: Trace | None = None,
-                 level: int = 0) -> np.ndarray:
-    """``r = v - A u`` computed plane by plane (C loop structure)."""
+def resid_planes(u: np.ndarray, v: np.ndarray, a, *,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """``r = v - A u`` computed plane by plane (C loop structure).
+
+    ``out`` may alias ``v``: each plane of ``v`` is read before that
+    plane of the result is written."""
     a = tuple(float(x) for x in a)
     n = u.shape[0]
-    r = np.zeros_like(u)
+    r = np.zeros_like(u) if out is None else out
     for i3 in range(1, n - 1):
         u1, u2 = _plane_sums_at(u, i3)
         acc = v[i3, 1:-1, 1:-1] - a[0] * u[i3, 1:-1, 1:-1]
@@ -53,15 +53,10 @@ def resid_planes(u: np.ndarray, v: np.ndarray, a, trace: Trace | None = None,
         acc = acc - a[3] * (u2[:, :-2] + u2[:, 2:])
         r[i3, 1:-1, 1:-1] = acc
     comm3(r)
-    if trace is not None:
-        m = n - 2
-        trace.record("resid", level, m ** 3)
-        trace.record("comm3", level, m ** 3)
     return r
 
 
-def psinv_planes(r: np.ndarray, u: np.ndarray, c, trace: Trace | None = None,
-                 level: int = 0) -> np.ndarray:
+def psinv_planes(r: np.ndarray, u: np.ndarray, c) -> np.ndarray:
     """``u += S r`` computed plane by plane (C loop structure)."""
     c = tuple(float(x) for x in c)
     n = u.shape[0]
@@ -74,15 +69,10 @@ def psinv_planes(r: np.ndarray, u: np.ndarray, c, trace: Trace | None = None,
             acc = acc + c[3] * (r2[:, :-2] + r2[:, 2:])
         u[i3, 1:-1, 1:-1] = acc
     comm3(u)
-    if trace is not None:
-        m = n - 2
-        trace.record("psinv", level, m ** 3)
-        trace.record("comm3", level, m ** 3)
     return u
 
 
-def rprj3_planes(r: np.ndarray, trace: Trace | None = None,
-                 level: int = 0) -> np.ndarray:
+def rprj3_planes(r: np.ndarray) -> np.ndarray:
     """Fine-to-coarse projection, one coarse plane at a time."""
     nf = r.shape[0] - 2
     if nf < 4 or nf % 2:
@@ -110,14 +100,10 @@ def rprj3_planes(r: np.ndarray, trace: Trace | None = None,
         acc = acc + 0.0625 * (y1[:, :-1] + y1[:, 1:])
         s[j3, 1:-1, 1:-1] = acc
     comm3(s)
-    if trace is not None:
-        trace.record("rprj3", level, mj ** 3)
-        trace.record("comm3", level, mj ** 3)
     return s
 
 
-def interp_add_planes(z: np.ndarray, u: np.ndarray, trace: Trace | None = None,
-                      level: int = 0) -> np.ndarray:
+def interp_add_planes(z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Trilinear prolongation, one coarse plane at a time."""
     m = z.shape[0] - 2
     nf = u.shape[0] - 2
@@ -142,8 +128,6 @@ def interp_add_planes(z: np.ndarray, u: np.ndarray, trace: Trace | None = None,
         u[o3, E, O] += 0.25 * (z2[:, :-1] + z2[:, 1:])
         u[o3, O, E] += 0.25 * z3[:, :-1]
         u[o3, O, O] += 0.125 * (z3[:, :-1] + z3[:, 1:])
-    if trace is not None:
-        trace.record("interp", level, nf ** 3)
     return u
 
 
@@ -160,9 +144,4 @@ class CMG(MGImplementation):
 
     name = "c"
     label = "C / OpenMP"
-
-    def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
-              collect_trace: bool = False,
-              keep_history: bool = False) -> MGResult:
-        return run_mg(C_KERNELS, size_class, nit,
-                      collect_trace=collect_trace, keep_history=keep_history)
+    kernels = C_KERNELS

@@ -3,113 +3,38 @@
 The paper's evaluation compares three *implementation styles* of the
 same benchmark: the Fortran-77 reference, the RWCP C/OpenMP port, and
 the high-level SAC program.  Each style here provides its four V-cycle
-kernels; this module supplies the common NPB control flow so that the
-styles differ only where the originals differ — in how the kernels are
-written.
+kernels as an :class:`~repro.core.mg.MGKernels` table and runs them
+through the one NPB control flow, :func:`repro.core.mg.run` (here under
+its historical name ``run_mg``), so that the styles differ only where
+the originals differ — in how the kernels are written.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
-
-from repro.core.classes import SizeClass, get_class
-from repro.core.grid import make_grid
-from repro.core.mg import MGResult
-from repro.core.norms import norm2u3
-from repro.core.stencils import A_COEFFS, S_COEFFS_A, S_COEFFS_B
-from repro.core.trace import Trace
-from repro.core.zran3 import zran3
+from repro.core.classes import SizeClass
+from repro.core.mg import MGKernels, MGResult
+from repro.core.mg import run as run_mg
 
 __all__ = ["MGKernels", "MGImplementation", "run_mg"]
 
 
-@dataclass(frozen=True)
-class MGKernels:
-    """The four V-cycle kernels of one implementation style.
-
-    Signatures match :mod:`repro.core.mg`:
-
-    * ``resid(u, v, a, trace, level) -> r``
-    * ``psinv(r, u, c, trace, level) -> u``  (in place)
-    * ``rprj3(r, trace, level) -> s``
-    * ``interp_add(z, u, trace, level) -> u``  (in place)
-    """
-
-    resid: Callable
-    psinv: Callable
-    rprj3: Callable
-    interp_add: Callable
-
-
-def run_mg(kernels: MGKernels, size_class: str | SizeClass,
-           nit: int | None = None, *, collect_trace: bool = False,
-           keep_history: bool = False) -> MGResult:
-    """NPB timed-section control flow over a pluggable kernel set."""
-    sc = get_class(size_class) if isinstance(size_class, str) else size_class
-    iters = sc.nit if nit is None else nit
-    a = A_COEFFS
-    c = S_COEFFS_A if sc.smoother == "a" else S_COEFFS_B
-    lt, lb = sc.lt, 1
-
-    trace = Trace() if collect_trace else None
-    u = make_grid(sc.nx)
-    v = zran3(sc.nx)
-    r: dict[int, np.ndarray] = {lt: kernels.resid(u, v, a, trace, lt)}
-    history: list[float] = []
-    if keep_history:
-        history.append(norm2u3(r[lt])[0])
-
-    for _ in range(iters):
-        # Down cycle.
-        for k in range(lt, lb, -1):
-            r[k - 1] = kernels.rprj3(r[k], trace, k - 1)
-        # Coarsest level.
-        uk = make_grid(1 << lb)
-        if trace is not None:
-            trace.record("zero3", lb, (1 << lb) ** 3)
-        kernels.psinv(r[lb], uk, c, trace, lb)
-        u_levels = {lb: uk}
-        # Up cycle.
-        for k in range(lb + 1, lt):
-            uk = make_grid(1 << k)
-            if trace is not None:
-                trace.record("zero3", k, (1 << k) ** 3)
-            kernels.interp_add(u_levels[k - 1], uk, trace, k)
-            r[k] = kernels.resid(uk, r[k], a, trace, k)
-            kernels.psinv(r[k], uk, c, trace, k)
-            u_levels[k] = uk
-        # Finest level.
-        kernels.interp_add(u_levels[lt - 1], u, trace, lt)
-        r[lt] = kernels.resid(u, v, a, trace, lt)
-        kernels.psinv(r[lt], u, c, trace, lt)
-        # Top-of-iteration residual.
-        r[lt] = kernels.resid(u, v, a, trace, lt)
-        if keep_history:
-            history.append(norm2u3(r[lt])[0])
-
-    rnm2, rnmu = norm2u3(r[lt])
-    if trace is not None:
-        trace.record("norm2u3", lt, sc.nx ** 3)
-    return MGResult(sc, rnm2, rnmu, u, r[lt], trace, history)
-
-
-class MGImplementation(ABC):
+class MGImplementation:
     """A named, benchmarkable MG implementation style."""
 
     #: Short identifier used in reports and the machine model.
     name: str = "base"
     #: Human-readable label as the paper prints it.
     label: str = "base"
+    #: The style's kernel table (a style with a control flow of its own
+    #: overrides :meth:`solve` instead).
+    kernels: MGKernels
 
-    @abstractmethod
     def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
               collect_trace: bool = False,
               keep_history: bool = False) -> MGResult:
         """Run the benchmark's timed section."""
+        return run_mg(self.kernels, size_class, nit,
+                      collect_trace=collect_trace, keep_history=keep_history)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -8,19 +8,13 @@ packages it behind the common comparison interface.
 
 from __future__ import annotations
 
-from repro.core.classes import SizeClass
-from repro.core.mg import MGResult, interp_add, psinv, resid, rprj3
+from repro.core.mg import numpy_kernels
 
-from .common import MGImplementation, MGKernels, run_mg
+from .common import MGImplementation
 
 __all__ = ["FortranMG", "FORTRAN_KERNELS"]
 
-FORTRAN_KERNELS = MGKernels(
-    resid=resid,
-    psinv=psinv,
-    rprj3=rprj3,
-    interp_add=interp_add,
-)
+FORTRAN_KERNELS = numpy_kernels()
 
 
 class FortranMG(MGImplementation):
@@ -28,9 +22,4 @@ class FortranMG(MGImplementation):
 
     name = "f77"
     label = "Fortran-77"
-
-    def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
-              collect_trace: bool = False,
-              keep_history: bool = False) -> MGResult:
-        return run_mg(FORTRAN_KERNELS, size_class, nit,
-                      collect_trace=collect_trace, keep_history=keep_history)
+    kernels = FORTRAN_KERNELS

@@ -46,7 +46,8 @@ def interior(u: np.ndarray) -> np.ndarray:
 
 
 def comm3(u: np.ndarray) -> np.ndarray:
-    """Refresh the periodic ghost layers in place (NPB ``comm3``).
+    """Refresh the periodic ghost layers in place (NPB ``comm3``):
+    :func:`ghost_fill` with its default periodic contract.
 
     Sequential full-face copies along axes x, y, z.  Later copies pick up
     ghost values written by earlier ones, which reproduces the corner and
@@ -54,18 +55,7 @@ def comm3(u: np.ndarray) -> np.ndarray:
 
     Returns ``u`` for call chaining.
     """
-    for axis in (2, 1, 0):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        src_hi = [slice(None)] * 3
-        src_lo = [slice(None)] * 3
-        lo[axis] = 0
-        src_hi[axis] = -2
-        hi[axis] = -1
-        src_lo[axis] = 1
-        u[tuple(lo)] = u[tuple(src_hi)]
-        u[tuple(hi)] = u[tuple(src_lo)]
-    return u
+    return ghost_fill(u)
 
 
 def make_extended(m: int, ndim: int = 3, dtype=np.float64) -> np.ndarray:
@@ -79,7 +69,7 @@ def make_extended(m: int, ndim: int = 3, dtype=np.float64) -> np.ndarray:
 
 
 def ghost_fill(u: np.ndarray, kind: str = "periodic",
-               value: float = 0.0) -> np.ndarray:
+               value: float = 0.0, axes=None) -> np.ndarray:
     """Refresh the ghost layers of an extended array in place.
 
     Rank-polymorphic generalisation of :func:`comm3`, dispatching on the
@@ -98,10 +88,12 @@ def ghost_fill(u: np.ndarray, kind: str = "periodic",
 
     Faces are filled sequentially per axis (last axis first, matching
     ``comm3``); later axes read ghost values written by earlier ones,
-    which fixes the edge/corner semantics.  Returns ``u`` for chaining.
+    which fixes the edge/corner semantics.  ``axes`` restricts the fill
+    to those axes, in the order given (an SPMD slab fills x and y
+    locally and exchanges z).  Returns ``u`` for chaining.
     """
     nd = u.ndim
-    for axis in range(nd - 1, -1, -1):
+    for axis in range(nd - 1, -1, -1) if axes is None else axes:
         lo = [slice(None)] * nd
         hi = [slice(None)] * nd
         in_lo = [slice(None)] * nd

@@ -7,12 +7,28 @@ using vectorized NumPy kernels; the *paper-style* high-level formulation
 (SetupPeriodicBorder + generic RelaxKernel + condense/scatter/embed/take)
 lives in :mod:`repro.baselines.sac_style_mg` and is equivalence-tested
 against this module.
+
+Two things are written here once and nowhere else:
+
+* **the arithmetic** — one plane-range body per operator
+  (:func:`resid_chunk`, :func:`psinv_chunk`, :func:`rprj3_chunk`,
+  :func:`interp_chunk`).  The serial kernels are the full-range call
+  plus a ghost fill; the threaded runtime forks the same bodies over
+  plane ranges and the SPMD runtime hands them one z-slab per rank;
+* **the schedule** — :func:`correction` (project down, smooth the
+  coarsest grid, interpolate / residual / smooth back up),
+  :func:`vcycle` and the benchmark loop :func:`run`, written over an
+  :class:`MGKernels` table.  Serial, the comparison styles, threaded and
+  SPMD are tables; workspace, boundary contract, timing and tracing are
+  bound when a table is built, not threaded through the schedule.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -24,12 +40,23 @@ from .trace import Trace
 from .zran3 import zran3
 
 __all__ = [
+    "resid_chunk",
+    "psinv_chunk",
+    "rprj3_chunk",
+    "interp_chunk",
     "resid",
     "psinv",
     "rprj3",
     "interp_add",
+    "MGKernels",
+    "numpy_kernels",
+    "timed_kernels",
+    "traced_kernels",
+    "correction",
+    "vcycle",
     "mg3P",
     "MGResult",
+    "run",
     "solve",
 ]
 
@@ -40,17 +67,33 @@ _M = slice(0, -2)
 _P = slice(2, None)
 
 
-def _scratch(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized scratch, pooled per ``(name, shape)`` when a
-    :class:`~repro.perf.workspace.Workspace` is given.  Every scratch
-    buffer's first use is a full write."""
+def _scratch(ws, name: str, planes: int, tail: tuple[int, ...],
+             z0: int, z1: int) -> np.ndarray:
+    """Uninitialized scratch for planes ``[z0, z1)`` of a level; every
+    scratch buffer's first use is a full write.
+
+    With a :class:`~repro.perf.workspace.Workspace` this is a
+    plane-range view of one pooled ``(planes, *tail)`` buffer: disjoint
+    chunks get disjoint memory, and the pool's footprint is the same for
+    every partition and team size.
+    """
     if ws is None:
-        return np.empty(shape)
-    return ws.get(name, shape)
+        return np.empty((z1 - z0,) + tail)
+    return ws.get(name, (planes,) + tail)[z0:z1]
 
 
-def _plane_sums_into(u: np.ndarray, u1: np.ndarray,
-                     u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A whole result grid from :func:`_scratch`; its caller overwrites
+    all of it, interior by the kernel and ghosts by the boundary fill."""
+    return _scratch(ws, name, shape[0], tuple(shape[1:]), 0, shape[0])
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic: one plane-range body per operator.
+# ---------------------------------------------------------------------------
+
+def _plane_sums_into(u: np.ndarray, zc: slice, zm: slice, zp: slice,
+                     u1: np.ndarray, u2: np.ndarray) -> None:
     """NPB's shared auxiliary buffers over the full x extent.
 
     ``u1(i1) = u(i1,i2-1,i3) + u(i1,i2+1,i3) + u(i1,i2,i3-1) + u(i1,i2,i3+1)``
@@ -59,51 +102,46 @@ def _plane_sums_into(u: np.ndarray, u1: np.ndarray,
     Built with in-place adds in exactly the left-to-right order of the
     Fortran source, term by term, so the whole solver stays
     bit-reproducible against NPB 2.3 (axis order here is ``[i3, i2,
-    i1]``).
+    i1]``; ``zc``/``zm``/``zp`` select planes ``i3``, ``i3-1``, ``i3+1``).
     """
-    np.add(u[_C, _M, :], u[_C, _P, :], out=u1)
-    np.add(u1, u[_M, _C, :], out=u1)
-    np.add(u1, u[_P, _C, :], out=u1)
-    np.add(u[_M, _M, :], u[_M, _P, :], out=u2)
-    np.add(u2, u[_P, _M, :], out=u2)
-    np.add(u2, u[_P, _P, :], out=u2)
-    return u1, u2
+    np.add(u[zc, _M, :], u[zc, _P, :], out=u1)
+    np.add(u1, u[zm, _C, :], out=u1)
+    np.add(u1, u[zp, _C, :], out=u1)
+    np.add(u[zm, _M, :], u[zm, _P, :], out=u2)
+    np.add(u2, u[zp, _M, :], out=u2)
+    np.add(u2, u[zp, _P, :], out=u2)
 
 
-def resid(u: np.ndarray, v: np.ndarray, a=A_COEFFS, trace: Trace | None = None,
-          level: int = 0, *, out: np.ndarray | None = None, ws=None,
-          monitor=None, boundary=comm3) -> np.ndarray:
-    """Residual ``r = v - A u`` on an extended grid, ghosts refreshed.
+def _stencil_setup(u: np.ndarray, z0: int, z1: int, ws):
+    """For a 27-point sweep over interior planes ``[z0, z1)`` of (a
+    z-slab of) ``u``: the extended-array slices of those planes and of
+    their lower and upper neighbours (interior plane ``p`` lives at
+    extended index ``p + 1``), and the ``u1``/``u2``/``acc``/``tmp``
+    buffers."""
+    m, n2, n1 = u.shape[0] - 2, u.shape[1], u.shape[2]
+    return (slice(z0 + 1, z1 + 1), slice(z0, z1), slice(z0 + 2, z1 + 2),
+            _scratch(ws, "mg.u1", m, (n2 - 2, n1), z0, z1),
+            _scratch(ws, "mg.u2", m, (n2 - 2, n1), z0, z1),
+            _scratch(ws, "mg.acc", m, (n2 - 2, n1 - 2), z0, z1),
+            _scratch(ws, "mg.tmp", m, (n2 - 2, n1 - 2), z0, z1))
 
-    ``u`` and ``v`` must have valid borders.  For the NPB operator
-    (``a1 == 0``) this reproduces the Fortran ``resid`` bit for bit,
-    including its omission of the zero coefficient.
 
-    ``boundary`` is the ghost-fill callable applied to the result (a
-    ``BoundarySpec.fill`` from :mod:`repro.pde`, say); the default is
-    the NPB periodic ``comm3``.
+def resid_chunk(u: np.ndarray, v: np.ndarray, a, r: np.ndarray,
+                z0: int, z1: int, ws=None) -> None:
+    """``r = v - A u`` on interior planes ``[z0, z1)``.
 
-    ``out`` (or the workspace buffer used when ``ws`` is given) is fully
-    overwritten — interior by the accumulation, ghosts by the trailing
-    ``comm3`` — so a reused buffer cannot leak stale values.  ``out``
-    may alias ``v`` (NPB updates ``r`` in place): the accumulation reads
-    ``v`` exactly once before ``out`` is written.
+    For the NPB operator (``a1 == 0``) this reproduces the Fortran
+    ``resid`` bit for bit, including its omission of the zero
+    coefficient.  ``r`` may alias ``v`` (NPB updates ``r`` in place):
+    each chunk reads its own planes of ``v`` once, before writing them.
     """
-    t0 = time.perf_counter() if monitor is not None else 0.0
     a = tuple(float(x) for x in a)
-    n3, n2, n1 = u.shape
-    m = (n3 - 2, n2 - 2, n1 - 2)
-    u1 = _scratch(ws, "mg.u1", (n3 - 2, n2 - 2, n1))
-    u2 = _scratch(ws, "mg.u2", (n3 - 2, n2 - 2, n1))
-    _plane_sums_into(u, u1, u2)
-    if out is None:
-        out = np.zeros_like(u) if ws is None else ws.get("resid.out", u.shape)
-    acc = _scratch(ws, "mg.acc", m)
-    tmp = _scratch(ws, "mg.tmp", m)
-    np.multiply(u[_C, _C, _C], a[0], out=tmp)
-    np.subtract(v[_C, _C, _C], tmp, out=acc)
+    zc, zm, zp, u1, u2, acc, tmp = _stencil_setup(u, z0, z1, ws)
+    _plane_sums_into(u, zc, zm, zp, u1, u2)
+    np.multiply(u[zc, _C, _C], a[0], out=tmp)
+    np.subtract(v[zc, _C, _C], tmp, out=acc)
     if a[1] != 0.0:
-        np.add(u[_C, _C, _M], u[_C, _C, _P], out=tmp)
+        np.add(u[zc, _C, _M], u[zc, _C, _P], out=tmp)
         np.add(tmp, u1[:, :, _C], out=tmp)
         np.multiply(tmp, a[1], out=tmp)
         np.subtract(acc, tmp, out=acc)
@@ -114,38 +152,22 @@ def resid(u: np.ndarray, v: np.ndarray, a=A_COEFFS, trace: Trace | None = None,
     np.add(u2[:, :, _M], u2[:, :, _P], out=tmp)
     np.multiply(tmp, a[3], out=tmp)
     np.subtract(acc, tmp, out=acc)
-    out[_C, _C, _C] = acc
-    boundary(out)
-    if trace is not None:
-        n = u.shape[0] - 2
-        trace.record("resid", level, n ** 3)
-        trace.record("comm3", level, n ** 3)
-    if monitor is not None:
-        monitor.add("resid", time.perf_counter() - t0)
-    return out
+    r[zc, _C, _C] = acc
 
 
-def psinv(r: np.ndarray, u: np.ndarray, c, trace: Trace | None = None,
-          level: int = 0, *, ws=None, monitor=None,
-          boundary=comm3) -> np.ndarray:
-    """Smoothing step ``u += S r`` in place, ghosts refreshed via
-    ``boundary`` (default: periodic ``comm3``).
+def psinv_chunk(r: np.ndarray, u: np.ndarray, c,
+                z0: int, z1: int, ws=None) -> None:
+    """``u += S r`` on interior planes ``[z0, z1)``.
 
     Bit-exact against NPB's ``psinv`` for its coefficient sets
     (``c3 == 0``); the ``c3`` term is included for generic stencils.
     """
-    t0 = time.perf_counter() if monitor is not None else 0.0
     c = tuple(float(x) for x in c)
-    n3, n2, n1 = r.shape
-    m = (n3 - 2, n2 - 2, n1 - 2)
-    r1 = _scratch(ws, "mg.u1", (n3 - 2, n2 - 2, n1))
-    r2 = _scratch(ws, "mg.u2", (n3 - 2, n2 - 2, n1))
-    _plane_sums_into(r, r1, r2)
-    acc = _scratch(ws, "mg.acc", m)
-    tmp = _scratch(ws, "mg.tmp", m)
-    np.multiply(r[_C, _C, _C], c[0], out=tmp)
-    np.add(u[_C, _C, _C], tmp, out=acc)
-    np.add(r[_C, _C, _M], r[_C, _C, _P], out=tmp)
+    zc, zm, zp, r1, r2, acc, tmp = _stencil_setup(r, z0, z1, ws)
+    _plane_sums_into(r, zc, zm, zp, r1, r2)
+    np.multiply(r[zc, _C, _C], c[0], out=tmp)
+    np.add(u[zc, _C, _C], tmp, out=acc)
+    np.add(r[zc, _C, _M], r[zc, _C, _P], out=tmp)
     np.add(tmp, r1[:, :, _C], out=tmp)
     np.multiply(tmp, c[1], out=tmp)
     np.add(acc, tmp, out=acc)
@@ -157,21 +179,13 @@ def psinv(r: np.ndarray, u: np.ndarray, c, trace: Trace | None = None,
         np.add(r2[:, :, _M], r2[:, :, _P], out=tmp)
         np.multiply(tmp, c[3], out=tmp)
         np.add(acc, tmp, out=acc)
-    u[_C, _C, _C] = acc
-    boundary(u)
-    if trace is not None:
-        n = u.shape[0] - 2
-        trace.record("psinv", level, n ** 3)
-        trace.record("comm3", level, n ** 3)
-    if monitor is not None:
-        monitor.add("psinv", time.perf_counter() - t0)
-    return u
+    u[zc, _C, _C] = acc
 
 
-def rprj3(r: np.ndarray, trace: Trace | None = None, level: int = 0, *,
-          out: np.ndarray | None = None, ws=None, monitor=None,
-          p=P_COEFFS, boundary=comm3) -> np.ndarray:
-    """Project a fine residual onto the next coarser grid (NPB ``rprj3``).
+def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
+                ws=None, p=P_COEFFS) -> None:
+    """Project fine ``r`` onto coarse interior planes ``[j0, j1)`` of
+    ``s`` (NPB ``rprj3``).
 
     Full weighting with the distance-class coefficients ``p`` (a
     ``StencilSpec.restrict_coeffs`` 4-vector): 1/2 for the (fine)
@@ -179,49 +193,42 @@ def rprj3(r: np.ndarray, trace: Trace | None = None, level: int = 0, *,
     default.  Expression order follows the Fortran source exactly (the
     ``x1``/``y1`` shared buffers at odd fine x positions, then the
     four-class combination), so default results are bit-identical to
-    NPB 2.3.  ``boundary`` refreshes the coarse ghosts (default:
-    periodic ``comm3``).
-
-    ``out`` (or the pooled buffer when ``ws`` is given) is fully
-    overwritten — interior here, ghosts by the boundary fill.
+    NPB 2.3.  ``r`` may be a z-slab: the x/y slicing is derived from the
+    (cubic) x/y extent, the plane indices from the given range.
     """
-    t0 = time.perf_counter() if monitor is not None else 0.0
     p = tuple(float(x) for x in p)
-    nf = r.shape[0] - 2
-    if nf < 4 or nf % 2:
-        raise ValueError(f"cannot project a grid with interior {nf}")
-    n = nf + 2
-    mh = nf // 2
-    c0 = slice(2, n - 1, 2)  # fine centers along i3 (0-based even)
-    m0 = slice(1, n - 2, 2)
-    p0 = slice(3, n, 2)
-    c1, m1, p1 = c0, m0, p0  # cubic grids: same slices along i2
+    n = r.shape[1]
+    c1 = slice(2, n - 1, 2)  # fine centers along i2/i1 (0-based even)
+    m1 = slice(1, n - 2, 2)
+    p1 = slice(3, n, 2)
     ox = slice(1, n, 2)      # all odd x positions (the x1/y1 extent)
-    cx, mx, px = c0, m0, p0  # center / +-1 along i1 at result points
-
+    # Fine center planes for coarse interior planes j (0-based interior).
+    zc = slice(2 * (j0 + 1), 2 * j1 + 1, 2)
+    zm = slice(2 * (j0 + 1) - 1, 2 * j1, 2)
+    zp = slice(2 * (j0 + 1) + 1, 2 * j1 + 2, 2)
+    mj, mh = (r.shape[0] - 2) // 2, (n - 2) // 2
     # Shared buffers over the odd x extent (NPB's x1, y1).
-    x1 = _scratch(ws, "rprj3.x1", (mh, mh, mh + 1))
-    y1 = _scratch(ws, "rprj3.y1", (mh, mh, mh + 1))
-    np.add(r[c0, m1, ox], r[c0, p1, ox], out=x1)
-    np.add(x1, r[m0, c1, ox], out=x1)
-    np.add(x1, r[p0, c1, ox], out=x1)
-    np.add(r[m0, m1, ox], r[p0, m1, ox], out=y1)
-    np.add(y1, r[m0, p1, ox], out=y1)
-    np.add(y1, r[p0, p1, ox], out=y1)
+    x1 = _scratch(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j1)
+    y1 = _scratch(ws, "rprj3.y1", mj, (mh, mh + 1), j0, j1)
+    np.add(r[zc, m1, ox], r[zc, p1, ox], out=x1)
+    np.add(x1, r[zm, c1, ox], out=x1)
+    np.add(x1, r[zp, c1, ox], out=x1)
+    np.add(r[zm, m1, ox], r[zp, m1, ox], out=y1)
+    np.add(y1, r[zm, p1, ox], out=y1)
+    np.add(y1, r[zp, p1, ox], out=y1)
     # Per-point sums at center x (NPB's x2, y2).
-    x2 = _scratch(ws, "rprj3.x2", (mh, mh, mh))
-    y2 = _scratch(ws, "rprj3.y2", (mh, mh, mh))
-    np.add(r[c0, m1, cx], r[c0, p1, cx], out=x2)
-    np.add(x2, r[m0, c1, cx], out=x2)
-    np.add(x2, r[p0, c1, cx], out=x2)
-    np.add(r[m0, m1, cx], r[p0, m1, cx], out=y2)
-    np.add(y2, r[m0, p1, cx], out=y2)
-    np.add(y2, r[p0, p1, cx], out=y2)
-
-    acc = _scratch(ws, "rprj3.acc", (mh, mh, mh))
-    tmp = _scratch(ws, "rprj3.tmp", (mh, mh, mh))
-    np.multiply(r[c0, c1, cx], p[0], out=acc)
-    np.add(r[c0, c1, mx], r[c0, c1, px], out=tmp)
+    x2 = _scratch(ws, "rprj3.x2", mj, (mh, mh), j0, j1)
+    y2 = _scratch(ws, "rprj3.y2", mj, (mh, mh), j0, j1)
+    np.add(r[zc, m1, c1], r[zc, p1, c1], out=x2)
+    np.add(x2, r[zm, c1, c1], out=x2)
+    np.add(x2, r[zp, c1, c1], out=x2)
+    np.add(r[zm, m1, c1], r[zp, m1, c1], out=y2)
+    np.add(y2, r[zm, p1, c1], out=y2)
+    np.add(y2, r[zp, p1, c1], out=y2)
+    acc = _scratch(ws, "rprj3.acc", mj, (mh, mh), j0, j1)
+    tmp = _scratch(ws, "rprj3.tmp", mj, (mh, mh), j0, j1)
+    np.multiply(r[zc, c1, c1], p[0], out=acc)
+    np.add(r[zc, c1, m1], r[zc, c1, p1], out=tmp)
     np.add(tmp, x2, out=tmp)
     np.multiply(tmp, p[1], out=tmp)
     np.add(acc, tmp, out=acc)
@@ -232,146 +239,292 @@ def rprj3(r: np.ndarray, trace: Trace | None = None, level: int = 0, *,
     np.add(y1[:, :, :-1], y1[:, :, 1:], out=tmp)
     np.multiply(tmp, p[3], out=tmp)
     np.add(acc, tmp, out=acc)
-
-    if out is None:
-        out = make_grid(mh) if ws is None else ws.get("rprj3.out",
-                                                      (mh + 2,) * 3)
-    out[1:-1, 1:-1, 1:-1] = acc
-    boundary(out)
-    if trace is not None:
-        trace.record("rprj3", level, mh ** 3)
-        trace.record("comm3", level, mh ** 3)
-    if monitor is not None:
-        monitor.add("rprj3", time.perf_counter() - t0)
-    return out
+    s[j0 + 1:j1 + 1, 1:-1, 1:-1] = acc
 
 
-def interp_add(z: np.ndarray, u: np.ndarray, trace: Trace | None = None,
-               level: int = 0, *, ws=None, monitor=None,
-               q=Q_COEFFS) -> np.ndarray:
-    """Add the trilinear prolongation of coarse ``z`` into fine ``u``.
+def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
+                 ws=None, q=Q_COEFFS) -> None:
+    """Add the trilinear prolongation of coarse plane rows ``[j0, j1)``
+    (of the 0..m inclusive range) into fine ``u`` (NPB ``interp``).
 
     ``q`` holds the distance-class prolongation weights (a
     ``StencilSpec.prolong_coeffs`` 4-vector; NPB's trilinear
-    1 / 1/2 / 1/4 / 1/8 by default).  Writes the whole fine extent
-    including ghost cells; because ``z`` has valid periodic borders the
-    result's borders come out periodic too, exactly as in the serial
-    NPB ``interp`` (which needs no trailing ``comm3``).  The
-    ``z1``/``z2``/``z3`` buffer sums follow the Fortran order term by
-    term, so the default update is bit-identical to NPB 2.3.
-    """
-    t0 = time.perf_counter() if monitor is not None else 0.0
-    q = tuple(float(x) for x in q)
-    m = z.shape[0] - 2
-    nf = u.shape[0] - 2
-    if nf != 2 * m:
-        raise ValueError(f"interp shape mismatch: coarse {m} fine {nf}")
-    n = nf + 2
-    # Coarse source range 0..m (m+1 values) along each axis.
-    L = slice(0, -1)   # z(i)
-    H = slice(1, None)  # z(i+1)
-    z1 = _scratch(ws, "interp.z1", (m + 1, m + 1, m + 2))
-    z2 = _scratch(ws, "interp.z2", (m + 1, m + 1, m + 2))
-    z3 = _scratch(ws, "interp.z3", (m + 1, m + 1, m + 2))
-    np.add(z[L, H, :], z[L, L, :], out=z1)   # z(i2+1,i3) + z(i2,i3)
-    np.add(z[H, L, :], z[L, L, :], out=z2)   # z(i2,i3+1) + z(i2,i3)
-    np.add(z[H, H, :], z[H, L, :], out=z3)   # z(i2+1,i3+1) + z(i2,i3+1) + z1
-    np.add(z3, z1, out=z3)
+    1 / 1/2 / 1/4 / 1/8 by default).  Each coarse row ``j`` owns fine
+    planes ``2j`` and ``2j+1``, so slabs of distinct ``j`` never
+    overlap; over the full range the whole fine extent is written,
+    ghost cells included.  ``z``/``u`` may be z-slabs: the x/y slicing
+    derives from the (cubic) x/y extent.
 
+    Whole-slab ufunc chains — a handful of large GIL-releasing calls
+    per chunk — with the ``z1``/``z2``/``z3`` buffer sums in the Fortran
+    order term by term, so the default update is bit-identical to
+    NPB 2.3.
+    """
+    q = tuple(float(x) for x in q)
+    n = u.shape[1]
+    L = slice(0, -1)        # z(i)
+    H = slice(1, None)      # z(i+1)
     E = slice(0, n - 1, 2)  # fine 0-based even targets (Fortran 2i-1)
     O = slice(1, n, 2)      # fine 0-based odd targets  (Fortran 2i)
-    tmp = _scratch(ws, "interp.tmp", (m + 1, m + 1, m + 1))
+    rows, nc = z.shape[0] - 1, z.shape[1]
+    zc, zn = z[j0:j1], z[j0 + 1:j1 + 1]
+    ue, uo = u[2 * j0:2 * j1:2], u[2 * j0 + 1:2 * j1 + 1:2]
+    z1 = _scratch(ws, "interp.z1", rows, (nc - 1, nc), j0, j1)
+    z2 = _scratch(ws, "interp.z2", rows, (nc - 1, nc), j0, j1)
+    z3 = _scratch(ws, "interp.z3", rows, (nc - 1, nc), j0, j1)
+    tmp = _scratch(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j1)
+    np.add(zc[:, H, :], zc[:, L, :], out=z1)   # z(i2+1,i3) + z(i2,i3)
+    np.add(zn[:, L, :], zc[:, L, :], out=z2)   # z(i2,i3+1) + z(i2,i3)
+    np.add(zn[:, H, :], zn[:, L, :], out=z3)   # z(i2+1,i3+1) + z(i2,i3+1) + z1
+    np.add(z3, z1, out=z3)
     if q[0] == 1.0:
-        u[E, E, E] += z[L, L, L]
+        ue[:, E, E] += zc[:, L, L]
     else:
-        np.multiply(z[L, L, L], q[0], out=tmp)
-        u[E, E, E] += tmp
-    np.add(z[L, L, H], z[L, L, L], out=tmp)
+        np.multiply(zc[:, L, L], q[0], out=tmp)
+        ue[:, E, E] += tmp
+    np.add(zc[:, L, H], zc[:, L, L], out=tmp)
     np.multiply(tmp, q[1], out=tmp)
-    u[E, E, O] += tmp
+    ue[:, E, O] += tmp
     np.multiply(z1[:, :, :-1], q[1], out=tmp)
-    u[E, O, E] += tmp
+    ue[:, O, E] += tmp
     np.add(z1[:, :, :-1], z1[:, :, 1:], out=tmp)
     np.multiply(tmp, q[2], out=tmp)
-    u[E, O, O] += tmp
+    ue[:, O, O] += tmp
     np.multiply(z2[:, :, :-1], q[1], out=tmp)
-    u[O, E, E] += tmp
+    uo[:, E, E] += tmp
     np.add(z2[:, :, :-1], z2[:, :, 1:], out=tmp)
     np.multiply(tmp, q[2], out=tmp)
-    u[O, E, O] += tmp
+    uo[:, E, O] += tmp
     np.multiply(z3[:, :, :-1], q[2], out=tmp)
-    u[O, O, E] += tmp
+    uo[:, O, E] += tmp
     np.add(z3[:, :, :-1], z3[:, :, 1:], out=tmp)
     np.multiply(tmp, q[3], out=tmp)
-    u[O, O, O] += tmp
-    if trace is not None:
-        trace.record("interp", level, nf ** 3)
-    if monitor is not None:
-        monitor.add("interp", time.perf_counter() - t0)
+    uo[:, O, O] += tmp
+
+
+# ---------------------------------------------------------------------------
+# The serial kernels: the full plane range, then the ghost fill.
+# ---------------------------------------------------------------------------
+
+def coarse_interior(r: np.ndarray) -> int:
+    """Interior size of the grid ``r`` projects onto."""
+    nf = r.shape[0] - 2
+    if nf < 4 or nf % 2:
+        raise ValueError(f"cannot project a grid with interior {nf}")
+    return nf // 2
+
+
+def check_interp_shapes(z: np.ndarray, u: np.ndarray) -> None:
+    m, nf = z.shape[0] - 2, u.shape[0] - 2
+    if nf != 2 * m:
+        raise ValueError(f"interp shape mismatch: coarse {m} fine {nf}")
+
+
+def resid(u: np.ndarray, v: np.ndarray, a=A_COEFFS, *,
+          out: np.ndarray | None = None, ws=None,
+          boundary=comm3) -> np.ndarray:
+    """Residual ``r = v - A u`` on an extended grid, ghosts refreshed.
+
+    ``u`` and ``v`` must have valid borders.  ``boundary`` is the
+    ghost-fill callable applied to the result (a ``BoundarySpec.fill``
+    from :mod:`repro.pde`, say); the default is the NPB periodic
+    ``comm3``.
+
+    ``out`` (or the workspace buffer used when ``ws`` is given) is fully
+    overwritten — interior by the accumulation, ghosts by the trailing
+    ``comm3`` — so a reused buffer cannot leak stale values.  ``out``
+    may alias ``v`` (see :func:`resid_chunk`).
+    """
+    if out is None:
+        out = _grid(ws, "resid.out", u.shape)
+    resid_chunk(u, v, a, out, 0, u.shape[0] - 2, ws)
+    boundary(out)
+    return out
+
+
+def psinv(r: np.ndarray, u: np.ndarray, c, *, ws=None,
+          boundary=comm3) -> np.ndarray:
+    """Smoothing step ``u += S r`` in place, ghosts refreshed via
+    ``boundary`` (default: periodic ``comm3``)."""
+    psinv_chunk(r, u, c, 0, u.shape[0] - 2, ws)
+    boundary(u)
     return u
 
 
-def mg3P(u: np.ndarray, v: np.ndarray, r_levels: dict[int, np.ndarray],
-         a, c, lt: int, lb: int = 1, trace: Trace | None = None, *,
-         ws=None, monitor=None, p=P_COEFFS, q=Q_COEFFS,
-         boundary=comm3) -> None:
-    """One V-cycle (NPB ``mg3P``), updating ``u`` in place.
+def rprj3(r: np.ndarray, *, ws=None, p=P_COEFFS,
+          boundary=comm3) -> np.ndarray:
+    """Project a fine residual (or a z-slab of one) onto the next
+    coarser grid (see :func:`rprj3_chunk`); ``boundary`` refreshes the
+    coarse ghosts (default: periodic ``comm3``).  The result (the pooled
+    buffer when ``ws`` is given) is fully overwritten."""
+    mh = coarse_interior(r)
+    out = _grid(ws, "rprj3.out", tuple((n - 2) // 2 + 2 for n in r.shape))
+    rprj3_chunk(r, out, 0, mh, ws, p)
+    boundary(out)
+    return out
 
-    Generic-family hooks: ``p``/``q`` are the restriction/prolongation
-    class 4-vectors (``StencilSpec`` coefficients) and ``boundary`` the
-    ghost-fill callable; the defaults are exactly the NPB instance.
 
-    ``r_levels[lt]`` holds the current finest residual on entry; levels
-    below are scratch storage owned by the caller (their contents are
-    overwritten by the down cycle).
+def interp_add(z: np.ndarray, u: np.ndarray, *, ws=None,
+               q=Q_COEFFS) -> np.ndarray:
+    """Add the trilinear prolongation of coarse ``z`` into fine ``u``
+    (see :func:`interp_chunk`).
 
-    With a workspace, each level's residual lives in one pooled buffer
-    reused across iterations (``out=`` rebinds it in place, NPB's static
-    ``r`` layout), the per-level correction grids come zero-filled from
-    the pool, and the mid-level residual update writes back into
-    ``r_levels[k]`` itself (safe: :func:`resid` reads ``v`` once before
-    writing ``out``).
+    Writes the whole fine extent including ghost cells; because ``z``
+    has valid periodic borders the result's borders come out periodic
+    too, exactly as in the serial NPB ``interp`` (which needs no
+    trailing ``comm3``).
     """
-    u_levels: dict[int, np.ndarray] = {}
-    # Down cycle: restrict the residual to the coarsest level.
-    for k in range(lt, lb, -1):
-        r_levels[k - 1] = rprj3(r_levels[k], trace, level=k - 1,
-                                out=r_levels.get(k - 1), ws=ws,
-                                monitor=monitor, p=p, boundary=boundary)
-    # Coarsest grid: one smoothing step from a zero guess.
-    if ws is None:
-        uk = make_grid(1 << lb)
+    check_interp_shapes(z, u)
+    interp_chunk(z, u, 0, z.shape[0] - 1, ws, q)
+    return u
+
+
+# ---------------------------------------------------------------------------
+# Kernel tables.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MGKernels:
+    """The operators of one implementation of the V-cycle, hooks bound.
+
+    Grids are whatever the table's kernels agree on (full extended
+    arrays, z-slabs of them); the schedule only passes them along.
+    """
+
+    #: ``resid(u, v, a, out=None) -> r``; with ``out`` (which may be
+    #: ``v``) the kernel may write there instead of a buffer of its own.
+    resid: Callable
+    #: ``psinv(r, u, c) -> u``, in place.
+    psinv: Callable
+    #: ``rprj3(r) -> s``, the next coarser residual.
+    rprj3: Callable
+    #: ``interp_add(z, u) -> u``, in place.
+    interp_add: Callable
+    #: ``zeros(shape) -> grid``: the zero first guess of a correction.
+    zeros: Callable = np.zeros
+    #: ``coarsest(r, a, c, lb) -> z``: the correction on level ``lb``;
+    #: ``None`` is NPB's one smoothing step from a zero guess.
+    coarsest: Callable | None = None
+
+
+def numpy_kernels(ws=None, *, boundary=None, p=P_COEFFS,
+                  q=Q_COEFFS) -> MGKernels:
+    """The serial NumPy table.
+
+    ``ws`` pools every temporary (per-level residuals and correction
+    grids included); ``p``/``q`` are the restriction/prolongation class
+    4-vectors and ``boundary`` the ghost-fill callable of a family
+    member other than the NPB instance.  Periodic prolongation leaves
+    periodic ghosts behind; any other contract is re-imposed after it.
+    """
+    interp = partial(interp_add, ws=ws, q=q)
+    fill = comm3 if boundary is None else boundary
+    return MGKernels(
+        resid=partial(resid, ws=ws, boundary=fill),
+        psinv=partial(psinv, ws=ws, boundary=fill),
+        rprj3=partial(rprj3, ws=ws, p=p, boundary=fill),
+        interp_add=(interp if boundary is None
+                    else lambda z, u: boundary(interp(z, u))),
+        zeros=np.zeros if ws is None else partial(ws.zeros, "mg3P.u"),
+    )
+
+
+def _level(grid: np.ndarray) -> int:
+    """Multigrid level of a grid or z-slab, from its x extent."""
+    return (grid.shape[1] - 2).bit_length() - 1
+
+
+def timed_kernels(kernels: MGKernels, monitor) -> MGKernels:
+    """Wrap a table so each operator call books its wall time on
+    ``monitor.add(section, seconds)``."""
+    def wrap(section: str, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                monitor.add(section, time.perf_counter() - t0)
+        return timed
+
+    return replace(kernels,
+                   resid=wrap("resid", kernels.resid),
+                   psinv=wrap("psinv", kernels.psinv),
+                   rprj3=wrap("rprj3", kernels.rprj3),
+                   interp_add=wrap("interp", kernels.interp_add))
+
+
+def traced_kernels(kernels: MGKernels, trace: Trace) -> MGKernels:
+    """Wrap a table so each call records its op (and the border exchange
+    it ends with) at the level and point count of its result grid."""
+    def wrap(kind: str, fn, ghosts: bool = True):
+        def traced(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            level = _level(out)
+            trace.record(kind, level, (1 << level) ** 3)
+            if ghosts:
+                trace.record("comm3", level, (1 << level) ** 3)
+            return out
+        return traced
+
+    return replace(kernels,
+                   resid=wrap("resid", kernels.resid),
+                   psinv=wrap("psinv", kernels.psinv),
+                   rprj3=wrap("rprj3", kernels.rprj3),
+                   interp_add=wrap("interp", kernels.interp_add, False),
+                   zeros=wrap("zero3", kernels.zeros, False))
+
+
+# ---------------------------------------------------------------------------
+# The schedule.
+# ---------------------------------------------------------------------------
+
+def correction(kernels: MGKernels, r: dict[int, np.ndarray], a, c,
+               top: int, lb: int = 1) -> np.ndarray:
+    """The V-cycle operator on level ``top``: the correction grid ``z``
+    with ``A z ~ r[top]``.
+
+    ``r`` is NPB's per-level residual storage: levels below ``top`` are
+    overwritten by the down cycle, and on the way up each ``r[k]``
+    becomes ``r[k] - A z_k`` in place.
+    """
+    for k in range(top, lb, -1):
+        r[k - 1] = kernels.rprj3(r[k])
+    if kernels.coarsest is not None:
+        z = kernels.coarsest(r, a, c, lb)
     else:
-        uk = ws.zeros("mg3P.u", ((1 << lb) + 2,) * 3)
-    if trace is not None:
-        trace.record("zero3", lb, (1 << lb) ** 3)
-    psinv(r_levels[lb], uk, c, trace, level=lb, ws=ws, monitor=monitor,
-          boundary=boundary)
-    u_levels[lb] = uk
-    # Up cycle.
-    for k in range(lb + 1, lt):
-        if ws is None:
-            uk = make_grid(1 << k)
-        else:
-            uk = ws.zeros("mg3P.u", ((1 << k) + 2,) * 3)
-        if trace is not None:
-            trace.record("zero3", k, (1 << k) ** 3)
-        interp_add(u_levels[k - 1], uk, trace, level=k, ws=ws,
-                   monitor=monitor, q=q)
-        r_levels[k] = resid(uk, r_levels[k], a, trace, level=k,
-                            out=r_levels[k] if ws is not None else None,
-                            ws=ws, monitor=monitor, boundary=boundary)
-        psinv(r_levels[k], uk, c, trace, level=k, ws=ws, monitor=monitor,
-              boundary=boundary)
-        u_levels[k] = uk
-    # Finest grid: correct the solution itself.
-    interp_add(u_levels[lt - 1], u, trace, level=lt, ws=ws, monitor=monitor,
-               q=q)
-    r_levels[lt] = resid(u, v, a, trace, level=lt,
-                         out=r_levels[lt] if ws is not None else None,
-                         ws=ws, monitor=monitor, boundary=boundary)
-    psinv(r_levels[lt], u, c, trace, level=lt, ws=ws, monitor=monitor,
-          boundary=boundary)
+        z = kernels.zeros(r[lb].shape)
+        kernels.psinv(r[lb], z, c)
+    for k in range(lb + 1, top + 1):
+        zk = kernels.zeros(r[k].shape)
+        kernels.interp_add(z, zk)
+        r[k] = kernels.resid(zk, r[k], a, out=r[k])
+        kernels.psinv(r[k], zk, c)
+        z = zk
+    return z
+
+
+def vcycle(kernels: MGKernels, u: np.ndarray, v: np.ndarray,
+           r: dict[int, np.ndarray], a, c, lt: int, lb: int = 1) -> None:
+    """One V-cycle (NPB ``mg3P``), updating ``u`` in place: the
+    correction of level ``lt - 1`` is added to the solution itself.
+
+    ``r[lt]`` holds the current finest residual on entry and the
+    residual before the last smoothing step on return.
+    """
+    r[lt - 1] = kernels.rprj3(r[lt])
+    kernels.interp_add(correction(kernels, r, a, c, lt - 1, lb), u)
+    r[lt] = kernels.resid(u, v, a, out=r[lt])
+    kernels.psinv(r[lt], u, c)
+
+
+def mg3P(u: np.ndarray, v: np.ndarray, r_levels: dict[int, np.ndarray],
+         a, c, lt: int, lb: int = 1, *, ws=None, p=P_COEFFS, q=Q_COEFFS,
+         boundary=None) -> None:
+    """:func:`vcycle` over :func:`numpy_kernels`: one serial V-cycle
+    with the generic-family hooks ``p``/``q``/``boundary`` (defaults:
+    exactly the NPB instance)."""
+    vcycle(numpy_kernels(ws, boundary=boundary, p=p, q=q),
+           u, v, r_levels, a, c, lt, lb)
 
 
 @dataclass
@@ -406,24 +559,17 @@ class MGResult:
         return abs(self.rnm2 - ref) / abs(ref) <= 1.0e-8
 
 
-def solve(size_class: str | SizeClass, nit: int | None = None, *,
-          collect_trace: bool = False, keep_history: bool = False,
-          on_iteration=None, ws=None, monitor=None) -> MGResult:
-    """Run the full NAS MG benchmark for a size class.
-
-    Follows the timed section of NPB ``mg.f``: ``u = 0``, ``v = zran3``,
-    ``r = v - A u``; then ``nit`` times (V-cycle; top-level residual);
-    finally the verification norm.
+def run(kernels: MGKernels, size_class: str | SizeClass,
+        nit: int | None = None, *, collect_trace: bool = False,
+        keep_history: bool = False, on_iteration=None,
+        monitor=None) -> MGResult:
+    """The timed section of NPB ``mg.f`` over a kernel table: ``u = 0``,
+    ``v = zran3``, ``r = v - A u``; then ``nit`` times (V-cycle;
+    top-level residual); finally the verification norm.
 
     ``on_iteration(iteration, rnm2)``, if given, is called after each
     V-cycle with the current residual norm (the supervisor's numerical
     watchdog hooks in here); an exception it raises aborts the solve.
-
-    ``ws`` (a :class:`~repro.perf.workspace.Workspace`) pools every
-    extended-grid temporary of the timed section — after the first
-    V-cycle warms the pool, iterations run allocation-free and
-    bit-identical to the allocating path.  ``MGResult.r`` then
-    references a pool buffer (copy it before reusing the workspace).
     ``monitor`` (any object with ``add(section, seconds)``) receives
     per-operator wall time.
     """
@@ -431,28 +577,45 @@ def solve(size_class: str | SizeClass, nit: int | None = None, *,
     iters = sc.nit if nit is None else nit
     a = A_COEFFS
     c = S_COEFFS_A if sc.smoother == "a" else S_COEFFS_B
-    lt, lb = sc.lt, 1
-
+    lt = sc.lt
     trace = Trace() if collect_trace else None
+    if trace is not None:
+        kernels = traced_kernels(kernels, trace)
+    if monitor is not None:
+        kernels = timed_kernels(kernels, monitor)
+
     u = make_grid(sc.nx)
     v = zran3(sc.nx)
-    r_levels: dict[int, np.ndarray] = {}
-    r_levels[lt] = resid(u, v, a, trace, level=lt, ws=ws, monitor=monitor)
+    r = {lt: kernels.resid(u, v, a)}
     history: list[float] = []
     if keep_history:
-        history.append(norm2u3(r_levels[lt])[0])
+        history.append(norm2u3(r[lt])[0])
     for it in range(iters):
-        mg3P(u, v, r_levels, a, c, lt, lb, trace, ws=ws, monitor=monitor)
-        r_levels[lt] = resid(u, v, a, trace, level=lt,
-                             out=r_levels[lt] if ws is not None else None,
-                             ws=ws, monitor=monitor)
+        vcycle(kernels, u, v, r, a, c, lt)
+        r[lt] = kernels.resid(u, v, a, out=r[lt])
         if keep_history or on_iteration is not None:
-            rnm2_it = norm2u3(r_levels[lt])[0]
+            rnm2_it = norm2u3(r[lt])[0]
             if keep_history:
                 history.append(rnm2_it)
             if on_iteration is not None:
                 on_iteration(it, rnm2_it)
-    rnm2, rnmu = norm2u3(r_levels[lt])
+    rnm2, rnmu = norm2u3(r[lt])
     if trace is not None:
         trace.record("norm2u3", lt, sc.nx ** 3)
-    return MGResult(sc, rnm2, rnmu, u, r_levels[lt], trace, history)
+    return MGResult(sc, rnm2, rnmu, u, r[lt], trace, history)
+
+
+def solve(size_class: str | SizeClass, nit: int | None = None, *,
+          collect_trace: bool = False, keep_history: bool = False,
+          on_iteration=None, ws=None, monitor=None) -> MGResult:
+    """Run the full NAS MG benchmark for a size class (see :func:`run`).
+
+    ``ws`` (a :class:`~repro.perf.workspace.Workspace`) pools every
+    extended-grid temporary of the timed section — after the first
+    V-cycle warms the pool, iterations run allocation-free and
+    bit-identical to the allocating path.  ``MGResult.r`` then
+    references a pool buffer (copy it before reusing the workspace).
+    """
+    return run(numpy_kernels(ws), size_class, nit,
+               collect_trace=collect_trace, keep_history=keep_history,
+               on_iteration=on_iteration, monitor=monitor)

@@ -145,7 +145,7 @@ def _shift(u: np.ndarray, o3: int, o2: int, o1: int) -> np.ndarray:
     return u[ax(o3, n3), ax(o2, n2), ax(o1, n1)]
 
 
-def _scratch(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _scratch(ws: object, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """Uninitialized scratch buffer, pooled when a workspace is given.
 
     Every scratch buffer's first use below is a full-write ufunc

@@ -1,0 +1,48 @@
+"""NPB-style section timers: the one per-section time accumulator.
+
+``mg.f`` (with ``TIMING_ENABLED``) reports how the benchmark's time
+splits across the V-cycle kernels.  Every solver's ``monitor`` is any
+object with ``add(section, seconds)``; :class:`SectionTimers` is the
+accumulator the harness and the perf layer hand in (the latter under
+its historical name ``PerfMonitor``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+__all__ = ["SectionTimers"]
+
+
+@dataclass
+class SectionTimers:
+    """Accumulated seconds and call counts per section."""
+
+    seconds: dict[str, float] = field(default_factory=dict)
+    calls: dict[str, int] = field(default_factory=dict)
+
+    def add(self, section: str, dt: float) -> None:
+        self.seconds[section] = self.seconds.get(section, 0.0) + dt
+        self.calls[section] = self.calls.get(section, 0) + 1
+
+    @property
+    def total(self) -> float:
+        return sum(self.seconds.values())
+
+    def shares(self) -> dict[str, float]:
+        total = self.total
+        if total == 0.0:
+            return {k: 0.0 for k in self.seconds}
+        return {k: v / total for k, v in self.seconds.items()}
+
+    def report(self) -> str:
+        lines = [f"{'section':<10}{'calls':>8}{'seconds':>12}{'share':>9}"]
+        for name in sorted(self.seconds, key=self.seconds.get, reverse=True):
+            lines.append(
+                f"{name:<10}{self.calls[name]:>8}"
+                f"{self.seconds[name]:>12.4f}"
+                f"{100 * self.shares()[name]:>8.1f}%"
+            )
+        lines.append(f"{'total':<10}{sum(self.calls.values()):>8}"
+                     f"{self.total:>12.4f}")
+        return "\n".join(lines)

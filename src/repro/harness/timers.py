@@ -2,77 +2,21 @@
 
 ``mg.f`` (with ``TIMING_ENABLED``) reports how the benchmark's time
 splits across the V-cycle kernels.  :func:`timed_solve` reproduces that:
-it wraps any implementation's kernel set so every call is attributed to
-its section, runs the benchmark, and returns the per-kernel totals.
+it runs any implementation's kernel table with a
+:class:`~repro.core.timers.SectionTimers` as the monitor, so every
+kernel call is attributed to its section, and returns the per-kernel
+totals.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 from repro.baselines.common import MGKernels, run_mg
 from repro.baselines.fortran_mg import FORTRAN_KERNELS
-from repro.core.classes import SizeClass, get_class
-from repro.core.mg import MGResult
+from repro.core.classes import SizeClass
+from repro.core.mg import MGResult, timed_kernels
+from repro.core.timers import SectionTimers
 
 __all__ = ["SectionTimers", "timed_kernels", "timed_solve"]
-
-
-@dataclass
-class SectionTimers:
-    """Accumulated seconds and call counts per section."""
-
-    seconds: dict[str, float] = field(default_factory=dict)
-    calls: dict[str, int] = field(default_factory=dict)
-
-    def add(self, section: str, dt: float) -> None:
-        self.seconds[section] = self.seconds.get(section, 0.0) + dt
-        self.calls[section] = self.calls.get(section, 0) + 1
-
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
-    def shares(self) -> dict[str, float]:
-        total = self.total
-        if total == 0.0:
-            return {k: 0.0 for k in self.seconds}
-        return {k: v / total for k, v in self.seconds.items()}
-
-    def report(self) -> str:
-        lines = [f"{'section':<10}{'calls':>8}{'seconds':>12}{'share':>9}"]
-        for name in sorted(self.seconds, key=self.seconds.get, reverse=True):
-            lines.append(
-                f"{name:<10}{self.calls[name]:>8}"
-                f"{self.seconds[name]:>12.4f}"
-                f"{100 * self.shares()[name]:>8.1f}%"
-            )
-        lines.append(f"{'total':<10}{sum(self.calls.values()):>8}"
-                     f"{self.total:>12.4f}")
-        return "\n".join(lines)
-
-
-def _wrap(section: str, fn, timers: SectionTimers):
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            timers.add(section, time.perf_counter() - t0)
-
-    return timed
-
-
-def timed_kernels(kernels: MGKernels,
-                  timers: SectionTimers) -> MGKernels:
-    """Wrap a kernel set so each call books time on its section."""
-    return MGKernels(
-        resid=_wrap("resid", kernels.resid, timers),
-        psinv=_wrap("psinv", kernels.psinv, timers),
-        rprj3=_wrap("rprj3", kernels.rprj3, timers),
-        interp_add=_wrap("interp", kernels.interp_add, timers),
-    )
 
 
 def timed_solve(size_class: str | SizeClass, nit: int | None = None,
@@ -80,5 +24,4 @@ def timed_solve(size_class: str | SizeClass, nit: int | None = None,
                 ) -> tuple[MGResult, SectionTimers]:
     """Run the benchmark with per-kernel timing attribution."""
     timers = SectionTimers()
-    result = run_mg(timed_kernels(kernels, timers), size_class, nit)
-    return result, timers
+    return run_mg(kernels, size_class, nit, monitor=timers), timers

@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.stencils import _scratch
+
 from .specs import BoundarySpec, FloatArray
 
 __all__ = ["FaceOperator", "cell_centers", "face_points"]
@@ -38,14 +40,6 @@ def face_points(m: int) -> FloatArray:
     """The ``m + 1`` face coordinates of the unit interval."""
     out: FloatArray = np.arange(m + 1, dtype=np.float64) / m
     return out
-
-
-def _scratch(ws: object, name: str,
-             shape: tuple[int, ...]) -> FloatArray:
-    if ws is None:
-        return np.empty(shape)
-    buf: FloatArray = ws.get(name, shape)  # type: ignore[attr-defined]
-    return buf
 
 
 class FaceOperator:

@@ -17,17 +17,11 @@ from itertools import product
 
 import numpy as np
 
+from repro.core.stencils import _scratch
+
 from .specs import FloatArray
 
 __all__ = ["restrict_cc", "prolong_cc"]
-
-
-def _scratch(ws: object, name: str,
-             shape: tuple[int, ...]) -> FloatArray:
-    if ws is None:
-        return np.empty(shape)
-    buf: FloatArray = ws.get(name, shape)  # type: ignore[attr-defined]
-    return buf
 
 
 def restrict_cc(r: FloatArray, out: FloatArray | None = None, *,

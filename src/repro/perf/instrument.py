@@ -1,8 +1,8 @@
 """Benchmark observability: per-operator timing and the BENCH emitter.
 
 This is the recording side of the perf layer: :class:`PerfMonitor`
-accumulates per-operator wall time (reusing the NPB-style
-:class:`~repro.harness.timers.SectionTimers` accumulator), a
+(the NPB-style :class:`~repro.core.timers.SectionTimers` accumulator
+under the perf layer's name) collects per-operator wall time, a
 :class:`PerfReport` captures one benchmarked mode, and
 :func:`bench_document`/:func:`write_bench` emit the versioned
 ``BENCH_<n>.json`` trajectory point whose schema
@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import subprocess
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from repro.harness.timers import SectionTimers
+from repro.core.timers import SectionTimers as PerfMonitor
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -51,32 +50,6 @@ PROBLEM_KEYS = ("name", "family", "boundary", "cycle", "smoother")
 #: NPB MG's conventional flop count per fine-grid point per iteration
 #: (the constant the reference codes use to report Mop/s).
 _NPB_MG_FLOPS_PER_POINT = 58.0
-
-
-class PerfMonitor:
-    """Per-operator wall-time accumulator.
-
-    Kernels that accept a ``monitor`` call :meth:`add` with their
-    section name and elapsed seconds; the accumulation (and the human
-    report) is the harness's :class:`SectionTimers`.
-    """
-
-    def __init__(self) -> None:
-        self.timers = SectionTimers()
-
-    def add(self, section: str, dt: float) -> None:
-        self.timers.add(section, dt)
-
-    @property
-    def seconds(self) -> dict[str, float]:
-        return dict(self.timers.seconds)
-
-    @property
-    def calls(self) -> dict[str, int]:
-        return dict(self.timers.calls)
-
-    def report(self) -> str:
-        return self.timers.report()
 
 
 def mop_per_second(nx: int, nit: int, seconds: float) -> float:
@@ -118,7 +91,8 @@ class PerfReport:
     seconds: float
     repeats: int
     #: Per-operator seconds/calls (serial: exact; threaded: master-side;
-    #: distributed: rank 0's own work).
+    #: distributed: rank 0's slab sweeps and its copy of the replicated
+    #: coarse levels).
     per_op_seconds: dict[str, float] = field(default_factory=dict)
     per_op_calls: dict[str, int] = field(default_factory=dict)
     mop_s: float = 0.0

@@ -9,9 +9,9 @@ reference codes avoid the issue entirely with a static workspace layout
 iterations.
 
 :class:`Workspace` gives the NumPy solvers that static layout: a keyed
-pool of scratch arrays, one buffer per ``(name, tag, shape, dtype)``
-key, handed out by :meth:`get`/:meth:`zeros` and reused on every
-subsequent request.  Shapes differ per V-cycle level, so keying by shape
+pool of scratch arrays, one buffer per ``(name, shape, dtype)`` key,
+handed out by :meth:`get`/:meth:`zeros` and reused on every subsequent
+request.  Shapes differ per V-cycle level, so keying by shape
 yields exactly one set of extended-grid scratch arrays per level; the
 threaded chunk kernels take disjoint plane-range views of those
 level-wide buffers, so the footprint does not depend on the partition.
@@ -82,14 +82,14 @@ class Workspace:
 
     # -- pool interface -----------------------------------------------------
 
-    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64,
-            tag: tuple = ()) -> np.ndarray:
-        """Return the buffer for ``(name, tag, shape, dtype)``.
+    def get(self, name: str, shape: tuple[int, ...],
+            dtype=np.float64) -> np.ndarray:
+        """Return the buffer for ``(name, shape, dtype)``.
 
         Allocates on first request, reuses afterwards.  Contents are
         undefined on reuse — the caller must fully overwrite them.
         """
-        key = (self.problem, name, tag, tuple(shape), np.dtype(dtype).str)
+        key = (self.problem, name, tuple(shape), np.dtype(dtype).str)
         with self._lock:
             buf = self._buffers.get(key)
             if buf is not None:
@@ -101,10 +101,10 @@ class Workspace:
             self._bytes += buf.nbytes
             return buf
 
-    def zeros(self, name: str, shape: tuple[int, ...], dtype=np.float64,
-              tag: tuple = ()) -> np.ndarray:
+    def zeros(self, name: str, shape: tuple[int, ...],
+              dtype=np.float64) -> np.ndarray:
         """Like :meth:`get`, but the buffer is zero-filled before return."""
-        buf = self.get(name, shape, dtype, tag)
+        buf = self.get(name, shape, dtype)
         buf.fill(0.0)
         return buf
 
@@ -140,7 +140,7 @@ class Workspace:
         levels have distinct extended shapes)."""
         out: dict[tuple[int, ...], int] = {}
         with self._lock:
-            for problem, name, tag, shape, dtype in self._buffers:
+            for problem, name, shape, dtype in self._buffers:
                 out[shape] = out.get(shape, 0) + 1
         return out
 

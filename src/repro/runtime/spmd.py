@@ -66,16 +66,25 @@ from __future__ import annotations
 import os
 import threading
 import time
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from repro.core.classes import SizeClass, get_class
-from repro.core.grid import comm3, make_grid
-from repro.core.mg import MGResult, interp_add, psinv, resid, rprj3
-from repro.core.stencils import A_COEFFS, S_COEFFS_A, S_COEFFS_B
+from repro.core.grid import ghost_fill
+from repro.core import mg
+from repro.core.mg import (
+    MGKernels,
+    MGResult,
+    correction,
+    numpy_kernels,
+    timed_kernels,
+    vcycle,
+)
+from repro.core.stencils import A_COEFFS, S_COEFFS_A, S_COEFFS_B, _scratch
 from repro.core.zran3 import zran3
 
-from .parallel_mg import interp_chunk, psinv_chunk, resid_chunk, rprj3_chunk
 from .resilience import (
     BarrierTimeout,
     CancellationToken,
@@ -656,8 +665,10 @@ class RankComm:
 # ---------------------------------------------------------------------------
 
 def _local_comm3(slab: np.ndarray, comm: RankComm, op: str = "comm3",
-                 boundary: str = "periodic", value: float = 0.0) -> None:
-    """Refresh a slab's borders: local x/y faces, ring-exchanged z halos.
+                 boundary: str = "periodic",
+                 value: float = 0.0) -> np.ndarray:
+    """Refresh a slab's borders: local x/y faces, ring-exchanged z halos;
+    returns ``slab`` like its serial siblings.
 
     Order matches the serial ``comm3`` (x, then y, then z): the z planes
     are exchanged after the local face copies, so the received halos
@@ -671,70 +682,43 @@ def _local_comm3(slab: np.ndarray, comm: RankComm, op: str = "comm3",
     physical z faces locally — Neumann/Dirichlet faces exchange nothing
     at physical boundaries.
     """
-    for axis in (2, 1):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        src_hi = [slice(None)] * 3
-        src_lo = [slice(None)] * 3
-        lo[axis] = 0
-        hi[axis] = -1
-        if boundary == "periodic":
-            src_hi[axis] = -2
-            src_lo[axis] = 1
-            slab[tuple(lo)] = slab[tuple(src_hi)]
-            slab[tuple(hi)] = slab[tuple(src_lo)]
-            continue
-        src_lo[axis] = 1
-        src_hi[axis] = -2
-        if boundary == "dirichlet":
-            slab[tuple(lo)] = 2.0 * value - slab[tuple(src_lo)]
-            slab[tuple(hi)] = 2.0 * value - slab[tuple(src_hi)]
-        elif boundary == "neumann":
-            slab[tuple(lo)] = slab[tuple(src_lo)]
-            slab[tuple(hi)] = slab[tuple(src_hi)]
-        else:
-            raise ValueError(f"unknown boundary kind: {boundary!r}")
+    ghost_fill(slab, boundary, value, axes=(2, 1))
     level = (slab.shape[1] - 2).bit_length() - 1
     wrap = boundary == "periodic"
     lower, upper = comm.exchange_halos(slab[1].copy(), slab[-2].copy(),
                                        op=op, level=level, wrap=wrap)
+    if not wrap:
+        # The physical z faces; a received halo replaces its side.
+        ghost_fill(slab, boundary, value, axes=(0,))
     if lower is not None:
         slab[0] = lower
-    elif boundary == "dirichlet":
-        slab[0] = 2.0 * value - slab[1]
-    else:  # neumann
-        slab[0] = slab[1]
     if upper is not None:
         slab[-1] = upper
-    elif boundary == "dirichlet":
-        slab[-1] = 2.0 * value - slab[-2]
-    else:  # neumann
-        slab[-1] = slab[-2]
+    return slab
 
 
 def _slab_from_full(full: np.ndarray, z0: int, nzl: int,
                     ws=None, name: str = "slab") -> np.ndarray:
     """Cut this rank's slab (with halo planes) out of a full grid."""
-    if ws is None:
-        return full[z0 : z0 + nzl + 2].copy()
-    slab = ws.get(name, (nzl + 2,) + full.shape[1:])
+    slab = _scratch(ws, name, (nzl + 2,) + full.shape[1:])
     np.copyto(slab, full[z0 : z0 + nzl + 2])
     return slab
 
 
-def _assemble_full(parts: list[np.ndarray], n: int, ws=None) -> np.ndarray:
+def _assemble_full(parts: list[np.ndarray], n: int, boundary: str,
+                   ws=None) -> np.ndarray:
     """Rebuild a full extended grid from rank-ordered interior slabs.
 
-    The pooled buffer (``ws`` given) is fully overwritten: every
-    interior plane comes from one of the slabs, ghosts from ``comm3``.
+    The result (the pooled buffer when ``ws`` is given) is fully
+    overwritten: every interior plane comes from one of the slabs,
+    ghosts from the ``boundary`` kind's :func:`ghost_fill`.
     """
-    full = make_grid(n) if ws is None else ws.get("assemble", (n + 2,) * 3)
+    full = _scratch(ws, "assemble", (n + 2,) * 3)
     z = 1
     for part in parts:
         full[z : z + part.shape[0]] = part
         z += part.shape[0]
-    comm3(full)
-    return full
+    return ghost_fill(full, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +939,8 @@ class DistributedMG:
                 from repro.perf.workspace import Workspace
 
                 self.workspaces[rank] = Workspace(
-                    f"spmd-rank{rank}-i{incarnation}")
+                    f"spmd-rank{rank}-i{incarnation}",
+                    problem=self.problem)
             comm = RankComm(world, rank, incarnation=incarnation,
                             joining=True)
             t = threading.Thread(
@@ -1089,12 +1074,12 @@ class DistributedMG:
         world = comm.world
         injector = world.injector(rank)
         ws = self.workspaces[rank] if self.workspaces is not None else None
-        mon = self.monitor if rank == 0 else None
+        kernels = self._kernels(comm, ws, self.monitor if rank == 0 else None)
+        # The coarsest distributed level: the slab V-cycle's bottom.
+        switch = min(k for k in range(1, lt) if self._distributed(k))
 
         def _interior_sq_sum(ri: np.ndarray) -> float:
-            if ws is None:
-                return float(np.sum(ri * ri))
-            tmp = ws.get("norm.tmp", ri.shape)
+            tmp = _scratch(ws, "norm.tmp", ri.shape)
             np.multiply(ri, ri, out=tmp)
             return float(np.sum(tmp))
 
@@ -1102,7 +1087,7 @@ class DistributedMG:
         if r0 is not None:
             r_levels[lt] = r0
         else:
-            r_levels[lt] = self._resid_dist(u, v, a, comm, ws, mon)
+            r_levels[lt] = kernels.resid(u, v, a)
 
         for it in range(start_it, iters):
             comm.iteration = it
@@ -1119,8 +1104,8 @@ class DistributedMG:
                 comm.barrier(op="checkpoint-commit")
                 store.commit(it, self.nranks)
                 world.stats.bump("checkpoints")
-            self._v_cycle(u, v, r_levels, a, c, lt, comm, ws, mon)
-            r_levels[lt] = self._resid_dist(u, v, a, comm, ws, mon)
+            vcycle(kernels, u, v, r_levels, a, c, lt, switch)
+            r_levels[lt] = kernels.resid(u, v, a, out=r_levels[lt])
             if on_iteration is not None:
                 # Residual-trajectory hook (the supervisor's numerical
                 # watchdog): every rank contributes to the allreduce so
@@ -1143,124 +1128,78 @@ class DistributedMG:
         # Rank 0 assembles the full fields for the caller.
         u_parts = comm.allgather(u[1:-1])
         r_parts = comm.allgather(r_levels[lt][1:-1])
-        u_full = _assemble_full(u_parts, sc.nx)
-        r_full = _assemble_full(r_parts, sc.nx)
+        u_full = _assemble_full(u_parts, sc.nx, self.boundary)
+        r_full = _assemble_full(r_parts, sc.nx, self.boundary)
         return rnm2, global_max, u_full, r_full
 
-    # -- distributed kernels ------------------------------------------------------
+    # -- the kernel table -----------------------------------------------------------
 
-    def _resid_dist(self, u, v, a, comm, ws=None, mon=None) -> np.ndarray:
-        t0 = time.perf_counter() if mon is not None else 0.0
-        # Pooled r is fully overwritten: interior planes by the chunk
-        # kernel, borders/halos by _local_comm3.
-        r = np.zeros_like(u) if ws is None else ws.get("dresid.r", u.shape)
-        if self.kernel_library is not None:
-            self.kernel_library.resid_slab(u, v, a, r, 0, u.shape[0] - 2)
-        else:
-            resid_chunk(u, v, a, r, 0, u.shape[0] - 2, ws=ws)
-        _local_comm3(r, comm, op="resid", boundary=self.boundary)
-        if mon is not None:
-            mon.add("resid", time.perf_counter() - t0)
-        return r
+    def _kernels(self, comm: RankComm, ws=None, mon=None) -> MGKernels:
+        """One rank's table for :func:`repro.core.mg.vcycle`.
 
-    def _psinv_dist(self, r, u, c, comm, ws=None, mon=None) -> None:
-        t0 = time.perf_counter() if mon is not None else 0.0
-        if self.kernel_library is not None:
-            self.kernel_library.psinv_slab(r, u, c, 0, u.shape[0] - 2)
-        else:
-            psinv_chunk(r, u, c, 0, u.shape[0] - 2, ws=ws)
-        _local_comm3(u, comm, op="psinv", boundary=self.boundary)
-        if mon is not None:
-            mon.add("psinv", time.perf_counter() - t0)
-
-    def _rprj3_dist(self, r_fine, comm, ws=None, mon=None) -> np.ndarray:
-        """Distributed fine -> distributed coarse (both slab-aligned)."""
-        t0 = time.perf_counter() if mon is not None else 0.0
-        nzl_f = r_fine.shape[0] - 2
-        nzl_c = nzl_f // 2
-        n_f = r_fine.shape[1] - 2
-        shape = (nzl_c + 2, n_f // 2 + 2, n_f // 2 + 2)
-        s = np.zeros(shape) if ws is None else ws.get("drprj3.s", shape)
-        rprj3_chunk(r_fine, s, 0, nzl_c, ws=ws)
-        _local_comm3(s, comm, op="rprj3", boundary=self.boundary)
-        if mon is not None:
-            mon.add("rprj3", time.perf_counter() - t0)
-        return s
-
-    def _interp_dist(self, z_coarse, u_fine, comm, ws=None, mon=None) -> None:
-        """Distributed coarse -> distributed fine.
-
-        Fine planes 2j and 2j+1 come from coarse rows j and j+1; the
-        coarse slab's upper halo provides the j+1 row at the slab edge.
-        interp_chunk writes fine planes 2*j0..2*j1+1; with local coarse
-        rows 0..nzl_c (the slab array includes the halos at index 0 and
-        nzl_c+1) the rows 1..nzl_c produce exactly the owned fine planes
-        1..2*nzl_c, plus the boundary contributions that land in the
-        halo planes — which the trailing exchange overwrites correctly.
+        On the distributed levels these are the serial kernels on the
+        rank's z-slab, with the slab border refresh (local x/y faces,
+        ring-exchanged z halos) as their ghost fill.  Below the coarsest
+        distributed level the grids are too small to split: ``coarsest``
+        allgathers that level's residual, every rank runs the identical
+        serial :func:`~repro.core.mg.correction` on the replica, and the
+        result is re-split.  ``self.boundary`` is bound into both
+        halves; ``mon`` times both.
         """
-        t0 = time.perf_counter() if mon is not None else 0.0
-        interp_chunk(z_coarse, u_fine, 0, z_coarse.shape[0] - 1, ws=ws)
-        _local_comm3(u_fine, comm, op="interp", boundary=self.boundary)
+        lib, kind = self.kernel_library, self.boundary
+        serial = numpy_kernels(
+            ws, boundary=(None if kind == "periodic"
+                          else partial(ghost_fill, kind=kind)))
         if mon is not None:
-            mon.add("interp", time.perf_counter() - t0)
+            serial = timed_kernels(serial, mon)
 
-    # -- the V-cycle ----------------------------------------------------------------
+        def halos(op: str):
+            return partial(_local_comm3, comm=comm, op=op, boundary=kind)
 
-    def _v_cycle(self, u, v, r_levels, a, c, lt, comm, ws=None,
-                 mon=None) -> None:
-        lb = 1
-        switch = None  # coarsest distributed level
-        # Down cycle: distributed projections while both levels split.
-        k = lt
-        while k - 1 >= lb and self._distributed(k) and self._distributed(k - 1):
-            r_levels[k - 1] = self._rprj3_dist(r_levels[k], comm, ws, mon)
-            k -= 1
-        switch = k
-        # Switch: allgather the residual of level `switch` and continue
-        # serially (replicated) below it.
-        parts = comm.allgather(r_levels[switch][1:-1])
-        r_full = {switch: _assemble_full(parts, 1 << switch, ws)}
-        if ws is not None:
-            # The gathered parts are views of peers' pooled slabs; hold
-            # every rank here until all have copied them out, so nobody
-            # overwrites a buffer a peer is still reading.
-            comm.barrier(op="assemble")
-        for j in range(switch, lb, -1):
-            r_full[j - 1] = rprj3(r_full[j], out=r_full.get(j - 1), ws=ws)
-        if ws is None:
-            uk = make_grid(1 << lb)
-        else:
-            uk = ws.zeros("dvc.u", ((1 << lb) + 2,) * 3)
-        psinv(r_full[lb], uk, c, ws=ws)
-        u_rep = {lb: uk}
-        for j in range(lb + 1, switch + 1):
-            if ws is None:
-                uj = make_grid(1 << j)
-            else:
-                uj = ws.zeros("dvc.u", ((1 << j) + 2,) * 3)
-            interp_add(u_rep[j - 1], uj, ws=ws)
-            r_full[j] = resid(uj, r_full[j], a,
-                              out=r_full[j] if ws is not None else None,
-                              ws=ws)
-            psinv(r_full[j], uj, c, ws=ws)
-            u_rep[j] = uj
-        # Re-split the switch-level solution and residual into slabs.
-        z0, nzl = self._plane_range(switch, comm.rank)
-        u_slab = _slab_from_full(u_rep[switch], z0, nzl, ws, "dvc.uslab")
-        r_levels[switch] = _slab_from_full(r_full[switch], z0, nzl,
-                                           ws, "dvc.rslab")
-        # Up cycle: distributed levels above the switch.
-        for k in range(switch + 1, lt):
-            if ws is None:
-                u_next = np.zeros_like(r_levels[k])
-            else:
-                u_next = ws.zeros("dvc.unext", r_levels[k].shape)
-            self._interp_dist(u_slab, u_next, comm, ws, mon)
-            r_levels[k] = self._resid_dist(u_next, r_levels[k], a, comm,
-                                           ws, mon)
-            self._psinv_dist(r_levels[k], u_next, c, comm, ws, mon)
-            u_slab = u_next
-        # Finest level: correct u itself.
-        self._interp_dist(u_slab, u, comm, ws, mon)
-        r_levels[lt] = self._resid_dist(u, v, a, comm, ws, mon)
-        self._psinv_dist(r_levels[lt], u, c, comm, ws, mon)
+        if lib is None:
+            resid = partial(mg.resid, ws=ws, boundary=halos("resid"))
+            psinv = partial(mg.psinv, ws=ws, boundary=halos("psinv"))
+        else:  # kernels="sac": the compiled RelaxKernel sweeps the slab
+            resid_halos, psinv_halos = halos("resid"), halos("psinv")
+
+            def resid(u, v, a, out=None):
+                r = _scratch(ws, "resid.out", u.shape) if out is None else out
+                lib.resid_slab(u, v, a, r, 0, u.shape[0] - 2)
+                return resid_halos(r)
+
+            def psinv(r, u, c):
+                lib.psinv_slab(r, u, c, 0, u.shape[0] - 2)
+                return psinv_halos(u)
+
+        interp_halos = halos("interp")
+
+        def interp_add(z, u):
+            # Fine planes 2j and 2j+1 come from coarse rows j and j+1;
+            # the coarse slab's upper halo provides the j+1 row at the
+            # slab edge.  Rows 0..nzl_c of the slab array (halos at 0
+            # and nzl_c+1) produce the owned fine planes 1..2*nzl_c plus
+            # partial sums in the halo planes, which the trailing
+            # exchange overwrites correctly.
+            return interp_halos(mg.interp_add(z, u, ws=ws))
+
+        def coarsest(r, a, c, switch):
+            parts = comm.allgather(r[switch][1:-1])
+            r_full = {switch: _assemble_full(parts, 1 << switch, kind, ws)}
+            if ws is not None:
+                # The gathered parts are views of peers' pooled slabs;
+                # hold every rank here until all have copied them out,
+                # so nobody overwrites a buffer a peer is still reading.
+                comm.barrier(op="assemble")
+            z_full = correction(serial, r_full, a, c, switch)
+            z0, nzl = self._plane_range(switch, comm.rank)
+            r[switch] = _slab_from_full(r_full[switch], z0, nzl,
+                                        ws, "dvc.rslab")
+            return _slab_from_full(z_full, z0, nzl, ws, "dvc.uslab")
+
+        # Slab and replica grids never share a shape, so the slab table
+        # keeps the serial table's pooled ``zeros``.
+        slab = replace(
+            serial, resid=resid, psinv=psinv, interp_add=interp_add,
+            rprj3=partial(mg.rprj3, ws=ws, boundary=halos("rprj3")),
+            coarsest=coarsest)
+        return slab if mon is None else timed_kernels(slab, mon)

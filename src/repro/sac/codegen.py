@@ -44,7 +44,7 @@ from .values import AffineAxis, IndexView, coerce_value, is_int_vector
 from .withloop import IndexSpace
 
 __all__ = ["CodegenUnsupported", "CompiledFunction", "KernelArtifact",
-           "compile_function", "compile_fundef", "trace_fundef",
+           "compile_function", "trace_fundef",
            "load_artifact", "trace_event_count"]
 
 #: Process-wide count of specializing traces performed (monotonic).
@@ -935,8 +935,9 @@ def compile_function(program_or_table, fname: str, example_args,
     module.
 
     With ``cache`` (a :class:`repro.sac.driver.cache.KernelCache`) and
-    ``program_digest``, the specialization is looked up in — and traced
-    into — the shared content-addressed cache, so repeated calls with
+    ``program_digest`` — a :class:`~repro.sac.module.SacProgram` brings
+    its session's — the specialization is looked up in, and traced
+    into, the shared content-addressed cache, so repeated calls with
     the same program, options and argument shapes skip tracing entirely,
     in this process and in later ones.
     """
@@ -946,6 +947,9 @@ def compile_function(program_or_table, fname: str, example_args,
         prog = getattr(program_or_table, "interp", None)
         if prog is not None:  # a SacProgram
             table = program_or_table.interp.functions
+            if cache is None:
+                session = program_or_table.session
+                cache, program_digest = session.cache, session.program_digest
         else:
             table = FunctionTable()
             table.update(program_or_table)
@@ -957,6 +961,7 @@ def compile_function(program_or_table, fname: str, example_args,
         ):
             a = a.astype(np.float64)
         ingested.append(coerce_value(a))
+    key = None
     if cache is not None and program_digest is not None:
         from .driver.cache import kernel_key, shape_signature
 
@@ -964,16 +969,13 @@ def compile_function(program_or_table, fname: str, example_args,
         compiled = cache.get_kernel(key)
         if compiled is not None:
             return compiled
-        probe_types = [_type_of(_probe_value(a)) for a in ingested]
-        fun = table.resolve(fname, probe_types)
-        artifact = trace_fundef(table, fun, ingested,
-                                max_statements=max_statements)
-        cache.put_kernel(key, artifact)
-        return load_artifact(artifact)
     probe_types = [_type_of(_probe_value(a)) for a in ingested]
     fun = table.resolve(fname, probe_types)
-    return compile_fundef(table, fun, ingested,
-                          max_statements=max_statements)
+    artifact = trace_fundef(table, fun, ingested,
+                            max_statements=max_statements)
+    if key is not None:
+        cache.put_kernel(key, artifact)
+    return load_artifact(artifact)
 
 
 def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
@@ -1039,13 +1041,6 @@ def load_artifact(artifact: KernelArtifact) -> CompiledFunction:
         baked=artifact.baked,
         _callable=namespace[artifact.name],
     )
-
-
-def compile_fundef(table: FunctionTable, fun: FunDef, example_args,
-                   max_statements: int = 200_000) -> CompiledFunction:
-    """Specialize one resolved overload (see :func:`compile_function`)."""
-    return load_artifact(trace_fundef(table, fun, example_args,
-                                      max_statements=max_statements))
 
 
 def _probe_value(a):

@@ -1,0 +1,129 @@
+"""One schedule, every mode: the cross-mode oracle.
+
+``core.mg`` writes the NPB schedule once (``correction``/``vcycle``/
+``run``); serial, the comparison styles, threaded and SPMD are kernel
+tables driven through it.  ``synthesize_mg_trace`` is the independent
+spelling of the same schedule, so every mode's per-operator call counts
+must equal its counts, and the NumPy tables must agree with serial to
+the bit.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.baselines import CMG, FortranMG, run_mg
+from repro.baselines import sac_style_mg as sac
+from repro.core import get_class, synthesize_mg_trace
+from repro.core.mg import MGKernels, solve, vcycle
+from repro.core.timers import SectionTimers
+from repro.perf import Workspace
+from repro.runtime import DistributedMG, ParallelMG
+
+OPS = ("resid", "psinv", "rprj3", "interp")
+
+
+def _add_into(u, z):
+    u += z
+    return u
+
+
+#: The paper's Fig. 6/7 operators as a table (value-semantic, borders
+#: set up by each operator itself, so results agree to tolerance only).
+SAC_STYLE = MGKernels(
+    resid=lambda u, v, a, out=None: v - sac.resid_op(u, a),
+    psinv=lambda r, u, c: _add_into(u, sac.smooth(r, c)),
+    rprj3=sac.fine2coarse,
+    interp_add=lambda z, u: _add_into(u, sac.coarse2fine(z)),
+)
+
+
+def _table(kernels):
+    return lambda nit, mon: run_mg(kernels, "S", nit, monitor=mon)
+
+
+def _threaded(nthreads):
+    def run(nit, mon):
+        with ParallelMG(nthreads, monitor=mon) as solver:
+            return solver.solve("S", nit)
+    return run
+
+
+def _distributed(nranks):
+    # Rank 0's monitor: its slab sweeps plus its replica of the coarse
+    # levels.
+    return lambda nit, mon: DistributedMG(nranks, monitor=mon).solve("S", nit)
+
+
+#: mode -> (run(nit, monitor) -> result, how it must agree with serial):
+#: "bits" — same fields, same ``rnm2`` bits; "fields" — same fields, the
+#: norm summed in another association (two ranks split the sum where
+#: NumPy's pairwise reduction does; four do not); "tolerance" — another
+#: arithmetic.
+MODES = {
+    "serial": (lambda nit, mon: solve("S", nit, monitor=mon), "bits"),
+    "serial-pooled": (
+        lambda nit, mon: solve("S", nit, ws=Workspace(), monitor=mon),
+        "bits"),
+    "f77": (_table(FortranMG.kernels), "bits"),
+    "c": (_table(CMG.kernels), "bits"),
+    "sac-style": (_table(SAC_STYLE), "tolerance"),
+    "threaded-2": (_threaded(2), "bits"),
+    "threaded-3": (_threaded(3), "bits"),
+    "distributed-2": (_distributed(2), "bits"),
+    "distributed-4": (_distributed(4), "fields"),
+}
+
+
+@pytest.mark.parametrize("nit", [1, 4])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_runs_the_one_schedule(mode, nit):
+    run, agreement = MODES[mode]
+    want = synthesize_mg_trace(get_class("S").nx, nit).counts_by_kind()
+    monitor = SectionTimers()
+    result = run(nit, monitor)
+    assert monitor.calls == {op: want[op] for op in OPS}
+    serial = solve("S", nit)
+    if agreement == "tolerance":
+        assert result.rnm2 == pytest.approx(serial.rnm2, rel=1e-10)
+        return
+    np.testing.assert_array_equal(result.u, serial.u)
+    np.testing.assert_array_equal(result.r, serial.r)
+    if agreement == "bits":
+        assert result.rnm2 == serial.rnm2
+    else:
+        assert result.rnm2 == pytest.approx(serial.rnm2, rel=1e-13)
+
+
+@pytest.mark.parametrize("nit", [1, 3])
+def test_recording_table_reproduces_the_synthesized_order(nit):
+    # Grids are bare shapes here: the schedule never looks inside one.
+    lt = 5
+    seen = []
+
+    def grid(level):
+        return SimpleNamespace(shape=((1 << level) + 2,) * 3, level=level)
+
+    def op(kind, result, ghosts=True):
+        seen.append((kind, result.level))
+        if ghosts:
+            seen.append(("comm3", result.level))
+        return result
+
+    table = MGKernels(
+        resid=lambda u, v, a, out=None: op("resid", v),
+        psinv=lambda r, u, c: op("psinv", u),
+        rprj3=lambda r: op("rprj3", grid(r.level - 1)),
+        interp_add=lambda z, u: op("interp", u, ghosts=False),
+        zeros=lambda shape: op(
+            "zero3", grid((shape[0] - 2).bit_length() - 1), ghosts=False),
+    )
+    u = v = grid(lt)
+    r = {lt: table.resid(u, v, None)}
+    for _ in range(nit):
+        vcycle(table, u, v, r, None, None, lt)
+        r[lt] = table.resid(u, v, None, out=r[lt])
+    seen.append(("norm2u3", lt))
+    assert seen == [(o.kind, o.level)
+                    for o in synthesize_mg_trace(1 << lt, nit)]

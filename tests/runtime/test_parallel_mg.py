@@ -1,11 +1,19 @@
 """Tests for the shared-memory parallel MG kernels: results must be
 bit-identical to the serial kernels for any partition, any team size and
-whichever way the team's fork policy falls."""
+whichever way the team's fork policy falls.  The serial kernels are the
+same plane-range bodies over the full range, so the independent
+reference for the arithmetic itself is ``baselines.c_mg``."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import FortranMG
+from repro.baselines.c_mg import (
+    interp_add_planes,
+    psinv_planes,
+    resid_planes,
+    rprj3_planes,
+)
 from repro.core import (
     A_COEFFS,
     S_COEFFS_A,
@@ -55,7 +63,7 @@ def team(request):
         yield t
 
 
-# -- the four chunk kernels against core.mg ----------------------------------
+# -- the four chunk kernels: any partition == the full range == c_mg ----------
 
 def _inputs(op, m):
     """The two extended input grids of ``op`` at fine interior ``m``."""
@@ -72,6 +80,17 @@ def _serial(op, a, b):
     if op == "rprj3":
         return rprj3(a)
     return interp_add(a, b.copy())
+
+
+def _independent(op, a, b):
+    """``c_mg``'s plane-by-plane kernels: the other arithmetic body."""
+    if op == "resid":
+        return resid_planes(a, b, A_COEFFS)
+    if op == "psinv":
+        return psinv_planes(a, b.copy(), S_COEFFS_A)
+    if op == "rprj3":
+        return rprj3_planes(a)
+    return interp_add_planes(a, b.copy())
 
 
 def _extent(op, a):
@@ -125,6 +144,8 @@ class TestChunkKernels:
         if op != "interp":  # interp writes its own ghosts
             comm3(out)
         np.testing.assert_array_equal(out, _serial(op, a, b))
+        if partition == "one":
+            np.testing.assert_array_equal(out, _independent(op, a, b))
         if pooled:
             # One level-wide buffer per name, whatever the partition.
             assert ws.allocations == (6 if op == "rprj3" else 4)

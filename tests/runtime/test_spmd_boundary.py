@@ -8,11 +8,13 @@ for every boundary kind.
 """
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.core import ghost_fill
+from repro.core import A_COEFFS, S_COEFFS_A, ghost_fill
+from repro.core.mg import numpy_kernels, vcycle
 from repro.runtime.spmd import DistributedMG, World, _local_comm3
 
 
@@ -109,6 +111,41 @@ class TestDistributedGhostFill:
         comm = World(1).comm(0)
         with pytest.raises(ValueError, match="unknown boundary"):
             _local_comm3(np.zeros((4, 4, 4)), comm, boundary="reflecting")
+
+
+class TestSlabVCycle:
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+    def test_two_rank_vcycle_equals_serial(self, kind):
+        # One boundary contract for the whole cycle: the slab levels and
+        # the replicated coarse levels below them both fill physical
+        # ghosts, exactly like the serial table bound to the same kind.
+        lt, n = 4, 16
+        fill = partial(ghost_fill, kind=kind)
+        rng = np.random.default_rng(7)
+        u, v = (fill(np.pad(rng.standard_normal((n, n, n)), 1))
+                for _ in range(2))
+        serial = numpy_kernels(boundary=fill)
+        r0 = serial.resid(u, v, A_COEFFS)
+        want_u, want_r = u.copy(), {lt: r0.copy()}
+        vcycle(serial, want_u, v, want_r, A_COEFFS, S_COEFFS_A, lt)
+
+        dmg = DistributedMG(2, boundary=kind)
+        switch = 2  # two planes per rank; level 1 is replicated
+        assert dmg._distributed(switch) and not dmg._distributed(switch - 1)
+
+        def fn(rank, comm):
+            z0, nzl = dmg._plane_range(lt, rank)
+            us, vs, rs = (g[z0 : z0 + nzl + 2].copy() for g in (u, v, r0))
+            r = {lt: rs}
+            vcycle(dmg._kernels(comm), us, vs, r, A_COEFFS, S_COEFFS_A,
+                   lt, switch)
+            return z0, nzl, us, r[lt]
+
+        with World(2) as world:
+            for z0, nzl, us, rs in _run_ranks(world, fn):
+                planes = slice(z0, z0 + nzl + 2)  # halos included
+                np.testing.assert_array_equal(us, want_u[planes])
+                np.testing.assert_array_equal(rs, want_r[lt][planes])
 
 
 class TestDistributedMGBoundaryKnob:

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 
-from repro.sac import CompileOptions
+from repro.sac import CompileOptions, SacProgram, compile_function
 from repro.sac.codegen import trace_event_count
 from repro.sac.driver import CompilationSession, KernelCache
 from repro.sac.driver.cache import (
@@ -76,6 +76,17 @@ class TestWarmKernels:
         assert k_warm.source == k_cold.source
         assert k_warm.baked == k_cold.baked
         np.testing.assert_array_equal(k_warm(u, 2.0), k_cold(u, 2.0))
+
+    def test_compile_function_takes_the_programs_cache(self, tmp_path):
+        # No cache= argument: a SacProgram brings its session's cache
+        # and digest, so an identical second call traces nothing.
+        program = SacProgram(None, _session=_session(tmp_path))
+        u = np.arange(27.0).reshape(3, 3, 3)
+        first = compile_function(program, "scale", [u, 2.0])
+        before = trace_event_count()
+        second = compile_function(program, "scale", [u, 2.0])
+        assert trace_event_count() == before
+        np.testing.assert_array_equal(second(u, 2.0), first(u, 2.0))
 
     def test_shape_change_invalidates(self, tmp_path):
         s = _session(tmp_path)

@@ -13,6 +13,11 @@ arithmetic.  No interpreter is involved when the compiled function runs.
     u = compiled(v, 4)        # straight-line NumPy, bit-compatible
     print(compiled.source)    # the generated module text
 
+The trace is a list of :class:`~repro.sac.bufplan.Instr` records, not
+text: :func:`~repro.sac.bufplan.plan` runs over it once, so that chains
+of elementwise operations accumulate into their own dead intermediates
+and dead buffers are freed, before each record is rendered to its line.
+
 Specialization contract: double/bool *array* parameters stay symbolic
 (only their shapes are baked in); scalar ints, int vectors and scalar
 doubles used in control flow are baked into the code and validated at
@@ -22,6 +27,7 @@ call time.  Data-dependent control flow and non-affine WITH-loops raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +42,7 @@ from .ast_nodes import (
     WithLoop,
 )
 from .ast_visit import ReturnValue, StatementExecutor
+from .bufplan import ELEMENTWISE, Instr, plan, render
 from .builtins import FOLD_UFUNCS
 from .errors import SacError, SacRuntimeError, SacTypeError
 from .interp import FunctionTable
@@ -131,20 +138,22 @@ def _type_of(v) -> SacType:
 # ---------------------------------------------------------------------------
 
 class Emitter:
+    """The trace: a straight-line list of :class:`~.bufplan.Instr`."""
+
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.instrs: list[Instr] = []
         self.consts: dict[str, str] = {}  # const name -> literal code
         self._const_cache: dict[bytes, str] = {}
         self._n = 0
 
-    def temp(self) -> str:
+    def assign(self, kind: str, op: str, operands: tuple,
+               shape: tuple[int, ...], dtype: np.dtype) -> TArray:
+        """Bind a fresh temp to ``op`` of ``operands`` (traced values)."""
         self._n += 1
-        return f"_t{self._n}"
-
-    def assign(self, code: str, shape: tuple[int, ...],
-               dtype: np.dtype) -> TArray:
-        name = self.temp()
-        self.lines.append(f"{name} = {code}")
+        name = f"_t{self._n}"
+        self.instrs.append(Instr(
+            name, kind, op, tuple(_code_of(self, v) for v in operands),
+            shape, dtype))
         return TArray(name, shape, dtype)
 
     def const_array(self, arr: np.ndarray) -> str:
@@ -179,6 +188,12 @@ def _code_of(em: Emitter, v) -> str:
     raise CodegenUnsupported(f"cannot embed value of type {type(v).__name__}")
 
 
+def _is_positive_zero(v) -> bool:
+    """A concrete scalar whose stored bits are those of ``np.zeros``."""
+    return (isinstance(v, (bool, int, float)) and v == 0
+            and math.copysign(1.0, v) > 0)
+
+
 def _slices_code(axes: tuple[AffineAxis, ...], extra_full: int = 0) -> str:
     parts = []
     for ax in axes:
@@ -193,27 +208,8 @@ def _slices_code(axes: tuple[AffineAxis, ...], extra_full: int = 0) -> str:
 # The tracer.
 # ---------------------------------------------------------------------------
 
-_BINOP_FMT = {
-    "+": "({} + {})",
-    "-": "({} - {})",
-    "*": "({} * {})",
-    "==": "({} == {})",
-    "!=": "({} != {})",
-    "<": "({} < {})",
-    "<=": "({} <= {})",
-    ">": "({} > {})",
-    ">=": "({} >= {})",
-    "&&": "np.logical_and({}, {})",
-    "||": "np.logical_or({}, {})",
-}
-
-_EW_BUILTINS = {
-    "abs": ("np.abs({})", None),
-    "sqrt": ("np.sqrt({})", np.dtype(np.float64)),
-    "min": ("np.minimum({}, {})", None),
-    "max": ("np.maximum({}, {})", None),
-    "tod": ("np.float64({})", np.dtype(np.float64)),
-}
+#: Elementwise builtins whose result dtype is not the operands' promotion.
+_FORCED_DTYPE = {"sqrt": np.dtype(np.float64), "tod": np.dtype(np.float64)}
 
 
 class Tracer(StatementExecutor):
@@ -235,7 +231,7 @@ class Tracer(StatementExecutor):
     # -- helpers --------------------------------------------------------------
 
     def _guard_size(self) -> None:
-        if len(self.em.lines) > self.max_statements:
+        if len(self.em.instrs) > self.max_statements:
             raise CodegenUnsupported(
                 "generated code exceeds the statement budget "
                 f"({self.max_statements}); the specialization unrolls too far"
@@ -254,7 +250,6 @@ class Tracer(StatementExecutor):
 
             return coerce_value(apply_binop(op, l, r))
         self._guard_size()
-        lc, rc = _code_of(self.em, l), _code_of(self.em, r)
         shape = np.broadcast_shapes(_shape_of(l), _shape_of(r))
         if op in ("/", "%"):
             int_op = (
@@ -262,20 +257,18 @@ class Tracer(StatementExecutor):
             )
             if int_op:
                 fn = "_sac_idiv" if op == "/" else "_sac_imod"
-                return self.em.assign(f"{fn}({lc}, {rc})", shape,
-                                      np.dtype(np.int64))
+                return self.em.assign("alloc", fn + "({}, {})", (l, r),
+                                      shape, np.dtype(np.int64))
             if op == "%":
                 raise SacTypeError("'%' requires integer operands")
-            return self.em.assign(f"({lc} / {rc})", shape,
-                                  np.dtype(np.float64))
-        fmt = _BINOP_FMT.get(op)
-        if fmt is None:
+            dtype = np.dtype(np.float64)
+        elif op not in ELEMENTWISE:
             raise CodegenUnsupported(f"operator {op!r} not supported")
-        if op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
+        elif op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
             dtype = np.dtype(np.bool_)
         else:
             dtype = np.promote_types(_dtype_of(l), _dtype_of(r))
-        return self.em.assign(fmt.format(lc, rc), shape, dtype)
+        return self.em.assign("elementwise", op, (l, r), shape, dtype)
 
     @staticmethod
     def _affine_binop(op, l, r):
@@ -340,31 +333,31 @@ class Tracer(StatementExecutor):
                 from .builtins import call_builtin
 
                 return coerce_value(call_builtin("toi", [a]))
-            code = f"np.trunc({a.code}).astype(np.int64)" if a.shape else \
-                f"int({a.code})"
-            return self.em.assign(code, a.shape, np.dtype(np.int64))
+            code = "np.trunc({}).astype(np.int64)" if a.shape else "int({})"
+            return self.em.assign("alloc", code, (a,), a.shape,
+                                  np.dtype(np.int64))
         if name in ("sum", "prod"):
             a = args[0]
             if _is_concrete(a):
                 from .builtins import call_builtin
 
                 return coerce_value(call_builtin(name, [a]))
-            fn = "np.sum" if name == "sum" else "np.prod"
-            return self.em.assign(f"{fn}({a.code})", (), a.dtype)
-        fmt_dtype = _EW_BUILTINS.get(name)
-        if fmt_dtype is not None:
-            fmt, forced = fmt_dtype
+            return self.em.assign("alloc", f"np.{name}({{}})", (a,), (),
+                                  a.dtype)
+        if name in ("abs", "sqrt", "min", "max", "tod"):
             if all(_is_concrete(a) for a in args):
                 from .builtins import call_builtin
 
                 return coerce_value(call_builtin(name, args))
-            codes = [_code_of(self.em, a) for a in args]
             shape = np.broadcast_shapes(*(_shape_of(a) for a in args))
-            dtype = forced or np.promote_types(
-                _dtype_of(args[0]),
-                _dtype_of(args[-1]) if len(args) > 1 else _dtype_of(args[0]),
-            )
-            return self.em.assign(fmt.format(*codes), shape, dtype)
+            dtype = _FORCED_DTYPE.get(name) or np.promote_types(
+                _dtype_of(args[0]), _dtype_of(args[-1]))
+            if name == "tod":
+                # np.float64(x) *is* x when x is already a double array.
+                return self.em.assign("view", "np.float64({})", tuple(args),
+                                      shape, dtype)
+            return self.em.assign("elementwise", name, tuple(args), shape,
+                                  dtype)
         raise CodegenUnsupported(f"builtin {name!r} not supported in codegen")
 
     def apply_fundef(self, fun: FunDef, args: list):
@@ -438,9 +431,11 @@ class Tracer(StatementExecutor):
             from .builtins import apply_unop
 
             return coerce_value(apply_unop(expr.op, v))
-        code = f"(-{v.code})" if expr.op == "-" else \
-            f"np.logical_not({v.code})"
-        return self.em.assign(code, v.shape, v.dtype)
+        if expr.op == "-":
+            return self.em.assign("elementwise", "neg", (v,), v.shape,
+                                  v.dtype)
+        return self.em.assign("elementwise", "!", (v,), v.shape,
+                              np.dtype(np.bool_))
 
     def eval_Call(self, expr, env: dict):
         return self.apply(expr.name,
@@ -469,7 +464,6 @@ class Tracer(StatementExecutor):
             if np.issubdtype(arr.dtype, np.floating):
                 return arr.astype(np.float64)
             return arr
-        codes = [_code_of(self.em, v) for v in values]
         shapes = {_shape_of(v) for v in values}
         if len(shapes) != 1:
             raise CodegenUnsupported("mixed-shape symbolic vector literal")
@@ -477,11 +471,12 @@ class Tracer(StatementExecutor):
         dtype = np.promote_types(
             _dtype_of(values[0]), _dtype_of(values[-1])
         )
+        slots = ", ".join(["{}"] * len(values))
         return self.em.assign(
-        f"np.stack([{', '.join(codes)}], axis=-1)"
-            if cell else f"np.array([{', '.join(codes)}])",
-            cell + (len(values),) if cell else (len(values),),
-            dtype,
+            "alloc",
+            f"np.stack([{slots}], axis=-1)" if cell
+            else f"np.array([{slots}])",
+            tuple(values), cell + (len(values),), dtype,
         )
 
     # -- selection ----------------------------------------------------------------------
@@ -508,7 +503,7 @@ class Tracer(StatementExecutor):
             code = f"{code}.reshape({', '.join(reshape)})"
             bcast = ", ".join(str(d) for d in dims)
             return self.em.assign(
-                f"np.broadcast_to({code}, ({bcast},))", dims,
+                "view", f"np.broadcast_to({code}, ({bcast},))", (), dims,
                 np.dtype(np.int64),
             )
         if isinstance(array, np.ndarray):
@@ -542,7 +537,7 @@ class Tracer(StatementExecutor):
                 sel = _slices_code(index.axes, len(array.shape) - n)
                 shape = index.space_dims + array.shape[n:]
                 return self.em.assign(
-                    f"{array.code}[{sel}]", shape, array.dtype
+                    "view", f"{{}}[{sel}]", (array,), shape, array.dtype
                 )
             if isinstance(index, TArray):
                 raise CodegenUnsupported("data-dependent selection")
@@ -550,7 +545,8 @@ class Tracer(StatementExecutor):
             self._check_index(array.shape, idx)
             sel = ", ".join(str(i) for i in idx)
             shape = array.shape[len(idx):]
-            return self.em.assign(f"{array.code}[{sel}]", shape, array.dtype)
+            return self.em.assign("view", f"{{}}[{sel}]", (array,), shape,
+                                  array.dtype)
         raise SacTypeError("cannot select from a scalar")
 
     @staticmethod
@@ -622,8 +618,8 @@ class Tracer(StatementExecutor):
         if isinstance(op, GenarrayOp):
             dtype = _dtype_of(body)
             out = self.em.assign(
-                f"np.zeros({shp + cell}, dtype=np.{dtype.name})",
-                shp + cell, dtype,
+                "alloc", f"np.zeros({shp + cell}, dtype=np.{dtype.name})",
+                (), shp + cell, dtype,
             )
         else:
             dtype = np.promote_types(_dtype_of(base), _dtype_of(body))
@@ -636,16 +632,17 @@ class Tracer(StatementExecutor):
                 # assignment before writing, so overlap is safe.
                 out = TArray(base.code, frame_shape, dtype)
             else:
-                out = self.em.assign(
-                    f"{_code_of(self.em, base)}.copy()", frame_shape, dtype
-                )
+                out = self.em.assign("copy", "{}.copy()", (base,),
+                                     frame_shape, dtype)
             if cell != frame_shape[space.rank:]:
                 raise SacTypeError("modarray cell shape mismatch")
-        if not space.is_empty:
+        # A fresh np.zeros already holds a stored +0.
+        stores_zero = isinstance(op, GenarrayOp) and _is_positive_zero(body)
+        if not space.is_empty and not stores_zero:
             region = _slices_code(space.axes(), len(cell))
-            self.em.lines.append(
-                f"{out.code}[{region}] = {_code_of(self.em, body)}"
-            )
+            self.em.instrs.append(Instr(
+                None, "store", f"{{}}[{region}] = {{}}",
+                (out.code, _code_of(self.em, body))))
         return out
 
     @staticmethod
@@ -680,7 +677,7 @@ class Tracer(StatementExecutor):
         for s in frame:
             total *= s
         # Keep big double arrays symbolic.
-        snapshot = len(self.em.lines)
+        snapshot = len(self.em.instrs)
         try:
             body = self.eval_expr(op.body, body_env)
         except CodegenUnsupported:
@@ -703,7 +700,7 @@ class Tracer(StatementExecutor):
             is_float = is_float or base.dtype == np.float64
         if is_float and total > self._CONCRETE_FOLD_LIMIT:
             return None
-        del self.em.lines[snapshot:]  # drop any speculative emissions
+        del self.em.instrs[snapshot:]  # drop any speculative emissions
         if isinstance(op, GenarrayOp):
             out = np.zeros(frame + cell, dtype=_dtype_of(body_val))
         else:
@@ -735,17 +732,16 @@ class Tracer(StatementExecutor):
             raise CodegenUnsupported(
                 f"fold function {op.fun!r} has no vectorized reduction"
             )
-        fn = {"+": "np.add", "*": "np.multiply", "min": "np.minimum",
-              "max": "np.maximum"}[op.fun]
+        fn = ELEMENTWISE[op.fun][0]
         body_shape = _shape_of(body)
         if body_shape[: space.rank] == space.count:
             cell = body_shape[space.rank:]
             code = (
-                f"{fn}.reduce({_code_of(self.em, body)}"
-                f".reshape(-1, *{cell}), axis=0)" if cell else
-                f"{fn}.reduce({_code_of(self.em, body)}.reshape(-1))"
+                f"{fn}.reduce({{}}.reshape(-1, *{cell}), axis=0)" if cell
+                else f"{fn}.reduce({{}}.reshape(-1))"
             )
-            reduced = self.em.assign(code, cell, _dtype_of(body))
+            reduced = self.em.assign("alloc", code, (body,), cell,
+                                     _dtype_of(body))
         else:
             # Constant body: neutral op (count * body) for +; generic:
             # repeat-reduce is wasteful, emit explicit arithmetic for +/*.
@@ -765,15 +761,12 @@ class Tracer(StatementExecutor):
             return self._binop("+", neutral, reduced)
         if fun == "*":
             return self._binop("*", neutral, reduced)
-        fn = "np.minimum" if fun == "min" else "np.maximum"
         if _is_concrete(neutral) and _is_concrete(reduced):
             arr = np.minimum(neutral, reduced) if fun == "min" else \
                 np.maximum(neutral, reduced)
             return coerce_value(arr)
-        code = (f"{fn}({_code_of(self.em, neutral)}, "
-                f"{_code_of(self.em, reduced)})")
         shape = np.broadcast_shapes(_shape_of(neutral), _shape_of(reduced))
-        return self.em.assign(code, shape,
+        return self.em.assign("elementwise", fun, (neutral, reduced), shape,
                               np.promote_types(_dtype_of(neutral),
                                                _dtype_of(reduced)))
 
@@ -1003,7 +996,8 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
             traced_args.append(a)
 
     result = tracer.apply_fundef(fun, traced_args)
-    ret_code = _code_of(em, result)
+    em.instrs.append(Instr(None, "return", "return {}",
+                           (_code_of(em, result),)))
 
     spec = ", ".join(
         f"{p.name}: "
@@ -1012,8 +1006,7 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
         for p, t in zip(fun.params, traced_args)
     )
     params = ", ".join(name for name, _ in symbolic)
-    body_lines = em.lines + [f"return {ret_code}"]
-    body = "\n".join("    " + ln for ln in body_lines)
+    body = "\n".join("    " + render(ins) for ins in plan(em.instrs))
     consts = "\n".join(f"{n} = {c}" for n, c in em.consts.items())
     source = (
         _MODULE_HEADER.format(fname=fname, spec=spec)

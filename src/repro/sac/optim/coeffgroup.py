@@ -12,8 +12,13 @@ by their coefficient factor, and rebuilds::
     c[[0]]*(u[iv+o1]) + c[[1]]*(u[iv+o2] + u[iv+o3]) + ...
 
 Multiplications drop from one-per-term to one-per-distinct-coefficient —
-for the MG stencils, from 27 to 4 (or 3 where a coefficient is zero and
-the term list never mentions it).  Terms without a multiplicative
+for the MG stencils, from 27 to 4, or 3 where a coefficient is zero: a
+group whose coefficient is the literal ``0.0`` is dropped with its whole
+term sum, as ``mg.f`` and :mod:`repro.core.mg` leave ``a[1]`` and
+``c[3]`` out.  That assumes finite operands (``0.0 * NaN`` is no longer
+propagated, and the sign of a zero result can change); the drop is only
+made next to a kept group with terms of the same form, so the type and
+shape of the sum cannot change.  Terms without a multiplicative
 structure are left in place, appended after the grouped part.
 """
 
@@ -21,7 +26,17 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..ast_nodes import BinOp, Call, DoubleLit, Expr, IntLit, Program
+from ..ast_nodes import (
+    BinOp,
+    DoubleLit,
+    Expr,
+    IntLit,
+    Program,
+    Select,
+    UnOp,
+    Var,
+    VectorLit,
+)
 from .rewrite import ast_key, map_stmt_exprs
 
 __all__ = ["coeffgroup_pass", "group_sum"]
@@ -50,8 +65,6 @@ def _coefficient_split(term: Expr) -> tuple[Expr, Expr] | None:
     left, right = term.left, term.right
 
     def is_cheap(e: Expr) -> bool:
-        from ..ast_nodes import Select, Var
-
         return isinstance(e, (Select, Var, IntLit, DoubleLit))
 
     if is_cheap(left):
@@ -59,6 +72,29 @@ def _coefficient_split(term: Expr) -> tuple[Expr, Expr] | None:
     if is_cheap(right):
         return right, left
     return None
+
+
+def _form(expr: Expr) -> object:
+    """Structural key of an expression with its numeric literals' values
+    erased, or None for an expression containing anything but
+    selections, variables, operators and literals.  Two expressions of
+    one form have the same type and shape: a literal's value decides
+    neither (a call's argument or a generator bound could)."""
+    if isinstance(expr, UnOp):
+        return _form(expr.operand)  # - and ! keep type and shape
+    if isinstance(expr, (IntLit, DoubleLit)):
+        return type(expr)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Select):
+        parts = ("[]", _form(expr.array), _form(expr.index))
+    elif isinstance(expr, BinOp):
+        parts = (expr.op, _form(expr.left), _form(expr.right))
+    elif isinstance(expr, VectorLit):
+        parts = ("[,]", *(_form(e) for e in expr.elements))
+    else:
+        return None
+    return None if None in parts else parts
 
 
 def group_sum(expr: Expr) -> Expr:
@@ -80,7 +116,26 @@ def group_sum(expr: Expr) -> Expr:
             groups[key] = (coef, [])
             order.append(key)
         groups[key][1].append(rest)
-    if not groups or all(len(g[1]) == 1 for g in groups.values()):
+
+    def summand_forms(rests: list[Expr]) -> set[object]:
+        summands: list[Expr] = []
+        for rest in rests:
+            _flatten_sum(rest, summands)
+        return {_form(t) for t in summands}
+
+    # A zero group goes only when each of its terms has the form of a
+    # summand of a kept group with a literal coefficient (see _form).
+    kept_forms: set[object] = set()
+    for coef, rests in groups.values():
+        if isinstance(coef, DoubleLit) and coef.value != 0.0:
+            kept_forms |= summand_forms(rests)
+    kept_forms.discard(None)
+    dropped = {
+        key for key, (coef, rests) in groups.items()
+        if isinstance(coef, DoubleLit) and coef.value == 0.0
+        and summand_forms(rests) <= kept_forms
+    }
+    if not dropped and all(len(g[1]) == 1 for g in groups.values()):
         return expr  # nothing shared: keep the original form
 
     def chain_sum(items: list[Expr]) -> Expr:
@@ -89,10 +144,8 @@ def group_sum(expr: Expr) -> Expr:
             acc = BinOp("+", acc, t)
         return acc
 
-    rebuilt: list[Expr] = []
-    for key in order:
-        coef, rests = groups[key]
-        rebuilt.append(BinOp("*", coef, chain_sum(rests)))
+    rebuilt = [BinOp("*", groups[key][0], chain_sum(groups[key][1]))
+               for key in order if key not in dropped]
     rebuilt.extend(passthrough)
     return chain_sum(rebuilt)
 

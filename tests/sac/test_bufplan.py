@@ -1,0 +1,254 @@
+"""The buffer planner: which elementwise operations write into an
+operand, what gets ``del``-ed, and that neither changes a bit.
+
+Hand-built traces pin the one rule down case by case; each is also
+executed planned and unplanned (the unplanned rendering is the parent
+emission: one fresh array per operation, nothing freed).  Tiny SAC
+programs then go through the whole of ``compile_function``, where
+``conftest.py`` compares every trace with the interpreter.
+"""
+
+import numpy as np
+import pytest
+
+from repro.sac import SacProgram
+from repro.sac.bufplan import Instr, plan, render
+from repro.sac.codegen import CodegenUnsupported, compile_function
+
+F8 = np.dtype(np.float64)
+I8 = np.dtype(np.int64)
+B1 = np.dtype(np.bool_)
+
+
+def ew(dst, op, *operands, shape=(4,), dtype=F8):
+    return Instr(dst, "elementwise", op, operands, shape, dtype)
+
+
+def view(dst, base, sel="0:4", shape=(4,), dtype=F8):
+    return Instr(dst, "view", f"{{}}[{sel}]", (base,), shape, dtype)
+
+
+def ret(name):
+    return Instr(None, "return", "return {}", (name,))
+
+
+def run(instrs, **params):
+    body = "\n".join("    " + render(i) for i in instrs)
+    ns = {"np": np, "_C0": np.array([1.0, 2.0, 3.0, 4.0])}
+    exec(f"def f({', '.join(params)}):\n{body}\n", ns)
+    return ns["f"](*params.values())
+
+
+def planned(trace, **params):
+    """Plan a trace; executed, it must return the unplanned bytes and
+    leave the parameters alone."""
+    out = plan(trace)
+    before = {k: v.copy() for k, v in params.items()}
+    want = np.asarray(run(trace, **params))
+    got = np.asarray(run(out, **params))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for k, v in params.items():
+        assert np.array_equal(v, before[k])
+    return out
+
+
+def outs(instrs):
+    return [i.out for i in instrs if i.kind == "elementwise"]
+
+
+def dels(instrs):
+    return [i.operands for i in instrs if i.kind == "del"]
+
+
+A = np.array([1.0, -2.0, 3.5, 0.25])
+B = np.array([0.5, 4.0, -1.0, 8.0])
+
+
+class TestRule:
+    def test_dead_trace_owned_operand_is_written_into(self):
+        p = planned([ew("t1", "+", "a", "b"), ew("t2", "*", "t1", "2.0"),
+                     ret("t2")], a=A, b=B)
+        assert outs(p) == [None, "t1"]
+        assert [render(i) for i in p] == [
+            "t1 = (a + b)", "np.multiply(t1, 2.0, out=t1)", "return t1"]
+
+    def test_right_operand_keeps_its_position(self):
+        p = planned([ew("t1", "+", "a", "b"), ew("t2", "-", "3.0", "t1"),
+                     ret("t2")], a=A, b=B)
+        assert render(p[1]) == "np.subtract(3.0, t1, out=t1)"
+
+    def test_live_operand_is_not(self):
+        p = planned([ew("t1", "+", "a", "b"), ew("t2", "*", "t1", "2.0"),
+                     ew("t3", "+", "t1", "t2"), ret("t3")], a=A, b=B)
+        # t1 is read again by t3, so t2 allocates; t3 takes t1 (left
+        # first) and t2 is freed.
+        assert outs(p) == [None, None, "t1"]
+        assert dels(p) == [("t2",)]
+
+    def test_live_view_keeps_its_base_out(self):
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1"),
+                     ew("t2", "*", "t1", "2.0"), ew("t3", "+", "t2", "w"),
+                     ret("t3")], a=A, b=B)
+        assert outs(p) == [None, None, "t2"]
+        # ... and the view's name is unbound with the base it holds.
+        assert dels(p) == [("t1", "w")]
+
+    def test_view_is_never_a_target(self):
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1"),
+                     ew("t2", "*", "w", "2.0"), ret("t2")], a=A, b=B)
+        assert outs(p) == [None, None]
+        assert dels(p) == [("t1", "w")]
+
+    def test_parameter_and_constant_are_never_targets(self):
+        p = planned([ew("t1", "*", "a", "2.0"), ew("t2", "+", "_C0", "b"),
+                     ew("t3", "+", "t1", "t2"), ret("t3")], a=A, b=B)
+        assert outs(p) == [None, None, "t1"]
+
+    def test_view_of_a_parameter_is_never_deleted(self):
+        p = planned([view("w", "a"), ew("t1", "+", "w", "b"), ret("t1")],
+                    a=A, b=B)
+        assert outs(p) == [None] and dels(p) == []
+
+    def test_copy_and_alloc_are_trace_owned(self):
+        p = planned([
+            Instr("t1", "copy", "{}.copy()", ("a",), (4,), F8),
+            ew("t2", "+", "t1", "b"),
+            Instr("t3", "alloc", "np.zeros((4,), dtype=np.float64)", (),
+                  (4,), F8),
+            ew("t4", "-", "t3", "t2"), ret("t4")], a=A, b=B)
+        assert outs(p) == ["t1", "t3"]
+        assert dels(p) == [("t1",)]
+
+    def test_store_is_a_use_of_its_target(self):
+        p = planned([
+            ew("t1", "+", "a", "b"), ew("t2", "*", "t1", "2.0"),
+            Instr(None, "store", "{}[0:2] = {}", ("t1", "7.0")),
+            ew("t3", "+", "t1", "t2"), ret("t3")], a=A, b=B)
+        assert outs(p) == [None, None, "t1"]
+
+    def test_unused_result_is_freed_at_once(self):
+        p = planned([ew("t1", "+", "a", "b"), ew("t2", "*", "a", "b"),
+                     ret("t2")], a=A, b=B)
+        assert dels(p) == [("t1",)]
+
+    def test_returned_buffer_and_its_views_stay_bound(self):
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1", "1:3", (2,)),
+                     ret("w")], a=A, b=B)
+        assert dels(p) == []
+
+
+class TestNeverInPlace:
+    def test_comparison_has_a_bool_result(self):
+        p = planned([ew("t1", "+", "a", "b"),
+                     ew("t2", "<", "t1", "0.0", dtype=B1), ret("t2")],
+                    a=A, b=B)
+        assert outs(p) == [None, None] and dels(p) == [("t1",)]
+
+    def test_bool_into_bool_is_fine(self):
+        p = planned([ew("t1", "<", "a", "b", dtype=B1),
+                     ew("t2", "!", "t1", dtype=B1), ret("t2")], a=A, b=B)
+        assert outs(p) == [None, "t1"]
+
+    def test_int_float_promotion(self):
+        p = planned([
+            Instr("t1", "alloc", "np.trunc({}).astype(np.int64)", ("a",),
+                  (4,), I8),
+            ew("t2", "*", "t1", "0.5"), ret("t2")], a=A)
+        assert outs(p) == [None] and dels(p) == [("t1",)]
+
+    def test_zero_d_fold_result(self):
+        p = planned([
+            Instr("t1", "alloc", "np.add.reduce({}.reshape(-1))", ("a",),
+                  (), F8),
+            ew("t2", "+", "t1", "1.0", shape=()), ret("t2")], a=A)
+        assert outs(p) == [None] and dels(p) == []
+
+    def test_broadcast_changes_the_shape(self):
+        m = np.arange(12.0).reshape(3, 4)
+        p = planned([ew("t1", "+", "a", "b"),
+                     ew("t2", "*", "t1", "m", shape=(3, 4)), ret("t2")],
+                    a=A, b=B, m=m)
+        assert outs(p) == [None, None] and dels(p) == [("t1",)]
+
+
+class TestOverlap:
+    def test_a_op_a(self):
+        p = planned([ew("t1", "+", "a", "b"), ew("t2", "*", "t1", "t1"),
+                     ret("t2")], a=A, b=B)
+        assert render(p[1]) == "np.multiply(t1, t1, out=t1)"
+        assert dels(p) == []
+
+    def test_other_operand_is_a_view_of_the_target(self):
+        # Row 0 is rewritten first; an unbuffered loop would then add
+        # the *new* row 0 to rows 1 and 2.
+        m = np.arange(12.0).reshape(3, 4)
+        p = planned([
+            ew("t1", "*", "m", "2.0", shape=(3, 4)),
+            view("w", "t1", "0", (4,)),
+            ew("t2", "+", "t1", "w", shape=(3, 4)), ret("t2")], m=m)
+        assert outs(p) == [None, "t1"]
+
+    def test_reversed_view_of_the_target(self):
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1", "::-1"),
+                     ew("t2", "-", "t1", "w"), ret("t2")], a=A, b=B)
+        assert outs(p) == [None, "t1"]
+
+
+def compiled(src, fname, *args, **kwargs):
+    return compile_function(SacProgram.from_source(src), fname, args,
+                            **kwargs)
+
+
+class TestThroughCodegen:
+    def test_chain_accumulates_into_its_first_result(self):
+        fn = compiled("double[+] f(double[+] a) { return 2.0 * a - 1.0; }",
+                      "f", np.arange(6.0))
+        body = fn.source.split("def f")[1]
+        assert "_t1 = (2.0 * a)" in body
+        assert "np.subtract(_t1, 1.0, out=_t1)" in body
+        assert "out=a" not in body
+
+    def test_parameter_survives_and_result_is_fresh(self):
+        fn = compiled("double[+] f(double[+] a) { b = a * a; "
+                      "return b + a; }", "f", np.arange(6.0))
+        a = np.arange(6.0)
+        first, second = fn(a), fn(a)
+        assert np.array_equal(a, np.arange(6.0))
+        assert not np.shares_memory(first, a)
+        assert not np.shares_memory(first, second)
+
+    def test_module_constant_is_never_a_target(self):
+        fn = compiled(
+            "double[.] f(double[.] a) { c = [1.0, 2.0, 3.0]; "
+            "return (c + a) * c; }", "f", np.arange(3.0))
+        assert "_C0" in fn.source and "out=_C" not in fn.source
+        fn(np.arange(3.0))
+        np.testing.assert_array_equal(fn(np.arange(3.0)), [1.0, 6.0, 15.0])
+
+    def test_zero_genarray_is_stored_once(self):
+        fn = compiled("double[+] f(double[+] a) { return "
+                      "genarray(shape(a), 0.0) + a; }", "f", np.ones(100))
+        body = fn.source.split("def f")[1]
+        assert "np.zeros((100,)" in body and "= 0.0" not in body
+
+    def test_nonzero_genarray_is_still_stored(self):
+        fn = compiled("double[+] f(double[+] a) { return "
+                      "genarray(shape(a), 1.5) + a; }", "f", np.ones(100))
+        assert "= 1.5" in fn.source
+
+    def test_tod_of_a_double_array_is_an_alias(self):
+        # np.float64(x) returns x itself, so the product may not land in
+        # b while t is still read.
+        fn = compiled("double[+] f(double[+] a) { b = a + 1.0; t = tod(b); "
+                      "c = b * 2.0; return c + t; }", "f", np.arange(4.0))
+        np.testing.assert_array_equal(fn(np.arange(4.0)),
+                                      3.0 * (np.arange(4.0) + 1.0))
+
+    def test_budget_counts_instructions_not_rendered_lines(self):
+        # Two instructions per round (select, add); the planner's `del`
+        # lines do not count against the budget.
+        src = ("double f(double[.] a) { s = 0.0; "
+               "for (i = 0; i < 50; i += 1) { s = s + a[[0]]; } return s; }")
+        compiled(src, "f", np.ones(1), max_statements=100)
+        with pytest.raises(CodegenUnsupported, match="statement budget"):
+            compiled(src, "f", np.ones(1), max_statements=99)

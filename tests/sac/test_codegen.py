@@ -219,3 +219,82 @@ class TestMGCompiled:
         rnm2 = float(np.sqrt(np.mean(r[1:-1, 1:-1, 1:-1] ** 2)))
         ref = sc.verify_value
         assert abs(rnm2 - ref) / ref < 1e-6
+
+
+class TestPlannedFinalResidual:
+    """What buffer planning must not cost the class-S kernel: purity,
+    reentrancy, the interpreter's bytes, and the memory it was for."""
+
+    @pytest.fixture(scope="class")
+    def mg(self):
+        from repro.core import zran3
+        from repro.mg_sac import load_mg_program
+
+        prog = load_mg_program(True, True)
+        v = zran3(32)
+        return prog, v, compile_function(prog, "FinalResidual", (v, 4))
+
+    def test_argument_untouched_and_results_unshared(self, mg):
+        _prog, v, fn = mg
+        snapshot = v.copy()
+        first, second = fn(v, 4), fn(v, 4)
+        assert np.array_equal(v, snapshot)
+        assert not np.shares_memory(first, v)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+
+    def test_one_specialization_called_from_four_threads(self, mg):
+        from concurrent.futures import ThreadPoolExecutor
+
+        _prog, v, fn = mg
+        want = fn(v, 4).tobytes()
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(fn, v, 4) for _ in range(8)]
+            assert all(f.result(timeout=60).tobytes() == want
+                       for f in futures)
+
+    def test_intermediates_are_freed_before_return(self, mg):
+        import tracemalloc
+
+        _prog, v, fn = mg
+        fn(v, 4)  # warm
+        tracemalloc.start()
+        try:
+            fn(v, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every intermediate bound until return was ~165 MB.
+        assert peak < 40e6
+
+    def test_source_is_one_numpy_module_without_mutable_state(self, mg):
+        import ast
+
+        tree = ast.parse(mg[2].source)
+        imports = [n for n in ast.walk(tree)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert [a.name for n in imports for a in n.names] == ["numpy"]
+        for node in tree.body:  # docstring, import, helpers, constants
+            if isinstance(node, ast.Assign):
+                assert node.targets[0].id.startswith("_C")
+                assert ast.unparse(node.value.func) == "np.array"
+        assert "global " not in mg[2].source
+
+    def test_zero_coefficient_groups_emit_nothing(self, mg):
+        prog, v, _fn = mg
+        assert "0.0 *" not in compile_function(
+            prog, "FinalResidual", (v, 1)).source
+        assert "(0.0," not in mg[2].source
+
+    def test_planner_alone_changes_no_bit(self):
+        # With coeffgroup off the optimized program is the parent's, so
+        # interpreter == planned code isolates the planner.
+        from repro.core import zran3
+        from repro.mg_sac import load_mg_program
+
+        prog = load_mg_program(True, True, (("coeffgroup", False),))
+        v = zran3(32)
+        fn = compile_function(prog, "FinalResidual", (v, 4))
+        assert "0.0 *" in fn.source or "(0.0," in fn.source
+        assert fn(v, 4).tobytes() == \
+            prog.call("FinalResidual", v, 4).tobytes()

@@ -77,6 +77,37 @@ class TestWarmKernels:
         assert k_warm.baked == k_cold.baked
         np.testing.assert_array_equal(k_warm(u, 2.0), k_cold(u, 2.0))
 
+    def test_fresh_process_reloads_the_planned_source(self, tmp_path):
+        # The artifact on disk is the planned module text: a process
+        # that never traces must load the very source, and bytes, the
+        # tracing process got.
+        import os
+        import subprocess
+        import sys
+
+        child = (
+            "import hashlib, numpy as np\n"
+            "from repro.mg_sac import load_mg_program\n"
+            "from repro.sac import compile_function\n"
+            "from repro.sac.codegen import trace_event_count\n"
+            "v = np.random.default_rng(5).standard_normal((10, 10, 10))\n"
+            "fn = compile_function(load_mg_program(), 'FinalResidual',"
+            " (v, 1))\n"
+            "print(trace_event_count(),"
+            " hashlib.sha256(fn.source.encode()).hexdigest(),"
+            " hashlib.sha256(fn(v, 1).tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, REPRO_SAC_CACHE_DIR=str(tmp_path / "cache"))
+        env.pop("REPRO_SAC_CACHE", None)
+        runs = [subprocess.run([sys.executable, "-c", child], env=env,
+                               capture_output=True, text=True, timeout=120)
+                for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+        (cold_traces, *cold), (warm_traces, *warm) = (
+            r.stdout.split() for r in runs)
+        assert (cold_traces, warm_traces) == ("1", "0")
+        assert warm == cold
+
     def test_compile_function_takes_the_programs_cache(self, tmp_path):
         # No cache= argument: a SacProgram brings its session's cache
         # and digest, so an identical second call traces nothing.

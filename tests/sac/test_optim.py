@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from repro.sac import CompileOptions, SacProgram
-from repro.sac.ast_nodes import Assign, BinOp, Call, Select, Var, WithLoop
+from repro.sac.ast_nodes import (
+    Assign,
+    BinOp,
+    Call,
+    DoubleLit,
+    Select,
+    Var,
+    WithLoop,
+)
 from repro.sac.optim import (
     PassOptions,
     coeffgroup_pass,
@@ -233,6 +241,45 @@ class TestCoeffGroup:
         c = np.array([2.0, 3.0, 0.0, 0.0])
         u = np.arange(5.0)
         opt_and_run(src, "f", c, u)
+
+    ZERO = (
+        "double[.] f(double[.] u) {\n"
+        "  return with ([1] <= iv < shape(u) - 1) modarray(u,\n"
+        "    0.5*u[iv+[-1]] + 0.0*u[iv+[0]] + 0.5*u[iv+[1]] + 0.0*u[iv+[0]]);\n"
+        "}"
+    )
+
+    def test_zero_coefficient_group_is_dropped(self):
+        p = coeffgroup_pass(parse_program(self.ZERO))
+        lits = [e.value for e in walk_exprs(p.functions[0].body)
+                if isinstance(e, DoubleLit)]
+        assert lits == [0.5]
+        opt_and_run(self.ZERO, "f", np.arange(6.0))
+
+    def test_trailing_zero_term_is_dropped_too(self):
+        src = ("double f(double[.] u) { return 0.5*u[[0]] + 0.5*u[[1]] "
+               "+ 0.0*u[[2]]; }")
+        p = coeffgroup_pass(parse_program(src))
+        assert not [e for e in walk_exprs(p.functions[0].body)
+                    if isinstance(e, DoubleLit) and e.value == 0.0]
+        opt_and_run(src, "f", np.arange(3.0))
+
+    def test_zero_group_of_another_form_is_kept(self):
+        # Dropping 0.0*(m[[0]] + m[[1]]) would turn a vector result
+        # into a scalar: the terms are not of a kept term's form.
+        src = ("double[.] f(double[+] m, double[.] u) { return "
+               "0.0*m[[0]] + 0.5*u[[0]] + 0.0*m[[1]] + 0.5*u[[1]]; }")
+        p = coeffgroup_pass(parse_program(src))
+        assert [e for e in walk_exprs(p.functions[0].body)
+                if isinstance(e, DoubleLit) and e.value == 0.0]
+        opt_and_run(src, "f", np.arange(6.0).reshape(2, 3), np.arange(2.0))
+
+    def test_zero_group_of_a_call_is_kept(self):
+        src = ("double f(double[.] u) { return 0.5*sum(u) + 0.0*sum(u) "
+               "+ 0.5*sum(u) + 0.0*sum(u); }")
+        p = coeffgroup_pass(parse_program(src))
+        assert [e for e in walk_exprs(p.functions[0].body)
+                if isinstance(e, DoubleLit) and e.value == 0.0]
 
     def test_ungroupable_sum_untouched(self):
         src = "double f(double a, double b, double c, double d) { return a + b + c + d; }"

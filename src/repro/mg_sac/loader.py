@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.classes import SizeClass, get_class
 from repro.core.zran3 import zran3
 from repro.sac import CompileOptions, SacProgram
+from repro.sac.module import load_spmd_certified
 
 __all__ = ["mg_source_path", "load_mg_program", "solve_sac_mg", "SacMGResult"]
 
@@ -50,18 +51,7 @@ def load_mg_program(optimize: bool = True, vectorize: bool = True,
         optimize=optimize, vectorize=vectorize,
         pass_overrides=pass_overrides, jit=jit, analyze=analyze,
     )
-    program = SacProgram.from_file(mg_source_path(), options)
-    report = program.analysis_report
-    if report is not None and not report.spmd_safe:
-        from repro.sac.errors import SacAnalysisError
-
-        unsafe = [c for c in report.certificates if not c.safe]
-        raise SacAnalysisError(
-            "mg.sac WITH-loops failed SPMD certification: "
-            + "; ".join(str(c) for c in unsafe),
-            diagnostics=report.warnings,
-        )
-    return program
+    return load_spmd_certified(mg_source_path(), options)
 
 
 class SacMGResult:

@@ -45,21 +45,12 @@ def load_varrelax_program(optimize: bool = True, analyze: bool = True):
     free of error-severity findings and SPMD-certified, or
     :class:`~repro.sac.errors.SacAnalysisError` is raised.
     """
-    from repro.sac import CompileOptions, SacProgram
+    from repro.sac import CompileOptions
+    from repro.sac.module import load_spmd_certified
 
-    options = CompileOptions(optimize=optimize, analyze=analyze)
-    program = SacProgram.from_file(varrelax_source_path(), options)
-    report = program.analysis_report
-    if report is not None and not report.spmd_safe:
-        from repro.sac.errors import SacAnalysisError
-
-        unsafe = [c for c in report.certificates if not c.safe]
-        raise SacAnalysisError(
-            "varrelax.sac WITH-loops failed SPMD certification: "
-            + "; ".join(str(c) for c in unsafe),
-            diagnostics=report.warnings,
-        )
-    return program
+    return load_spmd_certified(
+        varrelax_source_path(),
+        CompileOptions(optimize=optimize, analyze=analyze))
 
 
 def sac_relax_variable(u: np.ndarray,

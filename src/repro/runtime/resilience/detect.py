@@ -23,7 +23,6 @@ classes here replace that with:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field, fields
@@ -164,21 +163,14 @@ class HeartbeatConfig:
 
     @classmethod
     def from_env(cls) -> "HeartbeatConfig":
-        def _get(name: str, fallback: float) -> float:
-            raw = os.environ.get(name)
-            if raw is None:
-                return fallback
-            try:
-                return float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{name} must be a number, got {raw!r}") from None
+        from ..transport.base import _env_float
 
         return cls(
-            interval=_get("REPRO_SPMD_HEARTBEAT_INTERVAL", cls.interval),
-            suspect_after=_get("REPRO_SPMD_HEARTBEAT_SUSPECT",
-                               cls.suspect_after),
-            dead_after=_get("REPRO_SPMD_HEARTBEAT_DEAD", cls.dead_after),
+            interval=_env_float("REPRO_SPMD_HEARTBEAT_INTERVAL", cls.interval),
+            suspect_after=_env_float("REPRO_SPMD_HEARTBEAT_SUSPECT",
+                                     cls.suspect_after),
+            dead_after=_env_float("REPRO_SPMD_HEARTBEAT_DEAD",
+                                  cls.dead_after),
         )
 
 

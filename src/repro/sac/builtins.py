@@ -14,8 +14,6 @@ zero), matching SAC's C heritage.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import SacRuntimeError, SacTypeError
@@ -98,12 +96,11 @@ def _binop_spaces_compatible(l, r) -> None:
         raise AbstractUnsupported("mismatched iteration spaces")
 
 
-def apply_binop(op: str, l, r):
-    """Evaluate a binary operator on concrete and/or abstract values."""
-    # Affine index fast paths; fall back to materialized form when the
-    # operation leaves the affine domain.
-    if isinstance(l, IndexView):
-        try:
+def affine_binop(op: str, l, r):
+    """``l op r`` with an :class:`IndexView` operand, kept in affine
+    form; ``None`` when the operation leaves the affine domain."""
+    try:
+        if isinstance(l, IndexView):
             if op == "+":
                 return l.add(r)
             if op == "-":
@@ -112,21 +109,30 @@ def apply_binop(op: str, l, r):
                 return l.mul(r)
             if op == "/":
                 return l.floordiv(r)
-        except AbstractUnsupported:
-            pass
-        l = l.materialize()
-    if isinstance(r, IndexView):
-        try:
-            if op == "+":
-                return r.add(l)
-            if op == "*":
-                return r.mul(l)
-            if op == "-":
-                # l - iv  ==  (-iv) + l, still affine.
-                return r.mul(-1).add(l)
-        except AbstractUnsupported:
-            pass
-        r = r.materialize()
+        elif op == "+":
+            return r.add(l)
+        elif op == "*":
+            return r.mul(l)
+        elif op == "-":
+            # l - iv  ==  (-iv) + l, still affine.
+            return r.mul(-1).add(l)
+    except AbstractUnsupported:
+        pass
+    return None
+
+
+def apply_binop(op: str, l, r):
+    """Evaluate a binary operator on concrete and/or abstract values."""
+    # Affine index fast path; fall back to materialized form when the
+    # operation leaves the affine domain.
+    if isinstance(l, IndexView) or isinstance(r, IndexView):
+        out = affine_binop(op, l, r)
+        if out is not None:
+            return out
+        if isinstance(l, IndexView):
+            l = l.materialize()
+        if isinstance(r, IndexView):
+            r = r.materialize()
 
     _binop_spaces_compatible(l, r)
     lr, rr = _raw(l), _raw(r)
@@ -140,14 +146,14 @@ def apply_binop(op: str, l, r):
     if op == "*":
         return _rewrap(lr * rr, l, r)
     if op == "/":
-        if _is_intlike_raw(lr) and _is_intlike_raw(rr):
+        if _is_intlike(lr) and _is_intlike(rr):
             return _rewrap(int_div(lr, rr), l, r)
         rarr = np.asarray(rr)
         if np.any(rarr == 0.0):
             raise SacRuntimeError("division by zero")
         return _rewrap(lr / rr, l, r)
     if op == "%":
-        if _is_intlike_raw(lr) and _is_intlike_raw(rr):
+        if _is_intlike(lr) and _is_intlike(rr):
             return _rewrap(int_mod(lr, rr), l, r)
         raise SacTypeError("'%' requires integer operands")
     if op == "==":
@@ -167,10 +173,6 @@ def apply_binop(op: str, l, r):
     if op == "||":
         return _rewrap(np.logical_or(lr, rr) if _any_array(lr, rr) else (lr or rr), l, r)
     raise SacRuntimeError(f"unknown operator {op!r}")
-
-
-def _is_intlike_raw(v) -> bool:
-    return _is_intlike(v)
 
 
 def _any_array(*vs) -> bool:

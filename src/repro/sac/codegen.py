@@ -32,23 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ast_nodes import (
-    Dot,
-    Expr,
-    FoldOp,
-    FunDef,
-    GenarrayOp,
-    ModarrayOp,
-    WithLoop,
-)
-from .ast_visit import ReturnValue, StatementExecutor
+from .ast_nodes import Expr, FoldOp, FunDef, GenarrayOp, ModarrayOp, WithLoop
 from .bufplan import ELEMENTWISE, Instr, plan, render
-from .builtins import FOLD_UFUNCS
+from .builtins import FOLD_UFUNCS, affine_binop
 from .errors import SacError, SacRuntimeError, SacTypeError
-from .interp import FunctionTable
-from .sactypes import BaseType, SacType
-from .values import AffineAxis, IndexView, coerce_value, is_int_vector
-from .withloop import IndexSpace
+from .interp import FunctionTable, Interpreter
+from .sactypes import SacType
+from .values import AffineAxis, IndexView, cell_type, coerce_value, dtype_of
+from .withloop import IndexSpace, withloop_head
 
 __all__ = ["CodegenUnsupported", "CompiledFunction", "KernelArtifact",
            "compile_function", "trace_fundef",
@@ -86,13 +77,11 @@ class TArray:
     shape: tuple[int, ...]
     dtype: np.dtype
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.shape == ()
 
-
-def _is_concrete(v) -> bool:
-    return not isinstance(v, (TArray, IndexView))
+def _symbolic(*values) -> bool:
+    """Whether any value is one the interpreter's rules cannot finish:
+    a traced array, or the index variable the trace must keep affine."""
+    return any(isinstance(v, (TArray, IndexView)) for v in values)
 
 
 def _shape_of(v) -> tuple[int, ...]:
@@ -104,33 +93,7 @@ def _shape_of(v) -> tuple[int, ...]:
 
 
 def _dtype_of(v) -> np.dtype:
-    if isinstance(v, TArray):
-        return v.dtype
-    if isinstance(v, np.ndarray):
-        return v.dtype
-    if isinstance(v, bool):
-        return np.dtype(np.bool_)
-    if isinstance(v, int):
-        return np.dtype(np.int64)
-    return np.dtype(np.float64)
-
-
-def _type_of(v) -> SacType:
-    """Dispatch type of a (possibly symbolic) value."""
-    if isinstance(v, TArray):
-        base = {
-            np.dtype(np.float64): BaseType.DOUBLE,
-            np.dtype(np.int64): BaseType.INT,
-            np.dtype(np.bool_): BaseType.BOOL,
-        }[v.dtype]
-        if v.shape == ():
-            return SacType.scalar(base)
-        return SacType.aks(base, v.shape)
-    if isinstance(v, IndexView):
-        return SacType.aks(BaseType.INT, (v.rank,))
-    from .values import value_type
-
-    return value_type(v)
+    return v.dtype if isinstance(v, TArray) else dtype_of(v)
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +175,26 @@ def _slices_code(axes: tuple[AffineAxis, ...], extra_full: int = 0) -> str:
 _FORCED_DTYPE = {"sqrt": np.dtype(np.float64), "tod": np.dtype(np.float64)}
 
 
-class Tracer(StatementExecutor):
-    """Specializing abstract interpreter that emits NumPy code.
+class Tracer(Interpreter):
+    """The interpreter plus one more value kind: a symbolic :class:`TArray`.
 
-    Statement control flow comes from the shared
-    :class:`~repro.sac.ast_visit.StatementExecutor`; expression dispatch
-    goes through its per-class ``eval_<ClassName>`` table.
+    Every rule over concrete values — literals, variables, overload
+    dispatch, function application, generator resolution, selection
+    index checks, builtins — is the :class:`Interpreter`'s own.  The
+    overrides below handle only what involves a :class:`TArray` (emit an
+    :class:`~.bufplan.Instr`) or an :class:`IndexView` that a trace must
+    keep affine (refuse with :class:`CodegenUnsupported` where the
+    interpreter would materialize a per-point value or fall back to a
+    scalar loop, neither of which a straight-line trace has).
     """
 
-    def __init__(self, functions: FunctionTable, emitter: Emitter,
-                 max_depth: int = 200, max_statements: int = 200_000):
-        self.functions = functions
-        self.em = emitter
-        self.max_depth = max_depth
-        self.max_statements = max_statements
-        self._depth = 0
+    array_types = (np.ndarray, TArray)
 
-    # -- helpers --------------------------------------------------------------
+    def __init__(self, functions: FunctionTable, emitter: Emitter,
+                 max_statements: int = 200_000):
+        super().__init__(functions)
+        self.em = emitter
+        self.max_statements = max_statements
 
     def _guard_size(self) -> None:
         if len(self.em.instrs) > self.max_statements:
@@ -237,18 +203,41 @@ class Tracer(StatementExecutor):
                 f"({self.max_statements}); the specialization unrolls too far"
             )
 
-    def _binop(self, op: str, l, r):
-        if isinstance(l, IndexView) or isinstance(r, IndexView):
-            out = self._affine_binop(op, l, r)
-            if out is not None:
-                return out
-            raise CodegenUnsupported(
-                f"non-affine index arithmetic ({op}) in specialized code"
-            )
-        if _is_concrete(l) and _is_concrete(r):
-            from .builtins import apply_binop
+    def before_stmt(self, stmt) -> None:
+        self._guard_size()
 
-            return coerce_value(apply_binop(op, l, r))
+    # -- what may not be symbolic ---------------------------------------------
+
+    def bad_condition(self, v, expr: Expr, what: str) -> Exception:
+        if _symbolic(v):
+            return CodegenUnsupported(
+                f"data-dependent {what} cannot be specialized"
+            )
+        return super().bad_condition(v, expr, what)
+
+    def static(self, expr: Expr, env, what: str):
+        v = self.eval_expr(expr, env)
+        if _symbolic(v):
+            raise CodegenUnsupported(f"symbolic {what}")
+        return coerce_value(v)
+
+    def dispatch_type(self, v) -> SacType:
+        if isinstance(v, TArray):
+            return cell_type(v.dtype, v.shape)
+        return super().dispatch_type(v)
+
+    # -- operators and builtins -----------------------------------------------
+
+    def binop(self, op: str, l, r):
+        if isinstance(l, IndexView) or isinstance(r, IndexView):
+            out = affine_binop(op, l, r)
+            if out is None:
+                raise CodegenUnsupported(
+                    f"non-affine index arithmetic ({op}) in specialized code"
+                )
+            return out
+        if not _symbolic(l, r):
+            return super().binop(op, l, r)
         self._guard_size()
         shape = np.broadcast_shapes(_shape_of(l), _shape_of(r))
         if op in ("/", "%"):
@@ -270,85 +259,34 @@ class Tracer(StatementExecutor):
             dtype = np.promote_types(_dtype_of(l), _dtype_of(r))
         return self.em.assign("elementwise", op, (l, r), shape, dtype)
 
-    @staticmethod
-    def _affine_binop(op, l, r):
-        try:
-            if isinstance(l, IndexView):
-                if op == "+":
-                    return l.add(r)
-                if op == "-":
-                    return l.sub(r)
-                if op == "*":
-                    return l.mul(r)
-                if op == "/":
-                    return l.floordiv(r)
-                return None
-            if isinstance(r, IndexView):
-                if op == "+":
-                    return r.add(l)
-                if op == "*":
-                    return r.mul(l)
-                if op == "-":
-                    return r.mul(-1).add(l)
-                return None
-        except Exception:
-            return None
-        return None
+    def unop(self, op: str, v):
+        if isinstance(v, IndexView) and op != "-":
+            raise CodegenUnsupported("'!' on an index vector")
+        if not isinstance(v, TArray):
+            return super().unop(op, v)
+        if op == "-":
+            return self.em.assign("elementwise", "neg", (v,), v.shape,
+                                  v.dtype)
+        return self.em.assign("elementwise", "!", (v,), v.shape,
+                              np.dtype(np.bool_))
 
-    def _concrete_bool(self, v, what: str) -> bool:
-        if not _is_concrete(v):
-            raise CodegenUnsupported(
-                f"data-dependent {what} cannot be specialized"
-            )
-        v = coerce_value(v)
-        if not isinstance(v, bool):
-            raise SacTypeError(f"{what} must be a boolean")
-        return v
-
-    # -- function application ---------------------------------------------------
-
-    def apply(self, name: str, args: list):
-        if name in ("+", "-", "*", "/", "%"):
-            return self._binop(name, args[0], args[1])
-        if self.functions.overloads(name):
-            argtypes = [_type_of(a) for a in args]
-            try:
-                fun = self.functions.resolve(name, argtypes)
-            except SacError:
-                return self._builtin(name, args)
-            return self.apply_fundef(fun, args)
-        return self._builtin(name, args)
-
-    def _builtin(self, name: str, args: list):
-        if name == "dim":
-            return len(_shape_of(args[0])) if not isinstance(args[0], IndexView) else 1
-        if name == "shape":
-            a = args[0]
-            if isinstance(a, IndexView):
-                return np.asarray([a.rank], dtype=np.int64)
-            return np.asarray(_shape_of(a), dtype=np.int64)
+    def builtin(self, name: str, args):
+        a = args[0] if args else None
+        if isinstance(a, TArray) and name == "dim":
+            return len(a.shape)
+        if isinstance(a, TArray) and name == "shape":
+            return np.asarray(a.shape, dtype=np.int64)
+        if name in ("dim", "shape") or not _symbolic(*args):
+            return super().builtin(name, args)
         if name == "toi":
-            a = args[0]
-            if _is_concrete(a):
-                from .builtins import call_builtin
-
-                return coerce_value(call_builtin("toi", [a]))
-            code = "np.trunc({}).astype(np.int64)" if a.shape else "int({})"
-            return self.em.assign("alloc", code, (a,), a.shape,
+            code = "np.trunc({}).astype(np.int64)" if _shape_of(a) \
+                else "int({})"
+            return self.em.assign("alloc", code, (a,), _shape_of(a),
                                   np.dtype(np.int64))
         if name in ("sum", "prod"):
-            a = args[0]
-            if _is_concrete(a):
-                from .builtins import call_builtin
-
-                return coerce_value(call_builtin(name, [a]))
             return self.em.assign("alloc", f"np.{name}({{}})", (a,), (),
-                                  a.dtype)
+                                  _dtype_of(a))
         if name in ("abs", "sqrt", "min", "max", "tod"):
-            if all(_is_concrete(a) for a in args):
-                from .builtins import call_builtin
-
-                return coerce_value(call_builtin(name, args))
             shape = np.broadcast_shapes(*(_shape_of(a) for a in args))
             dtype = _FORCED_DTYPE.get(name) or np.promote_types(
                 _dtype_of(args[0]), _dtype_of(args[-1]))
@@ -360,110 +298,9 @@ class Tracer(StatementExecutor):
                                   dtype)
         raise CodegenUnsupported(f"builtin {name!r} not supported in codegen")
 
-    def apply_fundef(self, fun: FunDef, args: list):
-        if self._depth >= self.max_depth:
-            raise CodegenUnsupported(
-                f"specialization recursion exceeds {self.max_depth} in "
-                f"{fun.name!r}"
-            )
-        env = {p.name: a for p, a in zip(fun.params, args)}
-        self._depth += 1
-        try:
-            self.exec_block(fun.body, env)
-        except ReturnValue as ret:
-            return ret.value
-        finally:
-            self._depth -= 1
-        if fun.return_type.base is BaseType.VOID:
-            return None
-        raise SacRuntimeError(f"function {fun.name!r} did not return a value")
-
-    # -- statements ----------------------------------------------------------------
-    # Control flow comes from the shared StatementExecutor; the hooks
-    # below supply the tracer-specific pieces.
-
-    def before_stmt(self, stmt) -> None:
-        self._guard_size()
-
-    def bind(self, env: dict, name: str, value) -> None:
-        env[name] = value
-
-    def exec_cond(self, expr: Expr, env: dict, what: str) -> bool:
-        return self._concrete_bool(self.eval_expr(expr, env), what)
-
-    def unknown_stmt(self, stmt, env) -> None:  # pragma: no cover
-        raise CodegenUnsupported(f"unknown statement {type(stmt).__name__}")
-
-    # -- expressions ------------------------------------------------------------------
-
-    def eval_IntLit(self, expr, env: dict):
-        return expr.value
-
-    def eval_DoubleLit(self, expr, env: dict):
-        return expr.value
-
-    def eval_BoolLit(self, expr, env: dict):
-        return expr.value
-
-    def eval_Var(self, expr, env: dict):
-        try:
-            return env[expr.name]
-        except KeyError:
-            from .errors import SacNameError
-
-            raise SacNameError(f"undefined variable {expr.name!r}",
-                               expr.pos) from None
-
-    def eval_VectorLit(self, expr, env: dict):
-        return self._vector(expr, env)
-
-    def eval_BinOp(self, expr, env: dict):
-        return self._binop(expr.op, self.eval_expr(expr.left, env),
-                           self.eval_expr(expr.right, env))
-
-    def eval_UnOp(self, expr, env: dict):
-        v = self.eval_expr(expr.operand, env)
-        if isinstance(v, IndexView):
-            if expr.op == "-":
-                return v.mul(-1)
-            raise CodegenUnsupported("'!' on an index vector")
-        if _is_concrete(v):
-            from .builtins import apply_unop
-
-            return coerce_value(apply_unop(expr.op, v))
-        if expr.op == "-":
-            return self.em.assign("elementwise", "neg", (v,), v.shape,
-                                  v.dtype)
-        return self.em.assign("elementwise", "!", (v,), v.shape,
-                              np.dtype(np.bool_))
-
-    def eval_Call(self, expr, env: dict):
-        return self.apply(expr.name,
-                          [self.eval_expr(a, env) for a in expr.args])
-
-    def eval_Select(self, expr, env: dict):
-        return self._select(
-            self.eval_expr(expr.array, env), self.eval_expr(expr.index, env)
-        )
-
-    def eval_WithLoop(self, expr, env: dict):
-        return self._withloop(expr, env)
-
-    def eval_Dot(self, expr, env: dict):
-        raise SacRuntimeError("'.' is only legal inside a generator")
-
-    def unknown_expr(self, expr, env):
-        raise CodegenUnsupported(f"unknown expression {type(expr).__name__}")
-
-    def _vector(self, expr, env: dict):
-        values = [self.eval_expr(e, env) for e in expr.elements]
-        if all(_is_concrete(v) for v in values):
-            arr = np.asarray([coerce_value(v) for v in values])
-            if np.issubdtype(arr.dtype, np.integer):
-                return arr.astype(np.int64)
-            if np.issubdtype(arr.dtype, np.floating):
-                return arr.astype(np.float64)
-            return arr
+    def vector(self, values: list):
+        if not _symbolic(*values):
+            return super().vector(values)
         shapes = {_shape_of(v) for v in values}
         if len(shapes) != 1:
             raise CodegenUnsupported("mixed-shape symbolic vector literal")
@@ -481,18 +318,14 @@ class Tracer(StatementExecutor):
 
     # -- selection ----------------------------------------------------------------------
 
-    def _select(self, array, index):
-        index = coerce_value(index) if _is_concrete(index) else index
+    def select(self, array, index):
         if isinstance(array, IndexView):
-            if not isinstance(index, (int, np.ndarray)):
+            if _symbolic(index):
                 raise CodegenUnsupported("symbolic index into index vector")
-            idx = self._index_tuple(index)
-            ax = array.axes[idx[0]]
-            if ax.count != 1 and ax.stride == 0:
-                pass
             # Component j of the index vector varies along space axis j;
             # emit its value grid as a constant-stride arange expression.
-            j = idx[0]
+            j = self._index_component(array, coerce_value(index))
+            ax = array.axes[j]
             dims = array.space_dims
             code = (
                 f"(np.arange({ax.count}, dtype=np.int64) * {ax.stride} + "
@@ -508,99 +341,44 @@ class Tracer(StatementExecutor):
             )
         if isinstance(array, np.ndarray):
             if isinstance(index, IndexView):
-                # Concrete array indexed by the loop index: materialize a
-                # gather over the (concrete) affine positions.
-                sel = tuple(ax.values() for ax in index.axes)
-                grids = np.meshgrid(*sel, indexing="ij") if len(sel) > 1 else \
-                    [sel[0]]
-                self._check_bounds_concrete(array, grids)
-                return array[tuple(grids)]
-            idx = self._index_tuple(index)
-            self._check_index(array.shape, idx)
-            out = array[idx]
-            return coerce_value(out) if np.isscalar(out) or out.ndim == 0 \
-                else np.asarray(out)
-        if isinstance(array, TArray):
-            if isinstance(index, IndexView):
-                n = index.rank
-                if n > len(array.shape):
-                    raise SacTypeError("index longer than array rank")
-                for ax, ext in zip(index.axes, array.shape):
-                    if ax.stride <= 0:
-                        raise CodegenUnsupported("non-positive index stride")
-                    last = ax.offset + ax.stride * (ax.count - 1)
-                    if ax.offset < 0 or last >= ext:
-                        raise SacRuntimeError(
-                            f"index range {ax.offset}..{last} out of bounds "
-                            f"for extent {ext}"
-                        )
-                sel = _slices_code(index.axes, len(array.shape) - n)
-                shape = index.space_dims + array.shape[n:]
-                return self.em.assign(
-                    "view", f"{{}}[{sel}]", (array,), shape, array.dtype
-                )
+                # Concrete array indexed by the loop index: the per-point
+                # values are known now, as an array over the space.
+                return self._select_gather(array, index.materialize()).data
             if isinstance(index, TArray):
-                raise CodegenUnsupported("data-dependent selection")
-            idx = self._index_tuple(index)
-            self._check_index(array.shape, idx)
+                raise CodegenUnsupported("selection index must be a concrete "
+                                         "int or int vector")
+        if not isinstance(array, TArray):
+            return super().select(array, index)
+        if isinstance(index, TArray):
+            raise CodegenUnsupported("data-dependent selection")
+        if isinstance(index, IndexView):
+            n = index.rank
+            self._check_index_length(n, len(array.shape))
+            for ax, ext in zip(index.axes, array.shape):
+                if ax.stride <= 0:
+                    raise CodegenUnsupported("non-positive index stride")
+                last = ax.offset + ax.stride * (ax.count - 1)
+                if ax.offset < 0 or last >= ext:
+                    raise SacRuntimeError(
+                        f"index range {ax.offset}..{last} out of bounds "
+                        f"for extent {ext}"
+                    )
+            sel = _slices_code(index.axes, len(array.shape) - n)
+            shape = index.space_dims + array.shape[n:]
+        else:
+            idx = self._checked_index(coerce_value(index), array.shape)
             sel = ", ".join(str(i) for i in idx)
             shape = array.shape[len(idx):]
-            return self.em.assign("view", f"{{}}[{sel}]", (array,), shape,
-                                  array.dtype)
-        raise SacTypeError("cannot select from a scalar")
-
-    @staticmethod
-    def _index_tuple(index) -> tuple[int, ...]:
-        if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
-            return (int(index),)
-        if is_int_vector(index):
-            return tuple(int(x) for x in index)
-        raise CodegenUnsupported("selection index must be a concrete int "
-                                 "or int vector")
-
-    @staticmethod
-    def _check_index(shape, idx) -> None:
-        if len(idx) > len(shape):
-            raise SacTypeError("index longer than array rank")
-        for j, (i, ext) in enumerate(zip(idx, shape)):
-            if i < 0 or i >= ext:
-                raise SacRuntimeError(
-                    f"index {i} out of bounds for axis {j} (extent {ext})"
-                )
-
-    @staticmethod
-    def _check_bounds_concrete(array, grids) -> None:
-        for j, g in enumerate(grids):
-            if g.min() < 0 or g.max() >= array.shape[j]:
-                raise SacRuntimeError(
-                    f"index out of bounds on axis {j} in gather"
-                )
+        return self.em.assign("view", f"{{}}[{sel}]", (array,), shape,
+                              array.dtype)
 
     # -- WITH-loops -----------------------------------------------------------------------
 
-    def _withloop(self, wl: WithLoop, env: dict):
+    def eval_WithLoop(self, wl: WithLoop, env):
+        space, shp, base, body_env = withloop_head(self, env, wl)
+        if body_env is None:
+            raise CodegenUnsupported("width filters are not specializable")
         op = wl.operation
-        shp = None
-        frame_shape = None
-        base = None
-        if isinstance(op, GenarrayOp):
-            shp_v = self.eval_expr(op.shape, env)
-            if not _is_concrete(shp_v):
-                raise CodegenUnsupported("symbolic genarray shape")
-            shp_arr = np.atleast_1d(np.asarray(coerce_value(shp_v)))
-            shp = tuple(int(x) for x in shp_arr)
-            frame_shape = shp
-        elif isinstance(op, ModarrayOp):
-            base = self.eval_expr(op.array, env)
-            frame_shape = _shape_of(base)
-            if not frame_shape and not isinstance(base, (TArray, np.ndarray)):
-                raise SacTypeError("modarray frame must be an array")
-
-        space = self._space(wl.generator, env, frame_shape)
-        iv = IndexView(space.axes())
-        body_env = dict(env)
-        body_env[wl.generator.var] = iv
-
         if isinstance(op, FoldOp):
             return self._fold(op, body_env, space, env)
 
@@ -630,11 +408,11 @@ class Tracer(StatementExecutor):
                 # above is an expression over *views* of the frame;
                 # NumPy materializes the right-hand side of a slice
                 # assignment before writing, so overlap is safe.
-                out = TArray(base.code, frame_shape, dtype)
+                out = TArray(base.code, base.shape, dtype)
             else:
                 out = self.em.assign("copy", "{}.copy()", (base,),
-                                     frame_shape, dtype)
-            if cell != frame_shape[space.rank:]:
+                                     base.shape, dtype)
+            if cell != base.shape[space.rank:]:
                 raise SacTypeError("modarray cell shape mismatch")
         # A fresh np.zeros already holds a stored +0.
         stores_zero = isinstance(op, GenarrayOp) and _is_positive_zero(body)
@@ -666,7 +444,7 @@ class Tracer(StatementExecutor):
 
     _CONCRETE_FOLD_LIMIT = 64
 
-    def _try_withloop_concrete(self, op, body_env: dict, space: IndexSpace,
+    def _try_withloop_concrete(self, op, body_env, space: IndexSpace,
                                shp, base):
         """Evaluate a genarray/modarray WITH-loop at compile time when all
         inputs are concrete; returns None when it must stay symbolic."""
@@ -678,11 +456,8 @@ class Tracer(StatementExecutor):
             total *= s
         # Keep big double arrays symbolic.
         snapshot = len(self.em.instrs)
-        try:
-            body = self.eval_expr(op.body, body_env)
-        except CodegenUnsupported:
-            raise
-        if not _is_concrete(body) or isinstance(body, IndexView):
+        body = self.eval_expr(op.body, body_env)
+        if _symbolic(body):
             return None
         body_val = coerce_value(body)
         bshape = np.asarray(body_val).shape
@@ -722,7 +497,7 @@ class Tracer(StatementExecutor):
         # Constant across the space.
         return shape
 
-    def _fold(self, op: FoldOp, body_env: dict, space: IndexSpace, env: dict):
+    def _fold(self, op: FoldOp, body_env, space: IndexSpace, env):
         neutral = self.eval_expr(op.neutral, env)
         if space.is_empty:
             return neutral
@@ -749,86 +524,14 @@ class Tracer(StatementExecutor):
             for c in space.count:
                 total *= c
             if op.fun == "+":
-                reduced = self._binop("*", total, body)
+                reduced = self.binop("*", total, body)
             elif op.fun == "*":
                 raise CodegenUnsupported("constant-body product fold")
             else:
                 reduced = body
-        return self._fold_combine(op.fun, neutral, reduced)
-
-    def _fold_combine(self, fun: str, neutral, reduced):
-        if fun == "+":
-            return self._binop("+", neutral, reduced)
-        if fun == "*":
-            return self._binop("*", neutral, reduced)
-        if _is_concrete(neutral) and _is_concrete(reduced):
-            arr = np.minimum(neutral, reduced) if fun == "min" else \
-                np.maximum(neutral, reduced)
-            return coerce_value(arr)
-        shape = np.broadcast_shapes(_shape_of(neutral), _shape_of(reduced))
-        return self.em.assign("elementwise", fun, (neutral, reduced), shape,
-                              np.promote_types(_dtype_of(neutral),
-                                               _dtype_of(reduced)))
-
-    # -- generator resolution -----------------------------------------------------------------
-
-    def _space(self, gen, env: dict, frame_shape) -> IndexSpace:
-        def bound(expr, is_upper: bool):
-            if isinstance(expr, Dot):
-                if frame_shape is None:
-                    raise SacRuntimeError(
-                        "'.' generator bounds need a genarray/modarray frame"
-                    )
-                if is_upper:
-                    return np.asarray(frame_shape, dtype=np.int64) - 1
-                return np.zeros(len(frame_shape), dtype=np.int64)
-            v = self.eval_expr(expr, env)
-            if not _is_concrete(v):
-                raise CodegenUnsupported("symbolic generator bound")
-            v = coerce_value(v)
-            if isinstance(v, (int, np.integer)):
-                if frame_shape is None:
-                    raise SacRuntimeError("scalar bound without frame")
-                return np.full(len(frame_shape), int(v), dtype=np.int64)
-            if is_int_vector(v):
-                return v
-            raise SacTypeError("generator bound must be an int vector")
-
-        lo = bound(gen.lower, False)
-        hi = bound(gen.upper, True)
-        if len(lo) != len(hi):
-            raise SacTypeError("generator bounds have different lengths")
-        if not gen.lower_inclusive:
-            lo = lo + 1
-        if gen.upper_inclusive:
-            hi = hi + 1
-        rank = len(lo)
-        if gen.step is not None:
-            sv = self.eval_expr(gen.step, env)
-            if not _is_concrete(sv):
-                raise CodegenUnsupported("symbolic generator step")
-            sv = coerce_value(sv)
-            step = np.full(rank, int(sv), dtype=np.int64) if isinstance(
-                sv, (int, np.integer)) else np.asarray(sv)
-            if np.any(step <= 0):
-                raise SacRuntimeError("generator step must be positive")
-        else:
-            step = np.ones(rank, dtype=np.int64)
-        if gen.width is not None:
-            raise CodegenUnsupported("width filters are not specializable")
-        span = hi - lo
-        count = np.where(span > 0, -(-span // step), 0)
-        space = IndexSpace(
-            tuple(int(x) for x in lo),
-            tuple(int(x) for x in step),
-            tuple(int(x) for x in count),
-            tuple(1 for _ in range(rank)),
-        )
-        if frame_shape is not None:
-            from .withloop import _check_region
-
-            _check_region(space, tuple(frame_shape)[: space.rank])
-        return space
+        if op.fun in ("+", "*"):
+            return self.binop(op.fun, neutral, reduced)
+        return self.builtin(op.fun, [neutral, reduced])
 
 
 # ---------------------------------------------------------------------------
@@ -947,25 +650,31 @@ def compile_function(program_or_table, fname: str, example_args,
             table = FunctionTable()
             table.update(program_or_table)
 
-    ingested = []
-    for a in example_args:
-        if isinstance(a, np.ndarray) and a.dtype not in (
-            np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.bool_)
-        ):
-            a = a.astype(np.float64)
-        ingested.append(coerce_value(a))
+    args = [Interpreter._ingest(a) for a in example_args]
+    fun = table.resolve(fname, [Interpreter.dispatch_type(a) for a in args])
+    return specialize(table, fun, args, cache, program_digest,
+                      max_statements)
+
+
+def specialize(table: FunctionTable, fun: FunDef, args, cache,
+               program_digest: str | None,
+               max_statements: int = 200_000) -> CompiledFunction:
+    """The one cache-or-trace sequence, shared by :func:`compile_function`
+    and the interpreter's JIT: look the resolved overload up in the
+    kernel cache under its (program, overload, argument-signature) key,
+    else trace it, store the artifact and load the executable."""
     key = None
     if cache is not None and program_digest is not None:
         from .driver.cache import kernel_key, shape_signature
 
-        key = kernel_key(program_digest, fname, shape_signature(ingested))
+        overload = f"{fun.name}(" + ",".join(
+            str(p.type) for p in fun.params
+        ) + ")"
+        key = kernel_key(program_digest, overload, shape_signature(args))
         compiled = cache.get_kernel(key)
         if compiled is not None:
             return compiled
-    probe_types = [_type_of(_probe_value(a)) for a in ingested]
-    fun = table.resolve(fname, probe_types)
-    artifact = trace_fundef(table, fun, ingested,
-                            max_statements=max_statements)
+    artifact = trace_fundef(table, fun, args, max_statements=max_statements)
     if key is not None:
         cache.put_kernel(key, artifact)
     return load_artifact(artifact)
@@ -979,18 +688,14 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
     global _trace_events
     _trace_events += 1
     em = Emitter()
-    tracer = Tracer(table, em, max_statements=max_statements)
+    tracer = Tracer(table, em, max_statements)
     fname = fun.name
-    ingested = [coerce_value(a) for a in example_args]
-    symbolic: list[tuple[str, TArray]] = []
     traced_args = []
     baked: dict[str, object] = {}
-
-    for param, a in zip(fun.params, ingested):
+    for param, a in zip(fun.params, example_args):
+        a = coerce_value(a)
         if isinstance(a, np.ndarray) and a.dtype == np.float64:
-            t = TArray(param.name, a.shape, a.dtype)
-            symbolic.append((param.name, t))
-            traced_args.append(t)
+            traced_args.append(TArray(param.name, a.shape, a.dtype))
         else:
             baked[param.name] = a
             traced_args.append(a)
@@ -1001,11 +706,10 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
 
     spec = ", ".join(
         f"{p.name}: "
-        + (f"double{list(_shape_of(t))}" if (p.name, t) in
-           [(n, v) for n, v in symbolic] else f"= {baked.get(p.name)!r}")
+        + (f"double{list(t.shape)}" if isinstance(t, TArray) else f"= {t!r}")
         for p, t in zip(fun.params, traced_args)
     )
-    params = ", ".join(name for name, _ in symbolic)
+    params = ", ".join(p.name for p in fun.params if p.name not in baked)
     body = "\n".join("    " + render(ins) for ins in plan(em.instrs))
     consts = "\n".join(f"{n} = {c}" for n, c in em.consts.items())
     source = (
@@ -1034,8 +738,3 @@ def load_artifact(artifact: KernelArtifact) -> CompiledFunction:
         baked=artifact.baked,
         _callable=namespace[artifact.name],
     )
-
-
-def _probe_value(a):
-    """Placeholder with the right dispatch type for overload resolution."""
-    return a

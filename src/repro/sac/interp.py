@@ -17,6 +17,7 @@ from .ast_visit import ReturnValue, StatementExecutor
 from .builtins import apply_binop, apply_unop, call_builtin, is_builtin
 from .errors import (
     SacArityError,
+    SacError,
     SacNameError,
     SacRuntimeError,
     SacTypeError,
@@ -26,7 +27,9 @@ from .values import (
     AbstractUnsupported,
     IndexView,
     SpaceValue,
+    cell_type,
     coerce_value,
+    is_int_vector,
     value_type,
 )
 from .withloop import eval_withloop
@@ -133,25 +136,6 @@ class InterpOptions:
     jit_threshold: int = 3
 
 
-def _dispatch_type(v) -> SacType:
-    """Type used for overload resolution, for concrete *and* abstract
-    values (abstract values dispatch on their per-point cell type)."""
-    if isinstance(v, IndexView):
-        return SacType.aks(BaseType.INT, (v.rank,))
-    if isinstance(v, SpaceValue):
-        base = {
-            np.dtype(np.float64): BaseType.DOUBLE,
-            np.dtype(np.int64): BaseType.INT,
-            np.dtype(np.bool_): BaseType.BOOL,
-        }.get(v.data.dtype)
-        if base is None:
-            raise SacTypeError(f"unsupported dtype {v.data.dtype}")
-        if v.cell_shape == ():
-            return SacType.scalar(base)
-        return SacType.aks(base, v.cell_shape)
-    return value_type(v)
-
-
 class Interpreter(StatementExecutor):
     """Evaluator over a :class:`FunctionTable`.
 
@@ -160,7 +144,20 @@ class Interpreter(StatementExecutor):
     specializations from that shared content-addressed cache instead of
     tracing privately — a kernel traced by any interpreter, thread, or
     earlier process over the same program is reused here.
+
+    The rules below are written for concrete and abstract
+    (:class:`IndexView`/:class:`SpaceValue`) values; the overridable
+    pieces — ``binop``/``unop``/``builtin``/``vector``/``select``,
+    ``dispatch_type``, ``static``, ``bad_condition``, ``array_types`` —
+    are where :class:`repro.sac.codegen.Tracer` adds its symbolic value
+    kind and nothing else.
     """
+
+    #: Value kinds a modarray may take as its frame.
+    array_types: tuple = (np.ndarray,)
+    binop = staticmethod(apply_binop)
+    unop = staticmethod(apply_unop)
+    builtin = staticmethod(call_builtin)
 
     def __init__(self, functions: FunctionTable,
                  options: InterpOptions | None = None, *,
@@ -209,19 +206,29 @@ class Interpreter(StatementExecutor):
         if name in ("+", "-", "*", "/", "%"):
             if len(args) != 2:
                 raise SacArityError(f"operator {name!r} needs two arguments")
-            return apply_binop(name, args[0], args[1])
+            return self.binop(name, args[0], args[1])
         if self.functions.overloads(name):
-            argtypes = [_dispatch_type(a) for a in args]
+            argtypes = [self.dispatch_type(a) for a in args]
             try:
                 fun = self.functions.resolve(name, argtypes)
             except (SacArityError, SacNameError):
                 if is_builtin(name):
-                    return call_builtin(name, args)
+                    return self.builtin(name, args)
                 raise
             return self.apply_fundef(fun, args)
         if is_builtin(name):
-            return call_builtin(name, args)
+            return self.builtin(name, args)
         raise SacNameError(f"undefined function {name!r}")
+
+    @staticmethod
+    def dispatch_type(v) -> SacType:
+        """Type used for overload resolution, for concrete *and* abstract
+        values (abstract values dispatch on their per-point cell type)."""
+        if isinstance(v, IndexView):
+            return SacType.aks(BaseType.INT, (v.rank,))
+        if isinstance(v, SpaceValue):
+            return cell_type(v.data.dtype, v.cell_shape)
+        return value_type(v)
 
     # -- JIT ------------------------------------------------------------------
 
@@ -242,18 +249,6 @@ class Interpreter(StatementExecutor):
                 parts.append(("const", type(a).__name__, a))
         return tuple(parts)
 
-    def _kernel_cache_key(self, fun: FunDef, args: list):
-        """Content-addressed key into the shared kernel cache, or None
-        when this interpreter has no shared-cache identity."""
-        if self.kernel_cache is None or self.program_digest is None:
-            return None
-        from .driver.cache import kernel_key, shape_signature
-
-        overload = f"{fun.name}(" + ",".join(
-            str(p.type) for p in fun.params
-        ) + ")"
-        return kernel_key(self.program_digest, overload, shape_signature(args))
-
     def _jit_lookup(self, fun: FunDef, args: list):
         sig = self._jit_signature(fun, args)
         if sig is None or sig in self._jit_blocked:
@@ -265,22 +260,14 @@ class Interpreter(StatementExecutor):
         self._jit_counts[sig] = count
         if count < self.options.jit_threshold:
             return None
-        from .codegen import CodegenUnsupported, load_artifact, trace_fundef
-        from .errors import SacError
+        from .codegen import specialize
 
-        key = self._kernel_cache_key(fun, args)
-        compiled = None
-        if key is not None:
-            compiled = self.kernel_cache.get_kernel(key)
-        if compiled is None:
-            try:
-                artifact = trace_fundef(self.functions, fun, args)
-            except (CodegenUnsupported, SacError):
-                self._jit_blocked.add(sig)
-                return None
-            compiled = load_artifact(artifact)
-            if key is not None:
-                self.kernel_cache.put_kernel(key, artifact)
+        try:
+            compiled = specialize(self.functions, fun, args, self.kernel_cache,
+                                  self.program_digest)
+        except SacError:  # CodegenUnsupported included
+            self._jit_blocked.add(sig)
+            return None
         self._jit_cache[sig] = compiled
         return compiled
 
@@ -320,16 +307,28 @@ class Interpreter(StatementExecutor):
         env.bind(name, value)
 
     def exec_cond(self, expr: Expr, env: Env, what: str) -> bool:
-        v = self.eval_expr(expr, env)
-        if isinstance(v, (SpaceValue, IndexView)):
-            raise AbstractUnsupported("data-dependent control flow")
-        v = coerce_value(v)
+        v = coerce_value(self.eval_expr(expr, env))
         if isinstance(v, bool):
             return v
-        raise SacTypeError(
+        raise self.bad_condition(v, expr, what)
+
+    def bad_condition(self, v, expr: Expr, what: str) -> Exception:
+        """The error for a ``what`` condition that is not a known bool."""
+        if isinstance(v, (SpaceValue, IndexView)):
+            return AbstractUnsupported("data-dependent control flow")
+        return SacTypeError(
             f"condition must be a boolean, got {value_type(v)}"
             + (f" at {expr.pos}" if getattr(expr, "pos", None) else "")
         )
+
+    def static(self, expr: Expr, env: Env, what: str):
+        """Evaluate an expression that shapes the iteration itself (a
+        generator bound, step or width, a genarray shape): its value must
+        be known before the loop runs, so it cannot be per-point."""
+        v = coerce_value(self.eval_expr(expr, env))
+        if isinstance(v, (SpaceValue, IndexView)):
+            raise AbstractUnsupported(f"per-point {what}")
+        return v
 
     # -- expressions -------------------------------------------------------------
     # Dispatch to ``eval_<ClassName>`` comes from the shared
@@ -345,15 +344,23 @@ class Interpreter(StatementExecutor):
         return expr.value
 
     def eval_Var(self, expr, env: Env):
-        return env.lookup(expr.name)
+        try:
+            return env.lookup(expr.name)
+        except SacNameError as exc:
+            exc.pos = exc.pos or expr.pos
+            raise
 
     def eval_Dot(self, expr: Dot, env: Env):
         raise SacRuntimeError("'.' is only legal inside a generator")
 
     def eval_VectorLit(self, expr, env: Env):
-        if not expr.elements:
+        return self.vector([self.eval_expr(e, env) for e in expr.elements])
+
+    def vector(self, values: list):
+        """The value of a vector literal with these element values."""
+        if not values:
             return np.empty(0, dtype=np.int64)
-        values = [coerce_value(self.eval_expr(e, env)) for e in expr.elements]
+        values = [coerce_value(v) for v in values]
         if any(isinstance(v, (SpaceValue, IndexView)) for v in values):
             return self._eval_vector_abstract(values)
         try:
@@ -404,17 +411,14 @@ class Interpreter(StatementExecutor):
                         return False
                     if expr.op == "||" and left:
                         return True
-                    return self._expect_boolish(expr.right, env)
-            return apply_binop(expr.op, left, self.eval_expr(expr.right, env))
-        return apply_binop(
+                    return self.eval_expr(expr.right, env)
+            return self.binop(expr.op, left, self.eval_expr(expr.right, env))
+        return self.binop(
             expr.op, self.eval_expr(expr.left, env), self.eval_expr(expr.right, env)
         )
 
-    def _expect_boolish(self, expr: Expr, env: Env):
-        return self.eval_expr(expr, env)
-
     def eval_UnOp(self, expr, env: Env):
-        return apply_unop(expr.op, self.eval_expr(expr.operand, env))
+        return self.unop(expr.op, self.eval_expr(expr.operand, env))
 
     def eval_Call(self, expr: Call, env: Env):
         args = [self.eval_expr(a, env) for a in expr.args]
@@ -456,32 +460,35 @@ class Interpreter(StatementExecutor):
     def _index_tuple(index) -> tuple[int, ...]:
         if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
             return (int(index),)
-        if isinstance(index, np.ndarray) and index.ndim == 1 and \
-                index.dtype == np.int64:
+        if is_int_vector(index):
             return tuple(int(x) for x in index)
         raise SacTypeError("selection index must be an int or an int vector")
 
-    def _select_concrete(self, array: np.ndarray, index):
+    @staticmethod
+    def _check_index_length(n: int, rank: int) -> None:
+        if n > rank:
+            raise SacTypeError(f"index of length {n} into rank-{rank} array")
+
+    def _checked_index(self, index, shape: tuple[int, ...]) -> tuple[int, ...]:
+        """``index`` as a tuple, checked against the leading axes of
+        ``shape`` — the one concrete selection-index rule."""
         idx = self._index_tuple(index)
-        if len(idx) > array.ndim:
-            raise SacTypeError(
-                f"index of length {len(idx)} into rank-{array.ndim} array"
-            )
-        for j, (i, ext) in enumerate(zip(idx, array.shape)):
+        self._check_index_length(len(idx), len(shape))
+        for j, (i, ext) in enumerate(zip(idx, shape)):
             if i < 0 or i >= ext:
                 raise SacRuntimeError(
                     f"index {i} out of bounds for axis {j} with extent {ext}"
                 )
-        result = array[idx]
+        return idx
+
+    def _select_concrete(self, array: np.ndarray, index):
+        result = array[self._checked_index(index, array.shape)]
         return coerce_value(result) if np.isscalar(result) or result.ndim == 0 \
             else result.copy()
 
     def _select_affine(self, array: np.ndarray, iv: IndexView):
         n = iv.rank
-        if n > array.ndim:
-            raise SacTypeError(
-                f"index of length {n} into rank-{array.ndim} array"
-            )
+        self._check_index_length(n, array.ndim)
         sel = tuple(ax.as_slice(ext) for ax, ext in zip(iv.axes, array.shape))
         data = array[sel + (slice(None),) * (array.ndim - n)]
         return SpaceValue(data, n)
@@ -493,10 +500,7 @@ class Interpreter(StatementExecutor):
             comps = [index.data[..., j] for j in range(index.cell_shape[0])]
         else:
             raise AbstractUnsupported("index cell must be scalar or vector")
-        if len(comps) > array.ndim:
-            raise SacTypeError(
-                f"index of length {len(comps)} into rank-{array.ndim} array"
-            )
+        self._check_index_length(len(comps), array.ndim)
         for j, comp in enumerate(comps):
             if comp.min() < 0 or comp.max() >= array.shape[j]:
                 raise SacRuntimeError(
@@ -505,7 +509,8 @@ class Interpreter(StatementExecutor):
         data = array[tuple(comps)]
         return SpaceValue(data, index.space_ndim)
 
-    def _select_from_indexview(self, iv: IndexView, index):
+    def _index_component(self, iv: IndexView, index) -> int:
+        """Which component ``iv[index]`` names, checked."""
         idx = self._index_tuple(index)
         if len(idx) != 1:
             raise SacTypeError("index-variable selection takes one component")
@@ -514,25 +519,19 @@ class Interpreter(StatementExecutor):
             raise SacRuntimeError(
                 f"component {j} out of range for index vector of length {iv.rank}"
             )
-        ax = iv.axes[j]
+        return j
+
+    def _select_from_indexview(self, iv: IndexView, index):
+        j = self._index_component(iv, index)
         dims = iv.space_dims
         shape = [1] * len(dims)
         shape[j] = dims[j]
-        data = np.broadcast_to(ax.values().reshape(shape), dims)
+        data = np.broadcast_to(iv.axes[j].values().reshape(shape), dims)
         return SpaceValue(data, len(dims))
 
     def _select_from_spacevalue(self, sv: SpaceValue, index):
         if isinstance(index, (SpaceValue, IndexView)):
             raise AbstractUnsupported("abstract index into abstract array")
-        idx = self._index_tuple(index)
-        if len(idx) > len(sv.cell_shape):
-            raise SacTypeError(
-                f"index of length {len(idx)} into rank-{len(sv.cell_shape)} cells"
-            )
-        for j, (i, ext) in enumerate(zip(idx, sv.cell_shape)):
-            if i < 0 or i >= ext:
-                raise SacRuntimeError(
-                    f"index {i} out of bounds for cell axis {j} (extent {ext})"
-                )
+        idx = self._checked_index(index, sv.cell_shape)
         sel = (slice(None),) * sv.space_ndim + idx
         return SpaceValue(sv.data[sel], sv.space_ndim)

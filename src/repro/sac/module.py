@@ -122,3 +122,24 @@ class SacProgram:
             f"optimize={self.options.optimize} "
             f"vectorize={self.options.vectorize}>"
         )
+
+
+def load_spmd_certified(path: str | Path,
+                        options: CompileOptions) -> SacProgram:
+    """Build the program at ``path`` behind the SPMD gate: when the
+    options ran the static analyzer, every WITH-loop must have come out
+    certified race-free for SPMD execution, or
+    :class:`~repro.sac.errors.SacAnalysisError` is raised instead of
+    handing back a program."""
+    program = SacProgram.from_file(path, options)
+    report = program.analysis_report
+    if report is not None and not report.spmd_safe:
+        from .errors import SacAnalysisError
+
+        unsafe = [c for c in report.certificates if not c.safe]
+        raise SacAnalysisError(
+            f"{Path(path).name} WITH-loops failed SPMD certification: "
+            + "; ".join(str(c) for c in unsafe),
+            diagnostics=report.warnings,
+        )
+    return program

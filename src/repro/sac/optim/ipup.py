@@ -21,23 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..ast_nodes import (
-    Assign,
-    Block,
-    DoWhile,
-    Expr,
-    ExprStmt,
-    For,
-    FunDef,
-    If,
-    Program,
-    Return,
-    ReuseHint,
-    Stmt,
-    While,
-    WithLoop,
-)
-from ..ast_visit import map_child_exprs
+from ..ast_nodes import Expr, Program, ReuseHint
+from .rewrite import map_stmt_exprs, walk_exprs
 
 __all__ = ["ipup_pass"]
 
@@ -56,82 +41,19 @@ def ipup_pass(program: Program) -> Program:
             )
     if not hints:
         return program
-    new_funs = []
-    changed = False
-    for fun in program.functions:
-        new_fun = _annotate_fun(fun, hints)
-        changed = changed or new_fun is not fun
-        new_funs.append(new_fun)
-    return program.with_functions(new_funs) if changed else program
 
+    def annotate(expr: Expr) -> Expr:
+        # Hints are keyed by the identity of the analyzed node.  The
+        # bottom-up traversal hands a node back as the same object unless
+        # something below it was rewritten, and reuse is only ever
+        # certified for statement-level loops (never one nested in
+        # another loop's expression), so a hinted loop arrives intact.
+        hint = hints.get(id(expr))
+        return expr if hint is None else dataclasses.replace(expr, hint=hint)
 
-def _annotate_fun(fun: FunDef, hints: dict[int, ReuseHint]) -> FunDef:
-    body = _annotate_block(fun.body, hints)
-    return fun if body is fun.body else dataclasses.replace(fun, body=body)
-
-
-def _annotate_block(block: Block, hints: dict[int, ReuseHint]) -> Block:
-    stmts = tuple(_annotate_stmt(s, hints) for s in block.statements)
-    if all(a is b for a, b in zip(stmts, block.statements)):
-        return block
-    return dataclasses.replace(block, statements=stmts)
-
-
-def _annotate_stmt(stmt: Stmt, hints: dict[int, ReuseHint]) -> Stmt:
-    if isinstance(stmt, Assign):
-        value = _annotate_expr(stmt.value, hints)
-        return (stmt if value is stmt.value
-                else dataclasses.replace(stmt, value=value))
-    if isinstance(stmt, Return):
-        value = _annotate_expr(stmt.value, hints)
-        return (stmt if value is stmt.value
-                else dataclasses.replace(stmt, value=value))
-    if isinstance(stmt, ExprStmt):
-        expr = _annotate_expr(stmt.expr, hints)
-        return (stmt if expr is stmt.expr
-                else dataclasses.replace(stmt, expr=expr))
-    if isinstance(stmt, Block):
-        return _annotate_block(stmt, hints)
-    if isinstance(stmt, If):
-        cond = _annotate_expr(stmt.cond, hints)
-        then = _annotate_block(stmt.then, hints)
-        orelse = (_annotate_block(stmt.orelse, hints)
-                  if stmt.orelse is not None else None)
-        if cond is stmt.cond and then is stmt.then \
-                and orelse is stmt.orelse:
-            return stmt
-        return dataclasses.replace(stmt, cond=cond, then=then,
-                                   orelse=orelse)
-    if isinstance(stmt, While):
-        cond = _annotate_expr(stmt.cond, hints)
-        body = _annotate_block(stmt.body, hints)
-        if cond is stmt.cond and body is stmt.body:
-            return stmt
-        return dataclasses.replace(stmt, cond=cond, body=body)
-    if isinstance(stmt, DoWhile):
-        cond = _annotate_expr(stmt.cond, hints)
-        body = _annotate_block(stmt.body, hints)
-        if cond is stmt.cond and body is stmt.body:
-            return stmt
-        return dataclasses.replace(stmt, cond=cond, body=body)
-    if isinstance(stmt, For):
-        init = _annotate_stmt(stmt.init, hints)
-        cond = _annotate_expr(stmt.cond, hints)
-        update = _annotate_stmt(stmt.update, hints)
-        body = _annotate_block(stmt.body, hints)
-        if init is stmt.init and cond is stmt.cond \
-                and update is stmt.update and body is stmt.body:
-            return stmt
-        return dataclasses.replace(stmt, init=init, cond=cond,
-                                   update=update, body=body)
-    return stmt
-
-
-def _annotate_expr(expr: Expr, hints: dict[int, ReuseHint]) -> Expr:
-    # Children first: certificates only attach to statement-level loops,
-    # but the recursion keeps the pass total over any expression shape.
-    hint = hints.get(id(expr))
-    new = map_child_exprs(expr, lambda e: _annotate_expr(e, hints))
-    if hint is not None and isinstance(new, WithLoop):
-        new = dataclasses.replace(new, hint=hint)
-    return new
+    # A function with no certified loop keeps its identity.
+    return program.with_functions([
+        dataclasses.replace(fun, body=map_stmt_exprs(fun.body, annotate))
+        if any(id(e) in hints for e in walk_exprs(fun.body)) else fun
+        for fun in program.functions
+    ])

@@ -46,6 +46,31 @@ __all__ = [
 Value = object
 
 
+#: The one dtype -> base type table: concrete arrays, per-point cells of
+#: a :class:`SpaceValue` and the code generator's traced arrays all
+#: classify through it.
+_BASE_OF_DTYPE = {
+    np.dtype(np.float64): BaseType.DOUBLE,
+    np.dtype(np.int64): BaseType.INT,
+    np.dtype(np.bool_): BaseType.BOOL,
+}
+
+
+def _base_of(dtype) -> BaseType:
+    base = _BASE_OF_DTYPE.get(dtype)
+    if base is None:
+        raise SacTypeError(f"unsupported array dtype {dtype}")
+    return base
+
+
+def cell_type(dtype, shape: tuple[int, ...]) -> SacType:
+    """Overload-dispatch type of one cell of this dtype and shape (a
+    ``()`` cell dispatches as a scalar)."""
+    if shape == ():
+        return SacType.scalar(_base_of(dtype))
+    return SacType.aks(_base_of(dtype), shape)
+
+
 def value_type(v) -> SacType:
     """The concrete SacType of a runtime value."""
     if isinstance(v, bool):
@@ -55,15 +80,7 @@ def value_type(v) -> SacType:
     if isinstance(v, (float, np.floating)):
         return DOUBLE
     if isinstance(v, np.ndarray):
-        if v.dtype == np.float64:
-            base = BaseType.DOUBLE
-        elif v.dtype == np.int64:
-            base = BaseType.INT
-        elif v.dtype == np.bool_:
-            base = BaseType.BOOL
-        else:  # pragma: no cover - defensive
-            raise SacTypeError(f"unsupported array dtype {v.dtype}")
-        return SacType.aks(base, v.shape)
+        return SacType.aks(_base_of(v.dtype), v.shape)
     raise SacTypeError(f"not a SAC value: {type(v).__name__}")
 
 
@@ -78,6 +95,17 @@ def coerce_value(v):
     if isinstance(v, np.ndarray) and v.ndim == 0:
         return coerce_value(v[()])
     return v
+
+
+def dtype_of(value) -> np.dtype:
+    """The NumPy dtype a concrete value stores as."""
+    if isinstance(value, bool):
+        return np.dtype(np.bool_)
+    if isinstance(value, int):
+        return np.dtype(np.int64)
+    if isinstance(value, float):
+        return np.dtype(np.float64)
+    return np.asarray(value).dtype
 
 
 def is_int_vector(v) -> bool:

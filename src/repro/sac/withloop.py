@@ -35,6 +35,7 @@ from .values import (
     SpaceValue,
     as_index_vector,
     coerce_value,
+    dtype_of,
     is_int_vector,
 )
 
@@ -89,40 +90,29 @@ class IndexSpace:
         return itertools.product(*(self.positions(ax) for ax in range(self.rank)))
 
 
-def _resolve_bound(interp, env, expr, inclusive: bool, is_upper: bool,
-                   frame_shape: tuple[int, ...] | None, rank_hint: int | None):
-    """Evaluate one generator bound to an exclusive-lower/exclusive-upper
-    pair component; returns the int vector (lower inclusive, upper
-    exclusive convention applied by the caller)."""
-    if isinstance(expr, Dot):
-        if frame_shape is None:
-            raise SacRuntimeError(
-                "'.' generator bounds need a genarray/modarray frame"
-            )
-        if is_upper:
-            vec = np.asarray(frame_shape, dtype=np.int64) - 1  # largest legal
-        else:
-            vec = np.zeros(len(frame_shape), dtype=np.int64)   # smallest legal
-        return vec
-    val = coerce_value(interp.eval_expr(expr, env))
-    return as_index_vector(val, rank_hint)
-
-
-def _resolve_space(interp, env, gen: Generator,
+def _resolve_space(ev, env, gen: Generator,
                    frame_shape: tuple[int, ...] | None) -> IndexSpace:
-    rank_hint = len(frame_shape) if frame_shape is not None else None
-    # Vector bounds may establish the rank when there is no frame.
-    if rank_hint is None:
-        for bexpr in (gen.lower, gen.upper):
-            if not isinstance(bexpr, Dot):
-                v = coerce_value(interp.eval_expr(bexpr, env))
-                if is_int_vector(v):
-                    rank_hint = int(v.shape[0])
-                    break
-    lo = _resolve_bound(interp, env, gen.lower, gen.lower_inclusive, False,
-                        frame_shape, rank_hint)
-    hi = _resolve_bound(interp, env, gen.upper, gen.upper_inclusive, True,
-                        frame_shape, rank_hint or len(lo))
+    """Resolve a generator against its frame — for any evaluator.
+
+    ``ev.static`` evaluates each bound, step and width exactly once and
+    refuses a value that is not known before the loop runs.
+    """
+    def bound(expr, is_upper: bool):
+        if isinstance(expr, Dot):
+            if frame_shape is None:
+                raise SacRuntimeError(
+                    "'.' generator bounds need a genarray/modarray frame"
+                )
+            if is_upper:
+                return np.asarray(frame_shape, dtype=np.int64) - 1  # largest legal
+            return np.zeros(len(frame_shape), dtype=np.int64)  # smallest legal
+        return ev.static(expr, env, "generator bound")
+
+    lo, hi = bound(gen.lower, False), bound(gen.upper, True)
+    # A vector bound establishes the rank when there is no frame.
+    rank = len(frame_shape) if frame_shape is not None else next(
+        (int(v.shape[0]) for v in (lo, hi) if is_int_vector(v)), None)
+    lo, hi = as_index_vector(lo, rank), as_index_vector(hi, rank)
     if len(lo) != len(hi):
         raise SacTypeError(
             f"generator bounds have different lengths {len(lo)} and {len(hi)}"
@@ -133,29 +123,31 @@ def _resolve_space(interp, env, gen: Generator,
         hi = hi + 1
     rank = len(lo)
 
+    step = width = np.ones(rank, dtype=np.int64)
     if gen.step is not None:
-        step = as_index_vector(coerce_value(interp.eval_expr(gen.step, env)), rank)
+        step = as_index_vector(ev.static(gen.step, env, "generator step"), rank)
         if np.any(step <= 0):
             raise SacRuntimeError("generator step must be positive")
-    else:
-        step = np.ones(rank, dtype=np.int64)
     if gen.width is not None:
-        width = as_index_vector(coerce_value(interp.eval_expr(gen.width, env)), rank)
+        width = as_index_vector(
+            ev.static(gen.width, env, "generator width"), rank)
         if np.any(width <= 0) or np.any(width > step):
             raise SacRuntimeError("generator width must be in 1..step")
-    else:
-        width = np.ones(rank, dtype=np.int64)
 
     span = hi - lo
     count = np.where(span > 0, -(-span // step), 0)  # ceil division
     # With width > 1 the last block may be cut short; positions() handles
     # exact membership, count tracks full/partial blocks.
-    return IndexSpace(
+    space = IndexSpace(
         tuple(int(x) for x in lo),
         tuple(int(x) for x in step),
         tuple(int(x) for x in count),
         tuple(int(x) for x in width),
     )
+    if frame_shape is not None:
+        # The generator may cover a lower-rank prefix (non-scalar cells).
+        _check_region(space, frame_shape[: space.rank])
+    return space
 
 
 def _check_region(space: IndexSpace, shape: tuple[int, ...]) -> None:
@@ -190,26 +182,12 @@ def _space_result_to_array(value, space: IndexSpace):
     return data, cell.shape
 
 
-def _dtype_for(value) -> np.dtype:
-    if isinstance(value, bool):
-        return np.dtype(np.bool_)
-    if isinstance(value, int):
-        return np.dtype(np.int64)
-    if isinstance(value, float):
-        return np.dtype(np.float64)
-    return np.asarray(value).dtype
-
-
 # ---------------------------------------------------------------------------
 # Vectorized path.
 # ---------------------------------------------------------------------------
 
-def _eval_vectorized(interp, env, wl: WithLoop, space: IndexSpace,
-                     shp: tuple[int, ...] | None):
-    iv = IndexView(space.axes())
-    body_env = env.child({wl.generator.var: iv})
-    op = wl.operation
-
+def _eval_vectorized(interp, env, body_env, op, space: IndexSpace,
+                     shp: tuple[int, ...] | None, base):
     if isinstance(op, FoldOp):
         neutral = coerce_value(interp.eval_expr(op.neutral, env))
         if space.is_empty:
@@ -234,11 +212,8 @@ def _eval_vectorized(interp, env, wl: WithLoop, space: IndexSpace,
             return np.zeros(shp, dtype=np.float64)
         value = interp.eval_expr(op.body, body_env)
         data, cell = _space_result_to_array(value, space)
-        out = np.zeros(tuple(shp) + cell, dtype=_dtype_for(data))
+        out = np.zeros(tuple(shp) + cell, dtype=dtype_of(data))
     else:
-        base = interp.eval_expr(op.array, env)
-        if not isinstance(base, np.ndarray):
-            raise SacTypeError("modarray frame must be an array")
         if space.is_empty:
             return base.copy()
         value = interp.eval_expr(op.body, body_env)
@@ -248,7 +223,7 @@ def _eval_vectorized(interp, env, wl: WithLoop, space: IndexSpace,
                 f"modarray cell shape {cell} does not match frame "
                 f"{base.shape[space.rank:]}"
             )
-        out = base.astype(np.promote_types(base.dtype, _dtype_for(data)), copy=True)
+        out = base.astype(np.promote_types(base.dtype, dtype_of(data)), copy=True)
 
     region = tuple(ax.as_slice(ext) for ax, ext in zip(space.axes(), out.shape))
     out[region] = data
@@ -287,7 +262,7 @@ def _tree_fold(interp, fun: str, neutral, data: np.ndarray, cell):
 # ---------------------------------------------------------------------------
 
 def _eval_scalar(interp, env, wl: WithLoop, space: IndexSpace,
-                 shp: tuple[int, ...] | None):
+                 shp: tuple[int, ...] | None, base):
     op = wl.operation
     var = wl.generator.var
 
@@ -306,17 +281,14 @@ def _eval_scalar(interp, env, wl: WithLoop, space: IndexSpace,
             val = coerce_value(interp.eval_expr(op.body, env.child({var: iv})))
             if out is None:
                 cell = np.asarray(val)
-                out = np.zeros(tuple(shp) + cell.shape, dtype=_dtype_for(val))
-            elif not np.can_cast(_dtype_for(val), out.dtype):
-                out = out.astype(np.promote_types(out.dtype, _dtype_for(val)))
+                out = np.zeros(tuple(shp) + cell.shape, dtype=dtype_of(val))
+            elif not np.can_cast(dtype_of(val), out.dtype):
+                out = out.astype(np.promote_types(out.dtype, dtype_of(val)))
             out[idx] = val
         if out is None:  # empty region
             out = np.zeros(tuple(shp), dtype=np.float64)
         return out
 
-    base = interp.eval_expr(op.array, env)
-    if not isinstance(base, np.ndarray):
-        raise SacTypeError("modarray frame must be an array")
     out = base.copy()
     for idx in space.iter_indices():
         iv = np.asarray(idx, dtype=np.int64)
@@ -326,36 +298,47 @@ def _eval_scalar(interp, env, wl: WithLoop, space: IndexSpace,
 
 
 # ---------------------------------------------------------------------------
-# Entry point.
+# Entry points.
 # ---------------------------------------------------------------------------
 
-def eval_withloop(interp, env, wl: WithLoop):
-    """Evaluate a WITH-loop expression in ``env``."""
-    op = wl.operation
-    shp: tuple[int, ...] | None = None
-    frame_shape: tuple[int, ...] | None = None
+def withloop_head(ev, env, wl: WithLoop):
+    """What a WITH-loop iterates over, resolved once for any evaluator.
 
+    Evaluates the genarray shape or the modarray frame (once — the frame
+    value is handed on, not re-evaluated), resolves the generator against
+    it and checks the region.  Returns ``(space, shp, base, body_env)``:
+    ``shp`` is the genarray shape, ``base`` the modarray frame (each
+    ``None`` for the other operations) and ``body_env`` binds the index
+    variable to the affine :class:`IndexView` of the whole space —
+    ``None`` when a ``width`` filter makes the space non-affine.
+    """
+    op = wl.operation
+    shp = base = frame_shape = None
     if isinstance(op, GenarrayOp):
-        shp_val = coerce_value(interp.eval_expr(op.shape, env))
+        shp_val = ev.static(op.shape, env, "genarray shape")
         shp_vec = as_index_vector(shp_val, None if is_int_vector(shp_val) else 1)
         if np.any(shp_vec < 0):
             raise SacRuntimeError("genarray shape must be non-negative")
-        shp = tuple(int(x) for x in shp_vec)
-        frame_shape = shp
+        shp = frame_shape = tuple(int(x) for x in shp_vec)
     elif isinstance(op, ModarrayOp):
-        base = interp.eval_expr(op.array, env)
-        if not isinstance(base, np.ndarray):
+        base = ev.eval_expr(op.array, env)
+        if not isinstance(base, ev.array_types):
             raise SacTypeError("modarray frame must be an array")
         frame_shape = base.shape
+    space = _resolve_space(ev, env, wl.generator, frame_shape)
+    body_env = None
+    if space.is_affine:
+        body_env = env.child({wl.generator.var: IndexView(space.axes())})
+    return space, shp, base, body_env
 
-    space = _resolve_space(interp, env, wl.generator, frame_shape)
-    if frame_shape is not None:
-        # The generator may cover a lower-rank prefix (non-scalar cells).
-        _check_region(space, frame_shape[: space.rank])
 
-    if interp.options.vectorize and space.is_affine:
+def eval_withloop(interp, env, wl: WithLoop):
+    """Evaluate a WITH-loop expression in ``env``."""
+    space, shp, base, body_env = withloop_head(interp, env, wl)
+    if interp.options.vectorize and body_env is not None:
         try:
-            return _eval_vectorized(interp, env, wl, space, shp)
+            return _eval_vectorized(interp, env, body_env, wl.operation,
+                                    space, shp, base)
         except AbstractUnsupported:
             pass
-    return _eval_scalar(interp, env, wl, space, shp)
+    return _eval_scalar(interp, env, wl, space, shp, base)

@@ -67,6 +67,14 @@ class TestHeartbeatConfig:
         with pytest.raises(ValueError, match="REPRO_SPMD_HEARTBEAT_DEAD"):
             HeartbeatConfig.from_env()
 
+    @pytest.mark.parametrize("name", ["INTERVAL", "SUSPECT", "DEAD"])
+    @pytest.mark.parametrize("raw", ["0", "-1.5", "nan?"])
+    def test_from_env_names_the_bad_variable(self, monkeypatch, name, raw):
+        var = f"REPRO_SPMD_HEARTBEAT_{name}"
+        monkeypatch.setenv(var, raw)
+        with pytest.raises(ValueError, match=var):
+            HeartbeatConfig.from_env()
+
 
 # ---------------------------------------------------------------------------
 # The monitor state machine (fake clock, no threads).

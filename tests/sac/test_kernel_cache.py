@@ -241,3 +241,18 @@ class TestJitSharedCache:
         # locally, but never re-traced.
         assert warm.interpreter.jit_compiled_count == 1
         assert trace_event_count() == before
+
+    def test_jit_and_compile_function_share_one_kernel(self, tmp_path):
+        # Same (program, overload, shapes) key from both entry points:
+        # whichever asks second is served the first one's artifact.
+        opts = CompileOptions(jit=True, jit_threshold=1)
+        u = np.arange(27.0).reshape(3, 3, 3)
+        session = _session(tmp_path, options=opts)
+        before = trace_event_count()
+        session.interpreter.call("scale", u, 2.0)
+        (jitted,) = session.interpreter._jit_cache.values()
+        compiled = compile_function(SacProgram(None, _session=session),
+                                    "scale", [u, 2.0])
+        assert trace_event_count() == before + 1
+        assert compiled.artifact == jitted.artifact
+        assert compiled.source is jitted.source

@@ -168,6 +168,19 @@ class TestFold:
         a = np.array([1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(both_paths(src, "f", a), [1, 6, 9, 4])
 
+    def test_inner_bounds_that_depend_on_the_outer_index(self):
+        # A per-point bound has no whole-space form: the vectorized path
+        # must hand the outer loop to the scalar one, not raise.
+        src = (
+            "double[+] f(double[.] a) {\n"
+            "  return with ([0] <= iv < [4])\n"
+            "    genarray([4], with (iv <= jv < iv + 2)\n"
+            "      fold(+, 0.0, a[jv]));\n"
+            "}"
+        )
+        np.testing.assert_array_equal(
+            both_paths(src, "f", np.arange(6.0)), [1, 3, 5, 7])
+
 
 class TestDotBounds:
     def test_dot_needs_frame_static(self):

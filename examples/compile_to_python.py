@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Compile SAC to standalone NumPy Python (the sac2c analogue).
 
-Specializes the MG program for class-S shapes, prints an excerpt of the
-generated module, saves the whole thing next to this script, and
-verifies the compiled code against NPB.
+Specializes the MG program for class-S shapes — one NumPy function per
+(SAC function, grid size), listed in the generated module's docstring —
+prints an excerpt, saves the whole module next to this script (it is
+checked in; tests/integration/test_examples.py fails when it drifts),
+and verifies the compiled code against NPB.
 
     python examples/compile_to_python.py
 """
@@ -31,8 +33,9 @@ def main() -> int:
     print(f"specialized FinalResidual for {sc.nx}^3 x {sc.nit} iterations: "
           f"{len(lines)} lines of NumPy in {t_compile:.2f} s\n")
 
-    print("generated code (excerpt):")
-    for ln in lines[:6] + ["    ..."] + lines[24:36] + ["    ..."]:
+    print("generated code (header, then from the finest V-cycle level on):")
+    top = lines.index("def VCycle__34x34x34(r):")
+    for ln in lines[:8] + ["  ..."] + lines[top:]:
         print("  " + ln)
 
     out_path = Path(__file__).parent / "generated_mg_class_s.py"

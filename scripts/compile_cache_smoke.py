@@ -9,9 +9,14 @@ process, against a shared ``REPRO_SAC_CACHE_DIR``:
   optimization pass runs — and reproduce the cold residual norm
   bit-for-bit.
 
+With ``--kernel-w`` the two processes instead compile ``FinalResidual``
+at class W (64^3, 40 iterations) through ``compile_function`` and run
+it: the cold process traces once, the warm one not at all, both get the
+same residual bits from a generated module of under 2 000 lines.
+
 Exits non-zero (with a diagnostic) on any violation.  Usage:
 
-    PYTHONPATH=src python scripts/compile_cache_smoke.py
+    PYTHONPATH=src python scripts/compile_cache_smoke.py [--kernel-w]
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import sys
 import tempfile
 
 _PHASE_FLAG = "--phase"
+_KERNEL_FLAG = "--kernel-w"
 
 
 def _run_phase() -> None:
@@ -46,24 +52,70 @@ def _run_phase() -> None:
     )
 
 
-def _spawn(label: str, cache_dir: str) -> dict:
+def _run_kernel_phase() -> None:
+    """Child mode: compile and run class-W FinalResidual; JSON on stdout."""
+    import numpy as np
+
+    from repro.core import zran3
+    from repro.mg_sac import load_mg_program
+    from repro.sac.codegen import compile_function, trace_event_count
+
+    v = zran3(64)
+    fn = compile_function(load_mg_program(), "FinalResidual", (v, 40))
+    interior = fn(v, 40)[1:-1, 1:-1, 1:-1]
+    json.dump(
+        {
+            "traces": trace_event_count(),
+            "lines": len(fn.source.splitlines()),
+            "rnm2": float(np.sqrt(np.mean(interior * interior))).hex(),
+        },
+        sys.stdout,
+    )
+
+
+def _spawn(label: str, cache_dir: str, *flags: str) -> dict:
     env = dict(os.environ, REPRO_SAC_CACHE_DIR=cache_dir)
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), _PHASE_FLAG, label],
+        [sys.executable, os.path.abspath(__file__), _PHASE_FLAG, label, *flags],
         env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         sys.exit(f"{label} run failed:\n{proc.stdout}\n{proc.stderr}")
     data = json.loads(proc.stdout)
-    print(f"{label:>4}: from_cache={data['from_cache']} "
-          f"pass_runs={data['pass_runs']} verified={data['verified']}")
+    print(f"{label:>4}: " + " ".join(
+        f"{k}={v}" for k, v in data.items() if k != "stages"))
     return data
+
+
+def _kernel_main() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-sac-smoke-") as cache:
+        cold = _spawn("cold", cache, _KERNEL_FLAG)
+        warm = _spawn("warm", cache, _KERNEL_FLAG)
+    failures = []
+    if cold["traces"] != 1:
+        failures.append(f"cold run traced {cold['traces']} times, expected 1")
+    if warm["traces"] != 0:
+        failures.append(f"warm run traced {warm['traces']} times; the "
+                        "kernel was not served from the cache")
+    if warm["rnm2"] != cold["rnm2"]:
+        failures.append(f"warm rnm2 {warm['rnm2']} differs from cold "
+                        f"{cold['rnm2']} (not bit-identical)")
+    if not cold["lines"] == warm["lines"] < 2000:
+        failures.append(f"generated module has {cold['lines']} (cold) / "
+                        f"{warm['lines']} (warm) lines, expected < 2000")
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    if not failures:
+        print("OK: class-W kernel traced once, served warm, bit-identical")
+    return 1 if failures else 0
 
 
 def main() -> int:
     if _PHASE_FLAG in sys.argv:
-        _run_phase()
+        _run_kernel_phase() if _KERNEL_FLAG in sys.argv else _run_phase()
         return 0
+    if _KERNEL_FLAG in sys.argv:
+        return _kernel_main()
 
     with tempfile.TemporaryDirectory(prefix="repro-sac-smoke-") as cache:
         cold = _spawn("cold", cache)

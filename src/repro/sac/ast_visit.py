@@ -7,8 +7,8 @@ statement-execution loop for ``Assign``/``Return``/``If``/``For``/
 ``While``/``DoWhile``/``ExprStmt``/``Block``.  This module is the single
 home for all of it:
 
-* :func:`iter_child_nodes` / :func:`iter_child_exprs` — the
-  ``dataclasses.fields`` child iteration,
+* :func:`node_fields` — a node class's field names, memoised, and
+  :func:`iter_child_nodes` / :func:`iter_child_exprs` over them,
 * :func:`map_child_exprs` — rebuild a node with a function applied to
   every direct expression child (identity-preserving: an unchanged node
   is returned as the same object),
@@ -30,6 +30,7 @@ alpha-renaming, structural keys) remain in
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .ast_nodes import (
@@ -51,6 +52,7 @@ from .ast_nodes import (
 )
 
 __all__ = [
+    "node_fields",
     "iter_child_nodes",
     "iter_child_exprs",
     "map_child_exprs",
@@ -66,10 +68,17 @@ __all__ = [
 _EXPR_CARRIERS = (GenarrayOp, ModarrayOp, FoldOp, Generator)
 
 
+@lru_cache(maxsize=None)
+def node_fields(cls: type) -> tuple[str, ...]:
+    """The dataclass field names of a node class (``dataclasses.fields``
+    rebuilds its tuple per call; every walker asks per node)."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield every direct :class:`Node` child of ``node``."""
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
+    for name in node_fields(type(node)):
+        v = getattr(node, name)
         if isinstance(v, Node):
             yield v
         elif isinstance(v, tuple):
@@ -90,20 +99,20 @@ def map_child_exprs(node: Node, fn: Callable[[Expr], Expr]) -> Node:
     (descending through generator/operation carrier nodes).  Returns the
     original object when nothing changed."""
     changes = {}
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
+    for name in node_fields(type(node)):
+        v = getattr(node, name)
         if isinstance(v, Expr):
             nv = fn(v)
             if nv is not v:
-                changes[f.name] = nv
+                changes[name] = nv
         elif isinstance(v, tuple) and v and all(isinstance(e, Expr) for e in v):
             nv = tuple(fn(e) for e in v)
             if any(a is not b for a, b in zip(nv, v)):
-                changes[f.name] = nv
+                changes[name] = nv
         elif isinstance(v, _EXPR_CARRIERS):
             nv = map_child_exprs(v, fn)
             if nv is not v:
-                changes[f.name] = nv
+                changes[name] = nv
     return dataclasses.replace(node, **changes) if changes else node
 
 

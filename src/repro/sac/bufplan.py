@@ -21,12 +21,12 @@ so it stays pure and reentrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-__all__ = ["ELEMENTWISE", "Instr", "plan", "render"]
+__all__ = ["ELEMENTWISE", "Instr", "plan", "render", "result_bases"]
 
 #: SAC operator / builtin -> (ufunc, operator spelling of the allocating
 #: form, or None where the allocating form is the plain ufunc call).
@@ -69,6 +69,11 @@ class Instr:
     ``view``
         ``dst`` aliases memory it does not own: operand 0's, or with no
         operand an anonymous read-only temporary's.
+    ``call``
+        ``dst`` is what another specialization returned (or one element
+        of a returned tuple).  ``base`` is None when the callee
+        allocated it, so that the caller owns it like an ``alloc``; else
+        the operand it aliases, or ``""`` for memory nobody may write.
     ``store``
         writes operand 1 into a region of operand 0; no ``dst``.
     ``return``
@@ -90,6 +95,7 @@ class Instr:
     dtype: np.dtype[Any] | None = None
     #: The operand this elementwise operation writes into (planner-set).
     out: str | None = None
+    base: str | None = None  # what a ``call`` result aliases
 
 
 def render(ins: Instr) -> str:
@@ -107,6 +113,42 @@ def render(ins: Instr) -> str:
     return code if ins.dst is None else f"{ins.dst} = {code}"
 
 
+def _liveness(instrs: list[Instr]) -> tuple[
+        dict[str, str], dict[str, int], dict[str, Instr]]:
+    """Per buffer: ``root`` maps a name to the name whose memory it
+    aliases, ``last`` a buffer to the last instruction touching it through
+    any alias, ``fresh`` a buffer this trace allocated to its instruction."""
+    root: dict[str, str] = {}
+    last: dict[str, int] = {}
+    fresh: dict[str, Instr] = {}
+    for i, ins in enumerate(instrs):
+        for x in ins.operands:
+            if x in root:
+                last[root[x]] = i
+        if ins.dst is not None:
+            if ins.kind == "view":
+                base: str | None = ins.operands[0] if ins.operands else ins.dst
+            else:
+                base = ins.base
+            if base is None:
+                root[ins.dst] = ins.dst
+                fresh[ins.dst] = ins
+            else:
+                root[ins.dst] = root.get(base, base)
+            last.setdefault(root[ins.dst], i)
+    return root, last, fresh
+
+
+def result_bases(instrs: list[Instr]) -> tuple[str | None, ...]:
+    """Per value the trace's final ``return`` names: None when the trace
+    allocated its memory (the caller may own it), else the parameter,
+    constant or read-only temporary it aliases."""
+    root, _, fresh = _liveness(instrs)
+    roots = [root.get(x, x) for x in instrs[-1].operands]
+    return tuple(None if r in fresh and roots.count(r) == 1 else r
+                 for r in roots)
+
+
 def plan(instrs: list[Instr]) -> list[Instr]:
     """Rewrite a complete trace (ending in its ``return``) to accumulate
     in place and to free dead buffers.
@@ -114,27 +156,10 @@ def plan(instrs: list[Instr]) -> list[Instr]:
     An instruction that writes into an operand binds no name; later
     instructions that used its ``dst`` are given the operand's name.
     """
-    # Liveness per buffer: ``root`` maps a name to the name whose memory
-    # it aliases, ``last`` maps a buffer to the last instruction that
-    # touches it through any alias.  ``owned`` holds the whole, writable
-    # arrays this trace allocated: never a parameter, a module constant,
-    # a view or a 0-d value.
-    root: dict[str, str] = {}
-    last: dict[str, int] = {}
-    owned: dict[str, Instr] = {}
-    for i, ins in enumerate(instrs):
-        for x in ins.operands:
-            if x in root:
-                last[root[x]] = i
-        if ins.dst is not None:
-            if ins.kind != "view":
-                root[ins.dst] = ins.dst
-                if ins.shape != ():
-                    owned[ins.dst] = ins
-            else:
-                base = ins.operands[0] if ins.operands else ins.dst
-                root[ins.dst] = root.get(base, base)
-            last.setdefault(root[ins.dst], i)
+    # ``owned`` holds the whole, writable arrays this trace allocated:
+    # never a parameter, a module constant, a view or a 0-d value.
+    root, last, fresh = _liveness(instrs)
+    owned = {name: ins for name, ins in fresh.items() if ins.shape != ()}
 
     bound: dict[str, str] = {}          # SSA name -> its name in the output
     holders: dict[str, list[str]] = {}  # buffer -> bound names keeping it
@@ -154,10 +179,9 @@ def plan(instrs: list[Instr]) -> list[Instr]:
                     target = bound[dst] = bound.get(x, x)
                     break
         if target is not None:
-            ins = Instr(None, ins.kind, ins.op, operands, ins.shape,
-                        ins.dtype, out=target)
+            ins = replace(ins, dst=None, operands=operands, out=target)
         elif operands != names:
-            ins = Instr(dst, ins.kind, ins.op, operands, ins.shape, ins.dtype)
+            ins = replace(ins, operands=operands)
         out.append(ins)
         if ins.kind == "return":
             break

@@ -2,43 +2,49 @@
 
 ``sac2c`` compiles by *specializing* shape-polymorphic functions to the
 concrete shapes of their call sites and emitting loop code.  This
-backend does the same thing for our dialect: given a function and
-example arguments, it traces the program once — array extents, generator
-bounds and control flow all become concrete; recursion and loops unroll
-— and emits a flat Python function whose body is pure NumPy slice
-arithmetic.  No interpreter is involved when the compiled function runs.
+backend does the same for our dialect: given a function and example
+arguments it traces the program — array extents, generator bounds and
+control flow all become concrete — and emits one Python function per
+(SAC function, argument signature), each body pure NumPy slice
+arithmetic, each traced once however many call sites it has.  No
+interpreter is involved when the compiled function runs.
 
     from repro.sac.codegen import compile_function
     compiled = compile_function(prog, "MGrid", example_args=(v, 4))
-    u = compiled(v, 4)        # straight-line NumPy, bit-compatible
+    u = compiled(v, 4)        # NumPy only, bit-compatible
     print(compiled.source)    # the generated module text
 
-The trace is a list of :class:`~repro.sac.bufplan.Instr` records, not
+A trace is a list of :class:`~repro.sac.bufplan.Instr` records, not
 text: :func:`~repro.sac.bufplan.plan` runs over it once, so that chains
 of elementwise operations accumulate into their own dead intermediates
 and dead buffers are freed, before each record is rendered to its line.
 
-Specialization contract: double/bool *array* parameters stay symbolic
-(only their shapes are baked in); scalar ints, int vectors and scalar
-doubles used in control flow are baked into the code and validated at
-call time.  Data-dependent control flow and non-affine WITH-loops raise
-:class:`CodegenUnsupported` at compile time.
+Specialization contract, of the entry point and of every function it
+calls: double *array* arguments stay symbolic (only their shapes are
+baked in); scalar ints, int vectors and scalar doubles are baked into
+the code, and validated at call time.  Data-dependent control flow and
+non-affine WITH-loops raise :class:`CodegenUnsupported` at compile time.
 """
 
 from __future__ import annotations
 
+import keyword
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ast_nodes import Expr, FoldOp, FunDef, GenarrayOp, ModarrayOp, WithLoop
-from .bufplan import ELEMENTWISE, Instr, plan, render
+from .ast_nodes import (Block, Expr, FoldOp, For, FunDef, GenarrayOp,
+                        ModarrayOp, WithLoop)
+from .bufplan import ELEMENTWISE, Instr, plan, render, result_bases
 from .builtins import FOLD_UFUNCS, affine_binop
 from .errors import SacError, SacRuntimeError, SacTypeError
-from .interp import FunctionTable, Interpreter
+from .interp import Env, FunctionTable, Interpreter
+from .optim.rewrite import counted_loop, stmt_reads
 from .sactypes import SacType
-from .values import AffineAxis, IndexView, cell_type, coerce_value, dtype_of
+from .values import (AffineAxis, IndexView, any_abstract, cell_type,
+                     coerce_value, dtype_of)
 from .withloop import IndexSpace, withloop_head
 
 __all__ = ["CodegenUnsupported", "CompiledFunction", "KernelArtifact",
@@ -85,11 +91,7 @@ def _symbolic(*values) -> bool:
 
 
 def _shape_of(v) -> tuple[int, ...]:
-    if isinstance(v, TArray):
-        return v.shape
-    if isinstance(v, np.ndarray):
-        return v.shape
-    return ()
+    return getattr(v, "shape", ())
 
 
 def _dtype_of(v) -> np.dtype:
@@ -100,48 +102,74 @@ def _dtype_of(v) -> np.dtype:
 # Emission.
 # ---------------------------------------------------------------------------
 
-class Emitter:
-    """The trace: a straight-line list of :class:`~.bufplan.Instr`."""
+@dataclass
+class Spec:
+    """One specialization: a SAC function, or the body of a counted
+    loop, traced for one argument signature and rendered as a ``def``."""
+
+    name: str
+    doc: str                     # its signature, for the module header
+    params: dict[str, str]       # symbolic binding -> Python parameter
+    results: dict[str, object]   # label -> traced value ("": a function's)
+    returned: tuple[str, ...]    # the labels the ``def`` returns ...
+    bases: tuple = ()            # ... and what each aliases (result_bases)
+    rolls: bool = False          # a loop body whose results are all its own
+    text: str = ""
+
+
+class Module:
+    """What the specializations of one generated module share."""
 
     def __init__(self) -> None:
-        self.instrs: list[Instr] = []
-        self.consts: dict[str, str] = {}  # const name -> literal code
-        self._const_cache: dict[bytes, str] = {}
-        self._n = 0
-
-    def assign(self, kind: str, op: str, operands: tuple,
-               shape: tuple[int, ...], dtype: np.dtype) -> TArray:
-        """Bind a fresh temp to ``op`` of ``operands`` (traced values)."""
-        self._n += 1
-        name = f"_t{self._n}"
-        self.instrs.append(Instr(
-            name, kind, op, tuple(_code_of(self, v) for v in operands),
-            shape, dtype))
-        return TArray(name, shape, dtype)
+        self.consts: dict[tuple, tuple[str, str]] = {}  # value -> name, code
+        self.specs: dict[tuple, Spec] = {}    # finished, by signature
+        self.calls: Counter = Counter()       # def name -> static call sites
+        self.variants: Counter = Counter()    # def name stem -> defs so named
+        self.open: list[Emitter] = []         # being traced, outermost first
+        self.statements = 0                   # in finished specializations
 
     def const_array(self, arr: np.ndarray) -> str:
         """Intern a concrete array as a module-level constant."""
-        key = arr.tobytes() + str(arr.dtype).encode() + str(arr.shape).encode()
-        cached = self._const_cache.get(key)
-        if cached is not None:
-            return cached
-        name = f"_C{len(self.consts)}"
-        literal = np.array2string(
-            arr, separator=", ", threshold=1 << 20, floatmode="unique"
-        )
-        self.consts[name] = (
-            f"np.array({literal}, dtype=np.{arr.dtype.name})"
-        )
-        self._const_cache[key] = name
-        return name
+        key = (arr.dtype.str, arr.shape, arr.tobytes())
+        if key not in self.consts:
+            literal = np.array2string(
+                arr, separator=", ", threshold=1 << 20, floatmode="unique")
+            self.consts[key] = (
+                f"_C{len(self.consts)}",
+                f"np.array({literal}, dtype=np.{arr.dtype.name})")
+        return self.consts[key][0]
 
 
-def _code_of(em: Emitter, v) -> str:
+class Emitter:
+    """One specialization's trace: a straight-line list of
+    :class:`~.bufplan.Instr`."""
+
+    def __init__(self, module: Module) -> None:
+        self.instrs: list[Instr] = []
+        self.module = module
+        self.fresh: set[str] = set()  # temps whose memory this trace made
+        self._n = 0
+
+    def assign(self, kind: str, op: str, operands,
+               shape: tuple[int, ...], dtype: np.dtype,
+               base: str | None = None) -> TArray:
+        """Bind a fresh temp to ``op`` of ``operands`` (traced values)."""
+        self._n += 1
+        name = f"_t{self._n}"
+        if kind != "view" and base is None:
+            self.fresh.add(name)
+        self.instrs.append(Instr(
+            name, kind, op, tuple(_code_of(self.module, v) for v in operands),
+            shape, dtype, base=base))
+        return TArray(name, shape, dtype)
+
+
+def _code_of(mod: Module, v) -> str:
     """Python expression for any traced value."""
     if isinstance(v, TArray):
         return v.code
     if isinstance(v, np.ndarray):
-        return em.const_array(v)
+        return mod.const_array(v)
     if isinstance(v, bool):
         return "True" if v else "False"
     if isinstance(v, (int, np.integer)):
@@ -190,29 +218,182 @@ class Tracer(Interpreter):
 
     array_types = (np.ndarray, TArray)
 
-    def __init__(self, functions: FunctionTable, emitter: Emitter,
+    def __init__(self, functions: FunctionTable,
                  max_statements: int = 200_000):
         super().__init__(functions)
-        self.em = emitter
+        self.module = Module()
+        self.em: Emitter = None  # the specialization being traced
         self.max_statements = max_statements
+        self._fun: FunDef = None  # the function whose body is executing
 
-    def _guard_size(self) -> None:
-        if len(self.em.instrs) > self.max_statements:
+    def before_stmt(self, stmt=None) -> None:
+        mod = self.module
+        if mod.statements + sum(len(e.instrs) for e in mod.open) \
+                > self.max_statements:
             raise CodegenUnsupported(
                 "generated code exceeds the statement budget "
                 f"({self.max_statements}); the specialization unrolls too far"
             )
 
-    def before_stmt(self, stmt) -> None:
-        self._guard_size()
+    # -- specializations: one ``def`` per (site, signature) -------------------
+
+    def apply_fundef(self, fun: FunDef, args: list):
+        outer, self._fun = self._fun, fun
+        try:
+            if any_abstract(args) or not any(isinstance(a, TArray) for a in args):
+                return super().apply_fundef(fun, args)
+            given = {p.name: a for p, a in zip(fun.params, args)}
+            return self.invoke(self.specialization(fun, given), given)[""]
+        finally:
+            self._fun = outer
+
+    def specialization(self, site, given: dict, body=(), live=None) -> Spec:
+        """The specialization of ``site`` — a :class:`FunDef`, or a
+        counted loop standing for its ``body`` — for the signature of the
+        values it is ``given``: traced once into its own
+        :class:`Emitter`, planned and rendered, from then on looked up.
+        Only finished ones are, so runaway recursion meets the
+        interpreter's depth guard.  A loop body returns those of its
+        symbolic results that are ``live``."""
+        from .driver.cache import shape_signature
+
+        mod = self.module
+        key = (id(site), tuple(given), shape_signature(given.values()))
+        if key in mod.specs:
+            return mod.specs[key]
+        entry, loop = self.em is None, live is not None
+        # The contract of every ``def``: double arrays, and whatever is
+        # already traced, are parameters; the rest is baked in.
+        params = {n: TArray(n + "_" * keyword.iskeyword(n), v.shape, v.dtype)
+                  for n, v in given.items() if isinstance(v, TArray) or (
+                      isinstance(v, np.ndarray) and v.dtype == np.float64)}
+        name = self._fun.name + "_loop" if loop else site.name
+        if not entry:
+            name += "__" + "_".join(
+                "x".join(map(str, p.shape)) or "s" for p in params.values())
+            mod.variants[name] += 1
+            if mod.variants[name] > 1:  # same shapes, other baked values
+                name += f"_v{mod.variants[name] - 1}"
+        em = Emitter(mod)
+        outer, self.em = self.em, em
+        mod.open.append(em)
+        try:
+            if loop:
+                frame = Env({**given, **params})
+                self.exec_block(Block(body), frame)
+                results = {n: v for n, v in frame.bindings.items()
+                           if v is not params.get(n, given.get(n))}
+            else:
+                results = {"": super().apply_fundef(
+                    site, list({**given, **params}.values()))}
+        finally:
+            self.em = outer
+            mod.open.pop()
+        mod.statements += len(em.instrs)
+        doc = ", ".join(
+            f"{n}: {cell_type(v.dtype, v.shape)}" if n in params
+            else f"{n} = {v!r}" for n, v in given.items())
+        returned = tuple(n for n, v in results.items() if isinstance(v, TArray)
+                         and (not loop or n in live))
+        if entry and not returned:
+            returned = ("",)  # the entry point also returns a baked value
+        spec = mod.specs[key] = Spec(
+            name, f"{name}({doc})", {n: p.code for n, p in params.items()},
+            results, returned)
+        if returned:
+            em.instrs.append(Instr(
+                None, "return", "return " + ", ".join(["{}"] * len(returned)),
+                tuple(_code_of(mod, results[n]) for n in returned)))
+            spec.bases = result_bases(em.instrs)
+            spec.rolls = loop and not set(spec.bases) & set(spec.params.values())
+            planned = plan(em.instrs)
+            mod.calls.update(ins.op.partition("(")[0] for ins in planned
+                             if ins.kind == "call")
+            self._render(spec, planned)
+        return spec
+
+    def _render(self, spec: Spec, planned: list[Instr]) -> None:
+        lines = [render(ins) for ins in planned]
+        head = list(spec.params.values())
+        if spec.rolls:
+            # The body ``_n`` times over: what a trip computes for a
+            # variable it was given is what the next trip is given (no
+            # result is an argument, so rebinding those changes none).
+            codes = dict(zip(spec.returned, planned[-1].operands))
+            carried = {p: codes.get(n) or _code_of(self.module, spec.results[n])
+                       for n, p in spec.params.items() if n in spec.results}
+            inner = lines[:-1] + (
+                [f"{', '.join(carried)} = {', '.join(carried.values())}"]
+                if carried else [])
+            if inner:
+                lines = ["for _ in range(_n):",
+                         *("    " + ln for ln in inner), lines[-1]]
+            head.append("_n")
+        spec.text = f"def {spec.name}({', '.join(head)}):\n" + "".join(
+            f"    {ln}\n" for ln in lines)
+
+    def invoke(self, spec: Spec, given: dict, trips: int = 1):
+        """Emit the call; the callee's results as values of this trace
+        (concrete ones are known now and need no call, dead ones none)."""
+        out = {n: None if isinstance(v, TArray) else v
+               for n, v in spec.results.items()}
+        args = [given[n] for n in spec.params] + [trips] * spec.rolls
+        ours = dict(zip(spec.params.values(), args))  # callee's name -> value
+        call = f"{spec.name}({', '.join(['{}'] * len(args))})"
+        several = len(spec.returned) > 1
+        if several:  # a tuple: bound once, then taken apart
+            args = [self.em.assign("call", call, args, (), np.dtype(object), "")]
+        for j, (n, base) in enumerate(zip(spec.returned, spec.bases)):
+            if base is not None:
+                base = _code_of(self.module, ours[base]) if base in ours else ""
+            v = spec.results[n]
+            out[n] = self.em.assign("call", f"{{}}[{j}]" if several else call,
+                                    args, v.shape, v.dtype, base)
+        if several:
+            self.em.instrs.append(Instr(None, "del", "", (args[0].code,)))
+        return out
+
+    def exec_stmt(self, stmt, env) -> None:
+        loop = counted_loop(stmt)
+        if loop is None:
+            return super().exec_stmt(stmt, env)
+        from .driver.cache import shape_signature
+
+        cond, body, update, reads = loop
+        self.before_stmt(stmt)
+        if isinstance(stmt, For):
+            self.exec_stmt(stmt.init, env)
+        # Symbolic results read after the loop, or by its next trip.
+        live = (stmt_reads(self._fun.body) - stmt_reads(stmt)).keys() | reads
+        while self.exec_cond(cond, env, "loop bound"):
+            given = {n: env.lookup(n) for n in reads if env.contains(n)}
+            if any_abstract(given.values()) or not any(
+                    isinstance(v, TArray) for v in given.values()):
+                self.exec_block(Block(body), env)  # the interpreter's rule
+                self.exec_stmt(update, env)
+                continue
+            spec = self.specialization(stmt, given, body, live)
+            after = {**given, **{n: v for n, v in spec.results.items()
+                                 if n in reads}}
+            trips = 1
+            self.exec_stmt(update, env)
+            # When the next trip would be this specialization again, given
+            # only arrays it allocated, every later trip is that too.
+            if (spec.rolls and after.keys() == given.keys()
+                    and shape_signature(after.values())
+                    == shape_signature(given.values())):
+                while self.exec_cond(cond, env, "loop bound"):
+                    trips += 1
+                    self.exec_stmt(update, env)
+            for n, v in self.invoke(spec, given, trips).items():
+                self.bind(env, n, v)
 
     # -- what may not be symbolic ---------------------------------------------
 
     def bad_condition(self, v, expr: Expr, what: str) -> Exception:
         if _symbolic(v):
             return CodegenUnsupported(
-                f"data-dependent {what} cannot be specialized"
-            )
+                f"data-dependent {what} cannot be specialized")
         return super().bad_condition(v, expr, what)
 
     def static(self, expr: Expr, env, what: str):
@@ -238,13 +419,10 @@ class Tracer(Interpreter):
             return out
         if not _symbolic(l, r):
             return super().binop(op, l, r)
-        self._guard_size()
+        self.before_stmt()
         shape = np.broadcast_shapes(_shape_of(l), _shape_of(r))
         if op in ("/", "%"):
-            int_op = (
-                _dtype_of(l) == np.int64 and _dtype_of(r) == np.int64
-            )
-            if int_op:
+            if _dtype_of(l) == np.int64 and _dtype_of(r) == np.int64:
                 fn = "_sac_idiv" if op == "/" else "_sac_imod"
                 return self.em.assign("alloc", fn + "({}, {})", (l, r),
                                       shape, np.dtype(np.int64))
@@ -305,16 +483,11 @@ class Tracer(Interpreter):
         if len(shapes) != 1:
             raise CodegenUnsupported("mixed-shape symbolic vector literal")
         cell = shapes.pop()
-        dtype = np.promote_types(
-            _dtype_of(values[0]), _dtype_of(values[-1])
-        )
+        dtype = np.promote_types(_dtype_of(values[0]), _dtype_of(values[-1]))
         slots = ", ".join(["{}"] * len(values))
         return self.em.assign(
-            "alloc",
-            f"np.stack([{slots}], axis=-1)" if cell
-            else f"np.array([{slots}])",
-            tuple(values), cell + (len(values),), dtype,
-        )
+            "alloc", f"np.stack([{slots}], axis=-1)" if cell
+            else f"np.array([{slots}])", values, cell + (len(values),), dtype)
 
     # -- selection ----------------------------------------------------------------------
 
@@ -327,18 +500,11 @@ class Tracer(Interpreter):
             j = self._index_component(array, coerce_value(index))
             ax = array.axes[j]
             dims = array.space_dims
-            code = (
-                f"(np.arange({ax.count}, dtype=np.int64) * {ax.stride} + "
-                f"{ax.offset})"
-            )
-            reshape = ["1"] * len(dims)
-            reshape[j] = str(ax.count)
-            code = f"{code}.reshape({', '.join(reshape)})"
-            bcast = ", ".join(str(d) for d in dims)
-            return self.em.assign(
-                "view", f"np.broadcast_to({code}, ({bcast},))", (), dims,
-                np.dtype(np.int64),
-            )
+            along = tuple(ax.count if k == j else 1 for k in range(len(dims)))
+            code = (f"(np.arange({ax.count}, dtype=np.int64) * {ax.stride} + "
+                    f"{ax.offset}).reshape({along})")
+            return self.em.assign("view", f"np.broadcast_to({code}, {dims})",
+                                  (), dims, np.dtype(np.int64))
         if isinstance(array, np.ndarray):
             if isinstance(index, IndexView):
                 # Concrete array indexed by the loop index: the per-point
@@ -397,8 +563,7 @@ class Tracer(Interpreter):
             dtype = _dtype_of(body)
             out = self.em.assign(
                 "alloc", f"np.zeros({shp + cell}, dtype=np.{dtype.name})",
-                (), shp + cell, dtype,
-            )
+                (), shp + cell, dtype)
         else:
             dtype = np.promote_types(_dtype_of(base), _dtype_of(body))
             if self._may_reuse_frame(wl, base, dtype):
@@ -420,25 +585,24 @@ class Tracer(Interpreter):
             region = _slices_code(space.axes(), len(cell))
             self.em.instrs.append(Instr(
                 None, "store", f"{{}}[{region}] = {{}}",
-                (out.code, _code_of(self.em, body))))
+                (out.code, _code_of(self.module, body))))
         return out
 
-    @staticmethod
-    def _may_reuse_frame(wl: WithLoop, base, dtype: np.dtype) -> bool:
+    def _may_reuse_frame(self, wl: WithLoop, base, dtype: np.dtype) -> bool:
         """Whether a modarray result may steal its frame's buffer.
 
         Requires the static certificate (a :class:`ReuseHint` attached
         by the ipup pass) *and* trace-level guards: the frame must be a
-        symbolic temp of this trace — never a function parameter or an
-        interned module constant, whose buffers the caller owns — and
-        the write must not promote the dtype.
+        temp this trace allocated — never a parameter, a module constant
+        or a call result aliasing one, whose buffers the caller owns —
+        and the write must not promote the dtype.
         """
         hint = wl.hint
         return (
             hint is not None
             and hint.buffer_reuse
             and isinstance(base, TArray)
-            and base.code.startswith("_t")
+            and base.code in self.em.fresh
             and dtype == base.dtype
         )
 
@@ -451,30 +615,20 @@ class Tracer(Interpreter):
         if isinstance(op, ModarrayOp) and not isinstance(base, np.ndarray):
             return None
         frame = tuple(shp) if shp is not None else base.shape
-        total = 1
-        for s in frame:
-            total *= s
-        # Keep big double arrays symbolic.
         snapshot = len(self.em.instrs)
         body = self.eval_expr(op.body, body_env)
         if _symbolic(body):
             return None
         body_val = coerce_value(body)
-        bshape = np.asarray(body_val).shape
-        # Per-point results carry the space dims as a prefix; otherwise
-        # the body is constant across the space.
-        if bshape[: space.rank] == space.count:
-            cell = bshape[space.rank:]
-        else:
-            cell = bshape
+        cell = self._cell_shape(body_val, space)
         is_float = isinstance(body_val, float) or (
             isinstance(body_val, np.ndarray)
             and body_val.dtype == np.float64
         )
         if isinstance(op, ModarrayOp):
             is_float = is_float or base.dtype == np.float64
-        if is_float and total > self._CONCRETE_FOLD_LIMIT:
-            return None
+        if is_float and math.prod(frame) > self._CONCRETE_FOLD_LIMIT:
+            return None  # keep big double arrays symbolic
         del self.em.instrs[snapshot:]  # drop any speculative emissions
         if isinstance(op, GenarrayOp):
             out = np.zeros(frame + cell, dtype=_dtype_of(body_val))
@@ -492,10 +646,9 @@ class Tracer(Interpreter):
         if isinstance(body, IndexView):
             raise CodegenUnsupported("raw index vector as loop body")
         shape = _shape_of(body)
-        if shape[: space.rank] == space.count:
+        if shape[: space.rank] == space.count:  # per point: space dims first
             return shape[space.rank:]
-        # Constant across the space.
-        return shape
+        return shape  # constant across the space
 
     def _fold(self, op: FoldOp, body_env, space: IndexSpace, env):
         neutral = self.eval_expr(op.neutral, env)
@@ -520,11 +673,8 @@ class Tracer(Interpreter):
         else:
             # Constant body: neutral op (count * body) for +; generic:
             # repeat-reduce is wasteful, emit explicit arithmetic for +/*.
-            total = 1
-            for c in space.count:
-                total *= c
             if op.fun == "+":
-                reduced = self.binop("*", total, body)
+                reduced = self.binop("*", math.prod(space.count), body)
             elif op.fun == "*":
                 raise CodegenUnsupported("constant-body product fold")
             else:
@@ -543,6 +693,10 @@ _MODULE_HEADER = '''\
 
 Function: {fname}
 Specialization: {spec}
+
+One def per (SAC function or counted loop, argument signature); xN is
+the number of call sites in this module:
+{defs}
 """
 
 import numpy as np
@@ -556,6 +710,7 @@ def _sac_idiv(a, b):
 
 def _sac_imod(a, b):
     return a - b * _sac_idiv(a, b)
+
 
 '''
 
@@ -600,23 +755,14 @@ class CompiledFunction:
                 f"{self.name} expects {len(self.signature)} argument(s)"
             )
         for name, value in zip(self.signature, args):
-            if name in self.baked:
-                expect = self.baked[name]
-                same = (
-                    np.array_equal(expect, value)
-                    if isinstance(expect, np.ndarray)
-                    else expect == value
+            if name in self.baked and not np.array_equal(
+                    self.baked[name], value):
+                raise ValueError(
+                    f"argument {name!r} was specialized to "
+                    f"{self.baked[name]!r}; recompile for {value!r}"
                 )
-                if not same:
-                    raise ValueError(
-                        f"argument {name!r} was specialized to {expect!r}; "
-                        f"recompile for {value!r}"
-                    )
-        array_args = [
-            a for name, a in zip(self.signature, args)
-            if name not in self.baked
-        ]
-        return self._callable(*array_args)
+        return self._callable(*(a for name, a in zip(self.signature, args)
+                                if name not in self.baked))
 
 
 def compile_function(program_or_table, fname: str, example_args,
@@ -687,42 +833,25 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
     :func:`load_artifact` for that half)."""
     global _trace_events
     _trace_events += 1
-    em = Emitter()
-    tracer = Tracer(table, em, max_statements)
-    fname = fun.name
-    traced_args = []
-    baked: dict[str, object] = {}
-    for param, a in zip(fun.params, example_args):
-        a = coerce_value(a)
-        if isinstance(a, np.ndarray) and a.dtype == np.float64:
-            traced_args.append(TArray(param.name, a.shape, a.dtype))
-        else:
-            baked[param.name] = a
-            traced_args.append(a)
+    tracer = Tracer(table, max_statements)
+    tracer._fun = fun
+    bindings = {p.name: coerce_value(a)
+                for p, a in zip(fun.params, example_args)}
+    entry = tracer.specialization(fun, bindings)
 
-    result = tracer.apply_fundef(fun, traced_args)
-    em.instrs.append(Instr(None, "return", "return {}",
-                           (_code_of(em, result),)))
-
-    spec = ", ".join(
-        f"{p.name}: "
-        + (f"double{list(t.shape)}" if isinstance(t, TArray) else f"= {t!r}")
-        for p, t in zip(fun.params, traced_args)
-    )
-    params = ", ".join(p.name for p in fun.params if p.name not in baked)
-    body = "\n".join("    " + render(ins) for ins in plan(em.instrs))
-    consts = "\n".join(f"{n} = {c}" for n, c in em.consts.items())
+    mod = tracer.module
+    defs = [s for s in mod.specs.values()
+            if s.text and (mod.calls[s.name] or s is entry)]
     source = (
-        _MODULE_HEADER.format(fname=fname, spec=spec)
-        + (consts + "\n\n" if consts else "")
-        + f"def {fname}({params}):\n{body}\n"
+        _MODULE_HEADER.format(
+            fname=fun.name, spec=entry.doc, defs="\n".join(
+                f"  {s.doc}  x{mod.calls[s.name]}" for s in defs[:-1]))
+        + "".join(f"{n} = {c}\n" for n, c in mod.consts.values())
+        + "\n" * bool(mod.consts) + "\n".join(s.text for s in defs)
     )
     return KernelArtifact(
-        name=fname,
-        source=source,
-        signature=tuple(p.name for p in fun.params),
-        baked=baked,
-    )
+        fun.name, source, tuple(bindings),
+        {n: v for n, v in bindings.items() if n not in entry.params})
 
 
 def load_artifact(artifact: KernelArtifact) -> CompiledFunction:
@@ -731,10 +860,5 @@ def load_artifact(artifact: KernelArtifact) -> CompiledFunction:
     namespace: dict = {}
     exec(compile(artifact.source, f"<sac-codegen:{artifact.name}>", "exec"),
          namespace)
-    return CompiledFunction(
-        name=artifact.name,
-        source=artifact.source,
-        signature=artifact.signature,
-        baked=artifact.baked,
-        _callable=namespace[artifact.name],
-    )
+    return CompiledFunction(**vars(artifact),
+                            _callable=namespace[artifact.name])

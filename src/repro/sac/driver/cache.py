@@ -119,19 +119,22 @@ def shape_signature(args) -> tuple[str, ...]:
     """Canonical signature of a specialization's arguments.
 
     Mirrors the backend's baking rules: float64 arrays stay symbolic, so
-    only their *shape* matters; everything else is baked into the
-    generated code, so its *value* matters.
+    only their *shape* matters — as it does for a value the tracer
+    already holds symbolically (a shape and a dtype, no data);
+    everything else is baked into the generated code, so its *value*
+    matters.  The one signature function: kernel-cache keys, the
+    interpreter's JIT table and the tracer's specializations use it.
     """
     import numpy as np
 
     parts: list[str] = []
     for a in args:
-        if isinstance(a, np.ndarray):
-            if a.dtype == np.float64:
-                parts.append(f"f64{list(a.shape)}")
-            else:
-                digest = hashlib.sha256(a.tobytes()).hexdigest()[:16]
-                parts.append(f"baked-arr:{a.dtype}{list(a.shape)}:{digest}")
+        if isinstance(a, np.ndarray) and a.dtype != np.float64:
+            digest = hashlib.sha256(a.tobytes()).hexdigest()[:16]
+            parts.append(f"baked-arr:{a.dtype}{list(a.shape)}:{digest}")
+        elif hasattr(a, "shape") and not isinstance(a, np.generic):
+            kind = "f64" if a.dtype == np.float64 else a.dtype.name
+            parts.append(f"{kind}{list(a.shape)}")
         else:
             parts.append(f"baked:{type(a).__name__}:{a!r}")
     return tuple(parts)

@@ -27,6 +27,7 @@ from .values import (
     AbstractUnsupported,
     IndexView,
     SpaceValue,
+    any_abstract,
     cell_type,
     coerce_value,
     is_int_vector,
@@ -232,26 +233,13 @@ class Interpreter(StatementExecutor):
 
     # -- JIT ------------------------------------------------------------------
 
-    @staticmethod
-    def _jit_signature(fun: FunDef, args: list):
-        """Hashable specialization key, or None when not specializable."""
-        parts: list = [id(fun)]
-        for a in args:
-            if isinstance(a, (SpaceValue, IndexView)):
-                return None  # abstract context: never JIT
-            if isinstance(a, np.ndarray):
-                if a.dtype == np.float64:
-                    parts.append(("arr", a.shape))
-                else:
-                    # Non-float arrays get baked: key on the exact value.
-                    parts.append(("const-arr", a.shape, a.tobytes()))
-            else:
-                parts.append(("const", type(a).__name__, a))
-        return tuple(parts)
-
     def _jit_lookup(self, fun: FunDef, args: list):
-        sig = self._jit_signature(fun, args)
-        if sig is None or sig in self._jit_blocked:
+        if any_abstract(args):
+            return None  # abstract context: never JIT
+        from .driver.cache import shape_signature
+
+        sig = (id(fun), shape_signature(args))
+        if sig in self._jit_blocked:
             return None
         compiled = self._jit_cache.get(sig)
         if compiled is not None:
@@ -361,7 +349,7 @@ class Interpreter(StatementExecutor):
         if not values:
             return np.empty(0, dtype=np.int64)
         values = [coerce_value(v) for v in values]
-        if any(isinstance(v, (SpaceValue, IndexView)) for v in values):
+        if any_abstract(values):
             return self._eval_vector_abstract(values)
         try:
             arr = np.asarray(values)

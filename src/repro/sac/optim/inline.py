@@ -43,6 +43,7 @@ from ..ast_nodes import (
     Var,
     WithLoop,
 )
+from ..ast_visit import node_fields
 from .rewrite import fresh_namer, map_stmt_exprs, substitute, walk_exprs
 
 __all__ = ["inline_pass"]
@@ -97,20 +98,20 @@ def _inlinable_functions(program: Program) -> dict[str, FunDef]:
 
 def _map_node_children(n: Node, fn) -> Node:
     changes = {}
-    for f in dataclasses.fields(n):
-        v = getattr(n, f.name)
+    for name in node_fields(type(n)):
+        v = getattr(n, name)
         if isinstance(v, Expr):
             nv = fn(v)
             if nv is not v:
-                changes[f.name] = nv
+                changes[name] = nv
         elif isinstance(v, tuple) and v and all(isinstance(x, Expr) for x in v):
             nv = tuple(fn(x) for x in v)
             if any(a is not b for a, b in zip(nv, v)):
-                changes[f.name] = nv
+                changes[name] = nv
         elif isinstance(v, (GenarrayOp, ModarrayOp, FoldOp, Generator)):
             nv = _map_node_children(v, fn)
             if nv is not v:
-                changes[f.name] = nv
+                changes[name] = nv
     return dataclasses.replace(n, **changes) if changes else n
 
 

@@ -10,6 +10,7 @@ alpha-renaming.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import Callable
 
 from ..ast_nodes import (
@@ -31,13 +32,15 @@ from ..ast_nodes import (
     While,
     WithLoop,
 )
-from ..ast_visit import map_child_exprs, walk_exprs
+from ..ast_visit import map_child_exprs, node_fields, walk, walk_exprs
 
 __all__ = [
     "map_expr",
     "map_stmt_exprs",
     "walk_exprs",
     "expr_vars",
+    "stmt_reads",
+    "counted_loop",
     "stmt_vars_read",
     "assigned_names",
     "substitute",
@@ -98,15 +101,11 @@ def expr_vars(expr: Expr) -> set[str]:
     """Free-ish variable names referenced in an expression (includes
     WITH-loop index variables bound within — callers that care use
     :func:`substitute`, which respects binding)."""
-    return {e.name for e in walk_exprs(expr) if isinstance(e, Var)}
+    return set(stmt_reads(expr))
 
 
 def stmt_vars_read(stmt: Stmt) -> set[str]:
-    out: set[str] = set()
-    for e in walk_exprs(stmt):
-        if isinstance(e, Var):
-            out.add(e.name)
-    return out
+    return set(stmt_reads(stmt))
 
 
 def assigned_names(stmt: Stmt) -> set[str]:
@@ -128,6 +127,40 @@ def assigned_names(stmt: Stmt) -> set[str]:
     elif isinstance(stmt, (While, DoWhile)):
         out |= assigned_names(stmt.body)
     return out
+
+
+def stmt_reads(node: Node) -> Counter:
+    """How often each variable is mentioned under ``node``."""
+    return Counter(e.name for e in walk_exprs(node) if isinstance(e, Var))
+
+
+def counted_loop(stmt: Stmt):
+    """``(cond, body, update, reads)`` of a ``for``, or of a ``while``
+    ending in an assignment, whose body neither sees nor sets the counter
+    and sets nothing the bound depends on — so its trips differ in
+    nothing the body can observe — else None.  ``reads`` are the body's
+    inputs: the names it mentions before a top-level assignment to them."""
+    if isinstance(stmt, For):
+        cond, body, update = stmt.cond, stmt.body.statements, stmt.update
+    elif (isinstance(stmt, While) and stmt.body.statements
+          and isinstance(stmt.body.statements[-1], Assign)):
+        cond, update = stmt.cond, stmt.body.statements[-1]
+        body = stmt.body.statements[:-1]
+    else:
+        return None
+    block = Block(body)
+    writes = assigned_names(block)
+    if (update.target in stmt_reads(block) or update.target in writes
+            or writes & (stmt_reads(cond) + stmt_reads(update)).keys()
+            or any(isinstance(n, Return) for n in walk(block))):
+        return None
+    reads: dict[str, None] = {}
+    defined: set[str] = set()
+    for s in body:
+        reads.update((n, None) for n in stmt_reads(s) if n not in defined)
+        if isinstance(s, Assign):
+            defined.add(s.target)
+    return cond, body, update, reads.keys()
 
 
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
@@ -154,22 +187,22 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
 
             def node_go(n: Node, blk: frozenset[str]) -> Node:
                 changes = {}
-                for f in dataclasses.fields(n):
-                    v = getattr(n, f.name)
+                for name in node_fields(type(n)):
+                    v = getattr(n, name)
                     if isinstance(v, Expr):
                         nv = go(v, blk)
                         if nv is not v:
-                            changes[f.name] = nv
+                            changes[name] = nv
                     elif isinstance(v, tuple) and v and all(
                         isinstance(x, Expr) for x in v
                     ):
                         nv = tuple(go(x, blk) for x in v)
                         if any(a is not b for a, b in zip(nv, v)):
-                            changes[f.name] = nv
+                            changes[name] = nv
                     elif isinstance(v, (GenarrayOp, ModarrayOp, FoldOp, Generator)):
                         nv = node_go(v, blk)
                         if nv is not v:
-                            changes[f.name] = nv
+                            changes[name] = nv
                 return dataclasses.replace(n, **changes) if changes else n
 
             # Generator bounds are evaluated outside the index binding in
@@ -182,16 +215,16 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
             op = node_go(e.operation, inner_blocked)
             return dataclasses.replace(e, generator=gen, operation=op)
         changes = {}
-        for f in dataclasses.fields(e):
-            v = getattr(e, f.name)
+        for name in node_fields(type(e)):
+            v = getattr(e, name)
             if isinstance(v, Expr):
                 nv = go(v, blocked)
                 if nv is not v:
-                    changes[f.name] = nv
+                    changes[name] = nv
             elif isinstance(v, tuple) and v and all(isinstance(x, Expr) for x in v):
                 nv = tuple(go(x, blocked) for x in v)
                 if any(a is not b for a, b in zip(nv, v)):
-                    changes[f.name] = nv
+                    changes[name] = nv
         return dataclasses.replace(e, **changes) if changes else e
 
     return go(expr, frozenset())
@@ -201,10 +234,9 @@ def ast_key(node) -> object:
     """Hashable structural key of an AST fragment, ignoring positions."""
     if isinstance(node, Node):
         parts = [type(node).__name__]
-        for f in dataclasses.fields(node):
-            if f.name == "pos":
-                continue
-            parts.append(ast_key(getattr(node, f.name)))
+        for name in node_fields(type(node)):
+            if name != "pos":
+                parts.append(ast_key(getattr(node, name)))
         return tuple(parts)
     if isinstance(node, tuple):
         return tuple(ast_key(x) for x in node)

@@ -40,6 +40,7 @@ from ..ast_nodes import (
     Var,
     WithLoop,
 )
+from ..ast_visit import node_fields
 from .rewrite import map_expr, map_stmt_exprs, substitute, walk_exprs
 
 __all__ = ["wlfold_pass"]
@@ -90,8 +91,8 @@ def _assign_count(fun: FunDef, name: str) -> int:
         nonlocal count
         if isinstance(stmt, Assign) and stmt.target == name:
             count += 1
-        for f in dataclasses.fields(stmt):
-            v = getattr(stmt, f.name)
+        for field in node_fields(type(stmt)):
+            v = getattr(stmt, field)
             if isinstance(v, Block):
                 for s in v.statements:
                     walk(s)

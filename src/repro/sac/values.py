@@ -32,6 +32,7 @@ from .sactypes import BOOL, DOUBLE, INT, BaseType, SacType
 
 __all__ = [
     "Value",
+    "any_abstract",
     "value_type",
     "coerce_value",
     "is_int_vector",
@@ -267,3 +268,9 @@ class IndexView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexView({self.axes})"
+
+
+def any_abstract(values) -> bool:
+    """Whether any value is per-point: the index variable, or something
+    computed from it, inside a WITH-loop body."""
+    return any(isinstance(v, (IndexView, SpaceValue)) for v in values)

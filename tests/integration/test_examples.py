@@ -60,10 +60,16 @@ class TestExamples:
         assert "Figure 12" in out
 
     def test_compile_to_python(self, tmp_path):
+        generated = EXAMPLES / "generated_mg_class_s.py"
+        checked_in = generated.read_text()
         out = run_example("compile_to_python.py")
         assert "NPB verification SUCCESSFUL" in out
-        generated = EXAMPLES / "generated_mg_class_s.py"
-        assert generated.exists()
+        # Drift guard: the example rewrites the file; what is checked in
+        # must be what the compiler generates now.
+        assert generated.read_text() == checked_in, (
+            "examples/generated_mg_class_s.py is stale: commit what "
+            "`python examples/compile_to_python.py` just wrote")
+        assert len(checked_in.splitlines()) <= 1400
 
     def test_game_of_life(self):
         out = run_example("game_of_life.py", "10", "8")

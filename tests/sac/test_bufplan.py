@@ -245,10 +245,11 @@ class TestThroughCodegen:
                                       3.0 * (np.arange(4.0) + 1.0))
 
     def test_budget_counts_instructions_not_rendered_lines(self):
-        # Two instructions per round (select, add); the planner's `del`
-        # lines do not count against the budget.
+        # Two instructions per round (select, add) of a loop that must
+        # unroll (its counter is an index); the planner's `del` lines do
+        # not count against the budget.
         src = ("double f(double[.] a) { s = 0.0; "
-               "for (i = 0; i < 50; i += 1) { s = s + a[[0]]; } return s; }")
-        compiled(src, "f", np.ones(1), max_statements=100)
+               "for (i = 0; i < 50; i += 1) { s = s + a[[i]]; } return s; }")
+        compiled(src, "f", np.ones(50), max_statements=100)
         with pytest.raises(CodegenUnsupported, match="statement budget"):
-            compiled(src, "f", np.ones(1), max_statements=99)
+            compiled(src, "f", np.ones(50), max_statements=99)

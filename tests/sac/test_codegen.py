@@ -87,6 +87,27 @@ class TestBasics:
         # The loop unrolled: no Python 'for' in the generated body.
         assert "for " not in fn.source.split("def f")[1]
 
+    def test_counted_loop_is_rolled(self):
+        # Nothing in the body can tell one trip from another: one loop
+        # body, called from a Python ``for``, however many trips.
+        src = ("double f(double[.] a) { s = 0.0; "
+               "for (i = 0; i < 500; i += 1) { s = s + a[[0]]; } return s; }")
+        fn = compile_and_check(src, "f", np.array([0.1]))
+        assert len(fn.source.split("def f_loop")[1].splitlines()) < 25
+        assert "for _ in range(_n):" in fn.source
+        # The first trip turns the baked 0.0 into a traced value; the
+        # other 499 are one call.
+        body = fn.source.split("def f(a):")[1]
+        assert "f_loop__1(a, 1)" in body
+        assert "f_loop__s_1(_t1, a, 499)" in body
+
+    def test_counted_while_is_rolled(self):
+        src = ("double[.] f(double[.] a, int n) { b = a; k = 0; "
+               "while (k < n) { b = b + a; k = k + 1; } return b; }")
+        fn = compile_and_check(src, "f", np.arange(3.0), 7)
+        assert "_t1 = f_loop__3_3(a, a, 7)" in fn.source
+        assert "(b + a)" in fn.source and "out=b" not in fn.source
+
     def test_recursion_inlined(self):
         src = (
             "double total(double[+] a) {\n"
@@ -99,7 +120,12 @@ class TestBasics:
             "}"
         )
         a = np.arange(8.0)
-        compile_and_check(src, "total", a)
+        fn = compile_and_check(src, "total", a)
+        # One specialization per halved shape, each calling the next.
+        defs = [ln for ln in fn.source.splitlines() if ln.startswith("def ")]
+        assert [d.split("(")[0] for d in defs[-4:]] == [
+            "def total__1", "def total__2", "def total__4", "def total"]
+        assert "= total__4(_t" in fn.source.split("def total(a)")[1]
 
     def test_int_division_semantics(self):
         src = "int[.] f(int[.] a, int b) { return a / b; }"
@@ -169,11 +195,104 @@ class TestUnsupported:
             compile_function(prog, "f", (np.zeros(4),))
 
     def test_statement_budget(self):
+        # The counter is an index, so the 500 trips must unroll.
         src = ("double f(double[.] a) { s = 0.0; "
-               "for (i = 0; i < 500; i += 1) { s = s + a[[0]]; } return s; }")
+               "for (i = 0; i < 500; i += 1) { s = s + a[[i]]; } return s; }")
         prog = SacProgram.from_source(src)
-        with pytest.raises(CodegenUnsupported):
-            compile_function(prog, "f", (np.ones(1),), max_statements=100)
+        with pytest.raises(CodegenUnsupported, match="statement budget"):
+            compile_function(prog, "f", (np.ones(500),), max_statements=100)
+
+    def test_statement_budget_bounds_the_module_not_one_def(self):
+        # 4 x 15 instructions in the specializations of g, 7 in f: no
+        # single def is over 30, the module is.
+        src = (
+            "double[.] g(double[.] a, int k) { for (i = 0; i < 5; i += 1) "
+            "{ a = a + tod(i) * a[[k]]; } return a; }\n"
+            "double[.] f(double[.] a) { return g(a, 0) + g(a, 1) + g(a, 2) "
+            "+ g(a, 3); }")
+        prog = SacProgram.from_source(
+            src, options=CompileOptions(optimize=False))
+        compile_function(prog, "f", (np.ones(4),), max_statements=70)
+        with pytest.raises(CodegenUnsupported, match="statement budget"):
+            compile_function(prog, "f", (np.ones(4),), max_statements=30)
+
+
+OWNERSHIP = """
+double[+] id(double[+] a) { return a; }
+double[.] row(double[+] m) { return m[[0]]; }
+double[+] fresh(double[+] a) { return a + 1.0; }
+double[+] twice(double[+] a) { return id(a) + id(a); }
+double[.] rows(double[+] m) { return row(m) + row(m); }
+double[+] framed(double[+] a) {
+    lo = id(a);
+    hi = with ([1] <= iv < shape(lo) - 1) modarray(lo, lo[iv] * 2.0);
+    return hi;
+}
+double[.] framed_row(double[+] m) {
+    lo = row(m);
+    hi = with ([1] <= iv < shape(lo) - 1) modarray(lo, lo[iv] * 2.0);
+    return hi;
+}
+double[+] framed_fresh(double[+] a) {
+    lo = fresh(a);
+    hi = with ([1] <= iv < shape(lo) - 1) modarray(lo, lo[iv] * 2.0);
+    return hi;
+}
+"""
+
+
+class TestCallResultOwnership:
+    """A call result is the caller's to write into only when the callee
+    allocated it; one that is the argument, or a view of it, is not."""
+
+    @pytest.fixture(scope="class")
+    def prog(self):
+        import dataclasses
+
+        from repro.sac.ast_nodes import Assign, ReuseHint, WithLoop
+        from repro.sac.parser import parse_program
+
+        # Certify every frame, rightly or not: the trace-level guard
+        # alone must keep the caller's buffer safe.
+        def certified(stmt):
+            if isinstance(stmt, Assign) and isinstance(stmt.value, WithLoop):
+                hint = ReuseHint(True, True, "lo")
+                return dataclasses.replace(
+                    stmt, value=dataclasses.replace(stmt.value, hint=hint))
+            return stmt
+
+        prog = parse_program(OWNERSHIP)
+        return prog.with_functions(
+            dataclasses.replace(f, body=dataclasses.replace(
+                f.body, statements=tuple(map(certified, f.body.statements))))
+            for f in prog.functions)
+
+    @pytest.mark.parametrize("fname, arg", [
+        ("twice", np.arange(4.0)),
+        ("rows", np.arange(8.0).reshape(2, 4)),
+        ("framed", np.arange(4.0)),
+        ("framed_row", np.arange(8.0).reshape(2, 4)),
+    ])
+    def test_pass_through_result_is_never_written(self, prog, fname, arg):
+        fn = compile_function(prog, fname, (arg,))
+        entry = fn.source.split(f"def {fname}(")[1]
+        assert "id__" in entry or "row__" in entry  # still a call
+        assert "out=_t1" not in entry
+        snapshot = arg.copy()
+        result = fn(arg)
+        assert np.array_equal(arg, snapshot)
+        assert not np.shares_memory(result, arg)
+        if fname.startswith("framed"):
+            assert entry.count(".copy()") == 1
+
+    def test_fresh_result_is_the_callers(self, prog):
+        a = np.arange(4.0)
+        fn = compile_function(prog, "framed_fresh", (a,))
+        entry = fn.source.split("def framed_fresh(")[1]
+        assert "_t1 = fresh__4(a)" in entry and ".copy()" not in entry
+        assert "_t1[1:3] = " in entry
+        fn(a)
+        assert np.array_equal(a, np.arange(4.0))
 
 
 class TestMGCompiled:
@@ -266,6 +385,24 @@ class TestPlannedFinalResidual:
             tracemalloc.stop()
         # Every intermediate bound until return was ~165 MB.
         assert peak < 40e6
+
+    def test_fresh_call_results_are_accumulated_into(self, mg):
+        loop = mg[2].source.split("def MGrid_loop__34x34x34_34x34x34(")[1]
+        loop = loop.split("\ndef ")[0]
+        assert "for _ in range(_n):" in loop
+        assert "np.add(u, _t3, out=_t3)" in loop and "out=u" not in loop
+        assert "MGrid_loop__34x34x34_34x34x34(v, _t1, 4)" in mg[2].source
+
+    def test_a_solve_still_executes_276_frame_copies(self, mg):
+        # The text holds 28 `.copy()` (one per SetupAxis specialization,
+        # plus the relaxation frames): shared text, same executions.
+        _prog, v, fn = mg
+        assert fn.source.count(".copy()") == 28
+        ticks = []
+        ns = {"_tick": lambda: ticks.append(1) or "C"}
+        exec(fn.source.replace(".copy()", ".copy(order=_tick())"), ns)
+        assert ns["FinalResidual"](v).tobytes() == fn(v, 4).tobytes()
+        assert len(ticks) == 276
 
     def test_source_is_one_numpy_module_without_mutable_state(self, mg):
         import ast

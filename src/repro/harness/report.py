@@ -190,6 +190,12 @@ def format_pass_report(data: dict) -> str:
     lines.append("")
     lines.append("passes (aggregated over executions):")
     lines.extend("  " + ln for ln in data["table"].splitlines())
+    lines.append("")
+    lines.append("executions (in schedule order):")
+    for n, row in enumerate(data["executions"], 1):
+        lines.append(f"  {n:>2} {row['pass']:<12} "
+                     f"{row['seconds'] * 1e3:>9.2f} ms  "
+                     f"{row['rewrites']} rewrites")
     return "\n".join(lines)
 
 

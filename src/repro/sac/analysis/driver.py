@@ -112,22 +112,18 @@ def analyze_program(program: Program,
     def coded_sink(code, message, pos, function):
         sink(Diagnostic.make(code, message, pos, function))
 
-    infos = None
     if options.shapes:
         races = RaceChecker(coded_sink)
-        infos = []
         analyzer = ShapeAnalyzer(
             program, sink,
-            listeners=(PartitionChecker(coded_sink), races,
-                       infos.append),
+            listeners=(PartitionChecker(coded_sink), races),
         )
         analyzer.analyze_program()
         report.certificates = races.certificates
     if options.lint:
         lint_program(program, coded_sink)
     if options.reuse:
-        report.reuse_certificates = certify_program(
-            program, coded_sink, infos=infos)
+        report.reuse_certificates = certify_program(program, coded_sink)
     _finish(report)
     return report
 

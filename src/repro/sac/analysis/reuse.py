@@ -32,14 +32,14 @@ b)``) it decides:
 Diagnostics: **SAC510** (note) for each certified reuse opportunity,
 **SAC501** (error) when an existing :class:`~repro.sac.ast_nodes.ReuseHint`
 claims a reuse this analysis refutes, and **SAC502** (warning) when a
-WITH-loop reads, at an offset of its index, an array produced on a
-provably partial partition — the cross-partition dependence that blocks
-with-loop folding (:mod:`repro.sac.optim.wlfold` refuses non-total
-producers for the same reason).
+WITH-loop reads an array produced on a partition of its index space — a
+partial range, a ``step`` — in a way with-loop folding cannot split the
+reader along.  The verdict is the pass's own
+(:func:`repro.sac.optim.wlfold.refusals`), so a pair is warned about
+exactly when it is left unfolded.
 
 Everything follows the package's prove-or-stay-silent discipline: reuse
-is only certified, and SAC502 only fired, on facts the affine domain of
-:mod:`repro.sac.analysis.shapes` actually proves.
+is only certified on facts liveness and the may-alias pairs prove.
 """
 
 from __future__ import annotations
@@ -61,14 +61,11 @@ from ..ast_visit import walk
 from ..errors import SourcePos
 from ..sactypes import ShapeKind
 from .alias import AliasAnalysis
-from .cfg import CFG, build_cfg
-from .dataflow import DefSite, def_use_chains, liveness
-from .effects import EffectsAnalysis, ReadKind, VarRead
-from .shapes import Affine, WithLoopInfo
+from .cfg import build_cfg
+from .dataflow import liveness
+from .effects import EffectsAnalysis, ReadKind
 
 __all__ = ["ReuseCertificate", "certify_function", "certify_program"]
-
-_ONE = Affine.of(1)
 
 #: sink(code, message, pos, function) — same shape as the other passes.
 Sink = Callable[[str, str, Optional[SourcePos], str], None]
@@ -124,16 +121,8 @@ class ReuseCertificate:
 # ---------------------------------------------------------------------------
 
 def certify_function(fun: FunDef, effects: EffectsAnalysis,
-                     sink: Optional[Sink] = None,
-                     infos: Optional[list[WithLoopInfo]] = None
-                     ) -> list[ReuseCertificate]:
-    """Certificates for every WITH-loop of one function.
-
-    ``infos`` are the :class:`WithLoopInfo` records a shape-analysis run
-    collected (possibly several per loop, one per specialization); they
-    feed the SAC502 partial-partition proof and are optional — without
-    them SAC502 stays silent, the reuse verdicts are unaffected.
-    """
+                     sink: Optional[Sink] = None) -> list[ReuseCertificate]:
+    """Certificates for every WITH-loop of one function."""
     emit: Sink = sink if sink is not None else _null_sink
     cfg = build_cfg(fun)
     live = liveness(cfg)
@@ -142,10 +131,6 @@ def certify_function(fun: FunDef, effects: EffectsAnalysis,
     array_params = frozenset(
         p.name for p in fun.params
         if p.type.kind is not ShapeKind.SCALAR)
-    infos_by_wl: dict[int, list[WithLoopInfo]] = {}
-    for info in infos or []:
-        infos_by_wl.setdefault(id(info.wl), []).append(info)
-
     certs: list[ReuseCertificate] = []
     seen: set[int] = set()
     for block in cfg.blocks:
@@ -166,7 +151,6 @@ def certify_function(fun: FunDef, effects: EffectsAnalysis,
         if isinstance(expr_node, WithLoop) and id(expr_node) not in seen:
             seen.add(id(expr_node))
             certs.append(_inline_certificate(fun, expr_node))
-    _check_partition_dependences(fun, cfg, effects, infos_by_wl, emit)
     return certs
 
 
@@ -303,118 +287,24 @@ def _check_hint(fun: FunDef, wl: WithLoop, cert: ReuseCertificate,
 
 
 # ---------------------------------------------------------------------------
-# SAC502: cross-partition dependences that block fusion.
-# ---------------------------------------------------------------------------
-
-def _check_partition_dependences(fun: FunDef, cfg: CFG,
-                                 effects: EffectsAnalysis,
-                                 infos_by_wl: dict[int, list[WithLoopInfo]],
-                                 emit: Sink) -> None:
-    """Warn when a loop reads, at an offset of its own index, an array
-    produced on a provably partial partition — folding the two loops
-    would pull reads across the partition boundary, which is why
-    ``wlfold`` refuses non-total producers."""
-    partial_defs: dict[DefSite, str] = {}
-    for block in cfg.blocks:
-        for i, act in enumerate(block.actions):
-            node = act.node
-            if not (isinstance(node, Assign)
-                    and isinstance(node.value, WithLoop)):
-                continue
-            wl = node.value
-            if not isinstance(wl.operation, GenarrayOp):
-                continue
-            loop_infos = infos_by_wl.get(id(wl), [])
-            if loop_infos and all(_provably_partial(li)
-                                  for li in loop_infos):
-                partial_defs[DefSite(block.id, i, node.target)] = \
-                    node.target
-    if not partial_defs:
-        return
-    chains = def_use_chains(cfg)
-    reported: set[int] = set()
-    for def_site, name in partial_defs.items():
-        for use_block, use_index in chains.get(def_site, []):
-            use_node = cfg.blocks[use_block].actions[use_index].node
-            for consumer in walk(use_node):
-                if not isinstance(consumer, WithLoop) \
-                        or id(consumer) in reported:
-                    continue
-                gen_var = consumer.generator.var
-                reads = effects.expr_reads(consumer.operation.body,
-                                           frozenset({gen_var}))
-                if VarRead(name, ReadKind.OFFSET, gen_var) in reads \
-                        or any(r.name == name
-                               and r.kind is ReadKind.OFFSET
-                               for r in reads):
-                    reported.add(id(consumer))
-                    emit("SAC502",
-                         f"'{name}' is computed on a partial partition "
-                         f"but read at an offset of the loop index; "
-                         f"folding the loops would cross the partition "
-                         f"boundary",
-                         consumer.pos, fun.name)
-
-
-def _provably_partial(info: WithLoopInfo) -> bool:
-    """True when the genarray generator provably does not cover its
-    frame (mirrors the SAC202 coverage proof, as a boolean)."""
-    for s, w in zip(info.step, info.width):
-        if s is not None and w is not None and s > w:
-            return True
-    # The two boundary proofs are independent: per-axis bound vectors
-    # land in ``lower``/``upper``, symbolic uniform bounds (e.g.
-    # ``shape(a) - 1``) in ``u_lower``/``u_upper`` — ``bound_pair``
-    # normalizes either form, so each side is checked with whatever
-    # axes it actually has.
-    if not info.dot_lower:
-        n = (len(info.lower) if info.lower is not None
-             else 1 if info.u_lower is not None else 0)
-        for ax in range(n):
-            lo, _ = info.bound_pair(ax)
-            if lo.lo is not None and lo.lo.always_pos():
-                return True
-    frame = info.frame
-    if not info.dot_upper and frame is not None:
-        n = (len(info.upper) if info.upper is not None
-             else 1 if info.u_upper is not None else 0)
-        for ax in range(n):
-            _, hi = info.bound_pair(ax)
-            ext = (frame.extent(ax)
-                   if frame.rank is None or ax < (frame.rank or 0)
-                   else None)
-            if ext is not None and hi.hi is not None \
-                    and ext.sub(_ONE).sub(hi.hi).always_pos():
-                return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Whole-program entry point.
 # ---------------------------------------------------------------------------
 
 def certify_program(program: Program,
-                    sink: Optional[Sink] = None,
-                    infos: Optional[list[WithLoopInfo]] = None
-                    ) -> list[ReuseCertificate]:
-    """Certificates for every WITH-loop of every function.
+                    sink: Optional[Sink] = None) -> list[ReuseCertificate]:
+    """Certificates for every WITH-loop of every function, and SAC502
+    for every producer/consumer pair with-loop folding will refuse."""
+    from ..optim.wlfold import refusals
 
-    When ``infos`` is None a quiet shape-analysis run collects them, so
-    standalone callers (the ``ipup`` pass) get the full SAC502 proof
-    without wiring a :class:`ShapeAnalyzer` themselves.  Pass the
-    records from an existing run (the analysis driver does) to avoid
-    analyzing twice.
-    """
-    if infos is None:
-        from .shapes import ShapeAnalyzer
-
-        collected: list[WithLoopInfo] = []
-        analyzer = ShapeAnalyzer(program, lambda d: None,
-                                 listeners=(collected.append,))
-        analyzer.analyze_program()
-        infos = collected
     effects = EffectsAnalysis(program)
     certs: list[ReuseCertificate] = []
     for fun in program.functions:
-        certs.extend(certify_function(fun, effects, sink, infos))
+        certs.extend(certify_function(fun, effects, sink))
+        if sink is not None:
+            for name, reader, reason in refusals(fun, program):
+                sink("SAC502",
+                     f"'{name}' is produced on a partition of its index "
+                     f"space and this loop cannot be split along it: "
+                     f"{reason}; the loops stay unfused",
+                     reader.pos, fun.name)
     return certs

@@ -118,9 +118,17 @@ def map_child_exprs(node: Node, fn: Callable[[Expr], Expr]) -> Node:
 
 def walk(node: Node) -> Iterator[Node]:
     """Yield every node in the tree, children before parents."""
-    for child in iter_child_nodes(node):
-        yield from walk(child)
-    yield node
+    # An explicit stack: nested generators would resume one frame per
+    # tree level for every node, and unrolled sums are deep.
+    stack: list[tuple[Node, bool]] = [(node, False)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            yield n
+            continue
+        stack.append((n, True))
+        children = [(c, False) for c in iter_child_nodes(n)]
+        stack.extend(reversed(children))
 
 
 def walk_exprs(node: Node) -> Iterator[Expr]:

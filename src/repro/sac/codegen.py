@@ -48,8 +48,8 @@ from .values import (AffineAxis, IndexView, any_abstract, cell_type,
 from .withloop import IndexSpace, withloop_head
 
 __all__ = ["CodegenUnsupported", "CompiledFunction", "KernelArtifact",
-           "compile_function", "trace_fundef",
-           "load_artifact", "trace_event_count"]
+           "compile_function", "trace_fundef", "trace_module",
+           "element_operations", "load_artifact", "trace_event_count"]
 
 #: Process-wide count of specializing traces performed (monotonic).
 #: Warm-path tests assert this does not move when every kernel is
@@ -114,6 +114,7 @@ class Spec:
     returned: tuple[str, ...]    # the labels the ``def`` returns ...
     bases: tuple = ()            # ... and what each aliases (result_bases)
     rolls: bool = False          # a loop body whose results are all its own
+    instrs: tuple = ()           # the planned trace ``text`` renders
     text: str = ""
 
 
@@ -306,13 +307,13 @@ class Tracer(Interpreter):
                 tuple(_code_of(mod, results[n]) for n in returned)))
             spec.bases = result_bases(em.instrs)
             spec.rolls = loop and not set(spec.bases) & set(spec.params.values())
-            planned = plan(em.instrs)
+            spec.instrs = planned = tuple(plan(em.instrs))
             mod.calls.update(ins.op.partition("(")[0] for ins in planned
                              if ins.kind == "call")
             self._render(spec, planned)
         return spec
 
-    def _render(self, spec: Spec, planned: list[Instr]) -> None:
+    def _render(self, spec: Spec, planned: tuple[Instr, ...]) -> None:
         lines = [render(ins) for ins in planned]
         head = list(spec.params.values())
         if spec.rolls:
@@ -553,11 +554,13 @@ class Tracer(Interpreter):
         # must, or generator bounds downstream turn symbolic).  Large
         # float arrays stay symbolic so zeros(34^3) is an expression in
         # the generated code, not a constant-pool blob.
-        concrete = self._try_withloop_concrete(op, body_env, space, shp, base)
+        snapshot = len(self.em.instrs)
+        body = self.eval_expr(op.body, body_env)
+        concrete = self._try_withloop_concrete(op, body, space, shp, base)
         if concrete is not None:
+            del self.em.instrs[snapshot:]  # drop any speculative emissions
             return concrete
 
-        body = self.eval_expr(op.body, body_env)
         cell = self._cell_shape(body, space)
         if isinstance(op, GenarrayOp):
             dtype = _dtype_of(body)
@@ -608,15 +611,14 @@ class Tracer(Interpreter):
 
     _CONCRETE_FOLD_LIMIT = 64
 
-    def _try_withloop_concrete(self, op, body_env, space: IndexSpace,
+    def _try_withloop_concrete(self, op, body, space: IndexSpace,
                                shp, base):
-        """Evaluate a genarray/modarray WITH-loop at compile time when all
-        inputs are concrete; returns None when it must stay symbolic."""
+        """The value of a genarray/modarray WITH-loop whose inputs —
+        frame and evaluated ``body`` — are all concrete; None when it
+        must stay symbolic."""
         if isinstance(op, ModarrayOp) and not isinstance(base, np.ndarray):
             return None
         frame = tuple(shp) if shp is not None else base.shape
-        snapshot = len(self.em.instrs)
-        body = self.eval_expr(op.body, body_env)
         if _symbolic(body):
             return None
         body_val = coerce_value(body)
@@ -629,7 +631,6 @@ class Tracer(Interpreter):
             is_float = is_float or base.dtype == np.float64
         if is_float and math.prod(frame) > self._CONCRETE_FOLD_LIMIT:
             return None  # keep big double arrays symbolic
-        del self.em.instrs[snapshot:]  # drop any speculative emissions
         if isinstance(op, GenarrayOp):
             out = np.zeros(frame + cell, dtype=_dtype_of(body_val))
         else:
@@ -783,23 +784,27 @@ def compile_function(program_or_table, fname: str, example_args,
     the same program, options and argument shapes skip tracing entirely,
     in this process and in later ones.
     """
-    if isinstance(program_or_table, FunctionTable):
-        table = program_or_table
-    else:
-        prog = getattr(program_or_table, "interp", None)
-        if prog is not None:  # a SacProgram
-            table = program_or_table.interp.functions
-            if cache is None:
-                session = program_or_table.session
-                cache, program_digest = session.cache, session.program_digest
-        else:
-            table = FunctionTable()
-            table.update(program_or_table)
-
-    args = [Interpreter._ingest(a) for a in example_args]
-    fun = table.resolve(fname, [Interpreter.dispatch_type(a) for a in args])
+    if cache is None and hasattr(program_or_table, "session"):
+        session = program_or_table.session  # a SacProgram brings its own
+        cache, program_digest = session.cache, session.program_digest
+    table, fun, args = _resolve(program_or_table, fname, example_args)
     return specialize(table, fun, args, cache, program_digest,
                       max_statements)
+
+
+def _resolve(program_or_table, fname: str, example_args):
+    """The function table, the overload of ``fname`` the arguments select
+    and the arguments as the evaluators take them."""
+    if isinstance(program_or_table, FunctionTable):
+        table = program_or_table
+    elif hasattr(program_or_table, "interp"):  # a SacProgram
+        table = program_or_table.interp.functions
+    else:
+        table = FunctionTable()
+        table.update(program_or_table)
+    args = [Interpreter._ingest(a) for a in example_args]
+    return table, table.resolve(
+        fname, [Interpreter.dispatch_type(a) for a in args]), args
 
 
 def specialize(table: FunctionTable, fun: FunDef, args, cache,
@@ -826,20 +831,54 @@ def specialize(table: FunctionTable, fun: FunDef, args, cache,
     return load_artifact(artifact)
 
 
-def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
-                 max_statements: int = 200_000) -> KernelArtifact:
-    """Trace/specialize one resolved overload into a persistable
-    :class:`KernelArtifact` (no executable is built — see
-    :func:`load_artifact` for that half)."""
+def trace_module(program_or_table, fname: str, example_args
+                 ) -> tuple[Module, Spec]:
+    """Trace ``fname`` for the example arguments, uncached: the
+    :class:`Module` of everything it specialized and its entry point's
+    :class:`Spec` — for tools that read the planned instructions."""
+    return _trace(*_resolve(program_or_table, fname, example_args))
+
+
+def _trace(table: FunctionTable, fun: FunDef, example_args,
+           max_statements: int = 200_000) -> tuple[Module, Spec]:
     global _trace_events
     _trace_events += 1
     tracer = Tracer(table, max_statements)
     tracer._fun = fun
     bindings = {p.name: coerce_value(a)
                 for p, a in zip(fun.params, example_args)}
-    entry = tracer.specialization(fun, bindings)
+    return tracer.module, tracer.specialization(fun, bindings)
 
-    mod = tracer.module
+
+def element_operations(mod: Module, entry: Spec) -> Counter:
+    """Array elements one call of ``entry`` computes, per SAC function
+    (its specializations together): the result sizes of a ``def``'s
+    elementwise instructions times how often its body runs.  A count
+    read off the trace, no clock."""
+    specs = {s.name: s for s in mod.specs.values() if s.text}
+    runs = Counter({entry.name: 1})
+    # A callee is finished, and so listed, before its callers.
+    for spec in reversed(specs.values()):
+        for ins in spec.instrs:
+            callee = specs.get(ins.op.partition("(")[0]) \
+                if ins.kind == "call" else None
+            if callee is not None:
+                trips = int(ins.operands[-1]) if callee.rolls else 1
+                runs[callee.name] += runs[spec.name] * trips
+    ops: Counter = Counter()
+    for name, spec in specs.items():
+        ops[name.partition("__")[0]] += runs[name] * sum(
+            math.prod(ins.shape) for ins in spec.instrs
+            if ins.kind == "elementwise")
+    return ops
+
+
+def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
+                 max_statements: int = 200_000) -> KernelArtifact:
+    """Trace/specialize one resolved overload into a persistable
+    :class:`KernelArtifact` (no executable is built — see
+    :func:`load_artifact` for that half)."""
+    mod, entry = _trace(table, fun, example_args, max_statements)
     defs = [s for s in mod.specs.values()
             if s.text and (mod.calls[s.name] or s is entry)]
     source = (
@@ -850,8 +889,9 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
         + "\n" * bool(mod.consts) + "\n".join(s.text for s in defs)
     )
     return KernelArtifact(
-        fun.name, source, tuple(bindings),
-        {n: v for n, v in bindings.items() if n not in entry.params})
+        fun.name, source, tuple(p.name for p in fun.params),
+        {p.name: coerce_value(a) for p, a in zip(fun.params, example_args)
+         if p.name not in entry.params})
 
 
 def load_artifact(artifact: KernelArtifact) -> CompiledFunction:

@@ -115,7 +115,8 @@ CODE_CATALOGUE: dict[str, tuple[Severity, str]] = {
     "SAC501": (Severity.ERROR,
                "in-place update would overwrite a live value"),
     "SAC502": (Severity.WARNING,
-               "fusion blocked by cross-partition dependence"),
+               "with-loop folding cannot split a reader along its "
+               "producer's partition"),
     "SAC510": (Severity.NOTE, "reuse opportunity certified"),
 }
 

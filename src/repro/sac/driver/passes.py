@@ -262,11 +262,11 @@ def schedule_for(options) -> tuple[str | Fixpoint, ...]:
     """Build the schedule a :class:`~repro.sac.optim.pipeline.PassOptions`
     asks for.
 
-    The plain schedule reproduces the historical pipeline order exactly
-    (inline, constfold, wlfold, unroll, constfold-again, coeffgroup,
-    cse, dce, ipup, each subject to its toggle).  With ``options.fixpoint``
-    the interacting pairs run as fixpoint groups instead, so repeated
-    folding opportunities exposed by a prior round are taken.
+    The plain schedule is inline, constfold, wlfold, unroll, constfold
+    and wlfold again, coeffgroup, cse, dce, ipup, each subject to its
+    toggle.  With ``options.fixpoint`` the interacting pairs run as
+    fixpoint groups instead, so repeated folding opportunities exposed
+    by a prior round are taken.
     """
     fix = bool(getattr(options, "fixpoint", False))
     on = {name for name in ("inline", "constfold", "wlfold", "unroll",
@@ -288,8 +288,10 @@ def schedule_for(options) -> tuple[str | Fixpoint, ...]:
     schedule += group("constfold", "wlfold")
     if "unroll" in on:
         schedule += group("unroll")
-        # Unrolling exposes per-offset coefficient lookups; fold again.
-        schedule += group("constfold")
+        # Unrolling exposes per-offset coefficient lookups, and the
+        # literal offsets a stepped producer's readers are split by;
+        # fold both again.
+        schedule += group("constfold", "wlfold")
     schedule += group("coeffgroup")
     schedule += group("cse", "dce")
     # ipup runs last and never joins a fixpoint group: its hints are

@@ -13,8 +13,11 @@ import dataclasses
 from collections import Counter
 from typing import Callable
 
+import numpy as np
+
 from ..ast_nodes import (
     Assign,
+    BinOp,
     Block,
     DoWhile,
     Expr,
@@ -28,6 +31,7 @@ from ..ast_nodes import (
     Node,
     Return,
     Stmt,
+    UnOp,
     Var,
     While,
     WithLoop,
@@ -39,6 +43,7 @@ __all__ = [
     "map_stmt_exprs",
     "walk_exprs",
     "expr_vars",
+    "affine_form",
     "stmt_reads",
     "counted_loop",
     "stmt_vars_read",
@@ -97,11 +102,50 @@ def map_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
     raise TypeError(f"unknown statement {type(stmt).__name__}")
 
 
-def expr_vars(expr: Expr) -> set[str]:
-    """Free-ish variable names referenced in an expression (includes
+def expr_vars(*exprs: Expr | None) -> set[str]:
+    """Free-ish variable names referenced in the expressions (includes
     WITH-loop index variables bound within — callers that care use
     :func:`substitute`, which respects binding)."""
-    return set(stmt_reads(expr))
+    return {n.name for e in exprs if e is not None for n in walk(e)
+            if isinstance(n, Var)}
+
+
+def affine_form(expr: Expr | None, var: str | None = None):
+    """``expr`` as ``(a, b)`` with ``expr == a * var + b``, ``a`` a
+    literal int and ``b`` a literal int or int vector; None when it has
+    no such form.  With no ``var`` this evaluates integer arithmetic on
+    literals (``a`` is 0).  The zero-vector idiom ``0 * x`` counts as
+    the scalar 0, which broadcasts like it."""
+    from .constfold import literal_value
+
+    if expr is None:
+        return 0, 0
+    if isinstance(expr, Var):
+        return (1, 0) if expr.name == var else None
+    v = literal_value(expr)
+    if v is not None:
+        vector = isinstance(v, np.ndarray) and v.ndim == 1 \
+            and v.dtype == np.int64
+        return (0, v) if vector or type(v) is int else None
+    if isinstance(expr, UnOp) and expr.op == "-":
+        t = affine_form(expr.operand, var)
+        return None if t is None else (-t[0], -t[1])
+    if not (isinstance(expr, BinOp) and expr.op in ("+", "-", "*")):
+        return None
+    x, y = affine_form(expr.left, var), affine_form(expr.right, var)
+    if expr.op == "*" and any(t is not None and t[0] == 0 and type(t[1]) is int
+                              and t[1] == 0 for t in (x, y)):
+        return 0, 0
+    if x is None or y is None or (
+            np.ndim(x[1]) and np.ndim(y[1]) and len(x[1]) != len(y[1])):
+        return None
+    if expr.op == "*":
+        (_, k), (a, b) = (x, y) if x[0] == 0 else (y, x)
+        if x[0] and y[0] or a and type(k) is not int:
+            return None  # var * var, or var scaled per component
+        return (k * a if a else 0), k * b
+    sign = 1 if expr.op == "+" else -1
+    return x[0] + sign * y[0], x[1] + sign * y[1]
 
 
 def stmt_vars_read(stmt: Stmt) -> set[str]:

@@ -119,16 +119,20 @@ class TestPassManager:
 
     def test_default_schedule_matches_legacy_order(self):
         sched = schedule_for(PassOptions())
+        # The legacy order, and wlfold a second time next to unroll's
+        # constfold: a stepped producer's readers are split by the
+        # literal offsets only those two expose.
         assert sched == ("inline", "constfold", "wlfold", "unroll",
-                         "constfold", "coeffgroup", "cse", "dce",
+                         "constfold", "wlfold", "coeffgroup", "cse", "dce",
                          "ipup")
 
     def test_schedule_respects_toggles(self):
         sched = schedule_for(PassOptions(unroll=False, cse=False))
         assert "unroll" not in sched
         assert "cse" not in sched
-        # Without unroll the second constfold disappears too.
+        # Without unroll the second constfold and wlfold disappear too.
         assert sched.count("constfold") == 1
+        assert sched.count("wlfold") == 1
 
     def test_fixpoint_schedule_groups_pairs(self):
         sched = schedule_for(PassOptions(fixpoint=True))

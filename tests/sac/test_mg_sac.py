@@ -177,3 +177,125 @@ class TestClassW:
 
         official = get_class("W").verify_value
         assert abs(w[2] - official) / official <= 1e-8
+
+
+#: What WITH-loop folding must make of Figs. 6-7's grid-transfer
+#: operators, written out by hand: ``condense``/``embed`` and
+#: ``scatter``/``take`` folded into the relaxation, which then runs on
+#: the coarse grid only, resp. on no zero of the scattered array.
+#: ``mg.sac`` itself keeps the paper's text.
+HAND_FOLDED = """
+double[+] Fine2CoarseFolded( double[+] r)
+{
+  rs = SetupPeriodicBorder( r);
+  n2 = shape(rs) / 2;
+  t  = with (0*n2 <= iv < n2)
+       genarray( n2+1, rs[2*iv]);
+  rn = with (0*n2+1 <= iv < n2)
+       modarray( t, StencilSum( rs, 2*iv, CoeffP()));
+  return( rn);
+}
+
+double[+] Coarse2FineFolded( double[+] rn)
+{
+  rp = SetupPeriodicBorder( rn);
+  m  = 2*shape(rp) - 2;
+  r = with (. <= iv <= . step 2)
+      genarray( m, rp[iv/2]);
+  r = with (0*m + [2,2,2] <= iv < m-1 step 2)
+      modarray( r, 1.0 * rp[iv/2]);
+  r = with (0*m + [2,2,1] <= iv < m-1 step 2)
+      modarray( r, 0.5 * (rp[(iv+[0,0,-1])/2] + rp[(iv+[0,0,1])/2]));
+  r = with (0*m + [2,1,2] <= iv < m-1 step 2)
+      modarray( r, 0.5 * (rp[(iv+[0,-1,0])/2] + rp[(iv+[0,1,0])/2]));
+  r = with (0*m + [2,1,1] <= iv < m-1 step 2)
+      modarray( r, 0.25 * (rp[(iv+[0,-1,-1])/2] + rp[(iv+[0,-1,1])/2]
+                         + rp[(iv+[0,1,-1])/2] + rp[(iv+[0,1,1])/2]));
+  r = with (0*m + [1,2,2] <= iv < m-1 step 2)
+      modarray( r, 0.5 * (rp[(iv+[-1,0,0])/2] + rp[(iv+[1,0,0])/2]));
+  r = with (0*m + [1,2,1] <= iv < m-1 step 2)
+      modarray( r, 0.25 * (rp[(iv+[-1,0,-1])/2] + rp[(iv+[-1,0,1])/2]
+                         + rp[(iv+[1,0,-1])/2] + rp[(iv+[1,0,1])/2]));
+  r = with (0*m + [1,1,2] <= iv < m-1 step 2)
+      modarray( r, 0.25 * (rp[(iv+[-1,-1,0])/2] + rp[(iv+[-1,1,0])/2]
+                         + rp[(iv+[1,-1,0])/2] + rp[(iv+[1,1,0])/2]));
+  r = with (0*m + [1,1,1] <= iv < m-1 step 2)
+      modarray( r, 0.125 * (rp[(iv+[-1,-1,-1])/2] + rp[(iv+[-1,-1,1])/2]
+                          + rp[(iv+[-1,1,-1])/2] + rp[(iv+[-1,1,1])/2]
+                          + rp[(iv+[1,-1,-1])/2] + rp[(iv+[1,-1,1])/2]
+                          + rp[(iv+[1,1,-1])/2] + rp[(iv+[1,1,1])/2]));
+  return( r);
+}
+"""
+
+
+class TestTransferOperatorsAreFolded:
+    """The optimized ``Fine2Coarse``/``Coarse2Fine`` against the
+    hand-folded text: the same bits, and the structure that saves the
+    8x."""
+
+    @pytest.fixture(scope="class")
+    def both(self):
+        from repro.sac import CompileOptions, SacProgram
+
+        return SacProgram.from_source(
+            mg_source_path().read_text() + HAND_FOLDED, "mg+folded.sac",
+            CompileOptions(analyze=True))
+
+    @pytest.mark.parametrize("n", [34, 18, 10, 6, 4])
+    @pytest.mark.parametrize("name", ["Fine2Coarse", "Coarse2Fine"])
+    def test_same_bits_as_the_hand_folded_text(self, both, name, n):
+        from repro.sac.codegen import compile_function
+
+        # Random everywhere, borders included.
+        x = np.random.default_rng(n).standard_normal((n, n, n))
+        want = both.call(name + "Folded", x)
+        assert both.call(name, x).tobytes() == want.tobytes()
+        for fn in (name, name + "Folded"):
+            assert compile_function(both, fn, (x,))(x).tobytes() \
+                == want.tobytes()
+
+    def test_the_source_program_keeps_the_papers_figures(self):
+        # Library calls, no stepped WITH-loop of its own: the folded
+        # form is the optimizer's work.
+        text = mg_source_path().read_text()
+        assert "rc = condense( 2, rr);" in text
+        assert "rs = scatter( 2, rp);" in text
+        assert "step" not in text
+
+    def _def(self, prog, name, n):
+        from repro.sac.codegen import trace_module
+
+        return trace_module(prog, name, (np.zeros((n, n, n)),))[1]
+
+    def test_restriction_relaxes_on_the_coarse_grid_only(self, prog):
+        entry = self._def(prog, "Fine2Coarse", 34)
+        shapes = {ins.shape for ins in entry.instrs
+                  if ins.kind == "elementwise"}
+        assert shapes == {(16, 16, 16)}
+        # The relaxation no longer has a frame of its own to copy.
+        assert ".copy()" not in entry.text
+
+    def test_prolongation_never_touches_a_zero(self, prog):
+        entry = self._def(prog, "Coarse2Fine", 18)
+        assert "np.zeros((36, 36, 36)" not in entry.text
+        assert "np.zeros((34, 34, 34)" in entry.text
+        assert "0.0 *" not in entry.text
+        # The injection and the eight residue classes, one store each.
+        assert sum(ins.kind == "store" for ins in entry.instrs) == 9
+        assert {ins.shape for ins in entry.instrs
+                if ins.kind == "elementwise"} == {(16, 16, 16)}
+
+    def test_element_operations_per_solve(self, prog):
+        # A count, not a timing: the array elements one class-S solve
+        # computes, per SAC operator (scripts/generated_lines.py prints
+        # the same for CI).  Before the fold both transfer operators
+        # stood at 4 492 800.
+        from repro.core import zran3
+        from repro.sac.codegen import element_operations, trace_module
+
+        ops = element_operations(
+            *trace_module(prog, "FinalResidual", (zran3(32), 4)))
+        assert ops["Resid"] == 7_212_800 and ops["Smooth"] == 3_145_632
+        assert ops["Fine2Coarse"] == 561_600
+        assert ops["Coarse2Fine"] == 505_440

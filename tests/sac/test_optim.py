@@ -26,6 +26,7 @@ from repro.sac.optim import (
 )
 from repro.sac.optim.rewrite import ast_equal, ast_key, substitute, walk_exprs
 from repro.sac.parser import parse_expression, parse_program
+from repro.sac.pprint import pprint_expr
 from repro.sac.stdlib import load_prelude
 
 
@@ -54,6 +55,23 @@ class TestRewriteUtils:
 
     def test_ast_equal_distinguishes(self):
         assert not ast_equal(parse_expression("x + 1"), parse_expression("x + 2"))
+
+    def test_affine_form(self):
+        from repro.sac.optim.rewrite import affine_form
+
+        def form(text):
+            t = affine_form(parse_expression(text), "iv")
+            return t if t is None else (t[0], np.asarray(t[1]).tolist())
+
+        assert form("iv") == (1, 0)
+        assert form("iv + [0, 0, 2] - 1") == (1, [-1, -1, 1])
+        assert form("2 * (iv - 0 * (shape(r) / 2))") == (2, 0)
+        assert form("3 - iv") == (-1, 3)
+        assert form("[1, 2] * 3 + 0 * x") == (0, [3, 6])
+        # Not affine in iv, not literal, mismatched lengths.
+        assert form("iv * iv") is None and form("iv / 2") is None
+        assert form("iv + n") is None and form("jv") is None
+        assert form("[1, 2] + [1, 2, 3]") is None and form("iv + 1.5") is None
 
     def test_substitute_simple(self):
         e = substitute(parse_expression("x + y"), {"x": parse_expression("2 * z")})
@@ -318,10 +336,117 @@ class TestWlfold:
             "  return r;\n"
             "}"
         )
+        # A partial producer is its body on its generator and its default
+        # elsewhere: the reader is split into the default piece over its
+        # whole range and the body piece over the intersection.
+        p = dce_pass(wlfold_pass(parse_program(src)))
+        first, second = [s for s in p.functions[0].body.statements
+                         if isinstance(s, Assign)]
+        assert second.target == "r" and first.target != "t"
+        assert ast_equal(first.value, parse_expression(
+            "with (. <= jv <= .) genarray(shape(a), 0.0 + 1.0)"))
+        assert ast_equal(second.value, parse_expression(
+            f"with (max(0, [1]) <= jv < min(shape(a), shape(a)-1)) "
+            f"modarray({first.target}, a[jv] + 1.0)"))
+        a = np.arange(5.0)
+        np.testing.assert_array_equal(
+            opt_and_run(src, "f", a).call("f", a), [1.0, 2.0, 3.0, 4.0, 1.0])
+
+    def test_strided_read_of_partial_modarray_producer(self):
+        # Rule A as Fine2Coarse needs it: the default is the frame, the
+        # bounds of the body piece are ceil-divided by the stride.
+        src = (
+            "double[.] f(double[.] a) {\n"
+            "  t = with ([1] <= iv < shape(a)-1) modarray(a, a[iv-1] + a[iv+1]);\n"
+            "  r = with ([0] <= jv < shape(a)/2) genarray(shape(a)/2, t[2*jv]);\n"
+            "  return r;\n"
+            "}"
+        )
+        p = dce_pass(wlfold_pass(parse_program(src)))
+        first, second = [s for s in p.functions[0].body.statements
+                         if isinstance(s, Assign)]
+        assert ast_equal(first.value.operation.body, parse_expression("a[2*jv]"))
+        assert ast_equal(second.value.generator.lower, parse_expression(
+            "max([0], ([1] + 1) / 2)"))
+        assert ast_equal(second.value.generator.upper, parse_expression(
+            "min(shape(a)/2, (shape(a) - 1 + 1) / 2)"))
+        assert ast_equal(second.value.operation.body, parse_expression(
+            "a[2*jv - 1] + a[2*jv + 1]"))
+        for n in (4, 7, 8):
+            opt_and_run(src, "f", np.arange(float(n)) ** 2)
+
+    STEPPED = (
+        "double[.] f(double[.] a) {{\n"
+        "  t = with (. <= iv <= . step 2) genarray(2*shape(a), {body});\n"
+        "  r = with ([1] <= jv < 2*shape(a)-1) modarray({frame}, "
+        "0.5*t[jv + [0] - 1] + 1.0*t[jv + [1] - 1] + 0.5*t[jv + [2] - 1]);\n"
+        "  return r;\n"
+        "}}"
+    )
+
+    def test_stepped_producer_splits_reader_into_residue_classes(self):
+        # Rule B as Coarse2Fine needs it: the producer stays live (it is
+        # the reader's frame) and is cheap; off-grid terms are dropped.
+        src = self.STEPPED.format(body="a[iv/2]", frame="t")
         p = wlfold_pass(parse_program(src))
-        f = p.functions[0]
-        assigns = [s.target for s in f.body.statements if isinstance(s, Assign)]
-        assert "t" in assigns  # non-total producer must stay
+        t, even, odd = [s for s in p.functions[0].body.statements
+                        if isinstance(s, Assign)]
+        assert t.target == "t" and odd.target == "r"
+        assert ast_equal(even.value, parse_expression(
+            "with ([1] + [1] <= jv < 2*shape(a)-1 step 2) "
+            "modarray(t, 1.0 * a[jv / 2])"))
+        # (Printed: the parser reads ``[-1]`` as a negation, the pass
+        # writes the literal.)
+        assert pprint_expr(odd.value) == (
+            f"with ([1] <= jv < 2 * shape(a) - 1 step 2) "
+            f"modarray({even.target}, "
+            f"0.5 * a[(jv + [-1]) / 2] + 0.5 * a[(jv + [1]) / 2])")
+        a = np.arange(1.0, 5.0)
+        got = opt_and_run(src, "f", a).call("f", a)
+        np.testing.assert_array_equal(got, [1, 1.5, 2, 2.5, 3, 3.5, 4, 0])
+
+    def test_live_producer_with_arithmetic_body_not_folded(self):
+        src = self.STEPPED.format(body="2.0 * a[iv/2]", frame="t")
+        prog = parse_program(src)
+        assert ast_equal(wlfold_pass(prog), prog)
+        opt_and_run(src, "f", np.arange(1.0, 5.0))
+
+    def test_dying_producer_with_arithmetic_body_is(self):
+        src = self.STEPPED.format(body="2.0 * a[iv/2]",
+                                  frame="genarray(2*shape(a), 0.0)")
+        p = dce_pass(wlfold_pass(parse_program(src)))
+        assigns = [s.target for s in p.functions[0].body.statements
+                   if isinstance(s, Assign)]
+        assert "t" not in assigns and len(assigns) == 2
+        opt_and_run(src, "f", np.arange(1.0, 5.0))
+
+    def test_in_place_update_chain_is_left_alone(self):
+        # SetupAxis: ``hi`` updates ``lo`` in place, so ``lo`` stays live
+        # and splitting ``hi`` would add a pass and save nothing.
+        src = (
+            "double[.] f(double[.] a) {\n"
+            "  lo = with ([0] <= iv < [1]) modarray(a, a[iv + 3]);\n"
+            "  hi = with ([4] <= iv < [5]) modarray(lo, lo[iv - 3]);\n"
+            "  return hi;\n"
+            "}"
+        )
+        prog = parse_program(src)
+        assert ast_equal(wlfold_pass(prog), prog)
+
+    def test_unstable_default_blocks_fold(self):
+        # The frame is rebound between producer and reader: ``a[e]``
+        # there is no longer the producer's default.
+        src = (
+            "double[.] f(double[.] a) {\n"
+            "  t = with ([1] <= iv < shape(a)-1) modarray(a, 2.0 * a[iv]);\n"
+            "  a = a + 1.0;\n"
+            "  r = with (. <= jv <= .) genarray(shape(a), t[jv]);\n"
+            "  return r;\n"
+            "}"
+        )
+        prog = parse_program(src)
+        assert ast_equal(wlfold_pass(prog), prog)
+        opt_and_run(src, "f", np.arange(5.0))
 
     def test_whole_array_use_blocks_fold(self):
         src = (

@@ -46,16 +46,15 @@ import numpy as np
 from ..ast_nodes import (Assign, BinOp, Call, Dot, DoubleLit, Expr, FoldOp,
                          FunDef, GenarrayOp, Generator, IntLit, ModarrayOp,
                          Program, Select, UnOp, Var, WithLoop)
-from ..ast_visit import walk
+from ..ast_visit import map_child_exprs, walk
 from ..sactypes import BaseType
 from .constfold import literal_value, make_literal
-from .rewrite import (affine_form, ast_key, expr_vars, map_expr,
-                      map_stmt_exprs, substitute)
+from .rewrite import (affine_form, ast_key, expr_vars, map_stmt_exprs,
+                      substitute)
 
 __all__ = ["wlfold_pass", "refusals"]
 
-#: Rule B splits into at most this many residue classes.
-_MAX_CLASSES = 64
+_MAX_CLASSES = 64  #: rule B splits into at most so many residue classes
 
 #: The default of a ``genarray`` producer, recognised by identity: only
 #: zeros this pass wrote are ever simplified away.
@@ -84,8 +83,8 @@ def _index(expr: Expr, var: str) -> Optional[_Term]:
 
 
 def _bound(gen: Generator, upper: bool) -> Expr:
-    """A generator's bound as an inclusive lower or an exclusive upper
-    one (``.``: 0 as a lower bound, not to be asked for as an upper)."""
+    """A bound as an inclusive lower or exclusive upper one (a lower
+    ``.`` is 0; an upper one is not to be asked for)."""
     expr, closed = (gen.upper, not gen.upper_inclusive) if upper \
         else (gen.lower, gen.lower_inclusive)
     if isinstance(expr, Dot):
@@ -254,15 +253,15 @@ def _drop_zero(e: Expr) -> Expr:
 
 def _replace(body: Expr, terms: dict[int, _Term],
              piece: Callable[[_Term], Expr], drop: bool = False) -> Expr:
-    """``body`` with each selection in ``terms`` (by identity: bottom-up,
-    an untouched node comes back as itself) replaced by ``piece(term)``
-    and, with ``drop``, the terms a ``0.0`` default annihilates gone."""
-    def rewrite(e: Expr) -> Expr:
-        if id(e) in terms:
+    """``body`` with each selection in ``terms`` (by identity) replaced by
+    ``piece(term)``; with ``drop``, what a ``0.0`` default annihilates goes."""
+    def go(e: Expr) -> Expr:
+        if id(e) in terms:  # top-down: its index is never visited
             return piece(terms[id(e)])
+        e = map_child_exprs(e, go)
         return _drop_zero(e) if drop else e
 
-    return map_expr(body, rewrite)
+    return go(body)
 
 
 def _chain(cons: Assign, pieces: list[tuple[Generator, Expr]],
@@ -350,8 +349,7 @@ def _split_classes(prod: _Producer, cons: Assign, terms: dict[int, _Term],
         return "the reading loop's elements are not provably double"
 
     def generator(rho) -> Generator:
-        # From the class's first member at or above the reader's bound:
-        # by value where that is literal, else as arithmetic on it.
+        # From the class's first member at or above the reader's bound.
         if base is None:
             shift = BinOp("%", BinOp("-", make_literal(rho), lower), pg.step)
             shift = BinOp("%", BinOp("+", shift, pg.step), pg.step)
@@ -418,8 +416,8 @@ def _plan(prod: _Producer, at: int, stmts: tuple, facts: _Facts
             else:
                 plans[j] = split
     if prod.step is None:
-        # Rule A pays only when the producer dies.  One that stays live
-        # anyway (an in-place update, an escaping array) is no candidate.
+        # Rule A pays only if the producer dies; one that stays live
+        # (an in-place update, an escaping array) is no candidate.
         return ({}, []) if live else ({} if refused else plans, refused)
     if (live or refused) and not prod.cheap:
         refused += [(stmts[j].value, "it stays live and its body is "
@@ -433,7 +431,10 @@ def _candidates(fun: FunDef, program: Program
     """The once-bound, read statement-level WITH-loop assignments."""
     loops = [(at, s) for at, s in enumerate(fun.body.statements)
              if isinstance(s, Assign) and isinstance(s.value, WithLoop)]
-    facts = _Facts(fun, program) if loops else None
+    if len(loops) < 2 and not any(isinstance(s.value.generator.lower, Dot)
+                                  for _, s in loops):
+        return  # one loop on explicit bounds: several pieces, no reader
+    facts = _Facts(fun, program)
     for at, stmt in loops:
         if facts.bound[stmt.target] == 1 and facts.reads[stmt.target]:
             yield at, stmt, facts

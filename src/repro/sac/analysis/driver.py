@@ -9,9 +9,11 @@
 2. the abstract shape pass (``SAC1xx``) with the partition (``SAC2xx``)
    and race (``SAC3xx``) listeners attached;
 3. the dataflow lints (``SAC4xx``);
-4. the memory-effects/alias/reuse certification (``SAC5xx``), fed the
-   WITH-loop facts the shape pass already collected so the abstract
-   interpretation runs once, not twice.
+4. the memory-effects/alias/reuse certification (``SAC5xx``), and with
+   it SAC502 for every producer/consumer pair with-loop folding would
+   refuse in the program as written (:func:`repro.sac.optim.wlfold.refusals`
+   — the pass's own verdict, so on one AST *warned* and *left unfolded*
+   coincide; a pass that runs before it may still change the pair).
 
 Findings are deduplicated (inline expansion can visit the same helper
 from several call sites) and sorted by source position.  The result is
@@ -31,6 +33,7 @@ from pathlib import Path
 from ..ast_nodes import Program
 from ..diagnostics import Diagnostic, Severity, has_errors
 from ..errors import SacSyntaxError
+from ..optim.wlfold import refusals
 from ..parser import parse_program
 from ..stdlib import load_prelude
 from .lint import lint_program
@@ -124,6 +127,15 @@ def analyze_program(program: Program,
         lint_program(program, coded_sink)
     if options.reuse:
         report.reuse_certificates = certify_program(program, coded_sink)
+        for fun in program.functions:
+            for name, reader, reason in refusals(fun, program):
+                coded_sink(
+                    "SAC502",
+                    f"'{name}' is produced on a partition of its index "
+                    f"space and this loop, as written, cannot be split "
+                    f"along it: {reason}; unless an earlier pass rewrites "
+                    f"the pair, the loops stay unfused",
+                    reader.pos, fun.name)
     _finish(report)
     return report
 

@@ -1,5 +1,4 @@
-"""In-place-update and fusion legality: per-WITH-loop ReuseCertificates
-(``SAC5xx``).
+"""In-place-update legality: per-WITH-loop ReuseCertificates (``SAC5xx``).
 
 The paper attributes SAC's Fortran-class MG performance to *statically*
 proven memory reuse: with-loop folding plus reference-count-driven
@@ -29,14 +28,10 @@ b)``) it decides:
     dynamically; the static and dynamic judgments are cross-checked in
     tests and must never disagree.
 
-Diagnostics: **SAC510** (note) for each certified reuse opportunity,
+Diagnostics: **SAC510** (note) for each certified reuse opportunity and
 **SAC501** (error) when an existing :class:`~repro.sac.ast_nodes.ReuseHint`
-claims a reuse this analysis refutes, and **SAC502** (warning) when a
-WITH-loop reads an array produced on a partition of its index space — a
-partial range, a ``step`` — in a way with-loop folding cannot split the
-reader along.  The verdict is the pass's own
-(:func:`repro.sac.optim.wlfold.refusals`), so a pair is warned about
-exactly when it is left unfolded.
+claims a reuse this analysis refutes.  (SAC502, the fusion warning, is
+with-loop folding's own verdict and is issued by the analysis driver.)
 
 Everything follows the package's prove-or-stay-silent discipline: reuse
 is only certified on facts liveness and the may-alias pairs prove.
@@ -292,19 +287,9 @@ def _check_hint(fun: FunDef, wl: WithLoop, cert: ReuseCertificate,
 
 def certify_program(program: Program,
                     sink: Optional[Sink] = None) -> list[ReuseCertificate]:
-    """Certificates for every WITH-loop of every function, and SAC502
-    for every producer/consumer pair with-loop folding will refuse."""
-    from ..optim.wlfold import refusals
-
+    """Certificates for every WITH-loop of every function."""
     effects = EffectsAnalysis(program)
     certs: list[ReuseCertificate] = []
     for fun in program.functions:
         certs.extend(certify_function(fun, effects, sink))
-        if sink is not None:
-            for name, reader, reason in refusals(fun, program):
-                sink("SAC502",
-                     f"'{name}' is produced on a partition of its index "
-                     f"space and this loop cannot be split along it: "
-                     f"{reason}; the loops stay unfused",
-                     reader.pos, fun.name)
     return certs

@@ -25,11 +25,9 @@ elsewhere — ``0.0`` for ``genarray``, ``F[e]`` for ``modarray``.
   class of ``jv`` modulo the step, in which a selection is on the grid
   or is the default — and a ``0.0`` default takes its term with it.
 
-docs/COMPILER.md ("WITH-loop folding") has the derivations, the safety
-conditions and the assumptions.  What is refused is listed by
-:func:`refusals`, which the analyzer's SAC502 is issued from: warned and
-left unfolded are one decision.  After substitution the producer
-assignment is dead and DCE removes it.
+docs/COMPILER.md ("WITH-loop folding") has the derivations, conditions,
+assumptions and what is refused — which :func:`refusals` lists, for the
+analyzer's SAC502.  The producer assignment, now dead, is left to DCE.
 """
 
 from __future__ import annotations
@@ -83,8 +81,8 @@ def _index(expr: Expr, var: str) -> Optional[_Term]:
 
 
 def _bound(gen: Generator, upper: bool) -> Expr:
-    """A bound as an inclusive lower or exclusive upper one (a lower
-    ``.`` is 0; an upper one is not to be asked for)."""
+    """A bound as an inclusive lower or exclusive upper one (``_split``
+    lets only inclusive ``.`` through: 0, or not to be asked for)."""
     expr, closed = (gen.upper, not gen.upper_inclusive) if upper \
         else (gen.lower, gen.lower_inclusive)
     if isinstance(expr, Dot):
@@ -383,6 +381,10 @@ def _split(prod: _Producer, cons: Assign, sels: list[Select],
         return "its generator has a width"
     if gen.step is not None or gen.width is not None:
         return "the reading loop has a step or width"
+    if any(isinstance(b, Dot) and not closed for g in (gen, prod.gen)
+           for b, closed in ((g.lower, g.lower_inclusive),
+                             (g.upper, g.upper_inclusive))):
+        return "a '.' bound is exclusive"
     if prod.frame is None and not facts.double(prod.body):
         return "its elements are not provably double"
     terms = {id(s): _index(s.index, gen.var) for s in sels}
@@ -475,8 +477,8 @@ def _fold_one(fun: FunDef, program: Program) -> Optional[FunDef]:
 
 def refusals(fun: FunDef, program: Program
              ) -> Iterator[tuple[str, WithLoop, str]]:
-    """``(producer, reading loop, reason)`` for every pair of ``fun``
-    left unfolded: the reader cannot be split along the partition."""
+    """``(producer, reading loop, reason)`` for every pair the pass would
+    leave unfolded in ``fun`` as it stands: no split along the partition."""
     for at, stmt, facts in _candidates(fun, program):
         prod = facts.producer(stmt)
         if prod is not None and not prod.total:

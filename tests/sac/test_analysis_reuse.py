@@ -3,7 +3,7 @@ SAC501/SAC502/SAC510 diagnostics."""
 
 import dataclasses
 
-from repro.sac.analysis import analyze_source
+from repro.sac.analysis import analyze_program, analyze_source
 from repro.sac.analysis.effects import EffectsAnalysis
 from repro.sac.analysis.reuse import certify_function, certify_program
 from repro.sac.ast_nodes import Program, ReuseHint, WithLoop
@@ -190,6 +190,16 @@ _PAIRS = [
      "with (. <= iv <= . step 2) genarray(shape(a), 2.0 * a[iv])",
      "with ([1] <= iv < shape(a)-1) modarray(t, t[iv + [-1]] + t[iv + [1]])",
      False),
+    ("an exclusive '.' bound on the producer",
+     "with (. < iv <= .) modarray(a, 2.0 * a[iv])",
+     "with ([0] <= iv < shape(a)) modarray(g, t[iv])", False),
+    ("an exclusive '.' bound on a stepped producer",
+     "with (. < iv <= . step 2) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv + [-1]] + t[iv + [1]])",
+     False),
+    ("an exclusive '.' bound on the reader",
+     "with (. <= iv <= . step 2) genarray(shape(a), a[iv])",
+     "with (. < iv < .) modarray(g, t[iv + [-1]] + t[iv + [1]])", False),
     ("a fold over a partial producer",
      "with ([1] <= iv < shape(a)-1) genarray(shape(a), a[iv])",
      "with ([0] <= iv < shape(a)) fold(+, 0.0, t[iv])", False),
@@ -199,10 +209,8 @@ _PAIRS = [
 class TestPartitionDependence:
     @staticmethod
     def _sac502(src):
-        found = []
-        certify_program(parse_program(src),
-                        lambda c, m, p, f: found.append((c, m)))
-        return [m for c, m in found if c == "SAC502"]
+        return [d.message for d in analyze_source(src).diagnostics
+                if d.code == "SAC502"]
 
     def test_warned_exactly_when_left_unfolded(self):
         from repro.sac.optim import wlfold_pass
@@ -254,10 +262,7 @@ class TestPartitionDependence:
             return s;
         }
         """
-        found = []
-        certify_program(parse_program(src),
-                        lambda c, m, p, f: found.append(c))
-        assert "SAC502" not in found
+        assert self._sac502(src) == []
 
 
 class TestDriverIntegration:
@@ -289,6 +294,7 @@ class TestDriverIntegration:
         assert [(c.function, c.target, c.frame) for c in reused] \
             == [("SetupAxis", "hi", "lo")]
         assert [c for c, _ in found if c == "SAC501"] == []
-        assert [c for c, _ in found if c == "SAC502"] == []
+        assert [d for d in analyze_program(prog).diagnostics
+                if d.code == "SAC502"] == []
         assert [c for c, _ in found if c == "SAC510"] \
             == ["SAC510"]

@@ -4,12 +4,13 @@ Hypothesis draws producer/consumer pairs over every shape the piecewise
 rule distinguishes — ``genarray``/``modarray`` producers on total,
 partial and stepped generators; ``genarray``/``modarray`` consumers on
 the producer, on another frame or on none, reading it at one to four
-literal offsets with stride 1 or 2 — and each program must give the same
-array with ``wlfold`` on and off, through the scalar interpreter, the
-vectorizing interpreter and generated NumPy: equal everywhere, and equal
-*bits* wherever the value is not a zero (dropping a ``+ 0.0`` term can
-only turn ``-0.0`` into ``+0.0``).  Borders and off-grid elements are
-part of the arrays compared.
+literal offsets with stride 1 or 2; ``.`` bounds inclusive and exclusive
+on either loop — and each program must give the same array with
+``wlfold`` on and off, through the scalar interpreter, the vectorizing
+interpreter and generated NumPy: equal everywhere, and equal *bits*
+wherever the value is not a zero (dropping a ``+ 0.0`` term can only
+turn ``-0.0`` into ``+0.0``).  Borders and off-grid elements are part of
+the arrays compared.
 
 ``coeffgroup`` is off in both builds: it reassociates sums by design, so
 with it on the two builds would differ by rounding in what *it* does to
@@ -51,9 +52,12 @@ def pair_program(draw) -> tuple[str, int]:
     pbody = draw(st.sampled_from([
         "a[iv]", "1.5", "2.0 * a[iv] + 1.0", "a[iv] * a[iv]", "-a[iv]"]))
     bounds = "dots" if rule == "B" else draw(
-        st.sampled_from(["dots", "literal", "symbolic"]))
+        st.sampled_from(["dots", "open dots", "literal", "symbolic"]))
     if bounds == "dots":
         pgen = ". <= iv <= ."
+    elif bounds == "open dots":  # one short of the whole range: refused
+        pgen = draw(st.sampled_from([
+            ". < iv <= .", ". <= iv < .", ". < iv < ."]))
     elif bounds == "literal":
         pgen = f"{_vec(ints(0, 2))} <= iv < {_vec(ints(_N - 2, _N))}"
     else:
@@ -79,16 +83,22 @@ def pair_program(draw) -> tuple[str, int]:
     lo = [max(0, -(min(o[d] for o in offsets) // stride)) for d in range(rank)]
     hi = [min(_N, (_N - 1 - max(o[d] for o in offsets)) // stride + 1)
           for d in range(rank)]  # and g[jv], and the frames p and g
+    # A ``.`` bound is on offer where it keeps every index inside.
+    dots_lo = [". <= jv"] * (max(lo) == 0) + [". < jv"]
     lo = [draw(st.integers(lo[d], max(lo[d], hi[d] - 1))) for d in range(rank)]
     frame = draw(st.sampled_from(["genarray", "g"] + ["p"] * (rule != "A")))
-    shape = _vec(h + draw(st.integers(0, 2)) for h in hi)
-    cop = f"genarray({shape}, {{}})" if frame == "genarray" \
+    extent = [h + draw(st.integers(0, 2)) for h in hi] \
+        if frame == "genarray" else [_N] * rank
+    cop = f"genarray({_vec(extent)}, {{}})" if frame == "genarray" \
         else f"modarray({frame}, {{}})"
+    slack = max(e - h for e, h in zip(extent, hi))
     cgen = draw(st.sampled_from([
-        f"{_vec(lo)} <= jv < {_vec(hi)}",
-        f"{_vec(x - 1 for x in lo)} < jv <= {_vec(x - 1 for x in hi)}",
-        f"shape(a) - {_vec(_N - x for x in lo)} <= jv "
-        f"< shape(a) - {_vec(_N - x for x in hi)}"]))
+        f"{_vec(lo)} <= jv", f"{_vec(x - 1 for x in lo)} < jv",
+        f"shape(a) - {_vec(_N - x for x in lo)} <= jv"] + dots_lo))
+    cgen += draw(st.sampled_from([
+        f" < {_vec(hi)}", f" <= {_vec(x - 1 for x in hi)}",
+        f" < shape(a) - {_vec(_N - x for x in hi)}"]
+        + [" <= ."] * (slack == 0) + [" < ."] * (slack <= 1)))
     t = "double[" + ",".join("." * rank) + "]"
     return (f"{t} f({t} a, {t} g)\n{{\n"
             f"  p = with ({pgen}) {pop.format(pbody)};\n"

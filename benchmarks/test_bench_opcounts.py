@@ -46,7 +46,7 @@ def test_relax_formulations(benchmark, grid, form, kernel, coeffs, cname):
 
 def test_grouped_faster_than_naive(grid):
     """The 27->4 multiply reduction must be measurable."""
-    from repro.harness.timing import measure
+    from repro.core.timers import measure
 
     t_naive = measure(lambda: relax_naive(grid, S_COEFFS_A), repeats=3).seconds
     t_grouped = measure(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import get_class, zran3
-from repro.harness.timing import measure
+from repro.core.timers import measure
 from repro.mg_sac import load_mg_program
 from repro.sac.codegen import compile_function
 

@@ -6,7 +6,7 @@
 """
 
 from .c_mg import CMG
-from .common import MGImplementation, MGKernels, run_mg
+from .common import MGImplementation, MGKernels
 from .fortran_mg import FortranMG
 from .sac_style_mg import SacStyleMG
 
@@ -21,6 +21,5 @@ __all__ = [
     "SacStyleMG",
     "MGImplementation",
     "MGKernels",
-    "run_mg",
     "IMPLEMENTATIONS",
 ]

@@ -4,18 +4,19 @@ The paper's evaluation compares three *implementation styles* of the
 same benchmark: the Fortran-77 reference, the RWCP C/OpenMP port, and
 the high-level SAC program.  Each style here provides its four V-cycle
 kernels as an :class:`~repro.core.mg.MGKernels` table and runs them
-through the one NPB control flow, :func:`repro.core.mg.run` (here under
-its historical name ``run_mg``), so that the styles differ only where
-the originals differ — in how the kernels are written.
+through the one NPB control flow, :func:`repro.core.mg.run`, so that
+the styles differ only where the originals differ — in how the kernels
+are written.
 """
 
 from __future__ import annotations
 
-from repro.core.classes import SizeClass
-from repro.core.mg import MGKernels, MGResult
-from repro.core.mg import run as run_mg
+import numpy as np
 
-__all__ = ["MGKernels", "MGImplementation", "run_mg"]
+from repro.core.classes import SizeClass
+from repro.core.mg import MGKernels, MGResult, run
+
+__all__ = ["MGKernels", "MGImplementation"]
 
 
 class MGImplementation:
@@ -30,11 +31,13 @@ class MGImplementation:
     kernels: MGKernels
 
     def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
-              collect_trace: bool = False,
+              v: np.ndarray | None = None, collect_trace: bool = False,
               keep_history: bool = False) -> MGResult:
-        """Run the benchmark's timed section."""
-        return run_mg(self.kernels, size_class, nit,
-                      collect_trace=collect_trace, keep_history=keep_history)
+        """Run the benchmark's timed section on the right-hand side
+        ``v`` (``None``: built here with ``zran3``, which is set-up —
+        see :func:`repro.core.mg.checked_rhs`)."""
+        return run(self.kernels, size_class, nit, v=v,
+                   collect_trace=collect_trace, keep_history=keep_history)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

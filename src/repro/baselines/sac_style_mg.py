@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.classes import SizeClass, get_class
-from repro.core.mg import MGResult
+from repro.core.mg import MGResult, checked_rhs
 from repro.core.norms import norm2u3
 from repro.core.stencils import (
     A_COEFFS,
@@ -253,7 +253,7 @@ class SacStyleMG(MGImplementation):
     label = "SAC"
 
     def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
-              collect_trace: bool = False,
+              v: np.ndarray | None = None, collect_trace: bool = False,
               keep_history: bool = False) -> MGResult:
         sc = get_class(size_class) if isinstance(size_class, str) else size_class
         iters = sc.nit if nit is None else nit
@@ -261,7 +261,7 @@ class SacStyleMG(MGImplementation):
         trace = Trace() if collect_trace else None
         history: list[float] | None = [] if keep_history else None
 
-        v = zran3(sc.nx)
+        v = zran3(sc.nx) if v is None else checked_rhs(sc, v)
         u = mgrid_iterate(v, iters, smoother, trace, history)
         r = v - resid_op(u)
         if trace is not None:

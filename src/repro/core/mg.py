@@ -56,6 +56,7 @@ __all__ = [
     "vcycle",
     "mg3P",
     "MGResult",
+    "checked_rhs",
     "run",
     "solve",
 ]
@@ -559,14 +560,32 @@ class MGResult:
         return abs(self.rnm2 - ref) / abs(ref) <= 1.0e-8
 
 
-def run(kernels: MGKernels, size_class: str | SizeClass,
-        nit: int | None = None, *, collect_trace: bool = False,
-        keep_history: bool = False, on_iteration=None,
-        monitor=None) -> MGResult:
-    """The timed section of NPB ``mg.f`` over a kernel table: ``u = 0``,
-    ``v = zran3``, ``r = v - A u``; then ``nit`` times (V-cycle;
-    top-level residual); finally the verification norm.
+def checked_rhs(sc: SizeClass, v: np.ndarray) -> np.ndarray:
+    """``v`` itself, once it has the extended shape of class ``sc``.
 
+    Every solver entry takes ``v=None``: ``None`` is NPB's ``zran3``
+    right-hand side of the class, built by the entry; a given ``v`` was
+    prepared by the caller outside its timed region (``mg.f`` calls
+    ``zran3`` before ``timer_start``), is only read, and ``zran3`` is
+    not called.
+    """
+    if np.shape(v) != sc.shape:
+        raise ValueError(f"v has shape {np.shape(v)}; class {sc.name} "
+                         f"needs the extended grid {sc.shape}")
+    return v
+
+
+def run(kernels: MGKernels, size_class: str | SizeClass,
+        nit: int | None = None, *, v: np.ndarray | None = None,
+        collect_trace: bool = False, keep_history: bool = False,
+        on_iteration=None, monitor=None) -> MGResult:
+    """The timed section of NPB ``mg.f`` over a kernel table: ``u = 0``,
+    ``r = v - A u``; then ``nit`` times (V-cycle; top-level residual);
+    finally the verification norm.
+
+    ``v`` is the right-hand side (see :func:`checked_rhs`); with
+    ``v=None`` the call builds it with ``zran3`` first, which is set-up,
+    not timed section — time a solve with ``v`` passed.
     ``on_iteration(iteration, rnm2)``, if given, is called after each
     V-cycle with the current residual norm (the supervisor's numerical
     watchdog hooks in here); an exception it raises aborts the solve.
@@ -585,7 +604,7 @@ def run(kernels: MGKernels, size_class: str | SizeClass,
         kernels = timed_kernels(kernels, monitor)
 
     u = make_grid(sc.nx)
-    v = zran3(sc.nx)
+    v = zran3(sc.nx) if v is None else checked_rhs(sc, v)
     r = {lt: kernels.resid(u, v, a)}
     history: list[float] = []
     if keep_history:
@@ -606,9 +625,11 @@ def run(kernels: MGKernels, size_class: str | SizeClass,
 
 
 def solve(size_class: str | SizeClass, nit: int | None = None, *,
-          collect_trace: bool = False, keep_history: bool = False,
-          on_iteration=None, ws=None, monitor=None) -> MGResult:
-    """Run the full NAS MG benchmark for a size class (see :func:`run`).
+          v: np.ndarray | None = None, collect_trace: bool = False,
+          keep_history: bool = False, on_iteration=None, ws=None,
+          monitor=None) -> MGResult:
+    """Run the full NAS MG benchmark for a size class (see :func:`run`;
+    ``v`` as there).
 
     ``ws`` (a :class:`~repro.perf.workspace.Workspace`) pools every
     extended-grid temporary of the timed section — after the first
@@ -616,6 +637,6 @@ def solve(size_class: str | SizeClass, nit: int | None = None, *,
     bit-identical to the allocating path.  ``MGResult.r`` then
     references a pool buffer (copy it before reusing the workspace).
     """
-    return run(numpy_kernels(ws), size_class, nit,
+    return run(numpy_kernels(ws), size_class, nit, v=v,
                collect_trace=collect_trace, keep_history=keep_history,
                on_iteration=on_iteration, monitor=monitor)

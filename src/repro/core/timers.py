@@ -1,17 +1,21 @@
-"""NPB-style section timers: the one per-section time accumulator.
+"""The one timing facility: per-section accumulation and best-of-N.
 
 ``mg.f`` (with ``TIMING_ENABLED``) reports how the benchmark's time
 splits across the V-cycle kernels.  Every solver's ``monitor`` is any
 object with ``add(section, seconds)``; :class:`SectionTimers` is the
-accumulator the harness and the perf layer hand in (the latter under
-its historical name ``PerfMonitor``).
+accumulator to hand in.  :func:`measure` times a whole callable; what
+it times is the NPB timed section only when the callable's set-up —
+the right-hand side ``v`` above all — was prepared outside it and
+passed in (every solver entry takes ``v=``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-__all__ = ["SectionTimers"]
+__all__ = ["SectionTimers", "Measurement", "measure"]
 
 
 @dataclass
@@ -46,3 +50,28 @@ class SectionTimers:
         lines.append(f"{'total':<10}{sum(self.calls.values()):>8}"
                      f"{self.total:>12.4f}")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """Best-of-N wall-clock timing: ``seconds`` is the minimum."""
+
+    seconds: float
+    repeats: int
+    all_seconds: tuple[float, ...]
+
+
+def measure(fn: Callable[[], object], repeats: int = 3,
+            warmup: int = 1) -> Measurement:
+    """Run ``fn`` ``repeats`` times (after ``warmup`` unmeasured runs)
+    and report the minimum — the standard low-noise estimator."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return Measurement(min(times), repeats, tuple(times))

@@ -1,8 +1,5 @@
 """Experiment drivers and reporting for the paper's evaluation."""
 
 from . import experiments, report
-from .timers import SectionTimers, timed_solve
-from .timing import Measurement, measure
 
-__all__ = ["experiments", "report", "Measurement", "measure",
-           "SectionTimers", "timed_solve"]
+__all__ = ["experiments", "report"]

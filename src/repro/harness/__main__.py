@@ -8,13 +8,16 @@
     python -m repro.harness memmgmt        # §5 memory-overhead analysis
     python -m repro.harness verify -c S    # NPB verification run
     python -m repro.harness supervised     # self-healing supervised solve
-    python -m repro.harness bench -c S     # perf trajectory point (BENCH_*.json)
+    python -m repro.harness npb timers     # mg.f's closing block / per-kernel times
     python -m repro.harness solve --problem heat2d   # any family member
     python -m repro.harness all
 
 ``--problem`` selects the solver-family member (see
 ``docs/WORKLOADS.md``); the default ``npb-mg`` is the benchmark itself,
-so existing invocations behave exactly as before.
+so existing invocations behave exactly as before.  The measured commands
+(``measure``, ``ablation``, ``npb``, ``timers``) time the NPB timed
+section: the right-hand side is built once, before the clock starts.
+The benchmark itself is ``python3 benchmarks/e2e/run.py`` (docs/PERF.md).
 """
 
 from __future__ import annotations
@@ -61,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         "Benchmark MG in SAC' (IPPS 2002).",
     )
     known = sorted(_SIMPLE) + ["measure", "ablation", "verify",
-                               "npb", "timers", "supervised", "bench",
-                               "solve", "all"]
+                               "npb", "timers", "supervised", "solve", "all"]
     parser.add_argument(
         "commands",
         nargs="*",
@@ -89,22 +91,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--modes", default="serial,threaded",
-        help="comma-separated bench modes: serial, threaded, distributed "
-        "(default: serial,threaded)",
-    )
-    parser.add_argument(
-        "--bench-out", metavar="FILE", default=None,
-        help="path for the bench command's BENCH_<n>.json "
-        "(default: BENCH_<current>.json in the working directory)",
+        help="comma-separated modes of the solve command: serial, "
+        "threaded (default: serial,threaded)",
     )
     parser.add_argument(
         "--problem", default="npb-mg",
-        help="solver-family member for solve/bench/supervised "
+        help="solver-family member for solve/supervised "
         "(default: npb-mg, the benchmark itself; see docs/WORKLOADS.md)",
     )
     parser.add_argument(
         "--nthreads", type=int, default=4,
-        help="worker threads for threaded solve/bench modes (default: 4)",
+        help="worker threads for the solve command's threaded mode "
+        "(default: 4)",
     )
     parser.add_argument(
         "--transport", choices=["inproc", "socket"], default="inproc",
@@ -159,9 +157,12 @@ def main(argv: list[str] | None = None) -> int:
             collected[cmd] = data
             print(report.format_ablation(data))
         elif cmd == "timers":
-            from .timers import timed_solve
+            from repro.core import get_class, solve, zran3
+            from repro.core.timers import SectionTimers
 
-            result, timers = timed_solve(args.size_class)
+            sc = get_class(args.size_class)
+            timers = SectionTimers()
+            solve(sc, v=zran3(sc.nx), monitor=timers)
             print(f"per-kernel timing, class {args.size_class} "
                   "(Fortran-style kernels):")
             print(timers.report())
@@ -198,38 +199,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {args.problem} [{mode:<8}] {its_txt}"
                       f"rnm2 = {res.rnm2:.6e}  "
                       f"[{'VERIFIED' if ok else 'FAILED'}]")
-        elif cmd == "bench":
-            from repro.perf import bench_document, run_bench, write_bench
-
-            modes = tuple(m.strip() for m in args.modes.split(",")
-                          if m.strip())
-            reports = run_bench(args.size_class, modes=modes,
-                                repeats=args.repeats,
-                                nthreads=args.nthreads,
-                                problem=args.problem)
-            doc = bench_document(reports)
-            path = write_bench(doc, args.bench_out)
-            collected[cmd] = doc
-            print(f"perf trajectory point, class {doc['class']}, "
-                  f"problem {doc['problem']['name']} "
-                  f"(rev {doc['git_rev']}"
-                  f"{', dirty' if doc['dirty'] else ''}):")
-            hdr = (f"  {'mode':<12} {'seconds':>9} {'mop/s':>9} "
-                   f"{'pool allocs':>12} {'steady':>7}  verified")
-            print(hdr)
-            for rep_ in reports:
-                print(f"  {rep_.mode:<12} {rep_.seconds:>9.4f} "
-                      f"{rep_.mop_s:>9.1f} "
-                      f"{rep_.pool['allocations']:>12d} "
-                      f"{rep_.pool['steady_state_allocations']:>7d}  "
-                      f"{'yes' if rep_.verified else 'NO'}")
-            bad_pool = [rep_.mode for rep_ in reports
-                        if rep_.pool["steady_state_allocations"] != 0]
-            if bad_pool:
-                print("  WARNING: steady-state pool misses in "
-                      + ", ".join(bad_pool))
-                status |= 1
-            print(f"  written to {path}")
         elif cmd == "supervised":
             from repro.runtime import (
                 HealPolicy,

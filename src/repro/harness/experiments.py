@@ -1,9 +1,11 @@
 """Experiment drivers regenerating every figure of the paper's §5.
 
 Each driver returns plain data (dicts/rows); :mod:`repro.harness.report`
-formats them, the CLI prints them, and ``benchmarks/`` wraps them in
-pytest-benchmark runs.  EXPERIMENTS.md records the outputs next to the
-paper's numbers.
+formats them and the CLI prints them.  EXPERIMENTS.md records the
+outputs next to the paper's numbers.  The measured drivers
+(:func:`fig11_measured`, :func:`sac_ablation`) time the NPB timed
+section: they build the right-hand side ``v`` once, before the first
+timed call, and pass it to every solve.
 
 * :func:`fig11` — single-processor runtimes, classes W and A
   (simulated testbed seconds + the headline percentage gaps),
@@ -25,11 +27,11 @@ from dataclasses import dataclass, field
 
 from repro.core.classes import get_class
 from repro.core.stencils import STENCILS, op_counts
+from repro.core.timers import Measurement, measure
 from repro.core.trace import synthesize_mg_trace
+from repro.core.zran3 import zran3
 from repro.machine.calibration import PAPER, get_profile, profiles
 from repro.machine.smp import simulate
-
-from .timing import Measurement, measure
 
 __all__ = [
     "IMPL_ORDER",
@@ -46,12 +48,11 @@ __all__ = [
 ]
 
 IMPL_ORDER = ("f77", "sac", "omp")
-_CLASS_PARAMS = {"S": (32, 4), "W": (64, 40), "A": (256, 4)}
 
 
 def _trace(cls: str):
-    nx, nit = _CLASS_PARAMS[cls]
-    return synthesize_mg_trace(nx, nit)
+    sc = get_class(cls)
+    return synthesize_mg_trace(sc.nx, sc.nit)
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +92,21 @@ def fig11_measured(size_class: str = "S", repeats: int = 3) -> dict:
 
     Runs the Fortran-style, C-style and SAC-style solvers (and the MG
     program executed through the mini-SAC pipeline) on a laptop-scale
-    class and reports best-of-N seconds.
+    class and reports best-of-N seconds of the timed section.
     """
     from repro.baselines import IMPLEMENTATIONS
     from repro.mg_sac import solve_sac_mg
 
+    sc = get_class(size_class)
+    v = zran3(sc.nx)
     rows: dict[str, Measurement] = {}
     for name in ("f77", "c", "sac"):
         impl = IMPLEMENTATIONS[name]
-        rows[name] = measure(lambda impl=impl: impl.solve(size_class),
+        rows[name] = measure(lambda impl=impl: impl.solve(sc, v=v),
                              repeats=repeats)
-    if get_class(size_class).smoother == "a":
+    if sc.smoother == "a":
         rows["sac-lang"] = measure(
-            lambda: solve_sac_mg(size_class), repeats=repeats
+            lambda: solve_sac_mg(sc, v=v), repeats=repeats
         )
     return {
         "class": size_class,
@@ -220,8 +223,10 @@ def sac_ablation(size_class: str = "S", nit: int | None = None,
     """Real runtimes of the SAC-language MG with optimizations toggled.
 
     Configurations: full pipeline; each pass disabled one at a time; all
-    passes off; and (on a reduced problem) the scalar non-vectorized
-    evaluator, quantifying what WITH-loop compilation is worth.
+    passes off; the runtime JIT; and, on a reduced problem (class T, one
+    iteration, one un-warmed run each), the scalar non-vectorized
+    evaluator next to the vectorizing one, quantifying what WITH-loop
+    compilation is worth.
     """
     from repro.mg_sac import solve_sac_mg
 
@@ -232,13 +237,22 @@ def sac_ablation(size_class: str = "S", nit: int | None = None,
     configs["no-opt"] = {"optimize": False}
     configs["jit"] = {"jit": True}
 
+    sc, tiny = get_class(size_class), get_class("T")
+    v = zran3(sc.nx)
+    v_tiny = v if sc.nx == tiny.nx else zran3(tiny.nx)
     out = {"class": size_class, "seconds": {}}
     for label, kwargs in configs.items():
         m = measure(
-            lambda kwargs=kwargs: solve_sac_mg(size_class, nit, **kwargs),
+            lambda kwargs=kwargs: solve_sac_mg(sc, nit, v=v, **kwargs),
             repeats=repeats,
         )
         out["seconds"][label] = m.seconds
+    out["scalar"] = {"class": tiny.name, "nit": 1}
+    for key, vectorize in (("vectorized_seconds", True),
+                           ("scalar_seconds", False)):
+        out["scalar"][key] = measure(
+            lambda: solve_sac_mg(tiny, 1, v=v_tiny, vectorize=vectorize),
+            repeats=1, warmup=0).seconds
     return out
 
 
@@ -260,8 +274,8 @@ def future_scaling(procs: tuple[int, ...] = (1, 2, 4, 8, 10, 16, 24, 32, 48, 64)
             out["smp"][cls][name] = {
                 p: base / simulate(trace, prof, p).seconds for p in procs
             }
-        nx, nit = _CLASS_PARAMS[cls]
-        out["mpi"][cls] = distmem_speedups(nx, nit, procs)
+        sc = get_class(cls)
+        out["mpi"][cls] = distmem_speedups(sc.nx, sc.nit, procs)
     # Saturation point: first P where the gain over the previous step
     # drops below 5 %.
     out["saturation"] = {}

@@ -1,9 +1,8 @@
 """NPB-style benchmark report (the block ``mg.f`` prints at the end).
 
-Computes the floating-point operation count of the timed section from
-the operation trace and the per-kind arithmetic weights, and reports
-Mop/s alongside time and verification — for real runs on this machine
-and for the simulated testbed.
+Times the timed section — the right-hand side is built before the
+clock starts, as in ``mg.f`` — and reports Mop/s by ``mg.f``'s own
+formula alongside time and verification.
 """
 
 from __future__ import annotations
@@ -11,22 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.classes import SizeClass, get_class
-from repro.core.trace import Trace, synthesize_mg_trace
-from repro.machine.calibration import KIND_WEIGHTS
-from repro.machine.costmodel import KIND_IS_SURFACE
+from repro.core.timers import measure
+from repro.core.zran3 import zran3
 
-__all__ = ["NPBReport", "total_flops", "npb_report", "format_npb_report"]
+__all__ = ["NPBReport", "mop_per_second", "npb_report", "format_npb_report"]
 
 
-def total_flops(trace: Trace) -> float:
-    """Estimated floating-point operations of a traced run."""
-    flops = 0.0
-    for op in trace:
-        w = KIND_WEIGHTS.get(op.kind, 0.0)
-        pts = 6.0 * op.points ** (2.0 / 3.0) if op.kind in KIND_IS_SURFACE \
-            else float(op.points)
-        flops += pts * w
-    return flops
+def mop_per_second(nx: int, nit: int, seconds: float) -> float:
+    """Mop/s as ``mg.f`` prints it: 58 flops per fine-grid point and
+    iteration, ``58 * nx**3 * nit / seconds / 1e6`` (0 for no time)."""
+    if seconds <= 0.0:
+        return 0.0
+    return 58.0 * nx ** 3 * nit / seconds / 1.0e6
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,7 @@ class NPBReport:
             ("Class", sc.name),
             ("Size", f"{sc.nx}x{sc.nx}x{sc.nx}"),
             ("Iterations", str(sc.nit)),
-            ("Time in seconds", f"{self.seconds:.2f}"),
+            ("Time in seconds", f"{self.seconds:.4f}"),
             ("Mop/s total", f"{self.mops:.2f}"),
             ("Implementation", self.implementation),
             ("Verification", "SUCCESSFUL" if self.verified else
@@ -58,22 +53,21 @@ def npb_report(size_class: str | SizeClass, implementation: str = "f77",
                repeats: int = 1) -> NPBReport:
     """Run the benchmark and produce the NPB closing report."""
     from repro.baselines import IMPLEMENTATIONS
-    from repro.harness.timing import measure
 
     sc = get_class(size_class) if isinstance(size_class, str) else size_class
     impl = IMPLEMENTATIONS[implementation]
+    v = zran3(sc.nx)
     result_box = {}
 
     def run():
-        result_box["result"] = impl.solve(sc)
+        result_box["result"] = impl.solve(sc, v=v)
 
     m = measure(run, repeats=repeats, warmup=0)
     result = result_box["result"]
-    flops = total_flops(synthesize_mg_trace(sc.nx, sc.nit))
     return NPBReport(
         size_class=sc,
         seconds=m.seconds,
-        mops=flops / m.seconds / 1e6,
+        mops=mop_per_second(sc.nx, sc.nit, m.seconds),
         rnm2=result.rnm2,
         verified=result.verified,
         implementation=impl.label,

@@ -127,6 +127,11 @@ def format_ablation(data: dict) -> str:
     for label, secs in data["seconds"].items():
         rel = f" ({secs / base:5.2f}x full)" if base else ""
         lines.append(f"{label:<16}{secs:>10.3f} s{rel}")
+    sca = data["scalar"]
+    lines.append(
+        f"scalar evaluator (class {sca['class']}, {sca['nit']} iteration): "
+        f"{sca['scalar_seconds']:.2f} s vs {sca['vectorized_seconds']:.3f} s "
+        f"vectorized ({sca['scalar_seconds'] / sca['vectorized_seconds']:.0f}x)")
     return "\n".join(lines)
 
 

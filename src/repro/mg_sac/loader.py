@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.classes import SizeClass, get_class
+from repro.core.mg import checked_rhs
 from repro.core.zran3 import zran3
 from repro.sac import CompileOptions, SacProgram
 from repro.sac.module import load_spmd_certified
@@ -71,10 +72,15 @@ class SacMGResult:
 
 
 def solve_sac_mg(size_class: str | SizeClass, nit: int | None = None, *,
+                 v: np.ndarray | None = None,
                  optimize: bool = True, vectorize: bool = True,
                  pass_overrides: tuple[tuple[str, bool], ...] = (),
                  jit: bool = False) -> SacMGResult:
-    """Run NAS MG entirely as SAC code and return the residual norm."""
+    """Run NAS MG entirely as SAC code and return the residual norm.
+
+    ``v`` is the right-hand side handed to the SAC program (``None``:
+    built here with ``zran3``, which is set-up — see
+    :func:`repro.core.mg.checked_rhs`)."""
     sc = get_class(size_class) if isinstance(size_class, str) else size_class
     if sc.smoother != "a":
         raise ValueError(
@@ -82,7 +88,7 @@ def solve_sac_mg(size_class: str | SizeClass, nit: int | None = None, *,
         )
     iters = sc.nit if nit is None else nit
     program = load_mg_program(optimize, vectorize, pass_overrides, jit)
-    v = zran3(sc.nx)
+    v = zran3(sc.nx) if v is None else checked_rhs(sc, v)
     r = program.call("FinalResidual", v, iters)
     interior = r[tuple(slice(1, -1) for _ in range(r.ndim))]
     rnm2 = float(np.sqrt(np.mean(interior * interior)))

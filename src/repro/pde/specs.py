@@ -257,7 +257,7 @@ class ProblemSpec:
         return self.name
 
     def describe(self) -> dict[str, str]:
-        """The bench-schema ``problem`` field (see ``repro.perf``)."""
+        """Which family member this is, one string per axis."""
         return {
             "name": self.name,
             "family": self.family,

@@ -1,45 +1,12 @@
-"""Performance layer: workspace pooling + benchmark observability.
+"""Performance layer: workspace pooling.
 
-Two halves, mirroring the paper's §5 analysis of SAC's memory-management
-gap: :mod:`~repro.perf.workspace` removes the per-operation allocations
-from the hot path (the NPB static-workspace layout), and
-:mod:`~repro.perf.instrument` records what the solvers actually do
-(per-operator seconds, pool accounting, Mop/s) into versioned
-``BENCH_<n>.json`` trajectory points.  :mod:`~repro.perf.bench` runs the
-benchmark itself (``python -m repro.harness bench``).
+The paper's §5 traces SAC's gap to Fortran to memory management;
+:mod:`~repro.perf.workspace` removes the per-operation allocations from
+the hot path (the NPB static-workspace layout).  Timing lives in
+:mod:`repro.core.timers`; the benchmark is ``benchmarks/e2e/run.py``
+(``docs/PERF.md``).
 """
 
-from .bench import run_bench
-from .instrument import (
-    BENCH_SCHEMA,
-    CURRENT_BENCH_ID,
-    PROBLEM_KEYS,
-    PerfMonitor,
-    PerfReport,
-    bench_document,
-    bench_path,
-    default_problem,
-    git_rev,
-    mop_per_second,
-    validate_bench_document,
-    write_bench,
-)
 from .workspace import Workspace, WorkspaceCounters
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "CURRENT_BENCH_ID",
-    "PROBLEM_KEYS",
-    "PerfMonitor",
-    "PerfReport",
-    "Workspace",
-    "WorkspaceCounters",
-    "bench_document",
-    "bench_path",
-    "default_problem",
-    "git_rev",
-    "mop_per_second",
-    "run_bench",
-    "validate_bench_document",
-    "write_bench",
-]
+__all__ = ["Workspace", "WorkspaceCounters"]

@@ -179,7 +179,10 @@ class ParallelMG:
         self.close()
 
     def solve(self, size_class: str | SizeClass,
-              nit: int | None = None, *,
+              nit: int | None = None, *, v: np.ndarray | None = None,
               on_iteration=None) -> MGResult:
-        return run(self._table(), size_class, nit,
+        """The timed section over the fork-join table; ``v`` is the
+        right-hand side (``None``: built here with ``zran3``, which is
+        set-up — see :func:`repro.core.mg.checked_rhs`)."""
+        return run(self._table(), size_class, nit, v=v,
                    on_iteration=on_iteration, monitor=self.monitor)

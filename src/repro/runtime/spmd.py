@@ -77,6 +77,7 @@ from repro.core import mg
 from repro.core.mg import (
     MGKernels,
     MGResult,
+    checked_rhs,
     correction,
     numpy_kernels,
     timed_kernels,
@@ -823,11 +824,18 @@ class DistributedMG:
         return self.heal
 
     def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
+              v: np.ndarray | None = None,
               checkpoint: CheckpointStore | None = None,
               checkpoint_every: int = 1,
               restart: bool = False,
               on_iteration=None) -> MGResult:
+        """The timed section across the ranks.  ``v`` is the full
+        right-hand side, of which each rank copies its slab (``None``:
+        every rank builds it with ``zran3``, which is set-up — see
+        :func:`repro.core.mg.checked_rhs`)."""
         sc = get_class(size_class) if isinstance(size_class, str) else size_class
+        if v is not None:
+            checked_rhs(sc, v)
         # The top two levels must be distributed so the V-cycle's special
         # finest-level handling stays in the distributed code path.
         if (1 << (sc.lt - 1)) < 2 * self.nranks:
@@ -863,7 +871,7 @@ class DistributedMG:
 
             elastic = WorldSupervisor(heal_policy, store=checkpoint)
             elastic.spawner = self._make_spawner(
-                elastic, world, sc, iters, results, checkpoint,
+                elastic, world, sc, iters, v, results, checkpoint,
                 checkpoint_every, on_iteration)
             world.attach_elastic(elastic)
         try:
@@ -871,7 +879,7 @@ class DistributedMG:
             for r in range(self.nranks):
                 t = threading.Thread(
                     target=self._rank_main,
-                    args=(world.comm(r), sc, iters, results, checkpoint,
+                    args=(world.comm(r), sc, iters, v, results, checkpoint,
                           checkpoint_every, restart, on_iteration),
                     name=f"mg-rank-{r}",
                     daemon=True,
@@ -927,7 +935,7 @@ class DistributedMG:
             threads.extend(elastic.threads())
         return threads
 
-    def _make_spawner(self, elastic, world, sc, iters, results, store,
+    def _make_spawner(self, elastic, world, sc, iters, v, results, store,
                       every, on_iteration):
         """Build the replacement-rank factory the heal authority calls."""
 
@@ -945,7 +953,7 @@ class DistributedMG:
                             joining=True)
             t = threading.Thread(
                 target=self._rank_main,
-                args=(comm, sc, iters, results, store, every, False,
+                args=(comm, sc, iters, v, results, store, every, False,
                       on_iteration),
                 name=f"mg-rank-{rank}-i{incarnation}",
                 daemon=True,
@@ -958,11 +966,12 @@ class DistributedMG:
     # -- per-rank program -------------------------------------------------------
 
     def _rank_main(self, comm: RankComm, sc: SizeClass, iters: int,
-                   results: list, store: CheckpointStore | None,
+                   v: np.ndarray | None, results: list,
+                   store: CheckpointStore | None,
                    every: int, restart: bool, on_iteration) -> None:
         world = comm.world
         try:
-            res = self._run_rank(comm, sc, iters, store, every, restart,
+            res = self._run_rank(comm, sc, iters, v, store, every, restart,
                                  on_iteration)
             if world.is_current(comm.rank, comm.incarnation):
                 results[comm.rank] = res
@@ -996,13 +1005,16 @@ class DistributedMG:
         return rank * per, per
 
     def _run_rank(self, comm: RankComm, sc: SizeClass, iters: int,
+                  v_full: np.ndarray | None,
                   store: CheckpointStore | None, every: int, restart: bool,
                   on_iteration=None):
         lt = sc.lt
         rank = comm.rank
 
-        # Replicated, deterministic setup; each rank keeps its slab.
-        v_full = zran3(sc.nx)
+        # Replicated, deterministic setup unless the caller prepared the
+        # right-hand side; each rank keeps (a copy of) its slab.
+        if v_full is None:
+            v_full = zran3(sc.nx)
         z0, nzl = self._plane_range(lt, rank)
         v = _slab_from_full(v_full, z0, nzl)
 

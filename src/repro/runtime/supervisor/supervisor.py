@@ -44,8 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.classes import SizeClass, get_class
-from repro.core.mg import MGResult
+from repro.core.mg import MGResult, checked_rhs
 from repro.core.mg import solve as serial_solve
+from repro.core.zran3 import zran3
 
 from ..parallel_mg import ParallelMG
 from ..resilience import CheckpointStore, FaultPlan
@@ -212,6 +213,7 @@ class SupervisedSolver:
             pass
 
     def _run_rung(self, rung: Rung, sc: SizeClass, nit: int | None,
+                  v: np.ndarray | None,
                   policy: SupervisorPolicy, store: CheckpointStore,
                   restart: bool, watchdog: NumericalWatchdog | None,
                   deadline: float | None,
@@ -244,7 +246,7 @@ class SupervisedSolver:
                                heartbeat=policy.heartbeat,
                                heal=policy.heal)
             try:
-                return mg.solve(sc, nit, checkpoint=store,
+                return mg.solve(sc, nit, v=v, checkpoint=store,
                                 checkpoint_every=policy.checkpoint_every,
                                 restart=restart, on_iteration=on_iter)
             finally:
@@ -257,12 +259,13 @@ class SupervisedSolver:
         if rung.mode == "threaded":
             with ParallelMG(rung.workers, kernels=rung.kernels,
                             kernel_library=lib) as mg:
-                return mg.solve(sc, nit, on_iteration=on_iter)
-        return serial_solve(sc, nit, on_iteration=on_iter)
+                return mg.solve(sc, nit, v=v, on_iteration=on_iter)
+        return serial_solve(sc, nit, v=v, on_iteration=on_iter)
 
     # -- the supervised solve ----------------------------------------------
 
     def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
+              v: np.ndarray | None = None,
               policy: SupervisorPolicy | None = None,
               problem: str = "npb-mg") -> SupervisedResult:
         """Solve under supervision: a result or a structured post-mortem.
@@ -276,12 +279,22 @@ class SupervisedSolver:
         stamp every ladder rung (the rung specs carry the problem key),
         and rungs the member cannot run (distributed, sac) are skipped
         with a demotion record.
+
+        ``v`` is the NPB right-hand side (``None``: built here with
+        ``zran3`` — see :func:`repro.core.mg.checked_rhs`); either way
+        it is built once and every attempt of every rung reads the same
+        array.  Family members other than ``npb-mg`` build their own.
         """
         import dataclasses
 
         policy = policy if policy is not None else self.policy
         sc = (get_class(size_class) if isinstance(size_class, str)
               else size_class)
+        if problem == "npb-mg":
+            v = zran3(sc.nx) if v is None else checked_rhs(sc, v)
+        elif v is not None:
+            raise ValueError(f"problem {problem!r} builds its own "
+                             "right-hand side; v belongs to npb-mg")
         report = SolveReport(size_class=sc.name, problem=problem)
         t_start = self._clock()
         deadline = (t_start + policy.deadline
@@ -319,7 +332,7 @@ class SupervisedSolver:
                     ))
                     continue
                 outcome = self._attempt_rung(
-                    rung, next_desc, sc, nit, policy, store, deadline,
+                    rung, next_desc, sc, nit, v, policy, store, deadline,
                     rng, report, check_verify,
                 )
                 if isinstance(outcome, SupervisedResult):
@@ -340,7 +353,8 @@ class SupervisedSolver:
     # -- one rung's attempt loop ---------------------------------------------
 
     def _attempt_rung(self, rung: Rung, next_desc: str, sc: SizeClass,
-                      nit: int | None, policy: SupervisorPolicy,
+                      nit: int | None, v: np.ndarray | None,
+                      policy: SupervisorPolicy,
                       store: CheckpointStore, deadline: float | None,
                       rng: random.Random, report: SolveReport,
                       check_verify: bool):
@@ -372,7 +386,7 @@ class SupervisedSolver:
                 report.checkpoints_used += 1
             t0 = self._clock()
             try:
-                result = self._run_rung(rung, sc, nit, policy, store,
+                result = self._run_rung(rung, sc, nit, v, policy, store,
                                         restart_from is not None,
                                         watchdog, deadline, report)
                 rec.elapsed = self._clock() - t0

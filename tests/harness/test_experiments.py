@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.harness import experiments, report
-from repro.harness.timing import measure
+import repro.mg_sac
+from repro.core.timers import measure
+from repro.harness import experiments, npb_report, report
 
 
 class TestFig11:
@@ -71,6 +72,47 @@ class TestMeasured:
         assert set(data["seconds"]) >= {"f77", "c", "sac", "sac-lang"}
         assert all(s > 0 for s in data["seconds"].values())
         assert "wall-clock" in report.format_fig11_measured(data)
+
+    def test_rhs_built_once_outside_every_timed_callable(
+            self, monkeypatch, zran3_calls):
+        # fig11_measured, sac_ablation and npb_report time the NPB timed
+        # section: one zran3 per command, before the first timed call.
+        def spying_measure(fn, repeats=3, warmup=1):
+            before = len(zran3_calls)
+            m = measure(fn, repeats, warmup)
+            assert len(zran3_calls) == before, \
+                "zran3 ran inside a timed callable"
+            return m
+
+        monkeypatch.setattr(experiments, "measure", spying_measure)
+        monkeypatch.setattr(npb_report, "measure", spying_measure)
+        # The per-index evaluator takes 8 s at class T: see that the
+        # ablation asks for it, run the request vectorized.
+        solve_sac_mg, scalar_requests = repro.mg_sac.solve_sac_mg, []
+
+        def vectorized(size_class, nit=None, *, vectorize=True, **kwargs):
+            if not vectorize:
+                scalar_requests.append((size_class.name, nit))
+            return solve_sac_mg(size_class, nit, **kwargs)
+
+        monkeypatch.setattr(repro.mg_sac, "solve_sac_mg", vectorized)
+        for command in (
+                lambda: experiments.fig11_measured("T", repeats=2),
+                lambda: experiments.sac_ablation("T", nit=1, repeats=1),
+                lambda: npb_report.npb_report("T", repeats=2)):
+            del zran3_calls[:]
+            command()
+            assert zran3_calls == [16]
+        assert scalar_requests == [("T", 1)]
+
+    def test_ablation_report_has_the_scalar_row(self):
+        data = {"class": "S", "seconds": {"full": 0.2, "no-opt": 0.4},
+                "scalar": {"class": "T", "nit": 1, "scalar_seconds": 8.0,
+                           "vectorized_seconds": 0.04}}
+        text = report.format_ablation(data)
+        assert "2.00x full" in text
+        assert "scalar evaluator (class T, 1 iteration)" in text
+        assert "200x" in text
 
     def test_memmgmt_profile(self):
         data = experiments.memmgmt_profile()

@@ -1,10 +1,15 @@
 """Tests for the NPB-style section timers."""
 
-import pytest
-
 from repro.baselines import FortranMG
 from repro.core import get_class, synthesize_mg_trace
-from repro.harness.timers import SectionTimers, timed_solve
+from repro.core.mg import run
+from repro.core.timers import SectionTimers
+
+
+def _solve_timed(size_class):
+    """Any kernel table under ``core.mg.run`` with a monitor."""
+    timers = SectionTimers()
+    return run(FortranMG.kernels, size_class, monitor=timers), timers
 
 
 class TestSectionTimers:
@@ -30,12 +35,12 @@ class TestSectionTimers:
 
 class TestTimedSolve:
     def test_result_matches_untimed(self):
-        timed, timers = timed_solve("T")
+        timed, timers = _solve_timed("T")
         plain = FortranMG().solve("T")
         assert timed.rnm2 == plain.rnm2
 
     def test_call_counts_match_trace(self):
-        _, timers = timed_solve("T")
+        _, timers = _solve_timed("T")
         sc = get_class("T")
         counts = synthesize_mg_trace(sc.nx, sc.nit).counts_by_kind()
         for kind in ("resid", "psinv", "rprj3", "interp"):
@@ -44,6 +49,6 @@ class TestTimedSolve:
     def test_stencils_dominate(self):
         # resid + psinv carry most of the arithmetic (the §5 premise
         # behind the auto-parallelizer's coverage mattering so much).
-        _, timers = timed_solve("S")
+        _, timers = _solve_timed("S")
         shares = timers.shares()
         assert shares["resid"] + shares["psinv"] > 0.5

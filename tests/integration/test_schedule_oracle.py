@@ -5,7 +5,8 @@
 tables driven through it.  ``synthesize_mg_trace`` is the independent
 spelling of the same schedule, so every mode's per-operator call counts
 must equal its counts, and the NumPy tables must agree with serial to
-the bit.
+the bit.  Every entry also takes the right-hand side ``v`` prepared by
+its caller: same bits, ``zran3`` not called, ``v`` not written.
 """
 
 from types import SimpleNamespace
@@ -13,13 +14,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.baselines import CMG, FortranMG, run_mg
+from repro.baselines import CMG, FortranMG, SacStyleMG
 from repro.baselines import sac_style_mg as sac
-from repro.core import get_class, synthesize_mg_trace
-from repro.core.mg import MGKernels, solve, vcycle
+from repro.core import get_class, synthesize_mg_trace, zran3
+from repro.core.mg import MGKernels, run, solve, vcycle
 from repro.core.timers import SectionTimers
+from repro.mg_sac import solve_sac_mg
 from repro.perf import Workspace
-from repro.runtime import DistributedMG, ParallelMG
+from repro.runtime import (
+    DistributedMG,
+    ParallelMG,
+    Rung,
+    SupervisedSolver,
+    SupervisorPolicy,
+)
 
 OPS = ("resid", "psinv", "rprj3", "interp")
 
@@ -40,31 +48,35 @@ SAC_STYLE = MGKernels(
 
 
 def _table(kernels):
-    return lambda nit, mon: run_mg(kernels, "S", nit, monitor=mon)
+    return lambda nit, mon, v=None: run(kernels, "S", nit, v=v, monitor=mon)
 
 
 def _threaded(nthreads):
-    def run(nit, mon):
+    def threaded(nit, mon, v=None):
         with ParallelMG(nthreads, monitor=mon) as solver:
-            return solver.solve("S", nit)
-    return run
+            return solver.solve("S", nit, v=v)
+    return threaded
 
 
 def _distributed(nranks):
     # Rank 0's monitor: its slab sweeps plus its replica of the coarse
     # levels.
-    return lambda nit, mon: DistributedMG(nranks, monitor=mon).solve("S", nit)
+    return lambda nit, mon, v=None: DistributedMG(
+        nranks, monitor=mon).solve("S", nit, v=v)
 
 
-#: mode -> (run(nit, monitor) -> result, how it must agree with serial):
+#: mode -> (entry(nit, monitor, v=None) -> result, how it must agree
+#: with serial):
 #: "bits" — same fields, same ``rnm2`` bits; "fields" — same fields, the
 #: norm summed in another association (two ranks split the sum where
 #: NumPy's pairwise reduction does; four do not); "tolerance" — another
 #: arithmetic.
 MODES = {
-    "serial": (lambda nit, mon: solve("S", nit, monitor=mon), "bits"),
+    "serial": (lambda nit, mon, v=None: solve("S", nit, v=v, monitor=mon),
+               "bits"),
     "serial-pooled": (
-        lambda nit, mon: solve("S", nit, ws=Workspace(), monitor=mon),
+        lambda nit, mon, v=None: solve("S", nit, v=v, ws=Workspace(),
+                                       monitor=mon),
         "bits"),
     "f77": (_table(FortranMG.kernels), "bits"),
     "c": (_table(CMG.kernels), "bits"),
@@ -79,10 +91,10 @@ MODES = {
 @pytest.mark.parametrize("nit", [1, 4])
 @pytest.mark.parametrize("mode", MODES)
 def test_every_mode_runs_the_one_schedule(mode, nit):
-    run, agreement = MODES[mode]
+    entry, agreement = MODES[mode]
     want = synthesize_mg_trace(get_class("S").nx, nit).counts_by_kind()
     monitor = SectionTimers()
-    result = run(nit, monitor)
+    result = entry(nit, monitor)
     assert monitor.calls == {op: want[op] for op in OPS}
     serial = solve("S", nit)
     if agreement == "tolerance":
@@ -94,6 +106,39 @@ def test_every_mode_runs_the_one_schedule(mode, nit):
         assert result.rnm2 == serial.rnm2
     else:
         assert result.rnm2 == pytest.approx(serial.rnm2, rel=1e-13)
+
+
+def _supervised(nit, mon, v=None):
+    policy = SupervisorPolicy(ladder=(Rung("distributed", workers=2),
+                                      Rung("serial")))
+    return SupervisedSolver(policy=policy).solve("S", nit, v=v).result
+
+
+#: Every entry that takes ``v=``: the modes, and those with no monitor.
+V_ENTRIES = {
+    **{mode: entry for mode, (entry, _) in MODES.items()},
+    "sac-style-solve": lambda nit, mon, v=None: SacStyleMG().solve(
+        "S", nit, v=v),
+    "sac-lang": lambda nit, mon, v=None: solve_sac_mg("S", nit, v=v),
+    "supervised": _supervised,
+}
+
+
+@pytest.mark.parametrize("entry", V_ENTRIES)
+def test_a_prepared_v_is_read_and_zran3_not_called(entry, forbid_zran3):
+    solve_entry = V_ENTRIES[entry]
+    want = solve_entry(None, None)
+    v = zran3(get_class("S").nx)
+    before = v.tobytes()
+    forbid_zran3()
+    got = solve_entry(None, None, v)
+    assert got.rnm2.hex() == want.rnm2.hex()
+    assert got.r.tobytes() == want.r.tobytes()
+    if entry != "sac-lang":  # SacMGResult carries the residual only
+        assert got.u.tobytes() == want.u.tobytes()
+    assert v.tobytes() == before
+    with pytest.raises(ValueError, match="shape"):
+        solve_entry(None, None, v[1:])
 
 
 @pytest.mark.parametrize("nit", [1, 3])

@@ -1,41 +1,17 @@
-"""Tests for PerfMonitor, PerfReport and the BENCH document emitter."""
-
-import json
+"""The section accumulator solvers take as ``monitor``, and NPB's
+Mop/s formula."""
 
 import pytest
 
-from repro.perf import (
-    BENCH_SCHEMA,
-    CURRENT_BENCH_ID,
-    PerfMonitor,
-    PerfReport,
-    bench_document,
-    bench_path,
-    git_rev,
-    mop_per_second,
-    validate_bench_document,
-    write_bench,
-)
+from repro.core.timers import SectionTimers
+from repro.harness.npb_report import mop_per_second
 
 pytestmark = pytest.mark.perf
 
 
-def _report(mode="serial", **kw):
-    defaults = dict(
-        size_class="S", mode=mode, nit=4, seconds=0.5, repeats=3,
-        per_op_seconds={"resid": 0.2}, per_op_calls={"resid": 9},
-        mop_s=mop_per_second(32, 4, 0.5),
-        pool={"allocations": 69, "hits": 276, "bytes_allocated": 1 << 20,
-              "live_buffers": 69, "steady_state_allocations": 0},
-        rnm2=0.5307707005734e-04, verified=True,
-    )
-    defaults.update(kw)
-    return PerfReport(**defaults)
-
-
 class TestMonitor:
     def test_accumulates_sections(self):
-        mon = PerfMonitor()
+        mon = SectionTimers()
         mon.add("resid", 0.25)
         mon.add("resid", 0.25)
         mon.add("psinv", 0.1)
@@ -52,70 +28,3 @@ class TestMopPerSecond:
 
     def test_zero_time_is_zero_not_inf(self):
         assert mop_per_second(32, 4, 0.0) == 0.0
-
-
-class TestGitRev:
-    def test_returns_rev_and_dirty_flag(self):
-        rev, dirty = git_rev()
-        assert isinstance(rev, str) and rev
-        assert isinstance(dirty, bool)
-
-
-class TestBenchDocument:
-    def test_document_shape_and_validation(self):
-        doc = bench_document([_report("serial"), _report("threaded")])
-        assert doc["schema"] == BENCH_SCHEMA
-        assert doc["bench_id"] == CURRENT_BENCH_ID
-        assert doc["class"] == "S"
-        assert set(doc["modes"]) == {"serial", "threaded"}
-        assert validate_bench_document(doc) == []
-
-    def test_empty_reports_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            bench_document([])
-
-    def test_mixed_classes_rejected(self):
-        with pytest.raises(ValueError, match="multiple classes"):
-            bench_document([_report(), _report(size_class="W",
-                                               mode="threaded")])
-
-    def test_validate_flags_missing_keys(self):
-        doc = bench_document([_report()])
-        del doc["git_rev"]
-        del doc["modes"]["serial"]["pool"]["steady_state_allocations"]
-        errors = validate_bench_document(doc)
-        assert any("git_rev" in e for e in errors)
-        assert any("steady_state_allocations" in e for e in errors)
-
-    def test_validate_flags_wrong_schema_and_type(self):
-        doc = bench_document([_report()])
-        doc["schema"] = "something/else/9"
-        doc["modes"]["serial"]["seconds"] = "fast"
-        errors = validate_bench_document(doc)
-        assert any("unknown schema" in e for e in errors)
-        assert any("'seconds'" in e for e in errors)
-
-    def test_validate_non_dict(self):
-        assert validate_bench_document([1, 2]) != []
-
-
-class TestWriteBench:
-    def test_write_and_reload(self, tmp_path):
-        doc = bench_document([_report()])
-        path = write_bench(doc, str(tmp_path / "BENCH_test.json"))
-        reloaded = json.loads(open(path).read())
-        assert validate_bench_document(reloaded) == []
-        assert reloaded["modes"]["serial"]["verified"] is True
-
-    def test_default_path_uses_bench_id(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        doc = bench_document([_report()])
-        path = write_bench(doc)
-        assert path == bench_path(CURRENT_BENCH_ID)
-        assert (tmp_path / path).exists()
-
-    def test_invalid_document_refused(self, tmp_path):
-        doc = bench_document([_report()])
-        doc.pop("class")
-        with pytest.raises(ValueError, match="refusing to write"):
-            write_bench(doc, str(tmp_path / "bad.json"))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.mg import mg3P, solve
-from repro.perf import PerfMonitor, Workspace, bench_document, run_bench
-from repro.perf.instrument import validate_bench_document
+from repro.core.timers import SectionTimers
+from repro.perf import Workspace
 from repro.runtime.parallel_mg import ParallelMG
 from repro.runtime.spmd import DistributedMG
 
@@ -53,7 +53,7 @@ class TestSerialPooled:
         assert second.rnm2 == first.rnm2
 
     def test_monitor_sees_all_four_operators(self):
-        mon = PerfMonitor()
+        mon = SectionTimers()
         solve("S", ws=Workspace(), monitor=mon)
         assert set(mon.seconds) == {"resid", "psinv", "rprj3", "interp"}
         # nit V-cycles: resid appears 1 + 2*nit + (lt-lb-1)*nit times.
@@ -135,28 +135,3 @@ class TestDistributedPooled:
         solver.solve("S")
         assert len(solver.workspaces) == 4
         assert all(w.allocations > 0 for w in solver.workspaces)
-
-
-class TestRunBench:
-    def test_serial_report_and_document(self):
-        reports = run_bench("S", modes=("serial",), repeats=2)
-        (rep,) = reports
-        assert rep.mode == "serial" and rep.verified
-        assert rep.pool["steady_state_allocations"] == 0
-        assert rep.mop_s > 0 and rep.seconds > 0
-        assert set(rep.per_op_seconds) == {"resid", "psinv", "rprj3",
-                                           "interp"}
-        doc = bench_document(reports)
-        assert validate_bench_document(doc) == []
-
-    def test_threaded_and_distributed_steady_state(self):
-        reports = run_bench("S", modes=("threaded", "distributed"),
-                            repeats=2, nthreads=2, nranks=2)
-        for rep in reports:
-            assert rep.verified, rep.mode
-            # repeats >= 2: the warm repeat must not miss the pool.
-            assert rep.pool["steady_state_allocations"] == 0, rep.mode
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench mode"):
-            run_bench("S", modes=("gpu",))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FortranMG
+from repro.core import zran3
 from repro.runtime.resilience import (
     CheckpointStore,
     Fault,
@@ -130,18 +131,22 @@ class TestElasticHeal:
         assert rec.completed and rec.rank == 1 and rec.incarnation == 1
         assert rec.restored_from == 0
 
-    def test_two_sequential_crashes_healed(self):
+    def test_two_sequential_crashes_healed(self, forbid_zran3):
         plan = FaultPlan([
             Fault(FaultKind.CRASH, rank=0, iteration=1),
             Fault(FaultKind.CRASH, rank=1, iteration=2),
         ])
         mg = DistributedMG(2, fault_plan=plan, heal=2, timeout=20.0)
-        res = mg.solve("T")
+        # The caller's right-hand side reaches the replacements too: no
+        # rank, first incarnation or later, builds its own.
+        v = zran3(16)
+        forbid_zran3()
+        res = mg.solve("T", v=v)
         world = mg.last_world
         assert len(world.healed) == 2
         assert world.stats.heals_completed == 2
         assert [rec.restored_from for rec in world.heal_log] == [0, 1]
-        np.testing.assert_array_equal(res.u, FortranMG().solve("T").u)
+        np.testing.assert_array_equal(res.u, FortranMG().solve("T", v=v).u)
 
     def test_heal_budget_exhaustion_aborts(self):
         plan = FaultPlan([

@@ -282,7 +282,7 @@ class TestSupervisedSolve:
         assert res.report.solved_by == "distributed[numpy]x2"
         assert res.report.retries == 0
 
-    def test_retry_from_checkpoint_after_transient_crash(self):
+    def test_retry_from_checkpoint_after_transient_crash(self, zran3_calls):
         # A plan-scoped (transient) crash kills rank 1 at iteration 2 of
         # the first attempt only; the retry restarts from the last
         # complete snapshot and still verifies.
@@ -302,8 +302,11 @@ class TestSupervisedSolve:
                     if a.restarted_from is not None]
         assert restarts, "the retry should restart from a checkpoint"
         assert all(r >= 1 for r in restarts)
+        # One right-hand side for every attempt and rank.
+        assert zran3_calls == [32]
 
-    def test_persistent_crash_exhausts_retries_then_demotes(self):
+    def test_persistent_crash_exhausts_retries_then_demotes(
+            self, zran3_calls):
         # A world-scoped crash recurs every attempt: the distributed
         # rung burns its whole retry budget, then the ladder falls
         # through to serial.
@@ -319,6 +322,8 @@ class TestSupervisedSolve:
         assert rep.rungs_tried == ["distributed[numpy]x2", "serial"]
         assert any("retry budget exhausted" in d.reason
                    for d in rep.demotions)
+        # ... and one right-hand side for every rung.
+        assert zran3_calls == [32]
 
     def test_nan_watchdog_aborts_and_never_returns_nonfinite(self):
         # NaN-corrupt an interp halo plane: the received u plane feeds

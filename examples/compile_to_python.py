@@ -2,8 +2,9 @@
 """Compile SAC to standalone NumPy Python (the sac2c analogue).
 
 Specializes the MG program for class-S shapes — one NumPy function per
-(SAC function, grid size), listed in the generated module's docstring —
-prints an excerpt, saves the whole module next to this script (it is
+(SAC function, grid size), and a ``_d`` variant where its callers donate
+an argument they are done with, all listed in the generated module's
+docstring — prints an excerpt, saves the whole module next to this script (it is
 checked in; tests/integration/test_examples.py fails when it drifts),
 and verifies the compiled code against NPB.
 
@@ -34,8 +35,8 @@ def main() -> int:
           f"{len(lines)} lines of NumPy in {t_compile:.2f} s\n")
 
     print("generated code (header, then from the finest V-cycle level on):")
-    top = lines.index("def VCycle__34x34x34(r):")
-    for ln in lines[:8] + ["  ..."] + lines[top:]:
+    top = lines.index("def VCycle__34x34x34_d(r):")
+    for ln in lines[:10] + ["  ..."] + lines[top:]:
         print("  " + ln)
 
     out_path = Path(__file__).parent / "generated_mg_class_s.py"

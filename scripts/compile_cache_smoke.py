@@ -12,7 +12,8 @@ process, against a shared ``REPRO_SAC_CACHE_DIR``:
 With ``--kernel-w`` the two processes instead compile ``FinalResidual``
 at class W (64^3, 40 iterations) through ``compile_function`` and run
 it: the cold process traces once, the warm one not at all, both get the
-same residual bits from a generated module of under 2 000 lines.
+same residual bits from a generated module of under 2 000 lines, its
+donated variants included, and neither writes into the ``v`` it passes.
 
 Exits non-zero (with a diagnostic) on any violation.  Usage:
 
@@ -61,12 +62,15 @@ def _run_kernel_phase() -> None:
     from repro.sac.codegen import compile_function, trace_event_count
 
     v = zran3(64)
+    given = v.tobytes()
     fn = compile_function(load_mg_program(), "FinalResidual", (v, 40))
     interior = fn(v, 40)[1:-1, 1:-1, 1:-1]
     json.dump(
         {
             "traces": trace_event_count(),
             "lines": len(fn.source.splitlines()),
+            "donated_defs": fn.source.count(" donated"),
+            "v_unmutated": v.tobytes() == given,
             "rnm2": float(np.sqrt(np.mean(interior * interior))).hex(),
         },
         sys.stdout,
@@ -103,6 +107,11 @@ def _kernel_main() -> int:
     if not cold["lines"] == warm["lines"] < 2000:
         failures.append(f"generated module has {cold['lines']} (cold) / "
                         f"{warm['lines']} (warm) lines, expected < 2000")
+    for label, data in (("cold", cold), ("warm", warm)):
+        if not data["donated_defs"]:
+            failures.append(f"{label} module has no donated variant")
+        if not data["v_unmutated"]:
+            failures.append(f"{label} run wrote into the v it was passed")
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if not failures:

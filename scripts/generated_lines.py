@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Print the size of the NumPy module generated for ``FinalResidual`` at
 classes S and W (lines and ``def``s) and the array elements one solve
-computes, per SAC operator — a count read off the trace, no clock — for
-the CI "Source size" summary.
+computes and copies, per SAC operator — counts read off the planned
+trace, no clock — for the CI "Source size" summary.
 
     PYTHONPATH=src python scripts/generated_lines.py
 """
@@ -21,13 +21,14 @@ def main() -> None:
         source = compile_function(prog, "FinalResidual", args).source
         print(f"{len(source.splitlines()):6d} generated FinalResidual, "
               f"class {name} ({source.count(chr(10) + 'def ') - 2} defs)")
-        ops = element_operations(*trace_module(prog, "FinalResidual", args))
-        print(f"{sum(ops.values()):14,d} element operations per solve, "
-              f"class {name}")
-        for operator, n in ops.most_common():
-            if n:
-                print(f"{n:14,d}   {operator}")
-
+        traced = trace_module(prog, "FinalResidual", args)
+        for kind, what in (("elementwise", "element operations"),
+                           ("copy", "array elements copied")):
+            ops = element_operations(*traced, kind)
+            print(f"{sum(ops.values()):14,d} {what} per solve, class {name}")
+            for operator, n in ops.most_common():
+                if n:
+                    print(f"{n:14,d}   {operator}")
 
 if __name__ == "__main__":
     main()

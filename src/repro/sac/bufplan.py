@@ -6,21 +6,35 @@ result is a fresh SSA name, so rendered as it stands each elementwise
 operation allocates its result and nothing is freed before ``return``.
 :func:`plan` is the one pass between tracing and :func:`render`: exact
 liveness over the straight line (a view keeps its base alive), then
+reuse decided the way SAC's reference counts decide it — statically,
+because in a straight line the count is known exactly.  A buffer is
+*owned* when it is a whole array this trace allocated, a ``call`` result
+the callee allocated, or a parameter every caller donates
+(``owned_params``); it *dies* at the last instruction that touches it
+through any alias.
 
 * an elementwise operation whose result has the shape and dtype of an
-  operand that is a whole array this trace allocated, dead after the
-  operation and with no live view, writes into that operand
+  owned operand dying there writes into that operand
   (``np.add(a, b, out=a)``) and binds no new name;
-* a trace-allocated array that dies without being reused is ``del``-ed
-  (with the names of its views, which hold it alive).
+* a ``copy`` of an owned buffer that dies there — or in the ``store``
+  into the copy that follows, whose value may be a view of the source:
+  NumPy buffers an overlapping right-hand side — binds no new buffer,
+  the result takes the source's name;
+* a ``call`` *donates* an owned operand that dies there and is passed
+  once: the caller calls the variant of the callee planned with that
+  parameter owned, and owns whatever comes back;
+* an owned array that dies without being reused is ``del``-ed (with the
+  names of its views, which hold it alive).
 
 Same ufuncs, same operand order: the planned code computes the bits the
-unplanned code would.  Buffers stay locals of the generated function,
-so it stays pure and reentrant.
+unplanned code would.  Buffers stay locals of the generated functions,
+and the entry point is planned with no parameter owned, so it stays pure
+and reentrant.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -62,7 +76,8 @@ class Instr:
         ``dst`` is a fresh array the expression allocates itself
         (``np.zeros``, ``np.stack``, a reduction, ...).
     ``copy``
-        ``dst`` is a fresh copy of operand 0.
+        ``dst`` is a fresh copy of operand 0 (a ``modarray`` frame; the
+        planner drops it when operand 0 is an owned buffer dying there).
     ``elementwise``
         ``dst`` is a ufunc of the operands; ``op`` keys
         :data:`ELEMENTWISE`.  The planner may set ``out``.
@@ -74,6 +89,7 @@ class Instr:
         of a returned tuple).  ``base`` is None when the callee
         allocated it, so that the caller owns it like an ``alloc``; else
         the operand it aliases, or ``""`` for memory nobody may write.
+        ``donate`` holds the operand positions the callee may take over.
     ``store``
         writes operand 1 into a region of operand 0; no ``dst``.
     ``return``
@@ -96,6 +112,9 @@ class Instr:
     #: The operand this elementwise operation writes into (planner-set).
     out: str | None = None
     base: str | None = None  # what a ``call`` result aliases
+    #: Of a ``call``: in a trace the operand positions the callee could
+    #: be given to write into, in a plan the ones it is given.
+    donate: tuple[int, ...] = ()
 
 
 def render(ins: Instr) -> str:
@@ -113,14 +132,20 @@ def render(ins: Instr) -> str:
     return code if ins.dst is None else f"{ins.dst} = {code}"
 
 
-def _liveness(instrs: list[Instr]) -> tuple[
+#: What a donated parameter is planned as: its shape and dtype.
+Owned = Mapping[str, tuple[tuple[int, ...], "np.dtype[Any]"]]
+
+
+def _liveness(instrs: list[Instr], owned_params: Owned = {}) -> tuple[
         dict[str, str], dict[str, int], dict[str, Instr]]:
     """Per buffer: ``root`` maps a name to the name whose memory it
     aliases, ``last`` a buffer to the last instruction touching it through
-    any alias, ``fresh`` a buffer this trace allocated to its instruction."""
-    root: dict[str, str] = {}
-    last: dict[str, int] = {}
-    fresh: dict[str, Instr] = {}
+    any alias, ``fresh`` a buffer this trace allocated, or was donated, to
+    the instruction that says its shape and dtype."""
+    fresh = {p: Instr(p, "alloc", "", (), shape, dtype)
+             for p, (shape, dtype) in owned_params.items()}
+    root = {p: p for p in fresh}
+    last = {p: -1 for p in fresh}
     for i, ins in enumerate(instrs):
         for x in ins.operands:
             if x in root:
@@ -149,16 +174,18 @@ def result_bases(instrs: list[Instr]) -> tuple[str | None, ...]:
                  for r in roots)
 
 
-def plan(instrs: list[Instr]) -> list[Instr]:
+def plan(instrs: list[Instr], owned_params: Owned = {}) -> list[Instr]:
     """Rewrite a complete trace (ending in its ``return``) to accumulate
-    in place and to free dead buffers.
+    in place, to update frames in place, to donate dead operands and to
+    free dead buffers.  ``owned_params`` are the parameters every caller
+    of this plan donates.
 
     An instruction that writes into an operand binds no name; later
     instructions that used its ``dst`` are given the operand's name.
     """
-    # ``owned`` holds the whole, writable arrays this trace allocated:
-    # never a parameter, a module constant, a view or a 0-d value.
-    root, last, fresh = _liveness(instrs)
+    # ``owned`` holds the whole, writable arrays that are this trace's:
+    # never another parameter, a module constant, a view or a 0-d value.
+    root, last, fresh = _liveness(instrs, owned_params)
     owned = {name: ins for name, ins in fresh.items() if ins.shape != ()}
 
     bound: dict[str, str] = {}          # SSA name -> its name in the output
@@ -170,7 +197,7 @@ def plan(instrs: list[Instr]) -> list[Instr]:
         dying = dict.fromkeys(
             root[x] for x in names
             if x in root and root[x] in owned and last[root[x]] == i)
-        target = None  # output name of the operand this one writes into
+        target = None  # output name of the operand whose memory dst takes
         if ins.kind == "elementwise" and dst is not None:
             for x in names:
                 if (x in dying and owned[x].shape == ins.shape
@@ -178,11 +205,25 @@ def plan(instrs: list[Instr]) -> list[Instr]:
                     del dying[x]
                     target = bound[dst] = bound.get(x, x)
                     break
-        if target is not None:
-            ins = replace(ins, dst=None, operands=operands, out=target)
-        elif operands != names:
-            ins = replace(ins, operands=operands)
-        out.append(ins)
+            if target is not None:
+                ins = replace(ins, dst=None, out=target)
+        elif ins.kind == "copy" and dst is not None:
+            x, after = names[0], instrs[i + 1]
+            stored = after.kind == "store" and after.operands[0] == dst
+            if (x in owned and i <= last[x] <= i + stored
+                    and owned[x].shape == ins.shape
+                    and owned[x].dtype == ins.dtype):
+                # The buffer is dst's from here on, so x never dies.
+                dying.pop(x, None)
+                del owned[x]
+                target = bound[dst] = bound.get(x, x)
+        elif ins.kind == "call" and ins.donate:
+            ins = replace(ins, donate=tuple(
+                k for k in ins.donate if names[k] in dying
+                and sum(root.get(y) == names[k] for y in names) == 1))
+        if not (ins.kind == "copy" and target):  # an elided copy is no code
+            out.append(ins if operands == names
+                       else replace(ins, operands=operands))
         if ins.kind == "return":
             break
         if dst is not None and root[dst] in owned:
@@ -192,6 +233,9 @@ def plan(instrs: list[Instr]) -> list[Instr]:
             if last[buf] == i:  # never used
                 dying[buf] = None
         for buf in dying:
-            out.append(Instr(None, "del", "",
-                             tuple(holders.pop(bound.get(buf, buf)))))
+            # What lives in a donated parameter stays bound: the caller
+            # holds that memory too, so unbinding would free nothing.
+            if bound.get(buf, buf) not in owned_params:
+                out.append(Instr(None, "del", "",
+                                 tuple(holders.pop(bound.get(buf, buf)))))
     return out

@@ -15,9 +15,13 @@ interpreter is involved when the compiled function runs.
     print(compiled.source)    # the generated module text
 
 A trace is a list of :class:`~repro.sac.bufplan.Instr` records, not
-text: :func:`~repro.sac.bufplan.plan` runs over it once, so that chains
-of elementwise operations accumulate into their own dead intermediates
-and dead buffers are freed, before each record is rendered to its line.
+text: :func:`~repro.sac.bufplan.plan` runs over it before each record is
+rendered to its line, so that chains of elementwise operations
+accumulate into their own dead intermediates, a ``modarray`` updates a
+dead frame in place, dead buffers are freed — and a caller whose
+argument dies at the call *donates* it: it calls the variant of the
+callee planned with that parameter its own to write into.  The entry
+point's parameters are never donated.
 
 Specialization contract, of the entry point and of every function it
 calls: double *array* arguments stay symbolic (only their shapes are
@@ -31,7 +35,7 @@ from __future__ import annotations
 import keyword
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,19 +107,34 @@ def _dtype_of(v) -> np.dtype:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Spec:
-    """One specialization: a SAC function, or the body of a counted
-    loop, traced for one argument signature and rendered as a ``def``."""
+class Def:
+    """One ``def`` of the generated module: a specialization planned for
+    the callers that donate the parameters ``doc`` marks."""
 
     name: str
     doc: str                     # its signature, for the module header
-    params: dict[str, str]       # symbolic binding -> Python parameter
+    rolls: bool
+    instrs: tuple[Instr, ...]    # the planned trace ``text`` renders
+    text: str
+
+
+@dataclass
+class Spec:
+    """One specialization: a SAC function, or the body of a counted
+    loop, traced once for one argument signature; rendered as one
+    :class:`Def` per set of parameters its callers donate."""
+
+    name: str
+    args: dict[str, str]         # binding -> its text in the module header
+    params: dict[str, TArray]    # symbolic binding -> Python parameter
     results: dict[str, object]   # label -> traced value ("": a function's)
     returned: tuple[str, ...]    # the labels the ``def`` returns ...
     bases: tuple = ()            # ... and what each aliases (result_bases)
     rolls: bool = False          # a loop body whose results are all its own
-    instrs: tuple = ()           # the planned trace ``text`` renders
-    text: str = ""
+    donatable: tuple[int, ...] = ()  # the parameters a caller may donate
+    raw: list = field(default_factory=list)    # the trace, unplanned
+    plans: dict = field(default_factory=dict)  # donated positions -> plan
+    defs: dict = field(default_factory=dict)   # donated positions -> Def
 
 
 class Module:
@@ -124,6 +143,8 @@ class Module:
     def __init__(self) -> None:
         self.consts: dict[tuple, tuple[str, str]] = {}  # value -> name, code
         self.specs: dict[tuple, Spec] = {}    # finished, by signature
+        self.named: dict[str, Spec] = {}      # the same, by name
+        self.defs: dict[str, Def] = {}        # rendered, callees first
         self.calls: Counter = Counter()       # def name -> static call sites
         self.variants: Counter = Counter()    # def name stem -> defs so named
         self.open: list[Emitter] = []         # being traced, outermost first
@@ -148,20 +169,18 @@ class Emitter:
     def __init__(self, module: Module) -> None:
         self.instrs: list[Instr] = []
         self.module = module
-        self.fresh: set[str] = set()  # temps whose memory this trace made
         self._n = 0
 
     def assign(self, kind: str, op: str, operands,
                shape: tuple[int, ...], dtype: np.dtype,
-               base: str | None = None) -> TArray:
+               base: str | None = None,
+               donate: tuple[int, ...] = ()) -> TArray:
         """Bind a fresh temp to ``op`` of ``operands`` (traced values)."""
         self._n += 1
         name = f"_t{self._n}"
-        if kind != "view" and base is None:
-            self.fresh.add(name)
         self.instrs.append(Instr(
             name, kind, op, tuple(_code_of(self.module, v) for v in operands),
-            shape, dtype, base=base))
+            shape, dtype, base=base, donate=donate))
         return TArray(name, shape, dtype)
 
 
@@ -178,6 +197,13 @@ def _code_of(mod: Module, v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     raise CodegenUnsupported(f"cannot embed value of type {type(v).__name__}")
+
+
+def _callee(ins: Instr, table: dict):
+    """What a ``call`` instruction calls, looked up by name in ``table``:
+    None for any other instruction, and for the taking apart of a
+    returned tuple."""
+    return table.get(ins.op.partition("(")[0]) if ins.kind == "call" else None
 
 
 def _is_positive_zero(v) -> bool:
@@ -252,10 +278,10 @@ class Tracer(Interpreter):
         """The specialization of ``site`` — a :class:`FunDef`, or a
         counted loop standing for its ``body`` — for the signature of the
         values it is ``given``: traced once into its own
-        :class:`Emitter`, planned and rendered, from then on looked up.
-        Only finished ones are, so runaway recursion meets the
-        interpreter's depth guard.  A loop body returns those of its
-        symbolic results that are ``live``."""
+        :class:`Emitter`, from then on looked up.  Only finished ones
+        are, so runaway recursion meets the interpreter's depth guard.  A
+        loop body returns those of its symbolic results that are
+        ``live``."""
         from .driver.cache import shape_signature
 
         mod = self.module
@@ -291,38 +317,97 @@ class Tracer(Interpreter):
             self.em = outer
             mod.open.pop()
         mod.statements += len(em.instrs)
-        doc = ", ".join(
-            f"{n}: {cell_type(v.dtype, v.shape)}" if n in params
-            else f"{n} = {v!r}" for n, v in given.items())
+        args = {n: f"{n}: {cell_type(v.dtype, v.shape)}" if n in params
+                else f"{n} = {v!r}" for n, v in given.items()}
         returned = tuple(n for n, v in results.items() if isinstance(v, TArray)
                          and (not loop or n in live))
         if entry and not returned:
             returned = ("",)  # the entry point also returns a baked value
-        spec = mod.specs[key] = Spec(
-            name, f"{name}({doc})", {n: p.code for n, p in params.items()},
-            results, returned)
+        spec = mod.specs[key] = mod.named[name] = Spec(
+            name, args, params, results, returned)
         if returned:
             em.instrs.append(Instr(
                 None, "return", "return " + ", ".join(["{}"] * len(returned)),
                 tuple(_code_of(mod, results[n]) for n in returned)))
+            spec.raw = em.instrs
             spec.bases = result_bases(em.instrs)
-            spec.rolls = loop and not set(spec.bases) & set(spec.params.values())
-            spec.instrs = planned = tuple(plan(em.instrs))
-            mod.calls.update(ins.op.partition("(")[0] for ins in planned
-                             if ins.kind == "call")
-            self._render(spec, planned)
+            spec.rolls = loop and not set(spec.bases) & {
+                p.code for p in params.values()}
+            # Every trip of a rolling body is given its parameters anew:
+            # only one that each trip rebinds to an array of its own
+            # making is the body's to write into on the next.
+            spec.donatable = tuple(
+                k for k, n in enumerate(params) if not spec.rolls
+                or n in returned and spec.bases[returned.index(n)] is None)
         return spec
 
-    def _render(self, spec: Spec, planned: tuple[Instr, ...]) -> None:
+    def planned(self, spec: Spec, donated: tuple[int, ...]) -> list[Instr]:
+        """The one trace of ``spec`` planned with the parameters at
+        ``donated`` counted as its own; each call in it donates what its
+        callee makes use of."""
+        if donated not in spec.plans:
+            params = list(spec.params.values())
+            spec.plans[donated] = instrs = plan(spec.raw, {
+                params[k].code: (params[k].shape, params[k].dtype)
+                for k in donated})
+            for i, ins in enumerate(instrs):
+                if ins.donate:
+                    callee = _callee(ins, self.module.named)
+                    instrs[i] = replace(
+                        ins, donate=self.made_use_of(callee, ins.donate))
+        return spec.plans[donated]
+
+    def made_use_of(self, spec: Spec, donated: tuple[int, ...]
+                    ) -> tuple[int, ...]:
+        """Of the parameters at ``donated``, those that owning changes
+        the plan of ``spec``.  The others count as not donated, so that
+        no ``def`` has the text of another."""
+        for k in donated:
+            rest = tuple(j for j in donated if j != k)
+            if self.planned(spec, rest) == self.planned(spec, donated):
+                donated = rest
+        return donated
+
+    def variant(self, spec: Spec, donated: tuple[int, ...] = ()) -> Def:
+        """The ``def`` of ``spec`` for the callers that donate the
+        parameters at ``donated``, every call in it bound to the variant
+        of the callee that its plan donates to: a second plan and render
+        of the trace taken once."""
+        if donated in spec.defs:
+            return spec.defs[donated]
+        mod, name = self.module, spec.name
+        if donated:  # which ones, unless it is all of them
+            name += "_d" + "_".join(map(str, donated)) * (
+                len(donated) < len(spec.params))
+        instrs = []
+        for ins in self.planned(spec, donated):
+            callee = _callee(ins, mod.named)
+            if callee is not None:
+                target = self.variant(callee, ins.donate).name
+                mod.calls[target] += 1
+                ins = replace(ins, op=target + ins.op[len(callee.name):])
+            instrs.append(ins)
+        position = {n: k for k, n in enumerate(spec.params)}
+        doc = ", ".join(text + " donated" * (position.get(n) in donated)
+                        for n, text in spec.args.items())
+        spec.defs[donated] = mod.defs[name] = Def(
+            name, f"{name}({doc})", spec.rolls, tuple(instrs),
+            self._render(spec, name, instrs))
+        return mod.defs[name]
+
+    def _render(self, spec: Spec, name: str, planned: list[Instr]) -> str:
         lines = [render(ins) for ins in planned]
-        head = list(spec.params.values())
+        head = [p.code for p in spec.params.values()]
         if spec.rolls:
             # The body ``_n`` times over: what a trip computes for a
             # variable it was given is what the next trip is given (no
-            # result is an argument, so rebinding those changes none).
+            # result is an argument, so rebinding those changes none;
+            # one computed into a donated parameter is bound already).
             codes = dict(zip(spec.returned, planned[-1].operands))
-            carried = {p: codes.get(n) or _code_of(self.module, spec.results[n])
+            carried = {p.code: codes.get(n)
+                       or _code_of(self.module, spec.results[n])
                        for n, p in spec.params.items() if n in spec.results}
+            carried = {p: code for p, code in carried.items() if p != code}
             inner = lines[:-1] + (
                 [f"{', '.join(carried)} = {', '.join(carried.values())}"]
                 if carried else [])
@@ -330,7 +415,7 @@ class Tracer(Interpreter):
                 lines = ["for _ in range(_n):",
                          *("    " + ln for ln in inner), lines[-1]]
             head.append("_n")
-        spec.text = f"def {spec.name}({', '.join(head)}):\n" + "".join(
+        return f"def {name}({', '.join(head)}):\n" + "".join(
             f"    {ln}\n" for ln in lines)
 
     def invoke(self, spec: Spec, given: dict, trips: int = 1):
@@ -339,17 +424,20 @@ class Tracer(Interpreter):
         out = {n: None if isinstance(v, TArray) else v
                for n, v in spec.results.items()}
         args = [given[n] for n in spec.params] + [trips] * spec.rolls
-        ours = dict(zip(spec.params.values(), args))  # callee's name -> value
+        # The callee's name for each argument -> its value here.
+        ours = dict(zip((p.code for p in spec.params.values()), args))
         call = f"{spec.name}({', '.join(['{}'] * len(args))})"
         several = len(spec.returned) > 1
         if several:  # a tuple: bound once, then taken apart
-            args = [self.em.assign("call", call, args, (), np.dtype(object), "")]
+            args = [self.em.assign("call", call, args, (), np.dtype(object),
+                                   "", spec.donatable)]
         for j, (n, base) in enumerate(zip(spec.returned, spec.bases)):
             if base is not None:
                 base = _code_of(self.module, ours[base]) if base in ours else ""
             v = spec.results[n]
-            out[n] = self.em.assign("call", f"{{}}[{j}]" if several else call,
-                                    args, v.shape, v.dtype, base)
+            out[n] = self.em.assign(
+                "call", f"{{}}[{j}]" if several else call, args, v.shape,
+                v.dtype, base, () if several else spec.donatable)
         if several:
             self.em.instrs.append(Instr(None, "del", "", (args[0].code,)))
         return out
@@ -569,17 +657,13 @@ class Tracer(Interpreter):
                 (), shp + cell, dtype)
         else:
             dtype = np.promote_types(_dtype_of(base), _dtype_of(body))
-            if self._may_reuse_frame(wl, base, dtype):
-                # Certified in-place update (repro.sac.optim.ipup): the
-                # frame is a dead, unaliased temp of this trace, so the
-                # result steals its buffer instead of copying.  The body
-                # above is an expression over *views* of the frame;
-                # NumPy materializes the right-hand side of a slice
-                # assignment before writing, so overlap is safe.
-                out = TArray(base.code, base.shape, dtype)
-            else:
-                out = self.em.assign("copy", "{}.copy()", (base,),
-                                     base.shape, dtype)
+            # A copy in the trace; the plan drops it where the frame is a
+            # dead buffer of this trace's own (the body above is an
+            # expression over *views* of the frame, and NumPy
+            # materializes the right-hand side of an overlapping slice
+            # assignment before writing).
+            out = self.em.assign("copy", "{}.copy()", (base,),
+                                 base.shape, dtype)
             if cell != base.shape[space.rank:]:
                 raise SacTypeError("modarray cell shape mismatch")
         # A fresh np.zeros already holds a stored +0.
@@ -590,24 +674,6 @@ class Tracer(Interpreter):
                 None, "store", f"{{}}[{region}] = {{}}",
                 (out.code, _code_of(self.module, body))))
         return out
-
-    def _may_reuse_frame(self, wl: WithLoop, base, dtype: np.dtype) -> bool:
-        """Whether a modarray result may steal its frame's buffer.
-
-        Requires the static certificate (a :class:`ReuseHint` attached
-        by the ipup pass) *and* trace-level guards: the frame must be a
-        temp this trace allocated — never a parameter, a module constant
-        or a call result aliasing one, whose buffers the caller owns —
-        and the write must not promote the dtype.
-        """
-        hint = wl.hint
-        return (
-            hint is not None
-            and hint.buffer_reuse
-            and isinstance(base, TArray)
-            and base.code in self.em.fresh
-            and dtype == base.dtype
-        )
 
     _CONCRETE_FOLD_LIMIT = 64
 
@@ -695,8 +761,10 @@ _MODULE_HEADER = '''\
 Function: {fname}
 Specialization: {spec}
 
-One def per (SAC function or counted loop, argument signature); xN is
-the number of call sites in this module:
+One def per (SAC function or counted loop, argument signature), and a
+second where its callers hand over an argument they are done with: a
+parameter marked donated is the def's own to write into and return.  xN
+is the number of call sites in this module:
 {defs}
 """
 
@@ -732,6 +800,12 @@ class KernelArtifact:
     source: str
     signature: tuple[str, ...]
     baked: dict[str, object]
+    #: The array parameters, which stay arguments: name -> (shape, dtype).
+    arrays: dict[str, tuple[tuple[int, ...], np.dtype]]
+
+
+def _array_text(shape, dtype) -> str:
+    return f"{dtype}[{','.join(map(str, shape))}]"
 
 
 @dataclass
@@ -742,13 +816,14 @@ class CompiledFunction:
     source: str
     signature: tuple[str, ...]
     baked: dict[str, object]
+    arrays: dict[str, tuple[tuple[int, ...], np.dtype]]
     _callable: object = field(repr=False, default=None)
 
     @property
     def artifact(self) -> KernelArtifact:
         """The persistable artifact this function was loaded from."""
         return KernelArtifact(self.name, self.source, self.signature,
-                              self.baked)
+                              self.baked, self.arrays)
 
     def __call__(self, *args):
         if len(args) != len(self.signature):
@@ -756,12 +831,17 @@ class CompiledFunction:
                 f"{self.name} expects {len(self.signature)} argument(s)"
             )
         for name, value in zip(self.signature, args):
-            if name in self.baked and not np.array_equal(
-                    self.baked[name], value):
-                raise ValueError(
-                    f"argument {name!r} was specialized to "
-                    f"{self.baked[name]!r}; recompile for {value!r}"
-                )
+            if name in self.baked:
+                if np.array_equal(self.baked[name], value):
+                    continue
+                was, now = repr(self.baked[name]), repr(value)
+            else:  # the slices assume the shape, the ufuncs take any dtype
+                given = np.shape(value), getattr(value, "dtype", None)
+                if given == self.arrays[name]:
+                    continue
+                was, now = _array_text(*self.arrays[name]), _array_text(*given)
+            raise ValueError(f"argument {name!r} was specialized to {was}; "
+                             f"recompile for {now}")
         return self._callable(*(a for name, a in zip(self.signature, args)
                                 if name not in self.baked))
 
@@ -832,11 +912,12 @@ def specialize(table: FunctionTable, fun: FunDef, args, cache,
 
 
 def trace_module(program_or_table, fname: str, example_args
-                 ) -> tuple[Module, Spec]:
+                 ) -> tuple[Module, Def]:
     """Trace ``fname`` for the example arguments, uncached: the
-    :class:`Module` of everything it specialized and its entry point's
-    :class:`Spec` — for tools that read the planned instructions."""
-    return _trace(*_resolve(program_or_table, fname, example_args))
+    :class:`Module` of every ``def`` it generated and its entry point's
+    :class:`Def` — for tools that read the planned instructions."""
+    mod, entry = _trace(*_resolve(program_or_table, fname, example_args))
+    return mod, entry.defs[()]
 
 
 def _trace(table: FunctionTable, fun: FunDef, example_args,
@@ -847,29 +928,31 @@ def _trace(table: FunctionTable, fun: FunDef, example_args,
     tracer._fun = fun
     bindings = {p.name: coerce_value(a)
                 for p, a in zip(fun.params, example_args)}
-    return tracer.module, tracer.specialization(fun, bindings)
+    entry = tracer.specialization(fun, bindings)
+    # Plans and renders what the entry point reaches, callees first; its
+    # own parameters are its caller's, never donated.
+    tracer.variant(entry)
+    return tracer.module, entry
 
 
-def element_operations(mod: Module, entry: Spec) -> Counter:
-    """Array elements one call of ``entry`` computes, per SAC function
-    (its specializations together): the result sizes of a ``def``'s
-    elementwise instructions times how often its body runs.  A count
-    read off the trace, no clock."""
-    specs = {s.name: s for s in mod.specs.values() if s.text}
+def element_operations(mod: Module, entry: Def,
+                       kind: str = "elementwise") -> Counter:
+    """Array elements one call of ``entry`` computes — or, for ``kind``
+    ``"copy"``, copies — per SAC function (its ``def``s together): the
+    result sizes of a ``def``'s instructions of that kind times how often
+    its body runs.  A count read off the planned trace, no clock."""
     runs = Counter({entry.name: 1})
     # A callee is finished, and so listed, before its callers.
-    for spec in reversed(specs.values()):
-        for ins in spec.instrs:
-            callee = specs.get(ins.op.partition("(")[0]) \
-                if ins.kind == "call" else None
+    for caller in reversed(mod.defs.values()):
+        for ins in caller.instrs:
+            callee = _callee(ins, mod.defs)
             if callee is not None:
                 trips = int(ins.operands[-1]) if callee.rolls else 1
-                runs[callee.name] += runs[spec.name] * trips
+                runs[callee.name] += runs[caller.name] * trips
     ops: Counter = Counter()
-    for name, spec in specs.items():
+    for name, d in mod.defs.items():
         ops[name.partition("__")[0]] += runs[name] * sum(
-            math.prod(ins.shape) for ins in spec.instrs
-            if ins.kind == "elementwise")
+            math.prod(ins.shape) for ins in d.instrs if ins.kind == kind)
     return ops
 
 
@@ -879,19 +962,19 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
     :class:`KernelArtifact` (no executable is built — see
     :func:`load_artifact` for that half)."""
     mod, entry = _trace(table, fun, example_args, max_statements)
-    defs = [s for s in mod.specs.values()
-            if s.text and (mod.calls[s.name] or s is entry)]
+    *defs, main = mod.defs.values()
     source = (
         _MODULE_HEADER.format(
-            fname=fun.name, spec=entry.doc, defs="\n".join(
-                f"  {s.doc}  x{mod.calls[s.name]}" for s in defs[:-1]))
+            fname=fun.name, spec=main.doc, defs="\n".join(
+                f"  {d.doc}  x{mod.calls[d.name]}" for d in defs))
         + "".join(f"{n} = {c}\n" for n, c in mod.consts.values())
-        + "\n" * bool(mod.consts) + "\n".join(s.text for s in defs)
+        + "\n" * bool(mod.consts) + "\n".join(d.text for d in (*defs, main))
     )
     return KernelArtifact(
         fun.name, source, tuple(p.name for p in fun.params),
         {p.name: coerce_value(a) for p, a in zip(fun.params, example_args)
-         if p.name not in entry.params})
+         if p.name not in entry.params},
+        {n: (p.shape, p.dtype) for n, p in entry.params.items()})
 
 
 def load_artifact(artifact: KernelArtifact) -> CompiledFunction:

@@ -5,10 +5,12 @@ Runs the reuse certification of :mod:`repro.sac.analysis.reuse` over the
 :class:`~repro.sac.ast_nodes.ReuseHint` to every WITH-loop whose frame
 buffer was proven reusable — a dead, function-owned, unaliased operand.
 The pass itself rewrites nothing semantic; it records *proofs* on the
-IR.  The code generator consumes them: a hinted ``modarray`` loop skips
-the frame copy and writes into the operand's buffer directly, which is
-bit-identical because the body is always materialized before the write
-(NumPy copies on overlapping assignment).
+IR, for the analysis report (``sac.analysis.reuse_hints``, SAC5xx).  The
+code generator does not read them: its buffer planner
+(:mod:`repro.sac.bufplan`) finds every certified site by the liveness of
+its trace — a dead owned temp — and elides the frame copy there, along
+with the call results and donated parameters a per-function certificate
+cannot speak for.  The interpreter copies every frame.
 
 Scheduled last — after folding, unrolling and DCE have settled the
 loop structure and liveness the certificates reason about.  Any later

@@ -69,7 +69,7 @@ class TestExamples:
         assert generated.read_text() == checked_in, (
             "examples/generated_mg_class_s.py is stale: commit what "
             "`python examples/compile_to_python.py` just wrote")
-        assert len(checked_in.splitlines()) <= 1400
+        assert len(checked_in.splitlines()) < 1600  # donated variants included
 
     def test_game_of_life(self):
         out = run_example("game_of_life.py", "10", "8")

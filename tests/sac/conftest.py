@@ -4,8 +4,11 @@ Every specialization traced while a test of the modules below runs —
 through ``compile_function``, the interpreter's JIT or a session's
 ``compile_kernel`` — is executed once on its example arguments and must
 return the bytes the tree-walking interpreter returns for the same
-function and arguments.  One helper, so no test carries its own copy of
-the comparison and a new test in these modules is covered by writing it.
+function and arguments, and leave those arguments as they were: whatever
+the buffer planner lets a callee write into, the entry point's
+parameters are its caller's.  One helper, so no test carries its own
+copy of the comparison and a new test in these modules is covered by
+writing it.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ from repro.sac.driver import KernelCache
 from repro.sac.interp import Interpreter
 
 _CONTRACT_MODULES = {"test_codegen", "test_jit", "test_ipup_codegen",
-                     "test_mg_sac", "test_bufplan"}
+                     "test_mg_sac", "test_bufplan", "test_donation_property"}
 
 
 def assert_same_bytes(got, want) -> None:
@@ -34,8 +37,11 @@ def generated_code_matches_interpreter(request, monkeypatch):
     def checked_trace(table, fun, example_args, **kwargs):
         artifact = trace(table, fun, example_args, **kwargs)
         args = [Interpreter._ingest(a) for a in example_args]
-        assert_same_bytes(codegen.load_artifact(artifact)(*args),
-                          Interpreter(table).apply_fundef(fun, args))
+        before = [np.array(a) for a in args]  # copies
+        got = codegen.load_artifact(artifact)(*args)
+        for after, was in zip(args, before):
+            assert_same_bytes(after, was)
+        assert_same_bytes(got, Interpreter(table).apply_fundef(fun, args))
         return artifact
 
     monkeypatch.setattr(codegen, "trace_fundef", checked_trace)

@@ -1,7 +1,8 @@
 """The buffer planner: which elementwise operations write into an
-operand, what gets ``del``-ed, and that neither changes a bit.
+operand, which frame copies are elided, which call operands are
+donated, what gets ``del``-ed, and that none of it changes a bit.
 
-Hand-built traces pin the one rule down case by case; each is also
+Hand-built traces pin each rule down case by case; each is also
 executed planned and unplanned (the unplanned rendering is the parent
 emission: one fresh array per operation, nothing freed).  Tiny SAC
 programs then go through the whole of ``compile_function``, where
@@ -32,20 +33,41 @@ def ret(name):
     return Instr(None, "return", "return {}", (name,))
 
 
+def copy(dst, src, shape=(4,), dtype=F8):
+    return Instr(dst, "copy", "{}.copy()", (src,), shape, dtype)
+
+
+def store(target, value, sel="1:3"):
+    return Instr(None, "store", f"{{}}[{sel}] = {{}}", (target, value))
+
+
+def call(dst, fn, *operands, base=None, donate=None, shape=(4,)):
+    """``fn`` is a key of :func:`run`'s namespace; by default every
+    operand is one the callee would take."""
+    return Instr(dst, "call", f"{fn}({', '.join(['{}'] * len(operands))})",
+                 operands, shape, F8, base=base,
+                 donate=tuple(range(len(operands))) if donate is None
+                 else donate)
+
+
 def run(instrs, **params):
     body = "\n".join("    " + render(i) for i in instrs)
-    ns = {"np": np, "_C0": np.array([1.0, 2.0, 3.0, 4.0])}
+    ns = {"np": np, "_C0": np.array([1.0, 2.0, 3.0, 4.0]),
+          "inc": lambda a: a + 1.0, "add": lambda a, b: a + b,
+          "same": lambda a: a}
     exec(f"def f({', '.join(params)}):\n{body}\n", ns)
     return ns["f"](*params.values())
 
 
-def planned(trace, **params):
-    """Plan a trace; executed, it must return the unplanned bytes and
-    leave the parameters alone."""
-    out = plan(trace)
+def planned(trace, owned=(), **params):
+    """Plan a trace, the parameters named in ``owned`` donated; executed,
+    it must return the unplanned bytes and leave the others alone."""
+    out = plan(trace, {k: (params[k].shape, params[k].dtype) for k in owned})
     before = {k: v.copy() for k, v in params.items()}
     want = np.asarray(run(trace, **params))
-    got = np.asarray(run(out, **params))
+    # Each run is a call of its own: what it is donated is dead after.
+    given = {k: v.copy() if k in owned else v for k, v in params.items()}
+    got = np.asarray(run(out, **given))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for k, v in params.items():
         assert np.array_equal(v, before[k])
@@ -135,6 +157,162 @@ class TestRule:
         p = planned([ew("t1", "+", "a", "b"), view("w", "t1", "1:3", (2,)),
                      ret("w")], a=A, b=B)
         assert dels(p) == []
+
+
+class TestCopyElision:
+    """Rule 1: a ``copy`` of an owned whole buffer that dies there binds
+    no new buffer."""
+
+    def kept(self, p):
+        return [render(i) for i in p if i.kind == "copy"]
+
+    def test_owned_source_dying_at_the_copy(self):
+        p = planned([ew("t1", "+", "a", "b"), ew("t2", "*", "t1", "2.0"),
+                     copy("t3", "t1"), store("t3", "t2", "0:4"), ret("t3")],
+                    a=A, b=B)
+        assert [render(i) for i in p] == [
+            "t1 = (a + b)", "t2 = (t1 * 2.0)", "t1[0:4] = t2", "del t2",
+            "return t1"]
+
+    def test_fresh_call_result_is_owned(self):
+        p = planned([call("t1", "inc", "a"), copy("t2", "t1"),
+                     store("t2", "7.0"), ret("t2")], a=A)
+        assert self.kept(p) == []
+        assert render(p[-2]) == "t1[1:3] = 7.0" and dels(p) == []
+
+    def test_source_dying_in_the_store_the_copy_feeds(self):
+        # SetupAxis: the stored value is a view of the frame.  NumPy
+        # buffers the overlapping right-hand side.
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1", "0:3", (3,)),
+                     copy("t2", "t1"), store("t2", "w", "1:4"), ret("t2")],
+                    a=A, b=B)
+        assert [render(i) for i in p][2:] == ["t1[1:4] = w", "return t1"]
+
+    def test_the_elided_copy_chains(self):
+        # ... and its views are freed with whichever name dies last.
+        p = planned([ew("t1", "+", "a", "b"), copy("t2", "t1"),
+                     store("t2", "0.5"), view("w", "t2"), copy("t3", "t2"),
+                     store("t3", "w", "0:4"), ew("t4", "*", "t3", "a"),
+                     ew("t5", "<", "t4", "b", dtype=B1), ret("t5")],
+                    a=A, b=B)
+        assert self.kept(p) == []
+        assert outs(p) == [None, "t1", None]
+        assert dels(p) == [("t1", "w")]
+
+    @pytest.mark.parametrize("trace", [
+        # a parameter
+        [copy("t1", "a"), store("t1", "7.0"), ret("t1")],
+        # a module constant
+        [copy("t1", "_C0"), store("t1", "7.0"), ret("t1")],
+        # a view
+        [ew("t0", "+", "a", "b"), view("w", "t0"), copy("t1", "w"),
+         store("t1", "7.0"), ret("t1")],
+        # a call result that is (or may be) its operand
+        [call("t0", "same", "a", base="a"), copy("t1", "t0"),
+         store("t1", "7.0"), ret("t1")],
+        # a view of it is read after the store
+        [ew("t0", "+", "a", "b"), view("w", "t0"), copy("t1", "t0"),
+         store("t1", "7.0"), ew("t2", "+", "t1", "w"), ret("t2")],
+        # it is read later itself
+        [ew("t0", "+", "a", "b"), copy("t1", "t0"), store("t1", "7.0"),
+         ew("t2", "+", "t1", "t0"), ret("t2")],
+        # the value of a later store is a view of it
+        [ew("t0", "+", "a", "b"), view("w", "t0", "0:2", (2,)),
+         copy("t1", "t0"), store("t1", "7.0"), store("t1", "w", "2:4"),
+         ret("t1")],
+        # the copy changes the dtype
+        [Instr("t0", "alloc", "np.trunc({}).astype(np.int64)", ("a",),
+               (4,), I8), copy("t1", "t0"), store("t1", "7.0"), ret("t1")],
+    ], ids=["parameter", "constant", "view", "aliasing-call-result",
+            "live-view", "read-later", "view-stored-later", "dtype"])
+    def test_kept(self, trace):
+        p = planned(trace, a=A, b=B)
+        assert len(self.kept(p)) == 1
+
+    def test_copy_of_a_donated_parameter(self):
+        p = planned([view("w", "a", "0:1", (1,)), copy("t1", "a"),
+                     store("t1", "w", "3:4"), ret("t1")], owned="a", a=A)
+        assert [render(i) for i in p] == [
+            "w = a[0:1]", "a[3:4] = w", "return a"]
+
+
+class TestDonation:
+    """Rule 2: a ``call`` is given the owned operands that die there."""
+
+    def donated(self, p):
+        return [i.donate for i in p if i.kind == "call"]
+
+    def test_operand_dying_at_the_call(self):
+        p = planned([ew("t1", "+", "a", "b"), call("t2", "inc", "t1"),
+                     ret("t2")], a=A, b=B)
+        assert self.donated(p) == [(0,)]
+        # The caller's name goes; the result is its own again.
+        assert dels(p) == [("t1",)]
+        p = planned([ew("t1", "+", "a", "b"), call("t2", "inc", "t1"),
+                     ew("t3", "*", "t2", "b"), ret("t3")], a=A, b=B)
+        assert outs(p) == [None, "t2"]
+
+    def test_operand_read_after_the_call(self):
+        p = planned([ew("t1", "+", "a", "b"), call("t2", "inc", "t1"),
+                     ew("t3", "+", "t1", "t2"), ret("t3")], a=A, b=B)
+        assert self.donated(p) == [()]
+
+    def test_parameter_and_constant_are_not_the_callers_to_give(self):
+        p = planned([call("t1", "add", "a", "_C0"), ret("t1")], a=A)
+        assert self.donated(p) == [()]
+
+    def test_same_buffer_in_two_positions(self):
+        p = planned([ew("t1", "+", "a", "b"), call("t2", "add", "t1", "t1"),
+                     ret("t2")], a=A, b=B)
+        assert self.donated(p) == [()]
+
+    def test_view_of_it_passed_beside_it(self):
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1"),
+                     call("t2", "add", "t1", "w"), ret("t2")], a=A, b=B)
+        assert self.donated(p) == [()]
+
+    def test_view_passed_alone(self):
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1"),
+                     call("t2", "inc", "w"), ret("t2")], a=A, b=B)
+        assert self.donated(p) == [()]
+
+    def test_view_live_after_the_call(self):
+        p = planned([ew("t1", "+", "a", "b"), view("w", "t1"),
+                     call("t2", "inc", "t1"), ew("t3", "+", "t2", "w"),
+                     ret("t3")], a=A, b=B)
+        assert self.donated(p) == [()]
+
+    def test_result_that_is_the_operand_keeps_it_alive(self):
+        p = planned([ew("t1", "+", "a", "b"),
+                     call("t2", "same", "t1", base="t1"),
+                     ew("t3", "*", "t2", "b"), ret("t3")], a=A, b=B)
+        assert self.donated(p) == [()] and dels(p) == [("t1", "t2")]
+
+    def test_only_positions_the_tracer_offers(self):
+        # A rolling loop body re-reads its uncarried parameters on every
+        # trip: codegen leaves them out of ``donate``.
+        p = planned([ew("t1", "+", "a", "b"), ew("t2", "*", "a", "b"),
+                     call("t3", "add", "t1", "t2", donate=(1,)), ret("t3")],
+                    a=A, b=B)
+        assert self.donated(p) == [(1,)]
+
+    def test_donated_parameter_is_owned(self):
+        trace = [ew("t1", "*", "a", "b"), call("t2", "inc", "t1"),
+                 ew("t3", "+", "t2", "b"), call("t4", "inc", "b"),
+                 ret("t4")]
+        assert outs(planned(trace, a=A, b=B)) == [None, "t2"]
+        p = planned(trace, owned="a", a=A, b=B)
+        assert outs(p) == ["a", "t2"]
+        # b is not: not written into, not donated onward; a, t1 and t2
+        # live in the caller's memory, which no del would free.
+        assert self.donated(p) == [(0,), ()] and dels(p) == [("t2",)]
+        q = planned(trace, owned="ab", a=A, b=B)
+        assert self.donated(q) == [(0,), (0,)]
+
+    def test_owning_a_parameter_it_only_reads_changes_nothing(self):
+        trace = [view("w", "a", "0:2", (2,)), ew("t1", "+", "w", "w",
+                                                  shape=(2,)), ret("t1")]
+        assert planned(trace, owned="a", a=A) == planned(trace, a=A)
 
 
 class TestNeverInPlace:

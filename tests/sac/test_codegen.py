@@ -141,11 +141,55 @@ class TestSpecializationContract:
             "double f(double[+] a) { return sum(a); }"
         )
         fn = compile_function(prog, "f", (np.zeros(4),))
-        # A different shape slips past the baked-arg check (arrays stay
-        # symbolic) but the generated slices assume the shape; the
-        # documented contract is one compilation per shape.
+        # Arrays stay symbolic — any values of the shape compiled for;
+        # the documented contract is one compilation per shape.
         fn4 = fn(np.arange(4.0))
         assert fn4 == 6.0
+        with pytest.raises(ValueError, match="recompile"):
+            fn(np.arange(5.0))
+
+    RELAX = ("double[+] f(double[+] u) { return with (0*shape(u)+1 <= iv < "
+             "shape(u)-1) modarray(u, u[iv-1] + u[iv+1]); }")
+
+    def test_array_shape_validated(self):
+        # The slices are the compiled shape's: a larger array used to
+        # come back with only that much of it computed, silently.
+        fn = compile_function(SacProgram.from_source(self.RELAX), "f",
+                              (np.zeros((10, 10, 10)),))
+        assert fn.arrays == {"u": ((10, 10, 10), np.dtype(np.float64))}
+        with pytest.raises(ValueError, match=(
+                r"'u' was specialized to float64\[10,10,10\]; "
+                r"recompile for float64\[12,12,12\]")):
+            fn(np.zeros((12, 12, 12)))
+
+    def test_array_dtype_validated(self):
+        fn = compile_function(SacProgram.from_source(self.RELAX), "f",
+                              (np.zeros((10, 10, 10)),))
+        with pytest.raises(ValueError, match=(
+                r"specialized to float64\[10,10,10\]; "
+                r"recompile for float32\[10,10,10\]")):
+            fn(np.zeros((10, 10, 10), dtype=np.float32))
+        with pytest.raises(ValueError, match="recompile for None"):
+            fn([[0.0]])
+
+    def test_cached_artifact_still_validates(self, tmp_path):
+        # The check travels with the pickled artifact, not the trace.
+        from repro.sac.codegen import load_artifact
+        from repro.sac.driver import KernelCache
+        from repro.sac.driver.cache import kernel_key, shape_signature
+
+        a = np.zeros((10, 10, 10))
+        prog = SacProgram.from_source(self.RELAX)
+        key = kernel_key("digest", "f(double[+])", shape_signature([a]))
+        KernelCache(tmp_path).put_kernel(
+            key, compile_function(prog, "f", (a,)).artifact)
+        # (conftest keeps get_kernel from serving anything here.)
+        fn = load_artifact(KernelCache(tmp_path).get_artifact(key))
+        assert fn(a).tobytes() == prog.call("f", a).tobytes()
+        with pytest.raises(ValueError, match="recompile"):
+            fn(np.zeros((12, 12, 12)))
+        with pytest.raises(ValueError, match="recompile"):
+            fn(a.astype(np.float32))
 
     def test_baked_int_validated(self):
         prog = SacProgram.from_source(
@@ -247,25 +291,10 @@ class TestCallResultOwnership:
 
     @pytest.fixture(scope="class")
     def prog(self):
-        import dataclasses
-
-        from repro.sac.ast_nodes import Assign, ReuseHint, WithLoop
         from repro.sac.parser import parse_program
 
-        # Certify every frame, rightly or not: the trace-level guard
-        # alone must keep the caller's buffer safe.
-        def certified(stmt):
-            if isinstance(stmt, Assign) and isinstance(stmt.value, WithLoop):
-                hint = ReuseHint(True, True, "lo")
-                return dataclasses.replace(
-                    stmt, value=dataclasses.replace(stmt.value, hint=hint))
-            return stmt
-
-        prog = parse_program(OWNERSHIP)
-        return prog.with_functions(
-            dataclasses.replace(f, body=dataclasses.replace(
-                f.body, statements=tuple(map(certified, f.body.statements))))
-            for f in prog.functions)
+        # Unoptimized: the calls stay calls.
+        return parse_program(OWNERSHIP)
 
     @pytest.mark.parametrize("fname, arg", [
         ("twice", np.arange(4.0)),
@@ -387,24 +416,66 @@ class TestPlannedFinalResidual:
         assert peak < 40e6
 
     def test_fresh_call_results_are_accumulated_into(self, mg):
-        loop = mg[2].source.split("def MGrid_loop__34x34x34_34x34x34(")[1]
+        source = mg[2].source
+        assert "np.subtract(v, _t2, out=_t2)" in source.split(
+            "def FinalResidual(")[1]
+        # MGrid's zeros die at the call, so the loop is given them: u is
+        # its own on every trip, v every trip reads and is nobody's.
+        assert "MGrid_loop__34x34x34_34x34x34_d1(v, _t1, 4)" in source
+        assert "def MGrid_loop__34x34x34_34x34x34(" not in source
+        loop = source.split("def MGrid_loop__34x34x34_34x34x34_d1(")[1]
         loop = loop.split("\ndef ")[0]
         assert "for _ in range(_n):" in loop
-        assert "np.add(u, _t3, out=_t3)" in loop and "out=u" not in loop
-        assert "MGrid_loop__34x34x34_34x34x34(v, _t1, 4)" in mg[2].source
+        assert "np.subtract(v, _t1, out=_t1)" in loop
+        assert "np.add(u, _t3, out=u)" in loop and "out=v" not in loop
+        assert "Resid__34x34x34(u)" in loop  # u is read after it: no _d
 
-    def test_a_solve_still_executes_276_frame_copies(self, mg):
-        # 276 until the relaxation was folded into condense: the four
-        # Fine2Coarse specializations no longer copy their bordered
-        # argument (16 executions).  The text holds 24 `.copy()` (one
-        # per SetupAxis specialization, plus the relaxation frames).
+    def test_a_solve_copies_a_grid_36_times(self, mg):
+        # A whole-grid copy is left where value semantics needs one: an
+        # argument the caller reads again (u of the iteration's Resid,
+        # Fine2Coarse's r, the V-cycle's Resid(z) — 9 an iteration), in
+        # the first SetupAxis of its border; the text holds that one
+        # `.copy()` per grid size.  It was 260 executed and 24 in the
+        # text while SetupAxis copied its parameter whoever held it and
+        # every relaxation its bordered frame.
         _prog, v, fn = mg
-        assert fn.source.count(".copy()") == 24
+        assert fn.source.count(".copy()") == 4
+        assert fn.source.count(".copy()") == sum(
+            ".copy()" in body and body.startswith("SetupAxis__")
+            for body in fn.source.split("\ndef "))
         ticks = []
         ns = {"_tick": lambda: ticks.append(1) or "C"}
         exec(fn.source.replace(".copy()", ".copy(order=_tick())"), ns)
         assert ns["FinalResidual"](v).tobytes() == fn(v, 4).tobytes()
-        assert len(ticks) == 260
+        assert len(ticks) == 36
+
+    def test_donated_variants_say_so_in_the_header(self, mg):
+        header = mg[2].source.split('"""')[1]
+        assert ("  SetupAxis__34x34x34_d(a: double[34,34,34] donated, "
+                "d = 0)  x1\n") in header
+        assert "  Resid__34x34x34(u: double[34,34,34])  x2\n" in header
+        assert "  Resid__34x34x34_d(u: double[34,34,34] donated)  x1\n" \
+            in header
+        assert ("  MGrid_loop__34x34x34_34x34x34_d1(v: double[34,34,34], "
+                "u: double[34,34,34] donated)  x1\n") in header
+        # Listed means called: no def nobody reaches.
+        listed = [ln.split("(")[0].strip() for ln in header.splitlines()
+                  if ln.startswith("  ") and "  x" in ln]
+        defined = [ln[4:].split("(")[0] for ln in mg[2].source.splitlines()
+                   if ln.startswith("def ") and not ln.startswith("def _sac")]
+        assert listed + ["FinalResidual"] == defined
+        assert all(not ln.endswith(" x0") for ln in header.splitlines())
+
+    def test_entry_parameters_are_never_donated(self, mg):
+        # Whatever its callees do with what they are handed, the entry
+        # point writes into nothing it was given: the benchmark hands
+        # every sample the same v, the JIT live interpreter arrays.
+        import re
+
+        entry = mg[2].source.split("def FinalResidual(v):")[1]
+        assert "out=v" not in entry and "v[" not in entry
+        assert not re.search(r"_d\d*\(v\b", entry)
+        assert "MGrid__34x34x34(v)" in entry
 
     def test_no_view_is_emitted_twice_in_a_row(self, mg):
         # A WITH-loop body is traced once: evaluating it a second time

@@ -1,6 +1,8 @@
-"""The ipup pass and its codegen contract: certified hints, elided
-frame copies, bit-identical results, and agreement with the runtime
-MG001 alias guard."""
+"""The ipup pass and what the code generator makes of the sites it
+certifies: every one is a dead temp of its trace, so the buffer planner
+elides the frame copy there with or without the hint — bit-identical
+results — and the certificates agree with the runtime MG001 alias
+guard."""
 
 import numpy as np
 
@@ -82,13 +84,16 @@ class TestIpupPass:
 
 class TestCodegenReuse:
     def test_copy_elided_for_certified_loop(self):
+        # The planner's liveness finds what the certificate proves (and
+        # does not read it): the generated text is the same.
         prog = parse_program(REUSABLE)
         a = np.arange(8.0)
         with_h = compile_function(ipup_pass(prog), "f",
                                   example_args=(a,))
         without = compile_function(prog, "f", example_args=(a,))
-        assert with_h.source.count(".copy()") \
-            < without.source.count(".copy()")
+        assert ".copy()" not in with_h.source
+        assert "_t1[1:7] = _t3" in with_h.source
+        assert with_h.source == without.source
 
     def test_results_bit_identical(self):
         prog = parse_program(REUSABLE)
@@ -118,8 +123,8 @@ class TestCodegenReuse:
         without = compile_function(
             optimize_program(mg_program(), PassOptions(ipup=False)),
             "FinalResidual", example_args=(v, 1))
-        assert with_h.source.count(".copy()") \
-            < without.source.count(".copy()")
+        assert with_h.source.count(".copy()") == 4
+        assert with_h.source == without.source
         assert with_h(v, 1).tobytes() == without(v, 1).tobytes()
 
 

@@ -174,11 +174,14 @@ def result_bases(instrs: list[Instr]) -> tuple[str | None, ...]:
                  for r in roots)
 
 
-def plan(instrs: list[Instr], owned_params: Owned = {}) -> list[Instr]:
+def plan(instrs: list[Instr], owned_params: Owned = {}
+         ) -> tuple[list[Instr], set[str]]:
     """Rewrite a complete trace (ending in its ``return``) to accumulate
     in place, to update frames in place, to donate dead operands and to
     free dead buffers.  ``owned_params`` are the parameters every caller
-    of this plan donates.
+    of this plan donates; returned beside the plan are those of them it
+    wrote into or took for a copy (which it passes on, the ``donate`` of
+    its calls says).
 
     An instruction that writes into an operand binds no name; later
     instructions that used its ``dst`` are given the operand's name.
@@ -191,6 +194,7 @@ def plan(instrs: list[Instr], owned_params: Owned = {}) -> list[Instr]:
     bound: dict[str, str] = {}          # SSA name -> its name in the output
     holders: dict[str, list[str]] = {}  # buffer -> bound names keeping it
     out: list[Instr] = []
+    used: set[str] = set()
     for i, ins in enumerate(instrs):
         dst, names = ins.dst, ins.operands
         operands = tuple(bound.get(x, x) for x in names)
@@ -203,6 +207,7 @@ def plan(instrs: list[Instr], owned_params: Owned = {}) -> list[Instr]:
                 if (x in dying and owned[x].shape == ins.shape
                         and owned[x].dtype == ins.dtype):
                     del dying[x]
+                    used.add(x)
                     target = bound[dst] = bound.get(x, x)
                     break
             if target is not None:
@@ -216,6 +221,7 @@ def plan(instrs: list[Instr], owned_params: Owned = {}) -> list[Instr]:
                 # The buffer is dst's from here on, so x never dies.
                 dying.pop(x, None)
                 del owned[x]
+                used.add(x)
                 target = bound[dst] = bound.get(x, x)
         elif ins.kind == "call" and ins.donate:
             ins = replace(ins, donate=tuple(
@@ -238,4 +244,4 @@ def plan(instrs: list[Instr], owned_params: Owned = {}) -> list[Instr]:
             if bound.get(buf, buf) not in owned_params:
                 out.append(Instr(None, "del", "",
                                  tuple(holders.pop(bound.get(buf, buf)))))
-    return out
+    return out, used & owned_params.keys()

@@ -133,7 +133,7 @@ class Spec:
     rolls: bool = False          # a loop body whose results are all its own
     donatable: tuple[int, ...] = ()  # the parameters a caller may donate
     raw: list = field(default_factory=list)    # the trace, unplanned
-    plans: dict = field(default_factory=dict)  # donated positions -> plan
+    plans: dict = field(default_factory=dict)  # donated positions -> planned()
     defs: dict = field(default_factory=dict)   # donated positions -> Def
 
 
@@ -341,32 +341,25 @@ class Tracer(Interpreter):
                 or n in returned and spec.bases[returned.index(n)] is None)
         return spec
 
-    def planned(self, spec: Spec, donated: tuple[int, ...]) -> list[Instr]:
+    def planned(self, spec: Spec, donated: tuple[int, ...]
+                ) -> tuple[list[Instr], tuple[int, ...]]:
         """The one trace of ``spec`` planned with the parameters at
-        ``donated`` counted as its own; each call in it donates what its
-        callee makes use of."""
+        ``donated`` counted as its own, and those of them that plan makes
+        use of; each call in it donates what its callee makes use of."""
         if donated not in spec.plans:
             params = list(spec.params.values())
-            spec.plans[donated] = instrs = plan(spec.raw, {
+            instrs, used = plan(spec.raw, {
                 params[k].code: (params[k].shape, params[k].dtype)
                 for k in donated})
             for i, ins in enumerate(instrs):
                 if ins.donate:
                     callee = _callee(ins, self.module.named)
-                    instrs[i] = replace(
-                        ins, donate=self.made_use_of(callee, ins.donate))
+                    instrs[i] = ins = replace(
+                        ins, donate=self.planned(callee, ins.donate)[1])
+                    used |= {ins.operands[k] for k in ins.donate}
+            spec.plans[donated] = instrs, tuple(
+                k for k in donated if params[k].code in used)
         return spec.plans[donated]
-
-    def made_use_of(self, spec: Spec, donated: tuple[int, ...]
-                    ) -> tuple[int, ...]:
-        """Of the parameters at ``donated``, those that owning changes
-        the plan of ``spec``.  The others count as not donated, so that
-        no ``def`` has the text of another."""
-        for k in donated:
-            rest = tuple(j for j in donated if j != k)
-            if self.planned(spec, rest) == self.planned(spec, donated):
-                donated = rest
-        return donated
 
     def variant(self, spec: Spec, donated: tuple[int, ...] = ()) -> Def:
         """The ``def`` of ``spec`` for the callers that donate the
@@ -375,12 +368,15 @@ class Tracer(Interpreter):
         of the trace taken once."""
         if donated in spec.defs:
             return spec.defs[donated]
+        planned, used = self.planned(spec, donated)
+        if used != donated:  # so that no ``def`` has the text of another
+            return self.variant(spec, used)
         mod, name = self.module, spec.name
         if donated:  # which ones, unless it is all of them
             name += "_d" + "_".join(map(str, donated)) * (
                 len(donated) < len(spec.params))
         instrs = []
-        for ins in self.planned(spec, donated):
+        for ins in planned:
             callee = _callee(ins, mod.named)
             if callee is not None:
                 target = self.variant(callee, ins.donate).name
@@ -400,17 +396,20 @@ class Tracer(Interpreter):
         head = [p.code for p in spec.params.values()]
         if spec.rolls:
             # The body ``_n`` times over: what a trip computes for a
-            # variable it was given is what the next trip is given (no
-            # result is an argument, so rebinding those changes none;
-            # one computed into a donated parameter is bound already).
+            # variable it was given is what the next trip is given (one
+            # computed into a donated parameter is bound already).  A
+            # result may bear a donated parameter's name, so no trip
+            # rebinds after itself: the ``return`` reads the last one's
+            # names as planned.
             codes = dict(zip(spec.returned, planned[-1].operands))
             carried = {p.code: codes.get(n)
                        or _code_of(self.module, spec.results[n])
                        for n, p in spec.params.items() if n in spec.results}
             carried = {p: code for p, code in carried.items() if p != code}
-            inner = lines[:-1] + (
-                [f"{', '.join(carried)} = {', '.join(carried.values())}"]
-                if carried else [])
+            inner = lines[:-1]
+            if carried:
+                inner = ["if _:", f"    {', '.join(carried)} = "
+                         f"{', '.join(carried.values())}", *inner]
             if inner:
                 lines = ["for _ in range(_n):",
                          *("    " + ln for ln in inner), lines[-1]]

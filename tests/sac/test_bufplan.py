@@ -62,7 +62,9 @@ def run(instrs, **params):
 def planned(trace, owned=(), **params):
     """Plan a trace, the parameters named in ``owned`` donated; executed,
     it must return the unplanned bytes and leave the others alone."""
-    out = plan(trace, {k: (params[k].shape, params[k].dtype) for k in owned})
+    out, used = plan(
+        trace, {k: (params[k].shape, params[k].dtype) for k in owned})
+    assert used <= set(owned)
     before = {k: v.copy() for k, v in params.items()}
     want = np.asarray(run(trace, **params))
     # Each run is a call of its own: what it is donated is dead after.
@@ -313,6 +315,17 @@ class TestDonation:
         trace = [view("w", "a", "0:2", (2,)), ew("t1", "+", "w", "w",
                                                   shape=(2,)), ret("t1")]
         assert planned(trace, owned="a", a=A) == planned(trace, a=A)
+
+    def test_the_plan_says_which_owned_parameters_it_used(self):
+        owned = {"a": ((4,), F8), "b": ((4,), F8)}
+        # Written into; taken for a copy, were it only to return it.
+        assert plan([ew("t1", "*", "a", "b"), ret("t1")], owned)[1] == {"a"}
+        assert plan([copy("t1", "b"), ret("t1")], owned)[1] == {"b"}
+        # Not one it only reads, and not one it passes on: whether that
+        # is a use is the callee's to say, so the call's donate holds it.
+        p, used = plan([ew("t1", "<", "a", "a", dtype=B1),
+                        call("t2", "inc", "b"), ret("t2")], owned)
+        assert used == set() and self.donated(p) == [(0,)]
 
 
 class TestNeverInPlace:

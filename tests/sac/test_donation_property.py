@@ -5,8 +5,9 @@ Hypothesis draws small programs around helper functions that
 ``RelaxKernel`` in ``mg.sac`` — and calls them in every position the
 planner's two rules distinguish: with an argument that is read again
 after the call, one that is dead after it, the same one twice, a
-selection of a matrix, a value carried through a counted loop and one
-the loop re-reads on every trip.  Whatever the planner elides or
+selection of a matrix, values carried through a counted loop of up to
+three statements (shifted, swapped, or outlived by a result of the last
+trip) and one the loop re-reads on every trip.  Whatever the planner elides or
 donates, the generated module must return the interpreter's bytes and
 leave every argument of the entry point as it was.
 
@@ -123,14 +124,26 @@ def program(draw) -> str:
                 f"{x} = {draw(st.sampled_from(list(matrices)))} * 2.0;")
             matrices.append(x)
             continue
-        else:  # x is carried, the other operand re-read on every trip
-            step = draw(st.sampled_from(
-                [f"{binary()}( {x}, {vec()})", f"{binary()}( {vec()}, {x})",
-                 f"{unary()}( {x})", f"{x} + {unary()}( {vec()})"]))
-            body.append(f"{x} = {vec()} + 0.0;" if draw(st.booleans())
-                        else f"{x} = {vec()};")
+        else:  # a counted loop: x and y are carried, r is a result of
+            # each trip, any of them may be read after it, and what
+            # else a trip reads it re-reads on every trip
+            inside = [x, x + "y", x + "r"]
+            for n in inside:
+                body.append(f"{n} = {vec()} + 0.0;" if draw(st.booleans())
+                            else f"{n} = {vec()};")
+
+            def operand() -> str:
+                return draw(st.sampled_from(inside * 2 + vectors))
+
+            steps = [
+                f"{draw(st.sampled_from(inside))} = " + draw(st.sampled_from(
+                    [f"{binary()}( {operand()}, {operand()})",
+                     f"{unary()}( {operand()})", f"2.0 * {operand()}",
+                     f"{operand()} + {unary()}( {operand()})", operand()]))
+                + ";" for _ in range(draw(st.integers(1, 3)))]
             body.append(f"for (k = 0; k < {draw(st.integers(1, 3))}; k += 1) "
-                        f"{{ {x} = {step}; }}")
+                        f"{{ {' '.join(steps)} }}")
+            vectors.extend(inside[1:])
         if x not in vectors:
             vectors.append(x)
     result = vec() if draw(st.booleans()) else f"{vec()} + {vec()}"
@@ -219,3 +232,21 @@ class TestTheFiveSituations:
         loop = source.split("def f_loop__6_6_d0(x, y, _n):")[1]
         loop = loop.split("\ndef ")[0]
         assert "_t1 = blend__6_6_d0(x, y)" in loop and "x = _t1" in loop
+
+    def test_a_result_in_the_carried_buffer_outlives_the_loop(self):
+        # r is computed into the donated u and u's next value beside it:
+        # no trip rebinds u after itself, or the return would read r in
+        # what has become u.
+        source, entry = self.compiled(
+            "u = a + b;", "r = u;",
+            "for (k = 0; k < 3; k += 1) { r = u * 2.0; u = r + b; }",
+            "return( r + u);")
+        assert "f_loop__6_6_d0(_t1, b, 3)" in entry
+        loop = source.split("def f_loop__6_6_d0(u, b, _n):")[1]
+        assert loop.split("\ndef ")[0].split() == """
+            for _ in range(_n):
+                if _:
+                    u = _t2
+                np.multiply(u, 2.0, out=u)
+                _t2 = (u + b)
+            return _t2, u""".split()

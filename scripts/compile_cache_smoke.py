@@ -7,7 +7,10 @@ process, against a shared ``REPRO_SAC_CACHE_DIR``:
 * the cold run must build mg.sac from scratch (not served from cache),
 * the warm run must be served entirely from the on-disk cache — zero
   optimization pass runs — and reproduce the cold residual norm
-  bit-for-bit.
+  bit-for-bit,
+* in both, loading the program again with ``vectorize=False`` stores no
+  second program, and a kernel compiled under the default options is
+  served to it without a trace (``vectorize`` is not part of the key).
 
 With ``--kernel-w`` the two processes instead compile ``FinalResidual``
 at class W (64^3, 40 iterations) through ``compile_function`` and run
@@ -34,16 +37,24 @@ _KERNEL_FLAG = "--kernel-w"
 
 def _run_phase() -> None:
     """Child mode: one fresh-process benchmark run; JSON on stdout."""
+    import numpy as np
+
     from repro.mg_sac import load_mg_program, solve_sac_mg
+    from repro.sac.codegen import compile_function, trace_event_count
 
     result = solve_sac_mg("S")
-    # Same memoization key as the call inside solve_sac_mg, so this is
-    # the very session the benchmark ran on, not a second build.
-    session = load_mg_program(True, True, (), False).session
+    # The very session the benchmark ran on, not a second build.
+    session = load_mg_program().session
+    u = np.zeros((6, 6, 6))
+    compile_function(load_mg_program(), "Resid", (u,))
+    stores, traces = session.cache.stats.stores, trace_event_count()
+    compile_function(load_mg_program(vectorize=False), "Resid", (u,))
     json.dump(
         {
             "from_cache": session.from_cache(),
             "pass_runs": session.pass_report.runs(),
+            "scalar_stores": session.cache.stats.stores - stores,
+            "scalar_traces": trace_event_count() - traces,
             "stages": {name: rec.status
                        for name, rec in session.stages.items()},
             "rnm2": result.rnm2.hex(),
@@ -147,6 +158,12 @@ def main() -> int:
     for label, data in (("cold", cold), ("warm", warm)):
         if not data["verified"]:
             failures.append(f"{label} run failed NPB verification")
+        if data["scalar_stores"] or data["scalar_traces"]:
+            failures.append(
+                f"{label} vectorize=False load stored "
+                f"{data['scalar_stores']} artifact(s) and traced "
+                f"{data['scalar_traces']} kernel(s); expected to share "
+                "the default options' program and kernels")
 
     if failures:
         print("FAIL:", file=sys.stderr)

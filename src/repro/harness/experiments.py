@@ -209,8 +209,7 @@ def pass_report() -> dict:
             for rec in session.stages.values()
         ],
         "executions": [
-            {"pass": e.name, "seconds": e.seconds,
-             "rewrites": e.rewrites, "iteration": e.iteration}
+            {"pass": e.name, "seconds": e.seconds, "rewrites": e.rewrites}
             for e in report.executions
         ],
         "table": report.format_table(),
@@ -223,19 +222,20 @@ def sac_ablation(size_class: str = "S", nit: int | None = None,
     """Real runtimes of the SAC-language MG with optimizations toggled.
 
     Configurations: full pipeline; each pass disabled one at a time; all
-    passes off; the runtime JIT; and, on a reduced problem (class T, one
+    passes off; the generated module (``compile_function``, compiled
+    before the clock starts); and, on a reduced problem (class T, one
     iteration, one un-warmed run each), the scalar non-vectorized
     evaluator next to the vectorizing one, quantifying what WITH-loop
     compilation is worth.
     """
-    from repro.mg_sac import solve_sac_mg
+    from repro.mg_sac import load_mg_program, solve_sac_mg
+    from repro.sac import compile_function
+    from repro.sac.driver import PASSES
 
     configs: dict[str, dict] = {"full": {}}
-    for name in ("inline", "constfold", "wlfold", "unroll", "coeffgroup",
-                 "cse", "dce"):
+    for name in PASSES:
         configs[f"no-{name}"] = {"pass_overrides": ((name, False),)}
     configs["no-opt"] = {"optimize": False}
-    configs["jit"] = {"jit": True}
 
     sc, tiny = get_class(size_class), get_class("T")
     v = zran3(sc.nx)
@@ -247,6 +247,11 @@ def sac_ablation(size_class: str = "S", nit: int | None = None,
             repeats=repeats,
         )
         out["seconds"][label] = m.seconds
+    iters = sc.nit if nit is None else nit
+    generated = compile_function(load_mg_program(), "FinalResidual",
+                                 (v, iters))
+    out["seconds"]["generated"] = measure(
+        lambda: generated(v, iters), repeats=repeats).seconds
     out["scalar"] = {"class": tiny.name, "nit": 1}
     for key, vectorize in (("vectorized_seconds", True),
                            ("scalar_seconds", False)):

@@ -27,19 +27,18 @@ def mg_source_path() -> Path:
     return Path(__file__).with_name("mg.sac")
 
 
-@lru_cache(maxsize=None)
 def load_mg_program(optimize: bool = True, vectorize: bool = True,
                     pass_overrides: tuple[tuple[str, bool], ...] = (),
-                    jit: bool = False,
                     analyze: bool = True) -> SacProgram:
     """Load (and memoize) the MG program under the given options.
 
     Builds go through a
     :class:`~repro.sac.driver.session.CompilationSession`: within a
-    process this ``lru_cache`` memoizes the facade, and across processes
-    the driver's content-addressed program/kernel cache (see
-    ``docs/COMPILER.md``) serves warm loads with zero parse or
-    optimization work — the second ``solve_sac_mg("S")`` in a fresh
+    process one facade is memoized per
+    :class:`~repro.sac.CompileOptions`, however the call spells them,
+    and across processes the driver's content-addressed program/kernel
+    cache (see ``docs/COMPILER.md``) serves warm loads with zero parse
+    or optimization work — the second ``solve_sac_mg("S")`` in a fresh
     interpreter skips the whole middle end.
 
     ``analyze`` (default on) runs the static analyzer as a build gate:
@@ -48,10 +47,13 @@ def load_mg_program(optimize: bool = True, vectorize: bool = True,
     execution — or :class:`~repro.sac.errors.SacAnalysisError` is
     raised instead of building an interpreter.
     """
-    options = CompileOptions(
+    return _load(CompileOptions(
         optimize=optimize, vectorize=vectorize,
-        pass_overrides=pass_overrides, jit=jit, analyze=analyze,
-    )
+        pass_overrides=pass_overrides, analyze=analyze))
+
+
+@lru_cache(maxsize=None)
+def _load(options: CompileOptions) -> SacProgram:
     return load_spmd_certified(mg_source_path(), options)
 
 
@@ -74,8 +76,8 @@ class SacMGResult:
 def solve_sac_mg(size_class: str | SizeClass, nit: int | None = None, *,
                  v: np.ndarray | None = None,
                  optimize: bool = True, vectorize: bool = True,
-                 pass_overrides: tuple[tuple[str, bool], ...] = (),
-                 jit: bool = False) -> SacMGResult:
+                 pass_overrides: tuple[tuple[str, bool], ...] = ()
+                 ) -> SacMGResult:
     """Run NAS MG entirely as SAC code and return the residual norm.
 
     ``v`` is the right-hand side handed to the SAC program (``None``:
@@ -87,7 +89,7 @@ def solve_sac_mg(size_class: str | SizeClass, nit: int | None = None, *,
             "the SAC program carries the S(a) smoother (classes S/W/A)"
         )
     iters = sc.nit if nit is None else nit
-    program = load_mg_program(optimize, vectorize, pass_overrides, jit)
+    program = load_mg_program(optimize, vectorize, pass_overrides)
     v = zran3(sc.nx) if v is None else checked_rhs(sc, v)
     r = program.call("FinalResidual", v, iters)
     interior = r[tuple(slice(1, -1) for _ in range(r.ndim))]

@@ -255,13 +255,3 @@ class ProblemSpec:
     @property
     def key(self) -> str:
         return self.name
-
-    def describe(self) -> dict[str, str]:
-        """Which family member this is, one string per axis."""
-        return {
-            "name": self.name,
-            "family": self.family,
-            "boundary": self.boundary.kind,
-            "cycle": self.cycle.kind,
-            "smoother": self.smoother.kind,
-        }

@@ -33,17 +33,15 @@ from .codegen import (
 )
 from .driver import (
     CompilationSession,
-    Fixpoint,
     KernelCache,
     PassManager,
     PassReport,
     StageRecord,
     default_cache,
 )
-from .interp import FunctionTable, Interpreter, InterpOptions
+from .interp import FunctionTable, Interpreter
 from .lexer import tokenize
 from .module import CompileOptions, SacProgram
-from .optim import PassOptions, optimize_program
 from .parser import parse_expression, parse_program
 from .pprint import pprint_expr, pprint_program
 from .typecheck import check_program, collect_diagnostics
@@ -57,16 +55,12 @@ __all__ = [
     "StageRecord",
     "PassManager",
     "PassReport",
-    "Fixpoint",
     "KernelCache",
     "KernelArtifact",
     "default_cache",
     "SacOptionError",
-    "PassOptions",
-    "optimize_program",
     "FunctionTable",
     "Interpreter",
-    "InterpOptions",
     "tokenize",
     "parse_program",
     "parse_expression",

@@ -9,7 +9,7 @@ interpreter:
 * SPMD race certification (``SAC3xx``),
 * dataflow lints (``SAC4xx``),
 * memory-effects, aliasing and in-place-reuse certification
-  (``SAC5xx``) — the certificates the ``ipup`` pass hands to codegen.
+  (``SAC5xx``).
 
 Entry points: :func:`analyze_source` / :func:`analyze_file` /
 :func:`analyze_program`, or ``python -m repro.sac.analysis file.sac``.

@@ -3,7 +3,7 @@
     python -m repro.sac.analysis file.sac [file2.sac ...]
         [--format {text,json,sarif}] [--fail-on {error,warning,never}]
         [--select CODES] [--ignore CODES]
-        [--no-prelude] [--no-lint] [--no-reuse] [--certificates]
+        [--no-lint] [--no-reuse] [--certificates]
 
 ``--select``/``--ignore`` take comma-separated code prefixes
 (``--select SAC5`` keeps only the memory-effects family, ``--ignore
@@ -51,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore", metavar="CODES",
                    help="comma-separated code prefixes to drop "
                         "(e.g. SAC404); wins over --select")
-    p.add_argument("--no-prelude", action="store_true",
-                   help="do not link the stdlib prelude before analyzing")
     p.add_argument("--no-lint", action="store_true",
                    help="skip the SAC4xx dataflow lints")
     p.add_argument("--no-reuse", action="store_true",
@@ -99,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     options = AnalysisOptions(
-        include_prelude=not args.no_prelude,
         report_prelude=args.all_functions,
         lint=not args.no_lint,
         reuse=not args.no_reuse,

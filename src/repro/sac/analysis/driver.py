@@ -50,8 +50,6 @@ __all__ = ["AnalysisOptions", "AnalysisReport", "analyze_program",
 class AnalysisOptions:
     """Which passes to run and how to judge the outcome."""
 
-    #: Link the stdlib prelude before analyzing (analyze_source/file).
-    include_prelude: bool = True
     #: Also analyze the prelude's own functions (off: only report
     #: findings located in the user program).
     report_prelude: bool = True
@@ -152,28 +150,25 @@ def analyze_source(source: str, filename: str = "<sac>",
         report.diagnostics.append(
             Diagnostic.make("SAC001", str(exc.message), exc.pos))
         return report
-    if options.include_prelude:
-        prelude = load_prelude()
-        program = Program(tuple(prelude.functions)
-                          + tuple(program.functions),
-                          pos=program.pos)
-        if not options.report_prelude:
-            prelude_names = {f.name for f in prelude.functions}
-            full = analyze_program(program, options)
-            full.diagnostics = [
-                d for d in full.diagnostics
-                if d.pos is None or d.pos.filename == filename
-            ]
-            full.certificates = [
-                c for c in full.certificates
-                if c.function not in prelude_names
-            ]
-            full.reuse_certificates = [
-                c for c in full.reuse_certificates
-                if c.function not in prelude_names
-            ]
-            return full
-    return analyze_program(program, options)
+    prelude = load_prelude()
+    program = Program(tuple(prelude.functions) + tuple(program.functions),
+                      pos=program.pos)
+    full = analyze_program(program, options)
+    if not options.report_prelude:
+        prelude_names = {f.name for f in prelude.functions}
+        full.diagnostics = [
+            d for d in full.diagnostics
+            if d.pos is None or d.pos.filename == filename
+        ]
+        full.certificates = [
+            c for c in full.certificates
+            if c.function not in prelude_names
+        ]
+        full.reuse_certificates = [
+            c for c in full.reuse_certificates
+            if c.function not in prelude_names
+        ]
+    return full
 
 
 def analyze_file(path: str | Path,

@@ -28,10 +28,9 @@ b)``) it decides:
     dynamically; the static and dynamic judgments are cross-checked in
     tests and must never disagree.
 
-Diagnostics: **SAC510** (note) for each certified reuse opportunity and
-**SAC501** (error) when an existing :class:`~repro.sac.ast_nodes.ReuseHint`
-claims a reuse this analysis refutes.  (SAC502, the fusion warning, is
-with-loop folding's own verdict and is issued by the analysis driver.)
+Diagnostics: **SAC510** (note) for each certified reuse opportunity.
+(SAC502, the fusion warning, is with-loop folding's own verdict and is
+issued by the analysis driver.)
 
 Everything follows the package's prove-or-stay-silent discipline: reuse
 is only certified on facts liveness and the may-alias pairs prove.
@@ -91,7 +90,7 @@ class ReuseCertificate:
     hazards: tuple[str, ...] = ()
     #: Why reuse was denied, or caveats on a granted certificate.
     reasons: tuple[str, ...] = ()
-    #: The loop itself, for annotation passes (not part of equality).
+    #: The loop itself (not part of equality).
     wl: Optional[WithLoop] = field(default=None, compare=False,
                                    repr=False)
 
@@ -242,7 +241,6 @@ def _certify_loop(fun: FunDef, wl: WithLoop, target: str,
              f"of '{frame_name}'"
              + (" destructively" if destructive else ""),
              wl.pos, fun.name)
-    _check_hint(fun, wl, cert, emit)
     return cert
 
 
@@ -252,33 +250,6 @@ def _inline_certificate(fun: FunDef, wl: WithLoop) -> ReuseCertificate:
         buffer_reuse=False, destructive=False,
         reasons=("result is consumed inline; no binding to analyze",),
         wl=wl)
-
-
-def _check_hint(fun: FunDef, wl: WithLoop, cert: ReuseCertificate,
-                emit: Sink) -> None:
-    """SAC501: an attached ReuseHint must not outrun the analysis."""
-    hint = wl.hint
-    if hint is None:
-        return
-    claimed = hint.frame if hint.frame is not None else cert.frame
-    if hint.buffer_reuse and not cert.buffer_reuse:
-        why = cert.reasons[0] if cert.reasons else "not provable"
-        emit("SAC501",
-             f"annotation claims the loop may overwrite '{claimed}' "
-             f"in place, but the value is still needed: {why}",
-             wl.pos, fun.name)
-    elif hint.destructive and not cert.destructive:
-        emit("SAC501",
-             f"annotation claims a destructive cell-order update of "
-             f"'{claimed}', but the body reads it beyond the current "
-             f"index",
-             wl.pos, fun.name)
-    elif hint.frame is not None and cert.frame is not None \
-            and hint.frame != cert.frame:
-        emit("SAC501",
-             f"annotation names frame '{hint.frame}' but the loop's "
-             f"frame operand is '{cert.frame}'",
-             wl.pos, fun.name)
 
 
 # ---------------------------------------------------------------------------

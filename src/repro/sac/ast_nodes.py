@@ -30,7 +30,6 @@ __all__ = [
     "GenarrayOp",
     "ModarrayOp",
     "FoldOp",
-    "ReuseHint",
     "WithLoop",
     "Assign",
     "If",
@@ -172,31 +171,10 @@ class FoldOp(Node):
 
 
 @dataclass(frozen=True)
-class ReuseHint(Node):
-    """Buffer-reuse annotation attached to a WITH-loop by the ``ipup``
-    pass, backed by a :class:`~repro.sac.analysis.reuse.ReuseCertificate`.
-
-    ``buffer_reuse``: the result may steal the (dead, unaliased) buffer
-    of the frame operand instead of copying it.  ``destructive``: the
-    update is additionally legal cell-by-cell in iteration order (no
-    offset reads of the frame).  ``frame`` names the certified operand,
-    so consumers can cross-check the annotation against the loop they
-    find it on.
-    """
-
-    buffer_reuse: bool = False
-    destructive: bool = False
-    frame: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class WithLoop(Expr):
     generator: Generator
     operation: Union[GenarrayOp, ModarrayOp, FoldOp]
     pos: Optional[SourcePos] = None
-    #: Reuse certification attached by :mod:`repro.sac.optim.ipup`;
-    #: absent in freshly parsed programs.
-    hint: Optional[ReuseHint] = None
 
 
 # --------------------------------------------------------------------------

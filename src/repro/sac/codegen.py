@@ -867,32 +867,6 @@ def compile_function(program_or_table, fname: str, example_args,
         session = program_or_table.session  # a SacProgram brings its own
         cache, program_digest = session.cache, session.program_digest
     table, fun, args = _resolve(program_or_table, fname, example_args)
-    return specialize(table, fun, args, cache, program_digest,
-                      max_statements)
-
-
-def _resolve(program_or_table, fname: str, example_args):
-    """The function table, the overload of ``fname`` the arguments select
-    and the arguments as the evaluators take them."""
-    if isinstance(program_or_table, FunctionTable):
-        table = program_or_table
-    elif hasattr(program_or_table, "interp"):  # a SacProgram
-        table = program_or_table.interp.functions
-    else:
-        table = FunctionTable()
-        table.update(program_or_table)
-    args = [Interpreter._ingest(a) for a in example_args]
-    return table, table.resolve(
-        fname, [Interpreter.dispatch_type(a) for a in args]), args
-
-
-def specialize(table: FunctionTable, fun: FunDef, args, cache,
-               program_digest: str | None,
-               max_statements: int = 200_000) -> CompiledFunction:
-    """The one cache-or-trace sequence, shared by :func:`compile_function`
-    and the interpreter's JIT: look the resolved overload up in the
-    kernel cache under its (program, overload, argument-signature) key,
-    else trace it, store the artifact and load the executable."""
     key = None
     if cache is not None and program_digest is not None:
         from .driver.cache import kernel_key, shape_signature
@@ -908,6 +882,21 @@ def specialize(table: FunctionTable, fun: FunDef, args, cache,
     if key is not None:
         cache.put_kernel(key, artifact)
     return load_artifact(artifact)
+
+
+def _resolve(program_or_table, fname: str, example_args):
+    """The function table, the overload of ``fname`` the arguments select
+    and the arguments as the evaluators take them."""
+    if isinstance(program_or_table, FunctionTable):
+        table = program_or_table
+    elif hasattr(program_or_table, "interp"):  # a SacProgram
+        table = program_or_table.interp.functions
+    else:
+        table = FunctionTable()
+        table.update(program_or_table)
+    args = [Interpreter._ingest(a) for a in example_args]
+    return table, table.resolve(
+        fname, [Interpreter.dispatch_type(a) for a in args]), args
 
 
 def trace_module(program_or_table, fname: str, example_args

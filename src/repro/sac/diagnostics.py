@@ -112,8 +112,6 @@ CODE_CATALOGUE: dict[str, tuple[Severity, str]] = {
                "WITH-loop body reads the array the loop's result "
                "rebinds at a non-identity index"),
     # -- SAC5xx: memory effects, aliasing & reuse -------------------------
-    "SAC501": (Severity.ERROR,
-               "in-place update would overwrite a live value"),
     "SAC502": (Severity.WARNING,
                "with-loop folding cannot split a reader along its "
                "producer's partition"),

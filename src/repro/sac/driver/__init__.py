@@ -4,15 +4,14 @@ This package is the seam between the individual compiler components
 (parser, typechecker, analyzer, optimization passes, codegen backend)
 and their consumers.  It owns three pieces:
 
-* :mod:`repro.sac.driver.passes` — a declarative, instrumented
-  :class:`PassManager` replacing the hardwired pass chain: passes are
-  registered with the invalidations they declare, schedules may contain
-  fixpoint groups, and every execution records wall time and rewrite
-  counts (plus optional before/after pretty-print snapshots).
+* :mod:`repro.sac.driver.passes` — the one table of optimization
+  passes, the schedule derived from it, and the instrumented
+  :class:`PassManager`: every execution records wall time and rewrite
+  counts.
 * :mod:`repro.sac.driver.cache` — a content-addressed
   :class:`KernelCache` (in-memory + on-disk) for optimized programs and
-  compiled kernel specializations, keyed by source digest ×
-  compile options × shape signature.
+  compiled kernel specializations, keyed by source digest × the
+  compile options that decide the program × shape signature.
 * :mod:`repro.sac.driver.session` — :class:`CompilationSession`, the
   staged pipeline (parsed → linked → typechecked → analyzed →
   optimized → backend) that owns the artifacts, reports which stages
@@ -32,24 +31,22 @@ from .cache import (
     source_digest,
 )
 from .passes import (
-    Fixpoint,
+    PASSES,
     PassExecution,
     PassManager,
     PassReport,
-    PassSpec,
-    registered_passes,
+    schedule_for,
 )
 from .session import CompilationSession, StageRecord
 
 __all__ = [
     "CompilationSession",
     "StageRecord",
+    "PASSES",
     "PassManager",
-    "PassSpec",
     "PassExecution",
     "PassReport",
-    "Fixpoint",
-    "registered_passes",
+    "schedule_for",
     "KernelCache",
     "default_cache",
     "kernel_key",

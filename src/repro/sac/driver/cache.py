@@ -5,9 +5,9 @@ a hit can never serve a stale result:
 
 * **programs** — the post-pipeline AST plus its analysis report, keyed
   by :func:`program_key` = digest of (module source, prelude source,
-  ``CompileOptions``).  Editing the source, flipping any compile
-  option, or upgrading the prelude all change the key, which *is* the
-  invalidation.
+  the ``CompileOptions`` fields that decide the program).  Editing the
+  source, flipping one of those options, or upgrading the prelude all
+  change the key, which *is* the invalidation.
 * **kernels** — :class:`~repro.sac.codegen.KernelArtifact`
   specializations, keyed by :func:`kernel_key` = digest of (program
   digest, overload name, :func:`shape_signature` of the arguments).  A
@@ -30,7 +30,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "KernelCache",
     "default_cache",
     "source_digest",
-    "options_digest",
     "compiler_fingerprint",
     "program_key",
     "shape_signature",
@@ -62,16 +61,6 @@ _ENV_TOGGLE = "REPRO_SAC_CACHE"
 def source_digest(text: str) -> str:
     """Hex digest of a source text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def options_digest(options) -> str:
-    """Hex digest of a (frozen-dataclass) options object.
-
-    ``repr`` of a frozen dataclass lists every field deterministically,
-    so any flipped option — optimization toggles, pass overrides, jit
-    settings — produces a different digest.
-    """
-    return hashlib.sha256(repr(options).encode("utf-8")).hexdigest()
 
 
 _FINGERPRINT: str | None = None
@@ -102,16 +91,18 @@ def compiler_fingerprint() -> str:
 
 
 def program_key(src_digest: str, prelude_digest: str, options) -> str:
-    """Cache key for an optimized program."""
+    """Cache key for an optimized program and its analysis report: the
+    sources and the ``CompileOptions`` fields that decide them.
+    ``vectorize`` is not among those — it only picks the interpreter's
+    WITH-loop evaluator — so both settings share one program and every
+    kernel traced from it."""
+    # Every field but ``vectorize``: one added later re-keys by default.
+    deciding = replace(options, vectorize=True)
     h = hashlib.sha256()
-    h.update(b"program\x00")
-    h.update(compiler_fingerprint().encode())
-    h.update(b"\x00")
-    h.update(src_digest.encode())
-    h.update(b"\x00")
-    h.update(prelude_digest.encode())
-    h.update(b"\x00")
-    h.update(options_digest(options).encode())
+    for part in ("program", compiler_fingerprint(), src_digest,
+                 prelude_digest, repr(deciding)):
+        h.update(part.encode())
+        h.update(b"\x00")
     return h.hexdigest()
 
 
@@ -122,8 +113,8 @@ def shape_signature(args) -> tuple[str, ...]:
     only their *shape* matters — as it does for a value the tracer
     already holds symbolically (a shape and a dtype, no data);
     everything else is baked into the generated code, so its *value*
-    matters.  The one signature function: kernel-cache keys, the
-    interpreter's JIT table and the tracer's specializations use it.
+    matters.  The one signature function: kernel-cache keys and the
+    tracer's specializations use it.
     """
     import numpy as np
 

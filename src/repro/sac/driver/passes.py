@@ -1,20 +1,14 @@
-"""Declarative, instrumented pass management.
+"""The optimization passes: one table, the schedule derived from it, and
+an instrumented :class:`PassManager` to run it.
 
-The optimization pipeline used to be a hardwired ``if``-chain in
-:mod:`repro.sac.optim.pipeline`.  Here the same passes are *registered*
-as :class:`PassSpec` entries — a name, the rewrite function, and the
-artifacts a rewrite invalidates — and executed by a :class:`PassManager`
-from an explicit schedule.  Schedules are sequences of pass names and
-:class:`Fixpoint` groups; a fixpoint group repeats its member passes
-until a full round rewrites nothing (the constfold/wlfold and cse/dce
-interplays each converge this way).
+:data:`PASSES` is the only place that lists the passes.  Its order is
+the schedule; :func:`schedule_for` drops what a
+:class:`~repro.sac.module.CompileOptions`' ``pass_overrides`` switch off
+and rejects names the table does not have (``SAC010``).
 
-Every execution is instrumented: wall time, whether the program
-changed, and how many function bodies were rewritten, all collected in
-a :class:`PassReport` (``repro.harness --pass-report`` renders its
-table).  With ``snapshots=True`` the manager additionally keeps
-before/after pretty-prints of every changing pass — the compiler
-equivalent of ``-v`` tracing.
+Every execution is instrumented: wall time and how many function bodies
+were rewritten, collected in a :class:`PassReport` (``repro.harness
+--pass-report`` renders its table).
 """
 
 from __future__ import annotations
@@ -24,94 +18,66 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..ast_nodes import Program
+from ..errors import SacOptionError
 from ..optim.coeffgroup import coeffgroup_pass
 from ..optim.constfold import constfold_pass
 from ..optim.cse import cse_pass
 from ..optim.dce import dce_pass
 from ..optim.inline import inline_pass
-from ..optim.ipup import ipup_pass
 from ..optim.rewrite import ast_key
 from ..optim.unroll import unroll_pass
 from ..optim.wlfold import wlfold_pass
 
 __all__ = [
-    "PassSpec",
-    "Fixpoint",
+    "PASSES",
+    "RERUN_AFTER",
     "PassExecution",
     "PassReport",
     "PassManager",
-    "register_pass",
-    "registered_passes",
     "schedule_for",
 ]
 
 
-@dataclass(frozen=True)
-class PassSpec:
-    """One registered rewrite pass.
+#: The pipeline, in schedule order — the SAC compiler's high-level
+#: strategy.
+PASSES: dict[str, Callable[[Program], Program]] = {
+    "inline": inline_pass,          # expose library WITH-loops at use sites
+    "constfold": constfold_pass,    # literalize bounds and pure calls
+    "wlfold": wlfold_pass,          # fuse producer/consumer WITH-loops
+    "unroll": unroll_pass,          # unroll constant-bounded stencil folds
+    "coeffgroup": coeffgroup_pass,  # group equal coefficients (27 -> 4 muls)
+    "cse": cse_pass,                # share structurally equal subexpressions
+    "dce": dce_pass,                # drop assignments made dead by folding
+}
 
-    ``invalidates`` declares which downstream artifacts can no longer be
-    trusted once this pass rewrites the program: ``"analysis"`` (the
-    static analyzer's report describes the pre-rewrite WITH-loops) and
-    ``"kernels"`` (compiled specializations trace the rewritten
-    functions).  The session uses these to decide what must be recomputed
-    — and, inversely, the kernel cache keys on the *post*-pipeline
-    program digest, so declared invalidations are what make the
-    content-addressed keys sound.
-    """
-
-    name: str
-    fn: Callable[[Program], Program]
-    description: str
-    invalidates: tuple[str, ...] = ("analysis", "kernels")
+#: Passes that run again right after another: unrolling exposes
+#: per-offset coefficient lookups, and the literal offsets a stepped
+#: producer's readers are split by; fold both again.
+RERUN_AFTER = {"unroll": ("constfold", "wlfold")}
 
 
-@dataclass(frozen=True)
-class Fixpoint:
-    """A schedule element: repeat ``passes`` until a round changes
-    nothing (or ``max_iterations`` rounds have run)."""
-
-    passes: tuple[str, ...]
-    max_iterations: int = 8
+def _unknown(names) -> SacOptionError:
+    return SacOptionError(
+        f"unknown pass name(s) {', '.join(repr(n) for n in names)}; "
+        f"valid passes: {', '.join(PASSES)}")
 
 
-_REGISTRY: dict[str, PassSpec] = {}
-
-
-def register_pass(name: str, fn: Callable[[Program], Program],
-                  description: str,
-                  invalidates: tuple[str, ...] = ("analysis", "kernels"),
-                  ) -> PassSpec:
-    """Register (or re-register) a pass under ``name``."""
-    spec = PassSpec(name, fn, description, invalidates)
-    _REGISTRY[name] = spec
-    return spec
-
-
-def registered_passes() -> dict[str, PassSpec]:
-    """A snapshot of the registry (name -> spec)."""
-    return dict(_REGISTRY)
-
-
-register_pass("inline", inline_pass,
-              "inline library calls to expose WITH-loops at use sites")
-register_pass("constfold", constfold_pass,
-              "literalize bounds and compile-time-evaluable pure calls")
-register_pass("wlfold", wlfold_pass,
-              "fuse producer/consumer WITH-loops")
-register_pass("unroll", unroll_pass,
-              "unroll constant-bounded stencil folds")
-register_pass("coeffgroup", coeffgroup_pass,
-              "group equal stencil coefficients (27 -> 4 multiplies)")
-register_pass("cse", cse_pass,
-              "share structurally equal subexpressions")
-register_pass("dce", dce_pass,
-              "drop assignments made dead by folding")
-# Annotation-only: certificates describe the final loop structure, so
-# the analysis report stays valid; only compiled kernels must refresh.
-register_pass("ipup", ipup_pass,
-              "annotate WITH-loops with certified buffer-reuse hints",
-              invalidates=("kernels",))
+def schedule_for(options) -> tuple[str, ...]:
+    """The schedule a :class:`~repro.sac.module.CompileOptions` asks
+    for: :data:`PASSES` in order, each followed by what
+    :data:`RERUN_AFTER` names for it, minus what
+    ``options.pass_overrides`` switch off."""
+    overrides = dict(options.pass_overrides)
+    bad = sorted(n for n in overrides if n not in PASSES)
+    if bad:
+        raise _unknown(bad)
+    schedule: list[str] = []
+    for name in PASSES:
+        if overrides.get(name, True):
+            schedule.append(name)
+            schedule += [n for n in RERUN_AFTER.get(name, ())
+                         if overrides.get(n, True)]
+    return tuple(schedule)
 
 
 @dataclass(frozen=True)
@@ -121,11 +87,6 @@ class PassExecution:
     name: str
     seconds: float
     rewrites: int  #: function bodies structurally changed by this run
-    iteration: int = 0  #: round index within a fixpoint group, else 0
-
-    @property
-    def changed(self) -> bool:
-        return self.rewrites > 0
 
 
 @dataclass
@@ -133,9 +94,6 @@ class PassReport:
     """Everything the manager observed while running a schedule."""
 
     executions: list[PassExecution] = field(default_factory=list)
-    #: (pass name, before, after) pretty-prints, recorded only for
-    #: executions that changed the program and only with snapshots on.
-    snapshots: list[tuple[str, str, str]] = field(default_factory=list)
 
     def runs(self, name: str | None = None) -> int:
         return sum(1 for e in self.executions
@@ -190,112 +148,26 @@ def _count_rewrites(before: Program, after: Program) -> int:
 
 
 class PassManager:
-    """Run schedules of registered passes with instrumentation.
+    """Run schedules of :data:`PASSES` with instrumentation.
 
     One manager can run many schedules; every execution lands in
-    :attr:`report`, so a session's report accumulates across stages
-    (initial pipeline, later re-optimizations).
+    :attr:`report`.
     """
 
-    def __init__(self, registry: dict[str, PassSpec] | None = None, *,
-                 snapshots: bool = False):
-        self.registry = dict(registry) if registry is not None else None
-        self.snapshots = snapshots
+    def __init__(self) -> None:
         self.report = PassReport()
 
-    def _spec(self, name: str) -> PassSpec:
-        registry = self.registry if self.registry is not None else _REGISTRY
-        try:
-            return registry[name]
-        except KeyError:
-            from ..errors import SacOptionError
-
-            valid = ", ".join(sorted(registry))
-            raise SacOptionError(
-                f"unknown pass {name!r}; registered passes: {valid}"
-            ) from None
-
-    def run_pass(self, program: Program, name: str,
-                 iteration: int = 0) -> Program:
-        """Run one registered pass, recording metrics (and snapshots)."""
-        spec = self._spec(name)
-        before_text = None
-        if self.snapshots:
-            from ..pprint import pprint_program
-
-            before_text = pprint_program(program)
-        t0 = time.perf_counter()
-        result = spec.fn(program)
-        seconds = time.perf_counter() - t0
-        rewrites = _count_rewrites(program, result)
-        self.report.executions.append(
-            PassExecution(name, seconds, rewrites, iteration)
-        )
-        if self.snapshots and rewrites:
-            from ..pprint import pprint_program
-
-            self.report.snapshots.append(
-                (name, before_text, pprint_program(result))
-            )
-        return result if rewrites else program
-
-    def run(self, program: Program,
-            schedule: tuple[str | Fixpoint, ...]) -> Program:
-        """Run a schedule of pass names and fixpoint groups."""
-        for item in schedule:
-            if isinstance(item, Fixpoint):
-                for round_no in range(item.max_iterations):
-                    changed = False
-                    for name in item.passes:
-                        result = self.run_pass(program, name, round_no)
-                        if result is not program:
-                            changed = True
-                            program = result
-                    if not changed:
-                        break
-            else:
-                program = self.run_pass(program, item)
+    def run(self, program: Program, schedule: tuple[str, ...]) -> Program:
+        """Run a schedule of pass names, recording each one's metrics."""
+        for name in schedule:
+            if name not in PASSES:
+                raise _unknown([name])
+            t0 = time.perf_counter()
+            result = PASSES[name](program)
+            seconds = time.perf_counter() - t0
+            rewrites = _count_rewrites(program, result)
+            self.report.executions.append(
+                PassExecution(name, seconds, rewrites))
+            if rewrites:
+                program = result
         return program
-
-
-def schedule_for(options) -> tuple[str | Fixpoint, ...]:
-    """Build the schedule a :class:`~repro.sac.optim.pipeline.PassOptions`
-    asks for.
-
-    The plain schedule is inline, constfold, wlfold, unroll, constfold
-    and wlfold again, coeffgroup, cse, dce, ipup, each subject to its
-    toggle.  With ``options.fixpoint`` the interacting pairs run as
-    fixpoint groups instead, so repeated folding opportunities exposed
-    by a prior round are taken.
-    """
-    fix = bool(getattr(options, "fixpoint", False))
-    on = {name for name in ("inline", "constfold", "wlfold", "unroll",
-                            "coeffgroup", "cse", "dce")
-          if getattr(options, name)}
-
-    def group(*names: str) -> tuple[str | Fixpoint, ...]:
-        members = tuple(n for n in names if n in on)
-        if not members:
-            return ()
-        if fix and len(members) > 1:
-            return (Fixpoint(members),)
-        if fix and members == ("constfold",):
-            return (Fixpoint(members),)
-        return members
-
-    schedule: list[str | Fixpoint] = []
-    schedule += group("inline")
-    schedule += group("constfold", "wlfold")
-    if "unroll" in on:
-        schedule += group("unroll")
-        # Unrolling exposes per-offset coefficient lookups, and the
-        # literal offsets a stepped producer's readers are split by;
-        # fold both again.
-        schedule += group("constfold", "wlfold")
-    schedule += group("coeffgroup")
-    schedule += group("cse", "dce")
-    # ipup runs last and never joins a fixpoint group: its hints are
-    # annotations, not rewrites, and must describe the settled loops.
-    if getattr(options, "ipup", False):
-        schedule.append("ipup")
-    return tuple(schedule)

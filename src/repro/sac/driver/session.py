@@ -29,12 +29,12 @@ from .cache import (
     program_key,
     source_digest,
 )
-from .passes import PassManager
+from .passes import PassManager, schedule_for
 
 __all__ = ["StageRecord", "CompilationSession"]
 
-#: Canonical stage order (backend is lazy: the interpreter and any JIT
-#: kernels are built on first use).
+#: Canonical stage order (backend is lazy: the interpreter is built on
+#: first use).
 STAGE_NAMES = ("parse", "link", "typecheck", "analyze", "optimize",
                "backend")
 
@@ -61,8 +61,7 @@ class CompilationSession:
 
     def __init__(self, source: str | None = None, filename: str = "<sac>",
                  options=None, *, parsed=None,
-                 cache: KernelCache | None = None,
-                 pass_manager: PassManager | None = None):
+                 cache: KernelCache | None = None):
         from ..module import CompileOptions
 
         if source is None and parsed is None:
@@ -72,8 +71,7 @@ class CompilationSession:
         self.filename = filename
         self.options = options or CompileOptions()
         self.cache = cache if cache is not None else default_cache()
-        self.pass_manager = (pass_manager if pass_manager is not None
-                             else PassManager())
+        self.pass_manager = PassManager()
         self.stages: dict[str, StageRecord] = {
             name: StageRecord(name) for name in STAGE_NAMES
         }
@@ -100,7 +98,7 @@ class CompilationSession:
         rec.detail = detail
 
     def _compile(self) -> None:
-        from ..stdlib import PRELUDE_SOURCE
+        from ..stdlib import PRELUDE_SOURCE, load_prelude
 
         opts = self.options
         if self.source is not None:
@@ -110,12 +108,12 @@ class CompilationSession:
             from ..pprint import pprint_program
 
             src_digest = "ast:" + source_digest(pprint_program(self._parsed))
-        prelude_digest = (source_digest(PRELUDE_SOURCE)
-                          if opts.include_prelude else "-")
-        #: One digest identifies the whole front-end configuration; it
-        #: doubles as the kernel cache's program component, so an edit
-        #: to the source or any option flip re-keys every kernel too.
-        self.program_digest = program_key(src_digest, prelude_digest, opts)
+        #: One digest identifies the optimized program; it doubles as
+        #: the kernel cache's program component, so an edit to the source
+        #: or a flip of an option that decides the program re-keys every
+        #: kernel too.
+        self.program_digest = program_key(
+            src_digest, source_digest(PRELUDE_SOURCE), opts)
 
         entry = self.cache.get_program(self.program_digest)
         if entry is not None:
@@ -143,16 +141,8 @@ class CompilationSession:
                          detail=f"{len(parsed.functions)} functions")
 
         t0 = time.perf_counter()
-        if opts.include_prelude:
-            from ..stdlib import load_prelude
-
-            pieces = list(load_prelude().functions)
-            pieces.extend(parsed.functions)
-            combined = Program(tuple(pieces))
-            self._record("link", t0, detail="prelude linked")
-        else:
-            combined = parsed
-            self._record("link", t0, ran=False, detail="prelude disabled")
+        combined = Program((*load_prelude().functions, *parsed.functions))
+        self._record("link", t0, detail="prelude linked")
 
         t0 = time.perf_counter()
         if opts.typecheck:
@@ -185,11 +175,7 @@ class CompilationSession:
 
         t0 = time.perf_counter()
         if opts.optimize:
-            from ..optim.pipeline import PassOptions, optimize_with_report
-
-            pass_options = PassOptions.from_overrides(opts.pass_overrides)
-            combined, _ = optimize_with_report(combined, pass_options,
-                                               manager=self.pass_manager)
+            combined = self.pass_manager.run(combined, schedule_for(opts))
             self._record("optimize", t0,
                          detail=f"{self.pass_manager.report.runs()} pass runs")
         else:
@@ -207,25 +193,14 @@ class CompilationSession:
 
     @property
     def interpreter(self):
-        """The (lazily built) interpreter over the optimized program,
-        wired to the shared kernel cache so JIT specializations are
-        content-addressed and reused across sessions and processes."""
+        """The (lazily built) interpreter over the optimized program."""
         if self._interp is None:
             t0 = time.perf_counter()
-            from ..interp import FunctionTable, Interpreter, InterpOptions
+            from ..interp import FunctionTable, Interpreter
 
             table = FunctionTable()
             table.update(self.program)
-            self._interp = Interpreter(
-                table,
-                InterpOptions(
-                    vectorize=self.options.vectorize,
-                    jit=self.options.jit,
-                    jit_threshold=self.options.jit_threshold,
-                ),
-                kernel_cache=self.cache,
-                program_digest=self.program_digest,
-            )
+            self._interp = Interpreter(table, vectorize=self.options.vectorize)
             self._record("backend", t0, detail="interpreter built")
         return self._interp
 

@@ -8,7 +8,7 @@ in the affine/abstract domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .ast_visit import ReturnValue, StatementExecutor
 from .builtins import apply_binop, apply_unop, call_builtin, is_builtin
 from .errors import (
     SacArityError,
-    SacError,
     SacNameError,
     SacRuntimeError,
     SacTypeError,
@@ -35,7 +34,10 @@ from .values import (
 )
 from .withloop import eval_withloop
 
-__all__ = ["Env", "InterpOptions", "Interpreter", "FunctionTable"]
+__all__ = ["Env", "Interpreter", "FunctionTable"]
+
+#: Guard against runaway recursion in user programs.
+MAX_CALL_DEPTH = 200
 
 
 class Env:
@@ -121,30 +123,9 @@ class FunctionTable:
         return best
 
 
-@dataclass
-class InterpOptions:
-    """Evaluation knobs (the compiler-ablation switches)."""
-
-    #: Attempt vectorized WITH-loop execution (off = pure scalar loops).
-    vectorize: bool = True
-    #: Guard against runaway recursion in user programs.
-    max_call_depth: int = 200
-    #: Specialize hot functions through the codegen backend (sac2c-style
-    #: shape specialization at run time).
-    jit: bool = False
-    #: Calls with the same (function, argument-signature) before the JIT
-    #: compiles that specialization.
-    jit_threshold: int = 3
-
-
 class Interpreter(StatementExecutor):
-    """Evaluator over a :class:`FunctionTable`.
-
-    When ``kernel_cache`` (a :class:`repro.sac.driver.cache.KernelCache`)
-    and ``program_digest`` are supplied, the JIT requests compiled
-    specializations from that shared content-addressed cache instead of
-    tracing privately — a kernel traced by any interpreter, thread, or
-    earlier process over the same program is reused here.
+    """Evaluator over a :class:`FunctionTable`; ``vectorize`` off runs
+    every WITH-loop as a scalar reference loop.
 
     The rules below are written for concrete and abstract
     (:class:`IndexView`/:class:`SpaceValue`) values; the overridable
@@ -160,24 +141,13 @@ class Interpreter(StatementExecutor):
     unop = staticmethod(apply_unop)
     builtin = staticmethod(call_builtin)
 
-    def __init__(self, functions: FunctionTable,
-                 options: InterpOptions | None = None, *,
-                 kernel_cache=None, program_digest: str | None = None):
+    def __init__(self, functions: FunctionTable, vectorize: bool = True):
         self.functions = functions
-        self.options = options or InterpOptions()
-        self.kernel_cache = kernel_cache
-        self.program_digest = program_digest
+        self.vectorize = vectorize
         self._depth = 0
-        # JIT state: per (function, signature) call counts, loaded
-        # specializations, and signatures codegen refused.
-        self._jit_counts: dict = {}
-        self._jit_cache: dict = {}
-        self._jit_blocked: set = set()
         # Each SAC call consumes several Python frames; make sure our own
         # depth guard fires before CPython's recursion limit does.
-        import sys
-
-        needed = 25 * self.options.max_call_depth
+        needed = 25 * MAX_CALL_DEPTH
         if sys.getrecursionlimit() < needed:
             sys.setrecursionlimit(needed)
 
@@ -231,48 +201,10 @@ class Interpreter(StatementExecutor):
             return cell_type(v.data.dtype, v.cell_shape)
         return value_type(v)
 
-    # -- JIT ------------------------------------------------------------------
-
-    def _jit_lookup(self, fun: FunDef, args: list):
-        if any_abstract(args):
-            return None  # abstract context: never JIT
-        from .driver.cache import shape_signature
-
-        sig = (id(fun), shape_signature(args))
-        if sig in self._jit_blocked:
-            return None
-        compiled = self._jit_cache.get(sig)
-        if compiled is not None:
-            return compiled
-        count = self._jit_counts.get(sig, 0) + 1
-        self._jit_counts[sig] = count
-        if count < self.options.jit_threshold:
-            return None
-        from .codegen import specialize
-
-        try:
-            compiled = specialize(self.functions, fun, args, self.kernel_cache,
-                                  self.program_digest)
-        except SacError:  # CodegenUnsupported included
-            self._jit_blocked.add(sig)
-            return None
-        self._jit_cache[sig] = compiled
-        return compiled
-
-    @property
-    def jit_compiled_count(self) -> int:
-        """How many specializations the JIT has compiled (introspection)."""
-        return len(self._jit_cache)
-
     def apply_fundef(self, fun: FunDef, args: list):
-        if self.options.jit:
-            compiled = self._jit_lookup(fun, args)
-            if compiled is not None:
-                return coerce_value(compiled(*args))
-        if self._depth >= self.options.max_call_depth:
+        if self._depth >= MAX_CALL_DEPTH:
             raise SacRuntimeError(
-                f"call depth exceeded ({self.options.max_call_depth}) in "
-                f"{fun.name!r}"
+                f"call depth exceeded ({MAX_CALL_DEPTH}) in {fun.name!r}"
             )
         env = Env({p.name: a for p, a in zip(fun.params, args)})
         self._depth += 1

@@ -26,25 +26,28 @@ __all__ = ["SacProgram", "CompileOptions"]
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Front-end configuration — the compiler-ablation switches."""
+    """The compiler's configuration — the only options record of
+    :mod:`repro.sac`."""
 
-    #: Link the Fig. 10 prelude into the program.
-    include_prelude: bool = True
     #: Run the static semantic checks before anything else.
     typecheck: bool = True
     #: Run the full static analyzer (shape/partition/race/lint) and
     #: refuse to build on error-severity findings.
     analyze: bool = False
-    #: Run the optimization pipeline (inlining, constant folding,
-    #: WITH-loop folding, stencil unrolling/grouping, DCE).
+    #: Run the optimization pipeline
+    #: (:data:`repro.sac.driver.passes.PASSES`).
     optimize: bool = True
     #: Vectorize WITH-loop execution (off = scalar reference loops).
     vectorize: bool = True
-    #: Specialize hot calls through the codegen backend at run time.
-    jit: bool = False
-    jit_threshold: int = 3
-    #: Fine-grained pass control, forwarded to the pipeline.
+    #: ``(pass name, on)`` pairs switching single passes of the pipeline;
+    #: an unknown name is a :class:`~repro.sac.errors.SacOptionError`
+    #: (``SAC010``) here, at construction.
     pass_overrides: tuple[tuple[str, bool], ...] = ()
+
+    def __post_init__(self):
+        from .driver.passes import schedule_for
+
+        schedule_for(self)  # rejects an unknown pass name
 
 
 class SacProgram:

@@ -1,23 +1,18 @@
-"""SAC compiler optimization passes (AST-to-AST)."""
+"""SAC compiler optimization passes (AST-to-AST).  The pipeline they
+form is :data:`repro.sac.driver.passes.PASSES`."""
 
 from .coeffgroup import coeffgroup_pass
 from .constfold import constfold_pass
 from .dce import dce_pass
 from .inline import inline_pass
-from .ipup import ipup_pass
-from .pipeline import PASS_NAMES, PassOptions, optimize_program
 from .unroll import unroll_pass
 from .wlfold import wlfold_pass
 
 __all__ = [
-    "PASS_NAMES",
-    "PassOptions",
-    "optimize_program",
     "inline_pass",
     "constfold_pass",
     "wlfold_pass",
     "unroll_pass",
     "coeffgroup_pass",
     "dce_pass",
-    "ipup_pass",
 ]

@@ -29,7 +29,7 @@ from ..ast_nodes import (
 )
 from ..builtins import apply_binop, apply_unop, is_builtin
 from ..errors import SacError
-from ..interp import FunctionTable, Interpreter, InterpOptions
+from ..interp import FunctionTable, Interpreter
 from .rewrite import map_stmt_exprs
 
 __all__ = ["constfold_pass", "literal_value", "make_literal"]
@@ -98,7 +98,7 @@ class _Folder:
         self.pure_names = self._pure_function_names(program)
         table = FunctionTable()
         table.update(program)
-        self.interp = Interpreter(table, InterpOptions(vectorize=True))
+        self.interp = Interpreter(table)
 
     @staticmethod
     def _pure_function_names(program: Program) -> set[str]:

@@ -15,7 +15,7 @@ Two execution strategies, tried in order:
    indexing, ``width`` filters) and as the reference implementation in
    tests.
 
-The strategy can be forced via ``interp.options.vectorize``.
+The strategy can be forced via ``Interpreter(table, vectorize=...)``.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def withloop_head(ev, env, wl: WithLoop):
 def eval_withloop(interp, env, wl: WithLoop):
     """Evaluate a WITH-loop expression in ``env``."""
     space, shp, base, body_env = withloop_head(interp, env, wl)
-    if interp.options.vectorize and body_env is not None:
+    if interp.vectorize and body_env is not None:
         try:
             return _eval_vectorized(interp, env, body_env, wl.operation,
                                     space, shp, base)

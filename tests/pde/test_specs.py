@@ -95,12 +95,6 @@ class TestProblemSpec:
         base.update(kw)
         return ProblemSpec(**base)
 
-    def test_describe_matches_bench_schema(self):
-        desc = self._spec().describe()
-        assert sorted(desc) == ["boundary", "cycle", "family", "name",
-                                "smoother"]
-        assert all(isinstance(v, str) for v in desc.values())
-
     def test_validation(self):
         with pytest.raises(ValueError, match="ndim"):
             self._spec(ndim=0)

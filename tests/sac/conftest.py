@@ -1,8 +1,7 @@
 """The codegen contract, checked wherever these tests compile anything.
 
 Every specialization traced while a test of the modules below runs —
-through ``compile_function``, the interpreter's JIT or a session's
-``compile_kernel`` — is executed once on its example arguments and must
+through ``compile_function`` or a session's ``compile_kernel`` — is executed once on its example arguments and must
 return the bytes the tree-walking interpreter returns for the same
 function and arguments, and leave those arguments as they were: whatever
 the buffer planner lets a callee write into, the entry point's
@@ -18,8 +17,8 @@ from repro.sac import codegen
 from repro.sac.driver import KernelCache
 from repro.sac.interp import Interpreter
 
-_CONTRACT_MODULES = {"test_codegen", "test_jit", "test_ipup_codegen",
-                     "test_mg_sac", "test_bufplan", "test_donation_property"}
+_CONTRACT_MODULES = {"test_codegen", "test_mg_sac", "test_bufplan",
+                     "test_donation_property"}
 
 
 def assert_same_bytes(got, want) -> None:

@@ -92,22 +92,19 @@ class TestMgCertification:
 
 class TestPipelineGate:
     def test_gate_raises_on_errors(self):
-        from repro.sac.optim.pipeline import PassOptions, optimize_program
-        from repro.sac.parser import parse_program
+        from repro.sac import CompileOptions, SacProgram
 
-        bad = parse_program(
-            "int[10] f() { return with ([0] <= iv <= [8] step [2] "
-            "width [3]) genarray([10], 1); }")
+        bad = ("int[10] f() { return with ([0] <= iv <= [8] step [2] "
+               "width [3]) genarray([10], 1); }")
         with pytest.raises(SacAnalysisError) as exc:
-            optimize_program(bad, PassOptions(analyze=True))
+            SacProgram.from_source(bad, options=CompileOptions(analyze=True))
         assert exc.value.diagnostics
         assert any(d.code == "SAC301" for d in exc.value.diagnostics)
 
     def test_gate_off_by_default(self):
-        from repro.sac.optim.pipeline import PassOptions
+        from repro.sac import CompileOptions
 
-        assert PassOptions().analyze is False
-        assert PassOptions.none().analyze is False
+        assert CompileOptions().analyze is False
 
     def test_module_gate(self):
         from repro.sac import CompileOptions, SacProgram

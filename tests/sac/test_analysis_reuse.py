@@ -1,14 +1,17 @@
 """Reuse certification (SAC5xx layer 3): ReuseCertificates and the
-SAC501/SAC502/SAC510 diagnostics."""
-
-import dataclasses
+SAC502/SAC510 diagnostics."""
 
 from repro.sac.analysis import analyze_program, analyze_source
 from repro.sac.analysis.effects import EffectsAnalysis
 from repro.sac.analysis.reuse import certify_function, certify_program
-from repro.sac.ast_nodes import Program, ReuseHint, WithLoop
+from repro.sac.ast_nodes import Program
 from repro.sac.parser import parse_program
 from repro.sac.stdlib import load_prelude
+
+
+def mg_program():
+    user = parse_program(open("src/repro/mg_sac/mg.sac").read(), "mg.sac")
+    return Program(tuple(load_prelude().functions) + tuple(user.functions))
 
 
 def certify(src, name=None):
@@ -105,47 +108,6 @@ class TestCertification:
         cert = next(c for c in certs if c.target == "s")
         assert not cert.buffer_reuse
         assert cert.kind == "fold"
-
-
-class TestHintChecking:
-    def _with_bogus_hint(self, src):
-        """Attach buffer_reuse hints the analysis must refute."""
-        prog = parse_program(src)
-
-        def poison(fun):
-            stmts = []
-            for stmt in fun.body.statements:
-                if hasattr(stmt, "value") \
-                        and isinstance(stmt.value, WithLoop):
-                    wl = dataclasses.replace(
-                        stmt.value,
-                        hint=ReuseHint(buffer_reuse=True,
-                                       destructive=True))
-                    stmt = dataclasses.replace(stmt, value=wl)
-                stmts.append(stmt)
-            return dataclasses.replace(
-                fun, body=dataclasses.replace(
-                    fun.body, statements=tuple(stmts)))
-
-        return Program(tuple(poison(f) for f in prog.functions))
-
-    def test_refuted_hint_is_sac501(self):
-        prog = self._with_bogus_hint(
-            "double[+] f(double[+] a) { r = with ([1] <= iv < "
-            "shape(a) - 1) modarray(a, a[iv] * 2.0); return r; }")
-        found = []
-        certify_program(prog,
-                        lambda c, m, p, f: found.append(c))
-        assert "SAC501" in found
-
-    def test_valid_hint_is_silent(self):
-        prog = self._with_bogus_hint(REUSABLE)
-        found = []
-        certify_program(prog,
-                        lambda c, m, p, f: found.append(c))
-        # The hi loop's hint is legitimate; only the claim of a
-        # destructive update on an offset-free body survives checking.
-        assert "SAC501" not in found
 
 
 #: (what, producer, reader, folded) over ``f(double[.] a, double[.] g,
@@ -276,10 +238,7 @@ class TestDriverIntegration:
         assert report.ok
 
     def test_mg_program_certificates(self):
-        prelude = load_prelude()
-        user = parse_program(
-            open("src/repro/mg_sac/mg.sac").read(), "mg.sac")
-        prog = Program(tuple(prelude.functions) + tuple(user.functions))
+        prog = mg_program()
         found = []
         certs = certify_program(
             prog, lambda c, m, p, f: found.append((c, f)))
@@ -293,8 +252,51 @@ class TestDriverIntegration:
         reused = [c for c in certs if c.buffer_reuse]
         assert [(c.function, c.target, c.frame) for c in reused] \
             == [("SetupAxis", "hi", "lo")]
-        assert [c for c, _ in found if c == "SAC501"] == []
         assert [d for d in analyze_program(prog).diagnostics
                 if d.code == "SAC502"] == []
         assert [c for c, _ in found if c == "SAC510"] \
             == ["SAC510"]
+
+    def test_certified_sites_of_the_optimized_program(self):
+        # Folding the transfer operators into pieces leaves nine more
+        # in-place sites than the source has (SetupAxis hi <- lo).
+        from collections import Counter
+
+        from repro.mg_sac import load_mg_program
+
+        certs = certify_program(load_mg_program().program)
+        assert Counter(c.function for c in certs if c.buffer_reuse) == {
+            "SetupAxis": 1, "Fine2Coarse": 1, "Coarse2Fine": 8}
+
+
+class TestMG001Agreement:
+    """The static certificates and the runtime alias guard are two
+    views of one invariant and must never disagree."""
+
+    def test_relax_frame_refused_like_mg001(self):
+        # The runtime relax kernels raise StencilAliasError (MG001)
+        # when out aliases u; statically, RelaxKernel's loop must be
+        # refused reuse of u for the same reason, with u on record as
+        # the hazard the stencil reads at an offset.
+        certs = certify_program(mg_program())
+        relax = next(c for c in certs
+                     if c.function == "RelaxKernel"
+                     and c.target == "r")
+        assert not relax.buffer_reuse
+        assert "u" in relax.hazards
+
+    def test_certified_loop_frame_is_offset_free(self):
+        # Conversely a certificate implies the loop body never reads
+        # its frame at an offset — exactly the condition under which
+        # the runtime guard could fire.
+        prog = mg_program()
+        eff = EffectsAnalysis(prog)
+        for cert in certify_program(prog):
+            if not cert.destructive or cert.wl is None:
+                continue
+            reads = eff.expr_reads(
+                cert.wl.operation.body,
+                frozenset({cert.wl.generator.var}))
+            assert not any(
+                r.name == cert.frame and r.kind.name == "OFFSET"
+                for r in reads), cert

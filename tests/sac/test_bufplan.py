@@ -390,6 +390,50 @@ def compiled(src, fname, *args, **kwargs):
                             **kwargs)
 
 
+class TestCertifiedSites:
+    """Every site the reuse certification proves (a dead, owned,
+    unaliased frame) is a dead owned temp of its trace: the planner
+    finds it by liveness, without reading the certificate, and elides
+    the frame copy there."""
+
+    REUSABLE = """
+    double[+] f(double[+] a) {
+        lo = a + 1.0;
+        hi = with ([1] <= iv < shape(a) - 1) modarray(lo, lo[iv] * 2.0);
+        return hi;
+    }
+    """
+    CHAINED = """
+    double[+] f(double[+] a) {
+        t = a * 3.0;
+        m = with ([0] <= iv < [2]) modarray(t, 0.0);
+        n = with ([6] <= iv < [8]) modarray(m, 1.0);
+        return n;
+    }
+    """
+
+    def test_copy_elided_for_certified_loop(self):
+        fn = compiled(self.REUSABLE, "f", np.arange(8.0))
+        assert ".copy()" not in fn.source
+        assert "_t1[1:7] = _t3" in fn.source
+
+    @pytest.mark.parametrize("src", [REUSABLE, CHAINED])
+    def test_certified_means_no_copy(self, src):
+        from repro.sac import parse_program
+        from repro.sac.analysis.reuse import certify_program
+
+        certs = certify_program(parse_program(src))
+        assert certs and all(c.buffer_reuse for c in certs)
+        assert ".copy()" not in compiled(src, "f", np.arange(8.0)).source
+
+    def test_caller_buffer_untouched(self):
+        # The certified frame is the *local* lo, never the parameter:
+        # the caller's array must come back unmodified.
+        a = np.arange(8.0)
+        compiled(self.REUSABLE, "f", a)(a)
+        assert np.array_equal(a, np.arange(8.0))
+
+
 class TestThroughCodegen:
     def test_chain_accumulates_into_its_first_result(self):
         fn = compiled("double[+] f(double[+] a) { return 2.0 * a - 1.0; }",

@@ -191,6 +191,23 @@ class TestSpecializationContract:
         with pytest.raises(ValueError, match="recompile"):
             fn(a.astype(np.float32))
 
+    TWICE = ("double[+] twice(double[+] a) { return with (. <= iv <= .) "
+             "modarray(a, 2.0 * a[iv]); }")
+
+    @pytest.mark.parametrize("shapes", [((8,), (8,)), ((4,), (6,), (2, 3))],
+                             ids=["repeated-calls", "one-per-shape"])
+    def test_specializations_of_one_program(self, shapes):
+        # Calling a specialization again changes nothing, and compiling
+        # another shape leaves the first one working.
+        prog = SacProgram.from_source(self.TWICE)
+        fns = [compile_function(prog, "twice", (np.zeros(shape),))
+               for shape in shapes]
+        for _ in range(3):
+            for shape, fn in zip(shapes, fns):
+                a = np.arange(float(np.prod(shape))).reshape(shape)
+                assert fn.arrays == {"a": (shape, np.dtype(np.float64))}
+                assert fn(a).tobytes() == prog.call("twice", a).tobytes()
+
     def test_baked_int_validated(self):
         prog = SacProgram.from_source(
             "double f(double[.] a, int k) { return a[[k]]; }"

@@ -37,7 +37,6 @@ class TestCatalogue:
                             "SAC5"}
 
     def test_sac5xx_severities(self):
-        assert CODE_CATALOGUE["SAC501"][0] is Severity.ERROR
         assert CODE_CATALOGUE["SAC502"][0] is Severity.WARNING
         assert CODE_CATALOGUE["SAC510"][0] is Severity.NOTE
 
@@ -51,7 +50,7 @@ class TestDocDrift:
         assert not missing, f"undocumented codes: {missing}"
 
     def test_documented_severity_matches_catalogue(self):
-        # Catalogue rows look like `| SAC501 | error | ... |`.
+        # Catalogue rows look like `| SAC502 | warning | ... |`.
         text = DOCS.read_text()
         for code, (severity, _) in CODE_CATALOGUE.items():
             rows = re.findall(
@@ -76,18 +75,15 @@ def _diag(code, line=3):
 
 class TestSarifRoundTrip:
     def test_sac5xx_round_trip(self):
-        diags = [_diag("SAC501"), _diag("SAC502", 5),
-                 _diag("SAC510", 9)]
+        diags = [_diag("SAC502"), _diag("SAC510", 9)]
         log = json.loads(render_sarif(diags))
         run = log["runs"][0]
         results = run["results"]
-        assert [r["ruleId"] for r in results] \
-            == ["SAC501", "SAC502", "SAC510"]
-        assert [r["level"] for r in results] \
-            == ["error", "warning", "note"]
+        assert [r["ruleId"] for r in results] == ["SAC502", "SAC510"]
+        assert [r["level"] for r in results] == ["warning", "note"]
         rules = {r["id"] for r in
                  run["tool"]["driver"]["rules"]}
-        assert {"SAC501", "SAC502", "SAC510"} <= rules
+        assert {"SAC502", "SAC510"} <= rules
         loc = results[0]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "x.sac"
         assert loc["region"]["startLine"] == 3
@@ -102,8 +98,8 @@ class TestSarifRoundTrip:
             assert r["level"] in ("error", "warning", "note")
 
     def test_json_counts_exclude_notes(self):
-        diags = [_diag("SAC501"), _diag("SAC510")]
+        diags = [_diag("SAC301"), _diag("SAC502"), _diag("SAC510")]
         payload = json.loads(render_json(diags))
         assert payload["errors"] == 1
-        assert payload["warnings"] == 0
-        assert len(payload["diagnostics"]) == 2
+        assert payload["warnings"] == 1
+        assert len(payload["diagnostics"]) == 3

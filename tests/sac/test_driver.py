@@ -1,13 +1,13 @@
 """The compiler driver: PassManager, schedules, CompilationSession."""
 
+import dataclasses
+
 import pytest
 
 from repro.sac import CompileOptions, SacProgram, parse_program
-from repro.sac.driver import CompilationSession, Fixpoint, KernelCache, PassManager
-from repro.sac.driver.passes import registered_passes, schedule_for
+from repro.sac.driver import CompilationSession, KernelCache, PassManager
+from repro.sac.driver.passes import PASSES, schedule_for
 from repro.sac.errors import SacOptionError
-from repro.sac.optim import PASS_NAMES
-from repro.sac.optim.pipeline import PassOptions, optimize_program
 from repro.sac.optim.rewrite import ast_key
 
 SRC = """
@@ -35,38 +35,43 @@ def _mem_session(source, options=None):
                               cache=KernelCache(memory_only=True))
 
 
-class TestPassOptions:
-    def test_keyword_only(self):
-        with pytest.raises(TypeError):
-            PassOptions(False)  # noqa: the satellite: positional is an error
+class TestCompileOptions:
+    def test_the_five_fields(self):
+        # The only options record of repro.sac.
+        assert [f.name for f in dataclasses.fields(CompileOptions)] == [
+            "typecheck", "analyze", "optimize", "vectorize", "pass_overrides"]
 
-    def test_none_disables_all(self):
-        opts = PassOptions.none()
-        assert opts.enabled() == []
+    def test_overrides_valid(self):
+        sched = schedule_for(CompileOptions(
+            pass_overrides=(("cse", False), ("dce", True))))
+        assert "cse" not in sched and "dce" in sched
 
-    def test_from_overrides_valid(self):
-        opts = PassOptions.from_overrides({"cse": False})
-        assert not opts.cse and opts.dce
-
-    def test_from_overrides_unknown_key_coded_error(self):
+    def test_unknown_override_is_a_coded_error_at_construction(self):
         with pytest.raises(SacOptionError) as exc:
-            PassOptions.from_overrides({"consfold": False})
+            CompileOptions(pass_overrides=(("consfold", False),))
         msg = str(exc.value)
         assert "SAC010" in msg
         assert "'consfold'" in msg
-        for name in PASS_NAMES:
+        for name in PASSES:
             assert name in msg
         assert exc.value.code == "SAC010"
 
     def test_bad_override_surfaces_through_sacprogram(self):
-        options = CompileOptions(pass_overrides=(("nosuch", True),))
         with pytest.raises(SacOptionError, match="SAC010"):
-            SacProgram.from_source(SRC, options=options)
+            SacProgram.from_source(SRC, options=CompileOptions(
+                pass_overrides=(("nosuch", True),)))
 
 
 class TestPassManager:
     def test_registry_covers_pass_names(self):
-        assert set(PASS_NAMES) <= set(registered_passes())
+        # The table is the registry: the default schedule runs every
+        # pass in it, each once, except the documented second constfold
+        # and wlfold after unroll.
+        sched = schedule_for(CompileOptions())
+        assert set(sched) == set(PASSES)
+        assert {n for n in PASSES if sched.count(n) != 1} \
+            == {"constfold", "wlfold"}
+        assert sched.count("constfold") == sched.count("wlfold") == 2
 
     def test_unknown_pass_in_schedule(self):
         pm = PassManager()
@@ -98,55 +103,22 @@ class TestPassManager:
         assert "inline" in table and "constfold" in table
         assert "rewrites" in table and "total" in table
 
-    def test_snapshots_only_on_change(self):
-        pm = PassManager(snapshots=True)
-        pm.run(parse_program(SRC), ("inline", "cse"))
-        names = [name for name, _, _ in pm.report.snapshots]
-        assert "inline" in names
-        for name, before, after in pm.report.snapshots:
-            assert before != after
-
-    def test_fixpoint_group_converges(self):
-        pm = PassManager()
-        pm.run(parse_program(SRC),
-               (Fixpoint(("inline", "constfold", "dce")),))
-        rep = pm.report
-        # Converged: the last full round rewrote nothing.
-        last_round = max(e.iteration for e in rep.executions)
-        assert last_round >= 1
-        final = [e for e in rep.executions if e.iteration == last_round]
-        assert all(e.rewrites == 0 for e in final)
-
     def test_default_schedule_matches_legacy_order(self):
-        sched = schedule_for(PassOptions())
+        sched = schedule_for(CompileOptions())
         # The legacy order, and wlfold a second time next to unroll's
         # constfold: a stepped producer's readers are split by the
         # literal offsets only those two expose.
         assert sched == ("inline", "constfold", "wlfold", "unroll",
-                         "constfold", "wlfold", "coeffgroup", "cse", "dce",
-                         "ipup")
+                         "constfold", "wlfold", "coeffgroup", "cse", "dce")
 
     def test_schedule_respects_toggles(self):
-        sched = schedule_for(PassOptions(unroll=False, cse=False))
+        sched = schedule_for(CompileOptions(
+            pass_overrides=(("unroll", False), ("cse", False))))
         assert "unroll" not in sched
         assert "cse" not in sched
         # Without unroll the second constfold and wlfold disappear too.
         assert sched.count("constfold") == 1
         assert sched.count("wlfold") == 1
-
-    def test_fixpoint_schedule_groups_pairs(self):
-        sched = schedule_for(PassOptions(fixpoint=True))
-        groups = [s for s in sched if isinstance(s, Fixpoint)]
-        assert any(g.passes == ("constfold", "wlfold") for g in groups)
-        assert any(g.passes == ("cse", "dce") for g in groups)
-
-    def test_fixpoint_pipeline_equivalent_result(self):
-        program = parse_program(MG_LIKE)
-        plain = optimize_program(program, PassOptions())
-        fix = optimize_program(program, PassOptions(fixpoint=True))
-        # Fixpoint scheduling may do more rounds but must be semantics-
-        # preserving; on this program it converges to the same AST.
-        assert ast_key(plain) == ast_key(fix)
 
 
 class TestCompilationSession:

@@ -3,6 +3,7 @@
 import pickle
 
 import numpy as np
+import pytest
 
 from repro.sac import CompileOptions, SacProgram, compile_function
 from repro.sac.codegen import trace_event_count
@@ -225,34 +226,43 @@ class TestDiskRobustness:
         assert cache.root == tmp_path / "mine"
 
 
-class TestJitSharedCache:
-    def test_jit_kernels_land_in_shared_cache(self, tmp_path):
-        opts = CompileOptions(jit=True, jit_threshold=1)
-        u = np.arange(27.0).reshape(3, 3, 3)
-        cold = _session(tmp_path, options=opts)
-        for _ in range(3):
-            cold.interpreter.call("scale", u, 2.0)
-        assert cold.interpreter.jit_compiled_count == 1
-        before = trace_event_count()
-        warm = _session(tmp_path, options=opts)
-        for _ in range(3):
-            warm.interpreter.call("scale", u, 2.0)
-        # The specialization was served from disk: counted compiled
-        # locally, but never re-traced.
-        assert warm.interpreter.jit_compiled_count == 1
-        assert trace_event_count() == before
+class TestVectorizeSharesArtifacts:
+    """``vectorize`` picks the interpreter's WITH-loop evaluator and
+    nothing else: both settings share one program and its kernels."""
 
-    def test_jit_and_compile_function_share_one_kernel(self, tmp_path):
-        # Same (program, overload, shapes) key from both entry points:
-        # whichever asks second is served the first one's artifact.
-        opts = CompileOptions(jit=True, jit_threshold=1)
+    def test_vectorize_off_after_default_is_a_program_hit(self, tmp_path):
+        default = _session(tmp_path)
+        assert not default.from_cache()
+        stores = default.cache.stats.stores
+        scalar = CompilationSession(
+            SRC, options=CompileOptions(vectorize=False), cache=default.cache)
+        assert scalar.from_cache()
+        assert scalar.program_digest == default.program_digest
+        assert scalar.program is default.program
+        assert default.cache.stats.stores == stores
+        assert not scalar.interpreter.vectorize
+        u = np.arange(8.0).reshape(2, 2, 2)
+        assert scalar.interpreter.call("scale", u, 2.0).tobytes() \
+            == default.interpreter.call("scale", u, 2.0).tobytes()
+
+    def test_kernel_compiled_under_one_is_served_to_the_other(self, tmp_path):
         u = np.arange(27.0).reshape(3, 3, 3)
-        session = _session(tmp_path, options=opts)
-        before = trace_event_count()
-        session.interpreter.call("scale", u, 2.0)
-        (jitted,) = session.interpreter._jit_cache.values()
-        compiled = compile_function(SacProgram(None, _session=session),
-                                    "scale", [u, 2.0])
-        assert trace_event_count() == before + 1
-        assert compiled.artifact == jitted.artifact
-        assert compiled.source is jitted.source
+        default = _session(tmp_path)
+        compiled = default.compile_kernel("scale", [u, 2.0])
+        stores, before = default.cache.stats.stores, trace_event_count()
+        scalar = CompilationSession(
+            SRC, options=CompileOptions(vectorize=False), cache=default.cache)
+        served = scalar.compile_kernel("scale", [u, 2.0])
+        assert served.artifact == compiled.artifact
+        assert trace_event_count() == before
+        assert default.cache.stats.stores == stores
+
+    @pytest.mark.parametrize("flip", [
+        {"typecheck": False}, {"analyze": True}, {"optimize": False},
+        {"pass_overrides": (("cse", False),)}], ids=lambda d: next(iter(d)))
+    def test_each_deciding_field_still_misses(self, tmp_path, flip):
+        default = _session(tmp_path)
+        other = CompilationSession(SRC, options=CompileOptions(**flip),
+                                   cache=default.cache)
+        assert not other.from_cache()
+        assert other.program_digest != default.program_digest

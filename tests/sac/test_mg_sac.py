@@ -21,6 +21,16 @@ def _random_periodic(m, seed=0):
     return comm3(u)
 
 
+def test_one_program_per_configuration_however_spelled():
+    # Three SacPrograms and three interpreters for one configuration
+    # when the memo was keyed on how the call was written.
+    default = load_mg_program()
+    assert load_mg_program(True, True) is default
+    assert load_mg_program(optimize=True) is default
+    assert load_mg_program(True, True, (), True) is default
+    assert load_mg_program(analyze=False) is not default
+
+
 class TestPieces:
     def test_setup_periodic_border_matches_comm3(self, prog):
         rng = np.random.default_rng(1)

@@ -14,13 +14,12 @@ from repro.sac.ast_nodes import (
     Var,
     WithLoop,
 )
+from repro.sac.driver.passes import PASSES, PassManager, schedule_for
 from repro.sac.optim import (
-    PassOptions,
     coeffgroup_pass,
     constfold_pass,
     dce_pass,
     inline_pass,
-    optimize_program,
     unroll_pass,
     wlfold_pass,
 )
@@ -506,14 +505,17 @@ class TestDce:
 
 class TestFullPipeline:
     def test_pass_options_toggle(self):
-        opts = PassOptions(coeffgroup=False)
-        assert "coeffgroup" not in opts.enabled()
-        assert "inline" in opts.enabled()
+        sched = schedule_for(
+            CompileOptions(pass_overrides=(("coeffgroup", False),)))
+        assert "coeffgroup" not in sched
+        assert "inline" in sched
 
     def test_none_options(self):
         prog = load_prelude()
-        out = optimize_program(prog, PassOptions.none())
-        assert out is prog or len(out.functions) == len(prog.functions)
+        none = CompileOptions(
+            pass_overrides=tuple((name, False) for name in PASSES))
+        assert schedule_for(none) == ()
+        assert PassManager().run(prog, schedule_for(none)) is prog
 
     def test_mg_program_every_single_pass_off(self):
         # Flipping each pass off must not change the MG result.

@@ -90,6 +90,23 @@ class TestMgCertification:
         assert program.analysis_report is None
 
 
+    def test_spmd_gate_refuses_an_uncertified_loop(self, tmp_path):
+        # A user-defined fold is only a warning (SAC302), so the build
+        # itself succeeds; the SPMD gate on top of it must not.
+        from repro.sac import CompileOptions, SacProgram
+        from repro.sac.module import load_spmd_certified
+
+        path = tmp_path / "userfold.sac"
+        path.write_text(
+            "double g(double a, double b) { return a - b; } "
+            "double f(double[.] a) { return with ([0] <= i < shape(a)) "
+            "fold(g, 0.0, a[i]); }")
+        options = CompileOptions(analyze=True)
+        assert SacProgram.from_file(path, options).analysis_report.ok
+        with pytest.raises(SacAnalysisError, match="SPMD certification"):
+            load_spmd_certified(path, options)
+
+
 class TestPipelineGate:
     def test_gate_raises_on_errors(self):
         from repro.sac import CompileOptions, SacProgram

@@ -417,7 +417,8 @@ class TestCertifiedSites:
         assert ".copy()" not in fn.source
         assert "_t1[1:7] = _t3" in fn.source
 
-    @pytest.mark.parametrize("src", [REUSABLE, CHAINED])
+    @pytest.mark.parametrize("src", [REUSABLE, CHAINED],
+                             ids=["one-site", "chained"])
     def test_certified_means_no_copy(self, src):
         from repro.sac import parse_program
         from repro.sac.analysis.reuse import certify_program

@@ -43,8 +43,6 @@ __all__ = [
     "pass_report",
     "sac_ablation",
     "memmgmt_profile",
-    "related_work",
-    "future_scaling",
 ]
 
 IMPL_ORDER = ("f77", "sac", "omp")
@@ -259,51 +257,6 @@ def sac_ablation(size_class: str = "S", nit: int | None = None,
             lambda: solve_sac_mg(tiny, 1, v=v_tiny, vectorize=vectorize),
             repeats=1, warmup=0).seconds
     return out
-
-
-def future_scaling(procs: tuple[int, ...] = (1, 2, 4, 8, 10, 16, 24, 32, 48, 64),
-                   classes: tuple[str, ...] = ("W", "A")) -> dict:
-    """§7 future work, simulated: (i) larger machines — where does each
-    implementation's speedup saturate beyond the 10 CPUs the paper could
-    use? (ii) the MPI-based parallel reference on a cluster model, for
-    the direct comparison the paper wished for."""
-    from repro.machine.distmem import distmem_speedups
-
-    out: dict = {"smp": {}, "mpi": {}}
-    for cls in classes:
-        trace = _trace(cls)
-        out["smp"][cls] = {}
-        for name in IMPL_ORDER:
-            prof = get_profile(name)
-            base = simulate(trace, prof, 1).seconds
-            out["smp"][cls][name] = {
-                p: base / simulate(trace, prof, p).seconds for p in procs
-            }
-        sc = get_class(cls)
-        out["mpi"][cls] = distmem_speedups(sc.nx, sc.nit, procs)
-    # Saturation point: first P where the gain over the previous step
-    # drops below 5 %.
-    out["saturation"] = {}
-    for cls in classes:
-        out["saturation"][cls] = {}
-        for name in IMPL_ORDER:
-            s = out["smp"][cls][name]
-            sat = procs[-1]
-            for prev, cur in zip(procs, procs[1:]):
-                if s[cur] / s[prev] < 1.05:
-                    sat = cur
-                    break
-            out["saturation"][cls][name] = sat
-    return out
-
-
-def related_work() -> dict:
-    """The §6 related-work comparisons (HPF, ZPL vs their baselines),
-    regenerated from the illustrative models in
-    :mod:`repro.machine.related_work`."""
-    from repro.machine.related_work import related_work_table
-
-    return related_work_table()
 
 
 def memmgmt_profile(classes: tuple[str, ...] = ("W", "A")) -> dict:

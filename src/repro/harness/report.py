@@ -5,8 +5,6 @@ from __future__ import annotations
 from .experiments import IMPL_ORDER
 
 __all__ = [
-    "format_related",
-    "format_future",
     "format_fig11",
     "format_fig11_measured",
     "format_fig12",
@@ -132,54 +130,6 @@ def format_ablation(data: dict) -> str:
         f"scalar evaluator (class {sca['class']}, {sca['nit']} iteration): "
         f"{sca['scalar_seconds']:.2f} s vs {sca['vectorized_seconds']:.3f} s "
         f"vectorized ({sca['scalar_seconds'] / sca['vectorized_seconds']:.0f}x)")
-    return "\n".join(lines)
-
-
-def format_future(data: dict) -> str:
-    lines = ["§7 future work, simulated — larger machines and the MPI "
-             "reference", _rule()]
-    for cls, by_impl in data["smp"].items():
-        procs = sorted(next(iter(by_impl.values())).keys())
-        lines.append(f"class {cls} (speedup vs own sequential):")
-        lines.append("  " + f"{'#CPUs':<16}"
-                     + "".join(f"{p:>7}" for p in procs))
-        for name in IMPL_ORDER:
-            row = by_impl[name]
-            lines.append("  " + f"{_LABEL[name]:<16}"
-                         + "".join(f"{row[p]:>7.1f}" for p in procs))
-        mpi = data["mpi"][cls]
-        lines.append("  " + f"{'F77 + MPI':<16}"
-                     + "".join(f"{mpi[p]:>7.1f}" for p in procs))
-        sat = data["saturation"][cls]
-        lines.append(
-            "  saturation (<5 % gain per step): "
-            + ", ".join(f"{_LABEL[n]} at {sat[n]} CPUs" for n in IMPL_ORDER)
-        )
-    lines.append("")
-    lines.append("the paper: scalability limits 'have not yet been reached "
-                 "even for size class W' at 10 CPUs — the model saturates "
-                 "class W well beyond them")
-    return "\n".join(lines)
-
-
-def format_related(data: dict) -> str:
-    claims = data["paper_claims"]
-    lines = ["§6 related-work context (illustrative models; see "
-             "repro.machine.related_work)", _rule()]
-    lines.append(
-        f"HPF vs F77+MPI, sequential: {data['hpf_vs_mpi_seq']:.2f}x slower "
-        f"(paper: ~{claims['hpf_vs_mpi_seq']:.0f}x)"
-    )
-    lines.append(
-        f"HPF vs F77+MPI at 32 CPUs: {data['hpf_vs_mpi_32']:.2f}x slower "
-        f"(paper: ~{claims['hpf_vs_mpi_32']:.0f}x)"
-    )
-    zs = data["zpl_speedups_class_b"]
-    lines.append(
-        "ZPL speedups (class B): "
-        + ", ".join(f"P={p}: {s:.2f}" for p, s in sorted(zs.items()))
-        + f"   (paper: ~{claims['zpl_max_speedup_14']:.0f} at 14 CPUs)"
-    )
     return "\n".join(lines)
 
 

@@ -8,12 +8,9 @@ from .calibration import (
     PaperTargets,
     get_profile,
     profiles,
-    sequential_paper_times,
 )
 from .costmodel import MachineProfile, op_time_seconds
-from .distmem import DistMemMachine, distmem_speedups, simulate_distmem
-from .related_work import related_profiles, related_work_table
-from .smp import SimResult, simulate, simulate_class, speedup_curve
+from .smp import SimResult, simulate, simulate_class
 
 __all__ = [
     "MachineProfile",
@@ -21,17 +18,10 @@ __all__ = [
     "SimResult",
     "simulate",
     "simulate_class",
-    "speedup_curve",
     "profiles",
     "get_profile",
     "PAPER",
     "PaperTargets",
     "KIND_WEIGHTS",
     "F77_ANCHOR_SECONDS_A",
-    "sequential_paper_times",
-    "DistMemMachine",
-    "distmem_speedups",
-    "simulate_distmem",
-    "related_profiles",
-    "related_work_table",
 ]

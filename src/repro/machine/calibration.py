@@ -42,7 +42,6 @@ __all__ = [
     "PAPER",
     "profiles",
     "get_profile",
-    "sequential_paper_times",
 ]
 
 #: Relative per-point arithmetic weight of each op kind (flops-flavoured;
@@ -192,16 +191,3 @@ def get_profile(name: str) -> MachineProfile:
         raise KeyError(
             f"unknown machine profile {name!r}; known: {sorted(profiles())}"
         ) from None
-
-
-def sequential_paper_times() -> dict[str, dict[str, float]]:
-    """Simulated single-CPU seconds per implementation and class."""
-    from .smp import simulate_class
-
-    out: dict[str, dict[str, float]] = {}
-    for name, prof in profiles().items():
-        out[name] = {
-            "W": simulate_class(64, 40, prof, 1).seconds,
-            "A": simulate_class(256, 4, prof, 1).seconds,
-        }
-    return out

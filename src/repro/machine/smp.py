@@ -14,7 +14,7 @@ from repro.core.trace import Trace, synthesize_mg_trace
 
 from .costmodel import MachineProfile, op_time_seconds
 
-__all__ = ["SimResult", "simulate", "simulate_class", "speedup_curve"]
+__all__ = ["SimResult", "simulate", "simulate_class"]
 
 
 @dataclass
@@ -32,10 +32,6 @@ class SimResult:
     @property
     def total_ops(self) -> int:
         return self.parallel_ops + self.serial_ops
-
-    def speedup_against(self, sequential: "SimResult") -> float:
-        return sequential.seconds / self.seconds
-
 
 def simulate(trace: Trace, profile: MachineProfile,
              nprocs: int = 1) -> SimResult:
@@ -63,11 +59,3 @@ def simulate_class(nx: int, nit: int, profile: MachineProfile,
                    nprocs: int = 1) -> SimResult:
     """Synthesize the MG trace for ``(nx, nit)`` and simulate it."""
     return simulate(synthesize_mg_trace(nx, nit), profile, nprocs)
-
-
-def speedup_curve(nx: int, nit: int, profile: MachineProfile,
-                  procs: list[int]) -> dict[int, float]:
-    """Speedups relative to the profile's own single-CPU time."""
-    trace = synthesize_mg_trace(nx, nit)
-    base = simulate(trace, profile, 1).seconds
-    return {p: base / simulate(trace, profile, p).seconds for p in procs}

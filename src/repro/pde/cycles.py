@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -130,8 +130,7 @@ class PDESolver:
         self.monitor = monitor
         sizes = _level_sizes(nx, min_coarse)
         self.levels: list[_Level] = [
-            _Level(problem, m, li, coefficient, workspace,
-                   team if li == 0 or m >= 8 else None)
+            _Level(problem, m, li, coefficient, workspace, team)
             for li, m in enumerate(sizes)
         ]
 
@@ -236,9 +235,3 @@ class PDESolver:
             lev.boundary.fill(lev.u)
             for _ in range(cyc.fmg_cycles):
                 self._cycle(li)
-
-
-def solve_norm(values: Sequence[float]) -> float:
-    """rnm2-style norm of a flat value sequence (testing helper)."""
-    arr = np.asarray(values, dtype=np.float64)
-    return float(math.sqrt(np.mean(np.square(arr))))

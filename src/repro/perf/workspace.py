@@ -16,15 +16,11 @@ yields exactly one set of extended-grid scratch arrays per level; the
 threaded chunk kernels take disjoint plane-range views of those
 level-wide buffers, so the footprint does not depend on the partition.
 
-Accounting rides on the existing
-:class:`~repro.runtime.memory.RefCountingManager` model — the real
-NumPy path is booked through the same allocator model the ABL-MEM
-experiment uses for the SAC style — so pool misses, live/peak points
-and byte totals come out of one mechanism.  The steady-state claim the
-benchmarks assert is: after the first V-cycle iteration warms the pool,
-:attr:`allocations` stops growing and :meth:`buffers_by_shape` is
-constant — the timed section performs zero heap allocations of
-extended-grid temporaries.
+The pool counts its misses, hits and bytes under the lock that guards
+the buffers.  The steady-state claim the benchmarks assert is: after
+the first V-cycle iteration warms the pool, :attr:`allocations` stops
+growing and :meth:`buffers_by_shape` is constant — the timed section
+performs zero heap allocations of extended-grid temporaries.
 
 Buffer contents are *undefined* on reuse: :meth:`get` callers must
 fully overwrite the buffer (the in-place kernels do — every first ufunc
@@ -39,8 +35,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.runtime.memory import RefCountingManager
 
 __all__ = ["Workspace", "WorkspaceCounters"]
 
@@ -72,13 +66,10 @@ class Workspace:
         self.label = label
         self.problem = problem
         self._buffers: dict[tuple, np.ndarray] = {}
-        self._handles: dict[tuple, int] = {}
         self._lock = threading.Lock()
+        self._allocations = 0
         self._hits = 0
         self._bytes = 0
-        #: RefCountingManager-style accounting of the real NumPy path:
-        #: each pool miss books one allocation of the buffer's points.
-        self.manager = RefCountingManager()
 
     # -- pool interface -----------------------------------------------------
 
@@ -97,7 +88,7 @@ class Workspace:
                 return buf
             buf = np.empty(shape, dtype=dtype)
             self._buffers[key] = buf
-            self._handles[key] = self.manager.allocate(max(1, buf.size))
+            self._allocations += 1
             self._bytes += buf.nbytes
             return buf
 
@@ -109,19 +100,16 @@ class Workspace:
         return buf
 
     def clear(self) -> None:
-        """Drop every pooled buffer (and free its accounting handle)."""
+        """Drop every pooled buffer."""
         with self._lock:
-            for handle in self._handles.values():
-                self.manager.decref(handle)
             self._buffers.clear()
-            self._handles.clear()
 
     # -- accounting ---------------------------------------------------------
 
     @property
     def allocations(self) -> int:
         """Pool misses so far — real heap allocations performed."""
-        return self.manager.total_allocs
+        return self._allocations
 
     @property
     def hits(self) -> int:

@@ -138,12 +138,7 @@ RETIRED = "retired"
 
 @dataclass(frozen=True)
 class HeartbeatConfig:
-    """Tuning knobs of the heartbeat liveness detector.
-
-    Environment overrides (read by :meth:`from_env`):
-    ``REPRO_SPMD_HEARTBEAT_INTERVAL``, ``REPRO_SPMD_HEARTBEAT_SUSPECT``,
-    ``REPRO_SPMD_HEARTBEAT_DEAD``.
-    """
+    """Tuning knobs of the heartbeat liveness detector."""
 
     #: How often the monitor thread sweeps the beat table, seconds.
     interval: float = 0.1
@@ -160,18 +155,6 @@ class HeartbeatConfig:
             raise ValueError(
                 "heartbeat thresholds must satisfy "
                 "interval <= suspect_after < dead_after")
-
-    @classmethod
-    def from_env(cls) -> "HeartbeatConfig":
-        from ..transport.base import _env_float
-
-        return cls(
-            interval=_env_float("REPRO_SPMD_HEARTBEAT_INTERVAL", cls.interval),
-            suspect_after=_env_float("REPRO_SPMD_HEARTBEAT_SUSPECT",
-                                     cls.suspect_after),
-            dead_after=_env_float("REPRO_SPMD_HEARTBEAT_DEAD",
-                                  cls.dead_after),
-        )
 
 
 class HeartbeatMonitor:

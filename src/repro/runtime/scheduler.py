@@ -2,16 +2,15 @@
 
 SAC's implicit parallelization executes each WITH-loop by splitting its
 iteration space among a team of threads (Grelck [13, 14]).  This module
-provides the partitioning strategies: contiguous blocks along the
-outermost axis (the default), cyclic assignment, and fixed-size chunks
-for self-scheduling.
+provides the one partition every runtime here uses: contiguous blocks
+along the outermost axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Chunk", "block_partition", "cyclic_partition", "chunked_partition"]
+__all__ = ["Chunk", "block_partition"]
 
 
 @dataclass(frozen=True)
@@ -68,33 +67,5 @@ def block_partition(shape: tuple[int, ...], nworkers: int,
     for a, b in _axis_ranges(shape[axis], nworkers):
         lo = tuple(0 if ax != axis else a for ax in range(len(shape)))
         hi = tuple(shape[ax] if ax != axis else b for ax in range(len(shape)))
-        chunks.append(Chunk(lo, hi))
-    return chunks
-
-
-def cyclic_partition(shape: tuple[int, ...], nworkers: int,
-                     axis: int = 0) -> list[list[Chunk]]:
-    """Round-robin single-plane chunks: worker ``w`` gets planes
-    ``w, w + nworkers, ...`` — better load balance for triangular work."""
-    plans: list[list[Chunk]] = [[] for _ in range(nworkers)]
-    for p in range(shape[axis]):
-        lo = tuple(0 if ax != axis else p for ax in range(len(shape)))
-        hi = tuple(
-            shape[ax] if ax != axis else p + 1 for ax in range(len(shape))
-        )
-        plans[p % nworkers].append(Chunk(lo, hi))
-    return plans
-
-
-def chunked_partition(shape: tuple[int, ...], chunk_size: int,
-                      axis: int = 0) -> list[Chunk]:
-    """Fixed-size chunks along ``axis`` for self-scheduling queues."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    chunks = []
-    for start in range(0, shape[axis], chunk_size):
-        stop = min(start + chunk_size, shape[axis])
-        lo = tuple(0 if ax != axis else start for ax in range(len(shape)))
-        hi = tuple(shape[ax] if ax != axis else stop for ax in range(len(shape)))
         chunks.append(Chunk(lo, hi))
     return chunks

@@ -32,19 +32,19 @@ timeout/poll knobs live in one :class:`TransportConfig`.
 The runtime carries real failure semantics (see ``docs/RESILIENCE.md``):
 
 * every blocking operation is governed by a configurable **timeout**
-  (``World(timeout=...)``, env override ``REPRO_SPMD_TIMEOUT``) and
-  raises the structured taxonomy of :mod:`repro.runtime.resilience`
-  (:class:`HaloTimeout`, :class:`BarrierTimeout`, ...) instead of raw
-  ``queue.Empty`` / ``BrokenBarrierError``;
+  (``World(timeout=...)``) and raises the structured taxonomy of
+  :mod:`repro.runtime.resilience` (:class:`HaloTimeout`,
+  :class:`BarrierTimeout`, ...) instead of raw ``queue.Empty`` /
+  ``BrokenBarrierError``;
 * one rank's death trips a world-wide **cancellation token**, breaks the
   barrier, and poison-pills every channel, so peers observe
   :class:`WorldAborted` within milliseconds rather than timing out; all
   primary failures are collected in a lock-protected registry and the
   caller receives the composite naming every failed rank;
-* an optional **heartbeat detector** (``World(heartbeat=...)``,
-  ``REPRO_SPMD_HEARTBEAT_*`` env knobs) marks silent ranks *suspected*
-  then *dead*, distinguishing a slow rank (recovers) from a dead one
-  (feeds the registry) instead of conflating both into a timeout;
+* an optional **heartbeat detector** (``World(heartbeat=...)``) marks
+  silent ranks *suspected* then *dead*, distinguishing a slow rank
+  (recovers) from a dead one (feeds the registry) instead of conflating
+  both into a timeout;
 * a seeded, deterministic :class:`FaultPlan` can inject crashes, drops,
   delays, corruption and slowness through hooks on the channels;
 * with ``halo_checksums=True`` each halo plane travels with a CRC and is
@@ -63,7 +63,6 @@ The runtime carries real failure semantics (see ``docs/RESILIENCE.md``):
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import replace
@@ -186,16 +185,16 @@ class World:
     size:
         Number of ranks.
     timeout:
-        Deadline in seconds for each blocking recv/barrier.  Defaults to
-        the ``REPRO_SPMD_TIMEOUT`` environment variable, else 60.
+        Deadline in seconds for each blocking recv/barrier.  Defaults
+        to ``config``'s, else 60.
     join_timeout:
         Deadline for the coordinating thread to join all ranks.
-        Defaults to ``REPRO_SPMD_JOIN_TIMEOUT``, else 600.
+        Defaults to ``config``'s, else 600.
     poll_interval:
         Granularity at which blocked receives re-check the cancellation
         token and their deadline.  A caller-imposed deadline budget is
         therefore honored within one poll tick.  Defaults to
-        ``REPRO_SPMD_POLL_INTERVAL``, else 0.05 s.
+        ``config``'s, else 0.05 s.
     fault_plan:
         Optional deterministic :class:`FaultPlan` for chaos runs.
     halo_checksums:
@@ -203,15 +202,14 @@ class World:
     halo_retries:
         Retransmissions allowed per corrupted plane before abort.
     transport:
-        ``"inproc"`` (default), ``"socket"``, or a ready
-        :class:`Transport` instance; ``None`` reads
-        ``REPRO_SPMD_TRANSPORT``.
+        ``"inproc"`` (default, also ``None``), ``"socket"``, or a
+        ready :class:`Transport` instance.
     config:
         Optional :class:`TransportConfig`; the explicit keyword knobs
-        above override its fields, which override the environment.
+        above override its fields, which override the defaults.
     heartbeat:
-        ``None`` (off unless ``REPRO_SPMD_HEARTBEAT`` is truthy),
-        ``True`` (defaults + env knobs), or a :class:`HeartbeatConfig`.
+        ``None`` (off), ``True`` (``HeartbeatConfig()``), or a
+        :class:`HeartbeatConfig`.
         The monitor thread itself starts only on
         :meth:`start_heartbeat` so bare test worlds spawn no threads.
     """
@@ -233,7 +231,7 @@ class World:
             raise TypeError("config must be a TransportConfig")
         self.config = base.override(timeout=timeout,
                                     join_timeout=join_timeout,
-                                    poll_interval=poll_interval).resolved()
+                                    poll_interval=poll_interval)
         self.size = size
         self.timeout = self.config.timeout
         self.join_timeout = self.config.join_timeout
@@ -249,11 +247,8 @@ class World:
             for r in range(size)
         ]
         # -- liveness ---------------------------------------------------
-        if heartbeat is None and os.environ.get(
-                "REPRO_SPMD_HEARTBEAT", "").lower() in ("1", "true", "yes"):
-            heartbeat = True
         if heartbeat is True:
-            heartbeat = HeartbeatConfig.from_env()
+            heartbeat = HeartbeatConfig()
         self.heartbeat_config: HeartbeatConfig | None = heartbeat or None
         self.liveness = (HeartbeatMonitor(size, self.heartbeat_config)
                          if self.heartbeat_config is not None else None)
@@ -278,22 +273,10 @@ class World:
         self._close_lock = threading.Lock()
         self._fabric = _Fabric(self, 0)
 
-    # Legacy attribute surface: the current fabric's parts.
+    # The current fabric's up-ring channels.
     @property
     def _up(self) -> list[Channel]:
         return self._fabric.up
-
-    @property
-    def _down(self) -> list[Channel]:
-        return self._fabric.down
-
-    @property
-    def _barrier(self) -> threading.Barrier:
-        return self._fabric.barrier
-
-    @property
-    def _gather_slots(self) -> list:
-        return self._fabric.gather_slots
 
     def comm(self, rank: int) -> "RankComm":
         return RankComm(self, rank, incarnation=self._incarnations[rank])

@@ -204,7 +204,7 @@ class SupervisorPolicy:
     #: runtime default / remaining deadline, whichever is smaller).
     op_timeout: float | None = None
     #: Abort-poll granularity for distributed rungs (None = runtime
-    #: default; see ``REPRO_SPMD_POLL_INTERVAL``).
+    #: default, ``transport.DEFAULT_POLL_INTERVAL``).
     poll_interval: float | None = None
     #: Checkpoint cadence on distributed rungs (iterations).
     checkpoint_every: int = 1
@@ -220,7 +220,7 @@ class SupervisorPolicy:
     #: "socket"; see ``repro.runtime.transport``).
     transport: str = "inproc"
     #: Optional heartbeat liveness detection on distributed rungs
-    #: (``True`` = defaults + ``REPRO_SPMD_HEARTBEAT_*`` env knobs, or a
+    #: (``True`` = ``HeartbeatConfig()``, or a
     #: ``repro.runtime.resilience.HeartbeatConfig``).
     heartbeat: object | None = None
 

@@ -25,17 +25,13 @@ principle; the PGAS/UPC address-mapping split (local vs remote views)
 is exactly the boundary this interface encodes.
 
 All timeout/poll knobs are carried by one :class:`TransportConfig`
-dataclass instead of the former env-var + kwarg scatter; ``None``
-fields resolve from the environment (``REPRO_SPMD_TIMEOUT``,
-``REPRO_SPMD_JOIN_TIMEOUT``, ``REPRO_SPMD_POLL_INTERVAL``,
-``REPRO_SPMD_CONNECT_TIMEOUT``) and then from the documented defaults.
+dataclass whose fields default to the ``DEFAULT_*`` constants below.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-import os
 import threading
 from dataclasses import dataclass
 
@@ -78,45 +74,37 @@ class WireClosed(TransportError):
     """An operation hit a wire that has been closed."""
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class TransportConfig:
     """Every timeout/poll knob of the communication fabric, in one place.
 
-    ``None`` fields are unresolved: :meth:`resolved` fills them from the
-    environment and then the module defaults, and validates the result.
-    Explicit ``World(timeout=...)``-style keywords override config
-    fields, which override the environment (see
-    :meth:`override`) — one precedence rule for both transports.
+    Validated at construction.  Explicit ``World(timeout=...)``-style
+    keywords override config fields, which override the module
+    defaults (see :meth:`override`) — one precedence rule for both
+    transports.
     """
 
     #: Deadline for one blocking recv/barrier, seconds.
-    timeout: float | None = None
+    timeout: float = DEFAULT_TIMEOUT
     #: Deadline for the coordinator to join the whole world, seconds.
-    join_timeout: float | None = None
+    join_timeout: float = DEFAULT_JOIN_TIMEOUT
     #: Granularity at which blocked operations re-check the cancellation
     #: token, heal epoch, and their own deadline, seconds.
-    poll_interval: float | None = None
+    poll_interval: float = DEFAULT_POLL_INTERVAL
     #: Deadline for establishing one wire (socket transport), seconds.
-    connect_timeout: float | None = None
+    connect_timeout: float = DEFAULT_CONNECT_TIMEOUT
     #: Connection attempts per wire before the transport gives up.
     connect_retries: int = 3
     #: Backoff between connection attempts, seconds (doubled per retry).
     connect_backoff: float = 0.05
 
     def __post_init__(self) -> None:
+        if self.timeout <= 0 or self.join_timeout <= 0:
+            raise ValueError("timeouts must be positive")
+        if self.poll_interval <= 0:
+            raise ValueError("poll_interval must be positive")
+        if self.connect_timeout <= 0:
+            raise ValueError("connect_timeout must be positive")
         if self.connect_retries < 1:
             raise ValueError("connect_retries must be >= 1")
         if self.connect_backoff < 0:
@@ -126,29 +114,6 @@ class TransportConfig:
         """A copy with every non-``None`` keyword replacing its field."""
         updates = {k: v for k, v in kwargs.items() if v is not None}
         return dataclasses.replace(self, **updates) if updates else self
-
-    def resolved(self) -> "TransportConfig":
-        """Fill ``None`` fields from env/defaults; validate everything."""
-        timeout = (_env_float("REPRO_SPMD_TIMEOUT", DEFAULT_TIMEOUT)
-                   if self.timeout is None else float(self.timeout))
-        join_timeout = (
-            _env_float("REPRO_SPMD_JOIN_TIMEOUT", DEFAULT_JOIN_TIMEOUT)
-            if self.join_timeout is None else float(self.join_timeout))
-        poll_interval = (
-            _env_float("REPRO_SPMD_POLL_INTERVAL", DEFAULT_POLL_INTERVAL)
-            if self.poll_interval is None else float(self.poll_interval))
-        connect_timeout = (
-            _env_float("REPRO_SPMD_CONNECT_TIMEOUT", DEFAULT_CONNECT_TIMEOUT)
-            if self.connect_timeout is None else float(self.connect_timeout))
-        if timeout <= 0 or join_timeout <= 0:
-            raise ValueError("timeouts must be positive")
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if connect_timeout <= 0:
-            raise ValueError("connect_timeout must be positive")
-        return TransportConfig(timeout, join_timeout, poll_interval,
-                               connect_timeout, self.connect_retries,
-                               self.connect_backoff)
 
 
 class Wire(abc.ABC):
@@ -211,8 +176,7 @@ class Transport(abc.ABC):
     name = "abstract"
 
     def __init__(self, config: TransportConfig | None = None):
-        self.config = (config if config is not None
-                       else TransportConfig()).resolved()
+        self.config = config if config is not None else TransportConfig()
         self._lock = threading.Lock()
         self._wires: list[Wire] = []
         self._closed = False
@@ -264,15 +228,15 @@ class Transport(abc.ABC):
 
 def make_transport(spec: "str | Transport | None",
                    config: TransportConfig | None = None) -> Transport:
-    """Resolve a transport spec: an instance, a name, or the environment.
+    """Resolve a transport spec: an instance or a name.
 
-    ``None`` consults ``REPRO_SPMD_TRANSPORT`` (default ``inproc``).
-    Named transports: ``inproc`` and ``socket``.
+    Named transports: ``inproc`` (also what ``None`` means) and
+    ``socket``.
     """
     if isinstance(spec, Transport):
         return spec
     if spec is None:
-        spec = os.environ.get("REPRO_SPMD_TRANSPORT", "inproc")
+        spec = "inproc"
     from .inproc import InProcTransport
     from .socket import LocalSocketTransport
 

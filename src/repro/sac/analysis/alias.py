@@ -106,11 +106,6 @@ class AliasAnalysis:
             pairs = _apply(self._effects, act, pairs)
         return pairs
 
-    def pairs_after(self, block: int, index: int) -> AliasPairs:
-        pairs = self.pairs_before(block, index)
-        return _apply(self._effects,
-                      self.cfg.blocks[block].actions[index], pairs)
-
     @staticmethod
     def may_alias(pairs: AliasPairs, a: str, b: str) -> bool:
         return a == b or _pair(a, b) in pairs

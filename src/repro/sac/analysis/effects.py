@@ -190,22 +190,6 @@ class EffectsAnalysis:
         self._expr_reads(expr, candidates, out)
         return frozenset(out)
 
-    def call_may_return_args(self, call: Call) -> frozenset[str]:
-        """Names of ``Var`` arguments the call's result may alias."""
-        if is_builtin(call.name):
-            # Every builtin materializes a fresh result.
-            return frozenset()
-        summaries = self.call_summaries(call.name, len(call.args))
-        if not summaries:
-            return frozenset(
-                a.name for a in call.args if isinstance(a, Var))
-        out: set[str] = set()
-        for s in summaries:
-            for i in s.may_return_params:
-                if i < len(call.args):
-                    out |= alias_sources(call.args[i], self)
-        return frozenset(out)
-
     # -- fixpoint ----------------------------------------------------------
 
     def _solve(self) -> None:

@@ -98,9 +98,5 @@ class RaceChecker:
             LoopCertificate(info.function, info.kind, info.pos, safe,
                             tuple(reasons)))
 
-    @property
-    def all_safe(self) -> bool:
-        return all(c.safe for c in self.certificates)
-
     def unsafe(self) -> list[LoopCertificate]:
         return [c for c in self.certificates if not c.safe]

@@ -38,7 +38,6 @@ __all__ = [
     "render_text",
     "render_json",
     "render_sarif",
-    "max_severity",
     "has_errors",
 ]
 
@@ -142,15 +141,6 @@ class Diagnostic:
     def __str__(self) -> str:
         where = f"{self.pos}: " if self.pos else ""
         return f"{where}{self.severity.value}: {self.code} {self.message}"
-
-
-def max_severity(diags) -> Severity | None:
-    """Highest severity present, or None for an empty list."""
-    worst: Severity | None = None
-    for d in diags:
-        if worst is None or d.severity > worst:
-            worst = d.severity
-    return worst
 
 
 def has_errors(diags) -> bool:

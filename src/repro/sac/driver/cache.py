@@ -44,7 +44,6 @@ __all__ = [
     "program_key",
     "shape_signature",
     "kernel_key",
-    "reset_default_cache",
 ]
 
 #: Bump when the pickled entry layout or the compiler's generated-code
@@ -351,12 +350,6 @@ class KernelCache:
 
     # -- maintenance --------------------------------------------------------
 
-    def clear_memory(self) -> None:
-        """Drop the in-process layer (disk entries survive)."""
-        self._programs.memory.clear()
-        self._kernels.memory.clear()
-        self._loaded.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = str(self.root) if self.root else "memory-only"
         s = self.stats
@@ -373,10 +366,3 @@ def default_cache() -> KernelCache:
     if _DEFAULT is None:
         _DEFAULT = KernelCache()
     return _DEFAULT
-
-
-def reset_default_cache() -> None:
-    """Forget the shared instance (tests use this after repointing
-    ``REPRO_SAC_CACHE_DIR``)."""
-    global _DEFAULT
-    _DEFAULT = None

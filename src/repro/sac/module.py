@@ -116,9 +116,6 @@ class SacProgram:
         """Invoke a program function with Python/NumPy arguments."""
         return self.interp.call(name, *args)
 
-    def function_names(self) -> list[str]:
-        return sorted(self.interp.functions.names())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<SacProgram functions={len(self.program.functions)} "

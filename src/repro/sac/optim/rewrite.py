@@ -46,12 +46,10 @@ __all__ = [
     "affine_form",
     "stmt_reads",
     "counted_loop",
-    "stmt_vars_read",
     "assigned_names",
     "substitute",
     "ast_equal",
     "ast_key",
-    "rename_vars",
     "fresh_namer",
 ]
 
@@ -146,10 +144,6 @@ def affine_form(expr: Expr | None, var: str | None = None):
         return (k * a if a else 0), k * b
     sign = 1 if expr.op == "+" else -1
     return x[0] + sign * y[0], x[1] + sign * y[1]
-
-
-def stmt_vars_read(stmt: Stmt) -> set[str]:
-    return set(stmt_reads(stmt))
 
 
 def assigned_names(stmt: Stmt) -> set[str]:
@@ -290,11 +284,6 @@ def ast_key(node) -> object:
 def ast_equal(a, b) -> bool:
     """Structural equality ignoring source positions."""
     return ast_key(a) == ast_key(b)
-
-
-def rename_vars(expr: Expr, mapping: dict[str, str]) -> Expr:
-    """Rename variables (used for alpha-conversion during inlining)."""
-    return substitute(expr, {k: Var(v) for k, v in mapping.items()})
 
 
 def fresh_namer(prefix: str = "_t"):

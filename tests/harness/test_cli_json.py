@@ -36,11 +36,30 @@ class TestJsonExport:
         assert set(modes) == {"serial", "threaded"}
         assert all(m["nx"] == 32 and m["verified"] for m in modes.values())
 
-    def test_future_and_related_render(self, capsys):
-        assert main(["future", "related"]) == 0
-        out = capsys.readouterr().out
-        assert "F77 + MPI" in out
-        assert "ZPL" in out
+    def test_thirteen_commands(self):
+        from repro.harness.__main__ import COMMANDS
+
+        assert set(COMMANDS) == {
+            "fig11", "fig12", "fig13", "ops", "memmgmt", "measure",
+            "ablation", "verify", "npb", "timers", "supervised", "solve",
+            "all"}
+
+    @pytest.mark.parametrize("argv, known", [
+        (["timers", "-c", "Z"], "A, B, C, S, T, W"),
+        (["solve", "--modes", "serial,bogus"], "serial, threaded"),
+        (["solve", "--problem", "navier-stokes"], "npb-mg"),
+        (["related"], "fig11"),
+    ])
+    def test_unknown_value_exits_2_naming_the_known_ones(self, argv, known,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert known in capsys.readouterr().err
+
+    def test_solve_class_t_has_no_official_value(self, capsys):
+        assert main(["solve", "-c", "T", "--modes", "serial"]) == 0
+        assert "no official value" in capsys.readouterr().out
 
     def test_version_importable(self):
         import repro

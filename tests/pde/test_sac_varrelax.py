@@ -1,6 +1,6 @@
 """The SAC variable-coefficient relax: twin tests and the analysis gate.
 
-``varrelax.sac`` must (a) agree with the NumPy
+``examples/sac/varrelax.sac`` must (a) agree with the NumPy
 :func:`repro.core.stencils.relax_variable` to floating-point tolerance
 on rank-3 grids, (b) run unchanged on rank-2 grids (the paper's
 rank-polymorphism claim), and (c) come out of the static analyzer
@@ -9,15 +9,29 @@ regression net for spurious SAC4xx/SAC5xx diagnostics on the
 coefficient-field access pattern.
 """
 
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.stencils import relax_variable
-from repro.pde.sac_kernels import (
-    load_varrelax_program,
-    sac_relax_variable,
-    varrelax_source_path,
-)
+from repro.sac import CompileOptions
+from repro.sac.errors import SacArityError
+from repro.sac.module import load_spmd_certified
+
+VARRELAX = (Path(__file__).resolve().parents[2]
+            / "examples" / "sac" / "varrelax.sac")
+
+
+@lru_cache(maxsize=None)
+def load_varrelax_program():
+    """Behind the same gate as ``mg.sac``: analyzed, SPMD-certified."""
+    return load_spmd_certified(VARRELAX, CompileOptions(analyze=True))
+
+
+def sac_relax_variable(u, cfields):
+    return np.asarray(load_varrelax_program().call("VarRelax", u, *cfields))
 
 
 def _fields(rng, shape):
@@ -59,15 +73,12 @@ class TestTwin:
         assert np.all(out[shell] == 0.0)
 
     def test_wrong_field_count_rejected(self):
-        with pytest.raises(ValueError, match="4 coefficient fields"):
+        with pytest.raises(SacArityError, match="VarRelax"):
             sac_relax_variable(np.zeros((4, 4, 4)),
                                [np.zeros((4, 4, 4))] * 3)
 
 
 class TestAnalysisGate:
-    def test_source_ships_with_the_package(self):
-        assert varrelax_source_path().is_file()
-
     def test_program_is_spmd_certified(self):
         report = load_varrelax_program().analysis_report
         assert report is not None

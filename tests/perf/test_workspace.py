@@ -57,8 +57,9 @@ class TestAccounting:
     def test_manager_books_points(self):
         ws = Workspace()
         ws.get("x", (4, 4, 4))
-        assert ws.manager.total_allocs == 1
-        assert ws.manager.live_points == 64
+        assert ws.allocations == 1
+        assert ws.bytes_allocated == 64 * 8
+        assert ws.live_buffers == 1
 
     def test_counters_snapshot(self):
         ws = Workspace()
@@ -83,7 +84,9 @@ class TestAccounting:
         ws.get("x", (4, 4))
         ws.clear()
         assert ws.live_buffers == 0
-        assert ws.manager.live_points == 0
+        assert ws.buffers_by_shape() == {}
+        # The totals are of what was ever allocated, not of what is live.
+        assert ws.allocations == 1 and ws.bytes_allocated == 16 * 8
         # A fresh request allocates again.
         ws.get("x", (4, 4))
         assert ws.allocations == 2

@@ -54,26 +54,12 @@ class TestHeartbeatConfig:
         with pytest.raises(ValueError, match="must be positive"):
             HeartbeatConfig(interval=0.0)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT_INTERVAL", "0.2")
-        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT_SUSPECT", "2.0")
-        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT_DEAD", "40")
-        cfg = HeartbeatConfig.from_env()
-        assert (cfg.interval, cfg.suspect_after, cfg.dead_after) \
-            == (0.2, 2.0, 40.0)
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT_DEAD", "soon")
-        with pytest.raises(ValueError, match="REPRO_SPMD_HEARTBEAT_DEAD"):
-            HeartbeatConfig.from_env()
-
-    @pytest.mark.parametrize("name", ["INTERVAL", "SUSPECT", "DEAD"])
-    @pytest.mark.parametrize("raw", ["0", "-1.5", "nan?"])
-    def test_from_env_names_the_bad_variable(self, monkeypatch, name, raw):
-        var = f"REPRO_SPMD_HEARTBEAT_{name}"
-        monkeypatch.setenv(var, raw)
-        with pytest.raises(ValueError, match=var):
-            HeartbeatConfig.from_env()
+    @pytest.mark.parametrize("name",
+                             ["interval", "suspect_after", "dead_after"])
+    @pytest.mark.parametrize("value", [0.0, -1.5])
+    def test_nonpositive_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match="heartbeat"):
+            HeartbeatConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +173,10 @@ class TestWorldHeartbeat:
             world.start_heartbeat()  # no-op
             assert world._hb_thread is None
 
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT", "1")
-        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT_SUSPECT", "3.0")
-        with World(2) as world:
+    def test_true_means_default_config(self):
+        with World(2, heartbeat=True) as world:
             assert world.liveness is not None
-            assert world.heartbeat_config.suspect_after == 3.0
+            assert world.heartbeat_config == HeartbeatConfig()
 
     def test_config_object_accepted(self):
         cfg = HeartbeatConfig(interval=0.02, suspect_after=0.2,

@@ -92,7 +92,7 @@ class TestFailureRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Timeouts: configurable, env-overridable, contextual exceptions.
+# Timeouts: configurable, contextual exceptions.
 # ---------------------------------------------------------------------------
 
 class TestTimeouts:
@@ -101,18 +101,6 @@ class TestTimeouts:
         assert w.timeout == 0.2
         assert w.join_timeout == 5.0
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "0.125")
-        monkeypatch.setenv("REPRO_SPMD_JOIN_TIMEOUT", "7.5")
-        w = World(1)
-        assert w.timeout == 0.125
-        assert w.join_timeout == 7.5
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "fast")
-        with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT"):
-            World(1)
-
     def test_poll_interval_parameter(self):
         from repro.runtime.spmd import DEFAULT_POLL_INTERVAL
 
@@ -120,17 +108,10 @@ class TestTimeouts:
         assert World(1, poll_interval=0.005).poll_interval == 0.005
         with pytest.raises(ValueError, match="poll_interval"):
             World(1, poll_interval=0.0)
-
-    def test_poll_interval_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_POLL_INTERVAL", "0.0075")
-        assert World(1).poll_interval == 0.0075
-        # An explicit parameter wins over the environment.
-        assert World(1, poll_interval=0.02).poll_interval == 0.02
-
-    def test_poll_interval_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_POLL_INTERVAL", "quick")
-        with pytest.raises(ValueError, match="REPRO_SPMD_POLL_INTERVAL"):
-            World(1)
+        with pytest.raises(ValueError, match="timeouts must be positive"):
+            World(1, timeout=0.0)
+        with pytest.raises(ValueError, match="timeouts must be positive"):
+            World(1, join_timeout=-1.0)
 
     def test_poll_interval_plumbs_to_distributed_solve(self):
         # A tight poll interval must leave results bit-identical.

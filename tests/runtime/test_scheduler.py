@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.scheduler import (
-    Chunk,
-    block_partition,
-    chunked_partition,
-    cyclic_partition,
-)
+from repro.runtime.scheduler import Chunk, block_partition
 
 
 class TestChunk:
@@ -66,26 +61,3 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             block_partition((4,), 0)
 
-
-class TestCyclicPartition:
-    def test_round_robin(self):
-        plans = cyclic_partition((5,), 2)
-        assert [c.lo[0] for c in plans[0]] == [0, 2, 4]
-        assert [c.lo[0] for c in plans[1]] == [1, 3]
-
-    @given(st.integers(1, 30), st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_complete_cover(self, extent, workers):
-        plans = cyclic_partition((extent,), workers)
-        planes = sorted(c.lo[0] for plan in plans for c in plan)
-        assert planes == list(range(extent))
-
-
-class TestChunkedPartition:
-    def test_fixed_size(self):
-        chunks = chunked_partition((10,), 3)
-        assert [c.points for c in chunks] == [3, 3, 3, 1]
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            chunked_partition((10,), 0)

@@ -16,6 +16,8 @@ import pytest
 from repro.baselines import FortranMG
 from repro.runtime.spmd import DistributedMG, World
 from repro.runtime.transport import (
+    DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_JOIN_TIMEOUT,
     DEFAULT_POLL_INTERVAL,
     DEFAULT_TIMEOUT,
     InProcTransport,
@@ -35,39 +37,35 @@ elastic = pytest.mark.elastic
 # ---------------------------------------------------------------------------
 
 class TestTransportConfig:
-    def test_defaults_resolve(self, monkeypatch):
-        for var in ("REPRO_SPMD_TIMEOUT", "REPRO_SPMD_JOIN_TIMEOUT",
-                    "REPRO_SPMD_POLL_INTERVAL",
-                    "REPRO_SPMD_CONNECT_TIMEOUT"):
-            monkeypatch.delenv(var, raising=False)
-        cfg = TransportConfig().resolved()
-        assert cfg.timeout == DEFAULT_TIMEOUT
-        assert cfg.poll_interval == DEFAULT_POLL_INTERVAL
-
-    def test_env_fills_unset_fields(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "7.5")
-        cfg = TransportConfig().resolved()
-        assert cfg.timeout == 7.5
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "7.5")
-        cfg = TransportConfig(timeout=3.0).override(timeout=2.0).resolved()
-        assert cfg.timeout == 2.0
+    def test_defaults_resolve(self):
+        cfg = TransportConfig()
+        assert (cfg.timeout, cfg.join_timeout, cfg.poll_interval,
+                cfg.connect_timeout) == (
+            DEFAULT_TIMEOUT, DEFAULT_JOIN_TIMEOUT, DEFAULT_POLL_INTERVAL,
+            DEFAULT_CONNECT_TIMEOUT)
 
     def test_override_ignores_none(self):
         cfg = TransportConfig(timeout=3.0).override(timeout=None)
         assert cfg.timeout == 3.0
 
-    def test_bad_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "fast")
-        with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT"):
-            TransportConfig().resolved()
-
     def test_nonpositive_rejected(self):
+        # At construction: there is no later resolve step to wait for.
         with pytest.raises(ValueError, match="timeouts must be positive"):
-            TransportConfig(timeout=0.0).resolved()
+            TransportConfig(timeout=0.0)
         with pytest.raises(ValueError, match="poll_interval must be"):
-            TransportConfig(poll_interval=-1.0).resolved()
+            TransportConfig(poll_interval=-1.0)
+        with pytest.raises(ValueError, match="connect_retries"):
+            TransportConfig(connect_retries=0)
+
+    def test_environment_is_not_read(self, monkeypatch):
+        # Keyword over config over default is the whole precedence rule.
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "fast")
+        monkeypatch.setenv("REPRO_SPMD_TRANSPORT", "bogus")
+        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT", "1")
+        with World(2) as world:
+            assert world.timeout == DEFAULT_TIMEOUT == 60.0
+            assert world.transport.name == "inproc"
+            assert world.liveness is None
 
     def test_world_kwarg_beats_config(self):
         with World(1, timeout=2.0,
@@ -89,14 +87,12 @@ class TestMakeTransport:
         t = InProcTransport()
         assert make_transport(t) is t
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPMD_TRANSPORT", raising=False)
+    def test_none_is_inproc(self):
         assert make_transport(None).name == "inproc"
-        monkeypatch.setenv("REPRO_SPMD_TRANSPORT", "socket")
-        assert make_transport(None).name == "socket"
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown transport"):
+        with pytest.raises(ValueError, match="unknown transport.*"
+                           "'inproc', 'socket'"):
             make_transport("carrier-pigeon")
 
 

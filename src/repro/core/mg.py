@@ -12,9 +12,13 @@ Two things are written here once and nowhere else:
 
 * **the arithmetic** — one plane-range body per operator
   (:func:`resid_chunk`, :func:`psinv_chunk`, :func:`rprj3_chunk`,
-  :func:`interp_chunk`).  The serial kernels are the full-range call
-  plus a ghost fill; the threaded runtime forks the same bodies over
-  plane ranges and the SPMD runtime hands them one z-slab per rank;
+  :func:`interp_chunk`), run over the range it is given in consecutive
+  cache blocks of :func:`block_planes` planes that share one
+  block-sized scratch — a length computed from the array shapes, so a
+  small grid is one block and every caller gets the same blocking.
+  The serial kernels are the full-range call plus a ghost fill; the
+  threaded runtime forks the same bodies over plane ranges and the
+  SPMD runtime hands them one z-slab per rank;
 * **the schedule** — :func:`correction` (project down, smooth the
   coarsest grid, interpolate / residual / smooth back up),
   :func:`vcycle` and the benchmark loop :func:`run`, written over an
@@ -44,6 +48,7 @@ __all__ = [
     "psinv_chunk",
     "rprj3_chunk",
     "interp_chunk",
+    "block_planes",
     "resid",
     "psinv",
     "rprj3",
@@ -76,7 +81,8 @@ def _scratch(ws, name: str, planes: int, tail: tuple[int, ...],
     With a :class:`~repro.perf.workspace.Workspace` this is a
     plane-range view of one pooled ``(planes, *tail)`` buffer: disjoint
     chunks get disjoint memory, and the pool's footprint is the same for
-    every partition and team size.
+    every partition and team size.  A chunk asks for the first
+    block's worth of its own range and reuses it for every block.
     """
     if ws is None:
         return np.empty((z1 - z0,) + tail)
@@ -87,6 +93,23 @@ def _grid(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """A whole result grid from :func:`_scratch`; its caller overwrites
     all of it, interior by the kernel and ghosts by the boundary fill."""
     return _scratch(ws, name, shape[0], tuple(shape[1:]), 0, shape[0])
+
+
+#: Bytes one cache block of an operator body may touch: a per-core L2
+#: (the measured plateau, docs/PERF.md "Cache blocking").
+_BLOCK_BYTES = 2 << 20
+
+
+def block_planes(bytes_per_plane: int) -> int:
+    """Planes per cache block for a body that touches ``bytes_per_plane``
+    (operand planes plus scratch planes) per output plane.
+
+    A pure function of the array shapes: small grids come out as one
+    block, a class-W stencil as blocks of a few planes whose operands
+    and block-local scratch stay in L2 across the body's ~16 ufunc
+    passes instead of streaming every whole-range pass through L3.
+    """
+    return max(1, _BLOCK_BYTES // bytes_per_plane)
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +136,30 @@ def _plane_sums_into(u: np.ndarray, zc: slice, zm: slice, zp: slice,
     np.add(u2, u[zp, _P, :], out=u2)
 
 
-def _stencil_setup(u: np.ndarray, z0: int, z1: int, ws):
+def _stencil_setup(u: np.ndarray, z0: int, z1: int, ws, grids: int):
     """For a 27-point sweep over interior planes ``[z0, z1)`` of (a
-    z-slab of) ``u``: the extended-array slices of those planes and of
-    their lower and upper neighbours (interior plane ``p`` lives at
-    extended index ``p + 1``), and the ``u1``/``u2``/``acc``/``tmp``
-    buffers."""
+    z-slab of) ``u``, per cache block: the extended-array slices of the
+    block's planes and of their lower and upper neighbours (interior
+    plane ``p`` lives at extended index ``p + 1``), and the
+    ``u1``/``u2``/``acc``/``tmp`` buffers.  ``grids`` counts the grids
+    the sweep reads or writes one plane of per output plane."""
     m, n2, n1 = u.shape[0] - 2, u.shape[1], u.shape[2]
-    return (slice(z0 + 1, z1 + 1), slice(z0, z1), slice(z0 + 2, z1 + 2),
-            _scratch(ws, "mg.u1", m, (n2 - 2, n1), z0, z1),
-            _scratch(ws, "mg.u2", m, (n2 - 2, n1), z0, z1),
-            _scratch(ws, "mg.acc", m, (n2 - 2, n1 - 2), z0, z1),
-            _scratch(ws, "mg.tmp", m, (n2 - 2, n1 - 2), z0, z1))
+    n = z1 - z0
+    nblk = -(-n // block_planes(8 * (grids * n2 * n1 + (n2 - 2)
+                                     * (4 * n1 - 4))))
+    nb = -(-n // nblk)
+    bufs = (_scratch(ws, "mg.u1", m, (n2 - 2, n1), z0, z0 + nb),
+            _scratch(ws, "mg.u2", m, (n2 - 2, n1), z0, z0 + nb),
+            _scratch(ws, "mg.acc", m, (n2 - 2, n1 - 2), z0, z0 + nb),
+            _scratch(ws, "mg.tmp", m, (n2 - 2, n1 - 2), z0, z0 + nb))
+    blocks = []
+    for i in range(nblk):
+        lo, hi = z0 + i * n // nblk, z0 + (i + 1) * n // nblk
+        blocks.append((slice(lo + 1, hi + 1), slice(lo, hi),
+                       slice(lo + 2, hi + 2))
+                      + (bufs if hi - lo == nb
+                         else tuple(b[:hi - lo] for b in bufs)))
+    return blocks
 
 
 def resid_chunk(u: np.ndarray, v: np.ndarray, a, r: np.ndarray,
@@ -137,23 +172,24 @@ def resid_chunk(u: np.ndarray, v: np.ndarray, a, r: np.ndarray,
     each chunk reads its own planes of ``v`` once, before writing them.
     """
     a = tuple(float(x) for x in a)
-    zc, zm, zp, u1, u2, acc, tmp = _stencil_setup(u, z0, z1, ws)
-    _plane_sums_into(u, zc, zm, zp, u1, u2)
-    np.multiply(u[zc, _C, _C], a[0], out=tmp)
-    np.subtract(v[zc, _C, _C], tmp, out=acc)
-    if a[1] != 0.0:
-        np.add(u[zc, _C, _M], u[zc, _C, _P], out=tmp)
-        np.add(tmp, u1[:, :, _C], out=tmp)
-        np.multiply(tmp, a[1], out=tmp)
+    # u, v and r are the grids a block reads or writes a plane of.
+    for zc, zm, zp, u1, u2, acc, tmp in _stencil_setup(u, z0, z1, ws, 3):
+        _plane_sums_into(u, zc, zm, zp, u1, u2)
+        np.multiply(u[zc, _C, _C], a[0], out=tmp)
+        np.subtract(v[zc, _C, _C], tmp, out=acc)
+        if a[1] != 0.0:
+            np.add(u[zc, _C, _M], u[zc, _C, _P], out=tmp)
+            np.add(tmp, u1[:, :, _C], out=tmp)
+            np.multiply(tmp, a[1], out=tmp)
+            np.subtract(acc, tmp, out=acc)
+        np.add(u2[:, :, _C], u1[:, :, _M], out=tmp)
+        np.add(tmp, u1[:, :, _P], out=tmp)
+        np.multiply(tmp, a[2], out=tmp)
         np.subtract(acc, tmp, out=acc)
-    np.add(u2[:, :, _C], u1[:, :, _M], out=tmp)
-    np.add(tmp, u1[:, :, _P], out=tmp)
-    np.multiply(tmp, a[2], out=tmp)
-    np.subtract(acc, tmp, out=acc)
-    np.add(u2[:, :, _M], u2[:, :, _P], out=tmp)
-    np.multiply(tmp, a[3], out=tmp)
-    np.subtract(acc, tmp, out=acc)
-    r[zc, _C, _C] = acc
+        np.add(u2[:, :, _M], u2[:, :, _P], out=tmp)
+        np.multiply(tmp, a[3], out=tmp)
+        np.subtract(acc, tmp, out=acc)
+        r[zc, _C, _C] = acc
 
 
 def psinv_chunk(r: np.ndarray, u: np.ndarray, c,
@@ -164,23 +200,23 @@ def psinv_chunk(r: np.ndarray, u: np.ndarray, c,
     (``c3 == 0``); the ``c3`` term is included for generic stencils.
     """
     c = tuple(float(x) for x in c)
-    zc, zm, zp, r1, r2, acc, tmp = _stencil_setup(r, z0, z1, ws)
-    _plane_sums_into(r, zc, zm, zp, r1, r2)
-    np.multiply(r[zc, _C, _C], c[0], out=tmp)
-    np.add(u[zc, _C, _C], tmp, out=acc)
-    np.add(r[zc, _C, _M], r[zc, _C, _P], out=tmp)
-    np.add(tmp, r1[:, :, _C], out=tmp)
-    np.multiply(tmp, c[1], out=tmp)
-    np.add(acc, tmp, out=acc)
-    np.add(r2[:, :, _C], r1[:, :, _M], out=tmp)
-    np.add(tmp, r1[:, :, _P], out=tmp)
-    np.multiply(tmp, c[2], out=tmp)
-    np.add(acc, tmp, out=acc)
-    if c[3] != 0.0:
-        np.add(r2[:, :, _M], r2[:, :, _P], out=tmp)
-        np.multiply(tmp, c[3], out=tmp)
+    for zc, zm, zp, r1, r2, acc, tmp in _stencil_setup(r, z0, z1, ws, 2):
+        _plane_sums_into(r, zc, zm, zp, r1, r2)
+        np.multiply(r[zc, _C, _C], c[0], out=tmp)
+        np.add(u[zc, _C, _C], tmp, out=acc)
+        np.add(r[zc, _C, _M], r[zc, _C, _P], out=tmp)
+        np.add(tmp, r1[:, :, _C], out=tmp)
+        np.multiply(tmp, c[1], out=tmp)
         np.add(acc, tmp, out=acc)
-    u[zc, _C, _C] = acc
+        np.add(r2[:, :, _C], r1[:, :, _M], out=tmp)
+        np.add(tmp, r1[:, :, _P], out=tmp)
+        np.multiply(tmp, c[2], out=tmp)
+        np.add(acc, tmp, out=acc)
+        if c[3] != 0.0:
+            np.add(r2[:, :, _M], r2[:, :, _P], out=tmp)
+            np.multiply(tmp, c[3], out=tmp)
+            np.add(acc, tmp, out=acc)
+        u[zc, _C, _C] = acc
 
 
 def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
@@ -203,44 +239,54 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
     m1 = slice(1, n - 2, 2)
     p1 = slice(3, n, 2)
     ox = slice(1, n, 2)      # all odd x positions (the x1/y1 extent)
-    # Fine center planes for coarse interior planes j (0-based interior).
-    zc = slice(2 * (j0 + 1), 2 * j1 + 1, 2)
-    zm = slice(2 * (j0 + 1) - 1, 2 * j1, 2)
-    zp = slice(2 * (j0 + 1) + 1, 2 * j1 + 2, 2)
     mj, mh = (r.shape[0] - 2) // 2, (n - 2) // 2
-    # Shared buffers over the odd x extent (NPB's x1, y1).
-    x1 = _scratch(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j1)
-    y1 = _scratch(ws, "rprj3.y1", mj, (mh, mh + 1), j0, j1)
-    np.add(r[zc, m1, ox], r[zc, p1, ox], out=x1)
-    np.add(x1, r[zm, c1, ox], out=x1)
-    np.add(x1, r[zp, c1, ox], out=x1)
-    np.add(r[zm, m1, ox], r[zp, m1, ox], out=y1)
-    np.add(y1, r[zm, p1, ox], out=y1)
-    np.add(y1, r[zp, p1, ox], out=y1)
-    # Per-point sums at center x (NPB's x2, y2).
-    x2 = _scratch(ws, "rprj3.x2", mj, (mh, mh), j0, j1)
-    y2 = _scratch(ws, "rprj3.y2", mj, (mh, mh), j0, j1)
-    np.add(r[zc, m1, c1], r[zc, p1, c1], out=x2)
-    np.add(x2, r[zm, c1, c1], out=x2)
-    np.add(x2, r[zp, c1, c1], out=x2)
-    np.add(r[zm, m1, c1], r[zp, m1, c1], out=y2)
-    np.add(y2, r[zm, p1, c1], out=y2)
-    np.add(y2, r[zp, p1, c1], out=y2)
-    acc = _scratch(ws, "rprj3.acc", mj, (mh, mh), j0, j1)
-    tmp = _scratch(ws, "rprj3.tmp", mj, (mh, mh), j0, j1)
-    np.multiply(r[zc, c1, c1], p[0], out=acc)
-    np.add(r[zc, c1, m1], r[zc, c1, p1], out=tmp)
-    np.add(tmp, x2, out=tmp)
-    np.multiply(tmp, p[1], out=tmp)
-    np.add(acc, tmp, out=acc)
-    np.add(x1[:, :, :-1], x1[:, :, 1:], out=tmp)
-    np.add(tmp, y2, out=tmp)
-    np.multiply(tmp, p[2], out=tmp)
-    np.add(acc, tmp, out=acc)
-    np.add(y1[:, :, :-1], y1[:, :, 1:], out=tmp)
-    np.multiply(tmp, p[3], out=tmp)
-    np.add(acc, tmp, out=acc)
-    s[j0 + 1:j1 + 1, 1:-1, 1:-1] = acc
+    # Per coarse plane a block holds two fine planes of r, one of s and
+    # the six scratch planes.
+    nj = j1 - j0
+    nblk = -(-nj // block_planes(8 * (2 * n * n + (mh + 2) ** 2
+                                      + 2 * mh * (mh + 1) + 4 * mh * mh)))
+    nb = -(-nj // nblk)
+    # Shared buffers over the odd x extent (NPB's x1, y1), per-point sums
+    # at center x (NPB's x2, y2), accumulator and term.
+    bufs = (_scratch(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j0 + nb),
+            _scratch(ws, "rprj3.y1", mj, (mh, mh + 1), j0, j0 + nb),
+            _scratch(ws, "rprj3.x2", mj, (mh, mh), j0, j0 + nb),
+            _scratch(ws, "rprj3.y2", mj, (mh, mh), j0, j0 + nb),
+            _scratch(ws, "rprj3.acc", mj, (mh, mh), j0, j0 + nb),
+            _scratch(ws, "rprj3.tmp", mj, (mh, mh), j0, j0 + nb))
+    for i in range(nblk):
+        lo, hi = j0 + i * nj // nblk, j0 + (i + 1) * nj // nblk
+        x1, y1, x2, y2, acc, tmp = (bufs if hi - lo == nb
+                                    else [b[:hi - lo] for b in bufs])
+        # Fine center planes for coarse interior planes j (0-based interior).
+        zc = slice(2 * (lo + 1), 2 * hi + 1, 2)
+        zm = slice(2 * (lo + 1) - 1, 2 * hi, 2)
+        zp = slice(2 * (lo + 1) + 1, 2 * hi + 2, 2)
+        np.add(r[zc, m1, ox], r[zc, p1, ox], out=x1)
+        np.add(x1, r[zm, c1, ox], out=x1)
+        np.add(x1, r[zp, c1, ox], out=x1)
+        np.add(r[zm, m1, ox], r[zp, m1, ox], out=y1)
+        np.add(y1, r[zm, p1, ox], out=y1)
+        np.add(y1, r[zp, p1, ox], out=y1)
+        np.add(r[zc, m1, c1], r[zc, p1, c1], out=x2)
+        np.add(x2, r[zm, c1, c1], out=x2)
+        np.add(x2, r[zp, c1, c1], out=x2)
+        np.add(r[zm, m1, c1], r[zp, m1, c1], out=y2)
+        np.add(y2, r[zm, p1, c1], out=y2)
+        np.add(y2, r[zp, p1, c1], out=y2)
+        np.multiply(r[zc, c1, c1], p[0], out=acc)
+        np.add(r[zc, c1, m1], r[zc, c1, p1], out=tmp)
+        np.add(tmp, x2, out=tmp)
+        np.multiply(tmp, p[1], out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.add(x1[:, :, :-1], x1[:, :, 1:], out=tmp)
+        np.add(tmp, y2, out=tmp)
+        np.multiply(tmp, p[2], out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.add(y1[:, :, :-1], y1[:, :, 1:], out=tmp)
+        np.multiply(tmp, p[3], out=tmp)
+        np.add(acc, tmp, out=acc)
+        s[lo + 1:hi + 1, 1:-1, 1:-1] = acc
 
 
 def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
@@ -268,39 +314,49 @@ def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
     E = slice(0, n - 1, 2)  # fine 0-based even targets (Fortran 2i-1)
     O = slice(1, n, 2)      # fine 0-based odd targets  (Fortran 2i)
     rows, nc = z.shape[0] - 1, z.shape[1]
-    zc, zn = z[j0:j1], z[j0 + 1:j1 + 1]
-    ue, uo = u[2 * j0:2 * j1:2], u[2 * j0 + 1:2 * j1 + 1:2]
-    z1 = _scratch(ws, "interp.z1", rows, (nc - 1, nc), j0, j1)
-    z2 = _scratch(ws, "interp.z2", rows, (nc - 1, nc), j0, j1)
-    z3 = _scratch(ws, "interp.z3", rows, (nc - 1, nc), j0, j1)
-    tmp = _scratch(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j1)
-    np.add(zc[:, H, :], zc[:, L, :], out=z1)   # z(i2+1,i3) + z(i2,i3)
-    np.add(zn[:, L, :], zc[:, L, :], out=z2)   # z(i2,i3+1) + z(i2,i3)
-    np.add(zn[:, H, :], zn[:, L, :], out=z3)   # z(i2+1,i3+1) + z(i2,i3+1) + z1
-    np.add(z3, z1, out=z3)
-    if q[0] == 1.0:
-        ue[:, E, E] += zc[:, L, L]
-    else:
-        np.multiply(zc[:, L, L], q[0], out=tmp)
-        ue[:, E, E] += tmp
-    np.add(zc[:, L, H], zc[:, L, L], out=tmp)
-    np.multiply(tmp, q[1], out=tmp)
-    ue[:, E, O] += tmp
-    np.multiply(z1[:, :, :-1], q[1], out=tmp)
-    ue[:, O, E] += tmp
-    np.add(z1[:, :, :-1], z1[:, :, 1:], out=tmp)
-    np.multiply(tmp, q[2], out=tmp)
-    ue[:, O, O] += tmp
-    np.multiply(z2[:, :, :-1], q[1], out=tmp)
-    uo[:, E, E] += tmp
-    np.add(z2[:, :, :-1], z2[:, :, 1:], out=tmp)
-    np.multiply(tmp, q[2], out=tmp)
-    uo[:, E, O] += tmp
-    np.multiply(z3[:, :, :-1], q[2], out=tmp)
-    uo[:, O, E] += tmp
-    np.add(z3[:, :, :-1], z3[:, :, 1:], out=tmp)
-    np.multiply(tmp, q[3], out=tmp)
-    uo[:, O, O] += tmp
+    # Per coarse row a block holds two fine planes of u, one of z and
+    # the four scratch planes.
+    nj = j1 - j0
+    nblk = -(-nj // block_planes(8 * (2 * n * n + nc * nc + (nc - 1)
+                                      * (4 * nc - 1))))
+    nb = -(-nj // nblk)
+    bufs = (_scratch(ws, "interp.z1", rows, (nc - 1, nc), j0, j0 + nb),
+            _scratch(ws, "interp.z2", rows, (nc - 1, nc), j0, j0 + nb),
+            _scratch(ws, "interp.z3", rows, (nc - 1, nc), j0, j0 + nb),
+            _scratch(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j0 + nb))
+    for i in range(nblk):
+        lo, hi = j0 + i * nj // nblk, j0 + (i + 1) * nj // nblk
+        z1, z2, z3, tmp = (bufs if hi - lo == nb
+                           else [b[:hi - lo] for b in bufs])
+        zc, zn = z[lo:hi], z[lo + 1:hi + 1]
+        ue, uo = u[2 * lo:2 * hi:2], u[2 * lo + 1:2 * hi + 1:2]
+        np.add(zc[:, H, :], zc[:, L, :], out=z1)   # z(i2+1,i3) + z(i2,i3)
+        np.add(zn[:, L, :], zc[:, L, :], out=z2)   # z(i2,i3+1) + z(i2,i3)
+        np.add(zn[:, H, :], zn[:, L, :], out=z3)   # z(i2+1,i3+1) + z(i2,i3+1) + z1
+        np.add(z3, z1, out=z3)
+        if q[0] == 1.0:
+            ue[:, E, E] += zc[:, L, L]
+        else:
+            np.multiply(zc[:, L, L], q[0], out=tmp)
+            ue[:, E, E] += tmp
+        np.add(zc[:, L, H], zc[:, L, L], out=tmp)
+        np.multiply(tmp, q[1], out=tmp)
+        ue[:, E, O] += tmp
+        np.multiply(z1[:, :, :-1], q[1], out=tmp)
+        ue[:, O, E] += tmp
+        np.add(z1[:, :, :-1], z1[:, :, 1:], out=tmp)
+        np.multiply(tmp, q[2], out=tmp)
+        ue[:, O, O] += tmp
+        np.multiply(z2[:, :, :-1], q[1], out=tmp)
+        uo[:, E, E] += tmp
+        np.add(z2[:, :, :-1], z2[:, :, 1:], out=tmp)
+        np.multiply(tmp, q[2], out=tmp)
+        uo[:, E, O] += tmp
+        np.multiply(z3[:, :, :-1], q[2], out=tmp)
+        uo[:, O, E] += tmp
+        np.add(z3[:, :, :-1], z3[:, :, 1:], out=tmp)
+        np.multiply(tmp, q[3], out=tmp)
+        uo[:, O, O] += tmp
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,12 @@ def main(argv: list[str] | None = None) -> int:
         if bad:
             parser.error(f"unknown {what} {', '.join(map(repr, bad))} "
                          f"(choose from {', '.join(sorted(choices))})")
+    for flag, value, least in (("-r/--repeats", args.repeats, 1),
+                               ("--nthreads", args.nthreads, 1),
+                               ("--heal", args.heal, 0)):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be an integer >= {least}, "
+                         f"got {value}")
     bad = [c for c in args.commands if c not in COMMANDS]
     if bad:
         parser.error(f"invalid command(s) {', '.join(bad)} "

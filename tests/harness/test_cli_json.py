@@ -57,6 +57,18 @@ class TestJsonExport:
         assert exc.value.code == 2
         assert known in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, accepted", [
+        (["measure", "-r", "0"], "-r/--repeats must be an integer >= 1"),
+        (["solve", "--nthreads", "0"], "--nthreads must be an integer >= 1"),
+        (["supervised", "--heal", "-1"], "--heal must be an integer >= 0"),
+    ])
+    def test_out_of_range_count_exits_2_naming_the_range(self, argv, accepted,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert accepted in capsys.readouterr().err
+
     def test_solve_class_t_has_no_official_value(self, capsys):
         assert main(["solve", "-c", "T", "--modes", "serial"]) == 0
         assert "no official value" in capsys.readouterr().out

@@ -4,8 +4,14 @@ whichever way the team's fork policy falls.  The serial kernels are the
 same plane-range bodies over the full range, so the independent
 reference for the arithmetic itself is ``baselines.c_mg``."""
 
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import FortranMG
 from repro.baselines.c_mg import (
@@ -24,6 +30,7 @@ from repro.core import (
     resid,
     rprj3,
 )
+from repro.core import mg as core_mg
 from repro.core.mg import solve
 from repro.perf import Workspace
 from repro.runtime import (
@@ -258,3 +265,125 @@ class TestFullSolve:
             assert all(d.forked is not None for d in table.values())
             solver.solve("S")
             assert dict(solver.decisions) == table
+
+
+# -- cache blocks inside a chunk: any block length == one block ---------------
+
+#: ``_BLOCK_BYTES`` values that split an 8^3 / 16^3 chunk into blocks of
+#: one plane (1), two and three (resid at 16^3 touches 18 144 B per
+#: plane) and up to the whole range.
+_BUDGETS = [1, 22_000, 40_000, 58_000, 200_000]
+
+
+@contextlib.contextmanager
+def _budget(nbytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_mg, "_BLOCK_BYTES", nbytes)
+        yield
+
+
+class TestCacheBlocks:
+    @settings(max_examples=120, deadline=None)
+    @given(op=st.sampled_from(["resid", "resid-aliased", "psinv", "rprj3",
+                               "interp"]),
+           level=st.sampled_from([3, 4]),
+           budget=st.sampled_from(_BUDGETS),
+           pooled=st.booleans(), data=st.data())
+    def test_any_block_length_gives_the_one_block_bytes(self, op, level,
+                                                        budget, pooled, data):
+        aliased, op = op.endswith("-aliased"), op.split("-")[0]
+        a, b = _inputs(op, 1 << level)
+        extent = _extent(op, a)
+        z0 = data.draw(st.integers(0, extent - 1))
+        z1 = data.draw(st.integers(z0 + 1, extent))
+
+        def run():
+            ws = Workspace() if pooled else None
+            if aliased:  # NPB's in-place residual: r is v
+                r = b.copy()
+                resid_chunk(a, r, A_COEFFS, r, z0, z1, ws=ws)
+                return r
+            return _chunked(op, a, b, [(z0, z1)], ws)
+
+        with _budget(1 << 40):
+            want = run()
+        with _budget(budget):
+            assert run().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", ["resid", "psinv", "rprj3", "interp"])
+    def test_concurrent_chunks_share_a_workspace(self, op):
+        # Each chunk's blocks reuse the first planes of the chunk's own
+        # range of the level-wide buffers; two chunks must not meet.
+        a, b = _inputs(op, 64)
+        extent = _extent(op, a)
+        want = _chunked(op, a, b, [(0, extent)], None)
+        ws = Workspace()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cut in (extent // 2, extent // 3, 1):
+                out = np.zeros_like(want) if op in ("resid", "rprj3") \
+                    else b.copy()
+                gate = threading.Barrier(2)
+
+                def work(lo, hi, out=out, gate=gate):
+                    gate.wait(10)
+                    kernel, args = {
+                        "resid": (resid_chunk, (a, b, A_COEFFS, out)),
+                        "psinv": (psinv_chunk, (a, out, S_COEFFS_A)),
+                        "rprj3": (rprj3_chunk, (a, out)),
+                        "interp": (interp_chunk, (a, out)),
+                    }[op]
+                    kernel(*args, lo, hi, ws=ws)
+
+                threads = [threading.Thread(target=work, args=r)
+                           for r in ((0, cut), (cut, extent))]
+                with _budget(1 << 18):
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(30)
+                assert not any(t.is_alive() for t in threads)
+                assert out.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(old)
+
+    @given(st.integers(1, 1 << 24), st.integers(1, 1 << 24))
+    def test_block_planes_is_positive_and_non_increasing(self, x, y):
+        lo, hi = sorted((x, y))
+        assert core_mg.block_planes(lo) >= core_mg.block_planes(hi) >= 1
+
+    @pytest.mark.parametrize("op, m, split", [
+        ("rprj3", 16, False), ("rprj3", 32, False),
+        ("interp", 16, False), ("interp", 32, False),
+        ("resid", 64, True), ("psinv", 64, True)])
+    def test_the_rule_splits_stencils_at_64_not_transfers_at_32(
+            self, op, m, split, monkeypatch):
+        picks = []
+        rule = core_mg.block_planes
+        monkeypatch.setattr(core_mg, "block_planes",
+                            lambda n: picks.append(rule(n)) or picks[-1])
+        a, b = _inputs(op, m)
+        extent = _extent(op, a)
+        _chunked(op, a, b, [(0, extent)], None)
+        assert len(picks) == 1 and (picks[0] < extent) is split
+
+    def test_class_w_pool_is_the_unblocked_pools_bytes(self):
+        # Block scratch is a view of the level-wide buffers the
+        # whole-range bodies used: the same 15.254 MiB, none of it new.
+        ws = Workspace()
+        solve("W", 1, ws=ws)
+        warm = ws.allocations
+        solve("W", 1, ws=ws)
+        assert ws.allocations == warm
+        assert ws.bytes_allocated == 15_994_840
+
+    def test_runtimes_keep_serials_bits_under_a_small_budget(self):
+        from repro.runtime import DistributedMG
+
+        want = solve("S").rnm2.hex()
+
+        with _budget(40_000), ParallelMG(2) as par:
+            got = (solve("S").rnm2.hex(), par.solve("S").rnm2.hex(),
+                   DistributedMG(2).solve("S").rnm2.hex())
+        assert got == (want,) * 3

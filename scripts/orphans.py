@@ -11,6 +11,9 @@ and exit 1 if anything was printed (CI's "Source size" step runs it):
     and ``<string constant><class name>`` is a visitor's dispatch.
 (c) a ``REPRO_*`` environment variable ``src/`` names that nothing under
     ``.github/``, ``benchmarks/``, ``scripts/`` or ``examples/`` sets.
+(d) a field of a ``@dataclass`` whose name no ``.py`` file of the
+    repository reads as an attribute or names in a string constant
+    (``stats.bump("checkpoints")``, ``getattr``).
 """
 
 import ast
@@ -42,6 +45,17 @@ def imported_names(path: Path, tree: ast.AST):
             yield from ((".".join(base), a.name) for a in node.names)
 
 
+def dataclass_fields(tree: ast.AST):
+    """``(class, field)`` nodes of every ``@dataclass`` in ``tree``."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and "dataclass" in {
+                ast.unparse(getattr(d, "func", d)).rpartition(".")[2]
+                for d in cls.decorator_list}:
+            yield from ((cls, n) for n in cls.body
+                        if isinstance(n, ast.AnnAssign)
+                        and isinstance(n.target, ast.Name))
+
+
 def main() -> int:
     trees = {p: ast.parse(p.read_text(), str(p))
              for d in ("src", "tests", "benchmarks", "scripts", "examples")
@@ -53,10 +67,13 @@ def main() -> int:
               for base, name in imported_names(p, trees[p])
               if name and base != pkg}
     importers, used, strings, classes, env = {}, set(), set(), set(), set()
+    reads = set()
     for p, t in trees.items():
         nodes = list(ast.walk(t))
         loads = {n.id for n in nodes if isinstance(n, ast.Name)}
         used |= loads | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        reads |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                  and not isinstance(n.ctx, ast.Store)}
         classes |= {n.name for n in nodes if isinstance(n, ast.ClassDef)}
         consts = {n.value for n in nodes if isinstance(n, ast.Constant)
                   and isinstance(n.value, str)}
@@ -92,6 +109,9 @@ def main() -> int:
                        for f in sorted((ROOT / d).rglob("*")) if f.is_file())
     found += [f"{s}: named under src/, set nowhere under {', '.join(SETTERS)}"
               for s in sorted(env) if not re.search(rf"\b{s}\b", set_text)]
+    found += [f"{m}: {c.name}.{f.target.id} (line {f.lineno}) has no reader"
+              for p, m in modules.items() for c, f in dataclass_fields(trees[p])
+              if f.target.id not in reads | strings]
     print("".join(line + "\n" for line in found), end="")
     return 1 if found else 0
 

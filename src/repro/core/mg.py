@@ -23,8 +23,12 @@ Two things are written here once and nowhere else:
   coarsest grid, interpolate / residual / smooth back up),
   :func:`vcycle` and the benchmark loop :func:`run`, written over an
   :class:`MGKernels` table.  Serial, the comparison styles, threaded and
-  SPMD are tables; workspace, boundary contract, timing and tracing are
+  SPMD are tables; workspace, halo refresh, timing and tracing are
   bound when a table is built, not threaded through the schedule.
+
+The class vectors are NPB's (:mod:`repro.core.stencils`), the ghost
+contract periodic; the solver-family members of :mod:`repro.pde` run on
+their own cell-centred solver and pass nothing in here.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ import numpy as np
 from .classes import SizeClass, get_class
 from .grid import comm3, make_grid
 from .norms import norm2u3
-from .stencils import A_COEFFS, P_COEFFS, Q_COEFFS, S_COEFFS_A, S_COEFFS_B
+from .stencils import (A_COEFFS, P_COEFFS, Q_COEFFS, S_COEFFS_A, S_COEFFS_B,
+                       _scratch)
 from .trace import Trace
 from .zran3 import zran3
 
@@ -73,8 +78,8 @@ _M = slice(0, -2)
 _P = slice(2, None)
 
 
-def _scratch(ws, name: str, planes: int, tail: tuple[int, ...],
-             z0: int, z1: int) -> np.ndarray:
+def _planes(ws, name: str, planes: int, tail: tuple[int, ...],
+            z0: int, z1: int) -> np.ndarray:
     """Uninitialized scratch for planes ``[z0, z1)`` of a level; every
     scratch buffer's first use is a full write.
 
@@ -87,12 +92,6 @@ def _scratch(ws, name: str, planes: int, tail: tuple[int, ...],
     if ws is None:
         return np.empty((z1 - z0,) + tail)
     return ws.get(name, (planes,) + tail)[z0:z1]
-
-
-def _grid(ws, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A whole result grid from :func:`_scratch`; its caller overwrites
-    all of it, interior by the kernel and ghosts by the boundary fill."""
-    return _scratch(ws, name, shape[0], tuple(shape[1:]), 0, shape[0])
 
 
 #: Bytes one cache block of an operator body may touch: a per-core L2
@@ -148,10 +147,10 @@ def _stencil_setup(u: np.ndarray, z0: int, z1: int, ws, grids: int):
     nblk = -(-n // block_planes(8 * (grids * n2 * n1 + (n2 - 2)
                                      * (4 * n1 - 4))))
     nb = -(-n // nblk)
-    bufs = (_scratch(ws, "mg.u1", m, (n2 - 2, n1), z0, z0 + nb),
-            _scratch(ws, "mg.u2", m, (n2 - 2, n1), z0, z0 + nb),
-            _scratch(ws, "mg.acc", m, (n2 - 2, n1 - 2), z0, z0 + nb),
-            _scratch(ws, "mg.tmp", m, (n2 - 2, n1 - 2), z0, z0 + nb))
+    bufs = (_planes(ws, "mg.u1", m, (n2 - 2, n1), z0, z0 + nb),
+            _planes(ws, "mg.u2", m, (n2 - 2, n1), z0, z0 + nb),
+            _planes(ws, "mg.acc", m, (n2 - 2, n1 - 2), z0, z0 + nb),
+            _planes(ws, "mg.tmp", m, (n2 - 2, n1 - 2), z0, z0 + nb))
     blocks = []
     for i in range(nblk):
         lo, hi = z0 + i * n // nblk, z0 + (i + 1) * n // nblk
@@ -220,20 +219,19 @@ def psinv_chunk(r: np.ndarray, u: np.ndarray, c,
 
 
 def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
-                ws=None, p=P_COEFFS) -> None:
+                ws=None) -> None:
     """Project fine ``r`` onto coarse interior planes ``[j0, j1)`` of
     ``s`` (NPB ``rprj3``).
 
-    Full weighting with the distance-class coefficients ``p`` (a
-    ``StencilSpec.restrict_coeffs`` 4-vector): 1/2 for the (fine)
-    center, 1/4 / 1/8 / 1/16 for face/edge/corner neighbours by
-    default.  Expression order follows the Fortran source exactly (the
-    ``x1``/``y1`` shared buffers at odd fine x positions, then the
-    four-class combination), so default results are bit-identical to
-    NPB 2.3.  ``r`` may be a z-slab: the x/y slicing is derived from the
-    (cubic) x/y extent, the plane indices from the given range.
+    Full weighting with the distance-class coefficients ``P_COEFFS``:
+    1/2 for the (fine) center, 1/4 / 1/8 / 1/16 for face/edge/corner
+    neighbours.  Expression order follows the Fortran source exactly
+    (the ``x1``/``y1`` shared buffers at odd fine x positions, then the
+    four-class combination), so results are bit-identical to NPB 2.3.
+    ``r`` may be a z-slab: the x/y slicing is derived from the (cubic)
+    x/y extent, the plane indices from the given range.
     """
-    p = tuple(float(x) for x in p)
+    p = P_COEFFS
     n = r.shape[1]
     c1 = slice(2, n - 1, 2)  # fine centers along i2/i1 (0-based even)
     m1 = slice(1, n - 2, 2)
@@ -248,12 +246,12 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
     nb = -(-nj // nblk)
     # Shared buffers over the odd x extent (NPB's x1, y1), per-point sums
     # at center x (NPB's x2, y2), accumulator and term.
-    bufs = (_scratch(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j0 + nb),
-            _scratch(ws, "rprj3.y1", mj, (mh, mh + 1), j0, j0 + nb),
-            _scratch(ws, "rprj3.x2", mj, (mh, mh), j0, j0 + nb),
-            _scratch(ws, "rprj3.y2", mj, (mh, mh), j0, j0 + nb),
-            _scratch(ws, "rprj3.acc", mj, (mh, mh), j0, j0 + nb),
-            _scratch(ws, "rprj3.tmp", mj, (mh, mh), j0, j0 + nb))
+    bufs = (_planes(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j0 + nb),
+            _planes(ws, "rprj3.y1", mj, (mh, mh + 1), j0, j0 + nb),
+            _planes(ws, "rprj3.x2", mj, (mh, mh), j0, j0 + nb),
+            _planes(ws, "rprj3.y2", mj, (mh, mh), j0, j0 + nb),
+            _planes(ws, "rprj3.acc", mj, (mh, mh), j0, j0 + nb),
+            _planes(ws, "rprj3.tmp", mj, (mh, mh), j0, j0 + nb))
     for i in range(nblk):
         lo, hi = j0 + i * nj // nblk, j0 + (i + 1) * nj // nblk
         x1, y1, x2, y2, acc, tmp = (bufs if hi - lo == nb
@@ -290,24 +288,22 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
 
 
 def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
-                 ws=None, q=Q_COEFFS) -> None:
+                 ws=None) -> None:
     """Add the trilinear prolongation of coarse plane rows ``[j0, j1)``
     (of the 0..m inclusive range) into fine ``u`` (NPB ``interp``).
 
-    ``q`` holds the distance-class prolongation weights (a
-    ``StencilSpec.prolong_coeffs`` 4-vector; NPB's trilinear
-    1 / 1/2 / 1/4 / 1/8 by default).  Each coarse row ``j`` owns fine
-    planes ``2j`` and ``2j+1``, so slabs of distinct ``j`` never
-    overlap; over the full range the whole fine extent is written,
-    ghost cells included.  ``z``/``u`` may be z-slabs: the x/y slicing
-    derives from the (cubic) x/y extent.
+    The distance-class weights are ``Q_COEFFS``, NPB's trilinear
+    1 / 1/2 / 1/4 / 1/8 (the unit center weight is a plain add).  Each
+    coarse row ``j`` owns fine planes ``2j`` and ``2j+1``, so slabs of
+    distinct ``j`` never overlap; over the full range the whole fine
+    extent is written, ghost cells included.  ``z``/``u`` may be
+    z-slabs: the x/y slicing derives from the (cubic) x/y extent.
 
     Whole-slab ufunc chains — a handful of large GIL-releasing calls
     per chunk — with the ``z1``/``z2``/``z3`` buffer sums in the Fortran
-    order term by term, so the default update is bit-identical to
-    NPB 2.3.
+    order term by term, so the update is bit-identical to NPB 2.3.
     """
-    q = tuple(float(x) for x in q)
+    q = Q_COEFFS
     n = u.shape[1]
     L = slice(0, -1)        # z(i)
     H = slice(1, None)      # z(i+1)
@@ -320,10 +316,10 @@ def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
     nblk = -(-nj // block_planes(8 * (2 * n * n + nc * nc + (nc - 1)
                                       * (4 * nc - 1))))
     nb = -(-nj // nblk)
-    bufs = (_scratch(ws, "interp.z1", rows, (nc - 1, nc), j0, j0 + nb),
-            _scratch(ws, "interp.z2", rows, (nc - 1, nc), j0, j0 + nb),
-            _scratch(ws, "interp.z3", rows, (nc - 1, nc), j0, j0 + nb),
-            _scratch(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j0 + nb))
+    bufs = (_planes(ws, "interp.z1", rows, (nc - 1, nc), j0, j0 + nb),
+            _planes(ws, "interp.z2", rows, (nc - 1, nc), j0, j0 + nb),
+            _planes(ws, "interp.z3", rows, (nc - 1, nc), j0, j0 + nb),
+            _planes(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j0 + nb))
     for i in range(nblk):
         lo, hi = j0 + i * nj // nblk, j0 + (i + 1) * nj // nblk
         z1, z2, z3, tmp = (bufs if hi - lo == nb
@@ -334,11 +330,7 @@ def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
         np.add(zn[:, L, :], zc[:, L, :], out=z2)   # z(i2,i3+1) + z(i2,i3)
         np.add(zn[:, H, :], zn[:, L, :], out=z3)   # z(i2+1,i3+1) + z(i2,i3+1) + z1
         np.add(z3, z1, out=z3)
-        if q[0] == 1.0:
-            ue[:, E, E] += zc[:, L, L]
-        else:
-            np.multiply(zc[:, L, L], q[0], out=tmp)
-            ue[:, E, E] += tmp
+        ue[:, E, E] += zc[:, L, L]
         np.add(zc[:, L, H], zc[:, L, L], out=tmp)
         np.multiply(tmp, q[1], out=tmp)
         ue[:, E, O] += tmp
@@ -383,9 +375,8 @@ def resid(u: np.ndarray, v: np.ndarray, a=A_COEFFS, *,
     """Residual ``r = v - A u`` on an extended grid, ghosts refreshed.
 
     ``u`` and ``v`` must have valid borders.  ``boundary`` is the
-    ghost-fill callable applied to the result (a ``BoundarySpec.fill``
-    from :mod:`repro.pde`, say); the default is the NPB periodic
-    ``comm3``.
+    ghost-fill callable applied to the result: the NPB periodic
+    ``comm3``, or the SPMD runtime's slab halo refresh.
 
     ``out`` (or the workspace buffer used when ``ws`` is given) is fully
     overwritten — interior by the accumulation, ghosts by the trailing
@@ -393,7 +384,7 @@ def resid(u: np.ndarray, v: np.ndarray, a=A_COEFFS, *,
     may alias ``v`` (see :func:`resid_chunk`).
     """
     if out is None:
-        out = _grid(ws, "resid.out", u.shape)
+        out = _scratch(ws, "resid.out", u.shape)
     resid_chunk(u, v, a, out, 0, u.shape[0] - 2, ws)
     boundary(out)
     return out
@@ -408,21 +399,19 @@ def psinv(r: np.ndarray, u: np.ndarray, c, *, ws=None,
     return u
 
 
-def rprj3(r: np.ndarray, *, ws=None, p=P_COEFFS,
-          boundary=comm3) -> np.ndarray:
+def rprj3(r: np.ndarray, *, ws=None, boundary=comm3) -> np.ndarray:
     """Project a fine residual (or a z-slab of one) onto the next
     coarser grid (see :func:`rprj3_chunk`); ``boundary`` refreshes the
     coarse ghosts (default: periodic ``comm3``).  The result (the pooled
     buffer when ``ws`` is given) is fully overwritten."""
     mh = coarse_interior(r)
-    out = _grid(ws, "rprj3.out", tuple((n - 2) // 2 + 2 for n in r.shape))
-    rprj3_chunk(r, out, 0, mh, ws, p)
+    out = _scratch(ws, "rprj3.out", tuple((n - 2) // 2 + 2 for n in r.shape))
+    rprj3_chunk(r, out, 0, mh, ws)
     boundary(out)
     return out
 
 
-def interp_add(z: np.ndarray, u: np.ndarray, *, ws=None,
-               q=Q_COEFFS) -> np.ndarray:
+def interp_add(z: np.ndarray, u: np.ndarray, *, ws=None) -> np.ndarray:
     """Add the trilinear prolongation of coarse ``z`` into fine ``u``
     (see :func:`interp_chunk`).
 
@@ -432,7 +421,7 @@ def interp_add(z: np.ndarray, u: np.ndarray, *, ws=None,
     trailing ``comm3``).
     """
     check_interp_shapes(z, u)
-    interp_chunk(z, u, 0, z.shape[0] - 1, ws, q)
+    interp_chunk(z, u, 0, z.shape[0] - 1, ws)
     return u
 
 
@@ -464,24 +453,14 @@ class MGKernels:
     coarsest: Callable | None = None
 
 
-def numpy_kernels(ws=None, *, boundary=None, p=P_COEFFS,
-                  q=Q_COEFFS) -> MGKernels:
-    """The serial NumPy table.
-
-    ``ws`` pools every temporary (per-level residuals and correction
-    grids included); ``p``/``q`` are the restriction/prolongation class
-    4-vectors and ``boundary`` the ghost-fill callable of a family
-    member other than the NPB instance.  Periodic prolongation leaves
-    periodic ghosts behind; any other contract is re-imposed after it.
-    """
-    interp = partial(interp_add, ws=ws, q=q)
-    fill = comm3 if boundary is None else boundary
+def numpy_kernels(ws=None) -> MGKernels:
+    """The serial NumPy table; ``ws`` pools every temporary (per-level
+    residuals and correction grids included)."""
     return MGKernels(
-        resid=partial(resid, ws=ws, boundary=fill),
-        psinv=partial(psinv, ws=ws, boundary=fill),
-        rprj3=partial(rprj3, ws=ws, p=p, boundary=fill),
-        interp_add=(interp if boundary is None
-                    else lambda z, u: boundary(interp(z, u))),
+        resid=partial(resid, ws=ws),
+        psinv=partial(psinv, ws=ws),
+        rprj3=partial(rprj3, ws=ws),
+        interp_add=partial(interp_add, ws=ws),
         zeros=np.zeros if ws is None else partial(ws.zeros, "mg3P.u"),
     )
 
@@ -575,13 +554,9 @@ def vcycle(kernels: MGKernels, u: np.ndarray, v: np.ndarray,
 
 
 def mg3P(u: np.ndarray, v: np.ndarray, r_levels: dict[int, np.ndarray],
-         a, c, lt: int, lb: int = 1, *, ws=None, p=P_COEFFS, q=Q_COEFFS,
-         boundary=None) -> None:
-    """:func:`vcycle` over :func:`numpy_kernels`: one serial V-cycle
-    with the generic-family hooks ``p``/``q``/``boundary`` (defaults:
-    exactly the NPB instance)."""
-    vcycle(numpy_kernels(ws, boundary=boundary, p=p, q=q),
-           u, v, r_levels, a, c, lt, lb)
+         a, c, lt: int, lb: int = 1, *, ws=None) -> None:
+    """:func:`vcycle` over :func:`numpy_kernels`: one serial V-cycle."""
+    vcycle(numpy_kernels(ws), u, v, r_levels, a, c, lt, lb)
 
 
 @dataclass

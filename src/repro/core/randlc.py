@@ -121,7 +121,6 @@ def vranlc(n: int, state: RandlcState) -> np.ndarray:
     #   u*v mod 2**46 = (u*v_lo mod 2**46 + ((u*v_hi mod 2**23) << 23)) mod 2**46
     # u*v_lo < 2**69 overflows, so also split u.
     powers = np.empty(n, dtype=np.uint64)
-    acc = 1
     a = state.a & _MASK46
     # Generate powers sequentially but in exact Python ints chunk-free is
     # O(n) big-int multiplies; instead compute powers by repeated doubling

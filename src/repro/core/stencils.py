@@ -146,11 +146,13 @@ def _shift(u: np.ndarray, o3: int, o2: int, o1: int) -> np.ndarray:
 
 
 def _scratch(ws: object, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized scratch buffer, pooled when a workspace is given.
+    """Uninitialized whole-array scratch, pooled when a workspace is
+    given — the one such helper of the NumPy solvers.
 
-    Every scratch buffer's first use below is a full-write ufunc
-    (``np.add(a, b, out=buf)``) or an explicit ``fill``, so reused
-    contents can never leak into a result.
+    Every caller overwrites all of it before reading (a full-write
+    ufunc such as ``np.add(a, b, out=buf)``, an explicit ``fill``, or a
+    kernel interior plus its ghost fill), so reused contents can never
+    leak into a result.
     """
     if ws is None:
         return np.empty(shape)

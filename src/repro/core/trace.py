@@ -15,7 +15,7 @@ cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["TraceOp", "Trace", "synthesize_mg_trace"]
 

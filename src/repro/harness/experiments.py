@@ -23,14 +23,12 @@ timed call, and pass it to every solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.classes import get_class
 from repro.core.stencils import STENCILS, op_counts
 from repro.core.timers import Measurement, measure
 from repro.core.trace import synthesize_mg_trace
 from repro.core.zran3 import zran3
-from repro.machine.calibration import PAPER, get_profile, profiles
+from repro.machine.calibration import PAPER, get_profile
 from repro.machine.smp import simulate
 
 __all__ = [

@@ -72,8 +72,6 @@ class PaperTargets:
     sac_over_c: dict[str, float]
     # Fig. 12 — speedups at 10 CPUs relative to own sequential time.
     speedup_10: dict[str, dict[str, float]]
-    # Fig. 13 — qualitative claims.
-    sac_passes_f77_at: int = 4
     processors: tuple[int, ...] = (1, 2, 4, 6, 8, 10)
 
 

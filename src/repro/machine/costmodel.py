@@ -18,7 +18,7 @@ The model's structure encodes the paper's own §5 analysis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.trace import TraceOp
 

@@ -21,8 +21,6 @@ __all__ = ["SimResult", "simulate", "simulate_class"]
 class SimResult:
     """Outcome of one simulated run."""
 
-    profile: MachineProfile
-    nprocs: int
     seconds: float
     seconds_by_kind: dict[str, float] = field(default_factory=dict)
     seconds_by_level: dict[int, float] = field(default_factory=dict)
@@ -33,12 +31,13 @@ class SimResult:
     def total_ops(self) -> int:
         return self.parallel_ops + self.serial_ops
 
+
 def simulate(trace: Trace, profile: MachineProfile,
              nprocs: int = 1) -> SimResult:
     """Simulate one run of the traced operations on ``nprocs`` CPUs."""
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
-    result = SimResult(profile, nprocs, 0.0)
+    result = SimResult(0.0)
     for op in trace:
         t, parallel = op_time_seconds(profile, op, nprocs)
         result.seconds += t

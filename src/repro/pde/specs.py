@@ -15,9 +15,11 @@ axes along which that family varies:
 * :class:`CycleSpec` — V, W, or full multigrid (FMG),
 * :class:`ProblemSpec` — one named family member combining the above.
 
-Specs are frozen dataclasses: hashable, comparable, safe to use as
-cache-key components (``perf.Workspace`` tags, ``SacKernelLibrary``
-signatures) so compiled kernels and pooled buffers never mix problems.
+Specs are frozen dataclasses: hashable, comparable and validated at
+construction.  They describe the members :mod:`repro.pde` solves with
+its own cell-centred solver; the NPB benchmark (``npb-mg``) keeps its
+fixed A/S/P/Q class vectors in :mod:`repro.core.stencils` and its
+periodic ``comm3``, and reads nothing here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.core.grid import ghost_fill
-from repro.core.stencils import A_COEFFS, P_COEFFS, Q_COEFFS, S_COEFFS_A
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -62,16 +63,10 @@ class StencilSpec:
     """
 
     kind: str
-    #: Distance-class 4-vector for 27-point constant stencils (NPB).
-    coeffs: tuple[float, float, float, float] | None = None
     #: Per-axis diffusivities for ``kind="anisotropic"``.
     axis_coeffs: tuple[float, ...] | None = None
     #: Name of the diffusivity field for ``kind="variable"``.
     coefficient: str = "unit"
-    #: Restriction class weights (NPB ``rprj3`` full weighting).
-    restrict_coeffs: tuple[float, float, float, float] = P_COEFFS
-    #: Prolongation class weights (NPB ``interp`` trilinear).
-    prolong_coeffs: tuple[float, float, float, float] = Q_COEFFS
 
     def __post_init__(self) -> None:
         if self.kind not in _STENCIL_KINDS:
@@ -79,12 +74,6 @@ class StencilSpec:
                              f"(choose from {_STENCIL_KINDS})")
         if self.kind == "anisotropic" and not self.axis_coeffs:
             raise ValueError("anisotropic stencils need axis_coeffs")
-
-    @classmethod
-    def npb_mg(cls) -> "StencilSpec":
-        """The NPB MG instance: 27-point constant class stencil ``A``
-        (the smoother 4-vector rides on :class:`SmootherSpec`)."""
-        return cls(kind="constant", coeffs=A_COEFFS)
 
     @classmethod
     def poisson(cls) -> "StencilSpec":
@@ -107,9 +96,6 @@ class BoundarySpec:
 
     :meth:`fill` dispatches to :func:`repro.core.grid.ghost_fill`; the
     NPB ``comm3`` path is exactly ``BoundarySpec.periodic().fill``.
-    Physical (Dirichlet/Neumann) faces exchange nothing across ranks —
-    :attr:`wrap` tells the SPMD halo exchange whether the slab ring
-    closes.
     """
 
     kind: str
@@ -119,11 +105,6 @@ class BoundarySpec:
         if self.kind not in _BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r} "
                              f"(choose from {_BOUNDARY_KINDS})")
-
-    @property
-    def wrap(self) -> bool:
-        """Whether the domain is periodic (halo ring wraps around)."""
-        return self.kind == "periodic"
 
     def fill(self, u: FloatArray) -> FloatArray:
         """Refresh ``u``'s ghost layers in place; returns ``u``."""
@@ -161,8 +142,6 @@ class SmootherSpec:
     kind: str
     #: Damping factor for weighted Jacobi (ignored by rbgs).
     weight: float = 0.8
-    #: NPB smoother class 4-vector when riding on the 27-point stack.
-    coeffs: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _SMOOTHER_KINDS:
@@ -171,10 +150,6 @@ class SmootherSpec:
         if not (0.0 < self.weight <= 1.0):
             raise ValueError(f"smoother weight must be in (0, 1], "
                              f"got {self.weight}")
-
-    @classmethod
-    def npb(cls) -> "SmootherSpec":
-        return cls(kind="weighted-jacobi", weight=1.0, coeffs=S_COEFFS_A)
 
     @classmethod
     def jacobi(cls, weight: float = 0.8) -> "SmootherSpec":
@@ -230,14 +205,9 @@ class CycleSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One named member of the solver family.
-
-    ``key`` is the string folded into workspace tags, kernel-library
-    signatures and supervisor rungs so per-problem caches never mix.
-    """
+    """One named member of the solver family."""
 
     name: str
-    family: str
     ndim: int
     stencil: StencilSpec
     boundary: BoundarySpec
@@ -251,7 +221,3 @@ class ProblemSpec:
             raise ValueError(f"ndim must be >= 1, got {self.ndim}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-    @property
-    def key(self) -> str:
-        return self.name

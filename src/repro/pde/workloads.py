@@ -4,8 +4,8 @@ Four shipped members (see ``docs/WORKLOADS.md``):
 
 ``npb-mg``
     the paper's benchmark, *unchanged*: the 27-point periodic V-cycle
-    solved bit-identically by ``core.mg`` / ``runtime.parallel_mg``.
-    It is the ``StencilSpec.npb_mg()`` instance of the family.
+    solved bit-identically by ``core.mg`` / ``runtime.parallel_mg``
+    with its own fixed class vectors, not through a spec.
 ``variable-poisson``
     3-D variable-coefficient Poisson ``-div(k grad u) = f`` with
     homogeneous Dirichlet boundaries, weighted-Jacobi V-cycles.
@@ -67,7 +67,6 @@ class PDEResult:
     iterations: int
     history: tuple[float, ...]
     converged: bool
-    oracle_error: float | None = None
 
     @property
     def verified(self) -> bool:
@@ -139,7 +138,7 @@ class Workload:
         it, history, converged = solver.run(
             tol=tol, max_cycles=max_cycles, on_iteration=on_iteration)
         return PDEResult(
-            problem=self.spec.key, nx=nx, mode=mode, u=solver.u,
+            problem=self.spec.name, nx=nx, mode=mode, u=solver.u,
             rnm2=history[-1] if history else float("nan"),
             iterations=it, history=tuple(history), converged=converged)
 
@@ -151,10 +150,10 @@ class NpbMgWorkload(Workload):
 
     def __init__(self) -> None:
         super().__init__(ProblemSpec(
-            name="npb-mg", family="npb-mg", ndim=3,
-            stencil=StencilSpec.npb_mg(),
+            name="npb-mg", ndim=3,
+            stencil=StencilSpec.poisson(),
             boundary=BoundarySpec.periodic(),
-            smoother=SmootherSpec.npb(),
+            smoother=SmootherSpec.jacobi(weight=1.0),
             cycle=CycleSpec.v(npre=1, npost=1),
         ))
 
@@ -190,7 +189,7 @@ class VariablePoissonWorkload(Workload):
 
     def __init__(self) -> None:
         super().__init__(ProblemSpec(
-            name="variable-poisson", family="poisson", ndim=3,
+            name="variable-poisson", ndim=3,
             stencil=StencilSpec.variable("k-sines"),
             boundary=BoundarySpec.dirichlet(),
             smoother=SmootherSpec.jacobi(weight=0.8),
@@ -220,7 +219,7 @@ class DirichletFmgWorkload(Workload):
 
     def __init__(self) -> None:
         super().__init__(ProblemSpec(
-            name="dirichlet-fmg", family="poisson", ndim=3,
+            name="dirichlet-fmg", ndim=3,
             stencil=StencilSpec.poisson(),
             boundary=BoundarySpec.dirichlet(),
             smoother=SmootherSpec.rbgs(),
@@ -248,7 +247,7 @@ class Heat2DWorkload(Workload):
 
     def __init__(self) -> None:
         super().__init__(ProblemSpec(
-            name="heat2d", family="heat", ndim=2,
+            name="heat2d", ndim=2,
             stencil=StencilSpec.poisson(),
             boundary=BoundarySpec.neumann(),
             smoother=SmootherSpec.jacobi(weight=0.8),
@@ -285,7 +284,7 @@ class Heat2DWorkload(Workload):
             history.extend(hist)
             converged = converged and ok
         return PDEResult(
-            problem=self.spec.key, nx=nx, mode=mode, u=solver.u,
+            problem=self.spec.name, nx=nx, mode=mode, u=solver.u,
             rnm2=history[-1] if history else float("nan"),
             iterations=total, history=tuple(history),
             converged=converged)

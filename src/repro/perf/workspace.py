@@ -54,17 +54,10 @@ class WorkspaceCounters:
 
 
 class Workspace:
-    """Thread-safe keyed pool of reusable NumPy scratch arrays.
+    """Thread-safe keyed pool of reusable NumPy scratch arrays."""
 
-    ``problem`` (a :class:`repro.pde.ProblemSpec` key) becomes part of
-    every buffer key, so a workspace shared across members of the
-    solver family can never hand one problem's scratch storage — with
-    its stale contents and shapes — to another.
-    """
-
-    def __init__(self, label: str = "workspace", *, problem: str = ""):
+    def __init__(self, label: str = "workspace"):
         self.label = label
-        self.problem = problem
         self._buffers: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
         self._allocations = 0
@@ -80,7 +73,7 @@ class Workspace:
         Allocates on first request, reuses afterwards.  Contents are
         undefined on reuse — the caller must fully overwrite them.
         """
-        key = (self.problem, name, tuple(shape), np.dtype(dtype).str)
+        key = (name, tuple(shape), np.dtype(dtype).str)
         with self._lock:
             buf = self._buffers.get(key)
             if buf is not None:
@@ -128,7 +121,7 @@ class Workspace:
         levels have distinct extended shapes)."""
         out: dict[tuple[int, ...], int] = {}
         with self._lock:
-            for problem, name, shape, dtype in self._buffers:
+            for _, shape, _ in self._buffers:
                 out[shape] = out.get(shape, 0) + 1
         return out
 

@@ -44,23 +44,12 @@ class SacKernelLibrary:
     Thread-safe: any number of worker threads / SPMD ranks may request
     kernels concurrently; each distinct slab shape is compiled once (or
     loaded once from the shared on-disk cache) and then shared.
-
-    ``problem`` (a :class:`repro.pde.ProblemSpec` key, default the NPB
-    instance) and the kernel name are part of every specialization key:
-    a library shared across solver-family members can never serve one
-    problem's compiled stencil for another's shape request.
     """
 
-    def __init__(self, *, session=None, problem: str = "npb-mg",
-                 kernel_name: str = "RelaxKernel", example_args=None):
+    def __init__(self, *, session=None):
         self._session = session
-        self.problem = problem
-        self.kernel_name = kernel_name
-        #: shape -> example-argument list for specialization; defaults
-        #: to the NPB RelaxKernel calling convention (grid + 4-vector).
-        self._example_args = example_args
         self._lock = threading.Lock()
-        self._kernels: dict[tuple, object] = {}
+        self._kernels: dict[tuple[int, ...], object] = {}
         #: Compilation attempts that raised (feeds the supervisor's
         #: compile circuit breaker alongside the cache's per-key
         #: discard counters).
@@ -76,29 +65,22 @@ class SacKernelLibrary:
         return self._session
 
     def _compiled(self, shape: tuple[int, ...]):
-        key = (self.problem, self.kernel_name, shape)
-        kernel = self._kernels.get(key)
+        kernel = self._kernels.get(shape)
         if kernel is not None:
             return kernel
         with self._lock:
-            kernel = self._kernels.get(key)
+            kernel = self._kernels.get(shape)
             if kernel is None:
                 try:
-                    session = self._get_session()
                     # Example values only pin shapes: float64 arrays stay
                     # symbolic, so the coefficient vector is a runtime
                     # argument of the compiled kernel.
-                    if self._example_args is not None:
-                        example = self._example_args(shape)
-                    else:
-                        example = [np.zeros(shape), np.zeros(4)]
-                    kernel = session.compile_kernel(
-                        self.kernel_name, example,
-                    )
+                    kernel = self._get_session().compile_kernel(
+                        "RelaxKernel", [np.zeros(shape), np.zeros(4)])
                 except Exception:
                     self.compile_failures += 1
                     raise
-                self._kernels[key] = kernel
+                self._kernels[shape] = kernel
         return kernel
 
     @property

@@ -25,7 +25,6 @@ from repro.core.grid import comm3
 from repro.core.mg import (
     MGKernels,
     MGResult,
-    _grid,
     check_interp_shapes,
     coarse_interior,
     interp_chunk,
@@ -35,6 +34,7 @@ from repro.core.mg import (
     rprj3_chunk,
     run,
 )
+from repro.core.stencils import _scratch
 
 from .executor import ThreadTeam
 
@@ -65,7 +65,7 @@ def parallel_resid(u: np.ndarray, v: np.ndarray, a, team: ThreadTeam,
     by the master-side ``comm3``.  It may alias ``v`` as in
     ``core.mg.resid``.
     """
-    r = _grid(ws, "resid.out", u.shape) if out is None else out
+    r = _scratch(ws, "resid.out", u.shape) if out is None else out
     m = u.shape[0] - 2
     if lib is not None:
         team.run_partitioned(
@@ -91,7 +91,7 @@ def parallel_psinv(r: np.ndarray, u: np.ndarray, c, team: ThreadTeam,
 def parallel_rprj3(r: np.ndarray, team: ThreadTeam, ws=None) -> np.ndarray:
     mj = coarse_interior(r)
     # Fully overwritten: interior by the chunks, ghosts by comm3.
-    s = _grid(ws, "rprj3.out", (mj + 2,) * 3)
+    s = _scratch(ws, "rprj3.out", (mj + 2,) * 3)
     team.region(("rprj3", r.shape), lambda c: rprj3_chunk(
         r, s, c.lo[0], c.hi[0], ws), mj, ws)
     return comm3(s)

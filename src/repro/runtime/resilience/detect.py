@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import RankFailure, WorldAborted
 

@@ -71,7 +71,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.classes import SizeClass, get_class
-from repro.core.grid import ghost_fill
+from repro.core.grid import comm3, ghost_fill
 from repro.core import mg
 from repro.core.mg import (
     MGKernels,
@@ -563,32 +563,17 @@ class RankComm:
 
     def exchange_halos(self, first_interior: np.ndarray,
                        last_interior: np.ndarray, *,
-                       op: str = "halo-exchange", level: int | None = None,
-                       wrap: bool = True):
-        """Send boundary planes around the ring; returns the
-        (lower, upper) halo planes for this rank.
-
-        ``wrap=True`` is the periodic ring.  With ``wrap=False`` the
-        ring is cut at the physical boundary: rank 0 sends nothing down
-        and receives no lower halo, rank ``p-1`` sends nothing up and
-        receives no upper halo — the missing sides come back ``None``
-        and the caller fills them from its boundary condition.  Message
-        counts stay balanced (every send has exactly one receiver).
-        """
+                       op: str = "halo-exchange", level: int | None = None):
+        """Send boundary planes around the periodic ring; returns the
+        (lower, upper) halo planes for this rank."""
         r, p = self.rank, self.size
         if p == 1:
-            if not wrap:
-                return None, None
             return last_interior, first_interior
         fab = self._fab(op=op, level=level)
-        if wrap or r < p - 1:
-            fab.up[r].send(last_interior, op=op, level=level)    # to r+1: lower halo
-        if wrap or r > 0:
-            fab.down[r].send(first_interior, op=op, level=level)  # to r-1: upper halo
-        lower = (fab.up[(r - 1) % p].recv(self, op=op, level=level)
-                 if wrap or r > 0 else None)
-        upper = (fab.down[(r + 1) % p].recv(self, op=op, level=level)
-                 if wrap or r < p - 1 else None)
+        fab.up[r].send(last_interior, op=op, level=level)    # to r+1: lower halo
+        fab.down[r].send(first_interior, op=op, level=level)  # to r-1: upper halo
+        lower = fab.up[(r - 1) % p].recv(self, op=op, level=level)
+        upper = fab.down[(r + 1) % p].recv(self, op=op, level=level)
         return lower, upper
 
     # -- collectives ------------------------------------------------------------
@@ -648,36 +633,20 @@ class RankComm:
 # Slab helpers.
 # ---------------------------------------------------------------------------
 
-def _local_comm3(slab: np.ndarray, comm: RankComm, op: str = "comm3",
-                 boundary: str = "periodic",
-                 value: float = 0.0) -> np.ndarray:
-    """Refresh a slab's borders: local x/y faces, ring-exchanged z halos;
-    returns ``slab`` like its serial siblings.
+def _local_comm3(slab: np.ndarray, comm: RankComm,
+                 op: str = "comm3") -> np.ndarray:
+    """Refresh a slab's periodic borders: local x/y faces, ring-exchanged
+    z halos; returns ``slab`` like its serial siblings.
 
     Order matches the serial ``comm3`` (x, then y, then z): the z planes
     are exchanged after the local face copies, so the received halos
     carry their owner's corrected x/y borders — corner values come out
     exactly as in the sequential loop nest.
-
-    ``boundary`` selects the ghost contract (see
-    :func:`repro.core.grid.ghost_fill`).  Non-periodic slabs fill their
-    x/y faces from the physical boundary condition, exchange interior z
-    halos without wrapping the ring, and the edge ranks fill the
-    physical z faces locally — Neumann/Dirichlet faces exchange nothing
-    at physical boundaries.
     """
-    ghost_fill(slab, boundary, value, axes=(2, 1))
+    ghost_fill(slab, axes=(2, 1))
     level = (slab.shape[1] - 2).bit_length() - 1
-    wrap = boundary == "periodic"
-    lower, upper = comm.exchange_halos(slab[1].copy(), slab[-2].copy(),
-                                       op=op, level=level, wrap=wrap)
-    if not wrap:
-        # The physical z faces; a received halo replaces its side.
-        ghost_fill(slab, boundary, value, axes=(0,))
-    if lower is not None:
-        slab[0] = lower
-    if upper is not None:
-        slab[-1] = upper
+    slab[0], slab[-1] = comm.exchange_halos(slab[1].copy(), slab[-2].copy(),
+                                            op=op, level=level)
     return slab
 
 
@@ -689,20 +658,20 @@ def _slab_from_full(full: np.ndarray, z0: int, nzl: int,
     return slab
 
 
-def _assemble_full(parts: list[np.ndarray], n: int, boundary: str,
+def _assemble_full(parts: list[np.ndarray], n: int,
                    ws=None) -> np.ndarray:
     """Rebuild a full extended grid from rank-ordered interior slabs.
 
     The result (the pooled buffer when ``ws`` is given) is fully
     overwritten: every interior plane comes from one of the slabs,
-    ghosts from the ``boundary`` kind's :func:`ghost_fill`.
+    ghosts from :func:`comm3`.
     """
     full = _scratch(ws, "assemble", (n + 2,) * 3)
     z = 1
     for part in parts:
         full[z : z + part.shape[0]] = part
         z += part.shape[0]
-    return ghost_fill(full, boundary)
+    return comm3(full)
 
 
 # ---------------------------------------------------------------------------
@@ -735,12 +704,9 @@ class DistributedMG:
                  transport: str | Transport | None = "inproc",
                  config: TransportConfig | None = None,
                  heartbeat: HeartbeatConfig | bool | None = None,
-                 heal=None, boundary: str = "periodic",
-                 problem: str = "npb-mg"):
+                 heal=None):
         if nranks < 1 or nranks & (nranks - 1):
             raise ValueError("nranks must be a power of two")
-        if boundary not in ("periodic", "dirichlet", "neumann"):
-            raise ValueError(f"unknown boundary kind: {boundary!r}")
         if kernels not in ("numpy", "sac"):
             raise ValueError(f"kernels must be 'numpy' or 'sac', "
                              f"got {kernels!r}")
@@ -757,13 +723,6 @@ class DistributedMG:
         self.config = config
         self.heartbeat = heartbeat
         self.heal = heal
-        #: Ghost contract threaded into every slab border refresh.  The
-        #: NPB instance is periodic; family members with physical
-        #: boundaries exchange nothing across them (the edge ranks fill
-        #: the physical z faces locally).
-        self.boundary = boundary
-        #: Problem key stamped into per-rank workspaces and kernel keys.
-        self.problem = problem
         self.last_world: World | None = None
         # workspace=True: each rank gets a persistent scratch pool so
         # repeated solves run the timed section allocation-free.  Pooled
@@ -775,7 +734,7 @@ class DistributedMG:
         if workspace:
             from repro.perf.workspace import Workspace
 
-            self.workspaces = [Workspace(f"spmd-rank{r}", problem=problem)
+            self.workspaces = [Workspace(f"spmd-rank{r}")
                                for r in range(nranks)]
         #: Rank 0's per-operator timer (any ``add(section, dt)``).
         self.monitor = monitor
@@ -790,7 +749,7 @@ class DistributedMG:
         if kernels == "sac" and kernel_library is None:
             from .kernels import SacKernelLibrary
 
-            self.kernel_library = SacKernelLibrary(problem=problem)
+            self.kernel_library = SacKernelLibrary()
 
     # levels with at least 2 planes per rank are distributed.
     def _distributed(self, k: int) -> bool:
@@ -930,8 +889,7 @@ class DistributedMG:
                 from repro.perf.workspace import Workspace
 
                 self.workspaces[rank] = Workspace(
-                    f"spmd-rank{rank}-i{incarnation}",
-                    problem=self.problem)
+                    f"spmd-rank{rank}-i{incarnation}")
             comm = RankComm(world, rank, incarnation=incarnation,
                             joining=True)
             t = threading.Thread(
@@ -1123,8 +1081,8 @@ class DistributedMG:
         # Rank 0 assembles the full fields for the caller.
         u_parts = comm.allgather(u[1:-1])
         r_parts = comm.allgather(r_levels[lt][1:-1])
-        u_full = _assemble_full(u_parts, sc.nx, self.boundary)
-        r_full = _assemble_full(r_parts, sc.nx, self.boundary)
+        u_full = _assemble_full(u_parts, sc.nx)
+        r_full = _assemble_full(r_parts, sc.nx)
         return rnm2, global_max, u_full, r_full
 
     # -- the kernel table -----------------------------------------------------------
@@ -1138,18 +1096,15 @@ class DistributedMG:
         distributed level the grids are too small to split: ``coarsest``
         allgathers that level's residual, every rank runs the identical
         serial :func:`~repro.core.mg.correction` on the replica, and the
-        result is re-split.  ``self.boundary`` is bound into both
-        halves; ``mon`` times both.
+        result is re-split.  ``mon`` times both halves.
         """
-        lib, kind = self.kernel_library, self.boundary
-        serial = numpy_kernels(
-            ws, boundary=(None if kind == "periodic"
-                          else partial(ghost_fill, kind=kind)))
+        lib = self.kernel_library
+        serial = numpy_kernels(ws)
         if mon is not None:
             serial = timed_kernels(serial, mon)
 
         def halos(op: str):
-            return partial(_local_comm3, comm=comm, op=op, boundary=kind)
+            return partial(_local_comm3, comm=comm, op=op)
 
         if lib is None:
             resid = partial(mg.resid, ws=ws, boundary=halos("resid"))
@@ -1179,7 +1134,7 @@ class DistributedMG:
 
         def coarsest(r, a, c, switch):
             parts = comm.allgather(r[switch][1:-1])
-            r_full = {switch: _assemble_full(parts, 1 << switch, kind, ws)}
+            r_full = {switch: _assemble_full(parts, 1 << switch, ws)}
             if ws is not None:
                 # The gathered parts are views of peers' pooled slabs;
                 # hold every rank here until all have copied them out,

@@ -276,7 +276,7 @@ class SupervisedSolver:
         rung is exhausted or the deadline budget runs out.
 
         ``problem`` selects the solver-family member; non-default values
-        stamp every ladder rung (the rung specs carry the problem key),
+        stamp every ladder rung (the rung specs carry the problem name),
         and rungs the member cannot run (distributed, sac) are skipped
         with a demotion record.
 

@@ -43,7 +43,6 @@ from typing import Callable, Optional
 
 from ..ast_nodes import (
     Assign,
-    FoldOp,
     FunDef,
     GenarrayOp,
     ModarrayOp,

@@ -34,7 +34,7 @@ shape-polymorphic SAC) produces no noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..ast_nodes import (
@@ -407,10 +407,6 @@ class WithLoopInfo:
     #: Lengths of explicit bound vectors, when known.
     lower_len: Optional[int] = None
     upper_len: Optional[int] = None
-    #: Snapshot of the abstract environment (name -> AValue) at the
-    #: point the loop is evaluated.  The reuse pass reads affine extents
-    #: of candidate operands out of it; excluded from equality/hash.
-    env: Optional[dict] = field(default=None, compare=False)
 
     @property
     def pos(self) -> Optional[SourcePos]:
@@ -1021,7 +1017,6 @@ class ShapeAnalyzer:
             dot_lower=isinstance(gen.lower, Dot),
             dot_upper=isinstance(gen.upper, Dot),
             lower_len=lo_len, upper_len=hi_len,
-            env=dict(env),
         )
 
     def _index_avalue(self, info: WithLoopInfo) -> AValue:

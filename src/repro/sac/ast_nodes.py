@@ -6,7 +6,7 @@ The tree doubles as the optimizer's IR: passes are AST-to-AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import SourcePos

@@ -19,7 +19,7 @@ shared :class:`~repro.sac.driver.cache.KernelCache`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import (

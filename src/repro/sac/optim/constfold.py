@@ -14,7 +14,6 @@ import dataclasses
 import numpy as np
 
 from ..ast_nodes import (
-    Assign,
     BinOp,
     BoolLit,
     Call,

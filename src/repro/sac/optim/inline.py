@@ -25,7 +25,6 @@ import dataclasses
 
 from ..ast_nodes import (
     Assign,
-    Block,
     Call,
     Expr,
     FoldOp,
@@ -39,7 +38,6 @@ from ..ast_nodes import (
     Node,
     Program,
     Return,
-    Stmt,
     Var,
     WithLoop,
 )

@@ -26,7 +26,6 @@ from repro.core import (
     A_COEFFS,
     S_COEFFS_A,
     comm3,
-    get_class,
     interp_add,
     make_grid,
     psinv,

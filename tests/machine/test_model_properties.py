@@ -1,7 +1,6 @@
 """Property tests on the machine model: structural sanity that must
 hold for any profile, not just the calibrated ones."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -27,7 +27,7 @@ pytest.importorskip("scipy")
 
 def _spec(stencil, boundary, ndim=3, sigma=0.0):
     return ProblemSpec(
-        name="t", family="poisson", ndim=ndim, stencil=stencil,
+        name="t", ndim=ndim, stencil=stencil,
         boundary=boundary, smoother=SmootherSpec.jacobi(),
         cycle=CycleSpec.v(), sigma=sigma)
 

@@ -1,8 +1,7 @@
-"""Spec-layer tests: frozen dataclasses, validation, the NPB instance."""
+"""Spec-layer tests: frozen dataclasses and their validation."""
 
 import pytest
 
-from repro.core.stencils import A_COEFFS, P_COEFFS, Q_COEFFS, S_COEFFS_A
 from repro.pde import (
     BoundarySpec,
     CycleSpec,
@@ -13,13 +12,6 @@ from repro.pde import (
 
 
 class TestStencilSpec:
-    def test_npb_instance_carries_benchmark_coefficients(self):
-        spec = StencilSpec.npb_mg()
-        assert spec.kind == "constant"
-        assert spec.coeffs == A_COEFFS
-        assert spec.restrict_coeffs == P_COEFFS
-        assert spec.prolong_coeffs == Q_COEFFS
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown stencil kind"):
             StencilSpec(kind="magic")
@@ -31,15 +23,12 @@ class TestStencilSpec:
         assert spec.axis_coeffs == (1.0, 10.0, 1.0)
 
     def test_hashable(self):
-        assert len({StencilSpec.npb_mg(), StencilSpec.npb_mg(),
-                    StencilSpec.poisson()}) == 2
+        assert len({StencilSpec.poisson(), StencilSpec.poisson(),
+                    StencilSpec.variable("k")}) == 2
 
 
 class TestBoundarySpec:
-    def test_kinds_and_wrap(self):
-        assert BoundarySpec.periodic().wrap is True
-        assert BoundarySpec.dirichlet().wrap is False
-        assert BoundarySpec.neumann().wrap is False
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown boundary kind"):
             BoundarySpec(kind="reflecting")
 
@@ -53,12 +42,6 @@ class TestBoundarySpec:
 
 
 class TestSmootherSpec:
-    def test_npb_smoother_is_a_weighted_jacobi_instance(self):
-        spec = SmootherSpec.npb()
-        assert spec.kind == "weighted-jacobi"
-        assert spec.weight == 1.0
-        assert spec.coeffs == S_COEFFS_A
-
     def test_weight_validated(self):
         with pytest.raises(ValueError, match="weight"):
             SmootherSpec.jacobi(weight=0.0)
@@ -87,7 +70,7 @@ class TestCycleSpec:
 
 class TestProblemSpec:
     def _spec(self, **kw):
-        base = dict(name="p", family="poisson", ndim=3,
+        base = dict(name="p", ndim=3,
                     stencil=StencilSpec.poisson(),
                     boundary=BoundarySpec.dirichlet(),
                     smoother=SmootherSpec.jacobi(),
@@ -100,6 +83,3 @@ class TestProblemSpec:
             self._spec(ndim=0)
         with pytest.raises(ValueError, match="sigma"):
             self._spec(sigma=-1.0)
-
-    def test_key_is_name(self):
-        assert self._spec(name="heat2d").key == "heat2d"

@@ -106,12 +106,15 @@ class TestElasticHeal:
     def test_single_crash_heals_bit_identical(self):
         plan = FaultPlan([Fault(FaultKind.CRASH, rank=1, iteration=1)])
         mg = DistributedMG(2, fault_plan=plan, heal=1, timeout=20.0,
-                           workspace=True, problem="heal-test")
+                           workspace=True)
+        pools = list(mg.workspaces)
         res = mg.solve("T")
         world = mg.last_world
-        # The replacement's fresh pool keeps the solver's problem key.
+        # The replacement gets a fresh pool of its own; the survivor
+        # keeps its pool.
+        assert mg.workspaces[1] is not pools[1]
         assert mg.workspaces[1].label == "spmd-rank1-i1"
-        assert [w.problem for w in mg.workspaces] == ["heal-test"] * 2
+        assert mg.workspaces[0] is pools[0]
         # The failure was absorbed, not recorded: the solve succeeded.
         assert len(world.healed) == 1
         assert world.healed[0].rank == 1

@@ -16,12 +16,10 @@ from repro.baselines import FortranMG
 from repro.runtime.resilience import (
     BarrierTimeout,
     CancellationToken,
-    CheckpointStore,
     FailureRegistry,
     Fault,
     FaultKind,
     FaultPlan,
-    HaloCorruption,
     HaloTimeout,
     InjectedFault,
     RankFailure,

@@ -95,6 +95,38 @@ class TestSlabSweeps:
         assert fresh.specialization_count == 2
 
 
+class _StubSession:
+    """Counts ``compile_kernel`` calls; every kernel returns zeros."""
+
+    def __init__(self):
+        self.calls = []
+
+    def compile_kernel(self, name, example):
+        self.calls.append((name, [np.asarray(e).shape for e in example]))
+        return lambda *args: np.zeros_like(args[0])
+
+
+class TestLibraryBookkeeping:
+    def test_same_shape_compiles_once(self):
+        session = _StubSession()
+        lib = SacKernelLibrary(session=session)
+        lib.relax(np.zeros((4, 4, 4)), np.zeros(4))
+        lib.relax(np.ones((4, 4, 4)), np.zeros(4))
+        assert session.calls == [("RelaxKernel", [(4, 4, 4), (4,)])]
+        assert lib.specialization_count == 1
+
+    def test_compile_failure_is_counted(self):
+        class _Boom:
+            def compile_kernel(self, name, example):
+                raise RuntimeError("no backend")
+
+        lib = SacKernelLibrary(session=_Boom())
+        with pytest.raises(RuntimeError, match="no backend"):
+            lib.relax(np.zeros((4, 4, 4)), np.zeros(4))
+        assert lib.compile_failures == 1
+        assert lib.specialization_count == 0
+
+
 class TestParallelRuntime:
     def test_parallel_sweeps_with_library(self, lib):
         u = _random_periodic(8, 9)

@@ -1,11 +1,13 @@
 """Tests for the SPMD distributed-memory MG (§7's comparison target)."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.baselines import FortranMG
 from repro.core import comm3, make_grid
-from repro.runtime.spmd import DistributedMG, World
+from repro.runtime.spmd import DistributedMG, World, _local_comm3
 
 
 def _random_periodic(m, seed=0):
@@ -21,8 +23,6 @@ class TestWorld:
             World(0)
 
     def test_allgather_rank_ordered(self):
-        import threading
-
         world = World(3)
         out = [None] * 3
 
@@ -37,8 +37,6 @@ class TestWorld:
         assert out[0] == out[1] == out[2] == [0, 10, 20]
 
     def test_ring_exchange_periodic(self):
-        import threading
-
         world = World(2)
         got = [None, None]
 
@@ -62,6 +60,33 @@ class TestWorld:
         comm = World(1).comm(0)
         lower, upper = comm.exchange_halos(np.array([1.0]), np.array([2.0]))
         assert float(lower[0]) == 2.0 and float(upper[0]) == 1.0
+
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_local_comm3_matches_serial_comm3(self, nranks):
+        # Each rank refreshes its slab (x/y faces locally, z halos over
+        # the ring); the slabs stitched back together equal serial
+        # comm3 of the whole grid, ghosts, edges and corners included.
+        nz = 4
+        rng = np.random.default_rng(nranks)
+        full = np.zeros((nz + 2, 6, 6))
+        full[1:-1, 1:-1, 1:-1] = rng.standard_normal((nz, 4, 4))
+        want = comm3(full.copy())
+        nzl = nz // nranks
+        slabs = [full[r * nzl:r * nzl + nzl + 2].copy()
+                 for r in range(nranks)]
+        with World(nranks, timeout=10.0) as world:
+            ts = [threading.Thread(target=_local_comm3,
+                                   args=(slabs[r], world.comm(r)))
+                  for r in range(nranks)]
+            for t in ts:
+                t.start()
+            for t in ts:
+                t.join(timeout=20.0)
+                assert not t.is_alive()
+        got = np.empty_like(full)
+        for r in range(nranks):
+            got[r * nzl:r * nzl + nzl + 2] = slabs[r]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDistributedMG:

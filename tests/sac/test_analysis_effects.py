@@ -1,7 +1,6 @@
 """Memory-effects summaries and the may-alias dataflow (SAC5xx layer 1+2)."""
 
 from repro.sac.analysis.alias import AliasAnalysis
-from repro.sac.analysis.cfg import build_cfg
 from repro.sac.analysis.effects import (
     EffectsAnalysis,
     ReadKind,

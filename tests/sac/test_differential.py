@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.sac import CompileOptions, SacProgram
 from repro.sac.codegen import CodegenUnsupported, compile_function
-from repro.sac.errors import SacError
 
 # --------------------------------------------------------------------------
 # Program generators.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FortranMG
-from repro.core import comm3, make_grid, relax_naive, resid, rprj3
+from repro.core import comm3, make_grid, relax_naive, rprj3
 from repro.core.stencils import A_COEFFS, P_COEFFS, S_COEFFS_A
 from repro.mg_sac import load_mg_program, mg_source_path, solve_sac_mg
 

@@ -499,7 +499,7 @@ class TestDce:
     def test_loop_variables_kept(self):
         src = ("int f(int n) { s = 0; for (i = 0; i < n; i += 1) { s += i; } "
                "return s; }")
-        p = dce_pass(parse_program(src))
+        dce_pass(parse_program(src))
         assert opt_and_run(src, "f", 5).call("f", 5) == 10
 
 

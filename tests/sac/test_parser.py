@@ -17,7 +17,6 @@ from repro.sac.ast_nodes import (
     Return,
     Select,
     UnOp,
-    Var,
     VectorLit,
     While,
     WithLoop,

@@ -107,53 +107,54 @@ def SetupPeriodicBorder__34x34x34(a):
 
 def Resid__34x34x34(u):
     _t1 = SetupPeriodicBorder__34x34x34(u)
-    _t2 = _t1[0:32, 0:32, 0:32]
-    _t3 = _t1[0:32, 0:32, 2:34]
+    _t46 = _t1.reshape(-1)
+    _t2 = _t46[0:36922]
+    _t3 = _t46[2:36924]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:32, 2:34, 0:32]
+    _t5 = _t46[68:36990]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:32, 2:34, 2:34]
+    _t7 = _t46[70:36992]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[2:34, 0:32, 0:32]
+    _t9 = _t46[2312:39234]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[2:34, 0:32, 2:34]
+    _t11 = _t46[2314:39236]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[2:34, 2:34, 0:32]
+    _t13 = _t46[2380:39302]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[2:34, 2:34, 2:34]
+    _t15 = _t46[2382:39304]
     np.add(_t4, _t15, out=_t4)
     np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t1[0:32, 0:32, 1:33]
-    _t19 = _t1[0:32, 1:33, 0:32]
+    _t18 = _t46[1:36923]
+    _t19 = _t46[34:36956]
     _t20 = (_t18 + _t19)
-    _t21 = _t1[0:32, 1:33, 2:34]
+    _t21 = _t46[36:36958]
     np.add(_t20, _t21, out=_t20)
-    _t23 = _t1[0:32, 2:34, 1:33]
+    _t23 = _t46[69:36991]
     np.add(_t20, _t23, out=_t20)
-    _t25 = _t1[1:33, 0:32, 0:32]
+    _t25 = _t46[1156:38078]
     np.add(_t20, _t25, out=_t20)
-    _t27 = _t1[1:33, 0:32, 2:34]
+    _t27 = _t46[1158:38080]
     np.add(_t20, _t27, out=_t20)
-    _t29 = _t1[1:33, 2:34, 0:32]
+    _t29 = _t46[1224:38146]
     np.add(_t20, _t29, out=_t20)
-    _t31 = _t1[1:33, 2:34, 2:34]
+    _t31 = _t46[1226:38148]
     np.add(_t20, _t31, out=_t20)
-    _t33 = _t1[2:34, 0:32, 1:33]
+    _t33 = _t46[2313:39235]
     np.add(_t20, _t33, out=_t20)
-    _t35 = _t1[2:34, 1:33, 0:32]
+    _t35 = _t46[2346:39268]
     np.add(_t20, _t35, out=_t20)
-    _t37 = _t1[2:34, 1:33, 2:34]
+    _t37 = _t46[2348:39270]
     np.add(_t20, _t37, out=_t20)
-    _t39 = _t1[2:34, 2:34, 1:33]
+    _t39 = _t46[2381:39303]
     np.add(_t20, _t39, out=_t20)
     np.multiply(0.16666666666666666, _t20, out=_t20)
     np.add(_t4, _t20, out=_t4)
     del _t20
-    _t43 = _t1[1:33, 1:33, 1:33]
+    _t43 = _t46[1191:38113]
     _t44 = (-2.6666666666666665 * _t43)
     np.add(_t4, _t44, out=_t4)
     del _t44
-    _t1[1:33, 1:33, 1:33] = _t4
+    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t4, 0, (9248, 272, 8))
     del _t4
     return _t1
 
@@ -558,49 +559,50 @@ def SetupPeriodicBorder__4x4x4_d(a):
 
 def Smooth__4x4x4_d(r):
     _t1 = SetupPeriodicBorder__4x4x4_d(r)
-    _t2 = _t1[0:2, 0:2, 1:3]
-    _t3 = _t1[0:2, 1:3, 0:2]
+    _t42 = _t1.reshape(-1)
+    _t2 = _t42[1:23]
+    _t3 = _t42[4:26]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:2, 1:3, 2:4]
+    _t5 = _t42[6:28]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:2, 2:4, 1:3]
+    _t7 = _t42[9:31]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[1:3, 0:2, 0:2]
+    _t9 = _t42[16:38]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[1:3, 0:2, 2:4]
+    _t11 = _t42[18:40]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[1:3, 2:4, 0:2]
+    _t13 = _t42[24:46]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[1:3, 2:4, 2:4]
+    _t15 = _t42[26:48]
     np.add(_t4, _t15, out=_t4)
-    _t17 = _t1[2:4, 0:2, 1:3]
+    _t17 = _t42[33:55]
     np.add(_t4, _t17, out=_t4)
-    _t19 = _t1[2:4, 1:3, 0:2]
+    _t19 = _t42[36:58]
     np.add(_t4, _t19, out=_t4)
-    _t21 = _t1[2:4, 1:3, 2:4]
+    _t21 = _t42[38:60]
     np.add(_t4, _t21, out=_t4)
-    _t23 = _t1[2:4, 2:4, 1:3]
+    _t23 = _t42[41:63]
     np.add(_t4, _t23, out=_t4)
     np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t1[0:2, 1:3, 1:3]
-    _t27 = _t1[1:3, 0:2, 1:3]
+    _t26 = _t42[5:27]
+    _t27 = _t42[17:39]
     _t28 = (_t26 + _t27)
-    _t29 = _t1[1:3, 1:3, 0:2]
+    _t29 = _t42[20:42]
     np.add(_t28, _t29, out=_t28)
-    _t31 = _t1[1:3, 1:3, 2:4]
+    _t31 = _t42[22:44]
     np.add(_t28, _t31, out=_t28)
-    _t33 = _t1[1:3, 2:4, 1:3]
+    _t33 = _t42[25:47]
     np.add(_t28, _t33, out=_t28)
-    _t35 = _t1[2:4, 1:3, 1:3]
+    _t35 = _t42[37:59]
     np.add(_t28, _t35, out=_t28)
     np.multiply(0.03125, _t28, out=_t28)
     np.add(_t4, _t28, out=_t4)
     del _t28
-    _t39 = _t1[1:3, 1:3, 1:3]
+    _t39 = _t42[21:43]
     _t40 = (-0.375 * _t39)
     np.add(_t4, _t40, out=_t4)
     del _t40
-    _t1[1:3, 1:3, 1:3] = _t4
+    _t1[1:3, 1:3, 1:3] = np.ndarray((2, 2, 2), np.float64, _t4, 0, (128, 32, 8))
     del _t4
     return _t1
 
@@ -688,53 +690,54 @@ def Coarse2Fine__4x4x4_d(rn):
 
 def Resid__6x6x6(u):
     _t1 = SetupPeriodicBorder__6x6x6(u)
-    _t2 = _t1[0:4, 0:4, 0:4]
-    _t3 = _t1[0:4, 0:4, 2:6]
+    _t46 = _t1.reshape(-1)
+    _t2 = _t46[0:130]
+    _t3 = _t46[2:132]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:4, 2:6, 0:4]
+    _t5 = _t46[12:142]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:4, 2:6, 2:6]
+    _t7 = _t46[14:144]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[2:6, 0:4, 0:4]
+    _t9 = _t46[72:202]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[2:6, 0:4, 2:6]
+    _t11 = _t46[74:204]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[2:6, 2:6, 0:4]
+    _t13 = _t46[84:214]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[2:6, 2:6, 2:6]
+    _t15 = _t46[86:216]
     np.add(_t4, _t15, out=_t4)
     np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t1[0:4, 0:4, 1:5]
-    _t19 = _t1[0:4, 1:5, 0:4]
+    _t18 = _t46[1:131]
+    _t19 = _t46[6:136]
     _t20 = (_t18 + _t19)
-    _t21 = _t1[0:4, 1:5, 2:6]
+    _t21 = _t46[8:138]
     np.add(_t20, _t21, out=_t20)
-    _t23 = _t1[0:4, 2:6, 1:5]
+    _t23 = _t46[13:143]
     np.add(_t20, _t23, out=_t20)
-    _t25 = _t1[1:5, 0:4, 0:4]
+    _t25 = _t46[36:166]
     np.add(_t20, _t25, out=_t20)
-    _t27 = _t1[1:5, 0:4, 2:6]
+    _t27 = _t46[38:168]
     np.add(_t20, _t27, out=_t20)
-    _t29 = _t1[1:5, 2:6, 0:4]
+    _t29 = _t46[48:178]
     np.add(_t20, _t29, out=_t20)
-    _t31 = _t1[1:5, 2:6, 2:6]
+    _t31 = _t46[50:180]
     np.add(_t20, _t31, out=_t20)
-    _t33 = _t1[2:6, 0:4, 1:5]
+    _t33 = _t46[73:203]
     np.add(_t20, _t33, out=_t20)
-    _t35 = _t1[2:6, 1:5, 0:4]
+    _t35 = _t46[78:208]
     np.add(_t20, _t35, out=_t20)
-    _t37 = _t1[2:6, 1:5, 2:6]
+    _t37 = _t46[80:210]
     np.add(_t20, _t37, out=_t20)
-    _t39 = _t1[2:6, 2:6, 1:5]
+    _t39 = _t46[85:215]
     np.add(_t20, _t39, out=_t20)
     np.multiply(0.16666666666666666, _t20, out=_t20)
     np.add(_t4, _t20, out=_t4)
     del _t20
-    _t43 = _t1[1:5, 1:5, 1:5]
+    _t43 = _t46[43:173]
     _t44 = (-2.6666666666666665 * _t43)
     np.add(_t4, _t44, out=_t4)
     del _t44
-    _t1[1:5, 1:5, 1:5] = _t4
+    _t1[1:5, 1:5, 1:5] = np.ndarray((4, 4, 4), np.float64, _t4, 0, (288, 48, 8))
     del _t4
     return _t1
 
@@ -755,49 +758,50 @@ def SetupPeriodicBorder__6x6x6_d(a):
 
 def Smooth__6x6x6_d(r):
     _t1 = SetupPeriodicBorder__6x6x6_d(r)
-    _t2 = _t1[0:4, 0:4, 1:5]
-    _t3 = _t1[0:4, 1:5, 0:4]
+    _t42 = _t1.reshape(-1)
+    _t2 = _t42[1:131]
+    _t3 = _t42[6:136]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:4, 1:5, 2:6]
+    _t5 = _t42[8:138]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:4, 2:6, 1:5]
+    _t7 = _t42[13:143]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[1:5, 0:4, 0:4]
+    _t9 = _t42[36:166]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[1:5, 0:4, 2:6]
+    _t11 = _t42[38:168]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[1:5, 2:6, 0:4]
+    _t13 = _t42[48:178]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[1:5, 2:6, 2:6]
+    _t15 = _t42[50:180]
     np.add(_t4, _t15, out=_t4)
-    _t17 = _t1[2:6, 0:4, 1:5]
+    _t17 = _t42[73:203]
     np.add(_t4, _t17, out=_t4)
-    _t19 = _t1[2:6, 1:5, 0:4]
+    _t19 = _t42[78:208]
     np.add(_t4, _t19, out=_t4)
-    _t21 = _t1[2:6, 1:5, 2:6]
+    _t21 = _t42[80:210]
     np.add(_t4, _t21, out=_t4)
-    _t23 = _t1[2:6, 2:6, 1:5]
+    _t23 = _t42[85:215]
     np.add(_t4, _t23, out=_t4)
     np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t1[0:4, 1:5, 1:5]
-    _t27 = _t1[1:5, 0:4, 1:5]
+    _t26 = _t42[7:137]
+    _t27 = _t42[37:167]
     _t28 = (_t26 + _t27)
-    _t29 = _t1[1:5, 1:5, 0:4]
+    _t29 = _t42[42:172]
     np.add(_t28, _t29, out=_t28)
-    _t31 = _t1[1:5, 1:5, 2:6]
+    _t31 = _t42[44:174]
     np.add(_t28, _t31, out=_t28)
-    _t33 = _t1[1:5, 2:6, 1:5]
+    _t33 = _t42[49:179]
     np.add(_t28, _t33, out=_t28)
-    _t35 = _t1[2:6, 1:5, 1:5]
+    _t35 = _t42[79:209]
     np.add(_t28, _t35, out=_t28)
     np.multiply(0.03125, _t28, out=_t28)
     np.add(_t4, _t28, out=_t4)
     del _t28
-    _t39 = _t1[1:5, 1:5, 1:5]
+    _t39 = _t42[43:173]
     _t40 = (-0.375 * _t39)
     np.add(_t4, _t40, out=_t4)
     del _t40
-    _t1[1:5, 1:5, 1:5] = _t4
+    _t1[1:5, 1:5, 1:5] = np.ndarray((4, 4, 4), np.float64, _t4, 0, (288, 48, 8))
     del _t4
     return _t1
 
@@ -895,53 +899,54 @@ def Coarse2Fine__6x6x6_d(rn):
 
 def Resid__10x10x10(u):
     _t1 = SetupPeriodicBorder__10x10x10(u)
-    _t2 = _t1[0:8, 0:8, 0:8]
-    _t3 = _t1[0:8, 0:8, 2:10]
+    _t46 = _t1.reshape(-1)
+    _t2 = _t46[0:778]
+    _t3 = _t46[2:780]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:8, 2:10, 0:8]
+    _t5 = _t46[20:798]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:8, 2:10, 2:10]
+    _t7 = _t46[22:800]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[2:10, 0:8, 0:8]
+    _t9 = _t46[200:978]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[2:10, 0:8, 2:10]
+    _t11 = _t46[202:980]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[2:10, 2:10, 0:8]
+    _t13 = _t46[220:998]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[2:10, 2:10, 2:10]
+    _t15 = _t46[222:1000]
     np.add(_t4, _t15, out=_t4)
     np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t1[0:8, 0:8, 1:9]
-    _t19 = _t1[0:8, 1:9, 0:8]
+    _t18 = _t46[1:779]
+    _t19 = _t46[10:788]
     _t20 = (_t18 + _t19)
-    _t21 = _t1[0:8, 1:9, 2:10]
+    _t21 = _t46[12:790]
     np.add(_t20, _t21, out=_t20)
-    _t23 = _t1[0:8, 2:10, 1:9]
+    _t23 = _t46[21:799]
     np.add(_t20, _t23, out=_t20)
-    _t25 = _t1[1:9, 0:8, 0:8]
+    _t25 = _t46[100:878]
     np.add(_t20, _t25, out=_t20)
-    _t27 = _t1[1:9, 0:8, 2:10]
+    _t27 = _t46[102:880]
     np.add(_t20, _t27, out=_t20)
-    _t29 = _t1[1:9, 2:10, 0:8]
+    _t29 = _t46[120:898]
     np.add(_t20, _t29, out=_t20)
-    _t31 = _t1[1:9, 2:10, 2:10]
+    _t31 = _t46[122:900]
     np.add(_t20, _t31, out=_t20)
-    _t33 = _t1[2:10, 0:8, 1:9]
+    _t33 = _t46[201:979]
     np.add(_t20, _t33, out=_t20)
-    _t35 = _t1[2:10, 1:9, 0:8]
+    _t35 = _t46[210:988]
     np.add(_t20, _t35, out=_t20)
-    _t37 = _t1[2:10, 1:9, 2:10]
+    _t37 = _t46[212:990]
     np.add(_t20, _t37, out=_t20)
-    _t39 = _t1[2:10, 2:10, 1:9]
+    _t39 = _t46[221:999]
     np.add(_t20, _t39, out=_t20)
     np.multiply(0.16666666666666666, _t20, out=_t20)
     np.add(_t4, _t20, out=_t4)
     del _t20
-    _t43 = _t1[1:9, 1:9, 1:9]
+    _t43 = _t46[111:889]
     _t44 = (-2.6666666666666665 * _t43)
     np.add(_t4, _t44, out=_t4)
     del _t44
-    _t1[1:9, 1:9, 1:9] = _t4
+    _t1[1:9, 1:9, 1:9] = np.ndarray((8, 8, 8), np.float64, _t4, 0, (800, 80, 8))
     del _t4
     return _t1
 
@@ -962,49 +967,50 @@ def SetupPeriodicBorder__10x10x10_d(a):
 
 def Smooth__10x10x10_d(r):
     _t1 = SetupPeriodicBorder__10x10x10_d(r)
-    _t2 = _t1[0:8, 0:8, 1:9]
-    _t3 = _t1[0:8, 1:9, 0:8]
+    _t42 = _t1.reshape(-1)
+    _t2 = _t42[1:779]
+    _t3 = _t42[10:788]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:8, 1:9, 2:10]
+    _t5 = _t42[12:790]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:8, 2:10, 1:9]
+    _t7 = _t42[21:799]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[1:9, 0:8, 0:8]
+    _t9 = _t42[100:878]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[1:9, 0:8, 2:10]
+    _t11 = _t42[102:880]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[1:9, 2:10, 0:8]
+    _t13 = _t42[120:898]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[1:9, 2:10, 2:10]
+    _t15 = _t42[122:900]
     np.add(_t4, _t15, out=_t4)
-    _t17 = _t1[2:10, 0:8, 1:9]
+    _t17 = _t42[201:979]
     np.add(_t4, _t17, out=_t4)
-    _t19 = _t1[2:10, 1:9, 0:8]
+    _t19 = _t42[210:988]
     np.add(_t4, _t19, out=_t4)
-    _t21 = _t1[2:10, 1:9, 2:10]
+    _t21 = _t42[212:990]
     np.add(_t4, _t21, out=_t4)
-    _t23 = _t1[2:10, 2:10, 1:9]
+    _t23 = _t42[221:999]
     np.add(_t4, _t23, out=_t4)
     np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t1[0:8, 1:9, 1:9]
-    _t27 = _t1[1:9, 0:8, 1:9]
+    _t26 = _t42[11:789]
+    _t27 = _t42[101:879]
     _t28 = (_t26 + _t27)
-    _t29 = _t1[1:9, 1:9, 0:8]
+    _t29 = _t42[110:888]
     np.add(_t28, _t29, out=_t28)
-    _t31 = _t1[1:9, 1:9, 2:10]
+    _t31 = _t42[112:890]
     np.add(_t28, _t31, out=_t28)
-    _t33 = _t1[1:9, 2:10, 1:9]
+    _t33 = _t42[121:899]
     np.add(_t28, _t33, out=_t28)
-    _t35 = _t1[2:10, 1:9, 1:9]
+    _t35 = _t42[211:989]
     np.add(_t28, _t35, out=_t28)
     np.multiply(0.03125, _t28, out=_t28)
     np.add(_t4, _t28, out=_t4)
     del _t28
-    _t39 = _t1[1:9, 1:9, 1:9]
+    _t39 = _t42[111:889]
     _t40 = (-0.375 * _t39)
     np.add(_t4, _t40, out=_t4)
     del _t40
-    _t1[1:9, 1:9, 1:9] = _t4
+    _t1[1:9, 1:9, 1:9] = np.ndarray((8, 8, 8), np.float64, _t4, 0, (800, 80, 8))
     del _t4
     return _t1
 
@@ -1102,53 +1108,54 @@ def Coarse2Fine__10x10x10_d(rn):
 
 def Resid__18x18x18(u):
     _t1 = SetupPeriodicBorder__18x18x18(u)
-    _t2 = _t1[0:16, 0:16, 0:16]
-    _t3 = _t1[0:16, 0:16, 2:18]
+    _t46 = _t1.reshape(-1)
+    _t2 = _t46[0:5146]
+    _t3 = _t46[2:5148]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:16, 2:18, 0:16]
+    _t5 = _t46[36:5182]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:16, 2:18, 2:18]
+    _t7 = _t46[38:5184]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[2:18, 0:16, 0:16]
+    _t9 = _t46[648:5794]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[2:18, 0:16, 2:18]
+    _t11 = _t46[650:5796]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[2:18, 2:18, 0:16]
+    _t13 = _t46[684:5830]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[2:18, 2:18, 2:18]
+    _t15 = _t46[686:5832]
     np.add(_t4, _t15, out=_t4)
     np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t1[0:16, 0:16, 1:17]
-    _t19 = _t1[0:16, 1:17, 0:16]
+    _t18 = _t46[1:5147]
+    _t19 = _t46[18:5164]
     _t20 = (_t18 + _t19)
-    _t21 = _t1[0:16, 1:17, 2:18]
+    _t21 = _t46[20:5166]
     np.add(_t20, _t21, out=_t20)
-    _t23 = _t1[0:16, 2:18, 1:17]
+    _t23 = _t46[37:5183]
     np.add(_t20, _t23, out=_t20)
-    _t25 = _t1[1:17, 0:16, 0:16]
+    _t25 = _t46[324:5470]
     np.add(_t20, _t25, out=_t20)
-    _t27 = _t1[1:17, 0:16, 2:18]
+    _t27 = _t46[326:5472]
     np.add(_t20, _t27, out=_t20)
-    _t29 = _t1[1:17, 2:18, 0:16]
+    _t29 = _t46[360:5506]
     np.add(_t20, _t29, out=_t20)
-    _t31 = _t1[1:17, 2:18, 2:18]
+    _t31 = _t46[362:5508]
     np.add(_t20, _t31, out=_t20)
-    _t33 = _t1[2:18, 0:16, 1:17]
+    _t33 = _t46[649:5795]
     np.add(_t20, _t33, out=_t20)
-    _t35 = _t1[2:18, 1:17, 0:16]
+    _t35 = _t46[666:5812]
     np.add(_t20, _t35, out=_t20)
-    _t37 = _t1[2:18, 1:17, 2:18]
+    _t37 = _t46[668:5814]
     np.add(_t20, _t37, out=_t20)
-    _t39 = _t1[2:18, 2:18, 1:17]
+    _t39 = _t46[685:5831]
     np.add(_t20, _t39, out=_t20)
     np.multiply(0.16666666666666666, _t20, out=_t20)
     np.add(_t4, _t20, out=_t4)
     del _t20
-    _t43 = _t1[1:17, 1:17, 1:17]
+    _t43 = _t46[343:5489]
     _t44 = (-2.6666666666666665 * _t43)
     np.add(_t4, _t44, out=_t4)
     del _t44
-    _t1[1:17, 1:17, 1:17] = _t4
+    _t1[1:17, 1:17, 1:17] = np.ndarray((16, 16, 16), np.float64, _t4, 0, (2592, 144, 8))
     del _t4
     return _t1
 
@@ -1169,49 +1176,50 @@ def SetupPeriodicBorder__18x18x18_d(a):
 
 def Smooth__18x18x18_d(r):
     _t1 = SetupPeriodicBorder__18x18x18_d(r)
-    _t2 = _t1[0:16, 0:16, 1:17]
-    _t3 = _t1[0:16, 1:17, 0:16]
+    _t42 = _t1.reshape(-1)
+    _t2 = _t42[1:5147]
+    _t3 = _t42[18:5164]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:16, 1:17, 2:18]
+    _t5 = _t42[20:5166]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:16, 2:18, 1:17]
+    _t7 = _t42[37:5183]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[1:17, 0:16, 0:16]
+    _t9 = _t42[324:5470]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[1:17, 0:16, 2:18]
+    _t11 = _t42[326:5472]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[1:17, 2:18, 0:16]
+    _t13 = _t42[360:5506]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[1:17, 2:18, 2:18]
+    _t15 = _t42[362:5508]
     np.add(_t4, _t15, out=_t4)
-    _t17 = _t1[2:18, 0:16, 1:17]
+    _t17 = _t42[649:5795]
     np.add(_t4, _t17, out=_t4)
-    _t19 = _t1[2:18, 1:17, 0:16]
+    _t19 = _t42[666:5812]
     np.add(_t4, _t19, out=_t4)
-    _t21 = _t1[2:18, 1:17, 2:18]
+    _t21 = _t42[668:5814]
     np.add(_t4, _t21, out=_t4)
-    _t23 = _t1[2:18, 2:18, 1:17]
+    _t23 = _t42[685:5831]
     np.add(_t4, _t23, out=_t4)
     np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t1[0:16, 1:17, 1:17]
-    _t27 = _t1[1:17, 0:16, 1:17]
+    _t26 = _t42[19:5165]
+    _t27 = _t42[325:5471]
     _t28 = (_t26 + _t27)
-    _t29 = _t1[1:17, 1:17, 0:16]
+    _t29 = _t42[342:5488]
     np.add(_t28, _t29, out=_t28)
-    _t31 = _t1[1:17, 1:17, 2:18]
+    _t31 = _t42[344:5490]
     np.add(_t28, _t31, out=_t28)
-    _t33 = _t1[1:17, 2:18, 1:17]
+    _t33 = _t42[361:5507]
     np.add(_t28, _t33, out=_t28)
-    _t35 = _t1[2:18, 1:17, 1:17]
+    _t35 = _t42[667:5813]
     np.add(_t28, _t35, out=_t28)
     np.multiply(0.03125, _t28, out=_t28)
     np.add(_t4, _t28, out=_t4)
     del _t28
-    _t39 = _t1[1:17, 1:17, 1:17]
+    _t39 = _t42[343:5489]
     _t40 = (-0.375 * _t39)
     np.add(_t4, _t40, out=_t4)
     del _t40
-    _t1[1:17, 1:17, 1:17] = _t4
+    _t1[1:17, 1:17, 1:17] = np.ndarray((16, 16, 16), np.float64, _t4, 0, (2592, 144, 8))
     del _t4
     return _t1
 
@@ -1324,49 +1332,50 @@ def SetupPeriodicBorder__34x34x34_d(a):
 
 def Smooth__34x34x34_d(r):
     _t1 = SetupPeriodicBorder__34x34x34_d(r)
-    _t2 = _t1[0:32, 0:32, 1:33]
-    _t3 = _t1[0:32, 1:33, 0:32]
+    _t42 = _t1.reshape(-1)
+    _t2 = _t42[1:36923]
+    _t3 = _t42[34:36956]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:32, 1:33, 2:34]
+    _t5 = _t42[36:36958]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:32, 2:34, 1:33]
+    _t7 = _t42[69:36991]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[1:33, 0:32, 0:32]
+    _t9 = _t42[1156:38078]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[1:33, 0:32, 2:34]
+    _t11 = _t42[1158:38080]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[1:33, 2:34, 0:32]
+    _t13 = _t42[1224:38146]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[1:33, 2:34, 2:34]
+    _t15 = _t42[1226:38148]
     np.add(_t4, _t15, out=_t4)
-    _t17 = _t1[2:34, 0:32, 1:33]
+    _t17 = _t42[2313:39235]
     np.add(_t4, _t17, out=_t4)
-    _t19 = _t1[2:34, 1:33, 0:32]
+    _t19 = _t42[2346:39268]
     np.add(_t4, _t19, out=_t4)
-    _t21 = _t1[2:34, 1:33, 2:34]
+    _t21 = _t42[2348:39270]
     np.add(_t4, _t21, out=_t4)
-    _t23 = _t1[2:34, 2:34, 1:33]
+    _t23 = _t42[2381:39303]
     np.add(_t4, _t23, out=_t4)
     np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t1[0:32, 1:33, 1:33]
-    _t27 = _t1[1:33, 0:32, 1:33]
+    _t26 = _t42[35:36957]
+    _t27 = _t42[1157:38079]
     _t28 = (_t26 + _t27)
-    _t29 = _t1[1:33, 1:33, 0:32]
+    _t29 = _t42[1190:38112]
     np.add(_t28, _t29, out=_t28)
-    _t31 = _t1[1:33, 1:33, 2:34]
+    _t31 = _t42[1192:38114]
     np.add(_t28, _t31, out=_t28)
-    _t33 = _t1[1:33, 2:34, 1:33]
+    _t33 = _t42[1225:38147]
     np.add(_t28, _t33, out=_t28)
-    _t35 = _t1[2:34, 1:33, 1:33]
+    _t35 = _t42[2347:39269]
     np.add(_t28, _t35, out=_t28)
     np.multiply(0.03125, _t28, out=_t28)
     np.add(_t4, _t28, out=_t4)
     del _t28
-    _t39 = _t1[1:33, 1:33, 1:33]
+    _t39 = _t42[1191:38113]
     _t40 = (-0.375 * _t39)
     np.add(_t4, _t40, out=_t4)
     del _t40
-    _t1[1:33, 1:33, 1:33] = _t4
+    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t4, 0, (9248, 272, 8))
     del _t4
     return _t1
 
@@ -1402,53 +1411,54 @@ def MGrid__34x34x34(v):
 
 def Resid__34x34x34_d(u):
     _t1 = SetupPeriodicBorder__34x34x34_d(u)
-    _t2 = _t1[0:32, 0:32, 0:32]
-    _t3 = _t1[0:32, 0:32, 2:34]
+    _t46 = _t1.reshape(-1)
+    _t2 = _t46[0:36922]
+    _t3 = _t46[2:36924]
     _t4 = (_t2 + _t3)
-    _t5 = _t1[0:32, 2:34, 0:32]
+    _t5 = _t46[68:36990]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t1[0:32, 2:34, 2:34]
+    _t7 = _t46[70:36992]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t1[2:34, 0:32, 0:32]
+    _t9 = _t46[2312:39234]
     np.add(_t4, _t9, out=_t4)
-    _t11 = _t1[2:34, 0:32, 2:34]
+    _t11 = _t46[2314:39236]
     np.add(_t4, _t11, out=_t4)
-    _t13 = _t1[2:34, 2:34, 0:32]
+    _t13 = _t46[2380:39302]
     np.add(_t4, _t13, out=_t4)
-    _t15 = _t1[2:34, 2:34, 2:34]
+    _t15 = _t46[2382:39304]
     np.add(_t4, _t15, out=_t4)
     np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t1[0:32, 0:32, 1:33]
-    _t19 = _t1[0:32, 1:33, 0:32]
+    _t18 = _t46[1:36923]
+    _t19 = _t46[34:36956]
     _t20 = (_t18 + _t19)
-    _t21 = _t1[0:32, 1:33, 2:34]
+    _t21 = _t46[36:36958]
     np.add(_t20, _t21, out=_t20)
-    _t23 = _t1[0:32, 2:34, 1:33]
+    _t23 = _t46[69:36991]
     np.add(_t20, _t23, out=_t20)
-    _t25 = _t1[1:33, 0:32, 0:32]
+    _t25 = _t46[1156:38078]
     np.add(_t20, _t25, out=_t20)
-    _t27 = _t1[1:33, 0:32, 2:34]
+    _t27 = _t46[1158:38080]
     np.add(_t20, _t27, out=_t20)
-    _t29 = _t1[1:33, 2:34, 0:32]
+    _t29 = _t46[1224:38146]
     np.add(_t20, _t29, out=_t20)
-    _t31 = _t1[1:33, 2:34, 2:34]
+    _t31 = _t46[1226:38148]
     np.add(_t20, _t31, out=_t20)
-    _t33 = _t1[2:34, 0:32, 1:33]
+    _t33 = _t46[2313:39235]
     np.add(_t20, _t33, out=_t20)
-    _t35 = _t1[2:34, 1:33, 0:32]
+    _t35 = _t46[2346:39268]
     np.add(_t20, _t35, out=_t20)
-    _t37 = _t1[2:34, 1:33, 2:34]
+    _t37 = _t46[2348:39270]
     np.add(_t20, _t37, out=_t20)
-    _t39 = _t1[2:34, 2:34, 1:33]
+    _t39 = _t46[2381:39303]
     np.add(_t20, _t39, out=_t20)
     np.multiply(0.16666666666666666, _t20, out=_t20)
     np.add(_t4, _t20, out=_t4)
     del _t20
-    _t43 = _t1[1:33, 1:33, 1:33]
+    _t43 = _t46[1191:38113]
     _t44 = (-2.6666666666666665 * _t43)
     np.add(_t4, _t44, out=_t4)
     del _t44
-    _t1[1:33, 1:33, 1:33] = _t4
+    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t4, 0, (9248, 272, 8))
     del _t4
     return _t1
 

@@ -53,6 +53,14 @@ class SizeClass:
     def interior_points(self) -> int:
         return self.nx ** 3
 
+    def verifies(self, rnm2: float) -> bool:
+        """NPB's acceptance test of a final residual norm: relative error
+        against the official value within ``1e-8`` (the epsilon of
+        ``mg.f``'s ``verify``); a class with no official value verifies
+        nothing."""
+        ref = self.verify_value
+        return ref is not None and abs(rnm2 - ref) / abs(ref) <= 1.0e-8
+
 
 CLASSES: dict[str, SizeClass] = {
     "T": SizeClass("T", 16, 4, None, "a"),

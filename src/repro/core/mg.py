@@ -16,9 +16,13 @@ Two things are written here once and nowhere else:
   cache blocks of :func:`block_planes` planes that share one
   block-sized scratch — a length computed from the array shapes, so a
   small grid is one block and every caller gets the same blocking.
-  The serial kernels are the full-range call plus a ghost fill; the
-  threaded runtime forks the same bodies over plane ranges and the
-  SPMD runtime hands them one z-slab per rank;
+  The two 27-point sweeps (``resid``, ``psinv``) run each block as one
+  contiguous range of the raveled grid, every term a 1-D slice at a
+  neighbour's offset, so no ufunc pays NumPy's per-row iterator step;
+  the stride-2 transfers keep 3-D bodies.  The serial kernels are the
+  full-range call plus a ghost fill; the threaded runtime forks the
+  same bodies over plane ranges and the SPMD runtime hands them one
+  z-slab per rank;
 * **the schedule** — :func:`correction` (project down, smooth the
   coarsest grid, interpolate / residual / smooth back up),
   :func:`vcycle` and the benchmark loop :func:`run`, written over an
@@ -72,16 +76,14 @@ __all__ = [
 ]
 
 
-# Interior / shifted slices along one axis.
+# The interior along one axis.
 _C = slice(1, -1)
-_M = slice(0, -2)
-_P = slice(2, None)
 
 
 def _planes(ws, name: str, planes: int, tail: tuple[int, ...],
             z0: int, z1: int) -> np.ndarray:
-    """Uninitialized scratch for planes ``[z0, z1)`` of a level; every
-    scratch buffer's first use is a full write.
+    """Uninitialized scratch for planes ``[z0, z1)`` of a level; a body
+    reads no position of it that it has not written.
 
     With a :class:`~repro.perf.workspace.Workspace` this is a
     plane-range view of one pooled ``(planes, *tail)`` buffer: disjoint
@@ -115,107 +117,144 @@ def block_planes(bytes_per_plane: int) -> int:
 # The arithmetic: one plane-range body per operator.
 # ---------------------------------------------------------------------------
 
-def _plane_sums_into(u: np.ndarray, zc: slice, zm: slice, zp: slice,
-                     u1: np.ndarray, u2: np.ndarray) -> None:
-    """NPB's shared auxiliary buffers over the full x extent.
+def _flat(grid: np.ndarray, written: bool = False) -> np.ndarray:
+    """``grid`` raveled: a view of a C-contiguous grid, else a copy —
+    right for an operand that is only read.  A grid the sweep writes
+    must be C-contiguous (``ValueError``): raveling it must not cost a
+    whole-grid copy per call, which pooled solves run without."""
+    if written and not grid.flags.c_contiguous:
+        raise ValueError("a 27-point sweep writes a C-contiguous grid; "
+                         f"got strides {grid.strides}")
+    return grid.reshape(-1)
+
+
+def _plane_sums_into(uf: np.ndarray, shape: tuple[int, ...], k0: int,
+                     k1: int, u1: np.ndarray, u2: np.ndarray) -> None:
+    """NPB's shared auxiliary buffers over the flat range ``[k0 - 1,
+    k1 + 1)`` of the raveled grid ``uf`` of extended shape ``shape``.
 
     ``u1(i1) = u(i1,i2-1,i3) + u(i1,i2+1,i3) + u(i1,i2,i3-1) + u(i1,i2,i3+1)``
     ``u2(i1) = u(i1,i2-1,i3-1) + u(i1,i2+1,i3-1) + u(i1,i2-1,i3+1) + u(i1,i2+1,i3+1)``
 
-    Built with in-place adds in exactly the left-to-right order of the
-    Fortran source, term by term, so the whole solver stays
-    bit-reproducible against NPB 2.3 (axis order here is ``[i3, i2,
-    i1]``; ``zc``/``zm``/``zp`` select planes ``i3``, ``i3-1``, ``i3+1``).
+    Every term is the range moved by a neighbour's offset (``i2 +- 1``
+    is ``+-n1``, ``i3 +- 1`` is ``+-n2*n1``).  Built with in-place adds
+    in exactly the left-to-right order of the Fortran source, term by
+    term, so the whole solver stays bit-reproducible against NPB 2.3.
     """
-    np.add(u[zc, _M, :], u[zc, _P, :], out=u1)
-    np.add(u1, u[zm, _C, :], out=u1)
-    np.add(u1, u[zp, _C, :], out=u1)
-    np.add(u[zm, _M, :], u[zm, _P, :], out=u2)
-    np.add(u2, u[zp, _M, :], out=u2)
-    np.add(u2, u[zp, _P, :], out=u2)
+    n1 = shape[2]
+    plane = shape[1] * n1
+
+    def at(off: int) -> np.ndarray:
+        return uf[k0 - 1 + off:k1 + 1 + off]
+
+    np.add(at(-n1), at(n1), out=u1)
+    np.add(u1, at(-plane), out=u1)
+    np.add(u1, at(plane), out=u1)
+    np.add(at(-plane - n1), at(-plane + n1), out=u2)
+    np.add(u2, at(plane - n1), out=u2)
+    np.add(u2, at(plane + n1), out=u2)
 
 
 def _stencil_setup(u: np.ndarray, z0: int, z1: int, ws, grids: int):
     """For a 27-point sweep over interior planes ``[z0, z1)`` of (a
-    z-slab of) ``u``, per cache block: the extended-array slices of the
-    block's planes and of their lower and upper neighbours (interior
-    plane ``p`` lives at extended index ``p + 1``), and the
-    ``u1``/``u2``/``acc``/``tmp`` buffers.  ``grids`` counts the grids
-    the sweep reads or writes one plane of per output plane."""
+    z-slab of) ``u``, per cache block: one flat range ``[k0, k1)`` of the
+    raveled grid, from the block's first interior point ``(lo+1, 1, 1)``
+    to its last ``(hi, n2-2, n1-2)`` (interior plane ``p`` lives at
+    extended index ``p + 1``); the ``u1``/``u2`` buffers over ``[k0 - 1,
+    k1 + 1)``; ``acc`` and ``tmp`` over ``[k0, k1)``; the block's
+    interior as an index of the extended grid, and the same interior of
+    the plane-shaped buffer that ``acc`` is a flat range of.
+
+    The range also covers the x/y ghost positions between interior
+    rows: they are computed like any point, never stored.  ``grids``
+    counts the grids the sweep reads or writes one plane of per output
+    plane; the four buffers are whole planes too.
+    """
     m, n2, n1 = u.shape[0] - 2, u.shape[1], u.shape[2]
+    plane = n2 * n1
     n = z1 - z0
-    nblk = -(-n // block_planes(8 * (grids * n2 * n1 + (n2 - 2)
-                                     * (4 * n1 - 4))))
+    nblk = -(-n // block_planes(8 * (grids + 4) * plane))
     nb = -(-n // nblk)
-    bufs = (_planes(ws, "mg.u1", m, (n2 - 2, n1), z0, z0 + nb),
-            _planes(ws, "mg.u2", m, (n2 - 2, n1), z0, z0 + nb),
-            _planes(ws, "mg.acc", m, (n2 - 2, n1 - 2), z0, z0 + nb),
-            _planes(ws, "mg.tmp", m, (n2 - 2, n1 - 2), z0, z0 + nb))
+    planes = [_planes(ws, name, m, (n2, n1), z0, z0 + nb)
+              for name in ("mg.u1", "mg.u2", "mg.acc", "mg.tmp")]
+    u1, u2, acc, tmp = (p.reshape(-1) for p in planes)
     blocks = []
     for i in range(nblk):
         lo, hi = z0 + i * n // nblk, z0 + (i + 1) * n // nblk
-        blocks.append((slice(lo + 1, hi + 1), slice(lo, hi),
-                       slice(lo + 2, hi + 2))
-                      + (bufs if hi - lo == nb
-                         else tuple(b[:hi - lo] for b in bufs)))
+        k0 = (lo + 1) * plane + n1 + 1
+        k1 = (hi + 1) * plane - n1 - 1
+        size = k1 - k0
+        blocks.append((k0, k1, u1[:size + 2], u2[:size + 2],
+                       acc[n1 + 1:n1 + 1 + size], tmp[:size],
+                       (slice(lo + 1, hi + 1), _C, _C),
+                       planes[2][:hi - lo, 1:-1, 1:-1]))
     return blocks
 
 
 def resid_chunk(u: np.ndarray, v: np.ndarray, a, r: np.ndarray,
                 z0: int, z1: int, ws=None) -> None:
-    """``r = v - A u`` on interior planes ``[z0, z1)``.
+    """``r = v - A u`` on interior planes ``[z0, z1)``; ``r``'s ghost
+    cells are not touched.
 
     For the NPB operator (``a1 == 0``) this reproduces the Fortran
     ``resid`` bit for bit, including its omission of the zero
     coefficient.  ``r`` may alias ``v`` (NPB updates ``r`` in place):
-    each chunk reads its own planes of ``v`` once, before writing them.
+    each block reads its own planes of ``v`` once, before writing them.
+    ``r`` must be C-contiguous (else ``ValueError``).
     """
     a = tuple(float(x) for x in a)
+    uf, vf = _flat(u), _flat(v)
+    _flat(r, written=True)
     # u, v and r are the grids a block reads or writes a plane of.
-    for zc, zm, zp, u1, u2, acc, tmp in _stencil_setup(u, z0, z1, ws, 3):
-        _plane_sums_into(u, zc, zm, zp, u1, u2)
-        np.multiply(u[zc, _C, _C], a[0], out=tmp)
-        np.subtract(v[zc, _C, _C], tmp, out=acc)
+    for k0, k1, u1, u2, acc, tmp, out, interior in _stencil_setup(
+            u, z0, z1, ws, 3):
+        _plane_sums_into(uf, u.shape, k0, k1, u1, u2)
+        np.multiply(uf[k0:k1], a[0], out=tmp)
+        np.subtract(vf[k0:k1], tmp, out=acc)
         if a[1] != 0.0:
-            np.add(u[zc, _C, _M], u[zc, _C, _P], out=tmp)
-            np.add(tmp, u1[:, :, _C], out=tmp)
+            np.add(uf[k0 - 1:k1 - 1], uf[k0 + 1:k1 + 1], out=tmp)
+            np.add(tmp, u1[1:-1], out=tmp)
             np.multiply(tmp, a[1], out=tmp)
             np.subtract(acc, tmp, out=acc)
-        np.add(u2[:, :, _C], u1[:, :, _M], out=tmp)
-        np.add(tmp, u1[:, :, _P], out=tmp)
+        np.add(u2[1:-1], u1[:-2], out=tmp)
+        np.add(tmp, u1[2:], out=tmp)
         np.multiply(tmp, a[2], out=tmp)
         np.subtract(acc, tmp, out=acc)
-        np.add(u2[:, :, _M], u2[:, :, _P], out=tmp)
+        np.add(u2[:-2], u2[2:], out=tmp)
         np.multiply(tmp, a[3], out=tmp)
         np.subtract(acc, tmp, out=acc)
-        r[zc, _C, _C] = acc
+        r[out] = interior
 
 
 def psinv_chunk(r: np.ndarray, u: np.ndarray, c,
                 z0: int, z1: int, ws=None) -> None:
-    """``u += S r`` on interior planes ``[z0, z1)``.
+    """``u += S r`` on interior planes ``[z0, z1)``; ``u``'s ghost cells
+    are not touched.
 
     Bit-exact against NPB's ``psinv`` for its coefficient sets
     (``c3 == 0``); the ``c3`` term is included for generic stencils.
+    ``u`` must be C-contiguous (else ``ValueError``).
     """
     c = tuple(float(x) for x in c)
-    for zc, zm, zp, r1, r2, acc, tmp in _stencil_setup(r, z0, z1, ws, 2):
-        _plane_sums_into(r, zc, zm, zp, r1, r2)
-        np.multiply(r[zc, _C, _C], c[0], out=tmp)
-        np.add(u[zc, _C, _C], tmp, out=acc)
-        np.add(r[zc, _C, _M], r[zc, _C, _P], out=tmp)
-        np.add(tmp, r1[:, :, _C], out=tmp)
+    rf, uf = _flat(r), _flat(u, written=True)
+    for k0, k1, r1, r2, acc, tmp, out, interior in _stencil_setup(
+            r, z0, z1, ws, 2):
+        _plane_sums_into(rf, r.shape, k0, k1, r1, r2)
+        np.multiply(rf[k0:k1], c[0], out=tmp)
+        np.add(uf[k0:k1], tmp, out=acc)
+        np.add(rf[k0 - 1:k1 - 1], rf[k0 + 1:k1 + 1], out=tmp)
+        np.add(tmp, r1[1:-1], out=tmp)
         np.multiply(tmp, c[1], out=tmp)
         np.add(acc, tmp, out=acc)
-        np.add(r2[:, :, _C], r1[:, :, _M], out=tmp)
-        np.add(tmp, r1[:, :, _P], out=tmp)
+        np.add(r2[1:-1], r1[:-2], out=tmp)
+        np.add(tmp, r1[2:], out=tmp)
         np.multiply(tmp, c[2], out=tmp)
         np.add(acc, tmp, out=acc)
         if c[3] != 0.0:
-            np.add(r2[:, :, _M], r2[:, :, _P], out=tmp)
+            np.add(r2[:-2], r2[2:], out=tmp)
             np.multiply(tmp, c[3], out=tmp)
             np.add(acc, tmp, out=acc)
-        u[zc, _C, _C] = acc
+        u[out] = interior
 
 
 def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
@@ -579,16 +618,13 @@ class MGResult:
 
     @property
     def verified(self) -> bool:
-        """NPB acceptance test: relative error vs the official value
-        within ``1e-8`` (the epsilon of NPB's ``verify`` subroutine).
+        """NPB acceptance test (:meth:`SizeClass.verifies`): relative
+        error vs the official value within ``1e-8``.
 
         Our kernels follow the Fortran expression order exactly, so this
         passes at ~1e-12 even for class W, whose 40 iterations drive the
         residual into the roundoff regime."""
-        ref = self.size_class.verify_value
-        if ref is None:
-            return False
-        return abs(self.rnm2 - ref) / abs(ref) <= 1.0e-8
+        return self.size_class.verifies(self.rnm2)
 
 
 def checked_rhs(sc: SizeClass, v: np.ndarray) -> np.ndarray:

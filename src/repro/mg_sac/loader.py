@@ -67,10 +67,9 @@ class SacMGResult:
 
     @property
     def verified(self) -> bool:
-        ref = self.size_class.verify_value
-        if ref is None:
-            return False
-        return abs(self.rnm2 - ref) / abs(ref) <= 1.0e-6
+        """NPB acceptance test, the rule of ``MGResult.verified``
+        (:meth:`~repro.core.classes.SizeClass.verifies`, ``1e-8``)."""
+        return self.size_class.verifies(self.rnm2)
 
 
 def solve_sac_mg(size_class: str | SizeClass, nit: int | None = None, *,

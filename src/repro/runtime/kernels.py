@@ -22,8 +22,8 @@ runtime's existing border machinery (``comm3`` on the master, the SPMD
 halo exchange) repairs them exactly as it does for the NumPy kernels.
 The SAC fold sums the 27 stencil terms in a different association order
 than the expression-exact chunk kernels, so results agree to floating-
-point tolerance rather than bit-for-bit; the benchmark's own
-verification tolerance (1e-6 relative) absorbs this.
+point tolerance rather than bit-for-bit; NPB's verification tolerance
+(1e-8 relative, ``MGResult.verified``) absorbs this.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class SacKernelLibrary:
     def resid_slab(self, u: np.ndarray, v: np.ndarray, a,
                    r: np.ndarray, z0: int, z1: int) -> None:
         """``r = v - A u`` on interior planes ``[z0, z1)`` of the
-        extended arrays (compare ``parallel_mg.resid_chunk``)."""
+        extended arrays (compare ``core.mg.resid_chunk``)."""
         view = u[z0 : z1 + 2]
         au = self.relax(view, a)
         r[z0 + 1 : z1 + 1, 1:-1, 1:-1] = (
@@ -117,7 +117,7 @@ class SacKernelLibrary:
     def psinv_slab(self, r: np.ndarray, u: np.ndarray, c,
                    z0: int, z1: int) -> None:
         """``u += S r`` on interior planes ``[z0, z1)`` of the extended
-        arrays (compare ``parallel_mg.psinv_chunk``)."""
+        arrays (compare ``core.mg.psinv_chunk``)."""
         view = r[z0 : z1 + 2]
         sr = self.relax(view, c)
         u[z0 + 1 : z1 + 1, 1:-1, 1:-1] += sr[_INNER]

@@ -170,15 +170,19 @@ class Emitter:
         self.instrs: list[Instr] = []
         self.module = module
         self._n = 0
+        #: A unit-stride window of a whole array -> (the array's code,
+        #: its shape, the window's first index).
+        self.windows: dict[str, tuple[str, tuple[int, ...], tuple[int, ...]]] = {}
 
     def assign(self, kind: str, op: str, operands,
                shape: tuple[int, ...], dtype: np.dtype,
                base: str | None = None,
-               donate: tuple[int, ...] = ()) -> TArray:
-        """Bind a fresh temp to ``op`` of ``operands`` (traced values)."""
+               donate: tuple[int, ...] = (), at: int | None = None) -> TArray:
+        """Bind a fresh temp to ``op`` of ``operands`` (traced values),
+        at the end of the trace or before instruction ``at``."""
         self._n += 1
         name = f"_t{self._n}"
-        self.instrs.append(Instr(
+        self.instrs.insert(len(self.instrs) if at is None else at, Instr(
             name, kind, op, tuple(_code_of(self.module, v) for v in operands),
             shape, dtype, base=base, donate=donate))
         return TArray(name, shape, dtype)
@@ -623,8 +627,13 @@ class Tracer(Interpreter):
             idx = self._checked_index(coerce_value(index), array.shape)
             sel = ", ".join(str(i) for i in idx)
             shape = array.shape[len(idx):]
-        return self.em.assign("view", f"{{}}[{sel}]", (array,), shape,
-                              array.dtype)
+        out = self.em.assign("view", f"{{}}[{sel}]", (array,), shape,
+                             array.dtype)
+        if isinstance(index, IndexView) and n == len(array.shape) and all(
+                ax.stride == 1 for ax in index.axes):
+            self.em.windows[out.code] = (array.code, array.shape, tuple(
+                ax.offset for ax in index.axes))
+        return out
 
     # -- WITH-loops -----------------------------------------------------------------------
 
@@ -648,6 +657,7 @@ class Tracer(Interpreter):
             del self.em.instrs[snapshot:]  # drop any speculative emissions
             return concrete
 
+        value = self._flat_body(snapshot, body, space)
         cell = self._cell_shape(body, space)
         if isinstance(op, GenarrayOp):
             dtype = _dtype_of(body)
@@ -670,9 +680,59 @@ class Tracer(Interpreter):
         if not space.is_empty and not stores_zero:
             region = _slices_code(space.axes(), len(cell))
             self.em.instrs.append(Instr(
-                None, "store", f"{{}}[{region}] = {{}}",
+                None, "store", f"{{}}[{region}] = {value}",
                 (out.code, _code_of(self.module, body))))
         return out
+
+    def _flat_body(self, start: int, body, space: IndexSpace) -> str:
+        """Lower the WITH-loop body traced from instruction ``start`` to
+        one contiguous 1-D range, when it is made of unit-stride windows
+        of one extent on one array and of elementwise instructions over
+        them alone, and its generator has unit step over two or more
+        axes (a 1-D window is a contiguous range already).
+
+        Each window becomes a flat slice of the raveled array, from the
+        window's first element to its last, so every ufunc is one 1-D
+        pass instead of a row-by-row one; the positions between rows are
+        computed and never stored.  Returns the store's right-hand side:
+        a strided view of the 1-D result whose strides follow from the
+        array's shape (``"{}"``, the result itself, when the body stays
+        as traced).  The terms and their order are unchanged, and so
+        are the bits."""
+        em = self.em
+        body_instrs = em.instrs[start:]
+        temps = {ins.dst for ins in body_instrs}
+        windows = {ins.dst: em.windows.get(ins.dst) for ins in body_instrs
+                   if ins.kind == "view"}
+        bases = {w[:2] for w in windows.values() if w is not None}
+        if (space.rank < 2 or space.is_empty
+                or any(ax.stride != 1 for ax in space.axes())
+                or None in windows.values() or len(bases) != 1
+                or not isinstance(body, TArray) or body.code not in temps
+                or body.code in windows):
+            return "{}"
+        for ins in body_instrs:
+            if ins.kind != "view" and (
+                    ins.kind != "elementwise" or ins.op in ("/", "sqrt")
+                    or ins.shape != space.count
+                    or any(x not in temps and x.isidentifier()
+                           for x in ins.operands)):
+                return "{}"
+        (array, shape), = bases
+        dtype = next(ins.dtype for ins in body_instrs if ins.kind == "view")
+        strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+        size = 1 + sum((c - 1) * s for c, s in zip(space.count, strides))
+        flat = em.assign("view", "{}.reshape(-1)",
+                         (TArray(array, shape, dtype),),
+                         (math.prod(shape),), dtype, at=start)
+        for i, ins in enumerate(body_instrs, start + 1):
+            if ins.kind == "view":
+                first = sum(map(math.prod, zip(windows[ins.dst][2], strides)))
+                ins = replace(ins, op=f"{{}}[{first}:{first + size}]",
+                              operands=(flat.code,))
+            em.instrs[i] = replace(ins, shape=(size,))
+        return (f"np.ndarray({space.count}, np.{body.dtype.name}, {{}}, 0, "
+                f"{tuple(s * body.dtype.itemsize for s in strides)})")
 
     _CONCRETE_FOLD_LIMIT = 64
 

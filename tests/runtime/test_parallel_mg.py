@@ -369,14 +369,16 @@ class TestCacheBlocks:
         assert len(picks) == 1 and (picks[0] < extent) is split
 
     def test_class_w_pool_is_the_unblocked_pools_bytes(self):
-        # Block scratch is a view of the level-wide buffers the
-        # whole-range bodies used: the same 15.254 MiB, none of it new.
+        # Block scratch is a view of level-wide buffers, whatever the
+        # block length.  The 27-point sweeps' four buffers are whole
+        # planes, ghost rows and columns included (a flat range spans
+        # them): 540 288 B more than the interior-shaped ones were.
         ws = Workspace()
         solve("W", 1, ws=ws)
         warm = ws.allocations
         solve("W", 1, ws=ws)
         assert ws.allocations == warm
-        assert ws.bytes_allocated == 15_994_840
+        assert ws.bytes_allocated == 16_535_128
 
     def test_runtimes_keep_serials_bits_under_a_small_budget(self):
         from repro.runtime import DistributedMG
@@ -387,3 +389,84 @@ class TestCacheBlocks:
             got = (solve("S").rnm2.hex(), par.solve("S").rnm2.hex(),
                    DistributedMG(2).solve("S").rnm2.hex())
         assert got == (want,) * 3
+
+
+# -- flat-range sweeps: the ghosts stay the caller's ---------------------------
+
+def _ghosts(shape) -> np.ndarray:
+    mask = np.ones(shape, dtype=bool)
+    mask[1:-1, 1:-1, 1:-1] = False
+    return mask
+
+
+class TestFlatRanges:
+    """``resid_chunk``/``psinv_chunk`` compute every point of a flat
+    range, the x/y ghosts between interior rows included, and store only
+    the interior."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(op=st.sampled_from(["resid", "resid-aliased", "psinv"]),
+           level=st.sampled_from([2, 3, 4]),
+           budget=st.sampled_from(_BUDGETS),
+           # NaN must not reach the interior; a ghost computed from a
+           # NaN is NaN again, so a finite fill shows a stored ghost.
+           fill=st.sampled_from([np.nan, -7.0]),
+           pooled=st.booleans(), data=st.data())
+    def test_ghosts_keep_their_bytes(self, op, level, budget, fill, pooled,
+                                     data):
+        aliased, op = op.endswith("-aliased"), op.split("-")[0]
+        a, b = _inputs(op, 1 << level)
+        extent = _extent(op, a)
+        z0 = data.draw(st.integers(0, extent - 1))
+        z1 = data.draw(st.integers(z0 + 1, extent))
+        ghosts = _ghosts(a.shape)
+
+        def run(out):
+            ws = Workspace() if pooled else None
+            if op == "psinv":
+                psinv_chunk(a, out, S_COEFFS_A, z0, z1, ws=ws)
+            else:  # the aliased residual reads its v's NaN ghosts too
+                resid_chunk(a, out if aliased else b, A_COEFFS, out, z0, z1,
+                            ws=ws)
+            return out
+
+        start = b.copy() if aliased or op == "psinv" else np.zeros_like(a)
+        with _budget(budget):
+            want = run(start.copy())
+            start[ghosts] = fill
+            got = run(start.copy())
+        want[ghosts] = fill
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", ["resid", "psinv"])
+    def test_a_non_contiguous_written_grid_is_refused(self, op):
+        a, b = _inputs(op, 8)
+        out = np.asfortranarray(b)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            if op == "resid":
+                resid_chunk(a, b, A_COEFFS, out, 0, 8)
+            else:
+                psinv_chunk(a, out, S_COEFFS_A, 0, 8)
+
+    @pytest.mark.parametrize("op, operand", [
+        ("resid", "u"), ("resid", "v"), ("psinv", "r")])
+    def test_a_non_contiguous_read_operand_gives_the_same_bytes(self, op,
+                                                                operand):
+        a, b = _inputs(op, 8)
+
+        def run(a, b):
+            if op == "resid":
+                out = np.zeros(a.shape)
+                resid_chunk(a, b, A_COEFFS, out, 0, 8)
+            else:  # psinv reads r (its a) and writes u (its b)
+                out = b.copy()
+                psinv_chunk(a, out, S_COEFFS_A, 0, 8)
+            return out
+
+        want = run(a, b)
+        if operand == "v":
+            b = np.asfortranarray(b)
+        else:
+            a = np.asfortranarray(a)
+        assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+        assert run(a, b).tobytes() == want.tobytes()

@@ -3,7 +3,9 @@
 grid: ms per call over the whole range as one block, in blocks of the
 length :func:`repro.core.mg.block_planes` picks (marked ``*``) and of
 half and double that.  Every row is compared byte for byte with the
-one-block result (a mismatch exits 1); there is no timing gate.
+one-block result (a mismatch exits 1); there is no timing gate.  The
+operators are ``core.mg``'s four and ``repro.pde``'s variable-coefficient
+``FaceOperator.residual`` (``face``, up to 128^3).
 
     PYTHONPATH=src python scripts/block_sweep.py [--large]
 """
@@ -20,6 +22,7 @@ from repro.core import mg
 from repro.core.mg import (block_planes, interp_chunk, psinv_chunk,
                            resid_chunk, rprj3_chunk)
 from repro.core.stencils import A_COEFFS, S_COEFFS_A
+from repro.pde import build_operator, get_workload
 from repro.perf import Workspace
 
 
@@ -34,6 +37,10 @@ def sweep(n: int) -> bool:
         "rprj3": (h, lambda o, ws: rprj3_chunk(u, o, 0, h, ws), np.zeros_like(z)),
         "interp": (h + 1, lambda o, ws: interp_chunk(z, o, 0, h + 1, ws), u),
     }
+    if n <= 128:
+        wl = get_workload("variable-poisson")
+        face, f = build_operator(wl.spec, n, wl.coefficient()), v[1:-1, 1:-1, 1:-1]
+        ops["face"] = (n, lambda o, ws: face.residual(u, f, o, ws=ws), np.zeros((n,) * 3))
     same = True
     for op, (rows, call, start) in ops.items():
         picks: list[int] = []

@@ -12,17 +12,18 @@ Two things are written here once and nowhere else:
 
 * **the arithmetic** — one plane-range body per operator
   (:func:`resid_chunk`, :func:`psinv_chunk`, :func:`rprj3_chunk`,
-  :func:`interp_chunk`), run over the range it is given in consecutive
-  cache blocks of :func:`block_planes` planes that share one
-  block-sized scratch — a length computed from the array shapes, so a
-  small grid is one block and every caller gets the same blocking.
+  :func:`interp_chunk`), run over the range it is given in the
+  consecutive cache blocks of :func:`plane_blocks`, :func:`block_planes`
+  planes long, that share one block-sized scratch — a length computed
+  from the array shapes, so a small grid is one block and every caller
+  (``repro.pde``'s face operator too) gets the same blocking.
   The two 27-point sweeps (``resid``, ``psinv``) run each block as one
-  contiguous range of the raveled grid, every term a 1-D slice at a
-  neighbour's offset, so no ufunc pays NumPy's per-row iterator step;
-  the stride-2 transfers keep 3-D bodies.  The serial kernels are the
-  full-range call plus a ghost fill; the threaded runtime forks the
-  same bodies over plane ranges and the SPMD runtime hands them one
-  z-slab per rank;
+  contiguous range of the raveled grid (:func:`flat_interior`), every
+  term a 1-D slice at a neighbour's offset, so no ufunc pays NumPy's
+  per-row iterator step; the stride-2 transfers keep 3-D bodies.  The
+  serial kernels are the full-range call plus a ghost fill; the
+  threaded runtime forks the same bodies over plane ranges and the SPMD
+  runtime hands them one z-slab per rank;
 * **the schedule** — :func:`correction` (project down, smooth the
   coarsest grid, interpolate / residual / smooth back up),
   :func:`vcycle` and the benchmark loop :func:`run`, written over an
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -58,6 +60,8 @@ __all__ = [
     "rprj3_chunk",
     "interp_chunk",
     "block_planes",
+    "plane_blocks",
+    "flat_interior",
     "resid",
     "psinv",
     "rprj3",
@@ -111,6 +115,38 @@ def block_planes(bytes_per_plane: int) -> int:
     passes instead of streaming every whole-range pass through L3.
     """
     return max(1, _BLOCK_BYTES // bytes_per_plane)
+
+
+@lru_cache(maxsize=1024)
+def plane_blocks(z0: int, z1: int,
+                 planes: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Planes ``[z0, z1)`` cut into ``ceil(n / planes)`` consecutive
+    blocks ``(lo, hi)`` whose lengths differ by at most one, and the
+    longest length (what a block's scratch is sized for).  The one
+    split every blocked body runs; ``planes`` is a
+    :func:`block_planes` result."""
+    n = z1 - z0
+    if n <= 0:
+        return 0, ()
+    nblk = -(-n // planes)
+    return -(-n // nblk), tuple(
+        (z0 + i * n // nblk, z0 + (i + 1) * n // nblk) for i in range(nblk))
+
+
+@lru_cache(maxsize=1024)
+def flat_interior(shape: tuple[int, ...], lo: int,
+                  hi: int) -> tuple[int, int]:
+    """The flat range ``[k0, k1)`` of a C-ordered grid of extended shape
+    ``shape`` (any rank) that runs from the first interior point of
+    interior plane ``lo``, ``(lo+1, 1, ..., 1)``, to the last of plane
+    ``hi - 1``, ``(hi, n_1-2, ..., n_r-2)``; interior plane ``p`` lives
+    at extended index ``p + 1``.  ``shape[0]`` is not read, so a z-slab
+    gets the same range as the whole grid."""
+    first = last = 0
+    for n in shape[1:]:
+        first, last = first * n + 1, last * n + n - 2
+    plane = prod(shape[1:])
+    return (lo + 1) * plane + first, hi * plane + last + 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +207,13 @@ def _stencil_setup(u: np.ndarray, z0: int, z1: int, ws, grids: int):
     plane; the four buffers are whole planes too.
     """
     m, n2, n1 = u.shape[0] - 2, u.shape[1], u.shape[2]
-    plane = n2 * n1
-    n = z1 - z0
-    nblk = -(-n // block_planes(8 * (grids + 4) * plane))
-    nb = -(-n // nblk)
+    nb, split = plane_blocks(z0, z1, block_planes(8 * (grids + 4) * n2 * n1))
     planes = [_planes(ws, name, m, (n2, n1), z0, z0 + nb)
               for name in ("mg.u1", "mg.u2", "mg.acc", "mg.tmp")]
     u1, u2, acc, tmp = (p.reshape(-1) for p in planes)
     blocks = []
-    for i in range(nblk):
-        lo, hi = z0 + i * n // nblk, z0 + (i + 1) * n // nblk
-        k0 = (lo + 1) * plane + n1 + 1
-        k1 = (hi + 1) * plane - n1 - 1
+    for lo, hi in split:
+        k0, k1 = flat_interior(u.shape, lo, hi)
         size = k1 - k0
         blocks.append((k0, k1, u1[:size + 2], u2[:size + 2],
                        acc[n1 + 1:n1 + 1 + size], tmp[:size],
@@ -279,10 +310,8 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
     mj, mh = (r.shape[0] - 2) // 2, (n - 2) // 2
     # Per coarse plane a block holds two fine planes of r, one of s and
     # the six scratch planes.
-    nj = j1 - j0
-    nblk = -(-nj // block_planes(8 * (2 * n * n + (mh + 2) ** 2
-                                      + 2 * mh * (mh + 1) + 4 * mh * mh)))
-    nb = -(-nj // nblk)
+    nb, blocks = plane_blocks(j0, j1, block_planes(
+        8 * (2 * n * n + (mh + 2) ** 2 + 2 * mh * (mh + 1) + 4 * mh * mh)))
     # Shared buffers over the odd x extent (NPB's x1, y1), per-point sums
     # at center x (NPB's x2, y2), accumulator and term.
     bufs = (_planes(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j0 + nb),
@@ -291,8 +320,7 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
             _planes(ws, "rprj3.y2", mj, (mh, mh), j0, j0 + nb),
             _planes(ws, "rprj3.acc", mj, (mh, mh), j0, j0 + nb),
             _planes(ws, "rprj3.tmp", mj, (mh, mh), j0, j0 + nb))
-    for i in range(nblk):
-        lo, hi = j0 + i * nj // nblk, j0 + (i + 1) * nj // nblk
+    for lo, hi in blocks:
         x1, y1, x2, y2, acc, tmp = (bufs if hi - lo == nb
                                     else [b[:hi - lo] for b in bufs])
         # Fine center planes for coarse interior planes j (0-based interior).
@@ -351,16 +379,13 @@ def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
     rows, nc = z.shape[0] - 1, z.shape[1]
     # Per coarse row a block holds two fine planes of u, one of z and
     # the four scratch planes.
-    nj = j1 - j0
-    nblk = -(-nj // block_planes(8 * (2 * n * n + nc * nc + (nc - 1)
-                                      * (4 * nc - 1))))
-    nb = -(-nj // nblk)
+    nb, blocks = plane_blocks(j0, j1, block_planes(
+        8 * (2 * n * n + nc * nc + (nc - 1) * (4 * nc - 1))))
     bufs = (_planes(ws, "interp.z1", rows, (nc - 1, nc), j0, j0 + nb),
             _planes(ws, "interp.z2", rows, (nc - 1, nc), j0, j0 + nb),
             _planes(ws, "interp.z3", rows, (nc - 1, nc), j0, j0 + nb),
             _planes(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j0 + nb))
-    for i in range(nblk):
-        lo, hi = j0 + i * nj // nblk, j0 + (i + 1) * nj // nblk
+    for lo, hi in blocks:
         z1, z2, z3, tmp = (bufs if hi - lo == nb
                            else [b[:hi - lo] for b in bufs])
         zc, zn = z[lo:hi], z[lo + 1:hi + 1]

@@ -11,23 +11,39 @@ flux vanishes, both *without* the operator knowing the boundary kind.
 Only the exact Jacobi/Gauss-Seidel diagonal needs it, because the ghost
 value depends (affinely) on the centre value there.
 
-Every method takes an optional interior plane range ``(z0, z1)`` along
-the outermost axis so the threaded runtime can chunk sweeps exactly as
-``runtime.parallel_mg`` chunks the NPB kernels; chunked evaluation is
-bitwise identical to the full sweep (same slice ufuncs per element).
+The sweep is lowered like ``core.mg``'s 27-point sweeps: it runs in the
+cache blocks of :func:`repro.core.mg.plane_blocks`, and each block is
+one contiguous range of the raveled extended grid
+(:func:`repro.core.mg.flat_interior`), every neighbour and coefficient
+term a 1-D slice of it at one axis stride, for any rank.  Every method
+takes an optional interior plane range ``(z0, z1)`` along the outermost
+axis so the threaded runtime can chunk sweeps exactly as
+``runtime.parallel_mg`` chunks the NPB kernels; any range and any block
+length give the full sweep's bits (the same terms, in the same order,
+per element).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from math import prod
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core import mg as core_mg
 from repro.core.stencils import _scratch
 
 from .specs import BoundarySpec, FloatArray
 
 __all__ = ["FaceOperator", "cell_centers", "face_points"]
+
+#: Per axis of one block: the flat slices of the lower and upper
+#: neighbours, and the lower and upper face coefficients.
+_Term = tuple[slice, slice, FloatArray, FloatArray]
+#: One cache block: its planes of the output, the block's interior in
+#: the plane-shaped ``acc``, its flat range in the raveled extended
+#: grid and in ``acc``, and one term per axis.
+_Block = tuple[slice, tuple[slice, ...], slice, slice, tuple[_Term, ...]]
 
 
 def cell_centers(m: int) -> FloatArray:
@@ -78,40 +94,93 @@ class FaceOperator:
         self.h = float(h)
         self.sigma = float(sigma)
         self.boundary = boundary
-        # Pre-scale by 1/h^2: apply() then needs no division.
-        self._sf: tuple[FloatArray, ...] = tuple(
-            np.ascontiguousarray(f, dtype=np.float64) / (h * h)
-            for f in faces)
+        self._ext = tuple(m + 2 for m in self.shape)
+        self._inner = (slice(1, -1),) * (self.ndim - 1)
+        # The coefficients, pre-scaled by 1/h^2 (no division in the
+        # sweep), stored once in extended layout: along axis d, K_d[1+i]
+        # is the lower face of cell i, so a cell's two faces are at its
+        # own flat index and one stride on.  Other positions hold 0.
+        self._kflat: list[FloatArray] = []
+        views = []
+        for d, f in enumerate(faces):
+            k = np.zeros(self._ext)
+            at = self._inner[:d] + (slice(1, None),) + self._inner[d:]
+            np.divide(np.asarray(f, dtype=np.float64), h * h, out=k[at])
+            view = k[at]
+            view.flags.writeable = False
+            views.append(view)
+            self._kflat.append(k.reshape(-1))
+        self._faces: tuple[FloatArray, ...] = tuple(views)
+        self._strides = tuple(prod(self._ext[d + 1:])
+                              for d in range(self.ndim))
+        # What residual() touches per output plane: u, the ndim
+        # coefficient grids, f, the output, acc and tmp.
+        self._plane_bytes = 8 * (self.ndim + 5) * self._strides[0]
+        self._plans: dict[tuple[int, int, int],
+                          tuple[int, tuple[_Block, ...]]] = {}
         self._diag: FloatArray | None = None
 
-    # -- index helpers ------------------------------------------------------
+    def faces(self, d: int) -> FloatArray:
+        """Axis ``d``'s face coefficients scaled by ``1/h^2``: a read-only
+        view, shaped like ``faces[d]``, of the copy the sweep reads."""
+        return self._faces[d]
 
-    def _ctr(self, z0: int, z1: int) -> tuple[slice, ...]:
-        """Extended-array view of interior planes ``[z0, z1)``."""
-        return ((slice(1 + z0, 1 + z1),)
-                + (slice(1, -1),) * (self.ndim - 1))
+    # -- the sweep ----------------------------------------------------------
 
-    def _nbr(self, d: int, off: int, z0: int,
-             z1: int) -> tuple[slice, ...]:
-        """Extended-array view of the ``off``-shifted neighbour along
-        axis ``d`` for interior planes ``[z0, z1)``."""
-        sl = list(self._ctr(z0, z1))
-        if d == 0:
-            sl[0] = slice(1 + z0 + off, 1 + z1 + off)
-        else:
-            sl[d] = slice(1 + off, (-1 + off) or None)
-        return tuple(sl)
+    def _plan(self, z0: int, z1: int) -> tuple[int, tuple[_Block, ...]]:
+        """The cache blocks of interior planes ``[z0, z1)`` and their
+        slices, worked out once per range and block length."""
+        planes = core_mg.block_planes(self._plane_bytes)
+        plan = self._plans.get((z0, z1, planes))
+        if plan is not None:
+            return plan
+        nb, split = core_mg.plane_blocks(z0, z1, planes)
+        off = sum(self._strides[1:])  # (0, 1, ..., 1) in a plane
+        blocks = []
+        for lo, hi in split:
+            k0, k1 = core_mg.flat_interior(self._ext, lo, hi)
+            terms = tuple(
+                (slice(k0 - s, k1 - s), slice(k0 + s, k1 + s),
+                 kf[k0:k1], kf[k0 + s:k1 + s])
+                for s, kf in zip(self._strides, self._kflat))
+            blocks.append((slice(lo, hi), (slice(0, hi - lo),) + self._inner,
+                           slice(k0, k1), slice(off, off + k1 - k0), terms))
+        # Team workers racing here build equal plans; either one is kept.
+        plan = self._plans[z0, z1, planes] = (nb, tuple(blocks))
+        return plan
 
-    def _faces(self, d: int, side: int, z0: int,
-               z1: int) -> FloatArray:
-        """Scaled face coefficients (lower ``side=0`` / upper ``side=1``)
-        of every cell in interior planes ``[z0, z1)`` along axis ``d``."""
-        sl = [slice(z0, z1)] + [slice(None)] * (self.ndim - 1)
-        if d == 0:
-            sl[0] = slice(z0 + side, z1 + side)
-        else:
-            sl[d] = slice(side, (side - 1) or None)
-        return self._sf[d][tuple(sl)]
+    def _sweep(self, u: FloatArray, ws: object, z0: int,
+               z1: int) -> Iterator[tuple[slice, FloatArray]]:
+        """``(sigma*I + A) u`` block by block: yields each block's planes
+        of the output and its values, a strided view of ``acc`` that the
+        next block overwrites.
+
+        ``acc`` is a flat range of a plane-shaped buffer, so the range
+        also computes the ghost positions between interior rows; they
+        are never stored.  ``u`` is only read: a non-contiguous one is
+        raveled by a copy.
+        """
+        if u.shape != self._ext:
+            raise ValueError(f"u has shape {u.shape}, expected the "
+                             f"extended shape {self._ext}")
+        nb, blocks = self._plan(z0, z1)
+        tail = self._ext[1:]
+        acc = core_mg._planes(ws, "pde.acc", self.shape[0], tail, z0, z0 + nb)
+        af = acc.reshape(-1)
+        tf = core_mg._planes(ws, "pde.tmp", self.shape[0], tail, z0,
+                             z0 + nb).reshape(-1)
+        uf = u.reshape(-1)
+        for sub, interior, c, a, terms in blocks:
+            uc, sums, tmp = uf[c], af[a], tf[:a.stop - a.start]
+            np.multiply(uc, self.sigma, out=sums)
+            for lower, upper, k_lo, k_hi in terms:
+                np.subtract(uc, uf[lower], out=tmp)
+                np.multiply(tmp, k_lo, out=tmp)
+                np.add(sums, tmp, out=sums)
+                np.subtract(uc, uf[upper], out=tmp)
+                np.multiply(tmp, k_hi, out=tmp)
+                np.add(sums, tmp, out=sums)
+            yield sub, acc[interior]
 
     # -- operator -----------------------------------------------------------
 
@@ -120,29 +189,19 @@ class FaceOperator:
               z1: int | None = None) -> FloatArray:
         """Interior-shaped ``(sigma*I + A) u`` for planes ``[z0, z1)``.
 
-        ``u`` is the extended array with valid ghosts.  When ``out`` is
-        given it must be the *full* interior-shaped buffer; only the
-        ``[z0, z1)`` planes are written.
+        ``u`` is the extended array with valid ghosts (any layout; a
+        shape other than the extended one raises ``ValueError``).  When
+        ``out`` is given it must be the *full* interior-shaped buffer;
+        only the ``[z0, z1)`` planes are written, block by block, each
+        block's terms 1-D slices of the raveled ``u`` — the same terms,
+        in the same order, per element for any range and block length.
         """
         if z1 is None:
             z1 = self.shape[0]
         if out is None:
             out = _scratch(ws, "pde.apply", self.shape)
-        sub = (slice(z0, z1),)
-        acc = out[sub]
-        chunk_shape = (z1 - z0,) + self.shape[1:]
-        # The chunk start is part of the scratch name: concurrent team
-        # workers with equal-sized chunks must not share one buffer.
-        tmp = _scratch(ws, f"pde.tmp.{z0}", chunk_shape)
-        uc = u[self._ctr(z0, z1)]
-        np.multiply(uc, self.sigma, out=acc)
-        for d in range(self.ndim):
-            np.subtract(uc, u[self._nbr(d, -1, z0, z1)], out=tmp)
-            np.multiply(tmp, self._faces(d, 0, z0, z1), out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.subtract(uc, u[self._nbr(d, +1, z0, z1)], out=tmp)
-            np.multiply(tmp, self._faces(d, 1, z0, z1), out=tmp)
-            np.add(acc, tmp, out=acc)
+        for sub, acc in self._sweep(u, ws, z0, z1):
+            out[sub] = acc
         return out
 
     def residual(self, u: FloatArray, f: FloatArray,
@@ -154,9 +213,8 @@ class FaceOperator:
             z1 = self.shape[0]
         if out is None:
             out = _scratch(ws, "pde.resid", self.shape)
-        self.apply(u, out, ws=ws, z0=z0, z1=z1)
-        sub = (slice(z0, z1),)
-        np.subtract(f[sub], out[sub], out=out[sub])
+        for sub, acc in self._sweep(u, ws, z0, z1):
+            np.subtract(f[sub], acc, out=out[sub])
         return out
 
     def diag(self) -> FloatArray:
@@ -170,10 +228,14 @@ class FaceOperator:
         if self._diag is not None:
             return self._diag
         d_arr = np.full(self.shape, self.sigma)
-        m0 = self.shape[0]
         for d in range(self.ndim):
-            d_arr += self._faces(d, 0, 0, m0)
-            d_arr += self._faces(d, 1, 0, m0)
+            k = self.faces(d)
+            lower = [slice(None)] * self.ndim
+            upper = [slice(None)] * self.ndim
+            lower[d] = slice(0, -1)
+            upper[d] = slice(1, None)
+            d_arr += k[tuple(lower)]
+            d_arr += k[tuple(upper)]
             if self.boundary.kind == "periodic":
                 continue
             sign = 1.0 if self.boundary.kind == "dirichlet" else -1.0
@@ -181,7 +243,7 @@ class FaceOperator:
             last = [slice(None)] * self.ndim
             first[d] = slice(0, 1)
             last[d] = slice(-1, None)
-            d_arr[tuple(first)] += sign * self._sf[d][tuple(first)]
-            d_arr[tuple(last)] += sign * self._sf[d][tuple(last)]
+            d_arr[tuple(first)] += sign * k[tuple(first)]
+            d_arr[tuple(last)] += sign * k[tuple(last)]
         self._diag = d_arr
         return d_arr

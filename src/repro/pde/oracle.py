@@ -31,7 +31,7 @@ def assemble(op: FaceOperator):
     cols = [idx.ravel()]
     vals = [op.diag().ravel()]
     for d in range(op.ndim):
-        sf = op._sf[d]
+        sf = op.faces(d)
         inner = [slice(None)] * op.ndim
         inner[d] = slice(1, -1)
         w = sf[tuple(inner)].ravel()

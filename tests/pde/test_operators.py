@@ -84,7 +84,7 @@ class TestUncoveredKinds:
         # per-axis faces carry exactly the per-axis diffusivity / h^2
         for d, k in enumerate((1.0, 10.0, 0.5)):
             np.testing.assert_array_equal(
-                op._sf[d], np.full(op._sf[d].shape, k * 16.0))
+                op.faces(d), np.full(op.faces(d).shape, k * 16.0))
         _check_matches_matrix(op, seed=2)
 
     def test_helmholtz_shift_adds_sigma_identity(self):

@@ -20,7 +20,13 @@ Two things are written here once and nowhere else:
   The two 27-point sweeps (``resid``, ``psinv``) run each block as one
   contiguous range of the raveled grid (:func:`flat_interior`), every
   term a 1-D slice at a neighbour's offset, so no ufunc pays NumPy's
-  per-row iterator step; the stride-2 transfers keep 3-D bodies.  The
+  per-row iterator step; the stride-2 transfers keep 3-D bodies.
+  Everything a body works out from shapes alone — the split, the flat
+  ranges, the slices, the scratch views — is its *plan*, built once per
+  ``(op, operand shapes, range, block length)`` and kept on the
+  :class:`~repro.perf.workspace.Workspace` whose buffers it views
+  (:func:`_plan`; without a workspace it is built on every call), so a
+  call on a coarse grid pays for its ufuncs and little else.  The
   serial kernels are the full-range call plus a ghost fill; the
   threaded runtime forks the same bodies over plane ranges and the SPMD
   runtime hands them one z-slab per rank;
@@ -100,6 +106,25 @@ def _planes(ws, name: str, planes: int, tail: tuple[int, ...],
     return ws.get(name, (planes,) + tail)[z0:z1]
 
 
+def _plan(ws, key: tuple, build: Callable[[], tuple]) -> tuple:
+    """A blocked body's per-call set-up: ``build()`` memoised on the
+    workspace under ``key`` (``(op, operand shapes, range, block
+    length)``), built afresh on every call without one.
+
+    A plan holds only what the shapes decide — the split, flat ranges,
+    slices and the scratch views of :func:`_planes` — never an operand;
+    the block length is in the key, so a forced :func:`block_planes`
+    (or a patched ``_BLOCK_BYTES``) gets a plan of its own."""
+    return build() if ws is None else ws.plan(key, build)
+
+
+def _floats(c) -> tuple:
+    """A coefficient vector as the tuple the bodies index: a tuple (NPB's
+    class vectors are tuples of floats) passes through as it is, any
+    other sequence becomes a tuple of floats."""
+    return c if type(c) is tuple else tuple(float(x) for x in c)
+
+
 #: Bytes one cache block of an operator body may touch: a per-core L2
 #: (the measured plateau, docs/PERF.md "Cache blocking").
 _BLOCK_BYTES = 2 << 20
@@ -164,62 +189,80 @@ def _flat(grid: np.ndarray, written: bool = False) -> np.ndarray:
     return grid.reshape(-1)
 
 
-def _plane_sums_into(uf: np.ndarray, shape: tuple[int, ...], k0: int,
-                     k1: int, u1: np.ndarray, u2: np.ndarray) -> None:
+def _plane_sums_into(uf: np.ndarray, at: tuple[slice, ...],
+                     u1: np.ndarray, u2: np.ndarray) -> None:
     """NPB's shared auxiliary buffers over the flat range ``[k0 - 1,
-    k1 + 1)`` of the raveled grid ``uf`` of extended shape ``shape``.
+    k1 + 1)`` of the raveled grid ``uf``.
 
     ``u1(i1) = u(i1,i2-1,i3) + u(i1,i2+1,i3) + u(i1,i2,i3-1) + u(i1,i2,i3+1)``
     ``u2(i1) = u(i1,i2-1,i3-1) + u(i1,i2+1,i3-1) + u(i1,i2-1,i3+1) + u(i1,i2+1,i3+1)``
 
-    Every term is the range moved by a neighbour's offset (``i2 +- 1``
-    is ``+-n1``, ``i3 +- 1`` is ``+-n2*n1``).  Built with in-place adds
-    in exactly the left-to-right order of the Fortran source, term by
-    term, so the whole solver stays bit-reproducible against NPB 2.3.
+    ``at`` holds the eight terms, in that order, as the range moved by
+    a neighbour's offset (``i2 +- 1`` is ``+-n1``, ``i3 +- 1`` is
+    ``+-n2*n1``).  Built with in-place adds in exactly the left-to-right
+    order of the Fortran source, term by term, so the whole solver stays
+    bit-reproducible against NPB 2.3.
     """
-    n1 = shape[2]
-    plane = shape[1] * n1
-
-    def at(off: int) -> np.ndarray:
-        return uf[k0 - 1 + off:k1 + 1 + off]
-
-    np.add(at(-n1), at(n1), out=u1)
-    np.add(u1, at(-plane), out=u1)
-    np.add(u1, at(plane), out=u1)
-    np.add(at(-plane - n1), at(-plane + n1), out=u2)
-    np.add(u2, at(plane - n1), out=u2)
-    np.add(u2, at(plane + n1), out=u2)
+    np.add(uf[at[0]], uf[at[1]], out=u1)
+    np.add(u1, uf[at[2]], out=u1)
+    np.add(u1, uf[at[3]], out=u1)
+    np.add(uf[at[4]], uf[at[5]], out=u2)
+    np.add(u2, uf[at[6]], out=u2)
+    np.add(u2, uf[at[7]], out=u2)
 
 
-def _stencil_setup(u: np.ndarray, z0: int, z1: int, ws, grids: int):
-    """For a 27-point sweep over interior planes ``[z0, z1)`` of (a
-    z-slab of) ``u``, per cache block: one flat range ``[k0, k1)`` of the
-    raveled grid, from the block's first interior point ``(lo+1, 1, 1)``
-    to its last ``(hi, n2-2, n1-2)`` (interior plane ``p`` lives at
-    extended index ``p + 1``); the ``u1``/``u2`` buffers over ``[k0 - 1,
-    k1 + 1)``; ``acc`` and ``tmp`` over ``[k0, k1)``; the block's
-    interior as an index of the extended grid, and the same interior of
-    the plane-shaped buffer that ``acc`` is a flat range of.
+def _stencil_setup(op: str, u: np.ndarray, z0: int, z1: int, ws,
+                   grids: int) -> tuple:
+    """The plan of a 27-point sweep over interior planes ``[z0, z1)`` of
+    (a z-slab of) ``u``; ``grids`` counts the grids the sweep reads or
+    writes one plane of per output plane (the block length is looked up
+    here, on every call)."""
+    planes = block_planes(8 * (grids + 4) * u.shape[1] * u.shape[2])
+    return _plan(ws, (op, u.shape, z0, z1, planes),
+                 lambda: _stencil_plan(u.shape, z0, z1, ws, planes))
+
+
+def _stencil_plan(shape: tuple[int, ...], z0: int, z1: int, ws,
+                  planes: int) -> tuple:
+    """Per cache block of a 27-point sweep: one flat range ``[k0, k1)``
+    of the raveled grid, from the block's first interior point
+    ``(lo+1, 1, 1)`` to its last ``(hi, n2-2, n1-2)`` (interior plane
+    ``p`` lives at extended index ``p + 1``), as
+
+    * the eight neighbour slices of :func:`_plane_sums_into`, over
+      ``[k0 - 1, k1 + 1)``;
+    * the range moved by ``-1``, ``0`` and ``+1``;
+    * the ``u1`` and ``u2`` buffers over ``[k0 - 1, k1 + 1)``, each with
+      its views at ``-1``, ``0`` and ``+1`` over ``[k0, k1)``;
+    * ``acc`` and ``tmp`` over ``[k0, k1)``;
+    * the block's interior as an index of the extended grid, and the
+      same interior of the plane-shaped buffer that ``acc`` is a flat
+      range of.
 
     The range also covers the x/y ghost positions between interior
-    rows: they are computed like any point, never stored.  ``grids``
-    counts the grids the sweep reads or writes one plane of per output
-    plane; the four buffers are whole planes too.
+    rows: they are computed like any point, never stored.  The four
+    buffers are whole planes too.
     """
-    m, n2, n1 = u.shape[0] - 2, u.shape[1], u.shape[2]
-    nb, split = plane_blocks(z0, z1, block_planes(8 * (grids + 4) * n2 * n1))
-    planes = [_planes(ws, name, m, (n2, n1), z0, z0 + nb)
-              for name in ("mg.u1", "mg.u2", "mg.acc", "mg.tmp")]
-    u1, u2, acc, tmp = (p.reshape(-1) for p in planes)
+    m, n2, n1 = shape[0] - 2, shape[1], shape[2]
+    plane = n2 * n1
+    nb, split = plane_blocks(z0, z1, planes)
+    bufs = [_planes(ws, name, m, (n2, n1), z0, z0 + nb)
+            for name in ("mg.u1", "mg.u2", "mg.acc", "mg.tmp")]
+    u1, u2, acc, tmp = (b.reshape(-1) for b in bufs)
     blocks = []
     for lo, hi in split:
-        k0, k1 = flat_interior(u.shape, lo, hi)
+        k0, k1 = flat_interior(shape, lo, hi)
         size = k1 - k0
-        blocks.append((k0, k1, u1[:size + 2], u2[:size + 2],
-                       acc[n1 + 1:n1 + 1 + size], tmp[:size],
-                       (slice(lo + 1, hi + 1), _C, _C),
-                       planes[2][:hi - lo, 1:-1, 1:-1]))
-    return blocks
+        at = tuple(slice(k0 - 1 + off, k1 + 1 + off) for off in (
+            -n1, n1, -plane, plane,
+            -plane - n1, -plane + n1, plane - n1, plane + n1))
+        b1, b2 = u1[:size + 2], u2[:size + 2]
+        blocks.append((
+            at, (slice(k0 - 1, k1 - 1), slice(k0, k1), slice(k0 + 1, k1 + 1)),
+            (b1, b1[:-2], b1[1:-1], b1[2:]), (b2, b2[:-2], b2[1:-1], b2[2:]),
+            acc[n1 + 1:n1 + 1 + size], tmp[:size],
+            (slice(lo + 1, hi + 1), _C, _C), bufs[2][:hi - lo, 1:-1, 1:-1]))
+    return tuple(blocks)
 
 
 def resid_chunk(u: np.ndarray, v: np.ndarray, a, r: np.ndarray,
@@ -233,25 +276,25 @@ def resid_chunk(u: np.ndarray, v: np.ndarray, a, r: np.ndarray,
     each block reads its own planes of ``v`` once, before writing them.
     ``r`` must be C-contiguous (else ``ValueError``).
     """
-    a = tuple(float(x) for x in a)
+    a = _floats(a)
     uf, vf = _flat(u), _flat(v)
     _flat(r, written=True)
     # u, v and r are the grids a block reads or writes a plane of.
-    for k0, k1, u1, u2, acc, tmp, out, interior in _stencil_setup(
-            u, z0, z1, ws, 3):
-        _plane_sums_into(uf, u.shape, k0, k1, u1, u2)
-        np.multiply(uf[k0:k1], a[0], out=tmp)
-        np.subtract(vf[k0:k1], tmp, out=acc)
+    for (at, (m, c, p), (u1, u1m, u1c, u1p), (u2, u2m, u2c, u2p), acc, tmp,
+         out, interior) in _stencil_setup("resid", u, z0, z1, ws, 3):
+        _plane_sums_into(uf, at, u1, u2)
+        np.multiply(uf[c], a[0], out=tmp)
+        np.subtract(vf[c], tmp, out=acc)
         if a[1] != 0.0:
-            np.add(uf[k0 - 1:k1 - 1], uf[k0 + 1:k1 + 1], out=tmp)
-            np.add(tmp, u1[1:-1], out=tmp)
+            np.add(uf[m], uf[p], out=tmp)
+            np.add(tmp, u1c, out=tmp)
             np.multiply(tmp, a[1], out=tmp)
             np.subtract(acc, tmp, out=acc)
-        np.add(u2[1:-1], u1[:-2], out=tmp)
-        np.add(tmp, u1[2:], out=tmp)
+        np.add(u2c, u1m, out=tmp)
+        np.add(tmp, u1p, out=tmp)
         np.multiply(tmp, a[2], out=tmp)
         np.subtract(acc, tmp, out=acc)
-        np.add(u2[:-2], u2[2:], out=tmp)
+        np.add(u2m, u2p, out=tmp)
         np.multiply(tmp, a[3], out=tmp)
         np.subtract(acc, tmp, out=acc)
         r[out] = interior
@@ -266,23 +309,23 @@ def psinv_chunk(r: np.ndarray, u: np.ndarray, c,
     (``c3 == 0``); the ``c3`` term is included for generic stencils.
     ``u`` must be C-contiguous (else ``ValueError``).
     """
-    c = tuple(float(x) for x in c)
+    c = _floats(c)
     rf, uf = _flat(r), _flat(u, written=True)
-    for k0, k1, r1, r2, acc, tmp, out, interior in _stencil_setup(
-            r, z0, z1, ws, 2):
-        _plane_sums_into(rf, r.shape, k0, k1, r1, r2)
-        np.multiply(rf[k0:k1], c[0], out=tmp)
-        np.add(uf[k0:k1], tmp, out=acc)
-        np.add(rf[k0 - 1:k1 - 1], rf[k0 + 1:k1 + 1], out=tmp)
-        np.add(tmp, r1[1:-1], out=tmp)
+    for (at, (m, k, p), (r1, r1m, r1c, r1p), (r2, r2m, r2c, r2p), acc, tmp,
+         out, interior) in _stencil_setup("psinv", r, z0, z1, ws, 2):
+        _plane_sums_into(rf, at, r1, r2)
+        np.multiply(rf[k], c[0], out=tmp)
+        np.add(uf[k], tmp, out=acc)
+        np.add(rf[m], rf[p], out=tmp)
+        np.add(tmp, r1c, out=tmp)
         np.multiply(tmp, c[1], out=tmp)
         np.add(acc, tmp, out=acc)
-        np.add(r2[1:-1], r1[:-2], out=tmp)
-        np.add(tmp, r1[2:], out=tmp)
+        np.add(r2c, r1m, out=tmp)
+        np.add(tmp, r1p, out=tmp)
         np.multiply(tmp, c[2], out=tmp)
         np.add(acc, tmp, out=acc)
         if c[3] != 0.0:
-            np.add(r2[:-2], r2[2:], out=tmp)
+            np.add(r2m, r2p, out=tmp)
             np.multiply(tmp, c[3], out=tmp)
             np.add(acc, tmp, out=acc)
         u[out] = interior
@@ -303,30 +346,16 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
     """
     p = P_COEFFS
     n = r.shape[1]
-    c1 = slice(2, n - 1, 2)  # fine centers along i2/i1 (0-based even)
-    m1 = slice(1, n - 2, 2)
-    p1 = slice(3, n, 2)
-    ox = slice(1, n, 2)      # all odd x positions (the x1/y1 extent)
-    mj, mh = (r.shape[0] - 2) // 2, (n - 2) // 2
+    mh = (n - 2) // 2
     # Per coarse plane a block holds two fine planes of r, one of s and
     # the six scratch planes.
-    nb, blocks = plane_blocks(j0, j1, block_planes(
-        8 * (2 * n * n + (mh + 2) ** 2 + 2 * mh * (mh + 1) + 4 * mh * mh)))
-    # Shared buffers over the odd x extent (NPB's x1, y1), per-point sums
-    # at center x (NPB's x2, y2), accumulator and term.
-    bufs = (_planes(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j0 + nb),
-            _planes(ws, "rprj3.y1", mj, (mh, mh + 1), j0, j0 + nb),
-            _planes(ws, "rprj3.x2", mj, (mh, mh), j0, j0 + nb),
-            _planes(ws, "rprj3.y2", mj, (mh, mh), j0, j0 + nb),
-            _planes(ws, "rprj3.acc", mj, (mh, mh), j0, j0 + nb),
-            _planes(ws, "rprj3.tmp", mj, (mh, mh), j0, j0 + nb))
-    for lo, hi in blocks:
-        x1, y1, x2, y2, acc, tmp = (bufs if hi - lo == nb
-                                    else [b[:hi - lo] for b in bufs])
-        # Fine center planes for coarse interior planes j (0-based interior).
-        zc = slice(2 * (lo + 1), 2 * hi + 1, 2)
-        zm = slice(2 * (lo + 1) - 1, 2 * hi, 2)
-        zp = slice(2 * (lo + 1) + 1, 2 * hi + 2, 2)
+    planes = block_planes(
+        8 * (2 * n * n + (mh + 2) ** 2 + 2 * mh * (mh + 1) + 4 * mh * mh))
+    (c1, m1, p1, ox), blocks = _plan(
+        ws, ("rprj3", r.shape, j0, j1, planes),
+        lambda: _rprj3_plan(r.shape, j0, j1, ws, planes))
+    for (zc, zm, zp, (x1, x1l, x1h), (y1, y1l, y1h), x2, y2, acc, tmp,
+         out) in blocks:
         np.add(r[zc, m1, ox], r[zc, p1, ox], out=x1)
         np.add(x1, r[zm, c1, ox], out=x1)
         np.add(x1, r[zp, c1, ox], out=x1)
@@ -344,14 +373,49 @@ def rprj3_chunk(r: np.ndarray, s: np.ndarray, j0: int, j1: int,
         np.add(tmp, x2, out=tmp)
         np.multiply(tmp, p[1], out=tmp)
         np.add(acc, tmp, out=acc)
-        np.add(x1[:, :, :-1], x1[:, :, 1:], out=tmp)
+        np.add(x1l, x1h, out=tmp)
         np.add(tmp, y2, out=tmp)
         np.multiply(tmp, p[2], out=tmp)
         np.add(acc, tmp, out=acc)
-        np.add(y1[:, :, :-1], y1[:, :, 1:], out=tmp)
+        np.add(y1l, y1h, out=tmp)
         np.multiply(tmp, p[3], out=tmp)
         np.add(acc, tmp, out=acc)
-        s[lo + 1:hi + 1, 1:-1, 1:-1] = acc
+        s[out] = acc
+
+
+def _rprj3_plan(shape: tuple[int, ...], j0: int, j1: int, ws,
+                planes: int) -> tuple:
+    """The fine x/y slices of :func:`rprj3_chunk` for a fine grid (or
+    z-slab) of ``shape``, and per block of coarse planes: its fine
+    center/lower/upper plane slices, the six scratch views (``x1`` and
+    ``y1`` with their lower/upper halves along x) and its coarse
+    interior in ``s``."""
+    n = shape[1]
+    mj, mh = (shape[0] - 2) // 2, (n - 2) // 2
+    xy = (slice(2, n - 1, 2),  # fine centers along i2/i1 (0-based even)
+          slice(1, n - 2, 2),
+          slice(3, n, 2),
+          slice(1, n, 2))      # all odd x positions (the x1/y1 extent)
+    nb, split = plane_blocks(j0, j1, planes)
+    # Shared buffers over the odd x extent (NPB's x1, y1), per-point sums
+    # at center x (NPB's x2, y2), accumulator and term.
+    bufs = (_planes(ws, "rprj3.x1", mj, (mh, mh + 1), j0, j0 + nb),
+            _planes(ws, "rprj3.y1", mj, (mh, mh + 1), j0, j0 + nb),
+            _planes(ws, "rprj3.x2", mj, (mh, mh), j0, j0 + nb),
+            _planes(ws, "rprj3.y2", mj, (mh, mh), j0, j0 + nb),
+            _planes(ws, "rprj3.acc", mj, (mh, mh), j0, j0 + nb),
+            _planes(ws, "rprj3.tmp", mj, (mh, mh), j0, j0 + nb))
+    blocks = []
+    for lo, hi in split:
+        x1, y1, x2, y2, acc, tmp = (b[:hi - lo] for b in bufs)
+        # Fine center planes for coarse interior planes j (0-based interior).
+        blocks.append((slice(2 * (lo + 1), 2 * hi + 1, 2),
+                       slice(2 * (lo + 1) - 1, 2 * hi, 2),
+                       slice(2 * (lo + 1) + 1, 2 * hi + 2, 2),
+                       (x1, x1[:, :, :-1], x1[:, :, 1:]),
+                       (y1, y1[:, :, :-1], y1[:, :, 1:]),
+                       x2, y2, acc, tmp, (slice(lo + 1, hi + 1), _C, _C)))
+    return xy, tuple(blocks)
 
 
 def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
@@ -371,25 +435,18 @@ def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
     order term by term, so the update is bit-identical to NPB 2.3.
     """
     q = Q_COEFFS
-    n = u.shape[1]
     L = slice(0, -1)        # z(i)
     H = slice(1, None)      # z(i+1)
-    E = slice(0, n - 1, 2)  # fine 0-based even targets (Fortran 2i-1)
-    O = slice(1, n, 2)      # fine 0-based odd targets  (Fortran 2i)
-    rows, nc = z.shape[0] - 1, z.shape[1]
+    n, nc = u.shape[1], z.shape[1]
     # Per coarse row a block holds two fine planes of u, one of z and
     # the four scratch planes.
-    nb, blocks = plane_blocks(j0, j1, block_planes(
-        8 * (2 * n * n + nc * nc + (nc - 1) * (4 * nc - 1))))
-    bufs = (_planes(ws, "interp.z1", rows, (nc - 1, nc), j0, j0 + nb),
-            _planes(ws, "interp.z2", rows, (nc - 1, nc), j0, j0 + nb),
-            _planes(ws, "interp.z3", rows, (nc - 1, nc), j0, j0 + nb),
-            _planes(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j0 + nb))
-    for lo, hi in blocks:
-        z1, z2, z3, tmp = (bufs if hi - lo == nb
-                           else [b[:hi - lo] for b in bufs])
-        zc, zn = z[lo:hi], z[lo + 1:hi + 1]
-        ue, uo = u[2 * lo:2 * hi:2], u[2 * lo + 1:2 * hi + 1:2]
+    planes = block_planes(8 * (2 * n * n + nc * nc + (nc - 1) * (4 * nc - 1)))
+    (E, O), blocks = _plan(
+        ws, ("interp", z.shape, u.shape, j0, j1, planes),
+        lambda: _interp_plan(z.shape, u.shape, j0, j1, ws, planes))
+    for (zi, zj, fe, fo, (z1, z1l, z1h), (z2, z2l, z2h), (z3, z3l, z3h),
+         tmp) in blocks:
+        zc, zn, ue, uo = z[zi], z[zj], u[fe], u[fo]
         np.add(zc[:, H, :], zc[:, L, :], out=z1)   # z(i2+1,i3) + z(i2,i3)
         np.add(zn[:, L, :], zc[:, L, :], out=z2)   # z(i2,i3+1) + z(i2,i3)
         np.add(zn[:, H, :], zn[:, L, :], out=z3)   # z(i2+1,i3+1) + z(i2,i3+1) + z1
@@ -398,21 +455,47 @@ def interp_chunk(z: np.ndarray, u: np.ndarray, j0: int, j1: int,
         np.add(zc[:, L, H], zc[:, L, L], out=tmp)
         np.multiply(tmp, q[1], out=tmp)
         ue[:, E, O] += tmp
-        np.multiply(z1[:, :, :-1], q[1], out=tmp)
+        np.multiply(z1l, q[1], out=tmp)
         ue[:, O, E] += tmp
-        np.add(z1[:, :, :-1], z1[:, :, 1:], out=tmp)
+        np.add(z1l, z1h, out=tmp)
         np.multiply(tmp, q[2], out=tmp)
         ue[:, O, O] += tmp
-        np.multiply(z2[:, :, :-1], q[1], out=tmp)
+        np.multiply(z2l, q[1], out=tmp)
         uo[:, E, E] += tmp
-        np.add(z2[:, :, :-1], z2[:, :, 1:], out=tmp)
+        np.add(z2l, z2h, out=tmp)
         np.multiply(tmp, q[2], out=tmp)
         uo[:, E, O] += tmp
-        np.multiply(z3[:, :, :-1], q[2], out=tmp)
+        np.multiply(z3l, q[2], out=tmp)
         uo[:, O, E] += tmp
-        np.add(z3[:, :, :-1], z3[:, :, 1:], out=tmp)
+        np.add(z3l, z3h, out=tmp)
         np.multiply(tmp, q[3], out=tmp)
         uo[:, O, O] += tmp
+
+
+def _interp_plan(zshape: tuple[int, ...], ushape: tuple[int, ...], j0: int,
+                 j1: int, ws, planes: int) -> tuple:
+    """The fine even/odd x/y targets of :func:`interp_chunk`, and per
+    block of coarse rows: the slices of its coarse rows ``i`` and
+    ``i+1`` in ``z`` and of its even and odd fine planes in ``u``, then
+    the ``z1``/``z2``/``z3`` views (each with its lower/upper halves
+    along x) and ``tmp``."""
+    n, rows, nc = ushape[1], zshape[0] - 1, zshape[1]
+    eo = (slice(0, n - 1, 2),  # fine 0-based even targets (Fortran 2i-1)
+          slice(1, n, 2))      # fine 0-based odd targets  (Fortran 2i)
+    nb, split = plane_blocks(j0, j1, planes)
+    bufs = (_planes(ws, "interp.z1", rows, (nc - 1, nc), j0, j0 + nb),
+            _planes(ws, "interp.z2", rows, (nc - 1, nc), j0, j0 + nb),
+            _planes(ws, "interp.z3", rows, (nc - 1, nc), j0, j0 + nb),
+            _planes(ws, "interp.tmp", rows, (nc - 1, nc - 1), j0, j0 + nb))
+    blocks = []
+    for lo, hi in split:
+        z1, z2, z3, tmp = (b[:hi - lo] for b in bufs)
+        blocks.append((slice(lo, hi), slice(lo + 1, hi + 1),
+                       slice(2 * lo, 2 * hi, 2),
+                       slice(2 * lo + 1, 2 * hi + 1, 2),
+                       *((b, b[:, :, :-1], b[:, :, 1:]) for b in (z1, z2, z3)),
+                       tmp))
+    return eo, tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

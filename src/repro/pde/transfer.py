@@ -74,12 +74,14 @@ def prolong_cc(uc: FloatArray, out: FloatArray | None = None, *,
         even[d] = slice(0, None, 2)
         odd[d] = slice(1, None, 2)
         c = cur[tuple(ctr)]
+        # The 1/4 neighbour term, one scratch per axis for both children.
+        quarter = _scratch(ws, f"pde.prolong.q{d}", c.shape)
         # Fine child nearer the lower face: 3/4 centre + 1/4 lower nbr.
-        np.multiply(c, 0.75, out=nxt[tuple(even)])
         ev = nxt[tuple(even)]
-        np.add(ev, 0.25 * cur[tuple(lo)], out=ev)
-        np.multiply(c, 0.75, out=nxt[tuple(odd)])
+        np.multiply(c, 0.75, out=ev)
+        np.add(ev, np.multiply(cur[tuple(lo)], 0.25, out=quarter), out=ev)
         od = nxt[tuple(odd)]
-        np.add(od, 0.25 * cur[tuple(hi)], out=od)
+        np.multiply(c, 0.75, out=od)
+        np.add(od, np.multiply(cur[tuple(hi)], 0.25, out=quarter), out=od)
         cur = nxt
     return cur

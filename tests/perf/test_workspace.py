@@ -1,5 +1,6 @@
 """Tests for the Workspace scratch pool and its accounting."""
 
+import sys
 import threading
 
 import numpy as np
@@ -92,6 +93,33 @@ class TestAccounting:
         assert ws.allocations == 2
 
 
+class TestPlans:
+    def test_built_once_and_not_a_buffer(self):
+        ws = Workspace()
+        built = []
+
+        def build():
+            built.append(1)
+            return (ws.get("x", (4, 4)),)
+
+        first = ws.plan(("op", (4, 4)), build)
+        counts = (ws.allocations, ws.hits, ws.bytes_allocated,
+                  ws.live_buffers, ws.buffers_by_shape())
+        assert ws.plan(("op", (4, 4)), build) is first
+        assert len(built) == 1
+        assert (ws.allocations, ws.hits, ws.bytes_allocated,
+                ws.live_buffers, ws.buffers_by_shape()) == counts
+        assert counts[:4] == (1, 0, 128, 1)
+
+    def test_clear_drops_plans_with_their_buffers(self):
+        ws = Workspace()
+        first = ws.plan("k", lambda: (ws.get("x", (2,)),))
+        ws.clear()
+        again = ws.plan("k", lambda: (ws.get("x", (2,)),))
+        assert again is not first and again[0] is not first[0]
+        assert ws.allocations == 2
+
+
 class TestThreadSafety:
     def test_concurrent_gets_one_allocation_per_key(self):
         ws = Workspace()
@@ -112,3 +140,30 @@ class TestThreadSafety:
             t.join()
         assert len(set(results)) == 1        # one shared buffer ever
         assert ws.allocations == 1 + 8       # shared + one per name
+
+    def test_racing_plan_builds_keep_one_plan(self):
+        ws = Workspace()
+        results = []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            barrier.wait(10)
+            for i in range(50):
+                plan = ws.plan(i % 5, lambda: (ws.get("b", (4,)), object()))
+                results.append((i % 5, id(plan)))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        # Every caller of a key got the one plan stored first.
+        assert len(results) == 8 * 50
+        assert len(set(results)) == 5
+        assert ws.allocations == 1

@@ -82,7 +82,7 @@ class Smoother:
             ("pde.resid", self.op.shape),
             lambda c: self.op.residual(u, f, out, ws=self.ws,
                                        z0=c.lo[0], z1=c.hi[0]),
-            self.op.shape[0], self.ws)
+            self.op.shape[0])
         return out
 
     def sweep(self, u: FloatArray, f: FloatArray) -> None:

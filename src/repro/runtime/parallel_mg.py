@@ -5,9 +5,11 @@ body (the *chunk kernel*) through a :class:`ThreadTeam` region —
 exactly the code shape the SAC compiler emits for its multithreaded
 WITH-loops, including its choice to run small loops sequentially: the
 team forks a region or runs it inline as one chunk, whichever it
-measured faster for that operator and grid shape.  Workers write
-disjoint plane slabs of the shared output array; the border exchange
-(``comm3``) runs on the master between regions, as in SAC's runtime.
+measured faster for that operator and grid shape once both partitions
+were warm.  The master runs the first chunk of a fork and the workers
+the rest, each writing a disjoint plane slab of the shared output
+array; the border exchange (``comm3``) runs on the master between
+regions, as in SAC's runtime.
 
 The chunk kernels are the serial kernels' own arithmetic, so parallel
 results are bit-identical to serial ones for any team size and
@@ -72,7 +74,7 @@ def parallel_resid(u: np.ndarray, v: np.ndarray, a, team: ThreadTeam,
             lambda c: lib.resid_slab(u, v, a, r, c.lo[0], c.hi[0]), (m,))
     else:
         team.region(("resid", u.shape), lambda c: resid_chunk(
-            u, v, a, r, c.lo[0], c.hi[0], ws), m, ws)
+            u, v, a, r, c.lo[0], c.hi[0], ws), m)
     return comm3(r)
 
 
@@ -84,7 +86,7 @@ def parallel_psinv(r: np.ndarray, u: np.ndarray, c, team: ThreadTeam,
             lambda ch: lib.psinv_slab(r, u, c, ch.lo[0], ch.hi[0]), (m,))
     else:
         team.region(("psinv", u.shape), lambda ch: psinv_chunk(
-            r, u, c, ch.lo[0], ch.hi[0], ws), m, ws)
+            r, u, c, ch.lo[0], ch.hi[0], ws), m)
     return comm3(u)
 
 
@@ -93,7 +95,7 @@ def parallel_rprj3(r: np.ndarray, team: ThreadTeam, ws=None) -> np.ndarray:
     # Fully overwritten: interior by the chunks, ghosts by comm3.
     s = _scratch(ws, "rprj3.out", (mj + 2,) * 3)
     team.region(("rprj3", r.shape), lambda c: rprj3_chunk(
-        r, s, c.lo[0], c.hi[0], ws), mj, ws)
+        r, s, c.lo[0], c.hi[0], ws), mj)
     return comm3(s)
 
 
@@ -101,7 +103,7 @@ def parallel_interp_add(z: np.ndarray, u: np.ndarray, team: ThreadTeam,
                         ws=None) -> np.ndarray:
     check_interp_shapes(z, u)
     team.region(("interp", u.shape), lambda c: interp_chunk(
-        z, u, c.lo[0], c.hi[0], ws), z.shape[0] - 1, ws)
+        z, u, c.lo[0], c.hi[0], ws), z.shape[0] - 1)
     return u
 
 
@@ -117,9 +119,10 @@ class ParallelMG:
 
     The solver keeps one :class:`ThreadTeam` for its lifetime, so the
     team's measured fork policy (see :meth:`ThreadTeam.region`) learned
-    in one solve — a warm-up, say — serves every later one;
-    :attr:`decisions` shows it.  :meth:`close` (or ``with``) joins the
-    workers; an unclosed solver's workers exit when it is collected.
+    in one solve — a warm-up of at least four V-cycles, say — serves
+    every later one; :attr:`decisions` shows it.  :meth:`close` (or
+    ``with``) joins the workers; an unclosed solver's workers exit when
+    it is collected.
     """
 
     def __init__(self, nthreads: int, *, kernels: str = "numpy",
@@ -166,7 +169,9 @@ class ParallelMG:
     def decisions(self):
         """The team's fork-policy table: ``(op, grid shape)`` ->
         :class:`~repro.runtime.executor.Decision` (forked?, t_inline,
-        t_forked) — why each level ran inline or forked."""
+        t_forked) — why each level ran inline or forked.  The timings
+        are each key's third (inline) and fourth (forked) visit, both
+        on warm scratch; a key enters the table at its third visit."""
         return self.team.decisions
 
     def close(self) -> None:

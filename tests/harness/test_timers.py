@@ -2,8 +2,9 @@
 
 from repro.baselines import FortranMG
 from repro.core import get_class, synthesize_mg_trace
-from repro.core.mg import run
+from repro.core.mg import numpy_kernels, run
 from repro.core.timers import SectionTimers
+from repro.perf import Workspace
 
 
 def _solve_timed(size_class):
@@ -49,6 +50,16 @@ class TestTimedSolve:
     def test_stencils_dominate(self):
         # resid + psinv carry most of the arithmetic (the §5 premise
         # behind the auto-parallelizer's coverage mattering so much).
-        _, timers = _solve_timed("S")
-        shares = timers.shares()
+        # Each section's best of three solves on a warm pool: one cold
+        # or preempted solve must not decide the shares.
+        kernels = numpy_kernels(Workspace())
+        run(kernels, "S", 1)
+        best = SectionTimers()
+        for _ in range(3):
+            timers = SectionTimers()
+            run(kernels, "S", monitor=timers)
+            for section, dt in timers.seconds.items():
+                best.seconds[section] = min(
+                    dt, best.seconds.get(section, dt))
+        shares = best.shares()
         assert shares["resid"] + shares["psinv"] > 0.5

@@ -107,55 +107,41 @@ def SetupPeriodicBorder__34x34x34(a):
 
 def Resid__34x34x34(u):
     _t1 = SetupPeriodicBorder__34x34x34(u)
-    _t46 = _t1.reshape(-1)
-    _t2 = _t46[0:36922]
-    _t3 = _t46[2:36924]
-    _t4 = (_t2 + _t3)
-    _t5 = _t46[68:36990]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[0:36924]
+    _t3 = _t9[68:36992]
+    _t4, _t13 = np.empty((2, 36924), dtype=np.float64)
+    np.add(_t2, _t3, out=_t4)
+    _t5 = _t9[2312:39236]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t46[70:36992]
+    _t7 = _t9[2380:39304]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t46[2312:39234]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t46[2314:39236]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t46[2380:39302]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t46[2382:39304]
-    np.add(_t4, _t15, out=_t4)
-    np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t46[1:36923]
-    _t19 = _t46[34:36956]
-    _t20 = (_t18 + _t19)
-    _t21 = _t46[36:36958]
-    np.add(_t20, _t21, out=_t20)
-    _t23 = _t46[69:36991]
-    np.add(_t20, _t23, out=_t20)
-    _t25 = _t46[1156:38078]
-    np.add(_t20, _t25, out=_t20)
-    _t27 = _t46[1158:38080]
-    np.add(_t20, _t27, out=_t20)
-    _t29 = _t46[1224:38146]
-    np.add(_t20, _t29, out=_t20)
-    _t31 = _t46[1226:38148]
-    np.add(_t20, _t31, out=_t20)
-    _t33 = _t46[2313:39235]
-    np.add(_t20, _t33, out=_t20)
-    _t35 = _t46[2346:39268]
-    np.add(_t20, _t35, out=_t20)
-    _t37 = _t46[2348:39270]
-    np.add(_t20, _t37, out=_t20)
-    _t39 = _t46[2381:39303]
-    np.add(_t20, _t39, out=_t20)
-    np.multiply(0.16666666666666666, _t20, out=_t20)
-    np.add(_t4, _t20, out=_t4)
-    del _t20
-    _t43 = _t46[1191:38113]
-    _t44 = (-2.6666666666666665 * _t43)
-    np.add(_t4, _t44, out=_t4)
-    del _t44
-    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t4, 0, (9248, 272, 8))
-    del _t4
+    _t11 = _t9[1156:38080]
+    _t12 = _t9[1224:38148]
+    np.add(_t11, _t12, out=_t13)
+    _t14 = _t9[34:36958]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[2346:39270]
+    np.add(_t13, _t16, out=_t13)
+    _t19 = _t4[0:36922]
+    _t20 = _t4[2:36924]
+    _t21 = (_t19 + _t20)
+    np.multiply(0.08333333333333333, _t21, out=_t21)
+    _t23 = _t4[1:36923]
+    _t24 = _t13[0:36922]
+    np.add(_t23, _t24, out=_t23)
+    _t26 = _t13[2:36924]
+    np.add(_t23, _t26, out=_t23)
+    np.multiply(0.16666666666666666, _t23, out=_t23)
+    np.add(_t21, _t23, out=_t21)
+    del _t4, _t19, _t20, _t23
+    _t30 = _t9[1191:38113]
+    _t31 = _t13[0:36922]
+    np.multiply(-2.6666666666666665, _t30, out=_t31)
+    np.add(_t21, _t31, out=_t21)
+    del _t13, _t24, _t26, _t31
+    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t21, 0, (9248, 272, 8))
+    del _t21
     return _t1
 
 def Fine2Coarse__34x34x34(r):
@@ -559,51 +545,41 @@ def SetupPeriodicBorder__4x4x4_d(a):
 
 def Smooth__4x4x4_d(r):
     _t1 = SetupPeriodicBorder__4x4x4_d(r)
-    _t42 = _t1.reshape(-1)
-    _t2 = _t42[1:23]
-    _t3 = _t42[4:26]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[16:40]
+    _t3 = _t9[24:48]
     _t4 = (_t2 + _t3)
-    _t5 = _t42[6:28]
+    _t5 = _t9[4:28]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t42[9:31]
+    _t7 = _t9[36:60]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t42[16:38]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t42[18:40]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t42[24:46]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t42[26:48]
-    np.add(_t4, _t15, out=_t4)
-    _t17 = _t42[33:55]
-    np.add(_t4, _t17, out=_t4)
-    _t19 = _t42[36:58]
-    np.add(_t4, _t19, out=_t4)
-    _t21 = _t42[38:60]
-    np.add(_t4, _t21, out=_t4)
-    _t23 = _t42[41:63]
-    np.add(_t4, _t23, out=_t4)
-    np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t42[5:27]
-    _t27 = _t42[17:39]
-    _t28 = (_t26 + _t27)
-    _t29 = _t42[20:42]
-    np.add(_t28, _t29, out=_t28)
-    _t31 = _t42[22:44]
-    np.add(_t28, _t31, out=_t28)
-    _t33 = _t42[25:47]
-    np.add(_t28, _t33, out=_t28)
-    _t35 = _t42[37:59]
-    np.add(_t28, _t35, out=_t28)
-    np.multiply(0.03125, _t28, out=_t28)
-    np.add(_t4, _t28, out=_t4)
-    del _t28
-    _t39 = _t42[21:43]
-    _t40 = (-0.375 * _t39)
-    np.add(_t4, _t40, out=_t4)
-    del _t40
-    _t1[1:3, 1:3, 1:3] = np.ndarray((2, 2, 2), np.float64, _t4, 0, (128, 32, 8))
-    del _t4
+    _t11 = _t9[1:23]
+    _t12 = _t9[9:31]
+    _t13 = (_t11 + _t12)
+    _t14 = _t9[33:55]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[41:63]
+    np.add(_t13, _t16, out=_t13)
+    _t18 = _t4[0:22]
+    np.add(_t13, _t18, out=_t13)
+    _t20 = _t4[2:24]
+    np.add(_t13, _t20, out=_t13)
+    np.multiply(-0.015625, _t13, out=_t13)
+    _t23 = _t9[20:42]
+    _t24 = _t9[22:44]
+    _t25 = (_t23 + _t24)
+    _t26 = _t4[1:23]
+    np.add(_t25, _t26, out=_t25)
+    np.multiply(0.03125, _t25, out=_t25)
+    np.add(_t13, _t25, out=_t13)
+    del _t25
+    _t30 = _t9[21:43]
+    _t31 = _t4[0:22]
+    np.multiply(-0.375, _t30, out=_t31)
+    np.add(_t13, _t31, out=_t13)
+    del _t4, _t18, _t20, _t26, _t31
+    _t1[1:3, 1:3, 1:3] = np.ndarray((2, 2, 2), np.float64, _t13, 0, (128, 32, 8))
+    del _t13
     return _t1
 
 def VCycle__4x4x4_d(r):
@@ -616,129 +592,113 @@ def Coarse2Fine__4x4x4_d(rn):
     _t3 = np.zeros((6, 6, 6), dtype=np.float64)
     _t3[0:5:2, 0:5:2, 0:5:2] = _t2
     _t4 = _t1[1:3, 1:3, 1:3]
-    _t5 = (1.0 * _t4)
-    _t3[2:5:2, 2:5:2, 2:5:2] = _t5
-    del _t5
-    _t7 = _t1[1:3, 1:3, 0:2]
-    _t8 = _t1[1:3, 1:3, 1:3]
-    _t9 = (_t7 + _t8)
-    np.multiply(0.5, _t9, out=_t9)
-    _t3[2:5:2, 2:5:2, 1:4:2] = _t9
-    del _t9
-    _t12 = _t1[1:3, 0:2, 1:3]
-    _t13 = _t1[1:3, 1:3, 1:3]
-    _t14 = (_t12 + _t13)
-    np.multiply(0.5, _t14, out=_t14)
-    _t3[2:5:2, 1:4:2, 2:5:2] = _t14
-    del _t14
-    _t17 = _t1[1:3, 0:2, 0:2]
-    _t18 = _t1[1:3, 0:2, 1:3]
-    _t19 = (_t17 + _t18)
-    _t20 = _t1[1:3, 1:3, 0:2]
-    np.add(_t19, _t20, out=_t19)
-    _t22 = _t1[1:3, 1:3, 1:3]
-    np.add(_t19, _t22, out=_t19)
-    np.multiply(0.25, _t19, out=_t19)
-    _t3[2:5:2, 1:4:2, 1:4:2] = _t19
-    del _t19
-    _t26 = _t1[0:2, 1:3, 1:3]
-    _t27 = _t1[1:3, 1:3, 1:3]
-    _t28 = (_t26 + _t27)
-    np.multiply(0.5, _t28, out=_t28)
-    _t3[1:4:2, 2:5:2, 2:5:2] = _t28
-    del _t28
-    _t31 = _t1[0:2, 1:3, 0:2]
-    _t32 = _t1[0:2, 1:3, 1:3]
-    _t33 = (_t31 + _t32)
-    _t34 = _t1[1:3, 1:3, 0:2]
-    np.add(_t33, _t34, out=_t33)
-    _t36 = _t1[1:3, 1:3, 1:3]
-    np.add(_t33, _t36, out=_t33)
-    np.multiply(0.25, _t33, out=_t33)
-    _t3[1:4:2, 2:5:2, 1:4:2] = _t33
-    del _t33
-    _t40 = _t1[0:2, 0:2, 1:3]
-    _t41 = _t1[0:2, 1:3, 1:3]
-    _t42 = (_t40 + _t41)
-    _t43 = _t1[1:3, 0:2, 1:3]
-    np.add(_t42, _t43, out=_t42)
-    _t45 = _t1[1:3, 1:3, 1:3]
-    np.add(_t42, _t45, out=_t42)
-    np.multiply(0.25, _t42, out=_t42)
-    _t3[1:4:2, 1:4:2, 2:5:2] = _t42
-    del _t42
-    _t49 = _t1[0:2, 0:2, 0:2]
-    _t50 = _t1[0:2, 0:2, 1:3]
-    _t51 = (_t49 + _t50)
-    _t52 = _t1[0:2, 1:3, 0:2]
-    np.add(_t51, _t52, out=_t51)
-    _t54 = _t1[0:2, 1:3, 1:3]
-    np.add(_t51, _t54, out=_t51)
-    _t56 = _t1[1:3, 0:2, 0:2]
-    np.add(_t51, _t56, out=_t51)
-    _t58 = _t1[1:3, 0:2, 1:3]
-    np.add(_t51, _t58, out=_t51)
-    _t60 = _t1[1:3, 1:3, 0:2]
-    np.add(_t51, _t60, out=_t51)
-    _t62 = _t1[1:3, 1:3, 1:3]
-    np.add(_t51, _t62, out=_t51)
-    del _t1, _t2, _t4, _t7, _t8, _t12, _t13, _t17, _t18, _t20, _t22, _t26, _t27, _t31, _t32, _t34, _t36, _t40, _t41, _t43, _t45, _t49, _t50, _t52, _t54, _t56, _t58, _t60, _t62
-    np.multiply(0.125, _t51, out=_t51)
-    _t3[1:4:2, 1:4:2, 1:4:2] = _t51
-    del _t51
+    _t3[2:5:2, 2:5:2, 2:5:2] = _t4
+    _t6 = _t1[1:3, 1:3, 0:2]
+    _t7 = _t1[1:3, 1:3, 1:3]
+    _t8 = (_t6 + _t7)
+    np.multiply(0.5, _t8, out=_t8)
+    _t3[2:5:2, 2:5:2, 1:4:2] = _t8
+    del _t8
+    _t11 = _t1[1:3, 0:2, 1:3]
+    _t12 = _t1[1:3, 1:3, 1:3]
+    _t13 = (_t11 + _t12)
+    np.multiply(0.5, _t13, out=_t13)
+    _t3[2:5:2, 1:4:2, 2:5:2] = _t13
+    del _t13
+    _t16 = _t1[1:3, 0:2, 0:2]
+    _t17 = _t1[1:3, 0:2, 1:3]
+    _t18 = (_t16 + _t17)
+    _t19 = _t1[1:3, 1:3, 0:2]
+    np.add(_t18, _t19, out=_t18)
+    _t21 = _t1[1:3, 1:3, 1:3]
+    np.add(_t18, _t21, out=_t18)
+    np.multiply(0.25, _t18, out=_t18)
+    _t3[2:5:2, 1:4:2, 1:4:2] = _t18
+    del _t18
+    _t25 = _t1[0:2, 1:3, 1:3]
+    _t26 = _t1[1:3, 1:3, 1:3]
+    _t27 = (_t25 + _t26)
+    np.multiply(0.5, _t27, out=_t27)
+    _t3[1:4:2, 2:5:2, 2:5:2] = _t27
+    del _t27
+    _t30 = _t1[0:2, 1:3, 0:2]
+    _t31 = _t1[0:2, 1:3, 1:3]
+    _t32 = (_t30 + _t31)
+    _t33 = _t1[1:3, 1:3, 0:2]
+    np.add(_t32, _t33, out=_t32)
+    _t35 = _t1[1:3, 1:3, 1:3]
+    np.add(_t32, _t35, out=_t32)
+    np.multiply(0.25, _t32, out=_t32)
+    _t3[1:4:2, 2:5:2, 1:4:2] = _t32
+    del _t32
+    _t39 = _t1[0:2, 0:2, 1:3]
+    _t40 = _t1[0:2, 1:3, 1:3]
+    _t41 = (_t39 + _t40)
+    _t42 = _t1[1:3, 0:2, 1:3]
+    np.add(_t41, _t42, out=_t41)
+    _t44 = _t1[1:3, 1:3, 1:3]
+    np.add(_t41, _t44, out=_t41)
+    np.multiply(0.25, _t41, out=_t41)
+    _t3[1:4:2, 1:4:2, 2:5:2] = _t41
+    del _t41
+    _t48 = _t1[0:2, 0:2, 0:2]
+    _t49 = _t1[0:2, 0:2, 1:3]
+    _t50 = (_t48 + _t49)
+    _t51 = _t1[0:2, 1:3, 0:2]
+    np.add(_t50, _t51, out=_t50)
+    _t53 = _t1[0:2, 1:3, 1:3]
+    np.add(_t50, _t53, out=_t50)
+    _t55 = _t1[1:3, 0:2, 0:2]
+    np.add(_t50, _t55, out=_t50)
+    _t57 = _t1[1:3, 0:2, 1:3]
+    np.add(_t50, _t57, out=_t50)
+    _t59 = _t1[1:3, 1:3, 0:2]
+    np.add(_t50, _t59, out=_t50)
+    _t61 = _t1[1:3, 1:3, 1:3]
+    np.add(_t50, _t61, out=_t50)
+    del _t1, _t2, _t4, _t6, _t7, _t11, _t12, _t16, _t17, _t19, _t21, _t25, _t26, _t30, _t31, _t33, _t35, _t39, _t40, _t42, _t44, _t48, _t49, _t51, _t53, _t55, _t57, _t59, _t61
+    np.multiply(0.125, _t50, out=_t50)
+    _t3[1:4:2, 1:4:2, 1:4:2] = _t50
+    del _t50
     return _t3
 
 def Resid__6x6x6(u):
     _t1 = SetupPeriodicBorder__6x6x6(u)
-    _t46 = _t1.reshape(-1)
-    _t2 = _t46[0:130]
-    _t3 = _t46[2:132]
-    _t4 = (_t2 + _t3)
-    _t5 = _t46[12:142]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[0:132]
+    _t3 = _t9[12:144]
+    _t4, _t13 = np.empty((2, 132), dtype=np.float64)
+    np.add(_t2, _t3, out=_t4)
+    _t5 = _t9[72:204]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t46[14:144]
+    _t7 = _t9[84:216]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t46[72:202]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t46[74:204]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t46[84:214]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t46[86:216]
-    np.add(_t4, _t15, out=_t4)
-    np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t46[1:131]
-    _t19 = _t46[6:136]
-    _t20 = (_t18 + _t19)
-    _t21 = _t46[8:138]
-    np.add(_t20, _t21, out=_t20)
-    _t23 = _t46[13:143]
-    np.add(_t20, _t23, out=_t20)
-    _t25 = _t46[36:166]
-    np.add(_t20, _t25, out=_t20)
-    _t27 = _t46[38:168]
-    np.add(_t20, _t27, out=_t20)
-    _t29 = _t46[48:178]
-    np.add(_t20, _t29, out=_t20)
-    _t31 = _t46[50:180]
-    np.add(_t20, _t31, out=_t20)
-    _t33 = _t46[73:203]
-    np.add(_t20, _t33, out=_t20)
-    _t35 = _t46[78:208]
-    np.add(_t20, _t35, out=_t20)
-    _t37 = _t46[80:210]
-    np.add(_t20, _t37, out=_t20)
-    _t39 = _t46[85:215]
-    np.add(_t20, _t39, out=_t20)
-    np.multiply(0.16666666666666666, _t20, out=_t20)
-    np.add(_t4, _t20, out=_t4)
-    del _t20
-    _t43 = _t46[43:173]
-    _t44 = (-2.6666666666666665 * _t43)
-    np.add(_t4, _t44, out=_t4)
-    del _t44
-    _t1[1:5, 1:5, 1:5] = np.ndarray((4, 4, 4), np.float64, _t4, 0, (288, 48, 8))
-    del _t4
+    _t11 = _t9[36:168]
+    _t12 = _t9[48:180]
+    np.add(_t11, _t12, out=_t13)
+    _t14 = _t9[6:138]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[78:210]
+    np.add(_t13, _t16, out=_t13)
+    _t19 = _t4[0:130]
+    _t20 = _t4[2:132]
+    _t21 = (_t19 + _t20)
+    np.multiply(0.08333333333333333, _t21, out=_t21)
+    _t23 = _t4[1:131]
+    _t24 = _t13[0:130]
+    np.add(_t23, _t24, out=_t23)
+    _t26 = _t13[2:132]
+    np.add(_t23, _t26, out=_t23)
+    np.multiply(0.16666666666666666, _t23, out=_t23)
+    np.add(_t21, _t23, out=_t21)
+    del _t4, _t19, _t20, _t23
+    _t30 = _t9[43:173]
+    _t31 = _t13[0:130]
+    np.multiply(-2.6666666666666665, _t30, out=_t31)
+    np.add(_t21, _t31, out=_t21)
+    del _t13, _t24, _t26, _t31
+    _t1[1:5, 1:5, 1:5] = np.ndarray((4, 4, 4), np.float64, _t21, 0, (288, 48, 8))
+    del _t21
     return _t1
 
 def SetupAxis__6x6x6_d(a):
@@ -758,51 +718,41 @@ def SetupPeriodicBorder__6x6x6_d(a):
 
 def Smooth__6x6x6_d(r):
     _t1 = SetupPeriodicBorder__6x6x6_d(r)
-    _t42 = _t1.reshape(-1)
-    _t2 = _t42[1:131]
-    _t3 = _t42[6:136]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[36:168]
+    _t3 = _t9[48:180]
     _t4 = (_t2 + _t3)
-    _t5 = _t42[8:138]
+    _t5 = _t9[6:138]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t42[13:143]
+    _t7 = _t9[78:210]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t42[36:166]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t42[38:168]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t42[48:178]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t42[50:180]
-    np.add(_t4, _t15, out=_t4)
-    _t17 = _t42[73:203]
-    np.add(_t4, _t17, out=_t4)
-    _t19 = _t42[78:208]
-    np.add(_t4, _t19, out=_t4)
-    _t21 = _t42[80:210]
-    np.add(_t4, _t21, out=_t4)
-    _t23 = _t42[85:215]
-    np.add(_t4, _t23, out=_t4)
-    np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t42[7:137]
-    _t27 = _t42[37:167]
-    _t28 = (_t26 + _t27)
-    _t29 = _t42[42:172]
-    np.add(_t28, _t29, out=_t28)
-    _t31 = _t42[44:174]
-    np.add(_t28, _t31, out=_t28)
-    _t33 = _t42[49:179]
-    np.add(_t28, _t33, out=_t28)
-    _t35 = _t42[79:209]
-    np.add(_t28, _t35, out=_t28)
-    np.multiply(0.03125, _t28, out=_t28)
-    np.add(_t4, _t28, out=_t4)
-    del _t28
-    _t39 = _t42[43:173]
-    _t40 = (-0.375 * _t39)
-    np.add(_t4, _t40, out=_t4)
-    del _t40
-    _t1[1:5, 1:5, 1:5] = np.ndarray((4, 4, 4), np.float64, _t4, 0, (288, 48, 8))
-    del _t4
+    _t11 = _t9[1:131]
+    _t12 = _t9[13:143]
+    _t13 = (_t11 + _t12)
+    _t14 = _t9[73:203]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[85:215]
+    np.add(_t13, _t16, out=_t13)
+    _t18 = _t4[0:130]
+    np.add(_t13, _t18, out=_t13)
+    _t20 = _t4[2:132]
+    np.add(_t13, _t20, out=_t13)
+    np.multiply(-0.015625, _t13, out=_t13)
+    _t23 = _t9[42:172]
+    _t24 = _t9[44:174]
+    _t25 = (_t23 + _t24)
+    _t26 = _t4[1:131]
+    np.add(_t25, _t26, out=_t25)
+    np.multiply(0.03125, _t25, out=_t25)
+    np.add(_t13, _t25, out=_t13)
+    del _t25
+    _t30 = _t9[43:173]
+    _t31 = _t4[0:130]
+    np.multiply(-0.375, _t30, out=_t31)
+    np.add(_t13, _t31, out=_t13)
+    del _t4, _t18, _t20, _t26, _t31
+    _t1[1:5, 1:5, 1:5] = np.ndarray((4, 4, 4), np.float64, _t13, 0, (288, 48, 8))
+    del _t13
     return _t1
 
 def VCycle__6x6x6_d(r):
@@ -825,129 +775,113 @@ def Coarse2Fine__6x6x6_d(rn):
     _t3 = np.zeros((10, 10, 10), dtype=np.float64)
     _t3[0:9:2, 0:9:2, 0:9:2] = _t2
     _t4 = _t1[1:5, 1:5, 1:5]
-    _t5 = (1.0 * _t4)
-    _t3[2:9:2, 2:9:2, 2:9:2] = _t5
-    del _t5
-    _t7 = _t1[1:5, 1:5, 0:4]
-    _t8 = _t1[1:5, 1:5, 1:5]
-    _t9 = (_t7 + _t8)
-    np.multiply(0.5, _t9, out=_t9)
-    _t3[2:9:2, 2:9:2, 1:8:2] = _t9
-    del _t9
-    _t12 = _t1[1:5, 0:4, 1:5]
-    _t13 = _t1[1:5, 1:5, 1:5]
-    _t14 = (_t12 + _t13)
-    np.multiply(0.5, _t14, out=_t14)
-    _t3[2:9:2, 1:8:2, 2:9:2] = _t14
-    del _t14
-    _t17 = _t1[1:5, 0:4, 0:4]
-    _t18 = _t1[1:5, 0:4, 1:5]
-    _t19 = (_t17 + _t18)
-    _t20 = _t1[1:5, 1:5, 0:4]
-    np.add(_t19, _t20, out=_t19)
-    _t22 = _t1[1:5, 1:5, 1:5]
-    np.add(_t19, _t22, out=_t19)
-    np.multiply(0.25, _t19, out=_t19)
-    _t3[2:9:2, 1:8:2, 1:8:2] = _t19
-    del _t19
-    _t26 = _t1[0:4, 1:5, 1:5]
-    _t27 = _t1[1:5, 1:5, 1:5]
-    _t28 = (_t26 + _t27)
-    np.multiply(0.5, _t28, out=_t28)
-    _t3[1:8:2, 2:9:2, 2:9:2] = _t28
-    del _t28
-    _t31 = _t1[0:4, 1:5, 0:4]
-    _t32 = _t1[0:4, 1:5, 1:5]
-    _t33 = (_t31 + _t32)
-    _t34 = _t1[1:5, 1:5, 0:4]
-    np.add(_t33, _t34, out=_t33)
-    _t36 = _t1[1:5, 1:5, 1:5]
-    np.add(_t33, _t36, out=_t33)
-    np.multiply(0.25, _t33, out=_t33)
-    _t3[1:8:2, 2:9:2, 1:8:2] = _t33
-    del _t33
-    _t40 = _t1[0:4, 0:4, 1:5]
-    _t41 = _t1[0:4, 1:5, 1:5]
-    _t42 = (_t40 + _t41)
-    _t43 = _t1[1:5, 0:4, 1:5]
-    np.add(_t42, _t43, out=_t42)
-    _t45 = _t1[1:5, 1:5, 1:5]
-    np.add(_t42, _t45, out=_t42)
-    np.multiply(0.25, _t42, out=_t42)
-    _t3[1:8:2, 1:8:2, 2:9:2] = _t42
-    del _t42
-    _t49 = _t1[0:4, 0:4, 0:4]
-    _t50 = _t1[0:4, 0:4, 1:5]
-    _t51 = (_t49 + _t50)
-    _t52 = _t1[0:4, 1:5, 0:4]
-    np.add(_t51, _t52, out=_t51)
-    _t54 = _t1[0:4, 1:5, 1:5]
-    np.add(_t51, _t54, out=_t51)
-    _t56 = _t1[1:5, 0:4, 0:4]
-    np.add(_t51, _t56, out=_t51)
-    _t58 = _t1[1:5, 0:4, 1:5]
-    np.add(_t51, _t58, out=_t51)
-    _t60 = _t1[1:5, 1:5, 0:4]
-    np.add(_t51, _t60, out=_t51)
-    _t62 = _t1[1:5, 1:5, 1:5]
-    np.add(_t51, _t62, out=_t51)
-    del _t1, _t2, _t4, _t7, _t8, _t12, _t13, _t17, _t18, _t20, _t22, _t26, _t27, _t31, _t32, _t34, _t36, _t40, _t41, _t43, _t45, _t49, _t50, _t52, _t54, _t56, _t58, _t60, _t62
-    np.multiply(0.125, _t51, out=_t51)
-    _t3[1:8:2, 1:8:2, 1:8:2] = _t51
-    del _t51
+    _t3[2:9:2, 2:9:2, 2:9:2] = _t4
+    _t6 = _t1[1:5, 1:5, 0:4]
+    _t7 = _t1[1:5, 1:5, 1:5]
+    _t8 = (_t6 + _t7)
+    np.multiply(0.5, _t8, out=_t8)
+    _t3[2:9:2, 2:9:2, 1:8:2] = _t8
+    del _t8
+    _t11 = _t1[1:5, 0:4, 1:5]
+    _t12 = _t1[1:5, 1:5, 1:5]
+    _t13 = (_t11 + _t12)
+    np.multiply(0.5, _t13, out=_t13)
+    _t3[2:9:2, 1:8:2, 2:9:2] = _t13
+    del _t13
+    _t16 = _t1[1:5, 0:4, 0:4]
+    _t17 = _t1[1:5, 0:4, 1:5]
+    _t18 = (_t16 + _t17)
+    _t19 = _t1[1:5, 1:5, 0:4]
+    np.add(_t18, _t19, out=_t18)
+    _t21 = _t1[1:5, 1:5, 1:5]
+    np.add(_t18, _t21, out=_t18)
+    np.multiply(0.25, _t18, out=_t18)
+    _t3[2:9:2, 1:8:2, 1:8:2] = _t18
+    del _t18
+    _t25 = _t1[0:4, 1:5, 1:5]
+    _t26 = _t1[1:5, 1:5, 1:5]
+    _t27 = (_t25 + _t26)
+    np.multiply(0.5, _t27, out=_t27)
+    _t3[1:8:2, 2:9:2, 2:9:2] = _t27
+    del _t27
+    _t30 = _t1[0:4, 1:5, 0:4]
+    _t31 = _t1[0:4, 1:5, 1:5]
+    _t32 = (_t30 + _t31)
+    _t33 = _t1[1:5, 1:5, 0:4]
+    np.add(_t32, _t33, out=_t32)
+    _t35 = _t1[1:5, 1:5, 1:5]
+    np.add(_t32, _t35, out=_t32)
+    np.multiply(0.25, _t32, out=_t32)
+    _t3[1:8:2, 2:9:2, 1:8:2] = _t32
+    del _t32
+    _t39 = _t1[0:4, 0:4, 1:5]
+    _t40 = _t1[0:4, 1:5, 1:5]
+    _t41 = (_t39 + _t40)
+    _t42 = _t1[1:5, 0:4, 1:5]
+    np.add(_t41, _t42, out=_t41)
+    _t44 = _t1[1:5, 1:5, 1:5]
+    np.add(_t41, _t44, out=_t41)
+    np.multiply(0.25, _t41, out=_t41)
+    _t3[1:8:2, 1:8:2, 2:9:2] = _t41
+    del _t41
+    _t48 = _t1[0:4, 0:4, 0:4]
+    _t49 = _t1[0:4, 0:4, 1:5]
+    _t50 = (_t48 + _t49)
+    _t51 = _t1[0:4, 1:5, 0:4]
+    np.add(_t50, _t51, out=_t50)
+    _t53 = _t1[0:4, 1:5, 1:5]
+    np.add(_t50, _t53, out=_t50)
+    _t55 = _t1[1:5, 0:4, 0:4]
+    np.add(_t50, _t55, out=_t50)
+    _t57 = _t1[1:5, 0:4, 1:5]
+    np.add(_t50, _t57, out=_t50)
+    _t59 = _t1[1:5, 1:5, 0:4]
+    np.add(_t50, _t59, out=_t50)
+    _t61 = _t1[1:5, 1:5, 1:5]
+    np.add(_t50, _t61, out=_t50)
+    del _t1, _t2, _t4, _t6, _t7, _t11, _t12, _t16, _t17, _t19, _t21, _t25, _t26, _t30, _t31, _t33, _t35, _t39, _t40, _t42, _t44, _t48, _t49, _t51, _t53, _t55, _t57, _t59, _t61
+    np.multiply(0.125, _t50, out=_t50)
+    _t3[1:8:2, 1:8:2, 1:8:2] = _t50
+    del _t50
     return _t3
 
 def Resid__10x10x10(u):
     _t1 = SetupPeriodicBorder__10x10x10(u)
-    _t46 = _t1.reshape(-1)
-    _t2 = _t46[0:778]
-    _t3 = _t46[2:780]
-    _t4 = (_t2 + _t3)
-    _t5 = _t46[20:798]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[0:780]
+    _t3 = _t9[20:800]
+    _t4, _t13 = np.empty((2, 780), dtype=np.float64)
+    np.add(_t2, _t3, out=_t4)
+    _t5 = _t9[200:980]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t46[22:800]
+    _t7 = _t9[220:1000]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t46[200:978]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t46[202:980]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t46[220:998]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t46[222:1000]
-    np.add(_t4, _t15, out=_t4)
-    np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t46[1:779]
-    _t19 = _t46[10:788]
-    _t20 = (_t18 + _t19)
-    _t21 = _t46[12:790]
-    np.add(_t20, _t21, out=_t20)
-    _t23 = _t46[21:799]
-    np.add(_t20, _t23, out=_t20)
-    _t25 = _t46[100:878]
-    np.add(_t20, _t25, out=_t20)
-    _t27 = _t46[102:880]
-    np.add(_t20, _t27, out=_t20)
-    _t29 = _t46[120:898]
-    np.add(_t20, _t29, out=_t20)
-    _t31 = _t46[122:900]
-    np.add(_t20, _t31, out=_t20)
-    _t33 = _t46[201:979]
-    np.add(_t20, _t33, out=_t20)
-    _t35 = _t46[210:988]
-    np.add(_t20, _t35, out=_t20)
-    _t37 = _t46[212:990]
-    np.add(_t20, _t37, out=_t20)
-    _t39 = _t46[221:999]
-    np.add(_t20, _t39, out=_t20)
-    np.multiply(0.16666666666666666, _t20, out=_t20)
-    np.add(_t4, _t20, out=_t4)
-    del _t20
-    _t43 = _t46[111:889]
-    _t44 = (-2.6666666666666665 * _t43)
-    np.add(_t4, _t44, out=_t4)
-    del _t44
-    _t1[1:9, 1:9, 1:9] = np.ndarray((8, 8, 8), np.float64, _t4, 0, (800, 80, 8))
-    del _t4
+    _t11 = _t9[100:880]
+    _t12 = _t9[120:900]
+    np.add(_t11, _t12, out=_t13)
+    _t14 = _t9[10:790]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[210:990]
+    np.add(_t13, _t16, out=_t13)
+    _t19 = _t4[0:778]
+    _t20 = _t4[2:780]
+    _t21 = (_t19 + _t20)
+    np.multiply(0.08333333333333333, _t21, out=_t21)
+    _t23 = _t4[1:779]
+    _t24 = _t13[0:778]
+    np.add(_t23, _t24, out=_t23)
+    _t26 = _t13[2:780]
+    np.add(_t23, _t26, out=_t23)
+    np.multiply(0.16666666666666666, _t23, out=_t23)
+    np.add(_t21, _t23, out=_t21)
+    del _t4, _t19, _t20, _t23
+    _t30 = _t9[111:889]
+    _t31 = _t13[0:778]
+    np.multiply(-2.6666666666666665, _t30, out=_t31)
+    np.add(_t21, _t31, out=_t21)
+    del _t13, _t24, _t26, _t31
+    _t1[1:9, 1:9, 1:9] = np.ndarray((8, 8, 8), np.float64, _t21, 0, (800, 80, 8))
+    del _t21
     return _t1
 
 def SetupAxis__10x10x10_d(a):
@@ -967,51 +901,41 @@ def SetupPeriodicBorder__10x10x10_d(a):
 
 def Smooth__10x10x10_d(r):
     _t1 = SetupPeriodicBorder__10x10x10_d(r)
-    _t42 = _t1.reshape(-1)
-    _t2 = _t42[1:779]
-    _t3 = _t42[10:788]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[100:880]
+    _t3 = _t9[120:900]
     _t4 = (_t2 + _t3)
-    _t5 = _t42[12:790]
+    _t5 = _t9[10:790]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t42[21:799]
+    _t7 = _t9[210:990]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t42[100:878]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t42[102:880]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t42[120:898]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t42[122:900]
-    np.add(_t4, _t15, out=_t4)
-    _t17 = _t42[201:979]
-    np.add(_t4, _t17, out=_t4)
-    _t19 = _t42[210:988]
-    np.add(_t4, _t19, out=_t4)
-    _t21 = _t42[212:990]
-    np.add(_t4, _t21, out=_t4)
-    _t23 = _t42[221:999]
-    np.add(_t4, _t23, out=_t4)
-    np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t42[11:789]
-    _t27 = _t42[101:879]
-    _t28 = (_t26 + _t27)
-    _t29 = _t42[110:888]
-    np.add(_t28, _t29, out=_t28)
-    _t31 = _t42[112:890]
-    np.add(_t28, _t31, out=_t28)
-    _t33 = _t42[121:899]
-    np.add(_t28, _t33, out=_t28)
-    _t35 = _t42[211:989]
-    np.add(_t28, _t35, out=_t28)
-    np.multiply(0.03125, _t28, out=_t28)
-    np.add(_t4, _t28, out=_t4)
-    del _t28
-    _t39 = _t42[111:889]
-    _t40 = (-0.375 * _t39)
-    np.add(_t4, _t40, out=_t4)
-    del _t40
-    _t1[1:9, 1:9, 1:9] = np.ndarray((8, 8, 8), np.float64, _t4, 0, (800, 80, 8))
-    del _t4
+    _t11 = _t9[1:779]
+    _t12 = _t9[21:799]
+    _t13 = (_t11 + _t12)
+    _t14 = _t9[201:979]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[221:999]
+    np.add(_t13, _t16, out=_t13)
+    _t18 = _t4[0:778]
+    np.add(_t13, _t18, out=_t13)
+    _t20 = _t4[2:780]
+    np.add(_t13, _t20, out=_t13)
+    np.multiply(-0.015625, _t13, out=_t13)
+    _t23 = _t9[110:888]
+    _t24 = _t9[112:890]
+    _t25 = (_t23 + _t24)
+    _t26 = _t4[1:779]
+    np.add(_t25, _t26, out=_t25)
+    np.multiply(0.03125, _t25, out=_t25)
+    np.add(_t13, _t25, out=_t13)
+    del _t25
+    _t30 = _t9[111:889]
+    _t31 = _t4[0:778]
+    np.multiply(-0.375, _t30, out=_t31)
+    np.add(_t13, _t31, out=_t13)
+    del _t4, _t18, _t20, _t26, _t31
+    _t1[1:9, 1:9, 1:9] = np.ndarray((8, 8, 8), np.float64, _t13, 0, (800, 80, 8))
+    del _t13
     return _t1
 
 def VCycle__10x10x10_d(r):
@@ -1034,129 +958,113 @@ def Coarse2Fine__10x10x10_d(rn):
     _t3 = np.zeros((18, 18, 18), dtype=np.float64)
     _t3[0:17:2, 0:17:2, 0:17:2] = _t2
     _t4 = _t1[1:9, 1:9, 1:9]
-    _t5 = (1.0 * _t4)
-    _t3[2:17:2, 2:17:2, 2:17:2] = _t5
-    del _t5
-    _t7 = _t1[1:9, 1:9, 0:8]
-    _t8 = _t1[1:9, 1:9, 1:9]
-    _t9 = (_t7 + _t8)
-    np.multiply(0.5, _t9, out=_t9)
-    _t3[2:17:2, 2:17:2, 1:16:2] = _t9
-    del _t9
-    _t12 = _t1[1:9, 0:8, 1:9]
-    _t13 = _t1[1:9, 1:9, 1:9]
-    _t14 = (_t12 + _t13)
-    np.multiply(0.5, _t14, out=_t14)
-    _t3[2:17:2, 1:16:2, 2:17:2] = _t14
-    del _t14
-    _t17 = _t1[1:9, 0:8, 0:8]
-    _t18 = _t1[1:9, 0:8, 1:9]
-    _t19 = (_t17 + _t18)
-    _t20 = _t1[1:9, 1:9, 0:8]
-    np.add(_t19, _t20, out=_t19)
-    _t22 = _t1[1:9, 1:9, 1:9]
-    np.add(_t19, _t22, out=_t19)
-    np.multiply(0.25, _t19, out=_t19)
-    _t3[2:17:2, 1:16:2, 1:16:2] = _t19
-    del _t19
-    _t26 = _t1[0:8, 1:9, 1:9]
-    _t27 = _t1[1:9, 1:9, 1:9]
-    _t28 = (_t26 + _t27)
-    np.multiply(0.5, _t28, out=_t28)
-    _t3[1:16:2, 2:17:2, 2:17:2] = _t28
-    del _t28
-    _t31 = _t1[0:8, 1:9, 0:8]
-    _t32 = _t1[0:8, 1:9, 1:9]
-    _t33 = (_t31 + _t32)
-    _t34 = _t1[1:9, 1:9, 0:8]
-    np.add(_t33, _t34, out=_t33)
-    _t36 = _t1[1:9, 1:9, 1:9]
-    np.add(_t33, _t36, out=_t33)
-    np.multiply(0.25, _t33, out=_t33)
-    _t3[1:16:2, 2:17:2, 1:16:2] = _t33
-    del _t33
-    _t40 = _t1[0:8, 0:8, 1:9]
-    _t41 = _t1[0:8, 1:9, 1:9]
-    _t42 = (_t40 + _t41)
-    _t43 = _t1[1:9, 0:8, 1:9]
-    np.add(_t42, _t43, out=_t42)
-    _t45 = _t1[1:9, 1:9, 1:9]
-    np.add(_t42, _t45, out=_t42)
-    np.multiply(0.25, _t42, out=_t42)
-    _t3[1:16:2, 1:16:2, 2:17:2] = _t42
-    del _t42
-    _t49 = _t1[0:8, 0:8, 0:8]
-    _t50 = _t1[0:8, 0:8, 1:9]
-    _t51 = (_t49 + _t50)
-    _t52 = _t1[0:8, 1:9, 0:8]
-    np.add(_t51, _t52, out=_t51)
-    _t54 = _t1[0:8, 1:9, 1:9]
-    np.add(_t51, _t54, out=_t51)
-    _t56 = _t1[1:9, 0:8, 0:8]
-    np.add(_t51, _t56, out=_t51)
-    _t58 = _t1[1:9, 0:8, 1:9]
-    np.add(_t51, _t58, out=_t51)
-    _t60 = _t1[1:9, 1:9, 0:8]
-    np.add(_t51, _t60, out=_t51)
-    _t62 = _t1[1:9, 1:9, 1:9]
-    np.add(_t51, _t62, out=_t51)
-    del _t1, _t2, _t4, _t7, _t8, _t12, _t13, _t17, _t18, _t20, _t22, _t26, _t27, _t31, _t32, _t34, _t36, _t40, _t41, _t43, _t45, _t49, _t50, _t52, _t54, _t56, _t58, _t60, _t62
-    np.multiply(0.125, _t51, out=_t51)
-    _t3[1:16:2, 1:16:2, 1:16:2] = _t51
-    del _t51
+    _t3[2:17:2, 2:17:2, 2:17:2] = _t4
+    _t6 = _t1[1:9, 1:9, 0:8]
+    _t7 = _t1[1:9, 1:9, 1:9]
+    _t8 = (_t6 + _t7)
+    np.multiply(0.5, _t8, out=_t8)
+    _t3[2:17:2, 2:17:2, 1:16:2] = _t8
+    del _t8
+    _t11 = _t1[1:9, 0:8, 1:9]
+    _t12 = _t1[1:9, 1:9, 1:9]
+    _t13 = (_t11 + _t12)
+    np.multiply(0.5, _t13, out=_t13)
+    _t3[2:17:2, 1:16:2, 2:17:2] = _t13
+    del _t13
+    _t16 = _t1[1:9, 0:8, 0:8]
+    _t17 = _t1[1:9, 0:8, 1:9]
+    _t18 = (_t16 + _t17)
+    _t19 = _t1[1:9, 1:9, 0:8]
+    np.add(_t18, _t19, out=_t18)
+    _t21 = _t1[1:9, 1:9, 1:9]
+    np.add(_t18, _t21, out=_t18)
+    np.multiply(0.25, _t18, out=_t18)
+    _t3[2:17:2, 1:16:2, 1:16:2] = _t18
+    del _t18
+    _t25 = _t1[0:8, 1:9, 1:9]
+    _t26 = _t1[1:9, 1:9, 1:9]
+    _t27 = (_t25 + _t26)
+    np.multiply(0.5, _t27, out=_t27)
+    _t3[1:16:2, 2:17:2, 2:17:2] = _t27
+    del _t27
+    _t30 = _t1[0:8, 1:9, 0:8]
+    _t31 = _t1[0:8, 1:9, 1:9]
+    _t32 = (_t30 + _t31)
+    _t33 = _t1[1:9, 1:9, 0:8]
+    np.add(_t32, _t33, out=_t32)
+    _t35 = _t1[1:9, 1:9, 1:9]
+    np.add(_t32, _t35, out=_t32)
+    np.multiply(0.25, _t32, out=_t32)
+    _t3[1:16:2, 2:17:2, 1:16:2] = _t32
+    del _t32
+    _t39 = _t1[0:8, 0:8, 1:9]
+    _t40 = _t1[0:8, 1:9, 1:9]
+    _t41 = (_t39 + _t40)
+    _t42 = _t1[1:9, 0:8, 1:9]
+    np.add(_t41, _t42, out=_t41)
+    _t44 = _t1[1:9, 1:9, 1:9]
+    np.add(_t41, _t44, out=_t41)
+    np.multiply(0.25, _t41, out=_t41)
+    _t3[1:16:2, 1:16:2, 2:17:2] = _t41
+    del _t41
+    _t48 = _t1[0:8, 0:8, 0:8]
+    _t49 = _t1[0:8, 0:8, 1:9]
+    _t50 = (_t48 + _t49)
+    _t51 = _t1[0:8, 1:9, 0:8]
+    np.add(_t50, _t51, out=_t50)
+    _t53 = _t1[0:8, 1:9, 1:9]
+    np.add(_t50, _t53, out=_t50)
+    _t55 = _t1[1:9, 0:8, 0:8]
+    np.add(_t50, _t55, out=_t50)
+    _t57 = _t1[1:9, 0:8, 1:9]
+    np.add(_t50, _t57, out=_t50)
+    _t59 = _t1[1:9, 1:9, 0:8]
+    np.add(_t50, _t59, out=_t50)
+    _t61 = _t1[1:9, 1:9, 1:9]
+    np.add(_t50, _t61, out=_t50)
+    del _t1, _t2, _t4, _t6, _t7, _t11, _t12, _t16, _t17, _t19, _t21, _t25, _t26, _t30, _t31, _t33, _t35, _t39, _t40, _t42, _t44, _t48, _t49, _t51, _t53, _t55, _t57, _t59, _t61
+    np.multiply(0.125, _t50, out=_t50)
+    _t3[1:16:2, 1:16:2, 1:16:2] = _t50
+    del _t50
     return _t3
 
 def Resid__18x18x18(u):
     _t1 = SetupPeriodicBorder__18x18x18(u)
-    _t46 = _t1.reshape(-1)
-    _t2 = _t46[0:5146]
-    _t3 = _t46[2:5148]
-    _t4 = (_t2 + _t3)
-    _t5 = _t46[36:5182]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[0:5148]
+    _t3 = _t9[36:5184]
+    _t4, _t13 = np.empty((2, 5148), dtype=np.float64)
+    np.add(_t2, _t3, out=_t4)
+    _t5 = _t9[648:5796]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t46[38:5184]
+    _t7 = _t9[684:5832]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t46[648:5794]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t46[650:5796]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t46[684:5830]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t46[686:5832]
-    np.add(_t4, _t15, out=_t4)
-    np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t46[1:5147]
-    _t19 = _t46[18:5164]
-    _t20 = (_t18 + _t19)
-    _t21 = _t46[20:5166]
-    np.add(_t20, _t21, out=_t20)
-    _t23 = _t46[37:5183]
-    np.add(_t20, _t23, out=_t20)
-    _t25 = _t46[324:5470]
-    np.add(_t20, _t25, out=_t20)
-    _t27 = _t46[326:5472]
-    np.add(_t20, _t27, out=_t20)
-    _t29 = _t46[360:5506]
-    np.add(_t20, _t29, out=_t20)
-    _t31 = _t46[362:5508]
-    np.add(_t20, _t31, out=_t20)
-    _t33 = _t46[649:5795]
-    np.add(_t20, _t33, out=_t20)
-    _t35 = _t46[666:5812]
-    np.add(_t20, _t35, out=_t20)
-    _t37 = _t46[668:5814]
-    np.add(_t20, _t37, out=_t20)
-    _t39 = _t46[685:5831]
-    np.add(_t20, _t39, out=_t20)
-    np.multiply(0.16666666666666666, _t20, out=_t20)
-    np.add(_t4, _t20, out=_t4)
-    del _t20
-    _t43 = _t46[343:5489]
-    _t44 = (-2.6666666666666665 * _t43)
-    np.add(_t4, _t44, out=_t4)
-    del _t44
-    _t1[1:17, 1:17, 1:17] = np.ndarray((16, 16, 16), np.float64, _t4, 0, (2592, 144, 8))
-    del _t4
+    _t11 = _t9[324:5472]
+    _t12 = _t9[360:5508]
+    np.add(_t11, _t12, out=_t13)
+    _t14 = _t9[18:5166]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[666:5814]
+    np.add(_t13, _t16, out=_t13)
+    _t19 = _t4[0:5146]
+    _t20 = _t4[2:5148]
+    _t21 = (_t19 + _t20)
+    np.multiply(0.08333333333333333, _t21, out=_t21)
+    _t23 = _t4[1:5147]
+    _t24 = _t13[0:5146]
+    np.add(_t23, _t24, out=_t23)
+    _t26 = _t13[2:5148]
+    np.add(_t23, _t26, out=_t23)
+    np.multiply(0.16666666666666666, _t23, out=_t23)
+    np.add(_t21, _t23, out=_t21)
+    del _t4, _t19, _t20, _t23
+    _t30 = _t9[343:5489]
+    _t31 = _t13[0:5146]
+    np.multiply(-2.6666666666666665, _t30, out=_t31)
+    np.add(_t21, _t31, out=_t21)
+    del _t13, _t24, _t26, _t31
+    _t1[1:17, 1:17, 1:17] = np.ndarray((16, 16, 16), np.float64, _t21, 0, (2592, 144, 8))
+    del _t21
     return _t1
 
 def SetupAxis__18x18x18_d(a):
@@ -1176,51 +1084,41 @@ def SetupPeriodicBorder__18x18x18_d(a):
 
 def Smooth__18x18x18_d(r):
     _t1 = SetupPeriodicBorder__18x18x18_d(r)
-    _t42 = _t1.reshape(-1)
-    _t2 = _t42[1:5147]
-    _t3 = _t42[18:5164]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[324:5472]
+    _t3 = _t9[360:5508]
     _t4 = (_t2 + _t3)
-    _t5 = _t42[20:5166]
+    _t5 = _t9[18:5166]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t42[37:5183]
+    _t7 = _t9[666:5814]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t42[324:5470]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t42[326:5472]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t42[360:5506]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t42[362:5508]
-    np.add(_t4, _t15, out=_t4)
-    _t17 = _t42[649:5795]
-    np.add(_t4, _t17, out=_t4)
-    _t19 = _t42[666:5812]
-    np.add(_t4, _t19, out=_t4)
-    _t21 = _t42[668:5814]
-    np.add(_t4, _t21, out=_t4)
-    _t23 = _t42[685:5831]
-    np.add(_t4, _t23, out=_t4)
-    np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t42[19:5165]
-    _t27 = _t42[325:5471]
-    _t28 = (_t26 + _t27)
-    _t29 = _t42[342:5488]
-    np.add(_t28, _t29, out=_t28)
-    _t31 = _t42[344:5490]
-    np.add(_t28, _t31, out=_t28)
-    _t33 = _t42[361:5507]
-    np.add(_t28, _t33, out=_t28)
-    _t35 = _t42[667:5813]
-    np.add(_t28, _t35, out=_t28)
-    np.multiply(0.03125, _t28, out=_t28)
-    np.add(_t4, _t28, out=_t4)
-    del _t28
-    _t39 = _t42[343:5489]
-    _t40 = (-0.375 * _t39)
-    np.add(_t4, _t40, out=_t4)
-    del _t40
-    _t1[1:17, 1:17, 1:17] = np.ndarray((16, 16, 16), np.float64, _t4, 0, (2592, 144, 8))
-    del _t4
+    _t11 = _t9[1:5147]
+    _t12 = _t9[37:5183]
+    _t13 = (_t11 + _t12)
+    _t14 = _t9[649:5795]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[685:5831]
+    np.add(_t13, _t16, out=_t13)
+    _t18 = _t4[0:5146]
+    np.add(_t13, _t18, out=_t13)
+    _t20 = _t4[2:5148]
+    np.add(_t13, _t20, out=_t13)
+    np.multiply(-0.015625, _t13, out=_t13)
+    _t23 = _t9[342:5488]
+    _t24 = _t9[344:5490]
+    _t25 = (_t23 + _t24)
+    _t26 = _t4[1:5147]
+    np.add(_t25, _t26, out=_t25)
+    np.multiply(0.03125, _t25, out=_t25)
+    np.add(_t13, _t25, out=_t13)
+    del _t25
+    _t30 = _t9[343:5489]
+    _t31 = _t4[0:5146]
+    np.multiply(-0.375, _t30, out=_t31)
+    np.add(_t13, _t31, out=_t13)
+    del _t4, _t18, _t20, _t26, _t31
+    _t1[1:17, 1:17, 1:17] = np.ndarray((16, 16, 16), np.float64, _t13, 0, (2592, 144, 8))
+    del _t13
     return _t1
 
 def VCycle__18x18x18_d(r):
@@ -1243,76 +1141,74 @@ def Coarse2Fine__18x18x18_d(rn):
     _t3 = np.zeros((34, 34, 34), dtype=np.float64)
     _t3[0:33:2, 0:33:2, 0:33:2] = _t2
     _t4 = _t1[1:17, 1:17, 1:17]
-    _t5 = (1.0 * _t4)
-    _t3[2:33:2, 2:33:2, 2:33:2] = _t5
-    del _t5
-    _t7 = _t1[1:17, 1:17, 0:16]
-    _t8 = _t1[1:17, 1:17, 1:17]
-    _t9 = (_t7 + _t8)
-    np.multiply(0.5, _t9, out=_t9)
-    _t3[2:33:2, 2:33:2, 1:32:2] = _t9
-    del _t9
-    _t12 = _t1[1:17, 0:16, 1:17]
-    _t13 = _t1[1:17, 1:17, 1:17]
-    _t14 = (_t12 + _t13)
-    np.multiply(0.5, _t14, out=_t14)
-    _t3[2:33:2, 1:32:2, 2:33:2] = _t14
-    del _t14
-    _t17 = _t1[1:17, 0:16, 0:16]
-    _t18 = _t1[1:17, 0:16, 1:17]
-    _t19 = (_t17 + _t18)
-    _t20 = _t1[1:17, 1:17, 0:16]
-    np.add(_t19, _t20, out=_t19)
-    _t22 = _t1[1:17, 1:17, 1:17]
-    np.add(_t19, _t22, out=_t19)
-    np.multiply(0.25, _t19, out=_t19)
-    _t3[2:33:2, 1:32:2, 1:32:2] = _t19
-    del _t19
-    _t26 = _t1[0:16, 1:17, 1:17]
-    _t27 = _t1[1:17, 1:17, 1:17]
-    _t28 = (_t26 + _t27)
-    np.multiply(0.5, _t28, out=_t28)
-    _t3[1:32:2, 2:33:2, 2:33:2] = _t28
-    del _t28
-    _t31 = _t1[0:16, 1:17, 0:16]
-    _t32 = _t1[0:16, 1:17, 1:17]
-    _t33 = (_t31 + _t32)
-    _t34 = _t1[1:17, 1:17, 0:16]
-    np.add(_t33, _t34, out=_t33)
-    _t36 = _t1[1:17, 1:17, 1:17]
-    np.add(_t33, _t36, out=_t33)
-    np.multiply(0.25, _t33, out=_t33)
-    _t3[1:32:2, 2:33:2, 1:32:2] = _t33
-    del _t33
-    _t40 = _t1[0:16, 0:16, 1:17]
-    _t41 = _t1[0:16, 1:17, 1:17]
-    _t42 = (_t40 + _t41)
-    _t43 = _t1[1:17, 0:16, 1:17]
-    np.add(_t42, _t43, out=_t42)
-    _t45 = _t1[1:17, 1:17, 1:17]
-    np.add(_t42, _t45, out=_t42)
-    np.multiply(0.25, _t42, out=_t42)
-    _t3[1:32:2, 1:32:2, 2:33:2] = _t42
-    del _t42
-    _t49 = _t1[0:16, 0:16, 0:16]
-    _t50 = _t1[0:16, 0:16, 1:17]
-    _t51 = (_t49 + _t50)
-    _t52 = _t1[0:16, 1:17, 0:16]
-    np.add(_t51, _t52, out=_t51)
-    _t54 = _t1[0:16, 1:17, 1:17]
-    np.add(_t51, _t54, out=_t51)
-    _t56 = _t1[1:17, 0:16, 0:16]
-    np.add(_t51, _t56, out=_t51)
-    _t58 = _t1[1:17, 0:16, 1:17]
-    np.add(_t51, _t58, out=_t51)
-    _t60 = _t1[1:17, 1:17, 0:16]
-    np.add(_t51, _t60, out=_t51)
-    _t62 = _t1[1:17, 1:17, 1:17]
-    np.add(_t51, _t62, out=_t51)
-    del _t1, _t2, _t4, _t7, _t8, _t12, _t13, _t17, _t18, _t20, _t22, _t26, _t27, _t31, _t32, _t34, _t36, _t40, _t41, _t43, _t45, _t49, _t50, _t52, _t54, _t56, _t58, _t60, _t62
-    np.multiply(0.125, _t51, out=_t51)
-    _t3[1:32:2, 1:32:2, 1:32:2] = _t51
-    del _t51
+    _t3[2:33:2, 2:33:2, 2:33:2] = _t4
+    _t6 = _t1[1:17, 1:17, 0:16]
+    _t7 = _t1[1:17, 1:17, 1:17]
+    _t8 = (_t6 + _t7)
+    np.multiply(0.5, _t8, out=_t8)
+    _t3[2:33:2, 2:33:2, 1:32:2] = _t8
+    del _t8
+    _t11 = _t1[1:17, 0:16, 1:17]
+    _t12 = _t1[1:17, 1:17, 1:17]
+    _t13 = (_t11 + _t12)
+    np.multiply(0.5, _t13, out=_t13)
+    _t3[2:33:2, 1:32:2, 2:33:2] = _t13
+    del _t13
+    _t16 = _t1[1:17, 0:16, 0:16]
+    _t17 = _t1[1:17, 0:16, 1:17]
+    _t18 = (_t16 + _t17)
+    _t19 = _t1[1:17, 1:17, 0:16]
+    np.add(_t18, _t19, out=_t18)
+    _t21 = _t1[1:17, 1:17, 1:17]
+    np.add(_t18, _t21, out=_t18)
+    np.multiply(0.25, _t18, out=_t18)
+    _t3[2:33:2, 1:32:2, 1:32:2] = _t18
+    del _t18
+    _t25 = _t1[0:16, 1:17, 1:17]
+    _t26 = _t1[1:17, 1:17, 1:17]
+    _t27 = (_t25 + _t26)
+    np.multiply(0.5, _t27, out=_t27)
+    _t3[1:32:2, 2:33:2, 2:33:2] = _t27
+    del _t27
+    _t30 = _t1[0:16, 1:17, 0:16]
+    _t31 = _t1[0:16, 1:17, 1:17]
+    _t32 = (_t30 + _t31)
+    _t33 = _t1[1:17, 1:17, 0:16]
+    np.add(_t32, _t33, out=_t32)
+    _t35 = _t1[1:17, 1:17, 1:17]
+    np.add(_t32, _t35, out=_t32)
+    np.multiply(0.25, _t32, out=_t32)
+    _t3[1:32:2, 2:33:2, 1:32:2] = _t32
+    del _t32
+    _t39 = _t1[0:16, 0:16, 1:17]
+    _t40 = _t1[0:16, 1:17, 1:17]
+    _t41 = (_t39 + _t40)
+    _t42 = _t1[1:17, 0:16, 1:17]
+    np.add(_t41, _t42, out=_t41)
+    _t44 = _t1[1:17, 1:17, 1:17]
+    np.add(_t41, _t44, out=_t41)
+    np.multiply(0.25, _t41, out=_t41)
+    _t3[1:32:2, 1:32:2, 2:33:2] = _t41
+    del _t41
+    _t48 = _t1[0:16, 0:16, 0:16]
+    _t49 = _t1[0:16, 0:16, 1:17]
+    _t50 = (_t48 + _t49)
+    _t51 = _t1[0:16, 1:17, 0:16]
+    np.add(_t50, _t51, out=_t50)
+    _t53 = _t1[0:16, 1:17, 1:17]
+    np.add(_t50, _t53, out=_t50)
+    _t55 = _t1[1:17, 0:16, 0:16]
+    np.add(_t50, _t55, out=_t50)
+    _t57 = _t1[1:17, 0:16, 1:17]
+    np.add(_t50, _t57, out=_t50)
+    _t59 = _t1[1:17, 1:17, 0:16]
+    np.add(_t50, _t59, out=_t50)
+    _t61 = _t1[1:17, 1:17, 1:17]
+    np.add(_t50, _t61, out=_t50)
+    del _t1, _t2, _t4, _t6, _t7, _t11, _t12, _t16, _t17, _t19, _t21, _t25, _t26, _t30, _t31, _t33, _t35, _t39, _t40, _t42, _t44, _t48, _t49, _t51, _t53, _t55, _t57, _t59, _t61
+    np.multiply(0.125, _t50, out=_t50)
+    _t3[1:32:2, 1:32:2, 1:32:2] = _t50
+    del _t50
     return _t3
 
 def SetupAxis__34x34x34_d(a):
@@ -1332,51 +1228,41 @@ def SetupPeriodicBorder__34x34x34_d(a):
 
 def Smooth__34x34x34_d(r):
     _t1 = SetupPeriodicBorder__34x34x34_d(r)
-    _t42 = _t1.reshape(-1)
-    _t2 = _t42[1:36923]
-    _t3 = _t42[34:36956]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[1156:38080]
+    _t3 = _t9[1224:38148]
     _t4 = (_t2 + _t3)
-    _t5 = _t42[36:36958]
+    _t5 = _t9[34:36958]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t42[69:36991]
+    _t7 = _t9[2346:39270]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t42[1156:38078]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t42[1158:38080]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t42[1224:38146]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t42[1226:38148]
-    np.add(_t4, _t15, out=_t4)
-    _t17 = _t42[2313:39235]
-    np.add(_t4, _t17, out=_t4)
-    _t19 = _t42[2346:39268]
-    np.add(_t4, _t19, out=_t4)
-    _t21 = _t42[2348:39270]
-    np.add(_t4, _t21, out=_t4)
-    _t23 = _t42[2381:39303]
-    np.add(_t4, _t23, out=_t4)
-    np.multiply(-0.015625, _t4, out=_t4)
-    _t26 = _t42[35:36957]
-    _t27 = _t42[1157:38079]
-    _t28 = (_t26 + _t27)
-    _t29 = _t42[1190:38112]
-    np.add(_t28, _t29, out=_t28)
-    _t31 = _t42[1192:38114]
-    np.add(_t28, _t31, out=_t28)
-    _t33 = _t42[1225:38147]
-    np.add(_t28, _t33, out=_t28)
-    _t35 = _t42[2347:39269]
-    np.add(_t28, _t35, out=_t28)
-    np.multiply(0.03125, _t28, out=_t28)
-    np.add(_t4, _t28, out=_t4)
-    del _t28
-    _t39 = _t42[1191:38113]
-    _t40 = (-0.375 * _t39)
-    np.add(_t4, _t40, out=_t4)
-    del _t40
-    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t4, 0, (9248, 272, 8))
-    del _t4
+    _t11 = _t9[1:36923]
+    _t12 = _t9[69:36991]
+    _t13 = (_t11 + _t12)
+    _t14 = _t9[2313:39235]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[2381:39303]
+    np.add(_t13, _t16, out=_t13)
+    _t18 = _t4[0:36922]
+    np.add(_t13, _t18, out=_t13)
+    _t20 = _t4[2:36924]
+    np.add(_t13, _t20, out=_t13)
+    np.multiply(-0.015625, _t13, out=_t13)
+    _t23 = _t9[1190:38112]
+    _t24 = _t9[1192:38114]
+    _t25 = (_t23 + _t24)
+    _t26 = _t4[1:36923]
+    np.add(_t25, _t26, out=_t25)
+    np.multiply(0.03125, _t25, out=_t25)
+    np.add(_t13, _t25, out=_t13)
+    del _t25
+    _t30 = _t9[1191:38113]
+    _t31 = _t4[0:36922]
+    np.multiply(-0.375, _t30, out=_t31)
+    np.add(_t13, _t31, out=_t13)
+    del _t4, _t18, _t20, _t26, _t31
+    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t13, 0, (9248, 272, 8))
+    del _t13
     return _t1
 
 def VCycle__34x34x34_d(r):
@@ -1411,55 +1297,41 @@ def MGrid__34x34x34(v):
 
 def Resid__34x34x34_d(u):
     _t1 = SetupPeriodicBorder__34x34x34_d(u)
-    _t46 = _t1.reshape(-1)
-    _t2 = _t46[0:36922]
-    _t3 = _t46[2:36924]
-    _t4 = (_t2 + _t3)
-    _t5 = _t46[68:36990]
+    _t9 = _t1.reshape(-1)
+    _t2 = _t9[0:36924]
+    _t3 = _t9[68:36992]
+    _t4, _t13 = np.empty((2, 36924), dtype=np.float64)
+    np.add(_t2, _t3, out=_t4)
+    _t5 = _t9[2312:39236]
     np.add(_t4, _t5, out=_t4)
-    _t7 = _t46[70:36992]
+    _t7 = _t9[2380:39304]
     np.add(_t4, _t7, out=_t4)
-    _t9 = _t46[2312:39234]
-    np.add(_t4, _t9, out=_t4)
-    _t11 = _t46[2314:39236]
-    np.add(_t4, _t11, out=_t4)
-    _t13 = _t46[2380:39302]
-    np.add(_t4, _t13, out=_t4)
-    _t15 = _t46[2382:39304]
-    np.add(_t4, _t15, out=_t4)
-    np.multiply(0.08333333333333333, _t4, out=_t4)
-    _t18 = _t46[1:36923]
-    _t19 = _t46[34:36956]
-    _t20 = (_t18 + _t19)
-    _t21 = _t46[36:36958]
-    np.add(_t20, _t21, out=_t20)
-    _t23 = _t46[69:36991]
-    np.add(_t20, _t23, out=_t20)
-    _t25 = _t46[1156:38078]
-    np.add(_t20, _t25, out=_t20)
-    _t27 = _t46[1158:38080]
-    np.add(_t20, _t27, out=_t20)
-    _t29 = _t46[1224:38146]
-    np.add(_t20, _t29, out=_t20)
-    _t31 = _t46[1226:38148]
-    np.add(_t20, _t31, out=_t20)
-    _t33 = _t46[2313:39235]
-    np.add(_t20, _t33, out=_t20)
-    _t35 = _t46[2346:39268]
-    np.add(_t20, _t35, out=_t20)
-    _t37 = _t46[2348:39270]
-    np.add(_t20, _t37, out=_t20)
-    _t39 = _t46[2381:39303]
-    np.add(_t20, _t39, out=_t20)
-    np.multiply(0.16666666666666666, _t20, out=_t20)
-    np.add(_t4, _t20, out=_t4)
-    del _t20
-    _t43 = _t46[1191:38113]
-    _t44 = (-2.6666666666666665 * _t43)
-    np.add(_t4, _t44, out=_t4)
-    del _t44
-    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t4, 0, (9248, 272, 8))
-    del _t4
+    _t11 = _t9[1156:38080]
+    _t12 = _t9[1224:38148]
+    np.add(_t11, _t12, out=_t13)
+    _t14 = _t9[34:36958]
+    np.add(_t13, _t14, out=_t13)
+    _t16 = _t9[2346:39270]
+    np.add(_t13, _t16, out=_t13)
+    _t19 = _t4[0:36922]
+    _t20 = _t4[2:36924]
+    _t21 = (_t19 + _t20)
+    np.multiply(0.08333333333333333, _t21, out=_t21)
+    _t23 = _t4[1:36923]
+    _t24 = _t13[0:36922]
+    np.add(_t23, _t24, out=_t23)
+    _t26 = _t13[2:36924]
+    np.add(_t23, _t26, out=_t23)
+    np.multiply(0.16666666666666666, _t23, out=_t23)
+    np.add(_t21, _t23, out=_t21)
+    del _t4, _t19, _t20, _t23
+    _t30 = _t9[1191:38113]
+    _t31 = _t13[0:36922]
+    np.multiply(-2.6666666666666665, _t30, out=_t31)
+    np.add(_t21, _t31, out=_t21)
+    del _t13, _t24, _t26, _t31
+    _t1[1:33, 1:33, 1:33] = np.ndarray((32, 32, 32), np.float64, _t21, 0, (9248, 272, 8))
+    del _t21
     return _t1
 
 def FinalResidual(v):

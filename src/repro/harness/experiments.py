@@ -156,15 +156,46 @@ def fig13(classes: tuple[str, ...] = ("W", "A"),
 # §5 arithmetic analysis.
 # ---------------------------------------------------------------------------
 
+#: The generated operator of each stencil, the grid it is traced on at
+#: class S, and the interior extent of its result.
+_SAC_OPERATORS = {"A": ("Resid", 34, 32), "S": ("Smooth", 34, 32),
+                 "P": ("Fine2Coarse", 34, 16), "Q": ("Coarse2Fine", 18, 32)}
+
+
+def _sac_op_counts() -> dict[str, dict[str, float]]:
+    """Multiplies and adds per result point of each generated operator
+    of ``mg.sac``, read off its planned class-S trace
+    (:func:`~repro.sac.codegen.element_operations`): a flat range's
+    ghost positions count, the base combine (``v - Resid(u)``) is the
+    caller's."""
+    import numpy as np
+
+    from repro.mg_sac.loader import load_mg_program
+    from repro.sac.codegen import element_operations, trace_module
+
+    prog = load_mg_program()
+    out = {}
+    for stencil, (name, n, m) in _SAC_OPERATORS.items():
+        traced = trace_module(prog, name, (np.zeros((n, n, n)),))
+        out[stencil] = {
+            key: element_operations(*traced, ops=ops)[name] / m ** 3
+            for key, ops in (("muls", ("*",)), ("adds", ("+", "-")))}
+    return out
+
+
 def ops_table() -> dict:
-    """Per-stencil multiply/add counts for the three formulations."""
+    """Per-stencil multiply/add counts for the three formulations, and
+    for the generated operator of ``mg.sac`` (``sac``; None for a
+    stencil no operator uses)."""
     rows = {}
+    sac = _sac_op_counts()
     for name, coeffs in STENCILS.items():
         counts = op_counts(coeffs, with_base=True)
         rows[name] = {
             form: {"muls": oc.muls, "adds": oc.adds}
             for form, oc in counts.items()
         }
+        rows[name]["sac"] = sac.get(name)
     return {
         "rows": rows,
         "paper_claims": {

@@ -100,13 +100,18 @@ def format_fig13(data: dict) -> str:
 def format_ops(data: dict) -> str:
     lines = ["§5 stencil arithmetic (per grid point, incl. base combine)",
              _rule()]
-    lines.append(f"{'stencil':<9}{'naive':>14}{'grouped':>14}{'buffered':>14}")
+    lines.append(f"{'stencil':<9}{'naive':>14}{'grouped':>14}{'buffered':>14}"
+                 f"{'sac':>18}")
     for name, forms in data["rows"].items():
         cells = []
         for form in ("naive", "grouped", "buffered"):
             oc = forms[form]
             cells.append(f"{oc['muls']:.0f}mul {oc['adds']:.0f}add")
-        lines.append(f"{name:<9}" + "".join(f"{c:>14}" for c in cells))
+        sac = forms["sac"]
+        cells.append("-" if sac is None else
+                     f"{sac['muls']:.2f}mul {sac['adds']:.2f}add")
+        lines.append(f"{name:<9}" + "".join(f"{c:>14}" for c in cells[:3])
+                     + f"{cells[3]:>18}")
     claims = data["paper_claims"]
     lines.append("")
     lines.append(
@@ -115,6 +120,9 @@ def format_ops(data: dict) -> str:
         f"{claims['grouped_muls']} mul; buffered adds in "
         f"{claims['buffered_adds_range']}"
     )
+    lines.append("sac: the generated Resid/Smooth/Fine2Coarse/Coarse2Fine "
+                 "per result point at class S, flat-range ghosts included, "
+                 "base combine excluded")
     return "\n".join(lines)
 
 

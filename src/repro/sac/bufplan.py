@@ -23,6 +23,14 @@ through any alias.
 * a ``call`` *donates* an owned operand that dies there and is passed
   once: the caller calls the variant of the callee planned with that
   parameter owned, and owns whatever comes back;
+* an elementwise operation that reads a ``window`` of an owned buffer
+  dying there, and no other view of it, writes into that window; a
+  fresh 1-D result instead takes the head of a windowed buffer freed
+  since the last allocation (its ``del`` goes), so that a chain of flat
+  partial sums allocates no more arrays than it has live at once; and
+  windowed buffers made before any of them dies are rows of one
+  allocation, whose first ``free`` raises glibc's trim threshold above
+  what a relaxation holds at once (docs/COMPILER.md, rule 4);
 * an owned array that dies without being reused is ``del``-ed (with the
   names of its views, which hold it alive).
 
@@ -84,6 +92,9 @@ class Instr:
     ``view``
         ``dst`` aliases memory it does not own: operand 0's, or with no
         operand an anonymous read-only temporary's.
+    ``window``
+        a view that is a contiguous slice of operand 0, a 1-D buffer
+        this trace computed: the one view the planner writes into.
     ``call``
         ``dst`` is what another specialization returned (or one element
         of a returned tuple).  ``base`` is None when the callee
@@ -151,7 +162,7 @@ def _liveness(instrs: list[Instr], owned_params: Owned = {}) -> tuple[
             if x in root:
                 last[root[x]] = i
         if ins.dst is not None:
-            if ins.kind == "view":
+            if ins.kind in ("view", "window"):
                 base: str | None = ins.operands[0] if ins.operands else ins.dst
             else:
                 base = ins.base
@@ -190,11 +201,16 @@ def plan(instrs: list[Instr], owned_params: Owned = {}
     # never another parameter, a module constant, a view or a 0-d value.
     root, last, fresh = _liveness(instrs, owned_params)
     owned = {name: ins for name, ins in fresh.items() if ins.shape != ()}
+    windows = {ins.dst: ins for ins in instrs if ins.kind == "window"}
+    windowed = {root[w.operands[0]] for w in windows.values()}
 
     bound: dict[str, str] = {}          # SSA name -> its name in the output
     holders: dict[str, list[str]] = {}  # buffer -> bound names keeping it
-    out: list[Instr] = []
+    out: list[Instr | None] = []
     used: set[str] = set()
+    #: Windowed 1-D buffers freed since the last allocation: (name,
+    #: length, dtype, position of their ``del`` in ``out``).
+    free: list[tuple[str, int, Any, int]] = []
     for i, ins in enumerate(instrs):
         dst, names = ins.dst, ins.operands
         operands = tuple(bound.get(x, x) for x in names)
@@ -210,6 +226,30 @@ def plan(instrs: list[Instr], owned_params: Owned = {}
                     used.add(x)
                     target = bound[dst] = bound.get(x, x)
                     break
+            for x in names if target is None else ():
+                w = root.get(x)
+                if (x in windows and w in dying
+                        and windows[x].shape == ins.shape
+                        and owned[w].dtype == ins.dtype
+                        and [root.get(y) for y in names].count(w) == 1):
+                    # Into the window of a buffer dying here that no
+                    # other operand reads: each element in its own place.
+                    del dying[w]
+                    target = bound[dst] = bound.get(x, x)
+                    holders[target] = holders.pop(bound.get(w, w))
+                    break
+            for k, (name, n, dtype, at) in enumerate(free):
+                if target is not None or len(ins.shape) != 1:
+                    break
+                if dtype == ins.dtype and n >= ins.shape[0]:
+                    # Into the head of a window buffer freed since the
+                    # last allocation: its ``del`` goes, and no new array.
+                    del free[k]
+                    holders[dst] = [*out[at].operands, dst]
+                    out[at] = None
+                    out.append(Instr(dst, "window", f"{{}}[0:{ins.shape[0]}]",
+                                     (name,), ins.shape, dtype))
+                    target = dst
             if target is not None:
                 ins = replace(ins, dst=None, out=target)
         elif ins.kind == "copy" and dst is not None:
@@ -230,6 +270,8 @@ def plan(instrs: list[Instr], owned_params: Owned = {}
         if not (ins.kind == "copy" and target):  # an elided copy is no code
             out.append(ins if operands == names
                        else replace(ins, operands=operands))
+            if ins.dst is not None and root[ins.dst] == ins.dst:
+                free.clear()
         if ins.kind == "return":
             break
         if dst is not None and root[dst] in owned:
@@ -241,7 +283,37 @@ def plan(instrs: list[Instr], owned_params: Owned = {}
         for buf in dying:
             # What lives in a donated parameter stays bound: the caller
             # holds that memory too, so unbinding would free nothing.
-            if bound.get(buf, buf) not in owned_params:
-                out.append(Instr(None, "del", "",
-                                 tuple(holders.pop(bound.get(buf, buf)))))
-    return out, used & owned_params.keys()
+            name = bound.get(buf, buf)
+            if name not in owned_params:
+                out.append(Instr(None, "del", "", tuple(holders.pop(name))))
+                if (buf in windowed and name not in windows
+                        and len(owned[buf].shape) == 1):
+                    free.append((name, owned[buf].shape[0],
+                                 owned[buf].dtype, len(out) - 1))
+    return _one_block([ins for ins in out if ins is not None]), \
+        used & owned_params.keys()
+
+
+def _one_block(instrs: list[Instr]) -> list[Instr]:
+    """Make the windowed 1-D buffers that are all created before any of
+    them dies (a relaxation's partial sums) rows of one allocation:
+    ``a, b = np.empty((2, n))``, each then computed into its row."""
+    windowed = {ins.operands[0] for ins in instrs if ins.kind == "window"}
+    made = [i for i, ins in enumerate(instrs)
+            if ins.kind == "elementwise" and ins.out is None
+            and ins.dst in windowed and len(ins.shape) == 1]
+    names = {instrs[i].dst for i in made}
+    first_del = next((i for i, ins in enumerate(instrs) if ins.kind == "del"
+                      and names & set(ins.operands)), len(instrs))
+    rows = [i for i in made if i < first_del and (instrs[i].shape,
+            instrs[i].dtype) == (instrs[made[0]].shape, instrs[made[0]].dtype)]
+    if len(rows) < 2:
+        return instrs
+    out = list(instrs)
+    for i in rows:
+        out[i] = replace(out[i], dst=None, out=out[i].dst)
+    block = f"({len(rows)}, {instrs[rows[0]].shape[0]})"
+    out.insert(rows[0], Instr(None, "alloc", ", ".join(
+        instrs[i].dst for i in rows) + f" = np.empty({block}, "
+        f"dtype=np.{instrs[rows[0]].dtype.name})", ()))
+    return out

@@ -173,6 +173,13 @@ class Emitter:
         #: A unit-stride window of a whole array -> (the array's code,
         #: its shape, the window's first index).
         self.windows: dict[str, tuple[str, tuple[int, ...], tuple[int, ...]]] = {}
+        #: An array -> the flat view of it that bodies slice.
+        self.flats: dict[str, str] = {}
+        #: The frame of a genarray whose body was lowered flat -> (the
+        #: 1-D result, the generator's first point and counts, the flat
+        #: index of the result's first element).
+        self.flat_frames: dict[str, tuple[str, tuple[int, ...],
+                                          tuple[int, ...], int]] = {}
 
     def assign(self, kind: str, op: str, operands,
                shape: tuple[int, ...], dtype: np.dtype,
@@ -186,6 +193,15 @@ class Emitter:
             name, kind, op, tuple(_code_of(self.module, v) for v in operands),
             shape, dtype, base=base, donate=donate))
         return TArray(name, shape, dtype)
+
+    def drop_unread_frames(self) -> None:
+        """Drop the ``np.zeros`` frame and the region store of each flat
+        genarray that nothing reads but through its 1-D result."""
+        reads = Counter(x for ins in self.instrs for x in ins.operands)
+        dead = {f for f in self.flat_frames if reads[f] == 1}
+        self.instrs = [ins for ins in self.instrs
+                       if ins.dst not in dead and not (
+                           ins.kind == "store" and ins.operands[0] in dead)]
 
 
 def _code_of(mod: Module, v) -> str:
@@ -333,6 +349,7 @@ class Tracer(Interpreter):
             em.instrs.append(Instr(
                 None, "return", "return " + ", ".join(["{}"] * len(returned)),
                 tuple(_code_of(mod, results[n]) for n in returned)))
+            em.drop_unread_frames()
             spec.raw = em.instrs
             spec.bases = result_bases(em.instrs)
             spec.rolls = loop and not set(spec.bases) & {
@@ -657,13 +674,17 @@ class Tracer(Interpreter):
             del self.em.instrs[snapshot:]  # drop any speculative emissions
             return concrete
 
-        value = self._flat_body(snapshot, body, space)
+        flat = self._flat_body(snapshot, body, space)
+        value = "{}" if flat is None else flat[0]
         cell = self._cell_shape(body, space)
         if isinstance(op, GenarrayOp):
             dtype = _dtype_of(body)
             out = self.em.assign(
                 "alloc", f"np.zeros({shp + cell}, dtype=np.{dtype.name})",
                 (), shp + cell, dtype)
+            if flat is not None and flat[2] == shp + cell:
+                self.em.flat_frames[out.code] = (
+                    body.code, space.lower, space.count, flat[1])
         else:
             dtype = np.promote_types(_dtype_of(base), _dtype_of(body))
             # A copy in the trace; the plan drops it where the frame is a
@@ -684,55 +705,82 @@ class Tracer(Interpreter):
                 (out.code, _code_of(self.module, body))))
         return out
 
-    def _flat_body(self, start: int, body, space: IndexSpace) -> str:
+    def _flat_body(self, start: int, body, space: IndexSpace
+                   ) -> tuple[str, int, tuple[int, ...]] | None:
         """Lower the WITH-loop body traced from instruction ``start`` to
         one contiguous 1-D range, when it is made of unit-stride windows
-        of one extent on one array and of elementwise instructions over
-        them alone, and its generator has unit step over two or more
-        axes (a 1-D window is a contiguous range already).
+        of one extent on arrays of one shape and of elementwise
+        instructions over them alone, and its generator has unit step
+        over two or more axes (a 1-D window is a contiguous range
+        already).
 
-        Each window becomes a flat slice of the raveled array, from the
-        window's first element to its last, so every ufunc is one 1-D
-        pass instead of a row-by-row one; the positions between rows are
-        computed and never stored.  Returns the store's right-hand side:
-        a strided view of the 1-D result whose strides follow from the
-        array's shape (``"{}"``, the result itself, when the body stays
-        as traced).  The terms and their order are unchanged, and so
-        are the bits."""
+        Each window becomes a flat slice of its raveled array (one
+        ``reshape(-1)`` per array and trace), from the window's first
+        element to its last, so every ufunc is one 1-D pass instead of a
+        row-by-row one; the positions between rows are computed and
+        never stored.  A window on the frame of a flat genarray
+        (:attr:`Emitter.flat_frames`) that lies inside its generator is
+        a ``window`` of that genarray's 1-D result instead.  Returns the
+        store's right-hand side (a strided view of the 1-D result whose
+        strides follow from the arrays' shape), the flat index of the
+        range's first element and that shape; None when the body stays
+        as traced.  The terms and their order are unchanged, and so are
+        the bits."""
         em = self.em
         body_instrs = em.instrs[start:]
         temps = {ins.dst for ins in body_instrs}
         windows = {ins.dst: em.windows.get(ins.dst) for ins in body_instrs
                    if ins.kind == "view"}
-        bases = {w[:2] for w in windows.values() if w is not None}
+        shapes = {w[1] for w in windows.values() if w is not None}
         if (space.rank < 2 or space.is_empty
                 or any(ax.stride != 1 for ax in space.axes())
-                or None in windows.values() or len(bases) != 1
+                or None in windows.values() or len(shapes) != 1
                 or not isinstance(body, TArray) or body.code not in temps
                 or body.code in windows):
-            return "{}"
+            return None
         for ins in body_instrs:
             if ins.kind != "view" and (
                     ins.kind != "elementwise" or ins.op in ("/", "sqrt")
                     or ins.shape != space.count
                     or any(x not in temps and x.isidentifier()
                            for x in ins.operands)):
-                return "{}"
-        (array, shape), = bases
-        dtype = next(ins.dtype for ins in body_instrs if ins.kind == "view")
+                return None
+        shape = shapes.pop()
         strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
         size = 1 + sum((c - 1) * s for c, s in zip(space.count, strides))
-        flat = em.assign("view", "{}.reshape(-1)",
-                         (TArray(array, shape, dtype),),
-                         (math.prod(shape),), dtype, at=start)
-        for i, ins in enumerate(body_instrs, start + 1):
+        # Each window as a slice of a genarray's 1-D result (when inside
+        # its generator) or of its array's flat view.
+        sliced = {}
+        for dst, (array, _, corner) in windows.items():
+            first = sum(map(math.prod, zip(corner, strides)))
+            frame = em.flat_frames.get(array)
+            if frame is not None and all(
+                    lo <= c and c + n <= lo + m for c, n, lo, m in zip(
+                        corner, space.count, frame[1], frame[2])):
+                sliced[dst] = ("window", frame[0], first - frame[3])
+            else:
+                sliced[dst] = ("view", array, first)
+        at = start
+        for dst, (kind, array, _) in sliced.items():
+            code = em.flats.get(array)
+            if kind == "view" and (code is None or not any(
+                    x.dst == code for x in em.instrs[:at])):
+                dtype = next(x.dtype for x in body_instrs if x.dst == dst)
+                em.flats[array] = em.assign(
+                    "view", "{}.reshape(-1)", (TArray(array, shape, dtype),),
+                    (math.prod(shape),), dtype, at=at).code
+                at += 1
+        for i, ins in enumerate(em.instrs[at:at + len(body_instrs)], at):
             if ins.kind == "view":
-                first = sum(map(math.prod, zip(windows[ins.dst][2], strides)))
-                ins = replace(ins, op=f"{{}}[{first}:{first + size}]",
-                              operands=(flat.code,))
+                kind, array, lo = sliced[ins.dst]
+                ins = replace(ins, kind=kind, op=f"{{}}[{lo}:{lo + size}]",
+                              operands=(array if kind == "window"
+                                        else em.flats[array],))
             em.instrs[i] = replace(ins, shape=(size,))
+        first = sum(ax.offset * s for ax, s in zip(space.axes(), strides))
         return (f"np.ndarray({space.count}, np.{body.dtype.name}, {{}}, 0, "
-                f"{tuple(s * body.dtype.itemsize for s in strides)})")
+                f"{tuple(s * body.dtype.itemsize for s in strides)})", first,
+                shape)
 
     _CONCRETE_FOLD_LIMIT = 64
 
@@ -984,11 +1032,13 @@ def _trace(table: FunctionTable, fun: FunDef, example_args,
 
 
 def element_operations(mod: Module, entry: Def,
-                       kind: str = "elementwise") -> Counter:
+                       kind: str = "elementwise",
+                       ops: tuple[str, ...] = ()) -> Counter:
     """Array elements one call of ``entry`` computes — or, for ``kind``
     ``"copy"``, copies — per SAC function (its ``def``s together): the
-    result sizes of a ``def``'s instructions of that kind times how often
-    its body runs.  A count read off the planned trace, no clock."""
+    result sizes of a ``def``'s instructions of that kind (and, given
+    ``ops``, of those operators) times how often its body runs.  A count
+    read off the planned trace, no clock."""
     runs = Counter({entry.name: 1})
     # A callee is finished, and so listed, before its callers.
     for caller in reversed(mod.defs.values()):
@@ -997,11 +1047,12 @@ def element_operations(mod: Module, entry: Def,
             if callee is not None:
                 trips = int(ins.operands[-1]) if callee.rolls else 1
                 runs[callee.name] += runs[caller.name] * trips
-    ops: Counter = Counter()
+    counts: Counter = Counter()
     for name, d in mod.defs.items():
-        ops[name.partition("__")[0]] += runs[name] * sum(
-            math.prod(ins.shape) for ins in d.instrs if ins.kind == kind)
-    return ops
+        counts[name.partition("__")[0]] += runs[name] * sum(
+            math.prod(ins.shape) for ins in d.instrs
+            if ins.kind == kind and (not ops or ins.op in ops))
+    return counts
 
 
 def trace_fundef(table: FunctionTable, fun: FunDef, example_args,

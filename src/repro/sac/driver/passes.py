@@ -24,6 +24,7 @@ from ..optim.constfold import constfold_pass
 from ..optim.cse import cse_pass
 from ..optim.dce import dce_pass
 from ..optim.inline import inline_pass
+from ..optim.partialsum import partialsum_pass
 from ..optim.rewrite import ast_key
 from ..optim.unroll import unroll_pass
 from ..optim.wlfold import wlfold_pass
@@ -46,6 +47,7 @@ PASSES: dict[str, Callable[[Program], Program]] = {
     "wlfold": wlfold_pass,          # fuse producer/consumer WITH-loops
     "unroll": unroll_pass,          # unroll constant-bounded stencil folds
     "coeffgroup": coeffgroup_pass,  # group equal coefficients (27 -> 4 muls)
+    "partialsum": partialsum_pass,  # share partial sums between neighbours
     "cse": cse_pass,                # share structurally equal subexpressions
     "dce": dce_pass,                # drop assignments made dead by folding
 }

@@ -5,6 +5,7 @@ from .coeffgroup import coeffgroup_pass
 from .constfold import constfold_pass
 from .dce import dce_pass
 from .inline import inline_pass
+from .partialsum import partialsum_pass
 from .unroll import unroll_pass
 from .wlfold import wlfold_pass
 
@@ -14,5 +15,6 @@ __all__ = [
     "wlfold_pass",
     "unroll_pass",
     "coeffgroup_pass",
+    "partialsum_pass",
     "dce_pass",
 ]

@@ -18,8 +18,12 @@ term sum, as ``mg.f`` and :mod:`repro.core.mg` leave ``a[1]`` and
 ``c[3]`` out.  That assumes finite operands (``0.0 * NaN`` is no longer
 propagated, and the sign of a zero result can change); the drop is only
 made next to a kept group with terms of the same form, so the type and
-shape of the sum cannot change.  Terms without a multiplicative
-structure are left in place, appended after the grouped part.
+shape of the sum cannot change.  After grouping, a product ``1.0 * x``
+(a group whose coefficient is one, or the one term left of a folded
+body) becomes ``x`` where ``x`` is provably double-valued: the product is
+exact in IEEE 754, so no bit changes and one whole-array pass goes.
+Terms without a multiplicative structure are left in place, appended
+after the grouped part.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from ..ast_nodes import (
     VectorLit,
 )
 from .rewrite import ast_key, map_stmt_exprs
+from .wlfold import _Facts
 
 __all__ = ["coeffgroup_pass", "group_sum"]
 
@@ -97,6 +102,14 @@ def _form(expr: Expr) -> object:
     return None if None in parts else parts
 
 
+def _chain_sum(items: list[Expr]) -> Expr:
+    """``items`` summed left to right."""
+    acc = items[0]
+    for t in items[1:]:
+        acc = BinOp("+", acc, t)
+    return acc
+
+
 def group_sum(expr: Expr) -> Expr:
     """Group a flattened sum by structurally-equal coefficients."""
     terms: list[Expr] = []
@@ -138,20 +151,20 @@ def group_sum(expr: Expr) -> Expr:
     if not dropped and all(len(g[1]) == 1 for g in groups.values()):
         return expr  # nothing shared: keep the original form
 
-    def chain_sum(items: list[Expr]) -> Expr:
-        acc = items[0]
-        for t in items[1:]:
-            acc = BinOp("+", acc, t)
-        return acc
-
-    rebuilt = [BinOp("*", groups[key][0], chain_sum(groups[key][1]))
+    rebuilt = [BinOp("*", groups[key][0], _chain_sum(groups[key][1]))
                for key in order if key not in dropped]
     rebuilt.extend(passthrough)
-    return chain_sum(rebuilt)
+    return _chain_sum(rebuilt)
+
+
+def _is_unit_product(e: Expr) -> bool:
+    return (isinstance(e, BinOp) and e.op == "*"
+            and isinstance(e.left, DoubleLit) and e.left.value == 1.0)
 
 
 def coeffgroup_pass(program: Program) -> Program:
     """Apply coefficient grouping to every sum in the program."""
+    units: list[Expr] = []  # products ``1.0 * x`` met or made
 
     def rewrite(e: Expr) -> Expr:
         # Only rewrite at the *top* of a '+' chain: if the parent is also
@@ -160,11 +173,19 @@ def coeffgroup_pass(program: Program) -> Program:
         # relying on idempotence (grouping a grouped sum is a no-op
         # because each coefficient then appears once).
         if isinstance(e, BinOp) and e.op == "+":
-            return group_sum(e)
+            e = group_sum(e)
+        if isinstance(e, BinOp) and e.op in "+*":
+            units.extend(filter(_is_unit_product, (e, e.left, e.right)))
         return e
 
     new_funs = []
     for fun in program.functions:
+        units.clear()
         body = map_stmt_exprs(fun.body, rewrite)
+        if units:
+            # After grouping, so that no bare sum is regrouped.
+            double = _Facts(fun, program).double
+            body = map_stmt_exprs(body, lambda e: e.right if (
+                _is_unit_product(e) and double(e.right)) else e)
         new_funs.append(dataclasses.replace(fun, body=body))
     return program.with_functions(new_funs)

@@ -65,6 +65,14 @@ class TestOpsTable:
         text = report.format_ops(experiments.ops_table())
         assert "27" in text and "grouped" in text
 
+    def test_sac_column_reads_the_generated_operators(self):
+        rows = experiments.ops_table()["rows"]
+        assert rows["Sb"]["sac"] is None  # no operator of mg.sac uses it
+        # Resid's three multiplies run over the 36 922-point flat range
+        # of a 34^3 grid; its partial sums bring the adds near buffered.
+        assert rows["A"]["sac"]["muls"] == pytest.approx(3 * 36922 / 32 ** 3)
+        assert rows["A"]["sac"]["adds"] < rows["A"]["buffered"]["adds"] + 1
+
 
 class TestMeasured:
     def test_fig11_measured_tiny(self):

@@ -385,6 +385,60 @@ class TestOverlap:
         assert outs(p) == [None, "t1"]
 
 
+def window(dst, base, lo, n=4):
+    return Instr(dst, "window", f"{{}}[{lo}:{lo + n}]", (base,), (n,), F8)
+
+
+A6 = np.array([1.0, -2.0, 3.5, 0.25, 4.0, -0.5])
+B6 = np.array([0.5, 4.0, -1.0, 8.0, 2.0, 3.0])
+
+
+class TestWindows:
+    """Rule 4: windows of flat temporaries, the one view written into;
+    and windowed buffers made together share one allocation."""
+
+    def test_written_into_the_window_of_a_buffer_dying_there(self):
+        p = planned([ew("t1", "+", "a", "b", shape=(6,)),
+                     window("w", "t1", 1), ew("t2", "*", "w", "2.0"),
+                     ew("t3", "+", "t2", "c"), ret("t3")], a=A6, b=B6, c=A)
+        assert outs(p) == [None, "w", "w"]
+
+    def test_not_while_another_window_reads_the_buffer(self):
+        p = planned([ew("t1", "+", "a", "b", shape=(6,)),
+                     window("w", "t1", 0), window("x", "t1", 2),
+                     ew("t2", "+", "w", "x"), ret("t2")], a=A6, b=B6)
+        assert outs(p) == [None, None]
+
+    FREED = [ew("t0", "*", "c", "2.0"), ew("t1", "+", "a", "b", shape=(6,)),
+             window("w", "t1", 1), ew("t2", "+", "t0", "w"),
+             ew("t3", "*", "c", "3.0"), ew("t4", "+", "t2", "t3"), ret("t4")]
+
+    def test_a_fresh_result_takes_a_freed_windowed_buffer(self):
+        p = planned(self.FREED, a=A6, b=B6, c=A)
+        # t1 dies where t2 is written into t0; t3 then takes t1's head
+        # instead of an array of its own, and t1's ``del`` goes.
+        assert [render(i) for i in p][-6:] == [
+            "np.add(t0, w, out=t0)", "t3 = t1[0:4]",
+            "np.multiply(c, 3.0, out=t3)", "np.add(t0, t3, out=t0)",
+            "del t1, w, t3", "return t0"]
+
+    def test_not_after_an_allocation(self):
+        trace = list(self.FREED)  # t9 allocates (and dies) before t3
+        trace.insert(4, ew("t9", "-", "d", "1.0", shape=(7,)))
+        p = planned(trace, a=A6, b=B6, c=A, d=np.arange(7.0))
+        assert "t3 = (c * 3.0)" in [render(i) for i in p]
+        assert ("t1", "w") in dels(p)
+
+    def test_windowed_buffers_made_together_are_rows_of_one_array(self):
+        p = planned([ew("t1", "+", "a", "b", shape=(6,)),
+                     ew("t2", "-", "a", "b", shape=(6,)),
+                     window("w", "t1", 0), window("x", "t2", 2),
+                     ew("t3", "+", "w", "x"), ret("t3")], a=A6, b=B6)
+        assert [render(i) for i in p][:3] == [
+            "t1, t2 = np.empty((2, 6), dtype=np.float64)",
+            "np.add(a, b, out=t1)", "np.subtract(a, b, out=t2)"]
+
+
 def compiled(src, fname, *args, **kwargs):
     return compile_function(SacProgram.from_source(src), fname, args,
                             **kwargs)

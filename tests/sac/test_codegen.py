@@ -342,9 +342,9 @@ class TestCallResultOwnership:
 
 
 class TestFlatWindows:
-    """A WITH-loop body of unit-stride windows of one array, and of
-    elementwise instructions over them alone, runs over one flat range
-    of the raveled array; anything else keeps its windows."""
+    """A WITH-loop body of unit-stride windows of arrays of one shape,
+    and of elementwise instructions over them alone, runs over one flat
+    range of the raveled arrays; anything else keeps its windows."""
 
     INNER = "0*shape(a)+1 <= iv < shape(a)-1"
 
@@ -368,9 +368,25 @@ class TestFlatWindows:
             "f", a)
         assert ".reshape(-1)" in fn.source
 
+    def test_two_arrays_of_one_shape_share_the_range(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.random((5, 6)), rng.random((5, 6))
+        fn = compile_and_check(self._f("a[iv] + b[iv + [0, 1]]",
+                                       "double[+] a, double[+] b"),
+                               "f", a, b)
+        assert fn.source.count(".reshape(-1)") == 2
+        assert "_t1 = _t4[7:23]" in fn.source  # a's, from (1, 1) on
+        assert "_t2 = _t5[8:24]" in fn.source  # b's, from (1, 2) on
+
+    def test_arrays_of_two_shapes_keep_their_windows(self):
+        rng = np.random.default_rng(2)
+        fn = compile_and_check(
+            self._f("a[iv] + b[iv]", "double[+] a, double[+] b"),
+            "f", rng.random((5, 6)), rng.random((6, 6)))
+        assert "reshape" not in fn.source
+
     @pytest.mark.parametrize("params, body", [
         ("double[+] a", "a[iv] / a[iv + 1]"),          # not total
-        ("double[+] a, double[+] b", "a[iv] + b[iv]"),  # two arrays
         ("double[+] a", "a[iv]"),                       # no arithmetic
     ])
     def test_other_bodies_keep_their_windows(self, params, body):
@@ -455,14 +471,15 @@ class TestPlannedFinalResidual:
         assert first.tobytes() == second.tobytes()
 
     def test_result_bytes_are_pinned(self, mg):
-        # Taken from the 3-D relaxation bodies: lowering them to flat
-        # ranges keeps every term and its order, so every bit.  A
+        # Taken when the relaxations began to share their partial sums
+        # (which reassociates them): lowering bodies to flat ranges
+        # keeps every term and its order, so every bit.  A
         # non-contiguous argument is raveled into a copy, same bytes.
         import hashlib
 
         _prog, v, fn = mg
-        want = ("2dd4de19236fef4a2cba03eb3c0c5bab"
-                "43b44fd2c49e3922669f946515cc2388")
+        want = ("b483e4c0b498e6033b80ddf368a0cfa6"
+                "255c71f4fa65d8369fc9a81d53862269")
         for arg in (v, np.asfortranarray(v)):
             assert hashlib.sha256(fn(arg, 4).tobytes()).hexdigest() == want
 

@@ -107,9 +107,11 @@ class TestPassManager:
         sched = schedule_for(CompileOptions())
         # The legacy order, and wlfold a second time next to unroll's
         # constfold: a stepped producer's readers are split by the
-        # literal offsets only those two expose.
+        # literal offsets only those two expose; partialsum reads the
+        # groups coeffgroup makes.
         assert sched == ("inline", "constfold", "wlfold", "unroll",
-                         "constfold", "wlfold", "coeffgroup", "cse", "dce")
+                         "constfold", "wlfold", "coeffgroup", "partialsum",
+                         "cse", "dce")
 
     def test_schedule_respects_toggles(self):
         sched = schedule_for(CompileOptions(

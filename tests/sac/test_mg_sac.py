@@ -198,14 +198,15 @@ class TestClassW:
             prog.call("FinalResidual", v, 1).tobytes()
 
     def test_residual_is_pinned_to_its_bits(self, w):
-        assert w[2].hex() == 3.4625045967073982e-18.hex()
+        assert w[2].hex() == 3.061614348938882e-18.hex()
 
     def test_trajectory_tracks_core_mg_within_npb_epsilon(self, prog, w):
         """Fig. 4's program rounds differently from ``mg.f`` before any
         pass runs, so after 40 iterations (rounding noise, pinned above)
         it cannot meet NPB's constant; what it can and must do is track
         ``core.mg`` within NPB's 1e-8 while the residual is still above
-        the rounding floor (measured 2e-16 at ``nit`` 1 … 3.9e-9 at 20)."""
+        the rounding floor (measured 4.2e-16 at ``nit`` 1 … 9.1e-9 at 20,
+        with the partial sums shared as ``mg.f`` shares them)."""
         from repro.core import solve
         from repro.sac.codegen import compile_function
 
@@ -325,13 +326,15 @@ class TestTransferOperatorsAreFolded:
             prog, "Fine2Coarse", 34).text
 
     def test_relaxations_run_over_one_flat_range(self, prog):
-        for name in ("Resid", "Smooth"):
+        for name, result in (("Resid", "_t21"), ("Smooth", "_t13")):
             text = self._def(prog, name, 34).text
             assert text.count(".reshape(-1)") == 1
-            # 27 neighbours grouped into four coefficient classes; the
-            # strides of the store are those of the 34^3 frame.
+            # The partial sums are 1-D temporaries over [k0-1, k1+1),
+            # read at x-1, x and x+1 over [k0, k1); the strides of the
+            # store are those of the 34^3 frame.
+            assert "= _t4[0:36922]" in text and "= _t4[2:36924]" in text
             assert text.count("[0:32, 0:32, 0:32]") == 0
-            assert "np.ndarray((32, 32, 32), np.float64, _t4, 0, " \
+            assert f"np.ndarray((32, 32, 32), np.float64, {result}, 0, " \
                    "(9248, 272, 8))" in text
 
     def test_prolongation_never_touches_a_zero(self, prog):
@@ -344,6 +347,21 @@ class TestTransferOperatorsAreFolded:
         assert {ins.shape for ins in entry.instrs
                 if ins.kind == "elementwise"} == {(16, 16, 16)}
 
+    def test_prolongation_has_no_unit_product(self, prog):
+        # ``1.0 * x`` is x in IEEE 754: the injected points are stored
+        # as read, one whole-range pass fewer, and the bytes are those
+        # the product gave.
+        import hashlib
+
+        from repro.sac.codegen import compile_function
+
+        x = np.random.default_rng(18).standard_normal((18, 18, 18))
+        fn = compile_function(prog, "Coarse2Fine", (x,))
+        assert "1.0 *" not in fn.source
+        assert hashlib.sha256(fn(x).tobytes()).hexdigest() == (
+            "4c13d35d01ee31d17be8d7467ec061a8"
+            "85d0f6fe47e0658d3b9395d6ae3ec9e9")
+
     def test_element_operations_per_solve(self, prog):
         # A count, not a timing: the array elements one class-S solve
         # computes, per SAC operator (scripts/generated_lines.py prints
@@ -355,11 +373,12 @@ class TestTransferOperatorsAreFolded:
         traced = trace_module(prog, "FinalResidual", (zran3(32), 4))
         ops = element_operations(*traced)
         # The relaxations run over flat ranges that span the ghost rows
-        # and columns between interior ones (7 212 800 and 3 145 632
-        # over the 3-D windows).
-        assert ops["Resid"] == 8_199_822 and ops["Smooth"] == 3_611_832
+        # and columns between interior ones, and share their partial
+        # sums (8 199 822 and 3 611 832 before they did).
+        assert ops["Resid"] == 4_991_448 and ops["Smooth"] == 2_580_000
         assert ops["Fine2Coarse"] == 561_600
-        assert ops["Coarse2Fine"] == 505_440
+        assert ops["Coarse2Fine"] == 486_720
+        assert sum(ops.values()) <= 10_000_000
         # ... and copies: the 36 frames an argument read again costs
         # (2 911 936 elements while every SetupAxis and every
         # relaxation copied its frame: 260 of them).

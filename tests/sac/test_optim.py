@@ -523,6 +523,6 @@ class TestFullPipeline:
 
         base = solve_sac_mg("T", nit=1)
         for name in ("inline", "constfold", "wlfold", "unroll", "coeffgroup",
-                      "dce"):
+                      "partialsum", "dce"):
             res = solve_sac_mg("T", nit=1, pass_overrides=((name, False),))
             assert res.rnm2 == pytest.approx(base.rnm2, rel=1e-10), name

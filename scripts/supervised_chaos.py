@@ -159,7 +159,7 @@ def _check(name: str, res, expectations: list[str]) -> list[str]:
         "healed": sum(h.completed for h in rep.heals) >= 1,
         "healed_twice": sum(h.completed for h in rep.heals) >= 2,
         "no_demotions": len(rep.demotions) == 0,
-        "width4": rep.solved_by == "distributed[numpy]x4",
+        "width4": rep.solved_by == "distributed x4",
     }
     for expectation in expectations:
         if not checks[expectation]:

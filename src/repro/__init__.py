@@ -5,7 +5,7 @@ Subpackages:
 * :mod:`repro.core`      — verified NPB 2.3 MG solver (bit-exact port)
 * :mod:`repro.sac`       — the mini-SAC language, optimizer and backends
 * :mod:`repro.mg_sac`    — the paper's MG program written in SAC
-* :mod:`repro.baselines` — the Fortran-77 / C / SAC-style comparisons
+* :mod:`repro.baselines` — the Fortran-77 / C / compiled ``mg.sac`` comparisons
 * :mod:`repro.runtime`   — parallel execution substrates (threads,
   processes, SPMD message passing)
 * :mod:`repro.machine`   — the calibrated testbed simulator

@@ -2,23 +2,23 @@
 
 * :class:`FortranMG` — serial NPB 2.3 Fortran-77 reference (port),
 * :class:`CMG` — RWCP C/OpenMP port structure,
-* :class:`SacStyleMG` — the paper's high-level SAC formulation.
+* :class:`SacMG` — the paper's SAC program ``mg.sac``, compiled.
 """
 
 from .c_mg import CMG
 from .common import MGImplementation, MGKernels
 from .fortran_mg import FortranMG
-from .sac_style_mg import SacStyleMG
+from .sac_mg import SacMG
 
 #: All comparison implementations, keyed by short name.
 IMPLEMENTATIONS = {
-    impl.name: impl for impl in (FortranMG(), CMG(), SacStyleMG())
+    impl.name: impl for impl in (FortranMG(), CMG(), SacMG())
 }
 
 __all__ = [
     "CMG",
     "FortranMG",
-    "SacStyleMG",
+    "SacMG",
     "MGImplementation",
     "MGKernels",
     "IMPLEMENTATIONS",

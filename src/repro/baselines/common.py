@@ -2,11 +2,11 @@
 
 The paper's evaluation compares three *implementation styles* of the
 same benchmark: the Fortran-77 reference, the RWCP C/OpenMP port, and
-the high-level SAC program.  Each style here provides its four V-cycle
-kernels as an :class:`~repro.core.mg.MGKernels` table and runs them
-through the one NPB control flow, :func:`repro.core.mg.run`, so that
-the styles differ only where the originals differ — in how the kernels
-are written.
+the high-level SAC program.  The Fortran and C styles provide their
+four V-cycle kernels as an :class:`~repro.core.mg.MGKernels` table and
+run them through the one NPB control flow, :func:`repro.core.mg.run`,
+so that they differ only where the originals differ — in how the
+kernels are written; the SAC program is compiled from its own text.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 This is the verified reference implementation the rest of the repository
 is checked against.  It follows the NPB 2.3 serial ``mg.f`` control flow
 exactly (``mg3P``, ``resid``, ``psinv``, ``rprj3``, ``interp``) while
-using vectorized NumPy kernels; the *paper-style* high-level formulation
+using vectorized NumPy kernels; the paper's high-level formulation
 (SetupPeriodicBorder + generic RelaxKernel + condense/scatter/embed/take)
-lives in :mod:`repro.baselines.sac_style_mg` and is equivalence-tested
-against this module.
+is the SAC program ``mg_sac/mg.sac``, compiled by :mod:`repro.sac` and
+equivalence-tested against this module.
 
 Two things are written here once and nowhere else:
 

@@ -64,7 +64,11 @@ def _run_verify(size_class: str) -> int:
     print(f"NPB MG class {sc.name}: {sc.nx}^3 grid, {sc.nit} iterations")
     ok = True
     for name, impl in IMPLEMENTATIONS.items():
-        res = impl.solve(sc)
+        try:
+            res = impl.solve(sc)
+        except ValueError as exc:  # mg.sac carries the S(a) smoother only
+            print(f"  {name:<5} [not run: {exc}]")
+            continue
         status = _verdict(res)
         ok = ok and status != "FAILED"
         print(f"  {name:<5} rnm2 = {res.rnm2:.12e}  [{status}]")
@@ -174,8 +178,8 @@ def main(argv: list[str] | None = None) -> int:
             print(fmt(data))
         elif cmd == "measure":
             data = experiments.fig11_measured(args.size_class, args.repeats)
-            collected[cmd] = {"class": data["class"],
-                              "seconds": data["seconds"]}
+            collected[cmd] = {k: v for k, v in data.items()
+                              if k != "measurements"}
             print(report.format_fig11_measured(data))
         elif cmd == "ablation":
             data = experiments.sac_ablation(args.size_class,

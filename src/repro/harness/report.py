@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.machine.calibration import PAPER
+
 from .experiments import IMPL_ORDER
 
 __all__ = [
@@ -15,8 +17,10 @@ __all__ = [
     "format_memmgmt",
 ]
 
-_LABEL = {"f77": "Fortran-77", "sac": "SAC", "omp": "C/OpenMP",
-          "c": "C port", "sac-lang": "SAC (mini-SAC pipeline)"}
+_LABEL = {"f77": "Fortran-77", "sac": "SAC", "omp": "C/OpenMP"}
+#: The rows of the measured Fig. 11.
+_MEASURED_LABEL = {"f77": "Fortran-77 style", "c": "C style",
+                   "sac": "mg.sac generated", "sac-lang": "mg.sac interpreted"}
 
 
 def _rule(width: int = 72) -> str:
@@ -50,7 +54,11 @@ def format_fig11_measured(data: dict) -> str:
         _rule(),
     ]
     for name, secs in data["seconds"].items():
-        lines.append(f"{_LABEL.get(name, name):<26}{secs:>10.3f} s")
+        lines.append(f"{_MEASURED_LABEL.get(name, name):<26}{secs:>10.3f} s")
+    paper = ", ".join(f"{100.0 * (r - 1.0):.1f}% at {cls}"
+                      for cls, r in PAPER.f77_over_sac.items())
+    lines.append(f"Fortran-77 style over mg.sac generated: "
+                 f"{data['f77_over_sac_pct']:.1f}%   (paper: {paper})")
     return "\n".join(lines)
 
 

@@ -3,7 +3,9 @@
 The right-hand side ``v`` comes from the verified core's ``zran3`` (the
 NPB pseudo-random setup is benchmark plumbing, not part of the paper's
 program text), after which everything — V-cycle, stencils, periodic
-borders, norms — executes as SAC code.
+borders, norms — executes as SAC code: through the interpreter
+(:func:`solve_sac_mg`, the semantic reference) or as the generated
+NumPy module (:func:`solve_generated_mg`, the compiled program).
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import numpy as np
 from repro.core.classes import SizeClass, get_class
 from repro.core.mg import checked_rhs
 from repro.core.zran3 import zran3
-from repro.sac import CompileOptions, SacProgram
+from repro.sac import CompileOptions, SacProgram, compile_function
 from repro.sac.module import load_spmd_certified
 
-__all__ = ["mg_source_path", "load_mg_program", "solve_sac_mg", "SacMGResult"]
+__all__ = ["mg_source_path", "load_mg_program", "solve_sac_mg",
+           "solve_generated_mg", "SacMGResult"]
 
 
 def mg_source_path() -> Path:
@@ -72,25 +75,52 @@ class SacMGResult:
         return self.size_class.verifies(self.rnm2)
 
 
-def solve_sac_mg(size_class: str | SizeClass, nit: int | None = None, *,
-                 v: np.ndarray | None = None,
-                 optimize: bool = True, vectorize: bool = True,
-                 pass_overrides: tuple[tuple[str, bool], ...] = ()
-                 ) -> SacMGResult:
-    """Run NAS MG entirely as SAC code and return the residual norm.
-
-    ``v`` is the right-hand side handed to the SAC program (``None``:
-    built here with ``zran3``, which is set-up — see
+def _prepare(size_class: str | SizeClass, nit: int | None,
+             v: np.ndarray | None) -> tuple[SizeClass, int, np.ndarray]:
+    """The class, iteration count and right-hand side of one run
+    (``v=None``: built here with ``zran3``, which is set-up — see
     :func:`repro.core.mg.checked_rhs`)."""
     sc = get_class(size_class) if isinstance(size_class, str) else size_class
     if sc.smoother != "a":
         raise ValueError(
             "the SAC program carries the S(a) smoother (classes S/W/A)"
         )
-    iters = sc.nit if nit is None else nit
-    program = load_mg_program(optimize, vectorize, pass_overrides)
     v = zran3(sc.nx) if v is None else checked_rhs(sc, v)
-    r = program.call("FinalResidual", v, iters)
+    return sc, sc.nit if nit is None else nit, v
+
+
+def _result(sc: SizeClass, r: np.ndarray) -> SacMGResult:
     interior = r[tuple(slice(1, -1) for _ in range(r.ndim))]
-    rnm2 = float(np.sqrt(np.mean(interior * interior)))
-    return SacMGResult(sc, rnm2, r)
+    return SacMGResult(sc, float(np.sqrt(np.mean(interior * interior))), r)
+
+
+def solve_sac_mg(size_class: str | SizeClass, nit: int | None = None, *,
+                 v: np.ndarray | None = None,
+                 optimize: bool = True, vectorize: bool = True,
+                 pass_overrides: tuple[tuple[str, bool], ...] = ()
+                 ) -> SacMGResult:
+    """Run NAS MG entirely as SAC code, through the interpreter, and
+    return the residual norm."""
+    sc, iters, v = _prepare(size_class, nit, v)
+    program = load_mg_program(optimize, vectorize, pass_overrides)
+    return _result(sc, program.call("FinalResidual", v, iters))
+
+
+@lru_cache(maxsize=None)
+def _final_residual(nx: int, nit: int):
+    """The generated ``FinalResidual`` for an ``nx``³ grid and ``nit``
+    iterations (``nit`` is baked into the specialization), through the
+    driver's kernel cache."""
+    v = np.zeros((nx + 2,) * 3)  # a float array pins its shape only
+    return compile_function(load_mg_program(), "FinalResidual", (v, nit))
+
+
+def solve_generated_mg(size_class: str | SizeClass, nit: int | None = None,
+                       *, v: np.ndarray | None = None) -> SacMGResult:
+    """Run NAS MG as the generated NumPy module of ``mg.sac``.
+
+    The first call per grid size and iteration count specializes
+    ``FinalResidual`` (or loads it from the kernel cache); later calls
+    run the module only."""
+    sc, iters, v = _prepare(size_class, nit, v)
+    return _result(sc, _final_residual(sc.nx, iters)(v, iters))

@@ -156,8 +156,3 @@ class ThreadTeam:
                 Decision(dt < d.t_inline, d.t_inline, dt) if fork
                 else Decision(t_inline=dt))
         self._visits[key] += 1
-
-    def run_partitioned(self, kernel: Callable[[Chunk], None],
-                        shape: tuple[int, ...], axis: int = 0) -> None:
-        """Block-partition ``shape`` over the team and run the kernel."""
-        self.run(kernel, block_partition(shape, self.nthreads, axis))

@@ -54,39 +54,25 @@ __all__ = [
 
 
 def parallel_resid(u: np.ndarray, v: np.ndarray, a, team: ThreadTeam,
-                   lib=None, ws=None, *, out=None) -> np.ndarray:
-    """``r = v - A u``; with ``lib`` (a
-    :class:`~repro.runtime.kernels.SacKernelLibrary`) the per-slab
-    stencil is the compiled SAC ``RelaxKernel`` instead of the NumPy
-    chunk kernel — one shared specialization per slab shape, so that
-    path always forks (an inline visit would compile a whole-grid
-    specialization per level just to time it).
+                   _retired=None, ws=None, *, out=None) -> np.ndarray:
+    """``r = v - A u``.  ``out`` (default: the pooled buffer when ``ws``
+    is given) is fully overwritten — interior by the chunks, which tile
+    all planes, ghosts by the master-side ``comm3``.  It may alias ``v``
+    as in ``core.mg.resid``.
 
-    ``out`` (default: the pooled buffer when ``ws`` is given) is fully
-    overwritten — interior by the chunks, which tile all planes, ghosts
-    by the master-side ``comm3``.  It may alias ``v`` as in
-    ``core.mg.resid``.
+    The fifth positional slot (here and in :func:`parallel_psinv`) is
+    unused; it stays so that callers passing ``ws`` sixth keep working.
     """
     r = _scratch(ws, "resid.out", u.shape) if out is None else out
-    m = u.shape[0] - 2
-    if lib is not None:
-        team.run_partitioned(
-            lambda c: lib.resid_slab(u, v, a, r, c.lo[0], c.hi[0]), (m,))
-    else:
-        team.region(("resid", u.shape), lambda c: resid_chunk(
-            u, v, a, r, c.lo[0], c.hi[0], ws), m)
+    team.region(("resid", u.shape), lambda c: resid_chunk(
+        u, v, a, r, c.lo[0], c.hi[0], ws), u.shape[0] - 2)
     return comm3(r)
 
 
 def parallel_psinv(r: np.ndarray, u: np.ndarray, c, team: ThreadTeam,
-                   lib=None, ws=None) -> np.ndarray:
-    m = u.shape[0] - 2
-    if lib is not None:
-        team.run_partitioned(
-            lambda ch: lib.psinv_slab(r, u, c, ch.lo[0], ch.hi[0]), (m,))
-    else:
-        team.region(("psinv", u.shape), lambda ch: psinv_chunk(
-            r, u, c, ch.lo[0], ch.hi[0], ws), m)
+                   _retired=None, ws=None) -> np.ndarray:
+    team.region(("psinv", u.shape), lambda ch: psinv_chunk(
+        r, u, c, ch.lo[0], ch.hi[0], ws), u.shape[0] - 2)
     return comm3(u)
 
 
@@ -108,14 +94,8 @@ def parallel_interp_add(z: np.ndarray, u: np.ndarray, team: ThreadTeam,
 
 
 class ParallelMG:
-    """The full benchmark through the fork-join kernels.
-
-    ``kernels="numpy"`` (default) runs the expression-order-exact chunk
-    kernels (bit-identical to serial).  ``kernels="sac"`` runs the
-    residual and smoother sweeps through compiled SAC ``RelaxKernel``
-    specializations from the shared driver cache — each slab shape is
-    compiled once (or loaded warm from disk) and shared by every worker
-    thread; results then match serial to floating-point tolerance.
+    """The full benchmark through the fork-join kernels, bit-identical
+    to serial.
 
     The solver keeps one :class:`ThreadTeam` for its lifetime, so the
     team's measured fork policy (see :meth:`ThreadTeam.region`) learned
@@ -125,20 +105,8 @@ class ParallelMG:
     it is collected.
     """
 
-    def __init__(self, nthreads: int, *, kernels: str = "numpy",
-                 kernel_library=None, workspace=False, monitor=None):
-        if kernels not in ("numpy", "sac"):
-            raise ValueError(f"kernels must be 'numpy' or 'sac', "
-                             f"got {kernels!r}")
-        if kernel_library is not None and kernels != "sac":
-            raise ValueError("kernel_library requires kernels='sac'")
+    def __init__(self, nthreads: int, *, workspace=False, monitor=None):
         self.nthreads = nthreads
-        self.kernels = kernels
-        self.kernel_library = kernel_library
-        if kernels == "sac" and kernel_library is None:
-            from .kernels import SacKernelLibrary
-
-            self.kernel_library = SacKernelLibrary()
         #: Persistent scratch pool, shared across solves so repeated
         #: runs stay allocation-free.  ``workspace=True`` creates one;
         #: a Workspace instance is used as-is.
@@ -153,14 +121,13 @@ class ParallelMG:
         self.team = ThreadTeam(nthreads)
 
     def _table(self) -> MGKernels:
-        """The fork-join table over this solver's team, kernel library
-        and pool."""
-        team, lib, ws = self.team, self.kernel_library, self.workspace
+        """The fork-join table over this solver's team and pool."""
+        team, ws = self.team, self.workspace
         return replace(
             numpy_kernels(ws),  # its (pooled) correction grids
             resid=lambda u, v, a, out=None: parallel_resid(
-                u, v, a, team, lib, ws, out=out),
-            psinv=lambda r, u, c: parallel_psinv(r, u, c, team, lib, ws),
+                u, v, a, team, ws=ws, out=out),
+            psinv=lambda r, u, c: parallel_psinv(r, u, c, team, ws=ws),
             rprj3=lambda r: parallel_rprj3(r, team, ws),
             interp_add=lambda z, u: parallel_interp_add(z, u, team, ws),
         )

@@ -699,7 +699,6 @@ class DistributedMG:
                  poll_interval: float | None = None,
                  fault_plan: FaultPlan | None = None,
                  halo_checksums: bool = False, halo_retries: int = 2,
-                 kernels: str = "numpy", kernel_library=None,
                  workspace: bool = False, monitor=None,
                  transport: str | Transport | None = "inproc",
                  config: TransportConfig | None = None,
@@ -707,11 +706,6 @@ class DistributedMG:
                  heal=None):
         if nranks < 1 or nranks & (nranks - 1):
             raise ValueError("nranks must be a power of two")
-        if kernels not in ("numpy", "sac"):
-            raise ValueError(f"kernels must be 'numpy' or 'sac', "
-                             f"got {kernels!r}")
-        if kernel_library is not None and kernels != "sac":
-            raise ValueError("kernel_library requires kernels='sac'")
         self.nranks = nranks
         self.timeout = timeout
         self.join_timeout = join_timeout
@@ -738,18 +732,6 @@ class DistributedMG:
                                for r in range(nranks)]
         #: Rank 0's per-operator timer (any ``add(section, dt)``).
         self.monitor = monitor
-        # kernels="sac": the residual/smoother sweeps run the compiled
-        # SAC RelaxKernel.  The library is shared by every rank thread
-        # and backed by the driver's content-addressed cache, so each
-        # slab shape is compiled exactly once per machine — ranks REUSE
-        # kernels rather than each recompiling their own.  Callers (the
-        # supervisor, notably) may pass a pre-built library so repeated
-        # solves share one set of specializations.
-        self.kernel_library = kernel_library
-        if kernels == "sac" and kernel_library is None:
-            from .kernels import SacKernelLibrary
-
-            self.kernel_library = SacKernelLibrary()
 
     # levels with at least 2 planes per rank are distributed.
     def _distributed(self, k: int) -> bool:
@@ -1098,7 +1080,6 @@ class DistributedMG:
         serial :func:`~repro.core.mg.correction` on the replica, and the
         result is re-split.  ``mon`` times both halves.
         """
-        lib = self.kernel_library
         serial = numpy_kernels(ws)
         if mon is not None:
             serial = timed_kernels(serial, mon)
@@ -1106,21 +1087,8 @@ class DistributedMG:
         def halos(op: str):
             return partial(_local_comm3, comm=comm, op=op)
 
-        if lib is None:
-            resid = partial(mg.resid, ws=ws, boundary=halos("resid"))
-            psinv = partial(mg.psinv, ws=ws, boundary=halos("psinv"))
-        else:  # kernels="sac": the compiled RelaxKernel sweeps the slab
-            resid_halos, psinv_halos = halos("resid"), halos("psinv")
-
-            def resid(u, v, a, out=None):
-                r = _scratch(ws, "resid.out", u.shape) if out is None else out
-                lib.resid_slab(u, v, a, r, 0, u.shape[0] - 2)
-                return resid_halos(r)
-
-            def psinv(r, u, c):
-                lib.psinv_slab(r, u, c, 0, u.shape[0] - 2)
-                return psinv_halos(u)
-
+        resid = partial(mg.resid, ws=ws, boundary=halos("resid"))
+        psinv = partial(mg.psinv, ws=ws, boundary=halos("psinv"))
         interp_halos = halos("interp")
 
         def interp_add(z, u):

@@ -3,8 +3,8 @@
 :class:`SupervisedSolver` wraps every MG execution mode behind one
 ``solve(size_class, policy)`` call that guarantees a result or a
 structured post-mortem: retry-from-checkpoint with backoff, a
-graceful-degradation ladder (``distributed → threaded → serial``,
-``sac → numpy``), a per-iteration numerical watchdog on the residual
+graceful-degradation ladder (``sac → distributed → threaded →
+serial``), a per-iteration numerical watchdog on the residual
 trajectory, and a circuit breaker over the SAC compile path.
 :class:`WorldSupervisor` adds elastic recovery *beneath* the ladder:
 with a :class:`HealPolicy` budget, a dead rank is replaced in place

@@ -1,15 +1,15 @@
 """Circuit breaker over the SAC compilation path.
 
-When compiled-kernel execution keeps failing — repeated ``SacError``
+When the compiled ``mg.sac`` keeps failing — repeated ``SacError``
 compiles, or a corrupt-entry storm in the content-addressed
 :class:`~repro.sac.driver.cache.KernelCache` (surfaced by its per-key
-``discards_by_key`` counters) — re-attempting compilation on every rank
-of every attempt just multiplies the damage.  The breaker converts that
+``discards_by_key`` counters) — re-attempting compilation on every
+attempt just multiplies the damage.  The breaker converts that
 into the classic three-state machine:
 
 * **closed** — compiled rungs run normally; failures accumulate.
 * **open** — tripped: the supervisor skips ``sac`` rungs entirely,
-  pinning the numpy kernel path, until ``cooldown`` seconds pass.
+  pinning ``core.mg``, until ``cooldown`` seconds pass.
 * **half-open** — after the cooldown one probe attempt is let through;
   success closes the circuit, failure re-opens it for another cooldown.
 

@@ -22,16 +22,17 @@ __all__ = [
     "default_ladder",
 ]
 
-_MODES = ("distributed", "threaded", "serial")
-_KERNELS = ("numpy", "sac")
+_MODES = ("sac", "distributed", "threaded", "serial")
 
 
 @dataclass(frozen=True)
 class Rung:
     """One execution mode on the degradation ladder.
 
-    ``workers`` is the rank count for ``distributed`` rungs and the
-    thread count for ``threaded`` rungs (ignored for ``serial``).
+    ``sac`` runs the paper's program, the generated ``mg.sac``, serial;
+    ``distributed``, ``threaded`` and ``serial`` run ``core.mg``'s
+    kernels.  ``workers`` is the rank count for ``distributed`` rungs
+    and the thread count for ``threaded`` rungs (ignored otherwise).
 
     ``problem`` names the solver-family member the rung runs (see
     ``repro.pde.PROBLEMS``); the default is the NPB instance.  PDE
@@ -40,7 +41,6 @@ class Rung:
     """
 
     mode: str
-    kernels: str = "numpy"
     workers: int = 2
     problem: str = "npb-mg"
 
@@ -50,12 +50,6 @@ class Rung:
                              f"got {self.mode!r}")
         if not self.problem or not isinstance(self.problem, str):
             raise ValueError("rung problem must be a non-empty string")
-        if self.kernels not in _KERNELS:
-            raise ValueError(f"rung kernels must be one of {_KERNELS}, "
-                             f"got {self.kernels!r}")
-        if self.mode == "serial" and self.kernels != "numpy":
-            raise ValueError("the serial rung runs the reference numpy "
-                             "kernels only")
         if self.workers < 1:
             raise ValueError("rung workers must be >= 1")
         if self.mode == "distributed" and self.workers & (self.workers - 1):
@@ -64,29 +58,24 @@ class Rung:
 
     def describe(self) -> str:
         suffix = "" if self.problem == "npb-mg" else f"@{self.problem}"
-        if self.mode == "serial":
-            return f"serial{suffix}"
-        return f"{self.mode}[{self.kernels}]x{self.workers}{suffix}"
+        if self.mode in ("sac", "serial"):
+            return f"{self.mode}{suffix}"
+        return f"{self.mode} x{self.workers}{suffix}"
 
 
 def default_ladder(*, nranks: int = 2, nthreads: int = 2,
                    kernels: str = "numpy") -> tuple[Rung, ...]:
     """The canonical fallback chain.
 
-    ``kernels="sac"`` prepends compiled-kernel rungs, each shadowed by
-    its numpy twin, so a compiler/cache failure demotes along the
-    ``sac → numpy`` axis before the ``distributed → threaded → serial``
-    axis::
+    ``kernels="sac"`` prepends the compiled ``mg.sac``, so a compiler or
+    cache failure demotes to ``core.mg`` before the ``distributed →
+    threaded → serial`` axis::
 
-        distributed[sac] → distributed[numpy] → threaded[numpy] → serial
+        sac → distributed → threaded → serial
     """
-    rungs: list[Rung] = []
-    if kernels == "sac":
-        rungs.append(Rung("distributed", "sac", nranks))
-    rungs.append(Rung("distributed", "numpy", nranks))
-    rungs.append(Rung("threaded", "numpy", nthreads))
-    rungs.append(Rung("serial"))
-    return tuple(rungs)
+    rungs = (Rung("distributed", nranks), Rung("threaded", nthreads),
+             Rung("serial"))
+    return (Rung("sac"), *rungs) if kernels == "sac" else rungs
 
 
 @dataclass(frozen=True)
@@ -150,7 +139,7 @@ class BreakerPolicy:
 
     #: Consecutive compile failures before the circuit opens.
     failure_threshold: int = 2
-    #: Seconds the circuit stays open (numpy path pinned) before one
+    #: Seconds the circuit stays open (sac rungs skipped) before one
     #: half-open probe is allowed through.
     cooldown: float = 30.0
     #: Per-key cache discards (corrupt/stale storms) that trip the

@@ -1,9 +1,10 @@
 """Policy-driven self-healing supervision of MG solves.
 
 :class:`SupervisedSolver` wraps every execution mode of the benchmark —
-the SPMD distributed solver, the fork-join threaded solver, the serial
-reference — behind one ``solve(size_class, policy)`` entrypoint that
-guarantees either a result or a structured post-mortem
+the compiled ``mg.sac``, the SPMD distributed solver, the fork-join
+threaded solver, the serial reference — behind one
+``solve(size_class, policy)`` entrypoint that guarantees either a
+result or a structured post-mortem
 (:class:`~.errors.SupervisionFailed` carrying a
 :class:`~.report.SolveReport`).  Four mechanisms compose:
 
@@ -16,9 +17,9 @@ guarantees either a result or a structured post-mortem
   invariant), so a retried solve still passes NPB verification.
 * **graceful-degradation ladder** — when a rung's retry budget is
   exhausted (or it fails non-retryably), the supervisor demotes to the
-  next :class:`~.policy.Rung`: ``distributed → threaded → serial`` on
-  the execution axis, ``sac → numpy`` on the kernel axis.  Every
-  demotion is recorded with the exception that triggered it.
+  next :class:`~.policy.Rung`: ``sac → distributed → threaded →
+  serial``.  Every demotion is recorded with the exception that
+  triggered it.
 * **numerical watchdog** — each attempt's residual trajectory is
   guarded per iteration (:class:`~.watchdog.NumericalWatchdog`): a
   NaN/Inf norm, a divergence past ``divergence_ratio`` × best, or a
@@ -29,7 +30,7 @@ guarantees either a result or a structured post-mortem
   kernel-cache corrupt-entry storms (the cache's per-key
   ``discards_by_key`` counters) trip
   :class:`~.breaker.CompileCircuitBreaker`; while open, ``sac`` rungs
-  are skipped — the numpy path is pinned — until the cooldown admits a
+  are skipped — ``core.mg`` is pinned — until the cooldown admits a
   half-open probe.
 
 See ``docs/SUPERVISOR.md`` for the policy reference.
@@ -120,6 +121,7 @@ def _retryable(exc: BaseException) -> bool:
 class SupervisedResult:
     """A successful supervised solve: the result plus its flight record."""
 
+    #: An ``MGResult``, or a ``SacMGResult`` (no ``u``) from a sac rung.
     result: MGResult
     report: SolveReport
 
@@ -152,11 +154,7 @@ class SupervisedSolver:
         distributed rungs — chaos tests drive the supervisor with this.
     breaker:
         Optional externally-owned circuit breaker (shared across
-        solvers to pin the numpy path process-wide).
-    kernel_library_factory:
-        Builds the shared SAC kernel library on first use (tests inject
-        failing libraries here); defaults to
-        :class:`~repro.runtime.kernels.SacKernelLibrary`.
+        solvers to pin ``core.mg`` process-wide).
     clock / sleep:
         Injectable time sources for deterministic tests.
     """
@@ -165,7 +163,6 @@ class SupervisedSolver:
                  checkpoint: CheckpointStore | None = None,
                  fault_plan: FaultPlan | None = None,
                  breaker: CompileCircuitBreaker | None = None,
-                 kernel_library_factory=None,
                  clock=time.monotonic, sleep=time.sleep):
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.checkpoint = checkpoint
@@ -173,25 +170,10 @@ class SupervisedSolver:
         self.breaker = (breaker if breaker is not None
                         else CompileCircuitBreaker(self.policy.breaker,
                                                    clock=clock))
-        self._library_factory = kernel_library_factory
-        self._library = None
         self._clock = clock
         self._sleep = sleep
 
     # -- plumbing -----------------------------------------------------------
-
-    def _kernel_library(self):
-        """The shared compiled-kernel library (one per supervisor, so
-        every rung, attempt, rank and thread reuses the same
-        specializations)."""
-        if self._library is None:
-            if self._library_factory is not None:
-                self._library = self._library_factory()
-            else:
-                from ..kernels import SacKernelLibrary
-
-                self._library = SacKernelLibrary()
-        return self._library
 
     def _drain_breaker_events(self, report: SolveReport) -> None:
         """Move accumulated breaker transitions into this solve's report
@@ -204,10 +186,10 @@ class SupervisedSolver:
         """Feed the kernel cache's per-key discard counters to the
         breaker (best effort: a broken cache must not mask the real
         failure being handled)."""
-        if self._library is None:
-            return
         try:
-            stats = self._library.cache_stats
+            from repro.mg_sac.loader import load_mg_program
+
+            stats = load_mg_program().session.cache_stats
             self.breaker.observe_discards(dict(stats.discards_by_key))
         except Exception:
             pass
@@ -228,7 +210,10 @@ class SupervisedSolver:
             return solve_problem(rung.problem, sc.name, mode=rung.mode,
                                  nthreads=rung.workers,
                                  on_iteration=on_iter)
-        lib = self._kernel_library() if rung.kernels == "sac" else None
+        if rung.mode == "sac":
+            from repro.mg_sac.loader import solve_generated_mg
+
+            return solve_generated_mg(sc, nit, v=v)
         if rung.mode == "distributed":
             timeout = policy.op_timeout
             join_timeout = None
@@ -241,7 +226,6 @@ class SupervisedSolver:
                                join_timeout=join_timeout,
                                poll_interval=policy.poll_interval,
                                fault_plan=self.fault_plan,
-                               kernels=rung.kernels, kernel_library=lib,
                                transport=policy.transport,
                                heartbeat=policy.heartbeat,
                                heal=policy.heal)
@@ -257,8 +241,7 @@ class SupervisedSolver:
                     if world is not None:
                         report.heals.extend(world.heal_log)
         if rung.mode == "threaded":
-            with ParallelMG(rung.workers, kernels=rung.kernels,
-                            kernel_library=lib) as mg:
+            with ParallelMG(rung.workers) as mg:
                 return mg.solve(sc, nit, v=v, on_iteration=on_iter)
         return serial_solve(sc, nit, v=v, on_iteration=on_iter)
 
@@ -316,19 +299,17 @@ class SupervisedSolver:
                 next_desc = (ladder[ri + 1].describe()
                              if ri + 1 < len(ladder) else "(none)")
                 if (rung.problem != "npb-mg"
-                        and (rung.mode == "distributed"
-                             or rung.kernels == "sac")):
+                        and rung.mode in ("distributed", "sac")):
                     report.demotions.append(DemotionRecord(
                         rung.describe(), next_desc,
                         f"problem {rung.problem!r} runs serial/threaded "
-                        "numpy only; skipping this rung",
+                        "only; skipping this rung",
                     ))
                     continue
-                if rung.kernels == "sac" and not self.breaker.allow():
+                if rung.mode == "sac" and not self.breaker.allow():
                     report.demotions.append(DemotionRecord(
                         rung.describe(), next_desc,
-                        "circuit breaker open: compiled-kernel path "
-                        "pinned to numpy",
+                        "circuit breaker open: compiled mg.sac skipped",
                     ))
                     continue
                 outcome = self._attempt_rung(
@@ -390,7 +371,8 @@ class SupervisedSolver:
                                         restart_from is not None,
                                         watchdog, deadline, report)
                 rec.elapsed = self._clock() - t0
-                if watchdog is not None and not np.all(np.isfinite(result.u)):
+                grid = result.r if rung.mode == "sac" else result.u
+                if watchdog is not None and not np.all(np.isfinite(grid)):
                     raise NumericalDivergence(
                         "non-finite",
                         detail="solution grid contains non-finite values",
@@ -416,7 +398,7 @@ class SupervisedSolver:
                     ))
                     return last_error
 
-                if rung.kernels == "sac":
+                if rung.mode == "sac":
                     compile_exc = _compile_failure(exc)
                     if compile_exc is not None:
                         self.breaker.record_failure(
@@ -475,7 +457,7 @@ class SupervisedSolver:
 
             rec.outcome = "ok"
             report.attempts.append(rec)
-            if rung.kernels == "sac":
+            if rung.mode == "sac":
                 self.breaker.record_success()
                 self._observe_discards()
             report.outcome = "solved"

@@ -11,9 +11,9 @@ executions).
 
 The session is what consumers build against:
 :class:`~repro.sac.module.SacProgram` is a thin facade over it, the
-mg_sac loader uses it for warm program loads, and the runtime's kernel
-library asks it for compiled specializations (which go through the same
-shared :class:`~repro.sac.driver.cache.KernelCache`).
+mg_sac loader uses it for warm program loads, and ``compile_function``
+takes its cache and program digest, so compiled specializations go
+through the same shared :class:`~repro.sac.driver.cache.KernelCache`.
 """
 
 from __future__ import annotations
@@ -203,17 +203,6 @@ class CompilationSession:
             self._interp = Interpreter(table, vectorize=self.options.vectorize)
             self._record("backend", t0, detail="interpreter built")
         return self._interp
-
-    def compile_kernel(self, fname: str, example_args,
-                       max_statements: int = 200_000):
-        """Shape-specialize ``fname`` through the shared kernel cache."""
-        from ..codegen import compile_function
-
-        return compile_function(
-            self.interpreter.functions, fname, example_args,
-            max_statements=max_statements,
-            cache=self.cache, program_digest=self.program_digest,
-        )
 
     # -- introspection ------------------------------------------------------
 

@@ -33,6 +33,7 @@ from .values import (
     AffineAxis,
     IndexView,
     SpaceValue,
+    any_abstract,
     as_index_vector,
     coerce_value,
     dtype_of,
@@ -326,16 +327,33 @@ def withloop_head(ev, env, wl: WithLoop):
             raise SacTypeError("modarray frame must be an array")
         frame_shape = base.shape
     space = _resolve_space(ev, env, wl.generator, frame_shape)
+    if shp is not None and space.rank != len(shp):
+        # genarray's cells extend its shape: the generator spans all of it.
+        raise SacTypeError(f"generator rank {space.rank} does not match "
+                           f"genarray shape rank {len(shp)}")
     body_env = None
     if space.is_affine:
         body_env = env.child({wl.generator.var: IndexView(space.axes())})
     return space, shp, base, body_env
 
 
+def _inside_vectorized_body(env) -> bool:
+    """Whether ``env`` binds a per-point value of an enclosing vectorized
+    WITH-loop.  A nested space of the same size would pair its points
+    with the outer ones instead of crossing them, so such a loop runs
+    per index (each step still vectorized over the outer space)."""
+    while env is not None:
+        if any_abstract(env.bindings.values()):
+            return True
+        env = env.parent
+    return False
+
+
 def eval_withloop(interp, env, wl: WithLoop):
     """Evaluate a WITH-loop expression in ``env``."""
     space, shp, base, body_env = withloop_head(interp, env, wl)
-    if interp.vectorize and body_env is not None:
+    if (interp.vectorize and body_env is not None
+            and not _inside_vectorized_body(env)):
         try:
             return _eval_vectorized(interp, env, body_env, wl.operation,
                                     space, shp, base)

@@ -1,8 +1,16 @@
-"""Tests for the Fig. 10 array library (NumPy transcription).
+"""The paper's Fig. 10 array library and §3 building blocks, in SAC.
 
 These are the algebraic identities the paper's program relies on, checked
-dimension-invariantly (the library works for any rank, like the SAC code).
+dimension-invariantly.  ``genarray``/``condense``/``scatter``/``embed``/
+``take`` are the prelude (:mod:`repro.sac.stdlib`, Fig. 10 verbatim);
+``SetupPeriodicBorder`` and ``RelaxKernel`` come from ``mg.sac``, and
+the rank-generic kernel from ``examples/sac/generic_relax.sac``.  Each
+identity is judged by the three evaluators — the scalar interpreter, the
+vectorizing interpreter and the generated code — which must agree to the
+bit, and refuse the same misuse with the same error.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.baselines.sac_style_mg import (
-    condense,
-    embed,
-    genarray,
-    relax_kernel,
-    scatter,
-    setup_periodic_border,
-    take,
-)
+from repro.mg_sac import load_mg_program
+from repro.sac import CompileOptions, SacProgram, compile_function
+from repro.sac.driver import CompilationSession, KernelCache
+from repro.sac.errors import SacError, SacRuntimeError, SacTypeError
 
 small_arrays = arrays(
     np.float64,
@@ -26,98 +29,137 @@ small_arrays = arrays(
     elements=st.floats(-1e6, 1e6, allow_nan=False),
 )
 
+_CACHE = KernelCache(memory_only=True)  # one kernel per drawn shape
+
+
+def _prelude(vectorize):
+    return SacProgram(None, _session=CompilationSession(
+        "", options=CompileOptions(vectorize=vectorize), cache=_CACHE))
+
+
+def _mg(vectorize):
+    return load_mg_program(vectorize=vectorize)
+
+
+_GENERIC = (Path(__file__).resolve().parents[2] / "examples" / "sac"
+            / "generic_relax.sac").read_text()
+
+
+def _evaluators(program):
+    scalar, vectorizing = program(False), program(True)
+    return (scalar.call, vectorizing.call,
+            lambda f, *args: compile_function(vectorizing, f, args)(*args))
+
+
+def sac(fname, *args, program=_prelude):
+    """``fname(*args)`` by all three evaluators, which must agree."""
+    want, *others = (run(fname, *args) for run in _evaluators(program))
+    for got in others:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return want
+
+
+def refused(error, fname, *args, program=_prelude):
+    for run in _evaluators(program):
+        with pytest.raises(error):
+            run(fname, *args)
+
+
+def _shape(*extents):
+    return np.array(extents)
+
 
 class TestGenarray:
     def test_shape_and_value(self):
-        a = genarray((2, 3), 7.5)
+        a = sac("genarray", _shape(2, 3), 7.5)
         assert a.shape == (2, 3)
         assert (a == 7.5).all()
 
     def test_any_rank(self):
-        assert genarray((4,), 0.0).ndim == 1
-        assert genarray((2, 2, 2, 2), 1.0).ndim == 4
+        assert sac("genarray", _shape(4), 0.0).ndim == 1
+        assert sac("genarray", _shape(2, 2, 2, 2), 1.0).ndim == 4
 
 
 class TestCondenseScatter:
     @given(small_arrays, st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_condense_of_scatter_is_identity(self, a, stride):
-        np.testing.assert_array_equal(condense(stride, scatter(stride, a)), a)
+        spread = sac("scatter", stride, a)
+        np.testing.assert_array_equal(sac("condense", stride, spread), a)
 
     def test_condense_shape(self):
         a = np.arange(10.0)
-        assert condense(2, a).shape == (5,)
-        assert condense(3, a).shape == (3,)
+        assert sac("condense", 2, a).shape == (5,)
+        assert sac("condense", 3, a).shape == (3,)
 
     def test_condense_values(self):
         a = np.arange(8.0)
-        np.testing.assert_array_equal(condense(2, a), [0, 2, 4, 6])
+        np.testing.assert_array_equal(sac("condense", 2, a), [0, 2, 4, 6])
 
     def test_scatter_zero_fills(self):
         a = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(scatter(2, a), [1.0, 0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(sac("scatter", 2, a),
+                                      [1.0, 0.0, 2.0, 0.0])
 
     def test_scatter_multidim(self):
         a = np.ones((2, 2))
-        s = scatter(2, a)
+        s = sac("scatter", 2, a)
         assert s.shape == (4, 4)
         assert s.sum() == 4.0
         np.testing.assert_array_equal(s[::2, ::2], a)
 
     def test_stride_one_is_copy(self):
         a = np.arange(5.0)
-        c = condense(1, a)
+        c = sac("condense", 1, a)
         np.testing.assert_array_equal(c, a)
         c[0] = 99
         assert a[0] == 0.0  # value semantics: result is a fresh array
 
     def test_invalid_stride(self):
-        with pytest.raises(ValueError):
-            condense(0, np.arange(4.0))
-        with pytest.raises(ValueError):
-            scatter(0, np.arange(4.0))
+        refused(SacRuntimeError, "condense", 0, np.arange(4.0))
+        refused(SacRuntimeError, "scatter", 0, np.arange(4.0))
 
 
 class TestEmbedTake:
     def test_embed_places_at_offset(self):
-        a = np.array([1.0, 2.0])
-        e = embed((5,), (2,), a)
+        e = sac("embed", _shape(5), _shape(2), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(e, [0, 0, 1, 2, 0])
 
     def test_take_leading(self):
-        a = np.arange(6.0)
-        np.testing.assert_array_equal(take((4,), a), [0, 1, 2, 3])
+        np.testing.assert_array_equal(sac("take", _shape(4), np.arange(6.0)),
+                                      [0, 1, 2, 3])
 
     @given(small_arrays)
     @settings(max_examples=40, deadline=None)
     def test_take_of_embed_roundtrip(self, a):
         # embed at the origin then take the original extent: identity.
-        bigger = tuple(s + 2 for s in a.shape)
-        e = embed(bigger, (0,) * a.ndim, a)
-        np.testing.assert_array_equal(take(a.shape, e), a)
+        bigger = np.array(a.shape) + 2
+        e = sac("embed", bigger, 0 * bigger, a)
+        np.testing.assert_array_equal(sac("take", np.array(a.shape), e), a)
 
     def test_embed_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            embed((3,), (2,), np.arange(2.0))
+        refused(SacRuntimeError, "embed", _shape(3), _shape(2), np.arange(2.0))
 
     def test_take_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            take((7,), np.arange(4.0))
+        refused(SacRuntimeError, "take", _shape(7), np.arange(4.0))
 
     def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            embed((3, 3), (0,), np.arange(2.0))
-        with pytest.raises(ValueError):
-            take((2, 2), np.arange(4.0))
+        refused(SacTypeError, "embed", _shape(3, 3), _shape(0), np.arange(2.0))
+        refused(SacTypeError, "take", _shape(2, 2), np.arange(4.0))
 
     def test_fine2coarse_shape_algebra(self):
         # The paper's Fig. 8 sequence: condense leaves the array one
         # element short; embed restores the extended-grid extent.
         fine = np.zeros((10, 10, 10))  # extended 8^3
-        rc = condense(2, fine)
+        rc = sac("condense", 2, fine)
         assert rc.shape == (5, 5, 5)
-        rn = embed(tuple(s + 1 for s in rc.shape), (0, 0, 0), rc)
+        rn = sac("embed", np.array(rc.shape) + 1, _shape(0, 0, 0), rc)
         assert rn.shape == (6, 6, 6)  # extended 4^3
+
+
+def border(a):
+    return sac("SetupPeriodicBorder", a, program=_mg)
 
 
 class TestSetupPeriodicBorder:
@@ -125,14 +167,13 @@ class TestSetupPeriodicBorder:
         # Fig. 5: each original boundary element is replicated on the
         # opposite side.
         a = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 0.0])
-        out = setup_periodic_border(a)
-        np.testing.assert_array_equal(out, [4.0, 1.0, 2.0, 3.0, 4.0, 1.0])
+        np.testing.assert_array_equal(border(a), [4.0, 1.0, 2.0, 3.0, 4.0, 1.0])
 
     def test_pure(self):
         a = np.zeros((4, 4))
         a[1:-1, 1:-1] = 1.0
         before = a.copy()
-        setup_periodic_border(a)
+        border(a)
         np.testing.assert_array_equal(a, before)
 
     def test_matches_comm3_in_3d(self):
@@ -141,7 +182,7 @@ class TestSetupPeriodicBorder:
         rng = np.random.default_rng(0)
         a = np.zeros((6, 6, 6))
         a[1:-1, 1:-1, 1:-1] = rng.standard_normal((4, 4, 4))
-        np.testing.assert_array_equal(setup_periodic_border(a), comm3(a.copy()))
+        np.testing.assert_array_equal(border(a), comm3(a.copy()))
 
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
@@ -149,21 +190,27 @@ class TestSetupPeriodicBorder:
         rng = np.random.default_rng(seed)
         a = np.zeros((m + 2,) * ndim)
         a[(slice(1, -1),) * ndim] = rng.standard_normal((m,) * ndim)
-        once = setup_periodic_border(a)
-        np.testing.assert_array_equal(setup_periodic_border(once), once)
+        once = border(a)
+        np.testing.assert_array_equal(border(once), once)
+
+
+def relax(u, c):
+    return sac("RelaxKernel", u, np.array(c), program=_mg)
 
 
 class TestRelaxKernel:
+    """``mg.sac``'s 27-point kernel: one coefficient per distance class,
+    applied to the inner elements, the borders kept (``modarray``)."""
+
     def test_borders_preserved(self):
-        a = np.arange(36.0).reshape(6, 6)
-        out = relax_kernel(a, (1.0, 0.0, 0.0))
+        a = np.arange(216.0).reshape(6, 6, 6)
+        out = relax(a, (0.5, 0.25, 0.0, 0.0))
         np.testing.assert_array_equal(out[0], a[0])
-        np.testing.assert_array_equal(out[:, -1], a[:, -1])
+        np.testing.assert_array_equal(out[:, :, -1], a[:, :, -1])
 
     def test_identity_stencil(self):
-        a = np.random.default_rng(1).standard_normal((6, 6))
-        out = relax_kernel(a, (1.0, 0.0, 0.0))
-        np.testing.assert_array_equal(out, a)
+        a = np.random.default_rng(1).standard_normal((6, 6, 6))
+        np.testing.assert_array_equal(relax(a, (1.0, 0.0, 0.0, 0.0)), a)
 
     def test_matches_naive_3d(self):
         from repro.core.grid import comm3, make_grid
@@ -173,7 +220,7 @@ class TestRelaxKernel:
         u = make_grid(6)
         u[1:-1, 1:-1, 1:-1] = rng.standard_normal((6, 6, 6))
         comm3(u)
-        ours = relax_kernel(u, S_COEFFS_A)
+        ours = relax(u, S_COEFFS_A)
         ref = relax_naive(u, S_COEFFS_A)
         np.testing.assert_allclose(
             ours[1:-1, 1:-1, 1:-1], ref[1:-1, 1:-1, 1:-1],
@@ -181,11 +228,20 @@ class TestRelaxKernel:
         )
 
     def test_rank_coefficient_check(self):
-        with pytest.raises(ValueError):
-            relax_kernel(np.zeros((4, 4, 4)), (1.0, 0.5))
+        # Four distance classes in 3-D: a shorter vector selects no
+        # overload.
+        refused(SacError, "RelaxKernel", np.zeros((4, 4, 4)),
+                np.array([1.0, 0.5]), program=_mg)
 
     def test_1d_three_point(self):
+        # The rank-generic spelling of the kernel, one coefficient per
+        # distance class of the rank.  Only the interpreters run it: the
+        # code generator does not select from a coefficient vector it
+        # keeps symbolic by a per-offset index.
         a = np.array([0.0, 1.0, 2.0, 3.0, 0.0])
-        out = relax_kernel(a, (0.0, 1.0))
-        # inner: sum of the two neighbours.
-        np.testing.assert_array_equal(out[1:-1], [2.0, 4.0, 2.0])
+        for vectorize in (False, True):
+            program = SacProgram.from_source(
+                _GENERIC, options=CompileOptions(vectorize=vectorize))
+            out = program.call("GenericRelaxKernel", a, np.array([0.0, 1.0]))
+            # inner: sum of the two neighbours.
+            np.testing.assert_array_equal(out, [0.0, 2.0, 4.0, 2.0, 0.0])

@@ -1,26 +1,21 @@
 """Cross-implementation equivalence tests (the repository's web of trust).
 
 The three styles must produce the same benchmark result: F77 and C are
-expression-order-identical (bit-equal); the SAC formulation uses a
-different evaluation order, so it agrees to floating-point tolerance.
+expression-order-identical (bit-equal); the SAC program, compiled, uses
+a different evaluation order, so it agrees to floating-point tolerance.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.baselines import CMG, IMPLEMENTATIONS, FortranMG, SacStyleMG
+from repro.baselines import CMG, IMPLEMENTATIONS, FortranMG
 from repro.baselines.c_mg import (
     interp_add_planes,
     psinv_planes,
     resid_planes,
     rprj3_planes,
-)
-from repro.baselines.sac_style_mg import (
-    coarse2fine,
-    fine2coarse,
-    resid_op,
-    smooth,
-    vcycle,
 )
 from repro.core import (
     A_COEFFS,
@@ -31,8 +26,12 @@ from repro.core import (
     psinv,
     resid,
     rprj3,
+    get_class,
     solve,
+    zran3,
 )
+from repro.mg_sac import load_mg_program, solve_generated_mg, solve_sac_mg
+from repro.sac import compile_function
 
 
 def _random_periodic(m, seed=0):
@@ -70,11 +69,18 @@ class TestCKernelsBitExact:
         np.testing.assert_array_equal(u1, u2)
 
 
+def generated(name, *args):
+    """``mg.sac``'s ``name`` as generated code, applied to ``args``."""
+    return compile_function(load_mg_program(), name, args)(*args)
+
+
 class TestSacOpsEquivalence:
+    """The generated Fig. 6/7 operators against ``core``'s."""
+
     def test_resid_op_is_stencil_application(self):
         u = _random_periodic(8, 7)
         v = make_grid(8)
-        got = v[1:-1, 1:-1, 1:-1] - resid_op(u)[1:-1, 1:-1, 1:-1]
+        got = v[1:-1, 1:-1, 1:-1] - generated("Resid", u)[1:-1, 1:-1, 1:-1]
         ref = resid(u, v)[1:-1, 1:-1, 1:-1]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
 
@@ -82,14 +88,14 @@ class TestSacOpsEquivalence:
         r = _random_periodic(8, 8)
         u = make_grid(8)
         psinv(r, u, S_COEFFS_A)
-        got = smooth(r)[1:-1, 1:-1, 1:-1]
+        got = generated("Smooth", r)[1:-1, 1:-1, 1:-1]
         np.testing.assert_allclose(
             got, u[1:-1, 1:-1, 1:-1], rtol=1e-12, atol=1e-13
         )
 
     def test_fine2coarse_matches_rprj3(self):
         r = _random_periodic(8, 9)
-        got = fine2coarse(r)
+        got = generated("Fine2Coarse", r)
         ref = rprj3(r)
         np.testing.assert_allclose(
             got[1:-1, 1:-1, 1:-1], ref[1:-1, 1:-1, 1:-1],
@@ -100,7 +106,7 @@ class TestSacOpsEquivalence:
         z = _random_periodic(4, 10)
         u = make_grid(8)
         interp_add(z, u)
-        got = coarse2fine(z)
+        got = generated("Coarse2Fine", z)
         np.testing.assert_allclose(
             got[1:-1, 1:-1, 1:-1], u[1:-1, 1:-1, 1:-1],
             rtol=1e-12, atol=1e-13,
@@ -109,10 +115,8 @@ class TestSacOpsEquivalence:
     def test_vcycle_termination_condition(self):
         # Extended size 4 (interior 2): single smoothing, no recursion.
         r = _random_periodic(2, 11)
-        z = vcycle(r)
-        np.testing.assert_allclose(
-            z[1:-1, 1:-1, 1:-1], smooth(r)[1:-1, 1:-1, 1:-1], rtol=1e-13
-        )
+        np.testing.assert_array_equal(generated("VCycle", r),
+                                      generated("Smooth", r))
 
 
 class TestFullRuns:
@@ -132,13 +136,14 @@ class TestFullRuns:
         np.testing.assert_array_equal(a.u, b.u)
 
     def test_sac_agrees_to_tolerance(self):
-        a = SacStyleMG().solve("T")
+        a = IMPLEMENTATIONS["sac"].solve("T")
         b = FortranMG().solve("T")
         assert a.rnm2 == pytest.approx(b.rnm2, rel=1e-9)
-        np.testing.assert_allclose(
-            a.u[1:-1, 1:-1, 1:-1], b.u[1:-1, 1:-1, 1:-1],
-            rtol=1e-9, atol=1e-12,
-        )
+        inner = (slice(1, -1),) * 3
+        np.testing.assert_allclose(a.r[inner], b.r[inner],
+                                   rtol=1e-9, atol=1e-12)
+        # The generated module computes the interpreter's bits.
+        assert a.rnm2.hex() == solve_sac_mg("T").rnm2.hex()
 
     @pytest.mark.parametrize("name", ["f77", "c", "sac"])
     def test_class_s_verification(self, name):
@@ -146,16 +151,42 @@ class TestFullRuns:
         assert res.verified, (name, res.rnm2)
 
     def test_histories_match(self):
+        # The generated mg.sac reports no history: its norm after k
+        # iterations is the run with nit = k.
         hf = FortranMG().solve("T", keep_history=True).history
-        hs = SacStyleMG().solve("T", keep_history=True).history
-        assert len(hf) == len(hs)
+        hs = [solve_generated_mg("T", k).rnm2 for k in range(len(hf))]
         for a, b in zip(hf, hs):
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_traces_have_same_stencil_structure(self):
-        tf = FortranMG().solve("T", collect_trace=True).trace
-        ts = SacStyleMG().solve("T", collect_trace=True).trace
-        cf = tf.counts_by_kind()
-        cs = ts.counts_by_kind()
-        for kind in ("resid", "psinv", "rprj3", "interp"):
-            assert cf[kind] == cs[kind], kind
+        # The generated module has one def per SAC function and grid
+        # size: count each operator's calls through one solve.
+        kinds = {"Resid": "resid", "Smooth": "psinv",
+                 "Fine2Coarse": "rprj3", "Coarse2Fine": "interp"}
+        sc = get_class("T")
+        v = zran3(sc.nx)
+        module = {}
+        exec(compile_function(load_mg_program(), "FinalResidual",
+                              (v, sc.nit)).source, module)
+        calls = Counter()
+
+        def counted(kind, fn):
+            return lambda *args: calls.update([kind]) or fn(*args)
+
+        for name, fn in list(module.items()):
+            kind = kinds.get(name.split("__")[0])
+            if kind is not None:
+                module[name] = counted(kind, fn)
+        module["FinalResidual"](v)  # nit is baked into the entry
+        cf = FortranMG().solve("T", collect_trace=True).trace.counts_by_kind()
+        assert calls == {kind: cf[kind] for kind in kinds.values()}
+
+    @pytest.mark.parametrize("kwargs", [{"collect_trace": True},
+                                        {"keep_history": True}])
+    def test_sac_records_no_trace_or_history(self, kwargs):
+        with pytest.raises(ValueError, match="no trace"):
+            IMPLEMENTATIONS["sac"].solve("T", **kwargs)
+
+    def test_sac_refuses_the_sb_classes(self):
+        with pytest.raises(ValueError, match="S\\(a\\) smoother"):
+            IMPLEMENTATIONS["sac"].solve("B")

@@ -167,4 +167,5 @@ class TestCli:
         from repro.harness.__main__ import main
 
         assert main(["verify", "-c", "S"]) == 0
-        assert "VERIFIED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("[VERIFIED]") == 3 and "  sac   rnm2" in out

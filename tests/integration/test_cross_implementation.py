@@ -1,28 +1,27 @@
 """The full cross-implementation agreement matrix.
 
-Seven execution paths of the same benchmark, one table of truth:
+Six execution paths of the same benchmark, one table of truth:
 
 1. Fortran-77 style core (NPB 2.3 expression-order-exact),
 2. C port style (plane loops),
-3. paper-style high-level NumPy,
-4. fork-join parallel kernels (3 threads),
-5. the SPMD distributed-memory solver (2 ranks),
-6. the SAC-language program through the interpreter,
-7. the SAC-language program compiled to NumPy by the codegen backend.
+3. fork-join parallel kernels (3 threads),
+4. the SPMD distributed-memory solver (2 ranks),
+5. the SAC-language program through the interpreter,
+6. the SAC-language program compiled to NumPy by the codegen backend
+   (``IMPLEMENTATIONS["sac"]``).
 
-Paths 1, 2, 4 and 5 must agree bit for bit (the SPMD norm allreduce may
-reorder the final sum); 3, 6 and 7 to floating-point tolerance; all
-must pass NPB verification where an official constant exists.
+Paths 1–4 must agree bit for bit (the SPMD norm allreduce may reorder
+the final sum); 5 and 6 with each other bit for bit and with the rest to
+floating-point tolerance; all must pass NPB verification where an
+official constant exists.
 """
 
-import numpy as np
 import pytest
 
-from repro.baselines import CMG, FortranMG, SacStyleMG
-from repro.core import get_class, zran3
-from repro.mg_sac import load_mg_program, solve_sac_mg
+from repro.baselines import CMG, IMPLEMENTATIONS, FortranMG
+from repro.core import get_class
+from repro.mg_sac import solve_sac_mg
 from repro.runtime import ParallelMG
-from repro.sac.codegen import compile_function
 
 
 @pytest.fixture(scope="module")
@@ -32,25 +31,18 @@ def class_t_results():
     sc = get_class("T")
     f77 = FortranMG().solve(sc)
     c = CMG().solve(sc)
-    sac_style = SacStyleMG().solve(sc)
     par = ParallelMG(3).solve(sc)
     spmd = DistributedMG(2).solve(sc)
     sac_interp = solve_sac_mg(sc)
-
-    prog = load_mg_program(True, True)
-    v = zran3(sc.nx)
-    compiled = compile_function(prog, "FinalResidual", (v, sc.nit))
-    r = compiled(v, sc.nit)
-    sac_compiled_rnm2 = float(np.sqrt(np.mean(r[1:-1, 1:-1, 1:-1] ** 2)))
+    sac_compiled = IMPLEMENTATIONS["sac"].solve(sc)
 
     return {
         "f77": f77.rnm2,
         "c": c.rnm2,
         "parallel": par.rnm2,
         "spmd": spmd.rnm2,
-        "sac_style": sac_style.rnm2,
         "sac_interp": sac_interp.rnm2,
-        "sac_compiled": sac_compiled_rnm2,
+        "sac_compiled": sac_compiled.rnm2,
     }
 
 
@@ -62,7 +54,7 @@ class TestAgreementMatrix:
 
     def test_high_level_group_tolerance(self, class_t_results):
         r = class_t_results
-        for name in ("sac_style", "sac_interp", "sac_compiled"):
+        for name in ("sac_interp", "sac_compiled"):
             assert r[name] == pytest.approx(r["f77"], rel=1e-9), name
 
     def test_sac_interp_equals_sac_compiled_exactly(self, class_t_results):
@@ -71,12 +63,12 @@ class TestAgreementMatrix:
 
 
 class TestVerificationSweep:
-    @pytest.mark.parametrize("path", ["f77", "c", "sac_style", "parallel"])
+    @pytest.mark.parametrize("path", ["f77", "c", "sac", "parallel"])
     def test_class_s_verifies_everywhere(self, path):
         impl = {
             "f77": FortranMG(),
             "c": CMG(),
-            "sac_style": SacStyleMG(),
+            "sac": IMPLEMENTATIONS["sac"],
             "parallel": ParallelMG(2),
         }[path]
         assert impl.solve("S").verified

@@ -1,8 +1,8 @@
 """One schedule, every mode: the cross-mode oracle.
 
 ``core.mg`` writes the NPB schedule once (``correction``/``vcycle``/
-``run``); serial, the comparison styles, threaded and SPMD are kernel
-tables driven through it.  ``synthesize_mg_trace`` is the independent
+``run``); serial, the Fortran and C styles, threaded and SPMD are
+kernel tables driven through it.  ``synthesize_mg_trace`` is the independent
 spelling of the same schedule, so every mode's per-operator call counts
 must equal its counts, and the NumPy tables must agree with serial to
 the bit.  Every entry also takes the right-hand side ``v`` prepared by
@@ -14,8 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.baselines import CMG, FortranMG, SacStyleMG
-from repro.baselines import sac_style_mg as sac
+from repro.baselines import CMG, IMPLEMENTATIONS, FortranMG
 from repro.core import get_class, synthesize_mg_trace, zran3
 from repro.core.mg import MGKernels, run, solve, vcycle
 from repro.core.timers import SectionTimers
@@ -30,21 +29,6 @@ from repro.runtime import (
 )
 
 OPS = ("resid", "psinv", "rprj3", "interp")
-
-
-def _add_into(u, z):
-    u += z
-    return u
-
-
-#: The paper's Fig. 6/7 operators as a table (value-semantic, borders
-#: set up by each operator itself, so results agree to tolerance only).
-SAC_STYLE = MGKernels(
-    resid=lambda u, v, a, out=None: v - sac.resid_op(u, a),
-    psinv=lambda r, u, c: _add_into(u, sac.smooth(r, c)),
-    rprj3=sac.fine2coarse,
-    interp_add=lambda z, u: _add_into(u, sac.coarse2fine(z)),
-)
 
 
 def _table(kernels):
@@ -69,8 +53,7 @@ def _distributed(nranks):
 #: with serial):
 #: "bits" — same fields, same ``rnm2`` bits; "fields" — same fields, the
 #: norm summed in another association (two ranks split the sum where
-#: NumPy's pairwise reduction does; four do not); "tolerance" — another
-#: arithmetic.
+#: NumPy's pairwise reduction does; four do not).
 MODES = {
     "serial": (lambda nit, mon, v=None: solve("S", nit, v=v, monitor=mon),
                "bits"),
@@ -80,7 +63,6 @@ MODES = {
         "bits"),
     "f77": (_table(FortranMG.kernels), "bits"),
     "c": (_table(CMG.kernels), "bits"),
-    "sac-style": (_table(SAC_STYLE), "tolerance"),
     "threaded-2": (_threaded(2), "bits"),
     "threaded-3": (_threaded(3), "bits"),
     "distributed-2": (_distributed(2), "bits"),
@@ -97,9 +79,6 @@ def test_every_mode_runs_the_one_schedule(mode, nit):
     result = entry(nit, monitor)
     assert monitor.calls == {op: want[op] for op in OPS}
     serial = solve("S", nit)
-    if agreement == "tolerance":
-        assert result.rnm2 == pytest.approx(serial.rnm2, rel=1e-10)
-        return
     np.testing.assert_array_equal(result.u, serial.u)
     np.testing.assert_array_equal(result.r, serial.r)
     if agreement == "bits":
@@ -117,7 +96,7 @@ def _supervised(nit, mon, v=None):
 #: Every entry that takes ``v=``: the modes, and those with no monitor.
 V_ENTRIES = {
     **{mode: entry for mode, (entry, _) in MODES.items()},
-    "sac-style-solve": lambda nit, mon, v=None: SacStyleMG().solve(
+    "sac": lambda nit, mon, v=None: IMPLEMENTATIONS["sac"].solve(
         "S", nit, v=v),
     "sac-lang": lambda nit, mon, v=None: solve_sac_mg("S", nit, v=v),
     "supervised": _supervised,
@@ -134,7 +113,7 @@ def test_a_prepared_v_is_read_and_zran3_not_called(entry, forbid_zran3):
     got = solve_entry(None, None, v)
     assert got.rnm2.hex() == want.rnm2.hex()
     assert got.r.tobytes() == want.r.tobytes()
-    if entry != "sac-lang":  # SacMGResult carries the residual only
+    if entry not in ("sac", "sac-lang"):  # SacMGResult: the residual only
         assert got.u.tobytes() == want.u.tobytes()
     assert v.tobytes() == before
     with pytest.raises(ValueError, match="shape"):

@@ -241,8 +241,8 @@ class TestSupervisedElastic:
         """The acceptance scenario: both deaths healed, zero demotions,
         NPB-verified, bit-identical to the fault-free run."""
         policy = SupervisorPolicy(
-            ladder=(Rung("distributed", "numpy", 4),
-                    Rung("threaded", "numpy", 2),
+            ladder=(Rung("distributed", workers=4),
+                    Rung("threaded", workers=2),
                     Rung("serial")),
             retry=FAST_RETRY,
             heal=HealPolicy(max_heals=2),
@@ -252,7 +252,7 @@ class TestSupervisedElastic:
         res = solver.solve("S", policy=policy)
         report = res.report
         assert report.outcome == "solved"
-        assert report.solved_by == "distributed[numpy]x4"   # width 4
+        assert report.solved_by == "distributed x4"   # width 4
         assert report.demotions == []                       # zero demotions
         assert report.retries == 0
         assert len(report.heals) == 2
@@ -271,8 +271,8 @@ class TestSupervisedElastic:
         """Healing disabled: the same fault plan degrades cleanly
         through the ladder instead of finishing at width 4."""
         policy = SupervisorPolicy(
-            ladder=(Rung("distributed", "numpy", 4),
-                    Rung("threaded", "numpy", 2),
+            ladder=(Rung("distributed", workers=4),
+                    Rung("threaded", workers=2),
                     Rung("serial")),
             retry=FAST_RETRY,
             heal=None,
@@ -284,7 +284,7 @@ class TestSupervisedElastic:
         assert report.outcome == "solved"
         assert report.heals == []
         assert report.demotions, "expected a ladder demotion"
-        assert report.solved_by != "distributed[numpy]x4"
+        assert report.solved_by != "distributed x4"
         assert res.verified
 
     def test_checkpoint_reused_across_heal_then_demotion(self):
@@ -299,8 +299,8 @@ class TestSupervisedElastic:
             Fault(FaultKind.CRASH, rank=3, iteration=3, scope="plan"),
         ])
         policy = SupervisorPolicy(
-            ladder=(Rung("distributed", "numpy", 4),
-                    Rung("distributed", "numpy", 4),
+            ladder=(Rung("distributed", workers=4),
+                    Rung("distributed", workers=4),
                     Rung("serial")),
             retry=RetryPolicy(max_attempts=1, backoff_base=0.0, jitter=0.0),
             heal=HealPolicy(max_heals=1),
@@ -310,7 +310,7 @@ class TestSupervisedElastic:
         res = solver.solve("S", policy=policy)
         report = res.report
         assert report.outcome == "solved"
-        assert report.solved_by == "distributed[numpy]x4"
+        assert report.solved_by == "distributed x4"
         # One heal on the first attempt (rank 1 at iteration 1) ...
         assert len(report.heals) == 1
         assert report.heals[0].rank == 1 and report.heals[0].completed

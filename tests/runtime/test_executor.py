@@ -120,14 +120,6 @@ class TestThreadTeam:
         with pytest.raises(ValueError):
             ThreadTeam(0)
 
-    def test_run_partitioned(self):
-        out = np.zeros(8)
-        with ThreadTeam(3) as team:
-            team.run_partitioned(
-                lambda c: out.__setitem__(slice(c.lo[0], c.hi[0]), 1.0), (8,)
-            )
-        assert (out == 1).all()
-
     def test_caller_runs_chunk_zero_and_workers_the_rest(self):
         names = {}
         lock = threading.Lock()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.mg import solve as serial_solve
+from repro.mg_sac import loader
 from repro.runtime.resilience import Fault, FaultKind, FaultPlan
 from repro.runtime.supervisor import (
     BreakerPolicy,
@@ -51,19 +52,14 @@ class FakeClock:
         self.t += dt
 
 
-class FailingLibrary:
-    """A kernel library whose every compiled call fails like a broken
+@pytest.fixture
+def broken_compiler(monkeypatch):
+    """Every compile of the generated ``mg.sac`` fails like a broken
     sac2c toolchain."""
-
-    class _Stats:
-        discards_by_key: dict = {}
-
-    cache_stats = _Stats()
-
-    def _boom(self, *a, **k):
+    def boom(*args):
         raise SacError("sac2c exited with status 1")
 
-    relax = resid_slab = psinv_slab = _boom
+    monkeypatch.setattr(loader, "_final_residual", boom)
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +200,14 @@ class TestCompileCircuitBreaker:
 class TestPolicies:
     def test_default_ladder_shape(self):
         rungs = [r.describe() for r in default_ladder()]
-        assert rungs == ["distributed[numpy]x2", "threaded[numpy]x2",
-                         "serial"]
+        assert rungs == ["distributed x2", "threaded x2", "serial"]
         rungs = [r.describe() for r in default_ladder(kernels="sac",
                                                       nranks=4)]
-        assert rungs == ["distributed[sac]x4", "distributed[numpy]x4",
-                         "threaded[numpy]x2", "serial"]
+        assert rungs == ["sac", "distributed x4", "threaded x2", "serial"]
 
     def test_rung_validation(self):
         with pytest.raises(ValueError):
             Rung("carrier-pigeon")
-        with pytest.raises(ValueError):
-            Rung("distributed", "fortran")
-        with pytest.raises(ValueError):
-            Rung("serial", "sac")
         with pytest.raises(ValueError):
             Rung("distributed", workers=3)  # not a power of two
         with pytest.raises(ValueError):
@@ -279,7 +269,7 @@ class TestSupervisedSolve:
                                        Rung("serial")), retry=FAST_RETRY)
         res = SupervisedSolver(policy=pol).solve("S")
         assert res.verified
-        assert res.report.solved_by == "distributed[numpy]x2"
+        assert res.report.solved_by == "distributed x2"
         assert res.report.retries == 0
 
     def test_retry_from_checkpoint_after_transient_crash(self, zran3_calls):
@@ -295,7 +285,7 @@ class TestSupervisedSolve:
         res = SupervisedSolver(policy=pol, fault_plan=plan).solve("S")
         rep = res.report
         assert res.verified
-        assert rep.solved_by == "distributed[numpy]x4"
+        assert rep.solved_by == "distributed x4"
         assert rep.retries >= 1
         assert rep.checkpoints_used >= 1
         restarts = [a.restarted_from for a in rep.attempts
@@ -319,7 +309,7 @@ class TestSupervisedSolve:
         rep = res.report
         assert rep.solved_by == "serial"
         assert res.verified
-        assert rep.rungs_tried == ["distributed[numpy]x2", "serial"]
+        assert rep.rungs_tried == ["distributed x2", "serial"]
         assert any("retry budget exhausted" in d.reason
                    for d in rep.demotions)
         # ... and one right-hand side for every rung.
@@ -346,39 +336,46 @@ class TestSupervisedSolve:
         assert np.all(np.isfinite(res.result.u))
         assert res.verified
 
-    def test_compile_failure_lands_on_numpy_rung(self):
+    def test_sac_rung_runs_the_generated_program(self):
+        pol = SupervisorPolicy(ladder=(Rung("sac"), Rung("serial")),
+                               retry=FAST_RETRY)
+        res = SupervisedSolver(policy=pol).solve("S")
+        assert res.report.solved_by == "sac"
+        assert res.verified
+        assert res.rnm2 == loader.solve_generated_mg("S").rnm2
+
+    def test_compile_failure_lands_on_numpy_rung(self, broken_compiler):
         pol = SupervisorPolicy(
-            ladder=(Rung("distributed", "sac", 2),
-                    Rung("distributed", "numpy", 2), Rung("serial")),
+            ladder=(Rung("sac"), Rung("distributed", workers=2),
+                    Rung("serial")),
             retry=FAST_RETRY,
         )
-        sup = SupervisedSolver(policy=pol,
-                               kernel_library_factory=FailingLibrary)
+        sup = SupervisedSolver(policy=pol)
         res = sup.solve("S")
         rep = res.report
         assert res.verified
-        assert rep.solved_by == "distributed[numpy]x2"
+        assert rep.solved_by == "distributed x2"
         assert any("compiled-kernel path failed" in d.reason
                    for d in rep.demotions)
         # One compile failure: below the threshold, circuit still closed.
         assert sup.breaker.state is BreakerState.CLOSED
 
-    def test_breaker_pins_numpy_path_after_repeated_compile_failures(self):
+    def test_breaker_pins_numpy_path_after_repeated_compile_failures(
+            self, broken_compiler):
         pol = SupervisorPolicy(
-            ladder=(Rung("distributed", "sac", 2),
-                    Rung("distributed", "numpy", 2), Rung("serial")),
+            ladder=(Rung("sac"), Rung("distributed", workers=2),
+                    Rung("serial")),
             retry=FAST_RETRY,
             breaker=BreakerPolicy(failure_threshold=2, cooldown=3600.0),
         )
-        sup = SupervisedSolver(policy=pol,
-                               kernel_library_factory=FailingLibrary)
+        sup = SupervisedSolver(policy=pol)
         sup.solve("T", 2)
         rep2 = sup.solve("T", 2).report
         assert sup.breaker.state is BreakerState.OPEN
         assert any(s == "open" for s, _ in rep2.breaker_events)
         # Third solve: the sac rung is skipped without an attempt.
         rep3 = sup.solve("T", 2).report
-        assert rep3.rungs_tried[0] == "distributed[numpy]x2"
+        assert rep3.rungs_tried[0] == "distributed x2"
         assert any("circuit breaker open" in d.reason
                    for d in rep3.demotions)
 
@@ -394,7 +391,7 @@ class TestSupervisedSolve:
         assert rep.outcome == "failed"
         assert rep.failure is not None
         assert len(rep.attempts) == 2
-        assert rep.rungs_tried == ["distributed[numpy]x2"]
+        assert rep.rungs_tried == ["distributed x2"]
         d = rep.to_dict()
         assert d["outcome"] == "failed" and len(d["attempts"]) == 2
 

@@ -1,7 +1,7 @@
 """The codegen contract, checked wherever these tests compile anything.
 
-Every specialization traced while a test of the modules below runs —
-through ``compile_function`` or a session's ``compile_kernel`` — is executed once on its example arguments and must
+Every specialization ``compile_function`` traces while a test of the
+modules below runs is executed once on its example arguments and must
 return the bytes the tree-walking interpreter returns for the same
 function and arguments, and leave those arguments as they were: whatever
 the buffer planner lets a callee write into, the entry point's

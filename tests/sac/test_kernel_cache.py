@@ -31,6 +31,11 @@ def _session(tmp_path, source=SRC, options=None):
                               cache=KernelCache(tmp_path / "cache"))
 
 
+def _compile(session, args):
+    """``scale`` specialized through ``session``'s cache and digest."""
+    return compile_function(SacProgram(None, _session=session), "scale", args)
+
+
 class TestKeys:
     def test_shape_signature_symbolic_floats(self):
         sig = shape_signature([np.zeros((3, 4)), np.zeros(2, dtype=np.int64),
@@ -67,12 +72,12 @@ class TestWarmKernels:
     def test_warm_hit_bit_identical_to_cold(self, tmp_path):
         u = np.arange(27.0).reshape(3, 3, 3)
         cold = _session(tmp_path)
-        k_cold = cold.compile_kernel("scale", [u, 2.0])
+        k_cold = _compile(cold, [u, 2.0])
         before = trace_event_count()
         # A brand-new session and cache instance over the same directory:
         # the kernel must come off disk, with zero tracing.
         warm = _session(tmp_path)
-        k_warm = warm.compile_kernel("scale", [u, 2.0])
+        k_warm = _compile(warm, [u, 2.0])
         assert trace_event_count() == before
         assert k_warm.source == k_cold.source
         assert k_warm.baked == k_cold.baked
@@ -122,35 +127,33 @@ class TestWarmKernels:
 
     def test_shape_change_invalidates(self, tmp_path):
         s = _session(tmp_path)
-        s.compile_kernel("scale", [np.zeros((3, 3, 3)), 2.0])
+        _compile(s, [np.zeros((3, 3, 3)), 2.0])
         before = trace_event_count()
-        s.compile_kernel("scale", [np.zeros((4, 4, 4)), 2.0])
+        _compile(s, [np.zeros((4, 4, 4)), 2.0])
         assert trace_event_count() == before + 1  # re-traced
 
     def test_baked_value_change_invalidates(self, tmp_path):
         s = _session(tmp_path)
-        k2 = s.compile_kernel("scale", [np.zeros((3, 3, 3)), 2.0])
-        k3 = s.compile_kernel("scale", [np.zeros((3, 3, 3)), 3.0])
+        k2 = _compile(s, [np.zeros((3, 3, 3)), 2.0])
+        k3 = _compile(s, [np.zeros((3, 3, 3)), 3.0])
         assert k2.baked != k3.baked
 
     def test_source_edit_invalidates(self, tmp_path):
         u = np.zeros((3, 3, 3))
-        _session(tmp_path).compile_kernel("scale", [u, 2.0])
+        _compile(_session(tmp_path), [u, 2.0])
         edited = SRC.replace("f * u[iv]", "f + u[iv]")
         before = trace_event_count()
-        k = _session(tmp_path, source=edited).compile_kernel("scale",
-                                                             [u, 2.0])
+        k = _compile(_session(tmp_path, source=edited), [u, 2.0])
         assert trace_event_count() == before + 1
         np.testing.assert_array_equal(k(np.zeros((3, 3, 3)), 2.0),
                                       np.full((3, 3, 3), 2.0))
 
     def test_options_flip_invalidates(self, tmp_path):
         u = np.zeros((3, 3, 3))
-        _session(tmp_path).compile_kernel("scale", [u, 2.0])
+        _compile(_session(tmp_path), [u, 2.0])
         before = trace_event_count()
-        _session(tmp_path,
-                 options=CompileOptions(optimize=False)
-                 ).compile_kernel("scale", [u, 2.0])
+        _compile(_session(tmp_path, options=CompileOptions(optimize=False)),
+                 [u, 2.0])
         assert trace_event_count() == before + 1
 
 
@@ -161,13 +164,13 @@ class TestDiskRobustness:
 
     def test_corrupt_entry_discarded_not_crashed(self, tmp_path):
         u = np.zeros((3, 3, 3))
-        _session(tmp_path).compile_kernel("scale", [u, 2.0])
+        _compile(_session(tmp_path), [u, 2.0])
         files = self._kernel_files(tmp_path)
         assert files
         for f in files:
             f.write_bytes(b"\x80\x04 this is not a pickle")
         warm = _session(tmp_path)
-        k = warm.compile_kernel("scale", [u, 2.0])  # must not raise
+        k = _compile(warm, [u, 2.0])  # must not raise
         assert k is not None
         assert warm.cache.stats.corrupt_discarded >= 1
         # Discards are attributed per key, and surfaced via the session.
@@ -185,13 +188,13 @@ class TestDiskRobustness:
 
     def test_stale_version_discarded(self, tmp_path):
         u = np.zeros((3, 3, 3))
-        _session(tmp_path).compile_kernel("scale", [u, 2.0])
+        _compile(_session(tmp_path), [u, 2.0])
         for f in self._kernel_files(tmp_path):
             payload = pickle.loads(f.read_bytes())
             payload["version"] = CACHE_VERSION + 1
             f.write_bytes(pickle.dumps(payload))
         warm = _session(tmp_path)
-        k = warm.compile_kernel("scale", [u, 2.0])
+        k = _compile(warm, [u, 2.0])
         assert k is not None
         assert warm.cache.stats.stale_discarded >= 1
         assert warm.cache.stats.discards_by_key  # stale counts per key too
@@ -248,11 +251,11 @@ class TestVectorizeSharesArtifacts:
     def test_kernel_compiled_under_one_is_served_to_the_other(self, tmp_path):
         u = np.arange(27.0).reshape(3, 3, 3)
         default = _session(tmp_path)
-        compiled = default.compile_kernel("scale", [u, 2.0])
+        compiled = _compile(default, [u, 2.0])
         stores, before = default.cache.stats.stores, trace_event_count()
         scalar = CompilationSession(
             SRC, options=CompileOptions(vectorize=False), cache=default.cache)
-        served = scalar.compile_kernel("scale", [u, 2.0])
+        served = _compile(scalar, [u, 2.0])
         assert served.artifact == compiled.artifact
         assert trace_event_count() == before
         assert default.cache.stats.stores == stores

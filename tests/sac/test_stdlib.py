@@ -1,13 +1,45 @@
 """Tests for the SAC-source prelude: the Fig. 10 library executed through
-the interpreter, cross-checked against the NumPy transcription."""
+the interpreter, cross-checked against a NumPy spelling of it."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import sac_style_mg as ref
 from repro.sac import SacProgram
+
+
+def _condense(stride, a):
+    """Every ``stride``-th element along each axis, ``shape(a) / stride``
+    of them: ``a[stride * iv]``."""
+    n = tuple(s // stride for s in a.shape)
+    return a[tuple(slice(0, k * stride, stride) for k in n)].copy()
+
+
+def _scatter(stride, a):
+    """The inverse of condense; zeros fill the gaps."""
+    out = np.zeros(tuple(stride * s for s in a.shape), dtype=a.dtype)
+    out[(slice(None, None, stride),) * a.ndim] = a
+    return out
+
+
+def _embed(shp, pos, a):
+    """``a`` at offset ``pos`` in a zero array of shape ``shp``."""
+    out = np.zeros(tuple(shp), dtype=a.dtype)
+    out[tuple(slice(p, p + e) for p, e in zip(pos, a.shape))] = a
+    return out
+
+
+#: The Fig. 10 library in NumPy, the reference the SAC prelude answers to.
+ref = SimpleNamespace(
+    genarray=lambda shp, val: np.full(tuple(shp), float(val)),
+    condense=_condense,
+    scatter=_scatter,
+    embed=_embed,
+    take=lambda shp, a: a[tuple(slice(0, s) for s in shp)].copy(),
+)
 
 
 @pytest.fixture(scope="module")

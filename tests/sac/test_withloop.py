@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sac import CompileOptions, SacProgram
-from repro.sac.errors import SacRuntimeError
+from repro.sac.errors import SacRuntimeError, SacTypeError
 
 
 def run(src, fname, *args, vectorize=True):
@@ -96,6 +96,15 @@ class TestGenarray:
         with pytest.raises(SacRuntimeError):
             run(src, "f")
 
+    def test_generator_rank_must_match_the_shape_both_paths(self):
+        # A rank-1 generator over a rank-2 shape: no cell to put the
+        # scalar body in.
+        src = ("double[+] f() { return with ([0] <= iv < [2]) "
+               "genarray([3, 3], 1.0); }")
+        for vec in (True, False):
+            with pytest.raises(SacTypeError, match="generator rank"):
+                run(src, "f", vectorize=vec)
+
     def test_selection_out_of_bounds_rejected_both_paths(self):
         src = ("double[+] f(double[.] a) { return with (. <= iv <= .) "
                "genarray(shape(a), a[iv + 1]); }")
@@ -167,6 +176,11 @@ class TestFold:
         )
         a = np.array([1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(both_paths(src, "f", a), [1, 6, 9, 4])
+        # Three interior points and three offsets: the inner space must
+        # cross the outer one, not pair with it point by point.
+        a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(both_paths(src, "f", a),
+                                      [1, 6, 9, 12, 5])
 
     def test_inner_bounds_that_depend_on_the_outer_index(self):
         # A per-point bound has no whole-space form: the vectorized path

@@ -8,7 +8,6 @@ Subpackages:
 * :mod:`repro.baselines` — the Fortran-77 / C / compiled ``mg.sac`` comparisons
 * :mod:`repro.runtime`   — parallel execution substrates (threads,
   processes, SPMD message passing)
-* :mod:`repro.machine`   — the calibrated testbed simulator
 * :mod:`repro.harness`   — experiment drivers and CLI
 
 Quick start::

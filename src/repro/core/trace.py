@@ -1,15 +1,14 @@
 """Operation traces.
 
-The machine simulator (:mod:`repro.machine`) does not re-run MG at class
-A scale; it replays a *trace* of the operations the solver performed —
-every stencil application, grid transfer, border exchange and norm, with
-its grid level and true interior point count.  The solver emits these
-records through a :class:`Trace` object.
+A *trace* lists the operations an MG solve performs — every stencil
+application, grid transfer, border exchange and norm, with its grid
+level and true interior point count.  The solver emits these records
+through a :class:`Trace` object (``collect_trace=True``).
 
 Because the V-cycle structure is fully determined by ``(nx, nit)``, a
 trace can also be synthesized without running the solver
-(:func:`synthesize_mg_trace`), which is how class A/B simulations stay
-cheap.
+(:func:`synthesize_mg_trace`): the independent oracle the schedule
+tests hold every solve mode's recorded operations against.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """Command-line entry point: regenerate the paper's figures.
 
-    python -m repro.harness fig11          # simulated Fig. 11
-    python -m repro.harness fig12 fig13    # simulated speedup figures
+    python -m repro.harness measure        # Fig. 11, wall-clock
+    python -m repro.harness speedup -c W   # Figs. 12 and 13, wall-clock
     python -m repro.harness ops            # §5 arithmetic analysis
-    python -m repro.harness measure        # real wall-clock comparison
     python -m repro.harness ablation       # SAC optimizer ablation
-    python -m repro.harness memmgmt        # §5 memory-overhead analysis
     python -m repro.harness verify -c S    # NPB verification run
     python -m repro.harness supervised     # self-healing supervised solve
     python -m repro.harness npb timers     # mg.f's closing block / per-kernel times
@@ -15,8 +13,9 @@
 ``--problem`` selects the solver-family member (see
 ``docs/WORKLOADS.md``); the default ``npb-mg`` is the benchmark itself,
 so existing invocations behave exactly as before.  The measured commands
-(``measure``, ``ablation``, ``npb``, ``timers``) time the NPB timed
-section: the right-hand side is built once, before the clock starts.
+(``measure``, ``speedup``, ``ablation``, ``npb``, ``timers``) time the
+NPB timed section: the right-hand side is built once, before the clock
+starts.
 The benchmark itself is ``python3 benchmarks/e2e/run.py`` (docs/PERF.md).
 """
 
@@ -29,17 +28,9 @@ from . import experiments, report
 
 __all__ = ["main"]
 
-_SIMPLE = {
-    "fig11": (experiments.fig11, report.format_fig11),
-    "fig12": (experiments.fig12, report.format_fig12),
-    "fig13": (experiments.fig13, report.format_fig13),
-    "ops": (experiments.ops_table, report.format_ops),
-    "memmgmt": (experiments.memmgmt_profile, report.format_memmgmt),
-}
-
 #: Every name the command line accepts, ``all`` included.
-COMMANDS = sorted(_SIMPLE) + ["measure", "ablation", "verify", "npb",
-                              "timers", "supervised", "solve", "all"]
+COMMANDS = ["ablation", "all", "measure", "npb", "ops", "solve", "speedup",
+            "supervised", "timers", "verify"]
 
 _MODES = ("serial", "threaded")
 
@@ -97,7 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "-c", "--size-class", default="S",
-        help="size class for measure/ablation/verify (default: S)",
+        help="size class for measure/speedup/ablation/verify "
+        "(default: S)",
     )
     parser.add_argument(
         "-r", "--repeats", type=int, default=3,
@@ -161,8 +153,8 @@ def main(argv: list[str] | None = None) -> int:
 
     commands = list(args.commands)
     if "all" in commands:
-        commands = ["fig11", "fig12", "fig13", "ops", "memmgmt", "verify",
-                    "supervised", "npb", "timers", "measure"]
+        commands = ["ops", "verify", "supervised", "npb", "timers",
+                    "measure", "speedup"]
 
     status = 0
     first = True
@@ -171,11 +163,13 @@ def main(argv: list[str] | None = None) -> int:
         if not first:
             print()
         first = False
-        if cmd in _SIMPLE:
-            fn, fmt = _SIMPLE[cmd]
-            data = fn()
-            collected[cmd] = data
-            print(fmt(data))
+        if cmd == "ops":
+            collected[cmd] = data = experiments.ops_table()
+            print(report.format_ops(data))
+        elif cmd == "speedup":
+            collected[cmd] = data = experiments.speedup(args.size_class,
+                                                        args.repeats)
+            print(report.format_speedup(data))
         elif cmd == "measure":
             data = experiments.fig11_measured(args.size_class, args.repeats)
             collected[cmd] = {k: v for k, v in data.items()

@@ -3,22 +3,17 @@
 Each driver returns plain data (dicts/rows); :mod:`repro.harness.report`
 formats them and the CLI prints them.  EXPERIMENTS.md records the
 outputs next to the paper's numbers.  The measured drivers
-(:func:`fig11_measured`, :func:`sac_ablation`) time the NPB timed
-section: they build the right-hand side ``v`` once, before the first
-timed call, and pass it to every solve.
+(:func:`fig11_measured`, :func:`speedup`, :func:`sac_ablation`) time
+the NPB timed section: they build the right-hand side ``v`` once,
+before the first timed call, and pass it to every solve.
 
-* :func:`fig11` — single-processor runtimes, classes W and A
-  (simulated testbed seconds + the headline percentage gaps),
-* :func:`fig11_measured` — the same comparison measured for real on this
-  machine's Python implementations, the paper's program compiled,
-* :func:`fig12` — speedups vs each implementation's own sequential time,
-* :func:`fig13` — speedups vs the fastest sequential implementation
-  (Fortran-77),
+* :func:`fig11_measured` — Fig. 11's single-processor comparison,
+  measured on this machine's implementations, the paper's program
+  compiled,
+* :func:`speedup` — Figs. 12 and 13 measured: the parallel runtimes at
+  P = 1 and 2 against their own P = 1 and against the serial solve,
 * :func:`ops_table` — the §5 stencil arithmetic analysis,
-* :func:`sac_ablation` — real effect of the SAC optimization passes,
-* :func:`memmgmt_profile` — where SAC's constant per-op (memory
-  management) overhead goes, by V-cycle level (§5's scalability
-  analysis).
+* :func:`sac_ablation` — real effect of the SAC optimization passes.
 """
 
 from __future__ import annotations
@@ -26,62 +21,20 @@ from __future__ import annotations
 from repro.core.classes import get_class
 from repro.core.stencils import STENCILS, op_counts
 from repro.core.timers import Measurement, measure
-from repro.core.trace import synthesize_mg_trace
 from repro.core.zran3 import zran3
-from repro.machine.calibration import PAPER, get_profile
-from repro.machine.smp import simulate
 
 __all__ = [
-    "IMPL_ORDER",
-    "fig11",
     "fig11_measured",
-    "fig12",
-    "fig13",
     "ops_table",
     "pass_report",
     "sac_ablation",
-    "memmgmt_profile",
+    "speedup",
 ]
-
-IMPL_ORDER = ("f77", "sac", "omp")
-
-
-def _trace(cls: str):
-    sc = get_class(cls)
-    return synthesize_mg_trace(sc.nx, sc.nit)
 
 
 # ---------------------------------------------------------------------------
 # Fig. 11 — sequential performance.
 # ---------------------------------------------------------------------------
-
-def fig11(classes: tuple[str, ...] = ("W", "A")) -> dict:
-    """Simulated single-CPU seconds plus the paper's headline ratios."""
-    times = {
-        cls: {
-            name: simulate(_trace(cls), get_profile(name), 1).seconds
-            for name in IMPL_ORDER
-        }
-        for cls in classes
-    }
-    gaps = {
-        cls: {
-            # "Fortran outperforms SAC by x %" and "SAC outperforms C by y %".
-            "f77_over_sac_pct": 100.0 * (t["sac"] / t["f77"] - 1.0),
-            "sac_over_c_pct": 100.0 * (t["omp"] / t["sac"] - 1.0),
-        }
-        for cls, t in times.items()
-    }
-    paper_gaps = {
-        cls: {
-            "f77_over_sac_pct": 100.0 * (PAPER.f77_over_sac[cls] - 1.0),
-            "sac_over_c_pct": 100.0 * (PAPER.sac_over_c[cls] - 1.0),
-        }
-        for cls in classes
-        if cls in PAPER.f77_over_sac
-    }
-    return {"seconds": times, "gaps": gaps, "paper_gaps": paper_gaps}
-
 
 def fig11_measured(size_class: str = "S", repeats: int = 3) -> dict:
     """Real wall-clock comparison of this repository's implementations.
@@ -117,44 +70,72 @@ def fig11_measured(size_class: str = "S", repeats: int = 3) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Figs. 12 and 13 — parallel performance.
+# Figs. 12 and 13 — parallel performance, measured.
 # ---------------------------------------------------------------------------
 
-def fig12(classes: tuple[str, ...] = ("W", "A"),
-          procs: tuple[int, ...] = PAPER.processors) -> dict:
-    """Speedups relative to each implementation's own sequential time."""
-    out: dict = {"speedups": {}, "paper_speedup_10": PAPER.speedup_10}
-    for cls in classes:
-        trace = _trace(cls)
-        out["speedups"][cls] = {}
-        for name in IMPL_ORDER:
-            prof = get_profile(name)
-            base = simulate(trace, prof, 1).seconds
-            out["speedups"][cls][name] = {
-                p: base / simulate(trace, prof, p).seconds for p in procs
-            }
-    return out
+#: Team and rank counts of the measured speed-ups (the paper's run to 10).
+SPEEDUP_PROCS = (1, 2)
 
 
-def fig13(classes: tuple[str, ...] = ("W", "A"),
-          procs: tuple[int, ...] = PAPER.processors) -> dict:
-    """Speedups relative to the sequential Fortran-77 time (the fastest
-    sequential solution in the field)."""
-    out: dict = {"speedups": {}, "crossovers": {}}
-    for cls in classes:
-        trace = _trace(cls)
-        f77_seq = simulate(trace, get_profile("f77"), 1).seconds
-        out["speedups"][cls] = {}
-        for name in IMPL_ORDER:
-            prof = get_profile(name)
-            out["speedups"][cls][name] = {
-                p: f77_seq / simulate(trace, prof, p).seconds for p in procs
-            }
-        sac = out["speedups"][cls]["sac"]
-        f77 = out["speedups"][cls]["f77"]
-        cross = next((p for p in procs if sac[p] > f77[p]), None)
-        out["crossovers"][cls] = cross
-    return out
+def _runtimes() -> dict:
+    """Label -> context manager factory of a pooled solver on ``p``
+    threads or ranks."""
+    from contextlib import nullcontext
+
+    from repro.runtime import DistributedMG, ParallelMG
+
+    return {
+        "ParallelMG": lambda p: ParallelMG(p, workspace=True),
+        **{f"DistributedMG {t}": lambda p, t=t: nullcontext(
+            DistributedMG(p, workspace=True, transport=t))
+           for t in ("inproc", "socket")},
+    }
+
+
+def speedup(size_class: str = "W", repeats: int = 3) -> dict:
+    """Figs. 12 and 13 measured: each parallel runtime at every P of
+    :data:`SPEEDUP_PROCS` against its own P = 1 (Fig. 12) and against
+    the serial ``core.mg`` solve on a warm pool (Fig. 13).
+
+    Every time is best of ``repeats`` after :func:`measure`'s warm-up
+    solve, which also settles the fork policy; ``decisions`` is
+    ``ParallelMG(2)``'s.  A solve whose ``rnm2`` is not the serial one
+    bit for bit raises ``RuntimeError``: a wrong answer gets no speed-up.
+    """
+    from repro.core.mg import solve
+    from repro.perf import Workspace
+
+    sc = get_class(size_class)
+    v = zran3(sc.nx)
+    ws, ref = Workspace("serial"), []
+    serial = measure(lambda: ref.append(solve(sc, v=v, ws=ws).rnm2),
+                     repeats).seconds
+    rnm2 = ref[0]
+
+    def checked(solver, label: str) -> None:
+        got = solver.solve(sc, v=v).rnm2
+        if got != rnm2:
+            raise RuntimeError(f"{label}: rnm2 {got!r} is not the serial "
+                               f"solve's {rnm2!r}")
+
+    rows, decisions, own = [], [], {}
+    for label, make in _runtimes().items():
+        for p in SPEEDUP_PROCS:
+            with make(p) as solver:
+                secs = measure(lambda: checked(solver, f"{label} x{p}"),
+                               repeats).seconds
+                if label == "ParallelMG" and p == 2:
+                    decisions = [
+                        {"op": op, "n": shape[0] - 2, "forked": d.forked,
+                         "t_inline": d.t_inline, "t_forked": d.t_forked}
+                        for (op, shape), d in solver.decisions.items()]
+            own.setdefault(label, secs)
+            rows.append({"runtime": label, "procs": p, "seconds": secs,
+                         "vs_own": own[label] / secs,
+                         "vs_serial": serial / secs})
+    decisions.sort(key=lambda d: (-d["n"], d["op"]))
+    return {"class": sc.name, "repeats": repeats, "serial_seconds": serial,
+            "rnm2": rnm2, "rows": rows, "decisions": decisions}
 
 
 # ---------------------------------------------------------------------------
@@ -290,33 +271,4 @@ def sac_ablation(size_class: str = "S", nit: int | None = None,
         out["scalar"][key] = measure(
             lambda: solve_sac_mg(tiny, 1, v=v_tiny, vectorize=vectorize),
             repeats=1, warmup=0).seconds
-    return out
-
-
-def memmgmt_profile(classes: tuple[str, ...] = ("W", "A")) -> dict:
-    """SAC per-op overhead share by class and V-cycle level (§5).
-
-    The per-op overhead is constant, so its share grows as grids shrink;
-    class A's larger top grid dilutes it — the paper's explanation for
-    why A scales better than W.
-    """
-    prof = get_profile("sac")
-    overhead = prof.op_overhead_us * 1e-6
-    out: dict = {"per_op_overhead_us": prof.op_overhead_us, "classes": {}}
-    for cls in classes:
-        trace = _trace(cls)
-        total = simulate(trace, prof, 1).seconds
-        by_level: dict[int, dict[str, float]] = {}
-        ov_total = 0.0
-        for op in trace:
-            lv = by_level.setdefault(op.level, {"ops": 0, "overhead_s": 0.0})
-            lv["ops"] += 1
-            lv["overhead_s"] += overhead
-            ov_total += overhead
-        out["classes"][cls] = {
-            "total_s": total,
-            "overhead_s": ov_total,
-            "overhead_share": ov_total / total,
-            "by_level": by_level,
-        }
     return out

@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
-from repro.machine.calibration import PAPER
-
-from .experiments import IMPL_ORDER
-
 __all__ = [
-    "format_fig11",
+    "PAPER",
     "format_fig11_measured",
-    "format_fig12",
-    "format_fig13",
+    "format_speedup",
     "format_ops",
     "format_ablation",
     "format_pass_report",
-    "format_memmgmt",
 ]
 
-_LABEL = {"f77": "Fortran-77", "sac": "SAC", "omp": "C/OpenMP"}
+#: The paper's §5 numbers, cited next to what this machine measures:
+#: Fig. 11's "Fortran-77 outperforms SAC by x %" per class, and Fig.
+#: 12's speed-ups at 10 CPUs against each implementation's own serial
+#: time.
+PAPER = {
+    "f77_over_sac_pct": {"W": 29.6, "A": 23.0},
+    "speedup_10": {"SAC": {"W": 5.3, "A": 7.6},
+                   "Fortran-77": {"W": 2.8, "A": 4.0},
+                   "C/OpenMP": {"W": 8.0, "A": 9.0}},
+}
+
 #: The rows of the measured Fig. 11.
 _MEASURED_LABEL = {"f77": "Fortran-77 style", "c": "C style",
                    "sac": "mg.sac generated", "sac-lang": "mg.sac interpreted"}
@@ -25,26 +29,6 @@ _MEASURED_LABEL = {"f77": "Fortran-77 style", "c": "C style",
 
 def _rule(width: int = 72) -> str:
     return "-" * width
-
-
-def format_fig11(data: dict) -> str:
-    lines = ["Figure 11 — single processor performance (simulated testbed)",
-             _rule()]
-    lines.append(f"{'class':<7}" + "".join(f"{_LABEL[n]:>14}" for n in IMPL_ORDER))
-    for cls, times in data["seconds"].items():
-        lines.append(
-            f"{cls:<7}" + "".join(f"{times[n]:>13.1f}s" for n in IMPL_ORDER)
-        )
-    lines.append("")
-    lines.append(f"{'class':<7}{'F77 over SAC':>16}{'SAC over C':>16}   (paper)")
-    for cls, g in data["gaps"].items():
-        paper = data["paper_gaps"].get(cls, {})
-        lines.append(
-            f"{cls:<7}{g['f77_over_sac_pct']:>15.1f}%{g['sac_over_c_pct']:>15.1f}%"
-            f"   ({paper.get('f77_over_sac_pct', float('nan')):.1f}%,"
-            f" {paper.get('sac_over_c_pct', float('nan')):.1f}%)"
-        )
-    return "\n".join(lines)
 
 
 def format_fig11_measured(data: dict) -> str:
@@ -55,53 +39,42 @@ def format_fig11_measured(data: dict) -> str:
     ]
     for name, secs in data["seconds"].items():
         lines.append(f"{_MEASURED_LABEL.get(name, name):<26}{secs:>10.3f} s")
-    paper = ", ".join(f"{100.0 * (r - 1.0):.1f}% at {cls}"
-                      for cls, r in PAPER.f77_over_sac.items())
+    paper = ", ".join(f"{pct}% at {cls}"
+                      for cls, pct in PAPER["f77_over_sac_pct"].items())
     lines.append(f"Fortran-77 style over mg.sac generated: "
                  f"{data['f77_over_sac_pct']:.1f}%   (paper: {paper})")
     return "\n".join(lines)
 
 
-def _format_speedups(title: str, speedups: dict) -> list[str]:
-    lines = [title, _rule()]
-    for cls, by_impl in speedups.items():
-        procs = sorted(next(iter(by_impl.values())).keys())
-        lines.append(f"class {cls}:")
-        lines.append("  " + f"{'#CPUs':<12}" + "".join(f"{p:>7}" for p in procs))
-        for name in IMPL_ORDER:
-            row = by_impl[name]
-            lines.append(
-                "  " + f"{_LABEL[name]:<12}"
-                + "".join(f"{row[p]:>7.2f}" for p in procs)
-            )
-    return lines
-
-
-def format_fig12(data: dict) -> str:
-    lines = _format_speedups(
-        "Figure 12 — speedups relative to own sequential time (simulated)",
-        data["speedups"],
-    )
-    lines.append("")
-    lines.append("paper speedups at 10 CPUs: "
-                 + ", ".join(
-                     f"{_LABEL[n]} W={v['W']} A={v['A']}"
-                     for n, v in data["paper_speedup_10"].items()
-                 ))
-    return "\n".join(lines)
-
-
-def format_fig13(data: dict) -> str:
-    lines = _format_speedups(
-        "Figure 13 — speedups relative to sequential Fortran-77 (simulated)",
-        data["speedups"],
-    )
-    lines.append("")
-    for cls, cross in data["crossovers"].items():
-        lines.append(
-            f"class {cls}: SAC passes auto-parallelized F77 at "
-            f"{cross} CPUs (paper: 4)"
-        )
+def format_speedup(data: dict) -> str:
+    lines = [
+        f"Figures 12 and 13, measured — class {data['class']} on this "
+        f"machine, best of {data['repeats']}",
+        _rule(),
+        f"serial core.mg (warm pool): {data['serial_seconds']:.3f} s, "
+        f"rnm2 = {data['rnm2']:.12e}",
+        f"{'runtime':<22}{'P':>3}{'seconds':>10}"
+        f"{'vs own P=1':>13}{'vs serial':>12}",
+    ]
+    for row in data["rows"]:
+        lines.append(f"{row['runtime']:<22}{row['procs']:>3}"
+                     f"{row['seconds']:>10.3f}{row['vs_own']:>12.2f}x"
+                     f"{row['vs_serial']:>11.2f}x")
+    lines.append("vs own P=1 is Fig. 12, vs serial Fig. 13; every row's "
+                 "rnm2 is bit-equal to serial")
+    lines.append("paper, 10 CPUs against own serial: " + ", ".join(
+        f"{name} W={s['W']} A={s['A']}"
+        for name, s in PAPER["speedup_10"].items()))
+    lines += ["", "ParallelMG(2) fork policy (warm inline / forked visit):"]
+    for d in data["decisions"]:
+        lines.append(f"  {d['op']:<7}{d['n']:>4}^3  "
+                     f"{'forked' if d['forked'] else 'inline':<7}"
+                     f"{d['t_inline'] * 1e6:>8.0f} us inline "
+                     f"{d['t_forked'] * 1e6:>8.0f} us forked")
+    forked = [f"{d['op']} {d['n']}^3" for d in data["decisions"]
+              if d["forked"]]
+    lines.append(f"{len(forked)} of {len(data['decisions'])} keys forked: "
+                 f"{', '.join(forked) or 'none'}")
     return "\n".join(lines)
 
 
@@ -167,26 +140,4 @@ def format_pass_report(data: dict) -> str:
         lines.append(f"  {n:>2} {row['pass']:<12} "
                      f"{row['seconds'] * 1e3:>9.2f} ms  "
                      f"{row['rewrites']} rewrites")
-    return "\n".join(lines)
-
-
-def format_memmgmt(data: dict) -> str:
-    lines = [
-        "SAC memory-management overhead (constant "
-        f"{data['per_op_overhead_us']:.0f} µs per operation)",
-        _rule(),
-    ]
-    for cls, row in data["classes"].items():
-        lines.append(
-            f"class {cls}: total {row['total_s']:8.2f} s, overhead "
-            f"{row['overhead_s']:6.2f} s ({100 * row['overhead_share']:.2f} %)"
-        )
-        levels = sorted(row["by_level"])
-        shares = [
-            f"L{lv}:{row['by_level'][lv]['ops']}ops" for lv in levels
-        ]
-        lines.append("   ops by level: " + " ".join(shares))
-    lines.append("")
-    lines.append("the overhead is invariant against grid size, so the small "
-                 "grids at the bottom of the V-cycle dominate it (paper §5)")
     return "\n".join(lines)

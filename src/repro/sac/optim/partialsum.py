@@ -222,11 +222,22 @@ def _buffer(wl: WithLoop, fresh) -> tuple[list[Assign], WithLoop] | None:
         wl, operation=dataclasses.replace(wl.operation, body=body))
 
 
+def _buffer_all(wl: WithLoop, fresh) -> tuple[list[Assign], WithLoop] | None:
+    """:func:`_buffer` until nothing is shared: the groups the best axis
+    left alone may share a pattern along another one, and a second run
+    of the pass must change nothing."""
+    bindings: list[Assign] = []
+    while (done := _buffer(wl, fresh)) is not None:
+        bindings += done[0]
+        wl = done[1]
+    return (bindings, wl) if bindings else None
+
+
 def _block(block: Block, fresh) -> Block:
     out: list[Stmt] = []
     for s in block.statements:
         value = s.value if isinstance(s, (Assign, Return)) else None
-        done = _buffer(value, fresh) if isinstance(value, WithLoop) else None
+        done = _buffer_all(value, fresh) if isinstance(value, WithLoop) else None
         parts: dict = {}
         if done is not None:
             out.extend(done[0])

@@ -8,52 +8,74 @@ from repro.harness import experiments, npb_report, report
 
 
 class TestFig11:
-    def test_structure(self):
-        data = experiments.fig11()
-        assert set(data["seconds"]) == {"W", "A"}
-        for cls in ("W", "A"):
-            assert set(data["seconds"][cls]) == {"f77", "sac", "omp"}
-
-    def test_gaps_match_paper(self):
-        data = experiments.fig11()
-        for cls in ("W", "A"):
-            got = data["gaps"][cls]
-            want = data["paper_gaps"][cls]
-            assert got["f77_over_sac_pct"] == pytest.approx(
-                want["f77_over_sac_pct"], abs=0.2
-            )
-            assert got["sac_over_c_pct"] == pytest.approx(
-                want["sac_over_c_pct"], abs=0.2
-            )
-
     def test_report_renders(self):
-        text = report.format_fig11(experiments.fig11())
-        assert "Fortran-77" in text and "29.6" in text
+        data = {"class": "W", "seconds": {"f77": 0.4, "sac": 0.9},
+                "f77_over_sac_pct": 125.0}
+        text = report.format_fig11_measured(data)
+        assert "Fortran-77 style over mg.sac generated: 125.0%" in text
+        # The paper's gaps are printed as a citation, not reproduced.
+        assert "(paper: 29.6% at W, 23.0% at A)" in text
+
+
+@pytest.fixture(scope="module")
+def speedup_t():
+    data = experiments.speedup("T", repeats=1)
+    return data, report.format_speedup(data)
 
 
 class TestFig12And13:
-    def test_fig12_speedups(self):
-        data = experiments.fig12(procs=(1, 10))
-        for cls in ("W", "A"):
-            for name in ("f77", "sac", "omp"):
-                s = data["speedups"][cls][name]
-                assert s[1] == pytest.approx(1.0)
-                assert s[10] > 1.0
+    def test_fig12_speedups(self, speedup_t):
+        # Every runtime at every P, each P = 1 row 1.00 against itself.
+        data, text = speedup_t
+        runtimes = ("ParallelMG", "DistributedMG inproc",
+                    "DistributedMG socket")
+        assert [(r["runtime"], r["procs"]) for r in data["rows"]] == [
+            (name, p) for name in runtimes for p in (1, 2)]
+        own = {r["runtime"]: r["seconds"] for r in data["rows"]
+               if r["procs"] == 1}
+        for row in data["rows"]:
+            assert row["seconds"] > 0
+            assert row["vs_own"] == own[row["runtime"]] / row["seconds"]
+            if row["procs"] == 1:
+                assert row["vs_own"] == 1.0
+                assert f"{row['runtime']:<22}  1" in text
+        assert text.count("1.00x") >= 3
 
-    def test_fig13_crossover(self):
-        data = experiments.fig13()
-        assert data["crossovers"]["W"] == 4
-        assert data["crossovers"]["A"] == 4
+    def test_fig13_baseline_is_f77(self, speedup_t):
+        # Fig. 13's baseline is the serial Fortran-77 style solve.
+        data, text = speedup_t
+        for row in data["rows"]:
+            assert row["vs_serial"] == data["serial_seconds"] / row["seconds"]
+        assert f"serial core.mg (warm pool): {data['serial_seconds']:.3f} s" \
+            in text
 
-    def test_fig13_baseline_is_f77(self):
-        data = experiments.fig13(procs=(1,))
-        for cls in ("W", "A"):
-            assert data["speedups"][cls]["f77"][1] == pytest.approx(1.0)
-            assert data["speedups"][cls]["sac"][1] < 1.0
+    def test_reports_render(self, speedup_t):
+        # The headings, and the fork policy that explains the threaded row.
+        data, text = speedup_t
+        assert "Figures 12 and 13, measured — class T" in text
+        assert data["decisions"], "ParallelMG(2) decided no key"
+        assert "ParallelMG(2) fork policy" in text
+        for d in data["decisions"]:
+            assert d["forked"] in (True, False)
+            assert f"{d['op']:<7}{d['n']:>4}^3" in text
+        assert f"of {len(data['decisions'])} keys forked" in text
 
-    def test_reports_render(self):
-        assert "Figure 12" in report.format_fig12(experiments.fig12())
-        assert "Figure 13" in report.format_fig13(experiments.fig13())
+    @pytest.mark.parametrize("runtime", ["ParallelMG", "DistributedMG"])
+    def test_a_one_ulp_wrong_rnm2_raises(self, runtime, monkeypatch):
+        import dataclasses
+
+        import repro.runtime
+
+        cls = getattr(repro.runtime, runtime)
+        solve = cls.solve
+
+        def off_by_an_ulp(self, *args, **kwargs):
+            res = solve(self, *args, **kwargs)
+            return dataclasses.replace(res, rnm2=res.rnm2 * (1 + 2**-52))
+
+        monkeypatch.setattr(cls, "solve", off_by_an_ulp)
+        with pytest.raises(RuntimeError, match="is not the serial"):
+            experiments.speedup("T", repeats=1)
 
 
 class TestOpsTable:
@@ -83,8 +105,9 @@ class TestMeasured:
 
     def test_rhs_built_once_outside_every_timed_callable(
             self, monkeypatch, zran3_calls):
-        # fig11_measured, sac_ablation and npb_report time the NPB timed
-        # section: one zran3 per command, before the first timed call.
+        # fig11_measured, speedup, sac_ablation and npb_report time the
+        # NPB timed section: one zran3 per command, before the first
+        # timed call.
         def spying_measure(fn, repeats=3, warmup=1):
             before = len(zran3_calls)
             m = measure(fn, repeats, warmup)
@@ -106,6 +129,7 @@ class TestMeasured:
         monkeypatch.setattr(repro.mg_sac, "solve_sac_mg", vectorized)
         for command in (
                 lambda: experiments.fig11_measured("T", repeats=2),
+                lambda: experiments.speedup("T", repeats=1),
                 lambda: experiments.sac_ablation("T", nit=1, repeats=1),
                 lambda: npb_report.npb_report("T", repeats=2)):
             del zran3_calls[:]
@@ -122,15 +146,6 @@ class TestMeasured:
         assert "scalar evaluator (class T, 1 iteration)" in text
         assert "200x" in text
 
-    def test_memmgmt_profile(self):
-        data = experiments.memmgmt_profile()
-        w = data["classes"]["W"]
-        a = data["classes"]["A"]
-        # The §5 claim: the constant per-op overhead weighs far more on
-        # class W than on class A.
-        assert w["overhead_share"] > 10 * a["overhead_share"]
-        assert "memory-management" in report.format_memmgmt(data)
-
 
 class TestTiming:
     def test_measure_returns_min(self):
@@ -144,12 +159,11 @@ class TestTiming:
 
 
 class TestCli:
-    def test_main_runs_sim_figures(self, capsys):
+    def test_main_runs_ops(self, capsys):
         from repro.harness.__main__ import main
 
-        assert main(["fig11", "ops"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 11" in out and "stencil" in out
+        assert main(["ops"]) == 0
+        assert "stencil" in capsys.readouterr().out
 
     def test_main_verify_class_t(self, capsys):
         from repro.harness.__main__ import main

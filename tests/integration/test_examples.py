@@ -55,7 +55,7 @@ class TestExamples:
     def test_parallel_scaling(self):
         out = run_example("parallel_scaling.py")
         assert "bit-identical" in out
-        assert "Figure 12" in out
+        assert "Figures 12 and 13, measured — class T" in out
 
     def test_compile_to_python(self, tmp_path):
         generated = EXAMPLES / "generated_mg_class_s.py"

@@ -74,11 +74,21 @@ _MG_RESID = ("double[+] f(double[+] a) { return with (0*shape(a)+1 <= iv "
                  for o in itertools.product((-1, 0, 1), repeat=3)) + "); }")
 
 
+#: Shares a pattern along y in its 1/2 group and another along z in its
+#: -1/4 group: the pass must take both in one run.
+_TWO_AXES = ("double[+] f(double[+] a) { return with (0*shape(a)+1 <= iv "
+             "< shape(a)-1) modarray(a, " + " + ".join(
+                 f"{-0.25 if o[1] == 0 and 0 not in (o[0], o[2]) else 0.5!r}"
+                 f" * a[iv + {_vec(o)}]"
+                 for o in itertools.product((-1, 0, 1), repeat=3)) + "); }")
+
+
 class TestThreeEvaluators:
     @given(stencil(), st.tuples(*[st.integers(4, 10)] * 3),
            st.integers(0, 2 ** 31))
     @settings(max_examples=60, deadline=None)
     @example(_MG_RESID, (6, 5, 7), 0)
+    @example(_TWO_AXES, (5, 6, 7), 1)
     def test_same_bytes_on_and_close_to_off(self, src, shape, seed):
         a = np.random.default_rng(seed).standard_normal(shape)
         on = _build(src, True)
@@ -92,6 +102,7 @@ class TestThreeEvaluators:
 
     @given(stencil())
     @settings(max_examples=30, deadline=None)
+    @example(_TWO_AXES)
     def test_a_second_run_changes_nothing(self, src):
         once = _build(src, True).program
         assert ast_key(partialsum_pass(once)) == ast_key(once)

@@ -199,8 +199,8 @@ def ops_table() -> dict:
 def pass_report() -> dict:
     """Instrument a cold build of ``mg.sac`` through the compiler driver.
 
-    Forces a real pipeline run (memory-only cache, so a warm on-disk
-    entry cannot short-circuit it) and returns the per-stage and
+    Forces a real pipeline run (a fresh cache, so a program the process
+    already built cannot short-circuit it) and returns the per-stage and
     per-pass-execution rows from the
     :class:`~repro.sac.driver.passes.PassManager`.
     """
@@ -211,7 +211,7 @@ def pass_report() -> dict:
     session = CompilationSession.from_file(
         mg_source_path(),
         CompileOptions(analyze=True),
-        cache=KernelCache(memory_only=True),
+        cache=KernelCache(),
     )
     report = session.pass_report
     return {

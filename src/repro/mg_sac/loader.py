@@ -38,11 +38,10 @@ def load_mg_program(optimize: bool = True, vectorize: bool = True,
     Builds go through a
     :class:`~repro.sac.driver.session.CompilationSession`: within a
     process one facade is memoized per
-    :class:`~repro.sac.CompileOptions`, however the call spells them,
-    and across processes the driver's content-addressed program/kernel
-    cache (see ``docs/COMPILER.md``) serves warm loads with zero parse
-    or optimization work — the second ``solve_sac_mg("S")`` in a fresh
-    interpreter skips the whole middle end.
+    :class:`~repro.sac.CompileOptions`, however the call spells them.
+    The driver's content-addressed program/kernel cache (see
+    ``docs/COMPILER.md``) lives as long as the process: each new
+    process builds the program once, before any timed section.
 
     ``analyze`` (default on) runs the static analyzer as a build gate:
     the program must come out free of error-severity findings — in

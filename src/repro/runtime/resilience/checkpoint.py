@@ -21,28 +21,22 @@ kernels, so the restarted fields are bit-identical to an uninterrupted
 run (and the verification norm, an allreduce in rank order, matches
 exactly too).
 
-Stores are in-memory by default; :meth:`CheckpointStore.to_file` /
-:meth:`from_file` round-trip the complete snapshots through one
-``.npz`` archive for cross-process restarts, and ``directory=...``
-persists every committed snapshot as its own ``ckpt-<iteration>.npz``
-file as it lands (written atomically: temp file + ``os.replace``).
+Stores live in memory only: ranks are threads of one process, and
+retry and heal restore from the same store object, so no snapshot ever
+has to cross a process boundary.
 
 Long chaos soaks checkpoint every iteration, so an unbounded store
-would grow without limit — in memory and, with ``directory=``, on disk.
-``retain`` (default 2) caps the number of *complete* snapshots kept:
-committing snapshot *k* prunes every complete snapshot older than the
-newest ``retain``, deleting their ``.npz`` files too.  ``retain`` must
-be at least 1 (``None`` disables pruning), so the only complete
-snapshot — the one restart depends on — is never pruned.
+would grow without limit.  ``retain`` (default 2) caps the number of
+*complete* snapshots kept: committing snapshot *k* prunes every complete
+snapshot older than the newest ``retain``.  ``retain`` must be at least
+1 (``None`` disables pruning), so the only complete snapshot — the one
+restart depends on — is never pruned.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -73,25 +67,16 @@ class CheckpointStore:
     ----------
     retain:
         Number of complete snapshots to keep (older ones are pruned on
-        commit, including their on-disk files).  ``None`` keeps all;
-        must be >= 1 otherwise — the last complete snapshot is never
-        pruned.
-    directory:
-        Optional directory; every committed snapshot is additionally
-        persisted there as ``ckpt-<iteration>.npz`` (see
-        :meth:`from_directory` for the cross-process restart path).
+        commit).  ``None`` keeps all; must be >= 1 otherwise — the last
+        complete snapshot is never pruned.
     """
 
-    def __init__(self, *, retain: int | None = DEFAULT_RETAIN,
-                 directory: str | Path | None = None) -> None:
+    def __init__(self, *, retain: int | None = DEFAULT_RETAIN) -> None:
         if retain is not None and retain < 1:
             raise ValueError(
                 f"retain must be >= 1 (or None for unlimited), got {retain}"
             )
         self.retain = retain
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         # iteration -> rank -> RankState
         self._pending: dict[int, dict[int, RankState]] = {}
@@ -122,48 +107,11 @@ class CheckpointStore:
                     f"{len(got)}/{world_size} ranks present"
                 )
             self._complete[iteration] = self._pending.pop(iteration)
-            if self.directory is not None:
-                self._write_snapshot(iteration)
-            self._prune_locked()
-
-    # -- retention ----------------------------------------------------------
-
-    def _snapshot_path(self, iteration: int) -> Path:
-        return self.directory / f"ckpt-{iteration:06d}.npz"
-
-    def _write_snapshot(self, iteration: int) -> None:
-        """Persist one complete snapshot atomically (lock held)."""
-        arrays = {}
-        for rank, state in self._complete[iteration].items():
-            arrays[f"rank{rank}_u"] = state.u
-            arrays[f"rank{rank}_r"] = state.r
-        path = self._snapshot_path(iteration)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-ckpt-",
-                                   suffix=".npz")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _prune_locked(self) -> None:
-        """Drop complete snapshots beyond the newest ``retain`` (lock
-        held).  ``retain >= 1`` is enforced at construction, so the only
-        complete snapshot can never be pruned."""
-        if self.retain is None:
-            return
-        for old in sorted(self._complete)[:-self.retain]:
-            del self._complete[old]
-            if self.directory is not None:
-                try:
-                    self._snapshot_path(old).unlink()
-                except OSError:
-                    pass
+            # Keep the newest ``retain``; ``retain >= 1`` is enforced at
+            # construction, so the only complete snapshot is never pruned.
+            if self.retain is not None:
+                for old in sorted(self._complete)[:-self.retain]:
+                    del self._complete[old]
 
     # -- reading ------------------------------------------------------------
 
@@ -197,73 +145,3 @@ class CheckpointStore:
                     f"no complete checkpoint for iteration {iteration}"
                 )
             return len(snap)
-
-    # -- persistence --------------------------------------------------------
-
-    def to_file(self, path) -> None:
-        """Serialise all complete snapshots into one ``.npz`` archive."""
-        arrays: dict[str, np.ndarray] = {}
-        with self._lock:
-            for it, snap in self._complete.items():
-                for rank, state in snap.items():
-                    arrays[f"it{it}_rank{rank}_u"] = state.u
-                    arrays[f"it{it}_rank{rank}_r"] = state.r
-        np.savez_compressed(path, **arrays)
-
-    @classmethod
-    def from_directory(cls, directory: str | Path, *,
-                       retain: int | None = DEFAULT_RETAIN
-                       ) -> "CheckpointStore":
-        """Rebuild a store from a ``directory=``-persisted checkpoint
-        directory (``ckpt-<iteration>.npz`` files)."""
-        directory = Path(directory)
-        store = cls(retain=retain, directory=directory)
-        by_it: dict[int, dict[int, RankState]] = {}
-        for path in sorted(directory.glob("ckpt-*.npz")):
-            try:
-                it = int(path.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                raise CheckpointError(
-                    f"unrecognized checkpoint file name: {path.name}"
-                ) from None
-            snap: dict[int, RankState] = {}
-            with np.load(path) as data:
-                fields: dict[int, dict[str, np.ndarray]] = {}
-                for key in data.files:
-                    rank_s, which = key.split("_")
-                    fields.setdefault(int(rank_s[4:]), {})[which] = data[key]
-            for rank, planes in fields.items():
-                if set(planes) != {"u", "r"}:
-                    raise CheckpointError(
-                        f"{path.name}: rank {rank} entry is missing fields "
-                        f"(has {sorted(planes)})"
-                    )
-                snap[rank] = RankState(it, rank, planes["u"], planes["r"])
-            by_it[it] = snap
-        with store._lock:
-            store._complete = by_it
-            store._prune_locked()
-        return store
-
-    @classmethod
-    def from_file(cls, path) -> "CheckpointStore":
-        store = cls(retain=None)
-        with np.load(path) as data:
-            planes: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-            for key in data.files:
-                it_s, rank_s, which = key.split("_")
-                it, rank = int(it_s[2:]), int(rank_s[4:])
-                planes.setdefault((it, rank), {})[which] = data[key]
-        by_it: dict[int, dict[int, RankState]] = {}
-        for (it, rank), fields in planes.items():
-            if set(fields) != {"u", "r"}:
-                raise CheckpointError(
-                    f"archive entry for iteration {it} rank {rank} is "
-                    f"missing fields: has {sorted(fields)}"
-                )
-            by_it.setdefault(it, {})[rank] = RankState(
-                it, rank, fields["u"], fields["r"]
-            )
-        with store._lock:
-            store._complete = by_it
-        return store

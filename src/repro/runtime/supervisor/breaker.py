@@ -1,11 +1,9 @@
 """Circuit breaker over the SAC compilation path.
 
 When the compiled ``mg.sac`` keeps failing — repeated ``SacError``
-compiles, or a corrupt-entry storm in the content-addressed
-:class:`~repro.sac.driver.cache.KernelCache` (surfaced by its per-key
-``discards_by_key`` counters) — re-attempting compilation on every
-attempt just multiplies the damage.  The breaker converts that
-into the classic three-state machine:
+compiles — re-attempting compilation on every attempt just multiplies
+the damage.  The breaker converts that into the classic three-state
+machine:
 
 * **closed** — compiled rungs run normally; failures accumulate.
 * **open** — tripped: the supervisor skips ``sac`` rungs entirely,
@@ -69,7 +67,7 @@ class CompileCircuitBreaker:
     # -- inputs -------------------------------------------------------------
 
     def record_failure(self, reason: str = "compile failure") -> None:
-        """One compile/cache failure on the compiled-kernel path."""
+        """One compile failure on the compiled-kernel path."""
         with self._lock:
             self._failures += 1
             if self._state is BreakerState.HALF_OPEN:
@@ -86,21 +84,6 @@ class CompileCircuitBreaker:
             self._failures = 0
             self._probe_out = False
             self._transition(BreakerState.CLOSED, "compiled path healthy")
-
-    def observe_discards(self, discards_by_key: dict) -> None:
-        """Feed the kernel cache's per-key discard counters; a key whose
-        corrupt/stale entries keep getting discarded trips the circuit
-        directly."""
-        if not discards_by_key:
-            return
-        worst_key, worst = max(discards_by_key.items(), key=lambda kv: kv[1])
-        if worst >= self.policy.discard_threshold:
-            with self._lock:
-                if self._state is not BreakerState.OPEN:
-                    self._trip(
-                        f"cache discard storm: key {worst_key[:12]}... "
-                        f"discarded {worst} time(s)"
-                    )
 
     # -- the gate -----------------------------------------------------------
 

@@ -142,17 +142,12 @@ class BreakerPolicy:
     #: Seconds the circuit stays open (sac rungs skipped) before one
     #: half-open probe is allowed through.
     cooldown: float = 30.0
-    #: Per-key cache discards (corrupt/stale storms) that trip the
-    #: circuit directly.
-    discard_threshold: int = 3
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.cooldown < 0:
             raise ValueError("cooldown must be >= 0")
-        if self.discard_threshold < 1:
-            raise ValueError("discard_threshold must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,7 @@ result or a structured post-mortem
   stagnation window aborts the attempt *at that iteration boundary*
   and rolls back+demotes instead of burning the iteration budget.  A
   supervised solve never returns a non-finite grid.
-* **compile circuit breaker** — repeated SAC compile failures or
-  kernel-cache corrupt-entry storms (the cache's per-key
-  ``discards_by_key`` counters) trip
+* **compile circuit breaker** — repeated SAC compile failures trip
   :class:`~.breaker.CompileCircuitBreaker`; while open, ``sac`` rungs
   are skipped — ``core.mg`` is pinned — until the cooldown admits a
   half-open probe.
@@ -181,18 +179,6 @@ class SupervisedSolver:
         to exactly one report)."""
         report.breaker_events.extend(self.breaker.transitions)
         self.breaker.transitions = []
-
-    def _observe_discards(self) -> None:
-        """Feed the kernel cache's per-key discard counters to the
-        breaker (best effort: a broken cache must not mask the real
-        failure being handled)."""
-        try:
-            from repro.mg_sac.loader import load_mg_program
-
-            stats = load_mg_program().session.cache_stats
-            self.breaker.observe_discards(dict(stats.discards_by_key))
-        except Exception:
-            pass
 
     def _run_rung(self, rung: Rung, sc: SizeClass, nit: int | None,
                   v: np.ndarray | None,
@@ -403,7 +389,6 @@ class SupervisedSolver:
                     if compile_exc is not None:
                         self.breaker.record_failure(
                             f"{type(compile_exc).__name__}: {compile_exc}")
-                        self._observe_discards()
                         rec.outcome = "demote"
                         report.attempts.append(rec)
                         report.demotions.append(DemotionRecord(
@@ -459,7 +444,6 @@ class SupervisedSolver:
             report.attempts.append(rec)
             if rung.mode == "sac":
                 self.breaker.record_success()
-                self._observe_discards()
             report.outcome = "solved"
             report.solved_by = rec.rung
             report.rnm2 = result.rnm2

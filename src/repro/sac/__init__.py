@@ -28,7 +28,6 @@ from .errors import (
 from .codegen import (
     CodegenUnsupported,
     CompiledFunction,
-    KernelArtifact,
     compile_function,
 )
 from .driver import (
@@ -56,7 +55,6 @@ __all__ = [
     "PassManager",
     "PassReport",
     "KernelCache",
-    "KernelArtifact",
     "default_cache",
     "SacOptionError",
     "FunctionTable",

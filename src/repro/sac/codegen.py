@@ -32,7 +32,9 @@ non-affine WITH-loops raise :class:`CodegenUnsupported` at compile time.
 
 from __future__ import annotations
 
+import hashlib
 import keyword
+import linecache
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -51,9 +53,9 @@ from .values import (AffineAxis, IndexView, any_abstract, cell_type,
                      coerce_value, dtype_of)
 from .withloop import IndexSpace, withloop_head
 
-__all__ = ["CodegenUnsupported", "CompiledFunction", "KernelArtifact",
-           "compile_function", "trace_fundef", "trace_module",
-           "element_operations", "load_artifact", "trace_event_count"]
+__all__ = ["CodegenUnsupported", "CompiledFunction", "compile_function",
+           "trace_fundef", "trace_module", "element_operations",
+           "trace_event_count"]
 
 #: Process-wide count of specializing traces performed (monotonic).
 #: Warm-path tests assert this does not move when every kernel is
@@ -891,26 +893,6 @@ def _sac_imod(a, b):
 '''
 
 
-@dataclass(frozen=True)
-class KernelArtifact:
-    """The persistable product of one specializing trace.
-
-    Everything needed to rebuild an executable
-    :class:`CompiledFunction` — the generated module source, the
-    parameter order, and the baked-in constants — with no AST, tracer or
-    interpreter state.  Artifacts are plain data (strings, tuples,
-    NumPy scalars/arrays), so they pickle cleanly into the
-    content-addressed kernel cache and reload across processes.
-    """
-
-    name: str
-    source: str
-    signature: tuple[str, ...]
-    baked: dict[str, object]
-    #: The array parameters, which stay arguments: name -> (shape, dtype).
-    arrays: dict[str, tuple[tuple[int, ...], np.dtype]]
-
-
 def _array_text(shape, dtype) -> str:
     return f"{dtype}[{','.join(map(str, shape))}]"
 
@@ -923,14 +905,9 @@ class CompiledFunction:
     source: str
     signature: tuple[str, ...]
     baked: dict[str, object]
+    #: The array parameters, which stay arguments: name -> (shape, dtype).
     arrays: dict[str, tuple[tuple[int, ...], np.dtype]]
-    _callable: object = field(repr=False, default=None)
-
-    @property
-    def artifact(self) -> KernelArtifact:
-        """The persistable artifact this function was loaded from."""
-        return KernelArtifact(self.name, self.source, self.signature,
-                              self.baked, self.arrays)
+    _callable: object = field(repr=False)
 
     def __call__(self, *args):
         if len(args) != len(self.signature):
@@ -968,8 +945,7 @@ def compile_function(program_or_table, fname: str, example_args,
     ``program_digest`` — a :class:`~repro.sac.module.SacProgram` brings
     its session's — the specialization is looked up in, and traced
     into, the shared content-addressed cache, so repeated calls with
-    the same program, options and argument shapes skip tracing entirely,
-    in this process and in later ones.
+    the same program, options and argument shapes skip tracing entirely.
     """
     if cache is None and hasattr(program_or_table, "session"):
         session = program_or_table.session  # a SacProgram brings its own
@@ -986,10 +962,10 @@ def compile_function(program_or_table, fname: str, example_args,
         compiled = cache.get_kernel(key)
         if compiled is not None:
             return compiled
-    artifact = trace_fundef(table, fun, args, max_statements=max_statements)
+    compiled = trace_fundef(table, fun, args, max_statements=max_statements)
     if key is not None:
-        cache.put_kernel(key, artifact)
-    return load_artifact(artifact)
+        cache.put_kernel(key, compiled)
+    return compiled
 
 
 def _resolve(program_or_table, fname: str, example_args):
@@ -1056,10 +1032,11 @@ def element_operations(mod: Module, entry: Def,
 
 
 def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
-                 max_statements: int = 200_000) -> KernelArtifact:
-    """Trace/specialize one resolved overload into a persistable
-    :class:`KernelArtifact` (no executable is built — see
-    :func:`load_artifact` for that half)."""
+                 max_statements: int = 200_000) -> CompiledFunction:
+    """Trace/specialize one resolved overload and exec the generated
+    module.  Its text is registered in :mod:`linecache` under a filename
+    unique to the specialization, so tracebacks, ``inspect`` and
+    debuggers show the generated lines."""
     mod, entry = _trace(table, fun, example_args, max_statements)
     *defs, main = mod.defs.values()
     source = (
@@ -1069,18 +1046,15 @@ def trace_fundef(table: FunctionTable, fun: FunDef, example_args,
         + "".join(f"{n} = {c}\n" for n, c in mod.consts.values())
         + "\n" * bool(mod.consts) + "\n".join(d.text for d in (*defs, main))
     )
-    return KernelArtifact(
+    filename = (f"<sac-codegen:{fun.name}:"
+                f"{hashlib.sha256(source.encode()).hexdigest()[:12]}>")
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return CompiledFunction(
         fun.name, source, tuple(p.name for p in fun.params),
         {p.name: coerce_value(a) for p, a in zip(fun.params, example_args)
          if p.name not in entry.params},
-        {n: (p.shape, p.dtype) for n, p in entry.params.items()})
-
-
-def load_artifact(artifact: KernelArtifact) -> CompiledFunction:
-    """Build the executable for a (possibly cached) artifact by
-    exec-ing its generated module source."""
-    namespace: dict = {}
-    exec(compile(artifact.source, f"<sac-codegen:{artifact.name}>", "exec"),
-         namespace)
-    return CompiledFunction(**vars(artifact),
-                            _callable=namespace[artifact.name])
+        {n: (p.shape, p.dtype) for n, p in entry.params.items()},
+        _callable=namespace[fun.name])

@@ -9,7 +9,7 @@ and their consumers.  It owns three pieces:
   :class:`PassManager`: every execution records wall time and rewrite
   counts.
 * :mod:`repro.sac.driver.cache` — a content-addressed
-  :class:`KernelCache` (in-memory + on-disk) for optimized programs and
+  in-process :class:`KernelCache` for optimized programs and
   compiled kernel specializations, keyed by source digest × the
   compile options that decide the program × shape signature.
 * :mod:`repro.sac.driver.session` — :class:`CompilationSession`, the

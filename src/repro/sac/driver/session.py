@@ -185,8 +185,7 @@ class CompilationSession:
         self.cache.put_program(
             self.program_digest,
             ProgramEntry(program=combined,
-                         analysis_report=self.analysis_report,
-                         source_digest=src_digest),
+                         analysis_report=self.analysis_report),
         )
 
     # -- backend ------------------------------------------------------------
@@ -209,13 +208,6 @@ class CompilationSession:
     @property
     def pass_report(self):
         return self.pass_manager.report
-
-    @property
-    def cache_stats(self):
-        """The shared cache's counters — including ``discards_by_key``,
-        the per-key corrupt/stale discard counts the runtime
-        supervisor's compile circuit breaker watches."""
-        return self.cache.stats
 
     def stage(self, name: str) -> StageRecord:
         return self.stages[name]

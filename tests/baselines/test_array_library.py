@@ -29,7 +29,7 @@ small_arrays = arrays(
     elements=st.floats(-1e6, 1e6, allow_nan=False),
 )
 
-_CACHE = KernelCache(memory_only=True)  # one kernel per drawn shape
+_CACHE = KernelCache()  # one kernel per drawn shape
 
 
 def _prelude(vectorize):

@@ -126,10 +126,9 @@ class TestNumericalWatchdog:
 # ---------------------------------------------------------------------------
 
 class TestCompileCircuitBreaker:
-    def make(self, **kw):
+    def make(self):
         clock = FakeClock()
-        pol = BreakerPolicy(**{"failure_threshold": 2, "cooldown": 10.0,
-                               **kw})
+        pol = BreakerPolicy(failure_threshold=2, cooldown=10.0)
         return CompileCircuitBreaker(pol, clock=clock), clock
 
     def test_trips_at_threshold(self):
@@ -172,15 +171,6 @@ class TestCompileCircuitBreaker:
         assert not br.allow()
         clock.advance(10.0)
         assert br.allow()
-
-    def test_discard_storm_trips_directly(self):
-        br, _ = self.make(discard_threshold=3)
-        br.observe_discards({"aaaa1111": 2})
-        assert br.state is BreakerState.CLOSED
-        br.observe_discards({"aaaa1111": 3, "bbbb2222": 1})
-        assert br.state is BreakerState.OPEN
-        assert any("discard storm" in reason
-                   for _, reason in br.transitions)
 
     def test_transitions_are_recorded(self):
         br, clock = self.make()

@@ -34,15 +34,15 @@ def generated_code_matches_interpreter(request, monkeypatch):
     trace = codegen.trace_fundef
 
     def checked_trace(table, fun, example_args, **kwargs):
-        artifact = trace(table, fun, example_args, **kwargs)
+        compiled = trace(table, fun, example_args, **kwargs)
         args = [Interpreter._ingest(a) for a in example_args]
         before = [np.array(a) for a in args]  # copies
-        got = codegen.load_artifact(artifact)(*args)
+        got = compiled(*args)
         for after, was in zip(args, before):
             assert_same_bytes(after, was)
         assert_same_bytes(got, Interpreter(table).apply_fundef(fun, args))
-        return artifact
+        return compiled
 
     monkeypatch.setattr(codegen, "trace_fundef", checked_trace)
-    # A kernel served from a (possibly disk-warm) cache is never traced.
+    # A kernel an earlier test left in the shared cache is never traced.
     monkeypatch.setattr(KernelCache, "get_kernel", lambda self, key: None)

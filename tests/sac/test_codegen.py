@@ -172,25 +172,6 @@ class TestSpecializationContract:
         with pytest.raises(ValueError, match="recompile for None"):
             fn([[0.0]])
 
-    def test_cached_artifact_still_validates(self, tmp_path):
-        # The check travels with the pickled artifact, not the trace.
-        from repro.sac.codegen import load_artifact
-        from repro.sac.driver import KernelCache
-        from repro.sac.driver.cache import kernel_key, shape_signature
-
-        a = np.zeros((10, 10, 10))
-        prog = SacProgram.from_source(self.RELAX)
-        key = kernel_key("digest", "f(double[+])", shape_signature([a]))
-        KernelCache(tmp_path).put_kernel(
-            key, compile_function(prog, "f", (a,)).artifact)
-        # (conftest keeps get_kernel from serving anything here.)
-        fn = load_artifact(KernelCache(tmp_path).get_artifact(key))
-        assert fn(a).tobytes() == prog.call("f", a).tobytes()
-        with pytest.raises(ValueError, match="recompile"):
-            fn(np.zeros((12, 12, 12)))
-        with pytest.raises(ValueError, match="recompile"):
-            fn(a.astype(np.float32))
-
     TWICE = ("double[+] twice(double[+] a) { return with (. <= iv <= .) "
              "modarray(a, 2.0 * a[iv]); }")
 

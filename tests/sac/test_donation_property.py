@@ -154,7 +154,7 @@ def program(draw) -> str:
 def _build(src: str, optimize: bool = True) -> SacProgram:
     return SacProgram(None, _session=CompilationSession(
         src, options=CompileOptions(optimize=optimize),
-        cache=KernelCache(memory_only=True)))
+        cache=KernelCache()))
 
 
 def _args(seed: int):

@@ -32,7 +32,7 @@ double[+] g(double[+] u)
 
 def _mem_session(source, options=None):
     return CompilationSession(source, options=options or CompileOptions(),
-                              cache=KernelCache(memory_only=True))
+                              cache=KernelCache())
 
 
 class TestCompileOptions:
@@ -133,7 +133,7 @@ class TestCompilationSession:
         assert s.pass_report.runs() > 0
 
     def test_warm_build_skips_everything(self):
-        cache = KernelCache(memory_only=True)
+        cache = KernelCache()
         CompilationSession(SRC, cache=cache)
         warm = CompilationSession(SRC, cache=cache)
         assert warm.from_cache()
@@ -144,21 +144,21 @@ class TestCompilationSession:
         assert warm.pass_report.runs() == 0
 
     def test_warm_build_same_program(self):
-        cache = KernelCache(memory_only=True)
+        cache = KernelCache()
         cold = CompilationSession(SRC, cache=cache)
         warm = CompilationSession(SRC, cache=cache)
         assert ast_key(cold.program) == ast_key(warm.program)
         assert warm.interpreter.call("f", 1) == cold.interpreter.call("f", 1)
 
     def test_source_edit_misses_cache(self):
-        cache = KernelCache(memory_only=True)
+        cache = KernelCache()
         CompilationSession(SRC, cache=cache)
         edited = CompilationSession(SRC + "\nint g() { return 2; }\n",
                                     cache=cache)
         assert not edited.from_cache()
 
     def test_option_flip_misses_cache(self):
-        cache = KernelCache(memory_only=True)
+        cache = KernelCache()
         CompilationSession(SRC, cache=cache)
         other = CompilationSession(
             SRC, options=CompileOptions(optimize=False), cache=cache)
@@ -166,7 +166,7 @@ class TestCompilationSession:
         assert not other.stage("optimize").ran
 
     def test_analyze_report_restored_from_cache(self):
-        cache = KernelCache(memory_only=True)
+        cache = KernelCache()
         opts = CompileOptions(analyze=True)
         cold = CompilationSession(MG_LIKE, options=opts, cache=cache)
         warm = CompilationSession(MG_LIKE, options=opts, cache=cache)

@@ -64,7 +64,7 @@ def _build(src: str, on: bool, vectorize: bool = True) -> SacProgram:
     options = CompileOptions(vectorize=vectorize,
                              pass_overrides=(("partialsum", on),))
     return SacProgram(None, _session=CompilationSession(
-        src, options=options, cache=KernelCache(memory_only=True)))
+        src, options=options, cache=KernelCache()))
 
 
 _A = (-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0)  # NPB's resid coefficients

@@ -110,7 +110,7 @@ def _build(src: str, wlfold: bool, vectorize: bool = True) -> SacProgram:
     options = CompileOptions(vectorize=vectorize, pass_overrides=(
         ("wlfold", wlfold), ("coeffgroup", False)))
     return SacProgram(None, _session=CompilationSession(
-        src, options=options, cache=KernelCache(memory_only=True)))
+        src, options=options, cache=KernelCache()))
 
 
 def _same_up_to_zero_sign(got: np.ndarray, want: np.ndarray) -> None:

@@ -16,8 +16,9 @@ corrupt    retry     plan-scoped NaN halo plane: watchdog aborts the
                      attempt, rollback recorded, later attempt clean
 corrupt    degrade   world-scoped NaN halo plane: watchdog verdict on the
                      distributed rung every attempt, serial rung solves
-slow-rank  retry     plan-scoped stall past the op timeout: halo timeout
-                     aborts the world, >=1 retry succeeds
+slow-rank  retry     plan-scoped stall past the op timeout: the peers'
+                     timeout names the stalled rank and aborts the
+                     world, >=1 retry succeeds
 slow-rank  degrade   world-scoped stall: distributed rung times out every
                      attempt, ladder lands on serial
 =========  ========  =====================================================
@@ -36,6 +37,9 @@ heal-rejoin-crash  two ranks killed at the *same* iteration with heal
                    budget 1: the second death lands while the heal is
                    in flight, the world aborts, and the ladder degrades
                    cleanly to serial
+heal-stall         one rank stalls 1.5 s at iteration 2 against a 0.4 s
+                   op timeout: its peers' barrier timeout names it, it
+                   is healed in place, zero demotions, width 4
 =================  ====================================================
 
 Each cell's :class:`SolveReport` is written to ``--out`` as JSON (the CI
@@ -84,9 +88,13 @@ def _scenarios():
 
     def slow(scope):
         # The stalled rank sleeps far past the 0.4s op timeout, so its
-        # peers' halo waits abort the world.
+        # peers' waits abort the world.
         return FaultPlan([Fault(FaultKind.SLOW, rank=1, iteration=2,
                                 delay=1.5, scope=scope)], seed=CHAOS_SEED)
+
+    def stall():
+        return FaultPlan([Fault(FaultKind.SLOW, rank=1, iteration=2,
+                                delay=1.5)], seed=CHAOS_SEED)
 
     def one_crash():
         return FaultPlan([Fault(FaultKind.CRASH, rank=1, iteration=1)],
@@ -139,6 +147,11 @@ def _scenarios():
             rejoin_crash(),
             policy(heal=HealPolicy(max_heals=1), transport=transport),
             ["solved", "verified", "demoted", "serial_rung"])
+        cells[f"heal-stall-{transport}"] = (
+            stall(),
+            policy(heal=HealPolicy(max_heals=2), transport=transport,
+                   op_timeout=0.4),
+            ["solved", "verified", "healed", "no_demotions", "width4"])
     return cells
 
 

@@ -17,8 +17,6 @@ from .resilience import (
     FaultPlan,
     HaloCorruption,
     HaloTimeout,
-    HeartbeatConfig,
-    HeartbeatMonitor,
     RankFailure,
     ResilienceError,
     TeamError,
@@ -27,7 +25,6 @@ from .resilience import (
 from .scheduler import Chunk, block_partition
 from .spmd import DistributedMG, RankComm, World
 from .supervisor import (
-    CompileCircuitBreaker,
     HealPolicy,
     HealRecord,
     Rung,
@@ -65,13 +62,10 @@ __all__ = [
     "FaultPlan",
     "HaloCorruption",
     "HaloTimeout",
-    "HeartbeatConfig",
-    "HeartbeatMonitor",
     "RankFailure",
     "ResilienceError",
     "TeamError",
     "WorldAborted",
-    "CompileCircuitBreaker",
     "HealPolicy",
     "HealRecord",
     "Rung",

@@ -1,9 +1,8 @@
 """Resilience layer for the SPMD MG runtime.
 
-Fault injection (:mod:`.faults`), failure detection, heartbeat liveness
-and fast abort (:mod:`.detect`, :mod:`.errors`), halo integrity
-(:mod:`.checksum`) and checkpoint/restart (:mod:`.checkpoint`) —
-threaded through :mod:`repro.runtime.spmd` and documented in
+Fault injection (:mod:`.faults`), failure detection and fast abort
+(:mod:`.detect`, :mod:`.errors`), halo integrity (:mod:`.checksum`) and
+checkpoint/restart (:mod:`.checkpoint`) — threaded through :mod:`repro.runtime.spmd` and documented in
 ``docs/RESILIENCE.md``.
 """
 
@@ -12,8 +11,6 @@ from .checksum import SealedMessage, plane_checksum
 from .detect import (
     CancellationToken,
     FailureRegistry,
-    HeartbeatConfig,
-    HeartbeatMonitor,
     ResilienceStats,
 )
 from .errors import (
@@ -22,7 +19,6 @@ from .errors import (
     HaloCorruption,
     HaloTimeout,
     HealRejoin,
-    HeartbeatLost,
     InjectedFault,
     RankDeclaredDead,
     RankFailure,
@@ -44,9 +40,6 @@ __all__ = [
     "HaloCorruption",
     "HaloTimeout",
     "HealRejoin",
-    "HeartbeatConfig",
-    "HeartbeatLost",
-    "HeartbeatMonitor",
     "InjectedFault",
     "RankDeclaredDead",
     "RankFailure",

@@ -11,15 +11,20 @@ Hierarchy::
     ResilienceError(RuntimeError)
     ├── RankFailure        one rank's primary failure (wraps the cause)
     ├── WorldAborted       the whole world cancelled; names every failed rank
-    ├── HaloTimeout        a halo recv exceeded its deadline
-    ├── BarrierTimeout     a barrier wait exceeded its deadline
+    ├── HaloTimeout        a halo recv exceeded its deadline; names its src
+    ├── BarrierTimeout     a barrier wait exceeded its deadline; names the
+    │                      ranks that had not arrived (``missing``)
     ├── HaloCorruption     checksum mismatch survived all retransmits
     ├── InjectedFault      a FaultPlan fault firing inside a rank
-    ├── HeartbeatLost      the liveness detector declared a rank dead
     ├── RankDeclaredDead   a stale thread noticed its own replacement
     ├── HealRejoin         control flow: roll back and rejoin a healed world
     ├── CheckpointError    checkpoint store misuse / missing snapshot
     └── TeamError          composite worker failure in a fork-join team
+
+A timeout is a symptom seen by the rank that waited.  When it names
+exactly one other rank (:attr:`HaloTimeout.peer`,
+:attr:`BarrierTimeout.peer`), that peer is the one that stalled, and the
+runtime records the failure under the peer, not the observer.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "BarrierTimeout",
     "HaloCorruption",
     "InjectedFault",
-    "HeartbeatLost",
     "RankDeclaredDead",
     "HealRejoin",
     "CheckpointError",
@@ -91,6 +95,13 @@ class RankFailure(ResilienceError):
             msg += f": {type(cause).__name__}: {cause}"
         super().__init__(msg)
 
+    @property
+    def stalled(self) -> bool:
+        """True when a peer's timed-out wait named this rank: the rank
+        stalled, and the peer (``cause.rank``) only observed it."""
+        return (isinstance(self.cause, (HaloTimeout, BarrierTimeout))
+                and self.cause.peer == self.rank)
+
 
 class WorldAborted(ResilienceError):
     """The world was cancelled.
@@ -142,26 +153,52 @@ class HaloTimeout(ResilienceError):
         msg += _failures_note(self.failures)
         super().__init__(msg)
 
+    @property
+    def peer(self) -> int | None:
+        """The rank this recv waited on, unless that is the observer."""
+        return _one_peer(self.rank, () if self.src is None else (self.src,))
+
 
 class BarrierTimeout(ResilienceError):
-    """A barrier wait expired (wraps ``threading.BrokenBarrierError``)."""
+    """A barrier wait expired (wraps ``threading.BrokenBarrierError``).
+
+    ``missing`` lists the ranks that had not reached the barrier when it
+    broke: the ones whose arrival count was behind the observer's.
+    """
 
     def __init__(self, rank: int, *, op: str | None = None,
                  timeout: float | None = None,
                  elapsed: float | None = None,
-                 failures: Sequence["RankFailure"] = ()):
+                 failures: Sequence["RankFailure"] = (),
+                 missing: Sequence[int] = ()):
         self.rank = rank
         self.op = op
         self.timeout = timeout
         self.elapsed = elapsed
         self.failures = tuple(failures)
+        self.missing = tuple(missing)
         msg = f"rank {rank}: barrier timed out{_where(op, None, None)}"
+        if self.missing:
+            msg += f" waiting on rank(s) {list(self.missing)}"
         if timeout is not None:
             msg += f" after {timeout:g}s"
         if elapsed is not None:
             msg += f" (waited {elapsed:.3f}s)"
         msg += _failures_note(self.failures)
         super().__init__(msg)
+
+    @property
+    def peer(self) -> int | None:
+        """The one rank missing from the barrier, if exactly one was."""
+        return _one_peer(self.rank, self.missing)
+
+
+def _one_peer(observer: int, waited_on: tuple[int, ...]) -> int | None:
+    """The single rank a timed-out wait names, unless it names several,
+    none, or the observer itself."""
+    if len(waited_on) == 1 and waited_on[0] != observer:
+        return waited_on[0]
+    return None
 
 
 class HaloCorruption(ResilienceError):
@@ -192,38 +229,11 @@ class InjectedFault(ResilienceError):
         )
 
 
-class HeartbeatLost(ResilienceError):
-    """The liveness detector declared a rank dead: no beat for too long.
-
-    Unlike :class:`HaloTimeout` — an *observer-side* symptom that names
-    only the link that went quiet — this failure names the silent rank
-    itself, so elastic healing knows exactly whom to replace.
-    """
-
-    def __init__(self, rank: int, *, silent_for: float | None = None,
-                 dead_after: float | None = None, beats: int = 0,
-                 phi: float | None = None):
-        self.rank = rank
-        self.silent_for = silent_for
-        self.dead_after = dead_after
-        self.beats = beats
-        self.phi = phi
-        msg = f"rank {rank} declared dead by heartbeat detector"
-        if silent_for is not None:
-            msg += f": silent for {silent_for:.3f}s"
-        if dead_after is not None:
-            msg += f" (death threshold {dead_after:g}s)"
-        if phi is not None:
-            msg += f", phi={phi:.1f}"
-        msg += f" after {beats} beat(s)"
-        super().__init__(msg)
-
-
 class RankDeclaredDead(ResilienceError):
     """A stale rank thread noticed it has been replaced.
 
     Raised *inside* a zombie — a thread whose rank was declared dead
-    (e.g. by the heartbeat detector during a long stall) and replaced by
+    (e.g. named by a peer's timeout during a long stall) and replaced by
     elastic healing, but which later woke up.  The zombie must unwind
     silently without touching results or sending messages; this
     exception is its exit ramp and is never recorded as a failure.

@@ -41,10 +41,10 @@ The runtime carries real failure semantics (see ``docs/RESILIENCE.md``):
   :class:`WorldAborted` within milliseconds rather than timing out; all
   primary failures are collected in a lock-protected registry and the
   caller receives the composite naming every failed rank;
-* an optional **heartbeat detector** (``World(heartbeat=...)``) marks
-  silent ranks *suspected* then *dead*, distinguishing a slow rank
-  (recovers) from a dead one (feeds the registry) instead of conflating
-  both into a timeout;
+* a timed-out wait names the rank it waited for — a halo recv its
+  source, a barrier the ranks whose arrival count is behind — and when
+  that is one peer, the failure is recorded once, under the peer: the
+  stalled rank is what failed, and the observer is a casualty;
 * a seeded, deterministic :class:`FaultPlan` can inject crashes, drops,
   delays, corruption and slowness through hooks on the channels;
 * with ``halo_checksums=True`` each halo plane travels with a CRC and is
@@ -58,11 +58,13 @@ The runtime carries real failure semantics (see ``docs/RESILIENCE.md``):
   checkpoint does not abort the world at all: a replacement rank is
   spawned on a fresh fabric, every survivor rolls back to the same
   snapshot, and all ranks meet at a two-phase rejoin barrier — the
-  solve finishes at full width, bit-identical to a fault-free run.
+  solve finishes at full width, bit-identical to a fault-free run.  A
+  stalled rank that a peer's timeout names is healed the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import replace
@@ -92,10 +94,8 @@ from .resilience import (
     CheckpointStore,
     FailureRegistry,
     FaultPlan,
+    HaloTimeout,
     HealRejoin,
-    HeartbeatConfig,
-    HeartbeatLost,
-    HeartbeatMonitor,
     RankDeclaredDead,
     RankFailure,
     ResilienceStats,
@@ -120,12 +120,21 @@ class _Fabric:
 
     Bundles the ring channels, the collective barrier and the allgather
     slots so they swap *atomically* on an elastic heal: every operation
-    captures the fabric once (after its liveness check) and uses only
+    captures the fabric once (after its abort/heal check) and uses only
     that object, so a stale thread can never write half into the old
     fabric and half into the new one.
+
+    Two per-rank tables name the rank a timed-out wait was waiting
+    for; each rank writes only its own slot.  ``arrivals[r]`` counts the
+    barriers rank ``r`` has entered: when a barrier breaks, the ranks
+    whose count is behind the observer's are the ones that never
+    arrived.  ``waits[r]`` is the ticket of the halo recv rank ``r`` is
+    blocked in (``None`` once it returns); tickets are drawn in the
+    order the waits begin.
     """
 
-    __slots__ = ("up", "down", "barrier", "gather_slots", "epoch")
+    __slots__ = ("up", "down", "barrier", "arrivals", "waits", "tickets",
+                 "gather_slots", "epoch")
 
     def __init__(self, world: "World", epoch: int):
         size = world.size
@@ -139,6 +148,9 @@ class _Fabric:
                              transport.wire(r, (r - 1) % size, "down"))
                      for r in range(size)]
         self.barrier = threading.Barrier(size)
+        self.arrivals = [0] * size
+        self.waits: list[int | None] = [None] * size
+        self.tickets = itertools.count()
         self.gather_slots: list = [None] * size
         self.epoch = epoch
 
@@ -207,11 +219,6 @@ class World:
     config:
         Optional :class:`TransportConfig`; the explicit keyword knobs
         above override its fields, which override the defaults.
-    heartbeat:
-        ``None`` (off), ``True`` (``HeartbeatConfig()``), or a
-        :class:`HeartbeatConfig`.
-        The monitor thread itself starts only on
-        :meth:`start_heartbeat` so bare test worlds spawn no threads.
     """
 
     def __init__(self, size: int, *, timeout: float | None = None,
@@ -220,8 +227,7 @@ class World:
                  fault_plan: FaultPlan | None = None,
                  halo_checksums: bool = False, halo_retries: int = 2,
                  transport: str | Transport | None = "inproc",
-                 config: TransportConfig | None = None,
-                 heartbeat: HeartbeatConfig | bool | None = None):
+                 config: TransportConfig | None = None):
         if size < 1:
             raise ValueError("world size must be >= 1")
         if halo_retries < 0:
@@ -246,18 +252,12 @@ class World:
             else None
             for r in range(size)
         ]
-        # -- liveness ---------------------------------------------------
-        if heartbeat is True:
-            heartbeat = HeartbeatConfig()
-        self.heartbeat_config: HeartbeatConfig | None = heartbeat or None
-        self.liveness = (HeartbeatMonitor(size, self.heartbeat_config)
-                         if self.heartbeat_config is not None else None)
-        self._hb_thread: threading.Thread | None = None
-        self._hb_stop = threading.Event()
         # -- elastic state ----------------------------------------------
         self.heal_epoch = 0
         self._heal: _HealState | None = None
-        self._heal_lock = threading.Lock()
+        # Guards the heal state and the abort flag together, so a heal
+        # never opens on an aborted world and a failure is recorded once.
+        self._lock = threading.Lock()
         self._incarnations = [0] * size
         self._retired: set[int] = set()
         #: Failures absorbed by a completed/attempted heal (they never
@@ -287,25 +287,16 @@ class World:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release every transport resource and join service threads.
+        """Release every transport resource and join its reader threads.
 
         Runs on every exit path of :meth:`DistributedMG.solve`
         (including mid-``recv`` aborts) and is idempotent; after it, the
-        transport reports zero open wires and no heartbeat/reader
-        threads remain.
+        transport reports zero open wires and no reader threads remain.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        self._hb_stop.set()
-        t = self._hb_thread
-        if t is not None:
-            t.join(timeout=2.0)
-            if not self.cancel.is_set():
-                # Final sweep: a recovery after the loop's last tick
-                # still counts.
-                self._hb_sweep()
         self.transport.close()
 
     @property
@@ -318,66 +309,11 @@ class World:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- heartbeat ----------------------------------------------------------
-
-    def start_heartbeat(self) -> None:
-        """Start the liveness monitor thread (no-op without a config)."""
-        if self.liveness is None or self._hb_thread is not None:
-            return
-        self._hb_thread = threading.Thread(
-            target=self._hb_loop, name="spmd-heartbeat", daemon=True)
-        self._hb_thread.start()
-
-    def beat(self, rank: int) -> None:
-        if self.liveness is not None:
-            self.liveness.beat(rank)
-
-    def pause_beat(self, rank: int) -> None:
-        """Suspend liveness expectations while ``rank`` parks at a
-        collective (it cannot beat there, but it is not stalled — the
-        barrier's own deadline covers a genuine deadlock)."""
-        if self.liveness is not None:
-            self.liveness.pause(rank)
-
-    def resume_beat(self, rank: int) -> None:
-        if self.liveness is not None:
-            self.liveness.resume(rank)
-
-    def _hb_loop(self) -> None:
-        while not self._hb_stop.wait(self.heartbeat_config.interval):
-            if self.cancel.is_set():
-                return
-            self._hb_sweep()
-
-    def _hb_sweep(self) -> None:
-        mon = self.liveness
-        for rank, _old, new in mon.check():
-            if new == "suspect":
-                self.stats.bump("suspects")
-            elif new == "alive":
-                self.stats.bump("recoveries")
-            elif new == "dead":
-                self.stats.bump("deaths")
-                lost = HeartbeatLost(
-                    rank,
-                    silent_for=mon.silence(rank),
-                    dead_after=self.heartbeat_config.dead_after,
-                    beats=mon.beats(rank),
-                    phi=mon.phi(rank))
-                self.rank_failed(RankFailure(rank, op="heartbeat",
-                                             cause=lost))
-
     # -- failure handling ---------------------------------------------------
 
     @property
     def aborted(self) -> bool:
         return self.cancel.is_set()
-
-    @property
-    def failure(self) -> BaseException | None:
-        """First recorded failure (legacy accessor; prefer ``registry``)."""
-        failures = self.registry.failures()
-        return failures[0] if failures else None
 
     def abort(self, failure: RankFailure | None = None) -> None:
         """Record ``failure`` and cancel the world.
@@ -385,12 +321,16 @@ class World:
         Trips the cancellation token, breaks the barriers (the fabric's
         and any in-flight heal's), and flushes a poison pill into every
         channel so all blocked ranks wake at once.  Idempotent;
-        concurrent failures all land in the registry.
+        concurrent failures all land in the registry, except a stall a
+        peer reports after the world was already aborted: that wait
+        timed out because of the abort's cause.
         """
-        if failure is not None:
-            self.registry.record(failure)
-        if not self.cancel.is_set():
+        with self._lock:
+            first = not self.cancel.is_set()
+            if failure is not None and (first or not failure.stalled):
+                self.registry.record(failure)
             self.cancel.cancel()
+        if first:
             heal = self._heal
             if heal is not None:
                 heal.phase1.abort()
@@ -404,13 +344,15 @@ class World:
                                op=op, level=level)
 
     def rank_failed(self, failure: RankFailure) -> bool:
-        """Route one rank's primary failure.
+        """Route one rank's primary failure, raised by the rank itself or
+        reported by a peer whose wait timed out on it (``stalled``).
 
         An attached elastic supervisor gets first refusal: if it can
         heal (single-rank death, complete checkpoint, budget left), the
         failure is absorbed (recorded in ``healed``, not the registry)
         and the world lives on.  Otherwise this is a plain
-        :meth:`abort`.  Returns True when the failure was healed.
+        :meth:`abort`.  Returns True when the failure was healed, or is
+        a stall another report already put under heal.
         """
         elastic = self._elastic
         if elastic is not None:
@@ -436,10 +378,14 @@ class World:
         return frozenset(self._retired)
 
     def retire(self, rank: int) -> None:
-        """``rank`` finished its program; no more beats, no healing it."""
+        """``rank`` finished its program; the world can heal no rank now."""
         self._retired.add(rank)
-        if self.liveness is not None:
-            self.liveness.retire(rank)
+
+    @property
+    def healing(self) -> int | None:
+        """The rank an in-flight heal is replacing, if any."""
+        heal = self._heal
+        return heal.rank if heal is not None else None
 
     def incarnation(self, rank: int) -> int:
         return self._incarnations[rank]
@@ -456,7 +402,7 @@ class World:
         the supervisor's ladder).  On success the old fabric is
         poisoned so every survivor wakes into :class:`HealRejoin`.
         """
-        with self._heal_lock:
+        with self._lock:
             if (self.cancel.is_set() or self._closed
                     or self._heal is not None):
                 return None
@@ -466,8 +412,6 @@ class World:
             state = _HealState(self, epoch, failure)
             self._heal = state
             self.heal_epoch = epoch
-        if self.liveness is not None:
-            self.liveness.reset(failure.rank)
         self.stats.bump("heals")
         self._fabric.poison()
         return epoch
@@ -487,7 +431,7 @@ class World:
 
     def _heal_commit(self) -> None:
         """Phase-2 barrier action: publish the heal as complete."""
-        with self._heal_lock:
+        with self._lock:
             state = self._heal
             self._heal = None
         self.stats.bump("heals_completed")
@@ -520,12 +464,11 @@ class RankComm:
         return self.world.size
 
     def check(self, op: str | None = None, level: int | None = None) -> None:
-        """Liveness gate before every communication step.
+        """Gate before every communication step.
 
         Order matters: a world abort outranks everything; then a stale
         incarnation must exit (never rejoin — its replacement already
-        did); then a pending heal epoch rolls a survivor back; and a
-        thread that passes all three publishes a heartbeat.
+        did); then a pending heal epoch rolls a survivor back.
         """
         w = self.world
         w.check_abort(rank=self.rank, op=op, level=level)
@@ -533,19 +476,18 @@ class RankComm:
             raise RankDeclaredDead(self.rank, incarnation=self.incarnation)
         if w.heal_epoch > self._epoch:
             raise HealRejoin(w.heal_epoch)
-        w.beat(self.rank)
 
     def _fab(self, op: str | None = None,
              level: int | None = None) -> _Fabric:
-        """Liveness check, then capture the current fabric atomically."""
+        """Abort/heal check, then capture the current fabric atomically."""
         self.check(op=op, level=level)
         return self.world._fabric
 
     def barrier(self, op: str = "barrier") -> None:
         w = self.world
         fab = self._fab(op=op)
+        fab.arrivals[self.rank] += 1
         start = time.monotonic()
-        w.pause_beat(self.rank)
         try:
             fab.barrier.wait(timeout=w.timeout)
         except threading.BrokenBarrierError as exc:
@@ -553,11 +495,13 @@ class RankComm:
             # provenance), a heal epoch opening (roll back and rejoin),
             # or a genuine deadline expiry.
             self.check(op=op)
-            raise BarrierTimeout(self.rank, op=op, timeout=w.timeout,
-                                 elapsed=time.monotonic() - start,
-                                 failures=w.registry.failures()) from exc
-        finally:
-            w.resume_beat(self.rank)
+            mine = fab.arrivals[self.rank]
+            raise BarrierTimeout(
+                self.rank, op=op, timeout=w.timeout,
+                elapsed=time.monotonic() - start,
+                failures=w.registry.failures(),
+                missing=[r for r, n in enumerate(fab.arrivals)
+                         if n < mine]) from exc
 
     # -- ring halo exchange ---------------------------------------------------
 
@@ -572,9 +516,30 @@ class RankComm:
         fab = self._fab(op=op, level=level)
         fab.up[r].send(last_interior, op=op, level=level)    # to r+1: lower halo
         fab.down[r].send(first_interior, op=op, level=level)  # to r-1: upper halo
-        lower = fab.up[(r - 1) % p].recv(self, op=op, level=level)
-        upper = fab.down[(r + 1) % p].recv(self, op=op, level=level)
+        lower = self._recv(fab, fab.up[(r - 1) % p], op, level)
+        upper = self._recv(fab, fab.down[(r + 1) % p], op, level)
         return lower, upper
+
+    def _recv(self, fab: _Fabric, ch: Channel, op: str,
+              level: int | None):
+        """One halo plane from ``ch.src``.
+
+        A deadline that expires while ``src`` is itself blocked in an
+        older recv is that wait's symptom (a plane it is owed went
+        missing, or its own sender stalled): this rank waits on, and the
+        older wait's timeout names the rank it waits for.
+        """
+        ticket = fab.waits[self.rank] = next(fab.tickets)
+        while True:
+            try:
+                plane = ch.recv(self, op=op, level=level)
+            except HaloTimeout:
+                peer = fab.waits[ch.src]
+                if peer is None or peer > ticket:
+                    raise
+                continue
+            fab.waits[self.rank] = None
+            return plane
 
     # -- collectives ------------------------------------------------------------
 
@@ -612,7 +577,6 @@ class RankComm:
         for op, bar in (("heal-quiesce", state.phase1),
                         ("heal-commit", state.phase2)):
             start = time.monotonic()
-            w.pause_beat(self.rank)
             try:
                 bar.wait(timeout=w.timeout)
             except threading.BrokenBarrierError as exc:
@@ -621,8 +585,6 @@ class RankComm:
                     self.rank, op=op, timeout=w.timeout,
                     elapsed=time.monotonic() - start,
                     failures=w.registry.failures()) from exc
-            finally:
-                w.resume_beat(self.rank)
             if op == "heal-quiesce":
                 restore()
         self._epoch = state.epoch
@@ -687,9 +649,9 @@ class DistributedMG:
     ``halo_retries``) verifies halo integrity, and ``solve``'s
     ``checkpoint``/``restart`` arguments enable snapshot-and-resume.
     ``transport``/``config`` pick and tune the communication substrate;
-    ``heartbeat`` enables proactive liveness detection; ``heal`` (a
-    :class:`~repro.runtime.supervisor.HealPolicy`, or an int heal
-    budget) enables elastic in-place rank replacement from checkpoint.
+    ``heal`` (a :class:`~repro.runtime.supervisor.HealPolicy`, or an int
+    heal budget) enables elastic in-place rank replacement from
+    checkpoint, for a crashed rank and for one a peer's timeout names.
     After each ``solve`` the constructed :class:`World` stays readable
     as ``last_world`` (stats, failure registry, heal log).
     """
@@ -702,7 +664,6 @@ class DistributedMG:
                  workspace: bool = False, monitor=None,
                  transport: str | Transport | None = "inproc",
                  config: TransportConfig | None = None,
-                 heartbeat: HeartbeatConfig | bool | None = None,
                  heal=None):
         if nranks < 1 or nranks & (nranks - 1):
             raise ValueError("nranks must be a power of two")
@@ -715,7 +676,6 @@ class DistributedMG:
         self.halo_retries = halo_retries
         self.transport = transport
         self.config = config
-        self.heartbeat = heartbeat
         self.heal = heal
         self.last_world: World | None = None
         # workspace=True: each rank gets a persistent scratch pool so
@@ -785,8 +745,7 @@ class DistributedMG:
                       halo_checksums=self.halo_checksums,
                       halo_retries=self.halo_retries,
                       transport=self.transport,
-                      config=self.config,
-                      heartbeat=self.heartbeat)
+                      config=self.config)
         self.last_world = world
         results: list = [None] * self.nranks
         elastic = None
@@ -810,7 +769,6 @@ class DistributedMG:
                 )
                 pool.append((r, 0, t))
                 t.start()
-            world.start_heartbeat()
             # Elastic worlds grow replacement threads mid-solve, so the
             # join loop re-lists the living set each tick instead of
             # walking a fixed list.  Stale incarnations (zombies that
@@ -933,6 +891,7 @@ class DistributedMG:
                   on_iteration=None):
         lt = sc.lt
         rank = comm.rank
+        world = comm.world
 
         # Replicated, deterministic setup unless the caller prepared the
         # right-hand side; each rank keeps (a copy of) its slab.
@@ -967,36 +926,48 @@ class DistributedMG:
         # Heal loop: a surviving rank unwinds to here on HealRejoin,
         # restores the agreed snapshot at the two-phase barrier, and
         # re-enters the iteration loop; a replacement rank (joining)
-        # takes the rejoin path immediately, before any work.
+        # takes the rejoin path immediately, before any work.  A wait
+        # that timed out on one peer reports that peer as the failed
+        # rank; if the world heals it, this rank rejoins too.
         while True:
             try:
                 if comm.joining:
-                    raise HealRejoin(comm.world.heal_epoch)
+                    raise HealRejoin(world.heal_epoch)
                 return self._rank_solve(comm, sc, iters, start_it, u, r0, v,
                                         store, every, on_iteration)
             except HealRejoin:
-                if store is None:
+                pass
+            except (HaloTimeout, BarrierTimeout) as exc:
+                if exc.peer is None:
+                    raise
+                stalled = RankFailure(exc.peer, op=exc.op,
+                                      level=getattr(exc, "level", None),
+                                      iteration=comm.iteration, cause=exc)
+                if not world.rank_failed(stalled):
+                    raise WorldAborted(world.registry.failures(),
+                                       observer=rank, op=exc.op) from exc
+            if store is None:
+                raise CheckpointError(
+                    "heal rejoin requires a checkpoint store")
+            restored: dict = {}
+
+            def _restore() -> None:
+                # Runs between the heal phases: every participant
+                # reads the same complete snapshot (no commits can
+                # land while the world is parked at the barriers).
+                latest = store.latest()
+                if latest is None:
                     raise CheckpointError(
-                        "heal rejoin requires a checkpoint store")
-                restored: dict = {}
+                        "heal rejoin: no complete checkpoint")
+                state = store.restore(latest, rank)
+                restored["u"] = np.array(state.u, copy=True)
+                restored["r"] = np.array(state.r, copy=True)
+                restored["it"] = latest
 
-                def _restore() -> None:
-                    # Runs between the heal phases: every participant
-                    # reads the same complete snapshot (no commits can
-                    # land while the world is parked at the barriers).
-                    latest = store.latest()
-                    if latest is None:
-                        raise CheckpointError(
-                            "heal rejoin: no complete checkpoint")
-                    state = store.restore(latest, rank)
-                    restored["u"] = np.array(state.u, copy=True)
-                    restored["r"] = np.array(state.r, copy=True)
-                    restored["it"] = latest
-
-                comm.rejoin(_restore)
-                u = restored["u"]
-                r0 = restored["r"]
-                start_it = restored["it"]
+            comm.rejoin(_restore)
+            u = restored["u"]
+            r0 = restored["r"]
+            start_it = restored["it"]
 
     def _rank_solve(self, comm: RankComm, sc: SizeClass, iters: int,
                     start_it: int, u: np.ndarray, r0: np.ndarray | None,

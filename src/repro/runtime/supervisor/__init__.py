@@ -4,17 +4,15 @@
 ``solve(size_class, policy)`` call that guarantees a result or a
 structured post-mortem: retry-from-checkpoint with backoff, a
 graceful-degradation ladder (``sac → distributed → threaded →
-serial``), a per-iteration numerical watchdog on the residual
-trajectory, and a circuit breaker over the SAC compile path.
-:class:`WorldSupervisor` adds elastic recovery *beneath* the ladder:
-with a :class:`HealPolicy` budget, a dead rank is replaced in place
-from checkpoint so the solve finishes at full width instead of
-demoting.
+serial``), and a per-iteration numerical watchdog on the residual
+trajectory.  :class:`WorldSupervisor` adds elastic recovery *beneath*
+the ladder: with a :class:`HealPolicy` budget, a dead or stalled rank
+is replaced in place from checkpoint so the solve finishes at full
+width instead of demoting.
 
 See ``docs/SUPERVISOR.md``.
 """
 
-from .breaker import BreakerState, CompileCircuitBreaker
 from .elastic import HealRecord, WorldSupervisor
 from .errors import (
     DeadlineExceeded,
@@ -23,7 +21,6 @@ from .errors import (
     SupervisionFailed,
 )
 from .policy import (
-    BreakerPolicy,
     HealPolicy,
     RetryPolicy,
     Rung,
@@ -36,8 +33,6 @@ from .supervisor import SupervisedResult, SupervisedSolver
 from .watchdog import NumericalWatchdog
 
 __all__ = [
-    "BreakerState",
-    "CompileCircuitBreaker",
     "SupervisionError",
     "NumericalDivergence",
     "DeadlineExceeded",
@@ -45,7 +40,6 @@ __all__ = [
     "Rung",
     "RetryPolicy",
     "WatchdogPolicy",
-    "BreakerPolicy",
     "HealPolicy",
     "SupervisorPolicy",
     "default_ladder",

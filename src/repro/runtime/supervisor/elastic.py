@@ -6,14 +6,18 @@
 permanently giving up parallel width the hardware still has — the world
 supervisor tries to keep the world at full width first:
 
-1. **eligibility** — the failure must name a specific dead rank (an
-   injected crash, a heartbeat death, an ordinary exception inside the
-   rank program).  Observer-side symptoms (halo/barrier timeouts — the
-   dead rank is unknown), data-integrity failures, checkpoint misuse
-   and world-level aborts are not healable and fall through to abort;
+1. **eligibility** — the failure must name a specific failed rank: an
+   injected crash, an ordinary exception inside the rank program, or a
+   stall that a peer's timeout names (a halo recv's ``src``, the one
+   rank missing from a broken barrier).  A timeout that names only its
+   observer or several ranks, data-integrity failures, checkpoint
+   misuse and world-level aborts are not healable and fall through to
+   abort;
 2. **budget** — at most ``HealPolicy.max_heals`` replacements per
    world, and never two heals in flight at once (a second death during
-   a rejoin aborts and lets the ladder take over);
+   a rejoin aborts and lets the ladder take over).  Several observers
+   may time out on the same stalled rank; a report for the rank whose
+   heal is already in flight is absorbed, not counted again;
 3. **checkpoint** — a *complete* snapshot matching the world width must
    exist; survivors and the replacement all restore from it, so the
    healed run replays the lost iterations bit-identically;
@@ -47,11 +51,11 @@ from .policy import HealPolicy
 
 __all__ = ["HealRecord", "WorldSupervisor"]
 
-#: Failure causes that can never select a rank to replace: observer-side
-#: symptoms (the dead rank is unknown), integrity/checkpoint problems
-#: (healing cannot fix data), control-flow signals, and aborts.
-_UNHEALABLE = (HaloTimeout, BarrierTimeout, HaloCorruption, CheckpointError,
-               WorldAborted, HealRejoin, RankDeclaredDead, SupervisionError)
+#: Failure causes that can never select a rank to replace:
+#: integrity/checkpoint problems (healing cannot fix data), control-flow
+#: signals, and aborts.
+_UNHEALABLE = (HaloCorruption, CheckpointError, WorldAborted, HealRejoin,
+               RankDeclaredDead, SupervisionError)
 
 
 @dataclass
@@ -113,6 +117,11 @@ class WorldSupervisor:
         cause = failure.cause if failure.cause is not None else failure
         if isinstance(cause, _UNHEALABLE):
             return False
+        if isinstance(cause, (HaloTimeout, BarrierTimeout)) \
+                and not failure.stalled:
+            # A timeout that names no single peer: the failed rank is
+            # unknown.
+            return False
         if failure.rank in world.retired:
             # The "failure" came from a thread whose rank already
             # finished — a stale observation, not a death.
@@ -127,9 +136,12 @@ class WorldSupervisor:
         """Try to heal ``failure``; True when the heal is under way."""
         if self.spawner is None or self.store is None:
             return False
-        if not self._eligible(world, failure):
-            return False
         with self._lock:
+            if failure.stalled and world.healing == failure.rank:
+                # Another observer already reported this stall.
+                return True
+            if not self._eligible(world, failure):
+                return False
             if self.heals_started >= self.policy.max_heals:
                 return False
             restored_from = self.store.latest()

@@ -2,8 +2,8 @@
 
 A :class:`SupervisorPolicy` is pure data: the degradation ladder (an
 ordered tuple of :class:`Rung` specs), the retry budget and backoff
-curve, the numerical watchdog thresholds, the compile circuit breaker
-settings, and the overall deadline budget.  Policies are frozen
+curve, the numerical watchdog thresholds, the heal budget, and the
+overall deadline budget.  Policies are frozen
 dataclasses so a chaos experiment is fully described by (policy, fault
 plan, seed) — the determinism tests rely on that.
 """
@@ -16,7 +16,6 @@ __all__ = [
     "Rung",
     "RetryPolicy",
     "WatchdogPolicy",
-    "BreakerPolicy",
     "HealPolicy",
     "SupervisorPolicy",
     "default_ladder",
@@ -134,23 +133,6 @@ class WatchdogPolicy:
 
 
 @dataclass(frozen=True)
-class BreakerPolicy:
-    """Compile circuit-breaker trip and cooldown settings."""
-
-    #: Consecutive compile failures before the circuit opens.
-    failure_threshold: int = 2
-    #: Seconds the circuit stays open (sac rungs skipped) before one
-    #: half-open probe is allowed through.
-    cooldown: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
-
-
-@dataclass(frozen=True)
 class HealPolicy:
     """Elastic-world recovery budget: replace dead ranks in place.
 
@@ -179,7 +161,6 @@ class SupervisorPolicy:
     ladder: tuple[Rung, ...] = field(default_factory=default_ladder)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     watchdog: WatchdogPolicy = field(default_factory=WatchdogPolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     #: Total wall-clock budget for the whole supervised solve, seconds
     #: (None = unbounded).  Distributed blocking ops inherit the
     #: remaining budget as their timeout, honored within one poll tick.
@@ -203,10 +184,6 @@ class SupervisorPolicy:
     #: Communication substrate for distributed rungs ("inproc" or
     #: "socket"; see ``repro.runtime.transport``).
     transport: str = "inproc"
-    #: Optional heartbeat liveness detection on distributed rungs
-    #: (``True`` = ``HeartbeatConfig()``, or a
-    #: ``repro.runtime.resilience.HeartbeatConfig``).
-    heartbeat: object | None = None
 
     def __post_init__(self) -> None:
         if not self.ladder:

@@ -3,7 +3,7 @@
 Every supervised solve — successful or not — produces one
 :class:`SolveReport`: each attempt with its rung, wall time, outcome and
 error; every demotion with the exception that triggered it; watchdog
-verdicts; circuit-breaker transitions; checkpoint usage.  The report is
+verdicts; heals; checkpoint usage.  The report is
 plain data (``to_dict`` / ``to_json``) so the harness and the chaos CI
 job can archive it as a JSON artifact.
 """
@@ -47,7 +47,7 @@ class DemotionRecord:
     from_rung: str
     to_rung: str
     #: Human-readable cause ("retry budget exhausted", a watchdog
-    #: verdict, "circuit breaker open", ...).
+    #: verdict, "compiled-kernel path failed (SacError)", ...).
     reason: str
 
     def to_dict(self) -> dict:
@@ -66,8 +66,6 @@ class SolveReport:
     attempts: list[AttemptRecord] = field(default_factory=list)
     demotions: list[DemotionRecord] = field(default_factory=list)
     watchdog_verdicts: list[str] = field(default_factory=list)
-    #: Circuit-breaker transitions as ``(state, reason)``.
-    breaker_events: list[tuple[str, str]] = field(default_factory=list)
     #: Elastic heals performed across all attempts, as
     #: :class:`~repro.runtime.supervisor.elastic.HealRecord` instances
     #: (in-place rank replacements that kept the world at full width).
@@ -110,7 +108,6 @@ class SolveReport:
             "demotions": [d.to_dict() for d in self.demotions],
             "heals": [h.to_dict() for h in self.heals],
             "watchdog_verdicts": list(self.watchdog_verdicts),
-            "breaker_events": [list(e) for e in self.breaker_events],
             "failure": self.failure,
         }
 
@@ -148,8 +145,6 @@ class SolveReport:
         for dem in self.demotions:
             lines.append(f"  demote {dem.from_rung} -> {dem.to_rung}: "
                          f"{dem.reason}")
-        for state, reason in self.breaker_events:
-            lines.append(f"  breaker -> {state}: {reason}")
         if self.rnm2 is not None:
             lines.append(f"  rnm2={self.rnm2:.12e} verified={self.verified}")
         if self.failure:

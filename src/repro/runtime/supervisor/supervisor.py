@@ -26,10 +26,11 @@ result or a structured post-mortem
   stagnation window aborts the attempt *at that iteration boundary*
   and rolls back+demotes instead of burning the iteration budget.  A
   supervised solve never returns a non-finite grid.
-* **compile circuit breaker** — repeated SAC compile failures trip
-  :class:`~.breaker.CompileCircuitBreaker`; while open, ``sac`` rungs
-  are skipped — ``core.mg`` is pinned — until the cooldown admits a
-  half-open probe.
+* **compile-failure demotion** — a ``sac`` attempt that fails with a
+  :class:`~repro.sac.errors.SacError` demotes to ``core.mg`` at once.
+  The compile cache memoises the failure under its key, so a later
+  solve that asks for the same specialization demotes without tracing
+  it again.
 
 See ``docs/SUPERVISOR.md`` for the policy reference.
 """
@@ -56,7 +57,6 @@ from ..resilience.errors import (
     WorldAborted,
 )
 from ..spmd import DEFAULT_TIMEOUT, DistributedMG
-from .breaker import CompileCircuitBreaker
 from .errors import DeadlineExceeded, NumericalDivergence, SupervisionFailed
 from .policy import Rung, SupervisorPolicy
 from .report import AttemptRecord, DemotionRecord, SolveReport
@@ -150,9 +150,6 @@ class SupervisedSolver:
     fault_plan:
         Optional deterministic :class:`FaultPlan` threaded into
         distributed rungs — chaos tests drive the supervisor with this.
-    breaker:
-        Optional externally-owned circuit breaker (shared across
-        solvers to pin ``core.mg`` process-wide).
     clock / sleep:
         Injectable time sources for deterministic tests.
     """
@@ -160,25 +157,14 @@ class SupervisedSolver:
     def __init__(self, *, policy: SupervisorPolicy | None = None,
                  checkpoint: CheckpointStore | None = None,
                  fault_plan: FaultPlan | None = None,
-                 breaker: CompileCircuitBreaker | None = None,
                  clock=time.monotonic, sleep=time.sleep):
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
-        self.breaker = (breaker if breaker is not None
-                        else CompileCircuitBreaker(self.policy.breaker,
-                                                   clock=clock))
         self._clock = clock
         self._sleep = sleep
 
     # -- plumbing -----------------------------------------------------------
-
-    def _drain_breaker_events(self, report: SolveReport) -> None:
-        """Move accumulated breaker transitions into this solve's report
-        (the breaker may be shared across solves; each transition belongs
-        to exactly one report)."""
-        report.breaker_events.extend(self.breaker.transitions)
-        self.breaker.transitions = []
 
     def _run_rung(self, rung: Rung, sc: SizeClass, nit: int | None,
                   v: np.ndarray | None,
@@ -213,7 +199,6 @@ class SupervisedSolver:
                                poll_interval=policy.poll_interval,
                                fault_plan=self.fault_plan,
                                transport=policy.transport,
-                               heartbeat=policy.heartbeat,
                                heal=policy.heal)
             try:
                 return mg.solve(sc, nit, v=v, checkpoint=store,
@@ -292,19 +277,12 @@ class SupervisedSolver:
                         "only; skipping this rung",
                     ))
                     continue
-                if rung.mode == "sac" and not self.breaker.allow():
-                    report.demotions.append(DemotionRecord(
-                        rung.describe(), next_desc,
-                        "circuit breaker open: compiled mg.sac skipped",
-                    ))
-                    continue
                 outcome = self._attempt_rung(
                     rung, next_desc, sc, nit, v, policy, store, deadline,
                     rng, report, check_verify,
                 )
                 if isinstance(outcome, SupervisedResult):
                     report.wall_time = self._clock() - t_start
-                    self._drain_breaker_events(report)
                     return outcome
                 last_error = outcome if outcome is not None else last_error
         except DeadlineExceeded as exc:
@@ -312,7 +290,6 @@ class SupervisedSolver:
             report.failure = str(exc)
         report.outcome = "failed"
         report.wall_time = self._clock() - t_start
-        self._drain_breaker_events(report)
         if report.failure is None and last_error is not None:
             report.failure = f"{type(last_error).__name__}: {last_error}"
         raise SupervisionFailed(report, cause=last_error)
@@ -387,15 +364,12 @@ class SupervisedSolver:
                 if rung.mode == "sac":
                     compile_exc = _compile_failure(exc)
                     if compile_exc is not None:
-                        self.breaker.record_failure(
-                            f"{type(compile_exc).__name__}: {compile_exc}")
                         rec.outcome = "demote"
                         report.attempts.append(rec)
                         report.demotions.append(DemotionRecord(
                             rec.rung, next_desc,
                             f"compiled-kernel path failed "
-                            f"({type(compile_exc).__name__}); "
-                            f"circuit breaker notified",
+                            f"({type(compile_exc).__name__})",
                         ))
                         return last_error
 
@@ -442,8 +416,6 @@ class SupervisedSolver:
 
             rec.outcome = "ok"
             report.attempts.append(rec)
-            if rung.mode == "sac":
-                self.breaker.record_success()
             report.outcome = "solved"
             report.solved_by = rec.rung
             report.rnm2 = result.rnm2

@@ -95,15 +95,13 @@ class Channel:
              timeout: float | None = None):
         """Blocking receive with cancellation, deadline and integrity.
 
-        ``waiter`` is either a bare rank number (legacy: only the
-        world's abort flag is polled between waits) or a ``RankComm``,
-        whose ``check`` additionally notices the rank's own replacement
-        and a pending heal epoch.  A quiet deadline becomes
-        :class:`HaloTimeout` (wrapping the raw ``queue.Empty``) carrying
-        the elapsed wall time and the failure registry's contents, so an
-        unnoticed peer death is diagnosable from the exception alone; a
-        checksum mismatch triggers bounded retransmission before
-        :class:`HaloCorruption` escalates.
+        ``waiter`` is the receiving ``RankComm``; its ``check`` runs
+        between waits, noticing a world abort, the rank's own
+        replacement and a pending heal epoch.  A quiet deadline becomes
+        :class:`HaloTimeout` (wrapping the raw ``queue.Empty``) naming
+        ``src``, the peer it waited on, with the elapsed wall time and
+        the failure registry's contents; a checksum mismatch triggers
+        bounded retransmission before :class:`HaloCorruption` escalates.
 
         Messages whose ``(op, level)`` tag differs from what this recv
         is waiting for are discarded (MPI-style tag matching): a tag
@@ -112,22 +110,12 @@ class Channel:
         ring — starving into :class:`HaloTimeout` is the honest outcome.
         """
         w = self.world
-        if hasattr(waiter, "check"):
-            rank = waiter.rank
-
-            def check() -> None:
-                waiter.check(op=op, level=level)
-        else:
-            rank = waiter
-
-            def check() -> None:
-                w.check_abort(rank=rank, op=op, level=level)
-
+        rank = waiter.rank
         timeout = w.timeout if timeout is None else timeout
         start = time.monotonic()
         deadline = start + timeout
         while True:
-            check()
+            waiter.check(op=op, level=level)
             remaining = deadline - time.monotonic()
             try:
                 msg = self._wire.get(timeout=min(w.poll_interval,
@@ -141,7 +129,7 @@ class Channel:
                         failures=w.registry.failures()) from exc
                 continue
             if msg is POISON:
-                check()
+                waiter.check(op=op, level=level)
                 # Poison without an abort flag cannot happen in normal
                 # operation; treat it as an abort with no provenance.
                 raise WorldAborted(w.registry.failures(), observer=rank,

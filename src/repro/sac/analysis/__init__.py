@@ -1,6 +1,6 @@
 """Static analysis for SAC programs.
 
-A dataflow framework (CFG, reaching definitions, liveness, def-use
+A dataflow framework (CFG, reaching definitions, live variables, def-use
 chains) plus five analysis passes over it and the abstract shape
 interpreter:
 
@@ -29,7 +29,7 @@ from .dataflow import (
     DataflowAnalysis,
     DefSite,
     def_use_chains,
-    liveness,
+    live_variables,
     must_defined,
     reaching_definitions,
     solve,
@@ -73,7 +73,7 @@ __all__ = [
     "solve",
     "reaching_definitions",
     "must_defined",
-    "liveness",
+    "live_variables",
     "def_use_chains",
     # abstract domain
     "Affine",

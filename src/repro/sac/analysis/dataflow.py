@@ -9,7 +9,7 @@ are provided —
   reach each program point; the basis of def-use chains,
 * **must-defined** (forward, must): variables definitely assigned on
   every path; the basis of the maybe-uninitialized lint,
-* **liveness** (backward, may): variables whose current value may still
+* **live variables** (backward, may): variables whose current value may still
   be read; the basis of the unused-assignment lint.
 
 States are frozensets so transfer functions stay pure.
@@ -27,7 +27,7 @@ __all__ = [
     "DefSite",
     "reaching_definitions",
     "must_defined",
-    "liveness",
+    "live_variables",
     "def_use_chains",
 ]
 
@@ -221,10 +221,10 @@ def must_defined(cfg: CFG) -> dict[int, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Liveness.
+# Live variables.
 # ---------------------------------------------------------------------------
 
-class _Liveness(DataflowAnalysis):
+class _LiveVariables(DataflowAnalysis):
     direction = "backward"
 
     def transfer(self, block_id, actions, state):
@@ -237,6 +237,6 @@ class _Liveness(DataflowAnalysis):
         return frozenset(live)
 
 
-def liveness(cfg: CFG) -> dict[int, tuple]:
+def live_variables(cfg: CFG) -> dict[int, tuple]:
     """Live variables; key maps to (live-out, live-in) per block."""
-    return solve(cfg, _Liveness())
+    return solve(cfg, _LiveVariables())

@@ -10,7 +10,7 @@ b)``) it decides:
     The result may steal ``f``'s buffer instead of copying it.  Proven
     when ``f`` is a local whose buffer the function owns (not a
     parameter, not aliasing one), ``f`` is dead after the loop, and no
-    value live after the loop may alias it — dataflow liveness from
+    value live after the loop may alias it — dataflow live variables from
     PR 1 plus the may-alias pairs of :mod:`repro.sac.analysis.alias`.
     Shape compatibility is by construction for ``modarray``.
 
@@ -33,7 +33,7 @@ Diagnostics: **SAC510** (note) for each certified reuse opportunity.
 issued by the analysis driver.)
 
 Everything follows the package's prove-or-stay-silent discipline: reuse
-is only certified on facts liveness and the may-alias pairs prove.
+is only certified on facts live variables and the may-alias pairs prove.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..errors import SourcePos
 from ..sactypes import ShapeKind
 from .alias import AliasAnalysis
 from .cfg import build_cfg
-from .dataflow import liveness
+from .dataflow import live_variables
 from .effects import EffectsAnalysis, ReadKind
 
 __all__ = ["ReuseCertificate", "certify_function", "certify_program"]
@@ -118,7 +118,7 @@ def certify_function(fun: FunDef, effects: EffectsAnalysis,
     """Certificates for every WITH-loop of one function."""
     emit: Sink = sink if sink is not None else _null_sink
     cfg = build_cfg(fun)
-    live = liveness(cfg)
+    live = live_variables(cfg)
     alias = AliasAnalysis(fun, effects, cfg)
     param_names = frozenset(p.name for p in fun.params)
     array_params = frozenset(

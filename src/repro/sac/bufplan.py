@@ -5,7 +5,7 @@ of :class:`Instr` records, one per generated NumPy statement.  Every
 result is a fresh SSA name, so rendered as it stands each elementwise
 operation allocates its result and nothing is freed before ``return``.
 :func:`plan` is the one pass between tracing and :func:`render`: exact
-liveness over the straight line (a view keeps its base alive), then
+lifetimes over the straight line (a view keeps its base alive), then
 reuse decided the way SAC's reference counts decide it — statically,
 because in a straight line the count is known exactly.  A buffer is
 *owned* when it is a whole array this trace allocated, a ``call`` result
@@ -147,7 +147,7 @@ def render(ins: Instr) -> str:
 Owned = Mapping[str, tuple[tuple[int, ...], "np.dtype[Any]"]]
 
 
-def _liveness(instrs: list[Instr], owned_params: Owned = {}) -> tuple[
+def _lifetimes(instrs: list[Instr], owned_params: Owned = {}) -> tuple[
         dict[str, str], dict[str, int], dict[str, Instr]]:
     """Per buffer: ``root`` maps a name to the name whose memory it
     aliases, ``last`` a buffer to the last instruction touching it through
@@ -179,7 +179,7 @@ def result_bases(instrs: list[Instr]) -> tuple[str | None, ...]:
     """Per value the trace's final ``return`` names: None when the trace
     allocated its memory (the caller may own it), else the parameter,
     constant or read-only temporary it aliases."""
-    root, _, fresh = _liveness(instrs)
+    root, _, fresh = _lifetimes(instrs)
     roots = [root.get(x, x) for x in instrs[-1].operands]
     return tuple(None if r in fresh and roots.count(r) == 1 else r
                  for r in roots)
@@ -199,7 +199,7 @@ def plan(instrs: list[Instr], owned_params: Owned = {}
     """
     # ``owned`` holds the whole, writable arrays that are this trace's:
     # never another parameter, a module constant, a view or a 0-d value.
-    root, last, fresh = _liveness(instrs, owned_params)
+    root, last, fresh = _lifetimes(instrs, owned_params)
     owned = {name: ins for name, ins in fresh.items() if ins.shape != ()}
     windows = {ins.dst: ins for ins in instrs if ins.kind == "window"}
     windowed = {root[w.operands[0]] for w in windows.values()}

@@ -946,6 +946,8 @@ def compile_function(program_or_table, fname: str, example_args,
     its session's — the specialization is looked up in, and traced
     into, the shared content-addressed cache, so repeated calls with
     the same program, options and argument shapes skip tracing entirely.
+    A trace that raises :class:`SacError` is cached as that error: the
+    next call with the same key raises it again without tracing.
     """
     if cache is None and hasattr(program_or_table, "session"):
         session = program_or_table.session  # a SacProgram brings its own
@@ -962,7 +964,13 @@ def compile_function(program_or_table, fname: str, example_args,
         compiled = cache.get_kernel(key)
         if compiled is not None:
             return compiled
-    compiled = trace_fundef(table, fun, args, max_statements=max_statements)
+    try:
+        compiled = trace_fundef(table, fun, args,
+                                max_statements=max_statements)
+    except SacError as exc:
+        if key is not None:
+            cache.put_kernel(key, exc)
+        raise
     if key is not None:
         cache.put_kernel(key, compiled)
     return compiled

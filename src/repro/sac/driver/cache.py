@@ -14,6 +14,11 @@ a hit can never serve a stale result:
   new argument shape is a new key; same shape, same program → same
   generated source, so a hit is bit-identical to a cold compile.
 
+A build is deterministic, so a failed one is cached too: when a program
+build or a trace raises :class:`~repro.sac.errors.SacError`, the error is
+stored under the key that failed, and a lookup re-raises it instead of
+building again.
+
 The cache lives as long as the process.  Compilation happens before any
 timed section, as ``zran3`` does in NPB, so nothing is kept on disk.
 """
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+
+from ..errors import SacError
 
 __all__ = [
     "CacheStats",
@@ -146,6 +153,8 @@ class KernelCache:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
+        if isinstance(value, SacError):
+            raise value.with_traceback(None)
         return value
 
     def _put(self, entries: dict, key: str, value) -> None:
@@ -153,13 +162,16 @@ class KernelCache:
         self.stats.stores += 1
 
     def get_program(self, key: str) -> ProgramEntry | None:
+        """The entry stored under ``key``, or ``None``; raises the
+        :class:`SacError` a failed build stored there."""
         return self._get(self._programs, key)
 
-    def put_program(self, key: str, entry: ProgramEntry) -> None:
+    def put_program(self, key: str, entry: ProgramEntry | SacError) -> None:
         self._put(self._programs, key, entry)
 
     def get_kernel(self, key: str):
-        """The :class:`CompiledFunction` stored under ``key``, or ``None``."""
+        """The :class:`CompiledFunction` stored under ``key``, or ``None``;
+        raises the :class:`SacError` a failed trace stored there."""
         return self._get(self._kernels, key)
 
     def put_kernel(self, key: str, compiled) -> None:

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..errors import SacError
 from .cache import (
     KernelCache,
     ProgramEntry,
@@ -98,7 +99,7 @@ class CompilationSession:
         rec.detail = detail
 
     def _compile(self) -> None:
-        from ..stdlib import PRELUDE_SOURCE, load_prelude
+        from ..stdlib import PRELUDE_SOURCE
 
         opts = self.options
         if self.source is not None:
@@ -127,7 +128,23 @@ class CompilationSession:
                 t0 = time.perf_counter()
             return
 
+        try:
+            self.program = self._build(opts)
+        except SacError as exc:
+            # A deterministic build fails the same way every time: the
+            # next session with this digest re-raises it from the cache.
+            self.cache.put_program(self.program_digest, exc)
+            raise
+        self.cache.put_program(
+            self.program_digest,
+            ProgramEntry(program=self.program,
+                         analysis_report=self.analysis_report),
+        )
+
+    def _build(self, opts):
+        """Parse, link, typecheck, analyze and optimize: the program."""
         from ..ast_nodes import Program
+        from ..stdlib import load_prelude
 
         t0 = time.perf_counter()
         if self._parsed is not None:
@@ -180,13 +197,7 @@ class CompilationSession:
                          detail=f"{self.pass_manager.report.runs()} pass runs")
         else:
             self._record("optimize", t0, ran=False)
-
-        self.program = combined
-        self.cache.put_program(
-            self.program_digest,
-            ProgramEntry(program=combined,
-                         analysis_report=self.analysis_report),
-        )
+        return combined
 
     # -- backend ------------------------------------------------------------
 

@@ -15,13 +15,14 @@ import pytest
 from repro.baselines import FortranMG
 from repro.core import zran3
 from repro.runtime.resilience import (
+    BarrierTimeout,
     CheckpointStore,
     Fault,
     FaultKind,
     FaultPlan,
-    HeartbeatConfig,
-    HeartbeatLost,
+    HaloTimeout,
     InjectedFault,
+    RankFailure,
     WorldAborted,
 )
 from repro.runtime.spmd import DistributedMG
@@ -68,14 +69,10 @@ class TestHealPolicy:
 
 class TestWorldSupervisorUnits:
     def test_no_spawner_declines(self):
-        from repro.runtime.resilience import RankFailure
-
         sup = WorldSupervisor(HealPolicy(), store=CheckpointStore())
         assert not sup.consider(object(), RankFailure(0))
 
     def test_unhealable_causes_decline(self):
-        from repro.runtime.resilience import HaloTimeout, RankFailure
-
         sup = WorldSupervisor(HealPolicy(), store=CheckpointStore())
         sup.spawner = lambda r, i: None
 
@@ -85,9 +82,40 @@ class TestWorldSupervisorUnits:
         failure = RankFailure(0, cause=HaloTimeout(0, timeout=1.0))
         assert not sup._eligible(W(), failure)
 
-    def test_retired_world_declines(self):
-        from repro.runtime.resilience import RankFailure
+    def test_timeout_heals_only_the_one_peer_it_names(self):
+        sup = WorldSupervisor(HealPolicy(), store=CheckpointStore())
 
+        class W:
+            retired = frozenset()
+
+        def report(rank, missing):
+            return RankFailure(rank, cause=BarrierTimeout(0,
+                                                          missing=missing))
+
+        assert sup._eligible(W(), report(1, (1,)))
+        assert not sup._eligible(W(), report(1, (1, 2)))
+        assert not sup._eligible(W(), report(1, ()))
+        assert not sup._eligible(W(), report(2, (1,)))
+
+    def test_second_report_of_a_stall_in_heal_is_absorbed(self):
+        sup = WorldSupervisor(HealPolicy(max_heals=1),
+                              store=CheckpointStore())
+        sup.spawner = lambda r, i: None
+
+        class W:
+            retired = frozenset()
+            healing = 1
+
+            def begin_heal(self, failure):  # pragma: no cover
+                raise AssertionError("a second heal must not open")
+
+        stall = RankFailure(1, cause=BarrierTimeout(3, missing=(1,)))
+        assert sup.consider(W(), stall)
+        assert sup.heals_started == 0 and not sup.records
+        # A crash of the rank under heal is no duplicate report.
+        assert not sup.consider(W(), RankFailure(1, cause=RuntimeError()))
+
+    def test_retired_world_declines(self):
         sup = WorldSupervisor(HealPolicy(), store=CheckpointStore())
 
         class W:
@@ -203,21 +231,54 @@ class TestElasticHeal:
         assert mg.last_world.transport.open_wires() == 0
         np.testing.assert_array_equal(res.u, FortranMG().solve("T").u)
 
-    def test_heartbeat_death_triggers_heal(self):
-        # Rank 1 stalls 1 s; the detector declares it dead after 0.25 s
-        # and the world heals around the sleeping zombie, which wakes,
-        # notices its own replacement, and exits without side effects.
+    @staticmethod
+    def _assert_stall_healed(nranks, size_class, observers):
+        """Rank 1 stalls 1 s at iteration 1 against a 0.3 s op timeout.
+        Its peers time out at the iteration's checkpoint barrier, which
+        names rank 1 as the one missing; the world heals around the
+        sleeping zombie, which wakes, notices its own replacement, and
+        exits without side effects."""
         plan = FaultPlan([Fault(FaultKind.SLOW, rank=1, iteration=1,
                                 delay=1.0)])
-        cfg = HeartbeatConfig(interval=0.03, suspect_after=0.1,
-                              dead_after=0.25)
-        mg = DistributedMG(2, fault_plan=plan, heartbeat=cfg, heal=1,
-                           timeout=20.0)
+        mg = DistributedMG(nranks, fault_plan=plan, heal=1, timeout=0.3)
+        res = mg.solve(size_class)
+        world = mg.last_world
+        assert not world.registry
+        assert [rec.rank for rec in world.heal_log] == [1]
+        assert world.heal_log[0].completed
+        assert world.heal_log[0].cause.startswith("BarrierTimeout")
+        (failure,) = world.healed
+        assert failure.rank == 1 and failure.stalled
+        assert isinstance(failure.cause, BarrierTimeout)
+        assert failure.cause.missing == (1,)
+        assert failure.cause.rank in observers
+        ref = FortranMG().solve(size_class)
+        assert res.u.tobytes() == ref.u.tobytes()
+        assert res.rnm2 == DistributedMG(nranks).solve(size_class).rnm2
+        _join_stray_rank_threads()
+
+    def test_heartbeat_death_triggers_heal(self):
+        self._assert_stall_healed(2, "T", observers={0})
+
+    def test_stall_heals_with_three_racing_observers(self):
+        # At P = 4 ranks 0, 2 and 3 all time out on rank 1; the first
+        # report opens the heal, the other two are absorbed by it.
+        self._assert_stall_healed(4, "S", observers={0, 2, 3})
+
+    def test_delayed_halo_heals_through_its_src(self):
+        # Rank 1's first halo plane of iteration 1 is held back 1 s: rank
+        # 0 times out in the recv, which names rank 1 as its src.
+        plan = FaultPlan([Fault(FaultKind.DELAY, rank=1, iteration=1,
+                                delay=1.0)])
+        mg = DistributedMG(2, fault_plan=plan, heal=1, timeout=0.3)
         res = mg.solve("T")
         world = mg.last_world
-        assert len(world.healed) == 1
-        assert isinstance(world.healed[0].cause, HeartbeatLost)
-        assert world.stats.deaths == 1
+        assert not world.registry
+        (failure,) = world.healed
+        assert failure.rank == 1 and failure.stalled
+        assert isinstance(failure.cause, HaloTimeout)
+        assert failure.cause.rank == 0 and failure.cause.src == 1
+        assert world.heal_log[0].completed
         np.testing.assert_array_equal(res.u, FortranMG().solve("T").u)
         _join_stray_rank_threads()
 

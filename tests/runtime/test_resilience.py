@@ -123,7 +123,7 @@ class TestTimeouts:
         w = World(2, timeout=0.2)
         t0 = time.monotonic()
         with pytest.raises(HaloTimeout) as ei:
-            w._up[1].recv(0, op="halo-exchange", level=3)
+            w._up[1].recv(w.comm(0), op="halo-exchange", level=3)
         assert time.monotonic() - t0 < 2.0
         exc = ei.value
         assert exc.rank == 0 and exc.op == "halo-exchange" and exc.level == 3
@@ -138,6 +138,9 @@ class TestTimeouts:
             w.comm(0).barrier(op="checkpoint-commit")
         assert ei.value.rank == 0
         assert ei.value.op == "checkpoint-commit"
+        # Rank 1 never arrived: its arrival count is behind rank 0's.
+        assert ei.value.missing == (1,)
+        assert ei.value.peer == 1
         assert isinstance(ei.value.__cause__, threading.BrokenBarrierError)
 
 
@@ -152,7 +155,7 @@ class TestFastAbort:
 
         def blocked():
             try:
-                w._up[1].recv(0, op="halo-exchange")
+                w._up[1].recv(w.comm(0), op="halo-exchange")
             except WorldAborted as exc:
                 seen.append(exc)
 
@@ -186,9 +189,9 @@ class TestFastAbort:
 
     def test_legacy_failure_accessor(self):
         w = World(1)
-        assert w.failure is None
+        assert not w.registry
         w.abort(RankFailure(0))
-        assert isinstance(w.failure, RankFailure)
+        assert isinstance(w.registry.failures()[0], RankFailure)
         assert w.aborted
 
 
@@ -302,6 +305,9 @@ class TestChaosRuns:
         assert time.monotonic() - t0 < 5.0
         causes = [type(f.cause).__name__ for f in ei.value.failures]
         assert "HaloTimeout" in causes
+        # Recorded once, under the rank whose plane was dropped: rank 1
+        # timed out waiting for it, and is only the observer.
+        assert ei.value.failed_ranks == [0]
         stats = mg.last_world.stats
         assert stats.drops == 1
         # The receiver discarded later mismatched planes rather than

@@ -1,7 +1,6 @@
 """Tests for the self-healing solver supervision layer.
 
-Unit tests cover the watchdog, the circuit breaker (with a fake clock),
-policy validation and the report; the ``supervisor``-marked end-to-end
+Unit tests cover the watchdog, policy validation and the report; the ``supervisor``-marked end-to-end
 tests drive :class:`SupervisedSolver` against real solves under seeded
 :class:`FaultPlan`s — retry-from-checkpoint, ladder degradation,
 NaN rollback, compile-failure demotion and determinism.
@@ -17,9 +16,6 @@ from repro.core.mg import solve as serial_solve
 from repro.mg_sac import loader
 from repro.runtime.resilience import Fault, FaultKind, FaultPlan
 from repro.runtime.supervisor import (
-    BreakerPolicy,
-    BreakerState,
-    CompileCircuitBreaker,
     NumericalDivergence,
     NumericalWatchdog,
     RetryPolicy,
@@ -60,6 +56,28 @@ def broken_compiler(monkeypatch):
         raise SacError("sac2c exited with status 1")
 
     monkeypatch.setattr(loader, "_final_residual", boom)
+
+
+@pytest.fixture
+def untraceable(monkeypatch):
+    """Tracing ``mg.sac`` fails below a fresh compile cache; yields the
+    names of the functions traced."""
+    from repro.sac import codegen
+    from repro.sac.driver import cache
+
+    traced = []
+
+    def trace(table, fun, args, **kwargs):
+        traced.append(fun.name)
+        raise SacError(f"cannot trace {fun.name}")
+
+    monkeypatch.setattr(codegen, "trace_fundef", trace)
+    monkeypatch.setattr(cache, "_DEFAULT", cache.KernelCache())
+    loader._load.cache_clear()
+    loader._final_residual.cache_clear()
+    yield traced
+    loader._load.cache_clear()
+    loader._final_residual.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -119,68 +137,6 @@ class TestNumericalWatchdog:
         assert wd.iterations_observed == 4
         assert wd.verdict is None
         assert wd.history[-1] == pytest.approx(res.rnm2)
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker.
-# ---------------------------------------------------------------------------
-
-class TestCompileCircuitBreaker:
-    def make(self):
-        clock = FakeClock()
-        pol = BreakerPolicy(failure_threshold=2, cooldown=10.0)
-        return CompileCircuitBreaker(pol, clock=clock), clock
-
-    def test_trips_at_threshold(self):
-        br, _ = self.make()
-        assert br.allow()
-        br.record_failure("boom")
-        assert br.state is BreakerState.CLOSED
-        br.record_failure("boom")
-        assert br.state is BreakerState.OPEN
-        assert not br.allow()
-
-    def test_cooldown_admits_single_probe(self):
-        br, clock = self.make()
-        br.record_failure("a")
-        br.record_failure("b")
-        assert not br.allow()
-        clock.advance(10.0)
-        assert br.allow()          # the half-open probe
-        assert br.state is BreakerState.HALF_OPEN
-        assert not br.allow()      # only one probe outstanding
-
-    def test_probe_success_closes(self):
-        br, clock = self.make()
-        br.record_failure("a")
-        br.record_failure("b")
-        clock.advance(10.0)
-        assert br.allow()
-        br.record_success()
-        assert br.state is BreakerState.CLOSED
-        assert br.allow()
-
-    def test_probe_failure_reopens_for_another_cooldown(self):
-        br, clock = self.make()
-        br.record_failure("a")
-        br.record_failure("b")
-        clock.advance(10.0)
-        assert br.allow()
-        br.record_failure("probe died")
-        assert br.state is BreakerState.OPEN
-        assert not br.allow()
-        clock.advance(10.0)
-        assert br.allow()
-
-    def test_transitions_are_recorded(self):
-        br, clock = self.make()
-        br.record_failure("x")
-        br.record_failure("x")
-        clock.advance(10.0)
-        br.allow()
-        br.record_success()
-        states = [s for s, _ in br.transitions]
-        assert states == ["open", "half-open", "closed"]
 
 
 # ---------------------------------------------------------------------------
@@ -347,27 +303,28 @@ class TestSupervisedSolve:
         assert rep.solved_by == "distributed x2"
         assert any("compiled-kernel path failed" in d.reason
                    for d in rep.demotions)
-        # One compile failure: below the threshold, circuit still closed.
-        assert sup.breaker.state is BreakerState.CLOSED
 
     def test_breaker_pins_numpy_path_after_repeated_compile_failures(
-            self, broken_compiler):
+            self, untraceable):
+        # The failed trace is memoised under its cache key: however many
+        # solves ask for the specialization, it is traced once, and each
+        # solve demotes with the SacError named.
         pol = SupervisorPolicy(
             ladder=(Rung("sac"), Rung("distributed", workers=2),
                     Rung("serial")),
             retry=FAST_RETRY,
-            breaker=BreakerPolicy(failure_threshold=2, cooldown=3600.0),
         )
         sup = SupervisedSolver(policy=pol)
-        sup.solve("T", 2)
-        rep2 = sup.solve("T", 2).report
-        assert sup.breaker.state is BreakerState.OPEN
-        assert any(s == "open" for s, _ in rep2.breaker_events)
-        # Third solve: the sac rung is skipped without an attempt.
-        rep3 = sup.solve("T", 2).report
-        assert rep3.rungs_tried[0] == "distributed x2"
-        assert any("circuit breaker open" in d.reason
-                   for d in rep3.demotions)
+        for _ in range(3):
+            res = sup.solve("T", 2)
+            rep = res.report
+            assert rep.solved_by == "distributed x2"
+            assert rep.rungs_tried == ["sac", "distributed x2"]
+            assert [a.error_type for a in rep.attempts] == ["SacError", None]
+            (demotion,) = rep.demotions
+            assert demotion.from_rung == "sac"
+            assert demotion.reason == "compiled-kernel path failed (SacError)"
+        assert untraceable == ["FinalResidual"]
 
     def test_every_rung_exhausted_raises_structured_postmortem(self):
         plan = FaultPlan([Fault(FaultKind.CRASH, rank=0, iteration=0)])

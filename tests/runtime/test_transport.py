@@ -61,11 +61,9 @@ class TestTransportConfig:
         # Keyword over config over default is the whole precedence rule.
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "fast")
         monkeypatch.setenv("REPRO_SPMD_TRANSPORT", "bogus")
-        monkeypatch.setenv("REPRO_SPMD_HEARTBEAT", "1")
         with World(2) as world:
             assert world.timeout == DEFAULT_TIMEOUT == 60.0
             assert world.transport.name == "inproc"
-            assert world.liveness is None
 
     def test_world_kwarg_beats_config(self):
         with World(1, timeout=2.0,
@@ -266,7 +264,7 @@ class TestTimeoutDiagnostics:
 
         with World(2, timeout=0.2, poll_interval=0.01) as world:
             with pytest.raises(HaloTimeout) as ei:
-                world._up[0].recv(1, op="halo-exchange", level=5)
+                world._up[0].recv(world.comm(1), op="halo-exchange", level=5)
         exc = ei.value
         assert exc.elapsed is not None and exc.elapsed >= 0.2
         assert exc.failures == ()
@@ -282,7 +280,7 @@ class TestTimeoutDiagnostics:
                 RankFailure(1, op="halo-exchange", iteration=3,
                             cause=RuntimeError("boom")))
             with pytest.raises(HaloTimeout) as ei:
-                world._up[0].recv(1, op="halo-exchange")
+                world._up[0].recv(world.comm(1), op="halo-exchange")
         exc = ei.value
         assert [f.rank for f in exc.failures] == [1]
         assert "rank 1" in str(exc)

@@ -5,7 +5,7 @@ from repro.sac.analysis import (
     build_cfg,
     def_use_chains,
     free_vars,
-    liveness,
+    live_variables,
     must_defined,
     reaching_definitions,
 )
@@ -96,7 +96,7 @@ class TestDataflow:
 
     def test_liveness_param_live_at_entry(self):
         cfg = build_cfg(fun("int f(int x) { y = x; return y; }"))
-        solved = liveness(cfg)
+        solved = live_variables(cfg)
         # backward analysis: index 1 of the entry block is live-in.
         assert "x" in solved[cfg.entry][1] or "x" in solved[cfg.entry][0]
 

@@ -1,6 +1,7 @@
 """Correctness of the content-addressed kernel cache (driver.cache)."""
 
 import linecache
+import traceback
 
 import numpy as np
 import pytest
@@ -235,3 +236,49 @@ class TestInProcess:
             line = linecache.getline(code.co_filename, code.co_firstlineno)
             assert line.startswith(f"def {code.co_name}(")
             assert line == source.splitlines(True)[code.co_firstlineno - 1]
+
+
+class TestFailedBuilds:
+    """A build is deterministic, so a failed one is cached as its error."""
+
+    def test_failed_trace_is_raised_again_untraced(self, cache,
+                                                   monkeypatch):
+        from repro.sac import codegen
+        from repro.sac.errors import SacError
+
+        traced = []
+
+        def trace(table, fun, args, **kwargs):
+            traced.append(fun.name)
+            raise SacError("untraceable")
+
+        monkeypatch.setattr(codegen, "trace_fundef", trace)
+        session = _session(cache)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(SacError, match="untraceable") as ei:
+                _compile(session, (np.zeros(4), 2.0))
+            raised.append(ei.value)
+        assert traced == ["scale"]
+        assert raised[0] is raised[1] is raised[2]
+        assert cache.stats.hits == 2
+        # A lookup raises it afresh: its traceback does not grow.
+        depths = [len(traceback.extract_tb(e.__traceback__))
+                  for e in raised[1:]]
+        assert depths[0] == depths[1]
+        # Another key still traces.
+        with pytest.raises(SacError):
+            _compile(session, (np.zeros(5), 2.0))
+        assert traced == ["scale", "scale"]
+
+    def test_failed_program_build_is_raised_again_unbuilt(self, cache):
+        from repro.sac.errors import SacError
+
+        broken = SRC.replace("return s;", "return s")
+        with pytest.raises(SacError) as first:
+            _session(cache, source=broken)
+        assert cache.stats.stores == 1
+        with pytest.raises(SacError) as second:
+            _session(cache, source=broken)
+        assert second.value is first.value
+        assert cache.stats.hits == 1 and cache.stats.stores == 1

@@ -1,15 +1,17 @@
 """Static analysis for SAC programs.
 
-A dataflow framework (CFG, reaching definitions, live variables, def-use
-chains) plus five analysis passes over it and the abstract shape
+A dataflow framework (CFG, reaching definitions, must-defined, def-use
+chains) plus the analysis passes over it and the abstract shape
 interpreter:
 
 * shape inference and halo checking (``SAC1xx``),
 * WITH-loop partition checking (``SAC2xx``),
 * SPMD race certification (``SAC3xx``),
 * dataflow lints (``SAC4xx``),
-* memory-effects, aliasing and in-place-reuse certification
-  (``SAC5xx``).
+* with-loop folding's refusals (``SAC502``).
+
+Buffer reuse is not judged here: :mod:`repro.sac.bufplan` decides it
+once, on the traced code it plans.
 
 Entry points: :func:`analyze_source` / :func:`analyze_file` /
 :func:`analyze_program`, or ``python -m repro.sac.analysis file.sac``.
@@ -29,7 +31,6 @@ from .dataflow import (
     DataflowAnalysis,
     DefSite,
     def_use_chains,
-    live_variables,
     must_defined,
     reaching_definitions,
     solve,
@@ -41,17 +42,7 @@ from .driver import (
     analyze_program,
     analyze_source,
 )
-from .alias import AliasAnalysis, AliasPairs
-from .effects import (
-    EffectsAnalysis,
-    FunctionSummary,
-    ParamRead,
-    ReadKind,
-    VarRead,
-    alias_sources,
-)
 from .races import LoopCertificate, SAFE_FOLD_FUNCTIONS
-from .reuse import ReuseCertificate, certify_function, certify_program
 from .shapes import Affine, AValue, Interval, ShapeAnalyzer, WithLoopInfo
 
 __all__ = [
@@ -73,7 +64,6 @@ __all__ = [
     "solve",
     "reaching_definitions",
     "must_defined",
-    "live_variables",
     "def_use_chains",
     # abstract domain
     "Affine",
@@ -84,18 +74,6 @@ __all__ = [
     # race certification
     "LoopCertificate",
     "SAFE_FOLD_FUNCTIONS",
-    # effects / aliasing / reuse
-    "ReadKind",
-    "VarRead",
-    "ParamRead",
-    "FunctionSummary",
-    "EffectsAnalysis",
-    "alias_sources",
-    "AliasAnalysis",
-    "AliasPairs",
-    "ReuseCertificate",
-    "certify_function",
-    "certify_program",
     # driver
     "AnalysisOptions",
     "AnalysisReport",

@@ -2,12 +2,11 @@
 
     python -m repro.sac.analysis file.sac [file2.sac ...]
         [--format {text,json,sarif}] [--fail-on {error,warning,never}]
-        [--select CODES] [--ignore CODES]
-        [--no-lint] [--no-reuse] [--certificates]
+        [--select CODES] [--ignore CODES] [--certificates]
 
 ``--select``/``--ignore`` take comma-separated code prefixes
-(``--select SAC5`` keeps only the memory-effects family, ``--ignore
-SAC404`` drops one lint).  Ignore wins over select, and both apply
+(``--select SAC3`` keeps only the race findings, ``--ignore SAC4``
+drops every lint).  Ignore wins over select, and both apply
 before the ``--fail-on`` judgement, so a filtered-out warning cannot
 fail the run.
 
@@ -33,8 +32,8 @@ from .driver import AnalysisOptions, analyze_file
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.sac.analysis",
-        description="Static shape/partition/race/effects analyzer for "
-                    "SAC programs (error codes SAC0xx-SAC5xx; see "
+        description="Static shape/partition/race/lint analyzer for "
+                    "SAC programs (error codes SAC0xx-SAC502; see "
                     "docs/ANALYSIS.md).",
     )
     p.add_argument("files", nargs="+", metavar="FILE.sac",
@@ -47,20 +46,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: error)")
     p.add_argument("--select", metavar="CODES",
                    help="comma-separated code prefixes to keep "
-                        "(e.g. SAC5 or SAC201,SAC3); default: all")
+                        "(e.g. SAC3 or SAC201,SAC502); default: all")
     p.add_argument("--ignore", metavar="CODES",
                    help="comma-separated code prefixes to drop "
                         "(e.g. SAC404); wins over --select")
-    p.add_argument("--no-lint", action="store_true",
-                   help="skip the SAC4xx dataflow lints")
-    p.add_argument("--no-reuse", action="store_true",
-                   help="skip the SAC5xx effects/alias/reuse "
-                        "certification")
     p.add_argument("--all-functions", action="store_true",
                    help="also report findings inside the linked prelude")
     p.add_argument("--certificates", action="store_true",
-                   help="print the per-WITH-loop SPMD and reuse "
-                        "certificates (text format only)")
+                   help="print the per-WITH-loop SPMD certificates "
+                        "(text format only)")
     return p
 
 
@@ -98,14 +92,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     options = AnalysisOptions(
         report_prelude=args.all_functions,
-        lint=not args.no_lint,
-        reuse=not args.no_reuse,
         fail_on=fail_on or Severity.ERROR,
     )
 
     diagnostics = []
     certificates = []
-    reuse_certificates = []
     failed = False
     for path in args.files:
         try:
@@ -117,7 +108,6 @@ def main(argv: list[str] | None = None) -> int:
                 if _keep(d.code, select, ignore)]
         diagnostics.extend(kept)
         certificates.extend(report.certificates)
-        reuse_certificates.extend(report.reuse_certificates)
         if fail_on is not None and any(
                 d.severity >= fail_on for d in kept):
             failed = True
@@ -132,10 +122,6 @@ def main(argv: list[str] | None = None) -> int:
             print()
             for cert in certificates:
                 print(cert)
-            if certificates and reuse_certificates:
-                print()
-            for rcert in reuse_certificates:
-                print(rcert)
 
     return 1 if failed else 0
 

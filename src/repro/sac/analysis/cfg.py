@@ -96,8 +96,6 @@ class Action:
     uses: frozenset[str]
     defines: str | None
     node: Node
-    #: True for loop/branch conditions (no statement of their own).
-    is_cond: bool = False
 
     @property
     def pos(self):
@@ -204,8 +202,7 @@ class _Builder:
         if isinstance(stmt, Block):
             return self._block(stmt, cur)
         if isinstance(stmt, If):
-            self._append(cur, Action(free_vars(stmt.cond), None, stmt.cond,
-                                     is_cond=True))
+            self._append(cur, Action(free_vars(stmt.cond), None, stmt.cond))
             then_b = cfg._new_block()
             cfg.add_edge(cur, then_b.id)
             then_end = self._block(stmt.then, then_b.id)
@@ -227,8 +224,7 @@ class _Builder:
             header = cfg._new_block()
             cfg.add_edge(cur, header.id)
             self._append(header.id,
-                         Action(free_vars(stmt.cond), None, stmt.cond,
-                                is_cond=True))
+                         Action(free_vars(stmt.cond), None, stmt.cond))
             body = cfg._new_block()
             after = cfg._new_block()
             cfg.add_edge(header.id, body.id)
@@ -244,8 +240,7 @@ class _Builder:
             after = cfg._new_block()
             if body_end is not None:
                 self._append(body_end,
-                             Action(free_vars(stmt.cond), None, stmt.cond,
-                                    is_cond=True))
+                             Action(free_vars(stmt.cond), None, stmt.cond))
                 cfg.add_edge(body_end, body.id)
                 cfg.add_edge(body_end, after.id)
             if not after.preds:
@@ -257,8 +252,7 @@ class _Builder:
             header = cfg._new_block()
             cfg.add_edge(cur, header.id)
             self._append(header.id,
-                         Action(free_vars(stmt.cond), None, stmt.cond,
-                                is_cond=True))
+                         Action(free_vars(stmt.cond), None, stmt.cond))
             body = cfg._new_block()
             after = cfg._new_block()
             cfg.add_edge(header.id, body.id)

@@ -1,16 +1,15 @@
 """Worklist dataflow over :mod:`repro.sac.analysis.cfg`.
 
-A small, classic framework: an analysis supplies its direction, the
+A small, classic forward framework: an analysis supplies the
 initial/boundary states, a join, and a per-block transfer function; the
-solver iterates a worklist to the fixed point.  Three standard analyses
+solver iterates a worklist to the fixed point.  Two standard analyses
 are provided —
 
-* **reaching definitions** (forward, may): which ``Assign`` actions can
-  reach each program point; the basis of def-use chains,
-* **must-defined** (forward, must): variables definitely assigned on
-  every path; the basis of the maybe-uninitialized lint,
-* **live variables** (backward, may): variables whose current value may still
-  be read; the basis of the unused-assignment lint.
+* **reaching definitions** (may): which ``Assign`` actions can reach
+  each program point; the basis of def-use chains and the
+  unused-assignment lint,
+* **must-defined** (must): variables definitely assigned on every path;
+  the basis of the maybe-uninitialized lint.
 
 States are frozensets so transfer functions stay pure.
 """
@@ -27,19 +26,15 @@ __all__ = [
     "DefSite",
     "reaching_definitions",
     "must_defined",
-    "live_variables",
     "def_use_chains",
 ]
 
 
 class DataflowAnalysis:
-    """Interface of one dataflow problem over frozenset states."""
-
-    #: "forward" or "backward".
-    direction = "forward"
+    """Interface of one forward dataflow problem over frozenset states."""
 
     def boundary(self, cfg: CFG) -> frozenset:
-        """State at the entry (forward) / exit (backward) block."""
+        """State at the entry block."""
         return frozenset()
 
     def initial(self, cfg: CFG) -> frozenset:
@@ -61,18 +56,11 @@ class DataflowAnalysis:
 def solve(cfg: CFG, analysis: DataflowAnalysis) -> dict[int, tuple]:
     """Fixed point of ``analysis`` over ``cfg``.
 
-    Returns ``{block_id: (state_in, state_out)}`` in the direction of the
-    analysis (for backward analyses ``state_in`` is the state at block
-    *exit* — the analysis' own input).
+    Returns ``{block_id: (state_in, state_out)}``: the states at block
+    entry and exit.
     """
-    forward = analysis.direction == "forward"
     blocks = cfg.blocks
-    if forward:
-        edges_in = {b.id: b.preds for b in blocks}
-        start = cfg.entry
-    else:
-        edges_in = {b.id: b.succs for b in blocks}
-        start = cfg.exit
+    start = cfg.entry
 
     state_in: dict[int, frozenset] = {
         b.id: analysis.initial(cfg) for b in blocks
@@ -80,18 +68,14 @@ def solve(cfg: CFG, analysis: DataflowAnalysis) -> dict[int, tuple]:
     state_out: dict[int, frozenset] = {}
     state_in[start] = analysis.boundary(cfg)
 
-    actions_of = {
-        b.id: (b.actions if forward else list(reversed(b.actions)))
-        for b in blocks
-    }
     for b in blocks:
-        state_out[b.id] = analysis.transfer(b.id, actions_of[b.id],
+        state_out[b.id] = analysis.transfer(b.id, b.actions,
                                             state_in[b.id])
 
     work = [b.id for b in blocks]
     while work:
         bid = work.pop(0)
-        preds = edges_in[bid]
+        preds = blocks[bid].preds
         if preds:
             new_in = analysis.join([state_out[p] for p in preds])
             if bid == start:
@@ -99,13 +83,11 @@ def solve(cfg: CFG, analysis: DataflowAnalysis) -> dict[int, tuple]:
         else:
             new_in = (analysis.boundary(cfg) if bid == start
                       else analysis.initial(cfg))
-        new_out = analysis.transfer(bid, actions_of[bid], new_in)
+        new_out = analysis.transfer(bid, blocks[bid].actions, new_in)
         if new_in != state_in[bid] or new_out != state_out[bid]:
             state_in[bid] = new_in
             state_out[bid] = new_out
-            next_edges = (blocks[bid].succs if forward
-                          else blocks[bid].preds)
-            for nxt in next_edges:
+            for nxt in blocks[bid].succs:
                 if nxt not in work:
                     work.append(nxt)
     return {b.id: (state_in[b.id], state_out[b.id]) for b in blocks}
@@ -128,8 +110,6 @@ class DefSite:
 
 
 class _ReachingDefs(DataflowAnalysis):
-    direction = "forward"
-
     def __init__(self, params: tuple[str, ...]):
         self._params = params
 
@@ -185,8 +165,6 @@ _ALL = None  # sentinel: the universal set (top of the must-lattice)
 
 
 class _MustDefined(DataflowAnalysis):
-    direction = "forward"
-
     def boundary(self, cfg: CFG) -> frozenset:
         return frozenset(p.name for p in cfg.fun.params)
 
@@ -219,24 +197,3 @@ def must_defined(cfg: CFG) -> dict[int, tuple]:
     """Definitely-assigned variables at each block boundary."""
     return solve(cfg, _MustDefined())
 
-
-# ---------------------------------------------------------------------------
-# Live variables.
-# ---------------------------------------------------------------------------
-
-class _LiveVariables(DataflowAnalysis):
-    direction = "backward"
-
-    def transfer(self, block_id, actions, state):
-        live = set(state)
-        # actions arrive reversed (backward direction).
-        for act in actions:
-            if act.defines is not None:
-                live.discard(act.defines)
-            live |= act.uses
-        return frozenset(live)
-
-
-def live_variables(cfg: CFG) -> dict[int, tuple]:
-    """Live variables; key maps to (live-out, live-in) per block."""
-    return solve(cfg, _LiveVariables())

@@ -9,8 +9,7 @@
 2. the abstract shape pass (``SAC1xx``) with the partition (``SAC2xx``)
    and race (``SAC3xx``) listeners attached;
 3. the dataflow lints (``SAC4xx``);
-4. the memory-effects/alias/reuse certification (``SAC5xx``), and with
-   it SAC502 for every producer/consumer pair with-loop folding would
+4. SAC502 for every producer/consumer pair with-loop folding would
    refuse in the program as written (:func:`repro.sac.optim.wlfold.refusals`
    — the pass's own verdict, so on one AST *warned* and *left unfolded*
    coincide; a pass that runs before it may still change the pair).
@@ -39,7 +38,6 @@ from ..stdlib import load_prelude
 from .lint import lint_program
 from .partition import PartitionChecker
 from .races import LoopCertificate, RaceChecker
-from .reuse import ReuseCertificate, certify_program
 from .shapes import ShapeAnalyzer
 
 __all__ = ["AnalysisOptions", "AnalysisReport", "analyze_program",
@@ -48,17 +46,11 @@ __all__ = ["AnalysisOptions", "AnalysisReport", "analyze_program",
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Which passes to run and how to judge the outcome."""
+    """Which findings to report and how to judge the outcome."""
 
     #: Also analyze the prelude's own functions (off: only report
     #: findings located in the user program).
     report_prelude: bool = True
-    #: Run the abstract shape/partition/race passes.
-    shapes: bool = True
-    #: Run the SAC4xx dataflow lints.
-    lint: bool = True
-    #: Run the SAC5xx effects/alias/reuse certification.
-    reuse: bool = True
     #: Findings at or above this severity make the report "failed".
     fail_on: Severity = Severity.ERROR
 
@@ -69,8 +61,6 @@ class AnalysisReport:
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     certificates: list[LoopCertificate] = field(default_factory=list)
-    reuse_certificates: list["ReuseCertificate"] = field(
-        default_factory=list)
     fail_on: Severity = Severity.ERROR
 
     @property
@@ -113,27 +103,23 @@ def analyze_program(program: Program,
     def coded_sink(code, message, pos, function):
         sink(Diagnostic.make(code, message, pos, function))
 
-    if options.shapes:
-        races = RaceChecker(coded_sink)
-        analyzer = ShapeAnalyzer(
-            program, sink,
-            listeners=(PartitionChecker(coded_sink), races),
-        )
-        analyzer.analyze_program()
-        report.certificates = races.certificates
-    if options.lint:
-        lint_program(program, coded_sink)
-    if options.reuse:
-        report.reuse_certificates = certify_program(program, coded_sink)
-        for fun in program.functions:
-            for name, reader, reason in refusals(fun, program):
-                coded_sink(
-                    "SAC502",
-                    f"'{name}' is produced on a partition of its index "
-                    f"space and this loop, as written, cannot be split "
-                    f"along it: {reason}; unless an earlier pass rewrites "
-                    f"the pair, the loops stay unfused",
-                    reader.pos, fun.name)
+    races = RaceChecker(coded_sink)
+    analyzer = ShapeAnalyzer(
+        program, sink,
+        listeners=(PartitionChecker(coded_sink), races),
+    )
+    analyzer.analyze_program()
+    report.certificates = races.certificates
+    lint_program(program, coded_sink)
+    for fun in program.functions:
+        for name, reader, reason in refusals(fun, program):
+            coded_sink(
+                "SAC502",
+                f"'{name}' is produced on a partition of its index "
+                f"space and this loop, as written, cannot be split "
+                f"along it: {reason}; unless an earlier pass rewrites "
+                f"the pair, the loops stay unfused",
+                reader.pos, fun.name)
     _finish(report)
     return report
 
@@ -162,10 +148,6 @@ def analyze_source(source: str, filename: str = "<sac>",
         ]
         full.certificates = [
             c for c in full.certificates
-            if c.function not in prelude_names
-        ]
-        full.reuse_certificates = [
-            c for c in full.reuse_certificates
             if c.function not in prelude_names
         ]
     return full

@@ -11,8 +11,9 @@ stable error code, a severity, and (wherever the parser recorded one) a
 * ``SAC3xx`` — parallel-execution race analysis
   (:mod:`repro.sac.analysis.races`),
 * ``SAC4xx`` — lints (:mod:`repro.sac.analysis.lint`),
-* ``SAC5xx`` — memory effects, aliasing and reuse certification
-  (:mod:`repro.sac.analysis.reuse`).
+* ``SAC502`` — with-loop folding's refusals, the verdict of
+  :func:`repro.sac.optim.wlfold.refusals` (issued by
+  :mod:`repro.sac.analysis.driver`).
 
 Three emitters render a diagnostic list: plain text (one finding per
 line, ``file:line:col: severity: CODE message``), JSON, and SARIF 2.1.0
@@ -110,11 +111,10 @@ CODE_CATALOGUE: dict[str, tuple[Severity, str]] = {
     "SAC405": (Severity.WARNING,
                "WITH-loop body reads the array the loop's result "
                "rebinds at a non-identity index"),
-    # -- SAC5xx: memory effects, aliasing & reuse -------------------------
+    # -- SAC502: with-loop folding ---------------------------------------
     "SAC502": (Severity.WARNING,
                "with-loop folding cannot split a reader along its "
                "producer's partition"),
-    "SAC510": (Severity.NOTE, "reuse opportunity certified"),
 }
 
 

@@ -4,9 +4,9 @@
 :func:`repro.core.stencils.relax_variable` to floating-point tolerance
 on rank-3 grids, (b) run unchanged on rank-2 grids (the paper's
 rank-polymorphism claim), and (c) come out of the static analyzer
-SPMD-certified with *no* memory-effects or reuse findings — a
-regression net for spurious SAC4xx/SAC5xx diagnostics on the
-coefficient-field access pattern.
+SPMD-certified with *no* lint or fusion findings — a regression net
+for spurious SAC4xx/SAC502 diagnostics on the coefficient-field access
+pattern.
 """
 
 from functools import lru_cache
@@ -87,10 +87,10 @@ class TestAnalysisGate:
 
     def test_no_spurious_memory_effect_findings(self):
         """The per-point coefficient-vector construction must not trip
-        the SAC4xx (memory-effects/alias) or SAC5xx (reuse) passes."""
+        the SAC4xx dataflow lints or with-loop folding's SAC502."""
         report = load_varrelax_program().analysis_report
         assert report is not None
         codes = [w.code for w in report.warnings]
         spurious = [c for c in codes
-                    if c.startswith("SAC4") or c.startswith("SAC5")]
+                    if c.startswith("SAC4") or c == "SAC502"]
         assert spurious == [], f"spurious findings: {spurious}"

@@ -93,9 +93,9 @@ class TestFindings:
     def test_certificates_flag(self):
         proc = run_cli(str(SRC / "repro" / "mg_sac" / "mg.sac"),
                        "--certificates")
-        assert "SPMD-safe" in proc.stdout
-        # The reuse certificates print after the SPMD block.
-        assert "may reuse buffer of 'lo'" in proc.stdout
+        summary, blank, *certs = proc.stdout.splitlines()
+        assert summary == "0 error(s), 0 warning(s)" and blank == ""
+        assert certs and all(c.endswith(": SPMD-safe") for c in certs)
 
     def test_missing_file_exit_2(self):
         proc = run_cli("no/such/file.sac")
@@ -124,11 +124,26 @@ class TestCodeFilters:
         proc = run_cli(str(overlap_file), "--select", "SAC4")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_select_sac5_on_mg(self):
+    def test_select_sac5_on_mg(self, tmp_path):
+        # mg.sac has no SAC5 findings; on a pair with-loop folding
+        # refuses, --select SAC5 keeps SAC502 and drops the lint.
         proc = run_cli(str(SRC / "repro" / "mg_sac" / "mg.sac"),
                        "--select", "SAC5")
         assert proc.returncode == 0
-        assert "SAC510" in proc.stdout
+        assert "SAC" not in proc.stdout
+        refused = tmp_path / "refused.sac"
+        refused.write_text(
+            "double[+] f(double[+] a) {\n"
+            "  unused = 1;\n"
+            "  t = with ([1] <= iv < shape(a) - 1) genarray(shape(a), a[iv]);\n"
+            "  s = with ([1] <= iv < shape(a) - 1)\n"
+            "      modarray(a, t[iv - 1] + t[iv + 1]);\n"
+            "  return s;\n"
+            "}\n")
+        assert "SAC401" in run_cli(str(refused)).stdout
+        proc = run_cli(str(refused), "--select", "SAC5")
+        assert proc.returncode == 0
+        assert "SAC502" in proc.stdout and "SAC401" not in proc.stdout
 
     def test_unknown_prefix_exit_2(self, overlap_file):
         proc = run_cli(str(overlap_file), "--select", "BOGUS")
@@ -150,12 +165,6 @@ class TestCodeFilters:
         assert proc.returncode == 0
         sarif = json.loads(proc.stdout)
         assert sarif["runs"][0]["results"]
-
-    def test_no_reuse_flag(self):
-        proc = run_cli(str(SRC / "repro" / "mg_sac" / "mg.sac"),
-                       "--no-reuse")
-        assert proc.returncode == 0
-        assert "SAC510" not in proc.stdout
 
 
 class TestTypecheckMigration:

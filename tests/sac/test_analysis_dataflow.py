@@ -5,7 +5,6 @@ from repro.sac.analysis import (
     build_cfg,
     def_use_chains,
     free_vars,
-    live_variables,
     must_defined,
     reaching_definitions,
 )
@@ -93,12 +92,6 @@ class TestDataflow:
         solved = must_defined(cfg)
         assert "x" not in solved[cfg.exit][0]
         assert "b" in solved[cfg.exit][0]
-
-    def test_liveness_param_live_at_entry(self):
-        cfg = build_cfg(fun("int f(int x) { y = x; return y; }"))
-        solved = live_variables(cfg)
-        # backward analysis: index 1 of the entry block is live-in.
-        assert "x" in solved[cfg.entry][1] or "x" in solved[cfg.entry][0]
 
     def test_def_use_chain_loop_carried(self):
         cfg = build_cfg(fun(

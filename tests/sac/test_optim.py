@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.sac import CompileOptions, SacProgram
+from repro.sac.analysis import analyze_source
 from repro.sac.ast_nodes import (
     Assign,
     BinOp,
@@ -477,6 +478,123 @@ class TestWlfold:
         ]
         assert assigns == ["r"]
         opt_and_run(src, "f", np.arange(4.0))
+
+
+#: (what, producer, reader, folded) over ``f(double[.] a, double[.] g,
+#: int k)``: every way a reader meets a several-piece producer, and
+#: whether with-loop folding splits it.
+_PAIRS = [
+    ("one offset into a partial genarray",
+     "with ([1] <= iv < shape(a)-1) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv - 1])", True),
+    ("two offsets into a partial genarray",
+     "with ([1] <= iv < shape(a)-1) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv - 1] + t[iv + 1])",
+     False),
+    ("a strided read of a partial modarray",
+     "with ([1] <= iv < shape(a)-1) modarray(a, 2.0 * a[iv])",
+     "with ([0] <= iv < shape(a)/2) genarray(shape(a)/2, t[2 * iv])", True),
+    ("literal offsets into a stepped genarray",
+     "with (. <= iv <= . step 2) genarray(shape(a), 2.0 * a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv + [-1]] + t[iv + [1]])",
+     True),
+    ("a width",
+     "with ([0] <= iv < shape(a)-1 step 3 width 2) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv - 1])", False),
+    ("a step that is no literal",
+     "with (. <= iv <= . step [k]) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv + [-1]])", False),
+    ("a stride into a stepped producer",
+     "with (. <= iv <= . step 2) genarray(shape(a), a[iv])",
+     "with ([0] <= iv < shape(a)/2) modarray(g, t[2 * iv])", False),
+    ("a stepped producer on part of the range",
+     "with ([2] <= iv < shape(a) step 2) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv + [-1]])", False),
+    ("no vector to take the rank from",
+     "with (. <= iv <= . step 2) genarray(shape(a), a[iv])",
+     "with (0*shape(a)+1 <= iv < shape(a)-1) modarray(g, t[iv-1] + t[iv+1])",
+     False),
+    ("a live stepped producer with a bare selection for a body",
+     "with (. <= iv <= . step 2) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(t, t[iv + [-1]] + t[iv + [1]])",
+     True),
+    ("a live stepped producer with an arithmetic body",
+     "with (. <= iv <= . step 2) genarray(shape(a), 2.0 * a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(t, t[iv + [-1]] + t[iv + [1]])",
+     False),
+    ("an exclusive '.' bound on the producer",
+     "with (. < iv <= .) modarray(a, 2.0 * a[iv])",
+     "with ([0] <= iv < shape(a)) modarray(g, t[iv])", False),
+    ("an exclusive '.' bound on a stepped producer",
+     "with (. < iv <= . step 2) genarray(shape(a), a[iv])",
+     "with ([1] <= iv < shape(a)-1) modarray(g, t[iv + [-1]] + t[iv + [1]])",
+     False),
+    ("an exclusive '.' bound on the reader",
+     "with (. <= iv <= . step 2) genarray(shape(a), a[iv])",
+     "with (. < iv < .) modarray(g, t[iv + [-1]] + t[iv + [1]])", False),
+    ("a fold over a partial producer",
+     "with ([1] <= iv < shape(a)-1) genarray(shape(a), a[iv])",
+     "with ([0] <= iv < shape(a)) fold(+, 0.0, t[iv])", False),
+]
+
+
+class TestPartitionDependence:
+    """SAC502 is with-loop folding's own refusal, issued by the analyzer:
+    a pair is warned about exactly when the pass leaves it unfolded."""
+
+    @staticmethod
+    def _sac502(src):
+        return [d.message for d in analyze_source(src).diagnostics
+                if d.code == "SAC502"]
+
+    def test_warned_exactly_when_left_unfolded(self):
+        for what, producer, reader, folded in _PAIRS:
+            ret = "double" if " fold(" in reader else "double[.]"
+            src = (f"{ret} f(double[.] a, double[.] g, int k) {{\n"
+                   f"  t = {producer};\n  s = {reader};\n  return s;\n}}")
+            prog = parse_program(src)
+            changed = ast_key(wlfold_pass(prog)) != ast_key(prog)
+            assert changed == folded, what
+            assert bool(self._sac502(src)) == (not folded), what
+
+    def test_in_place_update_is_no_fusion_candidate(self):
+        # mg.sac's SetupAxis: ``hi`` updates ``lo`` in place, so ``lo``
+        # stays live whatever is folded — neither split nor warned about.
+        src = """
+        double[.] f(double[.] a) {
+            lo = with ([0] <= iv < [1]) modarray(a, a[iv + 3]);
+            hi = with ([4] <= iv < [5]) modarray(lo, lo[iv - 3]);
+            return hi;
+        }
+        """
+        assert self._sac502(src) == []
+
+    def test_offset_read_of_partial_producer_warns(self):
+        # At two offsets, that is: one index is folded (rule A) and no
+        # longer warned about.
+        src = """
+        double[+] f(double[+] a) {
+            t = with ([1] <= iv < shape(a) - 1)
+                genarray(shape(a), a[iv]);
+            s = with ([1] <= iv < shape(a) - 1)
+                modarray(a, t[iv - 1] + t[iv + 1]);
+            return s;
+        }
+        """
+        (message,) = self._sac502(src)
+        assert "'t'" in message and "more than one index" in message
+
+    def test_point_read_of_partial_producer_is_fine(self):
+        src = """
+        double[+] f(double[+] a) {
+            t = with ([1] <= iv < shape(a) - 1)
+                genarray(shape(a), a[iv]);
+            s = with ([1] <= iv < shape(a) - 1)
+                modarray(a, t[iv]);
+            return s;
+        }
+        """
+        assert self._sac502(src) == []
 
 
 class TestDce:

@@ -10,7 +10,7 @@ needs a few minutes and ~1.5 GB.
 import sys
 import time
 
-from repro.core import get_class, solve
+from repro.core import get_class, norm2u3, solve, zran3
 
 
 def main() -> int:
@@ -19,14 +19,16 @@ def main() -> int:
     print(f"NAS MG class {sc.name}: {sc.nx}^3 grid, {sc.nit} V-cycle "
           f"iterations, {sc.lt} levels")
 
+    v = zran3(sc.nx)  # the right-hand side is set-up, as in NPB
+    norms = []
     t0 = time.perf_counter()
-    result = solve(sc, keep_history=True)
+    result = solve(sc, v=v, on_iteration=lambda it, rnm2: norms.append(rnm2))
     dt = time.perf_counter() - t0
 
-    print(f"\nresidual L2 norm per iteration:")
-    for i, rnm2 in enumerate(result.history):
-        tag = "initial" if i == 0 else f"iter {i}"
-        print(f"  {tag:>8}: {rnm2:.6e}")
+    print("\nresidual L2 norm per iteration:")
+    print(f"  {'initial':>8}: {norm2u3(v)[0]:.6e}")  # r = v - A 0
+    for i, rnm2 in enumerate(norms, 1):
+        print(f"  {f'iter {i}':>8}: {rnm2:.6e}")
 
     print(f"\nfinal rnm2  = {result.rnm2:.12e}")
     if sc.verify_value is not None:

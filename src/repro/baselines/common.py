@@ -31,13 +31,13 @@ class MGImplementation:
     kernels: MGKernels
 
     def solve(self, size_class: str | SizeClass, nit: int | None = None, *,
-              v: np.ndarray | None = None, collect_trace: bool = False,
-              keep_history: bool = False) -> MGResult:
+              v: np.ndarray | None = None) -> MGResult:
         """Run the benchmark's timed section on the right-hand side
         ``v`` (``None``: built here with ``zran3``, which is set-up —
-        see :func:`repro.core.mg.checked_rhs`)."""
-        return run(self.kernels, size_class, nit, v=v,
-                   collect_trace=collect_trace, keep_history=keep_history)
+        see :func:`repro.core.mg.checked_rhs`).  To observe a style's
+        solve, pass its :attr:`kernels` to :func:`repro.core.mg.run`
+        with ``monitor=``/``on_iteration=``."""
+        return run(self.kernels, size_class, nit, v=v)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

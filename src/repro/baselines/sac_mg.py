@@ -19,11 +19,7 @@ class SacMG(MGImplementation):
     name = "sac"
     label = "SAC (generated mg.sac)"
 
-    def solve(self, size_class, nit=None, *, v=None, collect_trace=False,
-              keep_history=False):
-        if collect_trace or keep_history:
-            raise ValueError("the generated mg.sac records no trace and "
-                             "no residual history")
+    def solve(self, size_class, nit=None, *, v=None):
         from repro.mg_sac.loader import solve_generated_mg
 
         return solve_generated_mg(size_class, nit, v=v)

@@ -10,7 +10,16 @@ from .grid import (
     setup_periodic_border,
     zero3,
 )
-from .mg import MGResult, interp_add, mg3P, psinv, resid, rprj3, solve
+from .mg import (
+    MGResult,
+    interp_add,
+    mg3P,
+    psinv,
+    resid,
+    rprj3,
+    solve,
+    synthesize_mg_trace,
+)
 from .norms import norm2u3
 from .randlc import RandlcState, power_mod, randlc, vranlc
 from .stencils import (
@@ -21,12 +30,9 @@ from .stencils import (
     S_COEFFS_B,
     STENCILS,
     op_counts,
-    relax_buffered,
-    relax_grouped,
     relax_naive,
     relax_variable,
 )
-from .trace import Trace, TraceOp, synthesize_mg_trace
 from .zran3 import fill_random_grid, zran3
 
 __all__ = [
@@ -59,12 +65,8 @@ __all__ = [
     "S_COEFFS_B",
     "STENCILS",
     "op_counts",
-    "relax_buffered",
-    "relax_grouped",
     "relax_naive",
     "relax_variable",
-    "Trace",
-    "TraceOp",
     "synthesize_mg_trace",
     "fill_random_grid",
     "zran3",

@@ -34,8 +34,8 @@ Two things are written here once and nowhere else:
   coarsest grid, interpolate / residual / smooth back up),
   :func:`vcycle` and the benchmark loop :func:`run`, written over an
   :class:`MGKernels` table.  Serial, the comparison styles, threaded and
-  SPMD are tables; workspace, halo refresh, timing and tracing are
-  bound when a table is built, not threaded through the schedule.
+  SPMD are tables; workspace, halo refresh and timing are bound when a
+  table is built, not threaded through the schedule.
 
 The class vectors are NPB's (:mod:`repro.core.stencils`), the ghost
 contract periodic; the solver-family members of :mod:`repro.pde` run on
@@ -45,7 +45,7 @@ their own cell-centred solver and pass nothing in here.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import prod
 from typing import Callable
@@ -57,7 +57,6 @@ from .grid import comm3, make_grid
 from .norms import norm2u3
 from .stencils import (A_COEFFS, P_COEFFS, Q_COEFFS, S_COEFFS_A, S_COEFFS_B,
                        _scratch)
-from .trace import Trace
 from .zran3 import zran3
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "MGKernels",
     "numpy_kernels",
     "timed_kernels",
-    "traced_kernels",
     "correction",
     "vcycle",
     "mg3P",
@@ -83,6 +81,7 @@ __all__ = [
     "checked_rhs",
     "run",
     "solve",
+    "synthesize_mg_trace",
 ]
 
 
@@ -612,11 +611,6 @@ def numpy_kernels(ws=None) -> MGKernels:
     )
 
 
-def _level(grid: np.ndarray) -> int:
-    """Multigrid level of a grid or z-slab, from its x extent."""
-    return (grid.shape[1] - 2).bit_length() - 1
-
-
 def timed_kernels(kernels: MGKernels, monitor) -> MGKernels:
     """Wrap a table so each operator call books its wall time on
     ``monitor.add(section, seconds)``."""
@@ -634,27 +628,6 @@ def timed_kernels(kernels: MGKernels, monitor) -> MGKernels:
                    psinv=wrap("psinv", kernels.psinv),
                    rprj3=wrap("rprj3", kernels.rprj3),
                    interp_add=wrap("interp", kernels.interp_add))
-
-
-def traced_kernels(kernels: MGKernels, trace: Trace) -> MGKernels:
-    """Wrap a table so each call records its op (and the border exchange
-    it ends with) at the level and point count of its result grid."""
-    def wrap(kind: str, fn, ghosts: bool = True):
-        def traced(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            level = _level(out)
-            trace.record(kind, level, (1 << level) ** 3)
-            if ghosts:
-                trace.record("comm3", level, (1 << level) ** 3)
-            return out
-        return traced
-
-    return replace(kernels,
-                   resid=wrap("resid", kernels.resid),
-                   psinv=wrap("psinv", kernels.psinv),
-                   rprj3=wrap("rprj3", kernels.rprj3),
-                   interp_add=wrap("interp", kernels.interp_add, False),
-                   zeros=wrap("zero3", kernels.zeros, False))
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +692,6 @@ class MGResult:
     u: np.ndarray
     #: Final residual grid (extended).
     r: np.ndarray
-    #: Operation trace (populated when requested).
-    trace: Trace | None = None
-    #: Residual norm after the initial ``r = v`` residual and per iteration.
-    history: list[float] = field(default_factory=list)
 
     @property
     def verified(self) -> bool:
@@ -752,7 +721,6 @@ def checked_rhs(sc: SizeClass, v: np.ndarray) -> np.ndarray:
 
 def run(kernels: MGKernels, size_class: str | SizeClass,
         nit: int | None = None, *, v: np.ndarray | None = None,
-        collect_trace: bool = False, keep_history: bool = False,
         on_iteration=None, monitor=None) -> MGResult:
     """The timed section of NPB ``mg.f`` over a kernel table: ``u = 0``,
     ``r = v - A u``; then ``nit`` times (V-cycle; top-level residual);
@@ -772,36 +740,23 @@ def run(kernels: MGKernels, size_class: str | SizeClass,
     a = A_COEFFS
     c = S_COEFFS_A if sc.smoother == "a" else S_COEFFS_B
     lt = sc.lt
-    trace = Trace() if collect_trace else None
-    if trace is not None:
-        kernels = traced_kernels(kernels, trace)
     if monitor is not None:
         kernels = timed_kernels(kernels, monitor)
 
     u = make_grid(sc.nx)
     v = zran3(sc.nx) if v is None else checked_rhs(sc, v)
     r = {lt: kernels.resid(u, v, a)}
-    history: list[float] = []
-    if keep_history:
-        history.append(norm2u3(r[lt])[0])
     for it in range(iters):
         vcycle(kernels, u, v, r, a, c, lt)
         r[lt] = kernels.resid(u, v, a, out=r[lt])
-        if keep_history or on_iteration is not None:
-            rnm2_it = norm2u3(r[lt])[0]
-            if keep_history:
-                history.append(rnm2_it)
-            if on_iteration is not None:
-                on_iteration(it, rnm2_it)
+        if on_iteration is not None:
+            on_iteration(it, norm2u3(r[lt])[0])
     rnm2, rnmu = norm2u3(r[lt])
-    if trace is not None:
-        trace.record("norm2u3", lt, sc.nx ** 3)
-    return MGResult(sc, rnm2, rnmu, u, r[lt], trace, history)
+    return MGResult(sc, rnm2, rnmu, u, r[lt])
 
 
 def solve(size_class: str | SizeClass, nit: int | None = None, *,
-          v: np.ndarray | None = None, collect_trace: bool = False,
-          keep_history: bool = False, on_iteration=None, ws=None,
+          v: np.ndarray | None = None, on_iteration=None, ws=None,
           monitor=None) -> MGResult:
     """Run the full NAS MG benchmark for a size class (see :func:`run`;
     ``v`` as there).
@@ -813,5 +768,47 @@ def solve(size_class: str | SizeClass, nit: int | None = None, *,
     references a pool buffer (copy it before reusing the workspace).
     """
     return run(numpy_kernels(ws), size_class, nit, v=v,
-               collect_trace=collect_trace, keep_history=keep_history,
                on_iteration=on_iteration, monitor=monitor)
+
+
+def synthesize_mg_trace(nx: int, nit: int) -> list[tuple[str, int]]:
+    """The exact ``(kind, level)`` sequence MG(nx, nit) executes, without
+    running it (level 1 is the coarsest).
+
+    Mirrors :func:`run`: initial residual, then per iteration a V-cycle
+    (down-projections, coarsest smooth, up-interpolate/residual/smooth)
+    and a top residual, with the border exchange (``comm3``) that ends
+    each ``resid``, ``psinv`` and ``rprj3`` and the clear (``zero3``) of
+    each correction grid; finally the ``norm2u3`` reduction.  The
+    schedule tests hold every solve mode against this independent
+    spelling of the schedule; count it with :class:`collections.Counter`.
+    """
+    lt = nx.bit_length() - 1
+    if (1 << lt) != nx:
+        raise ValueError(f"nx must be a power of two, got {nx}")
+    lb = 1
+    ops: list[tuple[str, int]] = []
+
+    def stencil(kind: str, k: int) -> None:
+        ops.extend(((kind, k), ("comm3", k)))
+
+    stencil("resid", lt)  # r = v - A u, u = 0
+    for _ in range(nit):
+        # Down cycle.
+        for k in range(lt, lb, -1):
+            stencil("rprj3", k - 1)
+        # Coarsest grid.
+        ops.append(("zero3", lb))
+        stencil("psinv", lb)
+        # Up cycle.
+        for k in range(lb + 1, lt):
+            ops.extend((("zero3", k), ("interp", k)))
+            stencil("resid", k)
+            stencil("psinv", k)
+        ops.append(("interp", lt))
+        stencil("resid", lt)
+        stencil("psinv", lt)
+        # Top-of-iteration residual.
+        stencil("resid", lt)
+    ops.append(("norm2u3", lt))
+    return ops

@@ -12,24 +12,22 @@ c3)``:
 * ``P``  — full-weighting projection, ``(1/2, 1/4, 1/8, 1/16)``
 * ``Q``  — trilinear interpolation, ``(1, 1/2, 1/4, 1/8)``
 
-This module provides a *generic* dense relaxation kernel (apply a
+This module provides the *generic* dense relaxation kernel (apply a
 coefficient-class stencil to every interior point of an extended grid)
-in three arithmetic formulations whose results are identical but whose
-operation counts differ — the distinction at the heart of the paper's §5
-performance analysis:
+once, in its naive form — 27 multiplies + 26 adds per point,
+:func:`relax_naive` — as the oracle the solvers are tested against, and
+:func:`relax_variable`, its per-point-coefficient twin.  The paper's §5
+argues with two cheaper arithmetic forms of the same sum, and both run
+where they matter rather than here: the *coefficient-grouped* form (one
+multiply per distance class) is what the SAC compiler's ``coeffgroup``
+pass makes of ``mg.sac``, and the *buffered* form (grouped multiplies
+plus the ``u1``/``u2`` partial plane sums shared between neighbouring
+result points, 12–20 adds) is :mod:`repro.core.mg`'s ``resid``/``psinv``
+bodies and the C style's plane loops.  :func:`op_counts` reports the
+per-point multiply/add counts of all three forms for each operator,
+regenerating the §5 arithmetic claims.
 
-* :func:`relax_naive`      — 27 multiplies + 26 adds per point,
-* :func:`relax_grouped`    — 4 multiplies per point (group equal
-  coefficients, then one multiply per class),
-* :func:`relax_buffered`   — the Fortran/C hand optimization: grouped
-  multiplies *plus* auxiliary buffers sharing partial plane sums between
-  neighbouring result points, cutting adds to 12–20 depending on which
-  coefficients vanish.
-
-:func:`op_counts` reports the per-point multiply/add counts of each
-formulation for each operator, regenerating the §5 arithmetic claims.
-
-All three kernels share one ``out=`` contract: the interior holds the
+Both kernels share one ``out=`` contract: the interior holds the
 stencil result and the ghost shell is zero — *also* when a
 caller-supplied ``out`` buffer with stale ghost values is reused (the
 ghost shell is explicitly cleared), and ``out`` must not alias ``u``
@@ -40,7 +38,7 @@ forms into scratch buffers — pass a
 :class:`~repro.perf.workspace.Workspace` as ``ws`` to reuse the scratch
 across calls and run allocation-free; the arithmetic order is identical
 either way, so results are bit-identical to the original
-``acc = acc + c * (...)`` formulation.
+``acc = acc + w * (...)`` formulation.
 """
 
 from __future__ import annotations
@@ -61,8 +59,6 @@ __all__ = [
     "offsets_by_class",
     "stencil_weights_27",
     "relax_naive",
-    "relax_grouped",
-    "relax_buffered",
     "relax_variable",
     "OpCount",
     "op_counts",
@@ -208,94 +204,6 @@ def relax_naive(u: np.ndarray, c, out: np.ndarray | None = None, *,
     return out
 
 
-def relax_grouped(u: np.ndarray, c, out: np.ndarray | None = None, *,
-                  ws=None) -> np.ndarray:
-    """Apply the stencil with coefficient grouping (4 multiplies).
-
-    Sums each distance class first, then multiplies once per class and
-    skips classes with zero coefficient — the optimization all three of
-    the paper's implementations share.
-    """
-    c = tuple(float(x) for x in c)
-    out = _prepare_out("relax_grouped", u, out, ws)
-    m = tuple(n - 2 for n in u.shape)
-    acc = _scratch(ws, "relax.acc", m)
-    group = _scratch(ws, "relax.group", m)
-    tmp = _scratch(ws, "relax.tmp", m)
-    acc.fill(0.0)
-    for cls, offs in enumerate(offsets_by_class()):
-        if c[cls] == 0.0:
-            continue
-        group.fill(0.0)
-        for o in offs:
-            np.add(group, _shift(u, *o), out=group)
-        np.multiply(group, c[cls], out=tmp)
-        np.add(acc, tmp, out=acc)
-    out[1:-1, 1:-1, 1:-1] = acc
-    return out
-
-
-def relax_buffered(u: np.ndarray, c, out: np.ndarray | None = None, *,
-                   ws=None) -> np.ndarray:
-    """Apply the stencil with the Fortran-77 shared-buffer optimization.
-
-    Precomputes the two plane sums NPB calls ``u1``/``u2`` over the full
-    x extent::
-
-        t1(i1) = u(i1, i2-1, i3) + u(i1, i2+1, i3)
-               + u(i1, i2, i3-1) + u(i1, i2, i3+1)
-        t2(i1) = u(i1, i2-1, i3-1) + u(i1, i2+1, i3-1)
-               + u(i1, i2-1, i3+1) + u(i1, i2+1, i3+1)
-
-    and then combines center/shifted slices of them, re-using each ``t``
-    value for three neighbouring result points.  This is the structure
-    that brings the per-point additions down to 12–20 (paper §5).
-    """
-    c = tuple(float(x) for x in c)
-    out = _prepare_out("relax_buffered", u, out, ws)
-    C = slice(1, -1)  # interior along an axis
-    M = slice(0, -2)  # shifted -1
-    P = slice(2, None)  # shifted +1
-
-    n3, n2, n1 = u.shape
-    m = (n3 - 2, n2 - 2, n1 - 2)
-    t_shape = (n3 - 2, n2 - 2, n1)
-    acc = _scratch(ws, "relax.acc", m)
-    tmp = _scratch(ws, "relax.tmp", m)
-
-    # Full-x-extent plane sums at interior (i3, i2), built left to right
-    # exactly as the original a + b + c + d expression associates.
-    t1 = _scratch(ws, "relax.t1", t_shape)
-    t2 = _scratch(ws, "relax.t2", t_shape)
-    np.add(u[M, C, :], u[P, C, :], out=t1)
-    np.add(t1, u[C, M, :], out=t1)
-    np.add(t1, u[C, P, :], out=t1)
-    np.add(u[M, M, :], u[M, P, :], out=t2)
-    np.add(t2, u[P, M, :], out=t2)
-    np.add(t2, u[P, P, :], out=t2)
-
-    if c[0] != 0.0:
-        np.multiply(u[C, C, C], c[0], out=acc)
-    else:
-        acc.fill(0.0)
-    if c[1] != 0.0:
-        np.add(u[C, C, M], u[C, C, P], out=tmp)
-        np.add(tmp, t1[:, :, C], out=tmp)
-        np.multiply(tmp, c[1], out=tmp)
-        np.add(acc, tmp, out=acc)
-    if c[2] != 0.0:
-        np.add(t2[:, :, C], t1[:, :, M], out=tmp)
-        np.add(tmp, t1[:, :, P], out=tmp)
-        np.multiply(tmp, c[2], out=tmp)
-        np.add(acc, tmp, out=acc)
-    if c[3] != 0.0:
-        np.add(t2[:, :, M], t2[:, :, P], out=tmp)
-        np.multiply(tmp, c[3], out=tmp)
-        np.add(acc, tmp, out=acc)
-    out[1:-1, 1:-1, 1:-1] = acc
-    return out
-
-
 def relax_variable(u: np.ndarray, cfields, out: np.ndarray | None = None,
                    *, ws=None) -> np.ndarray:
     """Apply a *variable-coefficient* class stencil (per-point 4-vector).
@@ -309,7 +217,7 @@ def relax_variable(u: np.ndarray, cfields, out: np.ndarray | None = None,
     This is the isotropic variable-coefficient member of the stencil
     taxonomy (``StencilSpec(kind="variable")``) and the exact numpy twin
     of the SAC ``VarRelaxKernel`` WITH-loop.  Same ghost/``out=``/``ws``
-    contract as the constant-coefficient kernels.
+    contract as :func:`relax_naive`.
     """
     cfields = tuple(np.asarray(cf) for cf in cfields)
     if len(cfields) != 4:

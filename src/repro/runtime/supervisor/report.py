@@ -65,15 +65,10 @@ class SolveReport:
     outcome: str = "failed"
     attempts: list[AttemptRecord] = field(default_factory=list)
     demotions: list[DemotionRecord] = field(default_factory=list)
-    watchdog_verdicts: list[str] = field(default_factory=list)
     #: Elastic heals performed across all attempts, as
     #: :class:`~repro.runtime.supervisor.elastic.HealRecord` instances
     #: (in-place rank replacements that kept the world at full width).
     heals: list = field(default_factory=list)
-    #: Retries-from-checkpoint performed (same-rung re-attempts).
-    retries: int = 0
-    #: Attempts that restarted from a complete checkpoint snapshot.
-    checkpoints_used: int = 0
     #: The rung that produced the returned result, if any.
     solved_by: str | None = None
     rnm2: float | None = None
@@ -82,6 +77,23 @@ class SolveReport:
     wall_time: float = 0.0
     #: Last error when ``outcome == "failed"``.
     failure: str | None = None
+
+    @property
+    def retries(self) -> int:
+        """Same-rung re-attempts performed."""
+        return sum(rec.outcome == "retry" for rec in self.attempts)
+
+    @property
+    def checkpoints_used(self) -> int:
+        """Attempts that restarted from a complete checkpoint snapshot."""
+        return sum(rec.restarted_from is not None for rec in self.attempts)
+
+    @property
+    def watchdog_verdicts(self) -> list[str]:
+        """The watchdog verdict of each attempt that died numerically
+        sick, in attempt order."""
+        return [rec.watchdog for rec in self.attempts
+                if rec.watchdog is not None]
 
     @property
     def rungs_tried(self) -> list[str]:

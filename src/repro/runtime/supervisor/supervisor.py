@@ -326,8 +326,6 @@ class SupervisedSolver:
                         restart_from = None
             rec = AttemptRecord(rung=rung.describe(), attempt=attempt,
                                 restarted_from=restart_from)
-            if restart_from is not None:
-                report.checkpoints_used += 1
             t0 = self._clock()
             try:
                 result = self._run_rung(rung, sc, nit, v, policy, store,
@@ -351,7 +349,6 @@ class SupervisedSolver:
                     rec.outcome = "demote"
                     rec.watchdog = verdict.verdict
                     report.attempts.append(rec)
-                    report.watchdog_verdicts.append(verdict.verdict)
                     rollback = store.latest()
                     where = (f"; rolled back to checkpoint {rollback}"
                              if rollback is not None else "")
@@ -399,7 +396,6 @@ class SupervisedSolver:
                 rec.outcome = "retry"
                 rec.backoff = pause
                 report.attempts.append(rec)
-                report.retries += 1
                 if pause > 0:
                     self._sleep(pause)
                 continue

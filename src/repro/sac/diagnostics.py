@@ -44,15 +44,14 @@ __all__ = [
 
 
 class Severity(Enum):
-    """Finding severity, ordered: note < warning < error."""
+    """Finding severity, ordered: warning < error."""
 
-    NOTE = "note"
     WARNING = "warning"
     ERROR = "error"
 
     @property
     def rank(self) -> int:
-        return {"note": 0, "warning": 1, "error": 2}[self.value]
+        return {"warning": 1, "error": 2}[self.value]
 
     def __ge__(self, other: "Severity") -> bool:
         return self.rank >= other.rank
@@ -131,11 +130,9 @@ class Diagnostic:
 
     @staticmethod
     def make(code: str, message: str, pos: SourcePos | None = None,
-             function: str | None = None,
-             severity: Severity | None = None) -> "Diagnostic":
-        """Build a diagnostic, defaulting severity from the catalogue."""
-        if severity is None:
-            severity = CODE_CATALOGUE.get(code, (Severity.ERROR, ""))[0]
+             function: str | None = None) -> "Diagnostic":
+        """Build a diagnostic with its catalogue severity."""
+        severity = CODE_CATALOGUE.get(code, (Severity.ERROR, ""))[0]
         return Diagnostic(code, message, pos, severity, function)
 
     def __str__(self) -> str:
@@ -184,8 +181,7 @@ def render_json(diags) -> str:
     return json.dumps(payload, indent=2)
 
 
-_SARIF_LEVEL = {Severity.ERROR: "error", Severity.WARNING: "warning",
-                Severity.NOTE: "note"}
+_SARIF_LEVEL = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 
 def render_sarif(diags, tool_name: str = "repro-sac-analysis",

@@ -23,6 +23,7 @@ from repro.core import (
     comm3,
     interp_add,
     make_grid,
+    norm2u3,
     psinv,
     resid,
     rprj3,
@@ -30,6 +31,8 @@ from repro.core import (
     solve,
     zran3,
 )
+from repro.core.mg import run
+from repro.core.timers import SectionTimers
 from repro.mg_sac import load_mg_program, solve_generated_mg, solve_sac_mg
 from repro.sac import compile_function
 
@@ -151,9 +154,12 @@ class TestFullRuns:
         assert res.verified, (name, res.rnm2)
 
     def test_histories_match(self):
-        # The generated mg.sac reports no history: its norm after k
-        # iterations is the run with nit = k.
-        hf = FortranMG().solve("T", keep_history=True).history
+        # The generated mg.sac reports no trajectory: its norm after k
+        # iterations is the run with nit = k (k = 0: r = v).
+        v = zran3(get_class("T").nx)
+        hf = [norm2u3(v)[0]]
+        run(FortranMG.kernels, "T", v=v,
+            on_iteration=lambda it, rnm2: hf.append(rnm2))
         hs = [solve_generated_mg("T", k).rnm2 for k in range(len(hf))]
         for a, b in zip(hf, hs):
             assert a == pytest.approx(b, rel=1e-9)
@@ -178,14 +184,9 @@ class TestFullRuns:
             if kind is not None:
                 module[name] = counted(kind, fn)
         module["FinalResidual"](v)  # nit is baked into the entry
-        cf = FortranMG().solve("T", collect_trace=True).trace.counts_by_kind()
-        assert calls == {kind: cf[kind] for kind in kinds.values()}
-
-    @pytest.mark.parametrize("kwargs", [{"collect_trace": True},
-                                        {"keep_history": True}])
-    def test_sac_records_no_trace_or_history(self, kwargs):
-        with pytest.raises(ValueError, match="no trace"):
-            IMPLEMENTATIONS["sac"].solve("T", **kwargs)
+        cf = SectionTimers()
+        run(FortranMG.kernels, "T", v=v, monitor=cf)
+        assert calls == cf.calls
 
     def test_sac_refuses_the_sb_classes(self):
         with pytest.raises(ValueError, match="S\\(a\\) smoother"):

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.grid import comm3, make_grid
 from repro.core.stencils import (
@@ -17,15 +15,23 @@ from repro.core.stencils import (
     offset_class,
     offsets_by_class,
     op_counts,
-    relax_buffered,
-    relax_grouped,
     relax_naive,
+    relax_variable,
     stencil_weights_27,
 )
 
 ALL_COEFFS = [A_COEFFS, S_COEFFS_A, S_COEFFS_B, P_COEFFS, Q_COEFFS]
-ALL_KERNELS = [relax_naive, relax_grouped, relax_buffered]
-KERNEL_IDS = ["naive", "grouped", "buffered"]
+
+
+def _relax_constant_fields(u, c, out=None, *, ws=None):
+    """:func:`relax_variable` with every coefficient field constant."""
+    return relax_variable(u, [np.full(u.shape, x) for x in c], out=out,
+                          ws=ws)
+
+
+#: The kernels of the ``out=`` contract.
+KERNELS = [relax_naive, _relax_constant_fields]
+KERNEL_IDS = ["naive", "variable"]
 
 
 def _random_periodic(m, seed=0):
@@ -68,30 +74,20 @@ class TestCoefficients:
 
 
 class TestRelaxEquivalence:
-    @pytest.mark.parametrize("c", ALL_COEFFS, ids=["A", "Sa", "Sb", "P", "Q"])
-    @pytest.mark.parametrize("m", [2, 4, 8])
-    def test_three_formulations_agree(self, c, m):
-        u = _random_periodic(m, seed=42)
-        rn = relax_naive(u, c)
-        rg = relax_grouped(u, c)
-        rb = relax_buffered(u, c)
-        np.testing.assert_allclose(rg, rn, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(rb, rn, rtol=1e-13, atol=1e-13)
-
     def test_constant_field_eigenvalue(self):
         # A constant field is an eigenvector with eigenvalue sum(weights).
         c = S_COEFFS_A
         total = c[0] + 6 * c[1] + 12 * c[2] + 8 * c[3]
         u = make_grid(4)
         u[...] = 3.0
-        out = relax_buffered(u, c)
+        out = relax_naive(u, c)
         np.testing.assert_allclose(out[1:-1, 1:-1, 1:-1], 3.0 * total, rtol=1e-14)
 
     def test_poisson_annihilates_constants(self):
         # The A operator has zero row sum: -8/3 + 6*0 + 12/6 + 8/12 = 0.
         u = make_grid(4)
         u[...] = 1.0
-        out = relax_buffered(u, A_COEFFS)
+        out = relax_naive(u, A_COEFFS)
         np.testing.assert_allclose(out[1:-1, 1:-1, 1:-1], 0.0, atol=1e-15)
 
     def test_delta_response_is_weight_cube(self):
@@ -110,23 +106,14 @@ class TestRelaxEquivalence:
     def test_linearity(self):
         u1 = _random_periodic(4, seed=1)
         u2 = _random_periodic(4, seed=2)
-        a = relax_grouped(u1 + u2, A_COEFFS)
-        b = relax_grouped(u1, A_COEFFS) + relax_grouped(u2, A_COEFFS)
+        a = relax_naive(u1 + u2, A_COEFFS)
+        b = relax_naive(u1, A_COEFFS) + relax_naive(u2, A_COEFFS)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    @given(seed=st.integers(0, 2 ** 31), m=st.sampled_from([2, 4, 8]))
-    @settings(max_examples=25, deadline=None)
-    def test_grouped_matches_naive_property(self, seed, m):
-        u = _random_periodic(m, seed)
-        np.testing.assert_allclose(
-            relax_grouped(u, A_COEFFS), relax_naive(u, A_COEFFS),
-            rtol=1e-12, atol=1e-12,
-        )
 
     def test_out_parameter_reused(self):
         u = _random_periodic(4)
         out = make_grid(4)
-        ret = relax_buffered(u, A_COEFFS, out=out)
+        ret = relax_naive(u, A_COEFFS, out=out)
         assert ret is out
 
     def test_ghosts_of_result_are_zero(self):
@@ -156,47 +143,10 @@ def _ref_naive(u, c):
     return out
 
 
-def _ref_grouped(u, c):
-    """The original allocating formulation (``acc = acc + c * group``)."""
-    c = tuple(float(x) for x in c)
-    out = np.zeros_like(u)
-    acc = np.zeros(tuple(n - 2 for n in u.shape))
-    for cls, offs in enumerate(offsets_by_class()):
-        if c[cls] == 0.0:
-            continue
-        group = np.zeros_like(acc)
-        for o in offs:
-            group = group + _shift_view(u, *o)
-        acc = acc + c[cls] * group
-    out[1:-1, 1:-1, 1:-1] = acc
-    return out
-
-
-def _ref_buffered(u, c):
-    """The original allocating shared-buffer formulation."""
-    c = tuple(float(x) for x in c)
-    out = np.zeros_like(u)
-    C, M, P = slice(1, -1), slice(0, -2), slice(2, None)
-    t1 = u[M, C, :] + u[P, C, :] + u[C, M, :] + u[C, P, :]
-    t2 = u[M, M, :] + u[M, P, :] + u[P, M, :] + u[P, P, :]
-    if c[0] != 0.0:
-        acc = c[0] * u[C, C, C]
-    else:
-        acc = np.zeros(tuple(n - 2 for n in u.shape))
-    if c[1] != 0.0:
-        acc = acc + c[1] * ((u[C, C, M] + u[C, C, P]) + t1[:, :, C])
-    if c[2] != 0.0:
-        acc = acc + c[2] * ((t2[:, :, C] + t1[:, :, M]) + t1[:, :, P])
-    if c[3] != 0.0:
-        acc = acc + c[3] * (t2[:, :, M] + t2[:, :, P])
-    out[1:-1, 1:-1, 1:-1] = acc
-    return out
-
-
 class TestOutContract:
     """The ``out=`` contract fixes: stale ghosts, aliasing, bit-identity."""
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_stale_out_ghosts_are_zeroed(self, kernel):
         # The documented contract promises a zero ghost shell; a reused
         # out= buffer with stale ghost values used to keep them.
@@ -210,7 +160,7 @@ class TestOutContract:
         assert not out[:, :, 0].any() and not out[:, :, -1].any()
         np.testing.assert_array_equal(out, kernel(u, S_COEFFS_A))
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     @pytest.mark.parametrize("c", list(STENCILS.values()),
                              ids=list(STENCILS))
     def test_out_aliasing_u_raises(self, kernel, c):
@@ -218,7 +168,7 @@ class TestOutContract:
         with pytest.raises(StencilAliasError, match=r"\[MG001\]"):
             kernel(u, c, out=u)
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=KERNEL_IDS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_out_overlapping_view_raises(self, kernel):
         big = np.zeros((8, 8, 8))
         u = big[:6, :6, :6]
@@ -227,11 +177,8 @@ class TestOutContract:
         with pytest.raises(StencilAliasError):
             kernel(u, A_COEFFS, out=overlapping)
 
-    @pytest.mark.parametrize("kernel,ref", [
-        (relax_naive, _ref_naive),
-        (relax_grouped, _ref_grouped),
-        (relax_buffered, _ref_buffered),
-    ], ids=KERNEL_IDS)
+    @pytest.mark.parametrize("kernel,ref", [(relax_naive, _ref_naive)],
+                             ids=["naive"])
     @pytest.mark.parametrize("c", ALL_COEFFS, ids=["A", "Sa", "Sb", "P", "Q"])
     def test_in_place_rewrite_bit_identical(self, kernel, ref, c):
         # The in-place ufunc rewrite must reproduce the original
@@ -245,13 +192,13 @@ class TestOutContract:
 
         ws = Workspace()
         u = _random_periodic(8, seed=9)
-        for kernel in ALL_KERNELS:
+        for kernel in KERNELS:
             plain = kernel(u, S_COEFFS_A)
             pooled = kernel(u, S_COEFFS_A, ws=ws)
             np.testing.assert_array_equal(pooled, plain)
         warm = ws.allocations
         assert warm > 0
-        for kernel in ALL_KERNELS:
+        for kernel in KERNELS:
             kernel(u, A_COEFFS, ws=ws)
         assert ws.allocations == warm  # second round: pure pool hits
         assert ws.hits > 0

@@ -1,44 +1,18 @@
-"""Tests for operation traces."""
+"""Tests for the synthesized NPB MG schedule."""
+
+from collections import Counter
 
 import pytest
 
-from repro.core.trace import Trace, TraceOp, synthesize_mg_trace
+from repro.core.mg import synthesize_mg_trace
 
 
-class TestTraceOp:
-    def test_valid(self):
-        op = TraceOp("resid", 5, 32 ** 3)
-        assert op.kind == "resid"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TraceOp("fft", 1, 8)
-
-    def test_nonpositive_points_rejected(self):
-        with pytest.raises(ValueError):
-            TraceOp("resid", 1, 0)
-
-
-class TestTrace:
-    def test_record_and_len(self):
-        t = Trace()
-        t.record("resid", 3, 8 ** 3)
-        t.record("comm3", 3, 8 ** 3)
-        assert len(t) == 2
-
-    def test_counts_by_kind(self):
-        t = Trace()
-        for _ in range(3):
-            t.record("psinv", 2, 4 ** 3)
-        t.record("norm2u3", 2, 4 ** 3)
-        assert t.counts_by_kind() == {"psinv": 3, "norm2u3": 1}
-
-    def test_points_by_level(self):
-        t = Trace()
-        t.record("resid", 2, 64)
-        t.record("psinv", 2, 64)
-        t.record("resid", 1, 8)
-        assert t.points_by_level() == {2: 128, 1: 8}
+def _points_by_level(ops):
+    """Interior points each level's operations cover."""
+    points: Counter = Counter()
+    for _, level in ops:
+        points[level] += (1 << level) ** 3
+    return points
 
 
 class TestSynthesize:
@@ -49,8 +23,7 @@ class TestSynthesize:
     def test_structure_counts(self):
         nx, nit = 16, 4
         lt = 4
-        t = synthesize_mg_trace(nx, nit)
-        counts = t.counts_by_kind()
+        counts = Counter(kind for kind, _ in synthesize_mg_trace(nx, nit))
         assert counts["rprj3"] == nit * (lt - 1)
         assert counts["interp"] == nit * (lt - 1)
         assert counts["resid"] == 1 + nit * lt  # initial + (lt-1 up) + top + end-of-iter
@@ -58,12 +31,11 @@ class TestSynthesize:
         assert counts["norm2u3"] == 1
 
     def test_work_dominated_by_finest_level(self):
-        t = synthesize_mg_trace(64, 1)
-        pts = t.points_by_level()
+        pts = _points_by_level(synthesize_mg_trace(64, 1))
         top = pts[max(pts)]
         rest = sum(v for k, v in pts.items() if k != max(pts))
         assert top > rest  # geometric decay of V-cycle work
 
     def test_every_level_touched(self):
-        t = synthesize_mg_trace(32, 1)
-        assert set(t.points_by_level()) == {1, 2, 3, 4, 5}
+        assert set(_points_by_level(synthesize_mg_trace(32, 1))) == \
+            {1, 2, 3, 4, 5}

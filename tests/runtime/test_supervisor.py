@@ -282,6 +282,32 @@ class TestSupervisedSolve:
         assert np.all(np.isfinite(res.result.u))
         assert res.verified
 
+    def test_report_counts_are_read_off_the_attempts(self):
+        # retries, checkpoints_used and watchdog_verdicts are the
+        # attempt records counted, for a retried and a watchdog-demoted
+        # solve alike, and the archived report keeps its keys.
+        ladder = (Rung("distributed", workers=4), Rung("serial"))
+        retried = FaultPlan([Fault(FaultKind.CRASH, rank=1, iteration=2,
+                                   scope="plan")])
+        sick = FaultPlan([Fault(FaultKind.CORRUPT, rank=1, iteration=1,
+                                op="interp", magnitude=float("nan"))])
+        pol = SupervisorPolicy(ladder=ladder, retry=FAST_RETRY)
+        reports = [SupervisedSolver(policy=pol, fault_plan=plan)
+                   .solve("S").report for plan in (retried, sick)]
+        assert reports[0].retries >= 1 and reports[1].watchdog_verdicts
+        for rep in reports:
+            attempts = rep.attempts
+            assert rep.retries == sum(a.outcome == "retry" for a in attempts)
+            assert rep.checkpoints_used == sum(
+                a.restarted_from is not None for a in attempts)
+            assert rep.watchdog_verdicts == [a.watchdog for a in attempts
+                                             if a.watchdog is not None]
+            assert set(rep.to_dict()) == {
+                "size_class", "problem", "outcome", "solved_by", "rnm2",
+                "verified", "wall_time", "retries", "checkpoints_used",
+                "rungs_tried", "attempts", "demotions", "heals",
+                "watchdog_verdicts", "failure"}
+
     def test_sac_rung_runs_the_generated_program(self):
         pol = SupervisorPolicy(ladder=(Rung("sac"), Rung("serial")),
                                retry=FAST_RETRY)

@@ -14,7 +14,7 @@ import time
 from repro.baselines import FortranMG
 from repro.mg_sac import load_mg_program, mg_source_path, solve_sac_mg
 from repro.sac.ast_nodes import Call, WithLoop
-from repro.sac.optim.rewrite import walk_exprs
+from repro.sac.ast_visit import walk_exprs
 
 
 def describe(program, names):

@@ -11,7 +11,7 @@ loop over ``i3`` planes with per-plane buffer arrays — the unit at which
 the C code walks its pointer rows — rather than whole-volume slice
 arithmetic.  Per-element expression order is identical to the Fortran
 port, so results are bit-identical; only the execution structure (and
-hence the cost profile the machine model assigns) differs.
+hence the measured cost profile) differs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ __all__ = ["MGKernels", "MGImplementation"]
 class MGImplementation:
     """A named, benchmarkable MG implementation style."""
 
-    #: Short identifier used in reports and the machine model.
+    #: Short identifier: the ``IMPLEMENTATIONS`` key, used in reports.
     name: str = "base"
     #: Human-readable label as the paper prints it.
     label: str = "base"

@@ -18,6 +18,7 @@ Entry points: :func:`analyze_source` / :func:`analyze_file` /
 See ``docs/ANALYSIS.md`` for the error-code catalogue.
 """
 
+from ..ast_visit import free_vars
 from ..diagnostics import (
     CODE_CATALOGUE,
     Diagnostic,
@@ -26,7 +27,7 @@ from ..diagnostics import (
     render_sarif,
     render_text,
 )
-from .cfg import CFG, Action, BasicBlock, build_cfg, free_vars
+from .cfg import CFG, Action, BasicBlock, build_cfg
 from .dataflow import (
     DataflowAnalysis,
     DefSite,

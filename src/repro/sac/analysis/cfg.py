@@ -18,75 +18,20 @@ from dataclasses import dataclass, field
 
 from ..ast_nodes import (
     Assign,
-    BinOp,
     Block,
-    Call,
-    Dot,
     DoWhile,
-    Expr,
     ExprStmt,
-    FoldOp,
     For,
     FunDef,
-    GenarrayOp,
     If,
-    ModarrayOp,
     Node,
     Return,
-    Select,
     Stmt,
-    UnOp,
-    Var,
-    VectorLit,
     While,
-    WithLoop,
 )
+from ..ast_visit import free_vars
 
-__all__ = ["Action", "BasicBlock", "CFG", "build_cfg", "free_vars"]
-
-
-def free_vars(expr: Expr) -> frozenset[str]:
-    """Variables an expression reads (WITH-loop index vars are bound)."""
-    out: set[str] = set()
-    _free_vars(expr, frozenset(), out)
-    return frozenset(out)
-
-
-def _free_vars(node: Node, bound: frozenset[str], out: set[str]) -> None:
-    if isinstance(node, Var):
-        if node.name not in bound:
-            out.add(node.name)
-    elif isinstance(node, VectorLit):
-        for e in node.elements:
-            _free_vars(e, bound, out)
-    elif isinstance(node, BinOp):
-        _free_vars(node.left, bound, out)
-        _free_vars(node.right, bound, out)
-    elif isinstance(node, UnOp):
-        _free_vars(node.operand, bound, out)
-    elif isinstance(node, Select):
-        _free_vars(node.array, bound, out)
-        _free_vars(node.index, bound, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _free_vars(a, bound, out)
-    elif isinstance(node, WithLoop):
-        gen = node.generator
-        for b in (gen.lower, gen.upper, gen.step, gen.width):
-            if b is not None and not isinstance(b, Dot):
-                _free_vars(b, bound, out)
-        inner = bound | {gen.var}
-        op = node.operation
-        if isinstance(op, GenarrayOp):
-            _free_vars(op.shape, bound, out)
-            _free_vars(op.body, inner, out)
-        elif isinstance(op, ModarrayOp):
-            _free_vars(op.array, bound, out)
-            _free_vars(op.body, inner, out)
-        elif isinstance(op, FoldOp):
-            _free_vars(op.neutral, bound, out)
-            _free_vars(op.body, inner, out)
-    # literals and Dot read nothing
+__all__ = ["Action", "BasicBlock", "CFG", "build_cfg"]
 
 
 @dataclass(frozen=True)

@@ -30,30 +30,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..ast_nodes import (
-    Assign,
-    BinOp,
-    Block,
-    Call,
-    DoWhile,
-    Expr,
-    ExprStmt,
-    FoldOp,
-    For,
-    FunDef,
-    GenarrayOp,
-    If,
-    ModarrayOp,
-    Program,
-    Return,
-    Select,
-    Stmt,
-    UnOp,
-    Var,
-    VectorLit,
-    While,
-    WithLoop,
-)
+from ..ast_nodes import Assign, FunDef, Program, Select, Var, WithLoop
+from ..ast_visit import assigned_names, walk, walk_exprs
 from .cfg import build_cfg
 from .dataflow import def_use_chains, must_defined, reaching_definitions
 
@@ -75,8 +53,7 @@ def lint_function(fun: FunDef, sink: Callable) -> None:
     _lint_unreachable(fun, cfg, reachable, sink)
     _lint_unused(fun, cfg, reachable, sink)
     _lint_maybe_uninitialized(fun, cfg, reachable, sink)
-    _lint_shadowing(fun, sink)
-    _lint_self_dependence(fun, sink)
+    _lint_withloops(fun, sink)
 
 
 # -- SAC402 -----------------------------------------------------------------
@@ -137,162 +114,38 @@ def _lint_maybe_uninitialized(fun: FunDef, cfg, reachable, sink) -> None:
                 maybe.add(act.defines)
 
 
-# -- SAC404 -----------------------------------------------------------------
+# -- SAC404 / SAC405 ----------------------------------------------------------
 
-def _lint_shadowing(fun: FunDef, sink) -> None:
-    outer = {p.name for p in fun.params}
-    _collect_targets(fun.body, outer)
-
-    def walk_expr(expr: Expr) -> None:
-        if isinstance(expr, WithLoop):
-            gen = expr.generator
-            if gen.var in outer:
-                sink(
-                    "SAC404",
-                    f"generator variable '{gen.var}' shadows an outer "
-                    f"binding",
-                    gen.pos or expr.pos, fun.name,
-                )
-            for b in (gen.lower, gen.upper, gen.step, gen.width):
-                if b is not None:
-                    walk_expr(b)
-            op = expr.operation
-            if isinstance(op, GenarrayOp):
-                walk_expr(op.shape)
-                walk_expr(op.body)
-            elif isinstance(op, ModarrayOp):
-                walk_expr(op.array)
-                walk_expr(op.body)
-            elif isinstance(op, FoldOp):
-                walk_expr(op.neutral)
-                walk_expr(op.body)
-        elif isinstance(expr, BinOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, UnOp):
-            walk_expr(expr.operand)
-        elif isinstance(expr, Select):
-            walk_expr(expr.array)
-            walk_expr(expr.index)
-        elif isinstance(expr, Call):
-            for a in expr.args:
-                walk_expr(a)
-        elif isinstance(expr, VectorLit):
-            for e in expr.elements:
-                walk_expr(e)
-
-    def walk_stmt(stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            walk_expr(stmt.value)
-        elif isinstance(stmt, Return):
-            walk_expr(stmt.value)
-        elif isinstance(stmt, ExprStmt):
-            walk_expr(stmt.expr)
-        elif isinstance(stmt, Block):
-            for s in stmt.statements:
-                walk_stmt(s)
-        elif isinstance(stmt, If):
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.then)
-            if stmt.orelse is not None:
-                walk_stmt(stmt.orelse)
-        elif isinstance(stmt, (While, DoWhile)):
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, For):
-            walk_stmt(stmt.init)
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.body)
-            walk_stmt(stmt.update)
-
-    walk_stmt(fun.body)
-
-
-# -- SAC405 -----------------------------------------------------------------
-
-def _lint_self_dependence(fun: FunDef, sink) -> None:
-    """Warn when ``t = with (...) op`` reads ``t`` in the loop body at
-    anything but the current index."""
-
-    def body_reads_target(expr: Expr, target: str, gen_var: str) -> bool:
-        if isinstance(expr, Select) and isinstance(expr.array, Var) \
-                and expr.array.name == target:
-            idx = expr.index
-            if not (isinstance(idx, Var) and idx.name == gen_var):
-                return True
-            return body_reads_target(idx, target, gen_var)
-        if isinstance(expr, Var):
-            return expr.name == target
-        if isinstance(expr, WithLoop):
-            gen = expr.generator
-            for b in (gen.lower, gen.upper, gen.step, gen.width):
-                if b is not None \
-                        and body_reads_target(b, target, gen_var):
-                    return True
-            op = expr.operation
-            parts = ((op.shape,) if isinstance(op, GenarrayOp)
-                     else (op.array,) if isinstance(op, ModarrayOp)
-                     else (op.neutral,))
-            return any(body_reads_target(p, target, gen_var)
-                       for p in parts + (op.body,))
-        children = (
-            (expr.left, expr.right) if isinstance(expr, BinOp)
-            else (expr.operand,) if isinstance(expr, UnOp)
-            else (expr.array, expr.index) if isinstance(expr, Select)
-            else expr.args if isinstance(expr, Call)
-            else expr.elements if isinstance(expr, VectorLit)
-            else ()
-        )
-        return any(body_reads_target(c, target, gen_var)
-                   for c in children)
-
-    def check_assign(stmt: Assign) -> None:
-        if not isinstance(stmt.value, WithLoop):
-            return
-        wl = stmt.value
-        if body_reads_target(wl.operation.body, stmt.target,
-                             wl.generator.var):
+def _lint_withloops(fun: FunDef, sink) -> None:
+    """SAC404: a generator variable shadows a parameter or an assigned
+    name.  SAC405: ``t = with (...) op`` reads ``t`` in the loop body at
+    anything but the current index — some mention of ``t`` there is not
+    the array of a point read ``t[iv]``."""
+    outer = {p.name for p in fun.params} | assigned_names(fun.body)
+    for node in walk(fun.body):
+        if isinstance(node, WithLoop) and node.generator.var in outer:
+            sink(
+                "SAC404",
+                f"generator variable '{node.generator.var}' shadows an "
+                f"outer binding",
+                node.generator.pos or node.pos, fun.name,
+            )
+        if not (isinstance(node, Assign) and isinstance(node.value, WithLoop)):
+            continue
+        target, wl = node.target, node.value
+        offset_reads = 0
+        for e in walk_exprs(wl.operation.body):
+            if isinstance(e, Var) and e.name == target:
+                offset_reads += 1
+            elif (isinstance(e, Select) and isinstance(e.array, Var)
+                  and e.array.name == target and isinstance(e.index, Var)
+                  and e.index.name == wl.generator.var):
+                offset_reads -= 1  # its array is no offset read
+        if offset_reads > 0:
             sink(
                 "SAC405",
-                f"WITH-loop body reads '{stmt.target}', the array its "
+                f"WITH-loop body reads '{target}', the array its "
                 f"result rebinds, at a non-identity index; the old "
                 f"value stays live and blocks in-place reuse",
                 wl.pos, fun.name,
             )
-
-    def walk_stmt(stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            check_assign(stmt)
-        elif isinstance(stmt, Block):
-            for s in stmt.statements:
-                walk_stmt(s)
-        elif isinstance(stmt, If):
-            walk_stmt(stmt.then)
-            if stmt.orelse is not None:
-                walk_stmt(stmt.orelse)
-        elif isinstance(stmt, (While, DoWhile)):
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, For):
-            check_assign(stmt.init)
-            walk_stmt(stmt.body)
-            check_assign(stmt.update)
-
-    walk_stmt(fun.body)
-
-
-def _collect_targets(block: Block, out: set[str]) -> None:
-    for stmt in block.statements:
-        if isinstance(stmt, Assign):
-            out.add(stmt.target)
-        elif isinstance(stmt, Block):
-            _collect_targets(stmt, out)
-        elif isinstance(stmt, If):
-            _collect_targets(stmt.then, out)
-            if stmt.orelse is not None:
-                _collect_targets(stmt.orelse, out)
-        elif isinstance(stmt, (While, DoWhile)):
-            _collect_targets(stmt.body, out)
-        elif isinstance(stmt, For):
-            out.add(stmt.init.target)
-            out.add(stmt.update.target)
-            _collect_targets(stmt.body, out)

@@ -65,6 +65,7 @@ from ..ast_nodes import (
     While,
     WithLoop,
 )
+from ..ast_visit import assigned_names
 from ..builtins import is_builtin
 from ..diagnostics import Diagnostic
 from ..errors import SourcePos
@@ -517,12 +518,7 @@ class ShapeAnalyzer:
         # Widen every variable the loop may reassign, then interpret the
         # body once for its diagnostics (sound: no fact survives that
         # depends on the iteration count).
-        assigned = set()
-        _collect_assigned(stmt.body, assigned)
-        if isinstance(stmt, For):
-            assigned.add(stmt.update.target)
-            assigned.add(stmt.init.target)
-        for name in assigned:
+        for name in assigned_names(stmt):
             env[name] = UNKNOWN
         if isinstance(stmt, (While, For)):
             self.eval(stmt.cond, env)
@@ -1040,24 +1036,6 @@ class ShapeAnalyzer:
 # ---------------------------------------------------------------------------
 # Small helpers and the builtin evaluation table.
 # ---------------------------------------------------------------------------
-
-def _collect_assigned(block: Block, out: set[str]) -> None:
-    for stmt in block.statements:
-        if isinstance(stmt, Assign):
-            out.add(stmt.target)
-        elif isinstance(stmt, Block):
-            _collect_assigned(stmt, out)
-        elif isinstance(stmt, If):
-            _collect_assigned(stmt.then, out)
-            if stmt.orelse is not None:
-                _collect_assigned(stmt.orelse, out)
-        elif isinstance(stmt, (While, DoWhile)):
-            _collect_assigned(stmt.body, out)
-        elif isinstance(stmt, For):
-            out.add(stmt.init.target)
-            out.add(stmt.update.target)
-            _collect_assigned(stmt.body, out)
-
 
 def _hull(comps: Optional[tuple[Interval, ...]]) -> Optional[Interval]:
     if not comps:

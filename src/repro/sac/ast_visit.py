@@ -1,18 +1,24 @@
 """Shared AST visitor/walker infrastructure.
 
-Every tree-walking component of the front end used to carry its own
-copy of the same three pieces of machinery: a page-long import list of
-node classes, an ``isinstance`` dispatch chain over expressions, and a
-statement-execution loop for ``Assign``/``Return``/``If``/``For``/
-``While``/``DoWhile``/``ExprStmt``/``Block``.  This module is the single
-home for all of it:
+This module is the one place under :mod:`repro.sac` that knows the
+tree's shape: how to find a node's children, and which of them a
+WITH-loop's generator variable scopes over.  Every checker, analysis and
+optimization pass asks it rather than spelling out an ``isinstance``
+chain over node classes.  It holds:
 
 * :func:`node_fields` — a node class's field names, memoised, and
   :func:`iter_child_nodes` / :func:`iter_child_exprs` over them,
 * :func:`map_child_exprs` — rebuild a node with a function applied to
   every direct expression child (identity-preserving: an unchanged node
   is returned as the same object),
+* :func:`map_expr` / :func:`map_stmt_exprs` — bottom-up expression
+  rewriting of an expression or of every expression in a statement
+  tree, in field order,
 * :func:`walk` / :func:`walk_exprs` — full-tree traversal,
+* :func:`free_vars` — the names an expression reads from its enclosing
+  scope (a WITH-loop binds its generator variable in its body only),
+* :func:`mentions` — how often each name occurs, binding-blind,
+* :func:`assigned_names` — every name a statement tree assigns,
 * :class:`ExprDispatcher` — expression dispatch to ``eval_<ClassName>``
   methods through a per-class memoized table (the shape both the
   interpreter and the code generator use),
@@ -22,14 +28,18 @@ home for all of it:
   specializing tracer (dict environments, concreteness guards),
 * :class:`ReturnValue` — the non-local exit both evaluators raise.
 
-Pure rewriting utilities specific to the optimizer (substitution,
-alpha-renaming, structural keys) remain in
-:mod:`repro.sac.optim.rewrite`, which builds on the primitives here.
+The walkers that give the tree a meaning stay with their owners: the
+CFG builder, the abstract interpreter in ``analysis.shapes``, the
+typechecker's flow-sensitive definedness, the block rewriters of
+``dce``/``cse``/``partialsum``, ``pprint`` and the evaluators.
+Optimizer-specific rewriting (capture-aware substitution, structural
+keys, affine forms) lives in :mod:`repro.sac.optim.rewrite`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -48,7 +58,9 @@ from .ast_nodes import (
     Node,
     Return,
     Stmt,
+    Var,
     While,
+    WithLoop,
 )
 
 __all__ = [
@@ -56,8 +68,13 @@ __all__ = [
     "iter_child_nodes",
     "iter_child_exprs",
     "map_child_exprs",
+    "map_expr",
+    "map_stmt_exprs",
     "walk",
     "walk_exprs",
+    "free_vars",
+    "mentions",
+    "assigned_names",
     "ExprDispatcher",
     "ReturnValue",
     "StatementExecutor",
@@ -116,6 +133,29 @@ def map_child_exprs(node: Node, fn: Callable[[Expr], Expr]) -> Node:
     return dataclasses.replace(node, **changes) if changes else node
 
 
+def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """Bottom-up expression rewrite: children first, then ``fn`` on the
+    rebuilt node."""
+    rebuilt = map_child_exprs(expr, lambda e: map_expr(e, fn))
+    return fn(rebuilt)
+
+
+def map_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
+    """Apply :func:`map_expr` to every expression in a statement tree,
+    visiting fields in declaration order (so a ``for`` rewrites its init,
+    condition, update, then body)."""
+    changes = {}
+    for name in node_fields(type(stmt)):
+        v = getattr(stmt, name)
+        if isinstance(v, Expr):
+            changes[name] = map_expr(v, fn)
+        elif isinstance(v, Stmt):
+            changes[name] = map_stmt_exprs(v, fn)
+        elif isinstance(v, tuple) and all(isinstance(s, Stmt) for s in v):
+            changes[name] = tuple(map_stmt_exprs(s, fn) for s in v)
+    return dataclasses.replace(stmt, **changes)
+
+
 def walk(node: Node) -> Iterator[Node]:
     """Yield every node in the tree, children before parents."""
     # An explicit stack: nested generators would resume one frame per
@@ -137,6 +177,52 @@ def walk_exprs(node: Node) -> Iterator[Expr]:
     for n in walk(node):
         if isinstance(n, Expr):
             yield n
+
+
+def free_vars(expr: Expr) -> frozenset[str]:
+    """The names ``expr`` reads from its enclosing scope.
+
+    A WITH-loop binds its generator variable in its operation's body
+    only: the bounds, step and width and the operation's shape, array or
+    neutral element are evaluated outside the binding."""
+    out: set[str] = set()
+    stack: list[tuple[Node, frozenset[str]]] = [(expr, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, Var):
+            if node.name not in bound:
+                out.add(node.name)
+        elif isinstance(node, WithLoop):
+            # Every operation holds one frame expression (shape, array
+            # or neutral element) and then its body.
+            frame, body = iter_child_exprs(node.operation)
+            stack += [(node.generator, bound), (frame, bound),
+                      (body, bound | {node.generator.var})]
+        else:
+            stack.extend((c, bound) for c in iter_child_nodes(node))
+    return frozenset(out)
+
+
+def mentions(*nodes: Node | None) -> Counter:
+    """How often each name occurs as a :class:`Var` under ``nodes``
+    (``None`` entries are skipped).  Binding-blind: a WITH-loop's
+    generator variable counts wherever it is read."""
+    return Counter(n.name for node in nodes if node is not None
+                   for n in walk(node) if isinstance(n, Var))
+
+
+def assigned_names(stmt: Stmt) -> set[str]:
+    """Every name an assignment anywhere in ``stmt`` binds: branches,
+    loop bodies and a ``for``'s init and update included."""
+    out: set[str] = set()
+    stack = [stmt]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Assign):
+            out.add(s.target)
+        else:
+            stack.extend(c for c in iter_child_nodes(s) if isinstance(c, Stmt))
+    return out
 
 
 class ExprDispatcher:

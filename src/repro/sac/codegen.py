@@ -43,11 +43,12 @@ import numpy as np
 
 from .ast_nodes import (Block, Expr, FoldOp, For, FunDef, GenarrayOp,
                         ModarrayOp, WithLoop)
+from .ast_visit import mentions
 from .bufplan import ELEMENTWISE, Instr, plan, render, result_bases
 from .builtins import FOLD_UFUNCS, affine_binop
 from .errors import SacError, SacRuntimeError, SacTypeError
 from .interp import Env, FunctionTable, Interpreter
-from .optim.rewrite import counted_loop, stmt_reads
+from .optim.rewrite import counted_loop
 from .sactypes import SacType
 from .values import (AffineAxis, IndexView, any_abstract, cell_type,
                      coerce_value, dtype_of)
@@ -475,7 +476,7 @@ class Tracer(Interpreter):
         if isinstance(stmt, For):
             self.exec_stmt(stmt.init, env)
         # Symbolic results read after the loop, or by its next trip.
-        live = (stmt_reads(self._fun.body) - stmt_reads(stmt)).keys() | reads
+        live = (mentions(self._fun.body) - mentions(stmt)).keys() | reads
         while self.exec_cond(cond, env, "loop bound"):
             given = {n: env.lookup(n) for n in reads if env.contains(n)}
             if any_abstract(given.values()) or not any(

@@ -41,7 +41,8 @@ from ..ast_nodes import (
     Var,
     VectorLit,
 )
-from .rewrite import ast_key, map_stmt_exprs
+from ..ast_visit import map_stmt_exprs
+from .rewrite import ast_key
 from .wlfold import _Facts
 
 __all__ = ["coeffgroup_pass", "group_sum"]

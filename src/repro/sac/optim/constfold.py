@@ -26,10 +26,10 @@ from ..ast_nodes import (
     UnOp,
     VectorLit,
 )
+from ..ast_visit import map_stmt_exprs
 from ..builtins import apply_binop, apply_unop, is_builtin
 from ..errors import SacError
 from ..interp import FunctionTable, Interpreter
-from .rewrite import map_stmt_exprs
 
 __all__ = ["constfold_pass", "literal_value", "make_literal"]
 

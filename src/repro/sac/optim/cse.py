@@ -41,7 +41,7 @@ from ..ast_nodes import (
     While,
     WithLoop,
 )
-from ..ast_visit import iter_child_exprs, map_child_exprs, walk_exprs
+from ..ast_visit import iter_child_exprs, map_child_exprs, mentions
 from .rewrite import ast_key, fresh_namer
 
 __all__ = ["cse_pass"]
@@ -77,10 +77,6 @@ def _replace(expr: Expr, table: dict[object, str]) -> Expr:
     if key in table:
         return Var(table[key])
     return map_child_exprs(expr, lambda e: _replace(e, table))
-
-
-def _free_vars(expr: Expr) -> set[str]:
-    return {e.name for e in walk_exprs(expr) if isinstance(e, Var)}
 
 
 def _cse_run(stmts: list[Stmt], fresh) -> list[Stmt]:
@@ -124,10 +120,7 @@ def _cse_run(stmts: list[Stmt], fresh) -> list[Stmt]:
         if isinstance(s, Assign):
             out.append(dataclasses.replace(s, value=value))
             # The assigned name invalidates every table entry reading it.
-            dead = [
-                k for k in table
-                if s.target in _free_vars(samples[k])
-            ]
+            dead = [k for k in table if s.target in mentions(samples[k])]
             for k in dead:
                 del table[k]
                 shared.discard(k)

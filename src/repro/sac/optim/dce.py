@@ -18,21 +18,15 @@ from ..ast_nodes import (
     DoWhile,
     ExprStmt,
     For,
-    FunDef,
     If,
     Program,
     Return,
     Stmt,
-    Var,
     While,
 )
-from ..ast_visit import walk_exprs
+from ..ast_visit import mentions
 
 __all__ = ["dce_pass"]
-
-
-def _read_names(fun: FunDef) -> set[str]:
-    return {e.name for e in walk_exprs(fun.body) if isinstance(e, Var)}
 
 
 def _strip_block(block: Block, dead: set[str]) -> Block:
@@ -68,13 +62,12 @@ def dce_pass(program: Program) -> Program:
     new_funs = []
     for fun in program.functions:
         while True:
-            read = _read_names(fun)
             assigned = {
                 s.target
                 for s in fun.body.statements
                 if isinstance(s, Assign)
             }
-            dead = assigned - read
+            dead = assigned - mentions(fun.body).keys()
             if not dead:
                 break
             fun = dataclasses.replace(fun, body=_strip_block(fun.body, dead))

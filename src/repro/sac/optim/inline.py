@@ -27,22 +27,17 @@ from ..ast_nodes import (
     Assign,
     Call,
     Expr,
-    FoldOp,
     FunDef,
-    GenarrayOp,
-    Generator,
     IntLit,
     DoubleLit,
     BoolLit,
-    ModarrayOp,
-    Node,
     Program,
     Return,
     Var,
     WithLoop,
 )
-from ..ast_visit import node_fields
-from .rewrite import fresh_namer, map_stmt_exprs, substitute, walk_exprs
+from ..ast_visit import map_child_exprs, map_stmt_exprs, mentions, walk_exprs
+from .rewrite import fresh_namer, substitute
 
 __all__ = ["inline_pass"]
 
@@ -94,43 +89,17 @@ def _inlinable_functions(program: Program) -> dict[str, FunDef]:
     return {n: f for n, f in candidates.items() if not reaches_self(n)}
 
 
-def _map_node_children(n: Node, fn) -> Node:
-    changes = {}
-    for name in node_fields(type(n)):
-        v = getattr(n, name)
-        if isinstance(v, Expr):
-            nv = fn(v)
-            if nv is not v:
-                changes[name] = nv
-        elif isinstance(v, tuple) and v and all(isinstance(x, Expr) for x in v):
-            nv = tuple(fn(x) for x in v)
-            if any(a is not b for a, b in zip(nv, v)):
-                changes[name] = nv
-        elif isinstance(v, (GenarrayOp, ModarrayOp, FoldOp, Generator)):
-            nv = _map_node_children(v, fn)
-            if nv is not v:
-                changes[name] = nv
-    return dataclasses.replace(n, **changes) if changes else n
-
-
 def _rename_binders(expr: Expr, fresh) -> Expr:
     """Alpha-rename every WITH-loop index variable to a fresh name."""
 
     def go(e: Expr) -> Expr:
         if not isinstance(e, WithLoop):
-            return _map_node_children(e, go)
+            return map_child_exprs(e, go)
         gen = e.generator
         new_var = fresh(gen.var)
-        gen2 = dataclasses.replace(
-            gen,
-            lower=go(gen.lower),
-            upper=go(gen.upper),
-            step=go(gen.step) if gen.step else None,
-            width=go(gen.width) if gen.width else None,
-            var=new_var,
-        )
-        op2 = _map_node_children(e.operation, go)
-        op2 = _map_node_children(
+        gen2 = dataclasses.replace(map_child_exprs(gen, go), var=new_var)
+        op2 = map_child_exprs(e.operation, go)
+        op2 = map_child_exprs(
             op2, lambda b: substitute(b, {gen.var: Var(new_var)})
         )
         return dataclasses.replace(e, generator=gen2, operation=op2)
@@ -154,15 +123,6 @@ def _is_expensive(expr: Expr) -> bool:
         if isinstance(e, Call) and e.name not in ("shape", "dim"):
             return True
     return False
-
-
-def _count_uses(exprs: list[Expr], name: str) -> int:
-    count = 0
-    for ex in exprs:
-        for e in walk_exprs(ex):
-            if isinstance(e, Var) and e.name == name:
-                count += 1
-    return count
 
 
 class _Inliner:
@@ -195,15 +155,15 @@ class _Inliner:
         tail_exprs: list[Expr] = [s.value for s in assigns] + [ret.value]
         for i, s in enumerate(assigns):
             downstream[s.target] = tail_exprs[i + 1 :]
+        uses = mentions(*tail_exprs)
         for param, arg in zip(fun.params, call.args):
             if _is_trivial(arg):
                 continue
-            uses = _count_uses(tail_exprs, param.name)
-            if uses > 1 and _is_expensive(arg):
+            if uses[param.name] > 1 and _is_expensive(arg):
                 return None
         for s in assigns:
             if _is_expensive(s.value) and \
-                    _count_uses(downstream[s.target], s.target) > 1:
+                    mentions(*downstream[s.target])[s.target] > 1:
                 return None
 
         # Build the substitution environment sequentially.

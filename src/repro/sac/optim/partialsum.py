@@ -69,8 +69,9 @@ from ..ast_nodes import (
     While,
     WithLoop,
 )
+from ..ast_visit import assigned_names
 from .coeffgroup import _chain_sum, _coefficient_split, _flatten_sum
-from .rewrite import affine_form, assigned_names
+from .rewrite import affine_form
 
 __all__ = ["partialsum_pass"]
 

@@ -1,17 +1,15 @@
 """AST rewriting utilities shared by the optimization passes.
 
-The generic traversal primitives (child iteration, identity-preserving
-child mapping, full-tree walking) live in :mod:`repro.sac.ast_visit`;
-this module layers the optimizer-specific pieces on top: bottom-up
-rewriting, capture-aware substitution, structural keys and
-alpha-renaming.
+Traversal (child iteration and mapping, bottom-up rewriting, walking,
+free, mentioned and assigned names) lives in :mod:`repro.sac.ast_visit`;
+this module layers the optimizer-specific pieces on top: affine forms,
+counted loops, capture-aware substitution, structural keys and fresh
+names.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
-from typing import Callable
 
 import numpy as np
 
@@ -19,15 +17,8 @@ from ..ast_nodes import (
     Assign,
     BinOp,
     Block,
-    DoWhile,
     Expr,
-    ExprStmt,
-    FoldOp,
     For,
-    GenarrayOp,
-    Generator,
-    If,
-    ModarrayOp,
     Node,
     Return,
     Stmt,
@@ -36,76 +27,17 @@ from ..ast_nodes import (
     While,
     WithLoop,
 )
-from ..ast_visit import map_child_exprs, node_fields, walk, walk_exprs
+from ..ast_visit import (assigned_names, map_child_exprs, mentions,
+                         node_fields, walk)
 
 __all__ = [
-    "map_expr",
-    "map_stmt_exprs",
-    "walk_exprs",
-    "expr_vars",
     "affine_form",
-    "stmt_reads",
     "counted_loop",
-    "assigned_names",
     "substitute",
     "ast_equal",
     "ast_key",
     "fresh_namer",
 ]
-
-
-def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """Bottom-up expression rewrite: children first, then ``fn`` on the
-    rebuilt node."""
-    rebuilt = map_child_exprs(expr, lambda e: map_expr(e, fn))
-    return fn(rebuilt)
-
-
-def map_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
-    """Apply a bottom-up expression rewrite to every expression in a
-    statement tree."""
-    if isinstance(stmt, Assign):
-        return dataclasses.replace(stmt, value=map_expr(stmt.value, fn))
-    if isinstance(stmt, Return):
-        return dataclasses.replace(stmt, value=map_expr(stmt.value, fn))
-    if isinstance(stmt, ExprStmt):
-        return dataclasses.replace(stmt, expr=map_expr(stmt.expr, fn))
-    if isinstance(stmt, Block):
-        return dataclasses.replace(
-            stmt, statements=tuple(map_stmt_exprs(s, fn) for s in stmt.statements)
-        )
-    if isinstance(stmt, If):
-        return dataclasses.replace(
-            stmt,
-            cond=map_expr(stmt.cond, fn),
-            then=map_stmt_exprs(stmt.then, fn),
-            orelse=map_stmt_exprs(stmt.orelse, fn) if stmt.orelse else None,
-        )
-    if isinstance(stmt, For):
-        return dataclasses.replace(
-            stmt,
-            init=map_stmt_exprs(stmt.init, fn),
-            cond=map_expr(stmt.cond, fn),
-            update=map_stmt_exprs(stmt.update, fn),
-            body=map_stmt_exprs(stmt.body, fn),
-        )
-    if isinstance(stmt, While):
-        return dataclasses.replace(
-            stmt, cond=map_expr(stmt.cond, fn), body=map_stmt_exprs(stmt.body, fn)
-        )
-    if isinstance(stmt, DoWhile):
-        return dataclasses.replace(
-            stmt, body=map_stmt_exprs(stmt.body, fn), cond=map_expr(stmt.cond, fn)
-        )
-    raise TypeError(f"unknown statement {type(stmt).__name__}")
-
-
-def expr_vars(*exprs: Expr | None) -> set[str]:
-    """Free-ish variable names referenced in the expressions (includes
-    WITH-loop index variables bound within — callers that care use
-    :func:`substitute`, which respects binding)."""
-    return {n.name for e in exprs if e is not None for n in walk(e)
-            if isinstance(n, Var)}
 
 
 def affine_form(expr: Expr | None, var: str | None = None):
@@ -146,32 +78,6 @@ def affine_form(expr: Expr | None, var: str | None = None):
     return x[0] + sign * y[0], x[1] + sign * y[1]
 
 
-def assigned_names(stmt: Stmt) -> set[str]:
-    """All names assigned anywhere in a statement tree."""
-    out: set[str] = set()
-    if isinstance(stmt, Assign):
-        out.add(stmt.target)
-    elif isinstance(stmt, Block):
-        for s in stmt.statements:
-            out |= assigned_names(s)
-    elif isinstance(stmt, If):
-        out |= assigned_names(stmt.then)
-        if stmt.orelse:
-            out |= assigned_names(stmt.orelse)
-    elif isinstance(stmt, For):
-        out |= assigned_names(stmt.init)
-        out |= assigned_names(stmt.update)
-        out |= assigned_names(stmt.body)
-    elif isinstance(stmt, (While, DoWhile)):
-        out |= assigned_names(stmt.body)
-    return out
-
-
-def stmt_reads(node: Node) -> Counter:
-    """How often each variable is mentioned under ``node``."""
-    return Counter(e.name for e in walk_exprs(node) if isinstance(e, Var))
-
-
 def counted_loop(stmt: Stmt):
     """``(cond, body, update, reads)`` of a ``for``, or of a ``while``
     ending in an assignment, whose body neither sees nor sets the counter
@@ -188,14 +94,14 @@ def counted_loop(stmt: Stmt):
         return None
     block = Block(body)
     writes = assigned_names(block)
-    if (update.target in stmt_reads(block) or update.target in writes
-            or writes & (stmt_reads(cond) + stmt_reads(update)).keys()
+    if (update.target in mentions(block) or update.target in writes
+            or writes & mentions(cond, update).keys()
             or any(isinstance(n, Return) for n in walk(block))):
         return None
     reads: dict[str, None] = {}
     defined: set[str] = set()
     for s in body:
-        reads.update((n, None) for n in stmt_reads(s) if n not in defined)
+        reads.update((n, None) for n in mentions(s) if n not in defined)
         if isinstance(s, Assign):
             defined.add(s.target)
     return cond, body, update, reads.keys()
@@ -204,16 +110,10 @@ def counted_loop(stmt: Stmt):
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
     """Capture-aware substitution of variables by expressions.
 
-    A WITH-loop generator binds its index variable: substitution does not
-    descend for that name inside the loop's operation body/bounds (bounds
-    are evaluated outside the binding, but SAC scoping makes the index
-    variable visible only in the operation — we block it everywhere
-    inside the WITH-loop for simplicity and safety)."""
-
-    def rewrite(e: Expr) -> Expr:
-        if isinstance(e, Var) and e.name in mapping:
-            return mapping[e.name]
-        return e
+    A WITH-loop generator binds its index variable: its bounds are
+    rewritten outside the binding, but substitution does not descend for
+    that name anywhere in the loop's operation (body and shape, array or
+    neutral element alike — blocking it everywhere is simpler and safe)."""
 
     def go(e: Expr, blocked: frozenset[str]) -> Expr:
         if isinstance(e, Var):
@@ -221,49 +121,14 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
                 return mapping[e.name]
             return e
         if isinstance(e, WithLoop):
-            inner_blocked = blocked | {e.generator.var}
-
-            def node_go(n: Node, blk: frozenset[str]) -> Node:
-                changes = {}
-                for name in node_fields(type(n)):
-                    v = getattr(n, name)
-                    if isinstance(v, Expr):
-                        nv = go(v, blk)
-                        if nv is not v:
-                            changes[name] = nv
-                    elif isinstance(v, tuple) and v and all(
-                        isinstance(x, Expr) for x in v
-                    ):
-                        nv = tuple(go(x, blk) for x in v)
-                        if any(a is not b for a, b in zip(nv, v)):
-                            changes[name] = nv
-                    elif isinstance(v, (GenarrayOp, ModarrayOp, FoldOp, Generator)):
-                        nv = node_go(v, blk)
-                        if nv is not v:
-                            changes[name] = nv
-                return dataclasses.replace(n, **changes) if changes else n
-
-            # Generator bounds are evaluated outside the index binding in
-            # SAC; still, an index variable shadowing a substituted name
-            # must block substitution in the body.  Bounds first:
-            gen = node_go(e.generator, blocked)
-            # ... but the index variable cannot occur in its own bounds;
-            # rebuild the generator with outer blocking, the operation
-            # with the inner blocking.
-            op = node_go(e.operation, inner_blocked)
-            return dataclasses.replace(e, generator=gen, operation=op)
-        changes = {}
-        for name in node_fields(type(e)):
-            v = getattr(e, name)
-            if isinstance(v, Expr):
-                nv = go(v, blocked)
-                if nv is not v:
-                    changes[name] = nv
-            elif isinstance(v, tuple) and v and all(isinstance(x, Expr) for x in v):
-                nv = tuple(go(x, blocked) for x in v)
-                if any(a is not b for a, b in zip(nv, v)):
-                    changes[name] = nv
-        return dataclasses.replace(e, **changes) if changes else e
+            inner = blocked | {e.generator.var}
+            return dataclasses.replace(
+                e,
+                generator=map_child_exprs(e.generator,
+                                          lambda c: go(c, blocked)),
+                operation=map_child_exprs(e.operation,
+                                          lambda c: go(c, inner)))
+        return map_child_exprs(e, lambda c: go(c, blocked))
 
     return go(expr, frozenset())
 

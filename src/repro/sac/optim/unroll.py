@@ -25,8 +25,9 @@ from ..ast_nodes import (
     VectorLit,
     WithLoop,
 )
+from ..ast_visit import map_stmt_exprs
 from .constfold import literal_value
-from .rewrite import map_stmt_exprs, substitute
+from .rewrite import substitute
 
 __all__ = ["unroll_pass"]
 

@@ -44,11 +44,10 @@ import numpy as np
 from ..ast_nodes import (Assign, BinOp, Call, Dot, DoubleLit, Expr, FoldOp,
                          FunDef, GenarrayOp, Generator, IntLit, ModarrayOp,
                          Program, Select, UnOp, Var, WithLoop)
-from ..ast_visit import map_child_exprs, walk
+from ..ast_visit import map_child_exprs, map_stmt_exprs, mentions, walk
 from ..sactypes import BaseType
 from .constfold import literal_value, make_literal
-from .rewrite import (affine_form, ast_key, expr_vars, map_stmt_exprs,
-                      substitute)
+from .rewrite import affine_form, ast_key, substitute
 
 __all__ = ["wlfold_pass", "refusals"]
 
@@ -158,7 +157,7 @@ class _Facts:
     def stable(self, *exprs: Optional[Expr], but: str = "") -> bool:
         """Every variable mentioned is bound once and never as a
         WITH-loop index (which would capture it at a use site)."""
-        names = expr_vars(*exprs) - {but}
+        names = mentions(*exprs).keys() - {but}
         return not names & self.binders and all(
             self.bound[n] <= 1 for n in names)
 
@@ -229,7 +228,7 @@ def _selections(node, name: str) -> list[Select]:
     not mention ``name`` itself."""
     return [e for e in walk(node)
             if isinstance(e, Select) and isinstance(e.array, Var)
-            and e.array.name == name and name not in expr_vars(e.index)]
+            and e.array.name == name and name not in mentions(e.index)]
 
 
 def _drop_zero(e: Expr) -> Expr:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from .ast_nodes import (
     Assign,
     DoWhile,
-    BinOp,
     Block,
     Call,
     Dot,
@@ -36,19 +35,15 @@ from .ast_nodes import (
     FoldOp,
     For,
     FunDef,
-    GenarrayOp,
     If,
-    ModarrayOp,
     Program,
     Return,
-    Select,
     Stmt,
-    UnOp,
     Var,
-    VectorLit,
     While,
     WithLoop,
 )
+from .ast_visit import iter_child_exprs
 from .builtins import is_builtin
 from .diagnostics import Diagnostic
 from .errors import SacTypeError, SourcePos
@@ -177,26 +172,15 @@ class _Checker:
         elif isinstance(expr, Dot):
             self.error("SAC008",
                        "'.' is only legal as a generator bound", expr.pos)
-        elif isinstance(expr, VectorLit):
-            for e in expr.elements:
-                self.check_expr(e, defined)
-        elif isinstance(expr, (BinOp,)):
-            self.check_expr(expr.left, defined)
-            self.check_expr(expr.right, defined)
-        elif isinstance(expr, UnOp):
-            self.check_expr(expr.operand, defined)
-        elif isinstance(expr, Select):
-            self.check_expr(expr.array, defined)
-            self.check_expr(expr.index, defined)
-        elif isinstance(expr, Call):
-            self.check_call(expr, defined)
         elif isinstance(expr, WithLoop):
             self.check_withloop(expr, defined)
-        # literals: nothing to do
+        else:
+            for child in iter_child_exprs(expr):
+                self.check_expr(child, defined)
+            if isinstance(expr, Call):
+                self.check_call(expr)
 
-    def check_call(self, call: Call, defined: set[str]) -> None:
-        for a in call.args:
-            self.check_expr(a, defined)
+    def check_call(self, call: Call) -> None:
         arities = self.arities.get(call.name)
         if arities is None:
             if not is_builtin(call.name):
@@ -214,10 +198,9 @@ class _Checker:
 
     def check_withloop(self, wl: WithLoop, defined: set[str]) -> None:
         gen = wl.generator
-        frame = isinstance(wl.operation, (GenarrayOp, ModarrayOp))
         for bound in (gen.lower, gen.upper):
             if isinstance(bound, Dot):
-                if not frame:
+                if isinstance(wl.operation, FoldOp):
                     self.error(
                         "SAC008",
                         "'.' bound requires a genarray/modarray frame",
@@ -228,26 +211,20 @@ class _Checker:
         for extra in (gen.step, gen.width):
             if extra is not None:
                 self.check_expr(extra, defined)
-        inner = set(defined)
-        inner.add(gen.var)
+        # The generator variable is bound in the body only.
         op = wl.operation
-        if isinstance(op, GenarrayOp):
-            self.check_expr(op.shape, defined)
-            self.check_expr(op.body, inner)
-        elif isinstance(op, ModarrayOp):
-            self.check_expr(op.array, defined)
-            self.check_expr(op.body, inner)
-        elif isinstance(op, FoldOp):
-            self.check_expr(op.neutral, defined)
-            self.check_expr(op.body, inner)
-            if (
-                op.fun not in _OPERATOR_FOLDS
-                and op.fun not in self.arities
-                and not is_builtin(op.fun)
-            ):
-                self.error("SAC009",
-                           f"fold names undefined function {op.fun!r}",
-                           op.pos or wl.pos)
+        frame, body = iter_child_exprs(op)
+        self.check_expr(frame, defined)
+        self.check_expr(body, defined | {gen.var})
+        if (
+            isinstance(op, FoldOp)
+            and op.fun not in _OPERATOR_FOLDS
+            and op.fun not in self.arities
+            and not is_builtin(op.fun)
+        ):
+            self.error("SAC009",
+                       f"fold names undefined function {op.fun!r}",
+                       op.pos or wl.pos)
 
 
 def collect_diagnostics(program: Program) -> list[Diagnostic]:

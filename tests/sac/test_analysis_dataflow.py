@@ -1,5 +1,7 @@
 """CFG construction, dataflow solving, and the SAC4xx lints."""
 
+import pytest
+
 from repro.sac.analysis import (
     analyze_source,
     build_cfg,
@@ -34,6 +36,33 @@ class TestFreeVars:
         expr = parse_expression(
             "with (lo <= iv < hi) fold(+, 0, iv[[0]])")
         assert free_vars(expr) == {"lo", "hi"}
+
+    def test_nested_generator_rebinds_outer_name(self):
+        # The inner loop's bounds read the outer iv; its body reads its
+        # own.  An iv read outside both loops stays free.
+        expr = parse_expression(
+            "with ([0] <= iv < [n]) genarray([n], "
+            "with ([0] <= iv < iv) fold(+, 0, iv[[0]] * m))")
+        assert free_vars(expr) == {"n", "m"}
+        expr = parse_expression(
+            "iv[[0]] + with ([0] <= iv < [3]) fold(+, 0, iv[[0]])")
+        assert free_vars(expr) == {"iv"}
+
+    @pytest.mark.parametrize("text", [
+        "with (iv <= iv < [3]) fold(+, 0, 1)",
+        "with ([0] <= iv < iv) fold(+, 0, 1)",
+        "with ([0] <= iv < [3] step iv) fold(+, 0, 1)",
+        "with ([0] <= iv < [3] step [1] width iv) fold(+, 0, 1)",
+        "with ([0] <= iv < [3]) genarray(iv, 0)",
+        "with ([0] <= iv < [3]) modarray(iv, 0)",
+        "with ([0] <= iv < [3]) fold(+, iv, 1)",
+    ], ids=["lower", "upper", "step", "width", "shape", "array", "neutral"])
+    def test_generator_variable_outside_body_is_free(self, text):
+        assert free_vars(parse_expression(text)) == {"iv"}
+
+    def test_dot_bounds_read_nothing(self):
+        expr = parse_expression("with (. <= iv <= .) modarray(a, a[iv] + b)")
+        assert free_vars(expr) == {"a", "b"}
 
 
 class TestCFG:
@@ -159,6 +188,68 @@ class TestLints:
     def test_distinct_target_clean(self):
         src = ("double[+] f(double[+] a) { b = with ([1] <= iv < "
                "shape(a) - 1) modarray(a, a[iv - 1]); return b; }")
+        assert "SAC405" not in codes(src)
+
+
+# A WITH-loop whose generator variable ``iv`` shadows the parameter, and
+# one statement that places it in each position a lint must reach.
+_SHADOWING = "with ([0] <= iv < [3]) fold(+, 0, iv[[0]])"
+_SHADOWING_AT = {
+    "if-cond": f"if ({_SHADOWING} == 0) {{ x = 1; }}",
+    "else": f"if (b) {{ x = 1; }} else {{ x = {_SHADOWING}; }}",
+    "for-init": f"for (i = {_SHADOWING}; i < n; i += 1) {{ x = x + i; }}",
+    "for-update": f"for (i = 0; i < n; i = i + {_SHADOWING}) {{ x = x + i; }}",
+    "for-body": f"for (i = 0; i < n; i += 1) {{ x = x + {_SHADOWING}; }}",
+    "while-body": f"while (x < n) {{ x = x + {_SHADOWING}; }}",
+    "dowhile-body": f"do {{ x = x + {_SHADOWING}; }} while (x < n);",
+    "call-arg": f"x = max({_SHADOWING}, n);",
+    "withloop-body": f"x = with ([0] <= jv < [3]) fold(+, 0, {_SHADOWING});",
+    "generator-bound": (f"x = with ([0] <= jv < [{_SHADOWING}]) "
+                        f"fold(+, 0, jv[[0]]);"),
+}
+
+# ``a = with (...) modarray(a, <read>)`` with an offset read of ``a``,
+# placed in each statement position, and the read in each expression
+# position of the body.
+_SELF_DEP = "a = with ([1] <= iv < shape(a) - 1) modarray(a, {read})"
+_OFFSET = "a[iv - 1]"
+_SELF_DEP_AT = {
+    "then": f"if (b) {{ {_SELF_DEP}; }}",
+    "else": f"if (b) {{ n = 1; }} else {{ {_SELF_DEP}; }}",
+    "for-init": f"for ({_SELF_DEP}; n < 3; n += 1) {{ n = n; }}",
+    "for-update": f"for (n = 0; n < 3; {_SELF_DEP}) {{ n = n; }}",
+    "for-body": f"for (n = 0; n < 3; n += 1) {{ {_SELF_DEP}; }}",
+    "while-body": f"while (n < 3) {{ {_SELF_DEP}; n = n + 1; }}",
+    "dowhile-body": f"do {{ {_SELF_DEP}; }} while (b);",
+    "call-arg": _SELF_DEP.replace("{read}", f"max({_OFFSET}, 0.0)") + ";",
+    "withloop-body": _SELF_DEP.replace(
+        "{read}", f"with ([0] <= jv < [3]) fold(+, 0.0, {_OFFSET})") + ";",
+    "generator-bound": _SELF_DEP.replace(
+        "{read}", f"with ([0] <= jv < [{_OFFSET}]) fold(+, 0.0, 1.0)") + ";",
+}
+
+
+class TestLintPositions:
+    """SAC404 and SAC405 find their WITH-loop wherever it sits."""
+
+    @pytest.mark.parametrize("stmt", list(_SHADOWING_AT.values()),
+                             ids=list(_SHADOWING_AT))
+    def test_generator_shadowing_anywhere(self, stmt):
+        src = f"int f(int iv, int n, bool b) {{ x = 0; {stmt} return x; }}"
+        assert codes(src).count("SAC404") == 1
+
+    @pytest.mark.parametrize("stmt", list(_SELF_DEP_AT.values()),
+                             ids=list(_SELF_DEP_AT))
+    def test_self_dependence_offset_read_anywhere(self, stmt):
+        stmt = stmt.replace("{read}", _OFFSET)
+        src = (f"double[+] f(double[+] a, int n, bool b) {{ {stmt} "
+               f"return a; }}")
+        assert codes(src).count("SAC405") == 1
+
+    def test_point_read_inside_nested_loop_exempt(self):
+        stmt = _SELF_DEP.replace(
+            "{read}", "with ([0] <= jv < [3]) fold(+, 0.0, a[iv])")
+        src = f"double[+] f(double[+] a) {{ {stmt}; return a; }}"
         assert "SAC405" not in codes(src)
 
 

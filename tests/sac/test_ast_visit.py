@@ -8,9 +8,12 @@ from repro.sac.ast_visit import (
     ExprDispatcher,
     ReturnValue,
     StatementExecutor,
+    assigned_names,
     iter_child_exprs,
     iter_child_nodes,
     map_child_exprs,
+    map_stmt_exprs,
+    mentions,
     walk,
     walk_exprs,
 )
@@ -72,6 +75,44 @@ class TestWalkers:
         )
         names = {n.name for n in walk_exprs(out) if isinstance(n, Var)}
         assert "b" in names and "a" not in names
+
+
+def _body(stmts: str):
+    src = f"int f(int n, bool b, bool c) {{ {stmts} return 0; }}"
+    return parse_program(src).functions[0].body
+
+
+class TestNames:
+    @pytest.mark.parametrize("stmts, names", [
+        ("for (i = 0; i < n; j = i + 1) { s = 1; }", {"i", "j", "s"}),
+        ("if (b) { x = 1; } else { y = 2; }", {"x", "y"}),
+        ("while (b) { w = 1; }", {"w"}),
+        ("do { d = 1; } while (b);", {"d"}),
+        ("if (b) { while (c) { for (i = 0; i < n; i += 1) "
+         "{ do { z = 1; } while (c); } } }", {"i", "z"}),
+        ("x = with ([0] <= iv < [3]) genarray([3], 0);", {"x"}),
+    ], ids=["for-init-update", "if-else", "while", "dowhile", "nested",
+            "generator-var"])
+    def test_assigned_names(self, stmts, names):
+        assert assigned_names(_body(stmts)) == names
+
+    def test_mentions_is_binding_blind(self):
+        e = parse_expression("with ([0] <= iv < [n]) fold(+, 0, iv[[0]] + n)")
+        assert mentions(e) == {"iv": 1, "n": 2}
+        assert mentions(None, e, e)["n"] == 4
+
+    def test_map_stmt_exprs_visits_fields_in_order(self):
+        body = _body("for (i = a; b; j = c) { x = d; } do { y = e; } "
+                     "while (g); if (h) { z = k; } else { z = m; }")
+        seen = []
+
+        def record(e):
+            if isinstance(e, Var):
+                seen.append(e.name)
+            return e
+
+        map_stmt_exprs(body, record)
+        assert seen == list("abcdeghkm")
 
 
 class _ConstEvaluator(ExprDispatcher):

@@ -5,8 +5,8 @@ import pytest
 
 from repro.sac import CompileOptions, SacProgram
 from repro.sac.ast_nodes import Assign, Call
+from repro.sac.ast_visit import walk_exprs
 from repro.sac.optim.cse import cse_pass
-from repro.sac.optim.rewrite import walk_exprs
 from repro.sac.parser import parse_program
 
 

@@ -15,6 +15,7 @@ from repro.sac.ast_nodes import (
     Var,
     WithLoop,
 )
+from repro.sac.ast_visit import walk_exprs
 from repro.sac.driver.passes import PASSES, PassManager, schedule_for
 from repro.sac.optim import (
     coeffgroup_pass,
@@ -24,7 +25,7 @@ from repro.sac.optim import (
     unroll_pass,
     wlfold_pass,
 )
-from repro.sac.optim.rewrite import ast_equal, ast_key, substitute, walk_exprs
+from repro.sac.optim.rewrite import ast_equal, ast_key, substitute
 from repro.sac.parser import parse_expression, parse_program
 from repro.sac.pprint import pprint_expr
 from repro.sac.stdlib import load_prelude

@@ -54,14 +54,15 @@ def format_speedup(data: dict) -> str:
         f"serial core.mg (warm pool): {data['serial_seconds']:.3f} s, "
         f"rnm2 = {data['rnm2']:.12e}",
         f"{'runtime':<22}{'P':>3}{'seconds':>10}"
-        f"{'vs own P=1':>13}{'vs serial':>12}",
+        f"{'vs own P=1':>13}{'vs serial':>12}{'halo sends':>12}",
     ]
     for row in data["rows"]:
+        sends = "-" if row["sends"] is None else row["sends"]
         lines.append(f"{row['runtime']:<22}{row['procs']:>3}"
                      f"{row['seconds']:>10.3f}{row['vs_own']:>12.2f}x"
-                     f"{row['vs_serial']:>11.2f}x")
+                     f"{row['vs_serial']:>11.2f}x{sends:>12}")
     lines.append("vs own P=1 is Fig. 12, vs serial Fig. 13; every row's "
-                 "rnm2 is bit-equal to serial")
+                 "rnm2 is bit-equal to serial; halo sends are per solve")
     lines.append("paper, 10 CPUs against own serial: " + ", ".join(
         f"{name} W={s['W']} A={s['A']}"
         for name, s in PAPER["speedup_10"].items()))

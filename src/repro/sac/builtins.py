@@ -14,6 +14,8 @@ zero), matching SAC's C heritage.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .errors import SacRuntimeError, SacTypeError
@@ -31,6 +33,7 @@ __all__ = [
     "int_div",
     "int_mod",
     "BUILTINS",
+    "builtin_arity",
     "call_builtin",
     "is_builtin",
     "FOLD_UFUNCS",
@@ -231,6 +234,7 @@ def _elementwise(fn):
                 return SpaceValue(np.asarray(result), a.space_ndim)
         return coerce_value(result)
 
+    wrapped.__wrapped__ = fn
     return wrapped
 
 
@@ -297,6 +301,13 @@ FOLD_UFUNCS = {
 
 def is_builtin(name: str) -> bool:
     return name in BUILTINS
+
+
+def builtin_arity(name: str) -> int:
+    """The number of arguments builtin ``name`` takes."""
+    fn = inspect.unwrap(BUILTINS[name])
+    return fn.nin if isinstance(fn, np.ufunc) else len(
+        inspect.signature(fn).parameters)
 
 
 def call_builtin(name: str, args):

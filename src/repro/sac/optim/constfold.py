@@ -49,7 +49,10 @@ def literal_value(expr: Expr):
         vals = [literal_value(e) for e in expr.elements]
         if any(v is None for v in vals):
             return None
-        arr = np.asarray(vals)
+        try:
+            arr = np.asarray(vals)
+        except ValueError:  # ragged: the interpreter reports it at run time
+            return None
         if np.issubdtype(arr.dtype, np.integer):
             return arr.astype(np.int64)
         if np.issubdtype(arr.dtype, np.floating):

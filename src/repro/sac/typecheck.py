@@ -44,7 +44,7 @@ from .ast_nodes import (
     WithLoop,
 )
 from .ast_visit import iter_child_exprs
-from .builtins import is_builtin
+from .builtins import builtin_arity, is_builtin
 from .diagnostics import Diagnostic
 from .errors import SacTypeError, SourcePos
 
@@ -181,14 +181,14 @@ class _Checker:
                 self.check_call(expr)
 
     def check_call(self, call: Call) -> None:
-        arities = self.arities.get(call.name)
-        if arities is None:
-            if not is_builtin(call.name):
-                self.error("SAC003",
-                           f"call to undefined function {call.name!r}",
-                           call.pos)
-            return
-        if len(call.args) not in arities and not is_builtin(call.name):
+        arities = set(self.arities.get(call.name, ()))
+        if is_builtin(call.name):
+            arities.add(builtin_arity(call.name))
+        if not arities:
+            self.error("SAC003",
+                       f"call to undefined function {call.name!r}",
+                       call.pos)
+        elif len(call.args) not in arities:
             self.error(
                 "SAC004",
                 f"no overload of {call.name!r} takes {len(call.args)} "

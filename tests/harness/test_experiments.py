@@ -41,6 +41,18 @@ class TestFig12And13:
                 assert f"{row['runtime']:<22}  1" in text
         assert text.count("1.00x") >= 3
 
+    def test_distributed_rows_count_halo_sends(self, speedup_t):
+        # One solve sends a plane each way per rank and exchange: at
+        # P = 2 on class T (4 iterations of 5 exchanges, plus the first
+        # residual's) that is 2 * 2 * 21; a lone rank sends none.
+        data, text = speedup_t
+        for row in data["rows"]:
+            if row["runtime"] == "ParallelMG":
+                assert row["sends"] is None
+            else:
+                assert row["sends"] == {1: 0, 2: 84}[row["procs"]]
+                assert f"x{row['sends']:>12}" in text
+
     def test_fig13_baseline_is_f77(self, speedup_t):
         # Fig. 13's baseline is the serial Fortran-77 style solve.
         data, text = speedup_t

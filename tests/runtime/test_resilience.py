@@ -297,7 +297,11 @@ class TestChaosRuns:
         assert mg.last_world.stats.crashes == 1
 
     def test_drop_becomes_halo_timeout(self):
-        plan = FaultPlan([Fault(FaultKind.DROP, rank=0, iteration=1)])
+        # Class T (lt = 4): the dropped plane is a finest-level resid
+        # plane, so the psinv plane sent after it arrives under another
+        # tag before the receiver's deadline.
+        plan = FaultPlan([Fault(FaultKind.DROP, rank=0, iteration=1,
+                                op="resid", level=4)])
         mg = DistributedMG(2, fault_plan=plan, timeout=0.4)
         t0 = time.monotonic()
         with pytest.raises(WorldAborted) as ei:
@@ -313,6 +317,49 @@ class TestChaosRuns:
         # The receiver discarded later mismatched planes rather than
         # silently desynchronising the ring.
         assert stats.tag_mismatches >= 1
+
+    @pytest.mark.parametrize("heal", [0, 1])
+    def test_stall_in_the_coarse_solve_names_rank_0(self, heal,
+                                                    monkeypatch):
+        # Rank 0 alone solves the V-cycle bottom; the first time it
+        # sleeps past the timeout, and rank 1 times out at the gather's
+        # second barrier waiting for it.
+        from repro.runtime import spmd
+
+        correction = spmd.correction
+        stalls = []
+
+        def stalled(*args, **kwargs):
+            if not stalls:
+                stalls.append(threading.current_thread().name)
+                time.sleep(0.8)
+            return correction(*args, **kwargs)
+
+        monkeypatch.setattr(spmd, "correction", stalled)
+        mg = DistributedMG(2, timeout=0.3, heal=heal)
+        if not heal:
+            with pytest.raises(WorldAborted) as ei:
+                mg.solve("T")
+            failures = ei.value.failures
+        else:
+            res = mg.solve("T")
+            assert not mg.last_world.registry
+            assert mg.last_world.heal_log[0].completed
+            ref = DistributedMG(2).solve("T")
+            assert res.u.tobytes() == ref.u.tobytes()
+            assert res.r.tobytes() == ref.r.tobytes()
+            assert res.rnm2 == ref.rnm2
+            failures = mg.last_world.healed
+        assert stalls == ["mg-rank-0"]
+        (failure,) = failures
+        assert failure.rank == 0 and failure.stalled
+        cause = failure.cause
+        assert isinstance(cause, BarrierTimeout)
+        assert cause.rank == 1 and cause.op == "coarsest"
+        assert cause.missing == (0,)
+        for t in threading.enumerate():  # the sleeping zombie
+            if t.name.startswith("mg-rank-"):
+                t.join(timeout=10.0)
 
     def test_delay_is_transparent(self):
         plan = FaultPlan([Fault(FaultKind.DELAY, rank=0, iteration=0,

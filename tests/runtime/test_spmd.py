@@ -7,7 +7,10 @@ import pytest
 
 from repro.baselines import FortranMG
 from repro.core import comm3, make_grid
+from repro.core.classes import get_class
+from repro.runtime import spmd
 from repro.runtime.spmd import DistributedMG, World, _local_comm3
+from repro.runtime.transport import Channel
 
 
 def _random_periodic(m, seed=0):
@@ -114,9 +117,38 @@ class TestDistributedMG:
         ref = FortranMG().solve("S")
         np.testing.assert_array_equal(res.u, ref.u)
 
-    def test_switch_level_replication(self):
-        # With 4 ranks on class T (lt=4): levels 4 and 3 are distributed
-        # (>= 8 planes), levels 2 and 1 replicate.
-        mg = DistributedMG(4)
-        assert mg._distributed(4) and mg._distributed(3)
-        assert not mg._distributed(2)
+    @pytest.mark.parametrize("size_class, nranks", [
+        (name, p) for name in "TS" for p in (1, 2, 4, 8)
+        if get_class(name).nx >= 4 * p])  # class T is too small for 8
+    def test_bottom_solved_once_on_rank_0(self, size_class, nranks,
+                                          monkeypatch):
+        # Only levels lt and lt - 1 are split: below them rank 0 alone
+        # runs the serial correction, once per V-cycle, and no halo
+        # plane of a coarser level travels.
+        sc = get_class(size_class)
+        solvers, levels = [], set()
+        correction = spmd.correction
+        send = Channel.send
+
+        def counted(*args, **kwargs):
+            solvers.append(threading.current_thread().name)
+            return correction(*args, **kwargs)
+
+        def recorded(self, payload, op=None, level=None):
+            levels.add(level)
+            return send(self, payload, op=op, level=level)
+
+        monkeypatch.setattr(spmd, "correction", counted)
+        monkeypatch.setattr(Channel, "send", recorded)
+        mg = DistributedMG(nranks)
+        mg.solve(sc)
+        assert solvers == ["mg-rank-0"] * sc.nit
+        if nranks == 1:
+            assert levels == set()
+        else:
+            assert levels == {sc.lt, sc.lt - 1}
+        # Per rank and exchange one plane each way: the first residual,
+        # then per V-cycle rprj3, interp, resid and psinv of the V-cycle
+        # and the closing resid.
+        assert mg.last_world.stats.sends == (
+            0 if nranks == 1 else 2 * nranks * (1 + 5 * sc.nit))

@@ -196,6 +196,21 @@ class TestConstfold:
 
         assert isinstance(e, DoubleLit)
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_ragged_vector_is_the_interpreters_error(self, optimize):
+        # A ragged vector is no literal: the folder leaves it alone, the
+        # build succeeds either way, and the call fails as the
+        # interpreter says.
+        from repro.sac.errors import SacTypeError
+        from repro.sac.optim.constfold import literal_value
+
+        assert literal_value(parse_expression("[[1, 2], 3]")) is None
+        prog = SacProgram(
+            parse_program("int f() { return max([[1, 2], 3], 0); }"),
+            CompileOptions(optimize=optimize))
+        with pytest.raises(SacTypeError, match="ragged array literal"):
+            prog.call("f")
+
     def test_zero_times_shape_kept(self):
         # 0 * shape(a) must NOT fold to scalar 0 (it is a vector).
         src = "int[.] f(double[+] a) { return 0 * shape(a); }"

@@ -85,6 +85,39 @@ class TestCalls:
                "int f() { return g(1) + g(1, 2); }")
         assert diags(src) == []
 
+    @pytest.mark.parametrize("run", ["interpreter", "compile_function"])
+    def test_builtin_wrong_arity_is_sac004(self, run):
+        # The builtin's arity is its runtime function's: the build stops
+        # before either evaluator can call _bi_sum with two arguments.
+        from repro.sac import SacProgram
+        from repro.sac.codegen import compile_function
+
+        with pytest.raises(SacTypeError, match="SAC004 no overload of "
+                           "'sum' takes 2 argument"):
+            prog = SacProgram.from_source(
+                "int f(int a) { return sum(a, a); }")
+            if run == "interpreter":
+                prog.call("f", 1)
+            else:
+                compile_function(prog, "f", (1,))
+
+    def test_builtin_arities(self):
+        assert messages("double f(double a) { return min(a); }") == [
+            "no overload of 'min' takes 1 argument(s); defined "
+            "arities: [2]"]
+        assert diags("double f(double a) { return min(a, abs(a)) "
+                     "+ tod(toi(sqrt(a))); }") == []
+
+    def test_user_overload_of_a_builtin_adds_an_arity(self):
+        # The interpreter falls back to the builtin when no user
+        # overload matches, so both arities are callable.
+        src = ("int max(int a, int b, int c) { return a; } "
+               "int f() { return max(1, 2) + max(1, 2, 3); }")
+        assert diags(src) == []
+        assert messages(src.replace("max(1, 2) +", "max(1) +")) == [
+            "no overload of 'max' takes 1 argument(s); defined "
+            "arities: [2, 3]"]
+
     def test_fold_function_checked(self):
         msgs = messages(
             "double f(double[.] a) { return with ([0] <= i < shape(a)) "

@@ -137,14 +137,20 @@ class _Fabric:
 
     def __init__(self, world: "World", epoch: int):
         size = world.size
-        transport = world.transport
+
+        def channel(src: int, dst: int, name: str) -> Channel:
+            return Channel(
+                src, dst, world.transport.wire(src, dst, name),
+                cancel=world.cancel, registry=world.registry,
+                stats=world.stats, config=world.config,
+                injector=world.injector(src),
+                halo_checksums=world.halo_checksums,
+                halo_retries=world.halo_retries)
+
         # ring links: up[r] carries messages r -> (r+1)%P,
         #             down[r] carries messages r -> (r-1)%P.
-        self.up = [Channel(world, r, (r + 1) % size,
-                           transport.wire(r, (r + 1) % size, "up"))
-                   for r in range(size)]
-        self.down = [Channel(world, r, (r - 1) % size,
-                             transport.wire(r, (r - 1) % size, "down"))
+        self.up = [channel(r, (r + 1) % size, "up") for r in range(size)]
+        self.down = [channel(r, (r - 1) % size, "down")
                      for r in range(size)]
         self.barrier = threading.Barrier(size)
         self.arrivals = [0] * size

@@ -124,7 +124,6 @@ class Wire(abc.ABC):
     * :meth:`put` enqueues one opaque payload (never blocks long);
     * :meth:`get` dequeues one payload or raises :class:`queue.Empty`
       after ``timeout`` seconds of silence;
-    * :meth:`probe` reports whether a payload is already deliverable;
     * :meth:`poison` injects a sentinel *receiver-side* (it never
       travels over the medium), waking a blocked :meth:`get`;
     * :meth:`close` releases the wire's resources — sockets, service
@@ -142,10 +141,6 @@ class Wire(abc.ABC):
     @abc.abstractmethod
     def get(self, timeout: float) -> object:
         """Dequeue one payload; raises ``queue.Empty`` on timeout."""
-
-    @abc.abstractmethod
-    def probe(self) -> bool:
-        """True when a payload is already waiting."""
 
     @abc.abstractmethod
     def poison(self, sentinel: object) -> None:

@@ -35,37 +35,43 @@ class Channel:
     the world runs with halo checksums, pristine payloads are parked in
     a bounded replay buffer so a corrupted delivery can be retransmitted.
 
-    The channel remembers the world's heal epoch at construction: a
-    stale sender from a pre-heal fabric hitting its closed wire is
-    swallowed silently (the zombie is about to observe its own
-    replacement), while a closed-wire send on the *current* fabric is a
-    genuine bug and propagates.
+    A send that finds its wire closed is swallowed once the channel is
+    poisoned — by a world abort, or by a heal that retires its fabric:
+    the sender is a zombie about to observe its own replacement — while
+    a closed-wire send on a live channel is a genuine bug and propagates.
+
+    The channel holds what it reads of its world — the cancellation
+    token, failure registry, statistics and transport config, the
+    source rank's fault injector and the checksum settings — and not
+    the world itself, so that no reference cycle keeps a finished world
+    alive until the cyclic garbage collector runs.
     """
 
-    def __init__(self, world, src: int, dst: int, wire: Wire):
-        self.world = world
-        self.src = src
-        self.dst = dst
-        self._wire = wire
+    def __init__(self, src: int, dst: int, wire: Wire, *, cancel, registry,
+                 stats, config, injector, halo_checksums: bool,
+                 halo_retries: int):
+        self.src, self.dst, self._wire = src, dst, wire
+        self._cancel, self._registry, self._stats = cancel, registry, stats
+        self._config, self._injector = config, injector
+        self._checksums, self._retries = halo_checksums, halo_retries
         self._seq = 0
         self._replay: dict[int, object] = {}
         self._lock = threading.Lock()
-        self._epoch = getattr(world, "heal_epoch", 0)
+        self._poisoned = False
 
     def send(self, payload, op: str | None = None,
              level: int | None = None) -> None:
-        w = self.world
-        checksum = plane_checksum(payload) if w.halo_checksums else None
+        checksum = plane_checksum(payload) if self._checksums else None
         with self._lock:
             seq = self._seq
             self._seq += 1
-            if w.halo_checksums:
+            if self._checksums:
                 self._replay[seq] = payload
                 for stale in [s for s in self._replay
                               if s <= seq - REPLAY_DEPTH]:
                     del self._replay[stale]
         delay = 0.0
-        injector = w.injector(self.src)
+        injector = self._injector
         if injector is not None:
             action, mutated, delay = injector.on_message(op, level, payload)
             if action == "drop":
@@ -82,14 +88,10 @@ class Channel:
             # is on its way out (it will observe the abort / heal epoch
             # at its next check), so dropping the message is safe.  On a
             # live fabric a closed wire is a real fault — propagate.
-            if w.aborted or getattr(w, "heal_epoch", 0) != self._epoch:
+            if self._poisoned or self._cancel.is_set():
                 return
             raise
-        w.stats.bump("sends")
-
-    def _retransmit(self, seq: int):
-        with self._lock:
-            return self._replay.get(seq)
+        self._stats.bump("sends")
 
     def recv(self, waiter, op: str | None = None, level: int | None = None,
              timeout: float | None = None):
@@ -109,16 +111,15 @@ class Channel:
         consuming the stray plane would silently desynchronise the
         ring — starving into :class:`HaloTimeout` is the honest outcome.
         """
-        w = self.world
         rank = waiter.rank
-        timeout = w.timeout if timeout is None else timeout
+        timeout = self._config.timeout if timeout is None else timeout
         start = time.monotonic()
         deadline = start + timeout
         while True:
             waiter.check(op=op, level=level)
             remaining = deadline - time.monotonic()
             try:
-                msg = self._wire.get(timeout=min(w.poll_interval,
+                msg = self._wire.get(timeout=min(self._config.poll_interval,
                                                  max(remaining, 0.001)))
             except queue.Empty as exc:
                 if time.monotonic() >= deadline:
@@ -126,48 +127,42 @@ class Channel:
                         rank, op=op, level=level, src=self.src,
                         timeout=timeout,
                         elapsed=time.monotonic() - start,
-                        failures=w.registry.failures()) from exc
+                        failures=self._registry.failures()) from exc
                 continue
             if msg is POISON:
                 waiter.check(op=op, level=level)
                 # Poison without an abort flag cannot happen in normal
                 # operation; treat it as an abort with no provenance.
-                raise WorldAborted(w.registry.failures(), observer=rank,
+                raise WorldAborted(self._registry.failures(), observer=rank,
                                    op=op, level=level)
             if msg.op != op or msg.level != level:
-                w.stats.bump("tag_mismatches")
+                self._stats.bump("tag_mismatches")
                 continue
             return self._verified_payload(msg, rank)
 
     def _verified_payload(self, msg: SealedMessage, rank: int):
-        w = self.world
         if msg.checksum is None:
             return msg.payload
         payload = msg.payload
         retries = 0
         while plane_checksum(payload) != msg.checksum:
-            w.stats.bump("checksum_failures")
-            if retries >= w.halo_retries:
+            self._stats.bump("checksum_failures")
+            if retries >= self._retries:
                 raise HaloCorruption(rank, level=msg.level, src=msg.src,
                                      retries=retries)
-            pristine = self._retransmit(msg.seq)
+            with self._lock:
+                pristine = self._replay.get(msg.seq)
             if pristine is None:
                 raise HaloCorruption(rank, level=msg.level, src=msg.src,
                                      retries=retries)
-            w.stats.bump("retransmits")
+            self._stats.bump("retransmits")
             payload = pristine
             retries += 1
         return payload
 
-    def probe(self) -> bool:
-        return self._wire.probe()
-
     def poison(self) -> None:
+        self._poisoned = True
         self._wire.poison(POISON)
 
     def close(self) -> None:
         self._wire.close()
-
-    @property
-    def wire(self) -> Wire:
-        return self._wire

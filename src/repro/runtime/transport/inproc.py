@@ -32,9 +32,6 @@ class InProcQueueWire(Wire):
     def get(self, timeout: float) -> object:
         return self._q.get(timeout=timeout)
 
-    def probe(self) -> bool:
-        return not self._q.empty()
-
     def poison(self, sentinel: object) -> None:
         self._q.put(sentinel)
 

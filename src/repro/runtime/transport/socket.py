@@ -5,7 +5,7 @@ an ephemeral listener, connects a client socket (with bounded retries
 from :class:`~.base.TransportConfig`), and accepts the server side.
 Payloads travel as ``pickle`` blobs behind an 8-byte header
 ``(length, crc32)``; a per-wire reader thread reassembles frames into
-a local ``queue.Queue`` so ``get``/``poison``/``probe`` keep the exact
+a local ``queue.Queue`` so ``get``/``poison`` keep the exact
 in-process semantics (the poison sentinel never crosses the socket —
 it is injected receiver-side, preserving identity comparison).
 
@@ -139,9 +139,6 @@ class SocketWire(Wire):
 
     def get(self, timeout: float) -> object:
         return self._q.get(timeout=timeout)
-
-    def probe(self) -> bool:
-        return not self._q.empty()
 
     def poison(self, sentinel: object) -> None:
         self._q.put(sentinel)

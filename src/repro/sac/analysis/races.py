@@ -9,10 +9,10 @@ That is safe exactly when
    ``width <= step`` proven by :mod:`repro.sac.analysis.partition`, and
 2. for ``fold`` loops, the folding function is associative and
    commutative, so partial reductions may combine in any order.  The
-   operators the runtime itself folds with (``FOLD_UFUNCS``: ``+ * min
-   max``) are known-safe; a fold naming any other function is flagged
-   **SAC302** (warning) — it may well be correct, but cannot be
-   certified here.
+   operators the runtime itself folds with (``FOLD_UFUNCS``: ``+ *`` and
+   the binary builtins ``min max``) are known-safe; a fold naming any
+   other function is flagged **SAC302** (warning) — it may well be
+   correct, but cannot be certified here.
 
 Overlapping writes are **SAC301** (error).  Every WITH-loop visited
 yields a :class:`LoopCertificate`, so a caller (the ``mg_sac`` loader

@@ -66,7 +66,7 @@ from ..ast_nodes import (
     WithLoop,
 )
 from ..ast_visit import assigned_names
-from ..builtins import is_builtin
+from ..builtins import BUILTINS
 from ..diagnostics import Diagnostic
 from ..errors import SourcePos
 from ..sactypes import SacType, ShapeKind
@@ -742,6 +742,9 @@ class ShapeAnalyzer:
     def _check_axis_bounds(self, arr: AValue, axis: int, idx: Interval,
                            pos: Optional[SourcePos],
                            star: bool = False) -> None:
+        if (idx.lo is not None and idx.hi is not None
+                and idx.lo.sub(idx.hi).always_pos()):
+            return  # an empty range: no access happens
         ext = (Affine.sym(("ext", arr.owner, "*"))
                if star and arr.owner is not None
                else arr.extent(axis))
@@ -792,9 +795,8 @@ class ShapeAnalyzer:
     def _eval_call(self, expr: Call, env: dict) -> AValue:
         args = [self.eval(a, env) for a in expr.args]
         name = expr.name
-        handler = _BUILTIN_EVAL.get(name)
-        if handler is not None:
-            return handler(self, args)
+        if name in BUILTINS:
+            return _builtin_value(name, args)
         overloads = self.functions.get(name)
         if not overloads:
             return UNKNOWN  # typecheck reports unknown functions
@@ -1076,8 +1078,7 @@ def _abs_interval(c: Interval) -> Interval:
     return Interval(Affine.of(0), None)
 
 
-def _bi_shape(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
-    (a,) = args if len(args) == 1 else (UNKNOWN,)
+def _bi_shape(a: AValue) -> AValue:
     if not a.is_array:
         if a.is_scalar:
             return AValue.int_vector(Affine.of(0), comps=())
@@ -1094,8 +1095,7 @@ def _bi_shape(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
     return AValue.int_vector(None, uniform=Interval(Affine.of(0), None))
 
 
-def _bi_dim(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
-    (a,) = args if len(args) == 1 else (UNKNOWN,)
+def _bi_dim(a: AValue) -> AValue:
     if a.is_scalar:
         return AValue.scalar(Interval.point(0))
     if a.is_array and a.rank is not None:
@@ -1103,8 +1103,7 @@ def _bi_dim(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
     return AValue.scalar(Interval(Affine.of(0), None))
 
 
-def _bi_sum(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
-    (a,) = args if len(args) == 1 else (UNKNOWN,)
+def _bi_sum(a: AValue) -> AValue:
     if a.is_scalar:
         return a
     if a.is_array and a.comps is not None:
@@ -1115,31 +1114,25 @@ def _bi_sum(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
     return AValue.scalar()
 
 
-def _bi_abs(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
-    (a,) = args if len(args) == 1 else (UNKNOWN,)
-    return _map_values(a, _abs_interval)
-
-
-def _bi_elementwise_shape(an: ShapeAnalyzer, args: list[AValue]) -> AValue:
-    for a in args:
-        if a.is_array:
-            return AValue(kind="array", rank=a.rank, extents=a.extents,
-                          owner=a.owner)
-    return AValue.scalar()
-
-
-_BUILTIN_EVAL: dict[str, Callable] = {
+#: The builtins whose result values the analyzer tracks, as intervals.
+_INTERVAL_RULES: dict[str, Callable[[AValue], AValue]] = {
     "shape": _bi_shape,
     "dim": _bi_dim,
     "sum": _bi_sum,
-    "prod": lambda an, args: (AValue.scalar() if args and
-                              args[0].is_scalar else AValue.scalar()),
-    "abs": _bi_abs,
-    "min": _bi_elementwise_shape,
-    "max": _bi_elementwise_shape,
-    "sqrt": _bi_elementwise_shape,
-    "tod": _bi_elementwise_shape,
-    "toi": _bi_elementwise_shape,
+    "abs": lambda a: _map_values(a, _abs_interval),
 }
 
-assert all(is_builtin(n) for n in _BUILTIN_EVAL)
+
+def _builtin_value(name: str, args: list[AValue]) -> AValue:
+    """A builtin's result: its interval rule's, else the shape its
+    record's kind gives — an elementwise result has its array operand's
+    shape, a reduction's is a scalar."""
+    rule = _INTERVAL_RULES.get(name)
+    if rule is not None:
+        return rule(args[0] if len(args) == 1 else UNKNOWN)
+    if BUILTINS[name].kind == "elementwise":
+        for a in args:
+            if a.is_array:
+                return AValue(kind="array", rank=a.rank, extents=a.extents,
+                              owner=a.owner)
+    return AValue.scalar()

@@ -143,17 +143,23 @@ def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
 def map_stmt_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
     """Apply :func:`map_expr` to every expression in a statement tree,
     visiting fields in declaration order (so a ``for`` rewrites its init,
-    condition, update, then body)."""
+    condition, update, then body).  Returns ``stmt`` itself when nothing
+    in it changed."""
     changes = {}
     for name in node_fields(type(stmt)):
         v = getattr(stmt, name)
         if isinstance(v, Expr):
-            changes[name] = map_expr(v, fn)
+            nv = map_expr(v, fn)
         elif isinstance(v, Stmt):
-            changes[name] = map_stmt_exprs(v, fn)
+            nv = map_stmt_exprs(v, fn)
         elif isinstance(v, tuple) and all(isinstance(s, Stmt) for s in v):
-            changes[name] = tuple(map_stmt_exprs(s, fn) for s in v)
-    return dataclasses.replace(stmt, **changes)
+            nv = tuple(map_stmt_exprs(s, fn) for s in v)
+            nv = v if all(a is b for a, b in zip(nv, v)) else nv
+        else:
+            continue
+        if nv is not v:
+            changes[name] = nv
+    return dataclasses.replace(stmt, **changes) if changes else stmt
 
 
 def walk(node: Node) -> Iterator[Node]:

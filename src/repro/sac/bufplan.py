@@ -48,10 +48,13 @@ from typing import Any
 
 import numpy as np
 
+from .builtins import BUILTINS
+
 __all__ = ["ELEMENTWISE", "Instr", "plan", "render", "result_bases"]
 
-#: SAC operator / builtin -> (ufunc, operator spelling of the allocating
-#: form, or None where the allocating form is the plain ufunc call).
+#: SAC operator or elementwise builtin -> (ufunc, operator spelling of the
+#: allocating form, or None where the allocating form is the plain ufunc
+#: call).  A builtin's ufunc is its record's ``code``.
 ELEMENTWISE: dict[str, tuple[str, str | None]] = {
     "+": ("np.add", "({} + {})"),
     "-": ("np.subtract", "({} - {})"),
@@ -67,10 +70,8 @@ ELEMENTWISE: dict[str, tuple[str, str | None]] = {
     "||": ("np.logical_or", None),
     "neg": ("np.negative", "(-{})"),
     "!": ("np.logical_not", None),
-    "abs": ("np.abs", None),
-    "sqrt": ("np.sqrt", None),
-    "min": ("np.minimum", None),
-    "max": ("np.maximum", None),
+    **{b.name: (b.code, None) for b in BUILTINS.values()
+       if b.instr == "elementwise"},
 }
 
 

@@ -14,7 +14,9 @@ zero), matching SAC's C heritage.
 
 from __future__ import annotations
 
-import inspect
+import operator
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +35,8 @@ __all__ = [
     "int_div",
     "int_mod",
     "BUILTINS",
-    "builtin_arity",
+    "Builtin",
     "call_builtin",
-    "is_builtin",
     "FOLD_UFUNCS",
 ]
 
@@ -124,6 +125,15 @@ def affine_binop(op: str, l, r):
     return None
 
 
+#: The operators that are one operation on scalars and arrays alike.
+_BINOPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "&&": np.logical_and, "||": np.logical_or,
+}
+
+
 def apply_binop(op: str, l, r):
     """Evaluate a binary operator on concrete and/or abstract values."""
     # Affine index fast path; fall back to materialized form when the
@@ -142,12 +152,9 @@ def apply_binop(op: str, l, r):
     if not isinstance(l, SpaceValue) and not isinstance(r, SpaceValue):
         _check_elementwise_shapes(lr, rr)
 
-    if op == "+":
-        return _rewrap(lr + rr, l, r)
-    if op == "-":
-        return _rewrap(lr - rr, l, r)
-    if op == "*":
-        return _rewrap(lr * rr, l, r)
+    fn = _BINOPS.get(op)
+    if fn is not None:
+        return _rewrap(fn(lr, rr), l, r)
     if op == "/":
         if _is_intlike(lr) and _is_intlike(rr):
             return _rewrap(int_div(lr, rr), l, r)
@@ -159,27 +166,7 @@ def apply_binop(op: str, l, r):
         if _is_intlike(lr) and _is_intlike(rr):
             return _rewrap(int_mod(lr, rr), l, r)
         raise SacTypeError("'%' requires integer operands")
-    if op == "==":
-        return _rewrap(np.equal(lr, rr) if _any_array(lr, rr) else lr == rr, l, r)
-    if op == "!=":
-        return _rewrap(np.not_equal(lr, rr) if _any_array(lr, rr) else lr != rr, l, r)
-    if op == "<":
-        return _rewrap(lr < rr, l, r)
-    if op == "<=":
-        return _rewrap(lr <= rr, l, r)
-    if op == ">":
-        return _rewrap(lr > rr, l, r)
-    if op == ">=":
-        return _rewrap(lr >= rr, l, r)
-    if op == "&&":
-        return _rewrap(np.logical_and(lr, rr) if _any_array(lr, rr) else (lr and rr), l, r)
-    if op == "||":
-        return _rewrap(np.logical_or(lr, rr) if _any_array(lr, rr) else (lr or rr), l, r)
     raise SacRuntimeError(f"unknown operator {op!r}")
-
-
-def _any_array(*vs) -> bool:
-    return any(isinstance(v, np.ndarray) for v in vs)
 
 
 def apply_unop(op: str, v):
@@ -198,6 +185,32 @@ def apply_unop(op: str, v):
 # ---------------------------------------------------------------------------
 # Built-in functions.
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Builtin:
+    """Everything the compiler knows about one builtin function.
+
+    The interpreter calls ``fn``, the typechecker checks ``arity``, the
+    analyzer and the tracer branch on ``kind``: ``"structural"`` (reads
+    only the shape), ``"elementwise"`` or ``"reduction"``.  The tracer
+    emits ``code`` (an ``elementwise`` instruction's ufunc, else a
+    right-hand side with a ``{}`` per operand; ``scalar_code`` on a
+    scalar) as an ``instr``, of type ``dtype`` (None: the operands'
+    promoted type).  ``faults``: it may warn on values outside the
+    region a WITH-loop stores, which a flat-range body computes too.
+    """
+
+    name: str
+    arity: int
+    kind: str
+    fn: Callable
+    code: str = ""
+    instr: str = ""
+    dtype: np.dtype | None = None
+    ufunc: np.ufunc | None = None
+    scalar_code: str | None = None
+    faults: bool = False
+
 
 def _bi_dim(a):
     if isinstance(a, SpaceValue):
@@ -234,7 +247,6 @@ def _elementwise(fn):
                 return SpaceValue(np.asarray(result), a.space_ndim)
         return coerce_value(result)
 
-    wrapped.__wrapped__ = fn
     return wrapped
 
 
@@ -251,65 +263,58 @@ def _bi_tod(x):
     return float(x)
 
 
-def _cell_reduce(a: SpaceValue, ufunc) -> SpaceValue:
-    axes = tuple(range(a.space_ndim, a.data.ndim))
-    return SpaceValue(ufunc.reduce(a.data, axis=axes) if axes else a.data.copy(),
-                      a.space_ndim)
+def _reduction(ufunc):
+    def reduce(a):
+        if isinstance(a, IndexView):
+            a = a.materialize()
+        if isinstance(a, SpaceValue):
+            axes = tuple(range(a.space_ndim, a.data.ndim))
+            return SpaceValue(ufunc.reduce(a.data, axis=axes) if axes
+                              else a.data.copy(), a.space_ndim)
+        if isinstance(a, np.ndarray):
+            return coerce_value(ufunc.reduce(a, axis=None))
+        return a
+
+    return reduce
 
 
-def _bi_sum(a):
-    if isinstance(a, IndexView):
-        a = a.materialize()
-    if isinstance(a, SpaceValue):
-        return _cell_reduce(a, np.add)
-    if isinstance(a, np.ndarray):
-        return coerce_value(a.sum())
-    return a
+def _ufunc(name: str, ufunc: np.ufunc, code: str, **facts) -> Builtin:
+    return Builtin(name, ufunc.nin, "elementwise", _elementwise(ufunc),
+                   code, "elementwise", ufunc=ufunc, **facts)
 
 
-def _bi_prod(a):
-    if isinstance(a, IndexView):
-        a = a.materialize()
-    if isinstance(a, SpaceValue):
-        return _cell_reduce(a, np.multiply)
-    if isinstance(a, np.ndarray):
-        return coerce_value(a.prod())
-    return a
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
 
+#: The builtins, by name.  Adding one means adding its record here.
+BUILTINS: dict[str, Builtin] = {b.name: b for b in (
+    Builtin("dim", 1, "structural", _bi_dim, dtype=_I64),
+    Builtin("shape", 1, "structural", _bi_shape, dtype=_I64),
+    _ufunc("abs", np.abs, "np.abs"),
+    _ufunc("min", np.minimum, "np.minimum"),
+    _ufunc("max", np.maximum, "np.maximum"),
+    _ufunc("sqrt", np.sqrt, "np.sqrt", dtype=_F64, faults=True),
+    # np.float64(x) *is* x when x is already a double array.
+    Builtin("tod", 1, "elementwise", _elementwise(_bi_tod),
+            "np.float64({})", "view", _F64),
+    Builtin("toi", 1, "elementwise", _elementwise(_bi_toi),
+            "np.trunc({}).astype(np.int64)", "alloc", _I64,
+            scalar_code="int({})"),
+    Builtin("sum", 1, "reduction", _reduction(np.add), "np.sum({})",
+            "alloc"),
+    Builtin("prod", 1, "reduction", _reduction(np.multiply),
+            "np.prod({})", "alloc"),
+)}
 
-BUILTINS: dict[str, object] = {
-    "dim": _bi_dim,
-    "shape": _bi_shape,
-    "abs": _elementwise(np.abs),
-    "min": _elementwise(np.minimum),
-    "max": _elementwise(np.maximum),
-    "sqrt": _elementwise(np.sqrt),
-    "tod": _elementwise(_bi_tod),
-    "toi": _elementwise(_bi_toi),
-    "sum": _bi_sum,
-    "prod": _bi_prod,
-}
+#: Fold operations with a vectorized reduction: the two operators and
+#: the binary elementwise builtins (``min``, ``max``), which are
+#: associative and commutative.
+FOLD_UFUNCS = {"+": np.add, "*": np.multiply, **{
+    b.name: b.ufunc for b in BUILTINS.values()
+    if b.ufunc is not None and b.arity == 2}}
 
-#: Fold operations with a vectorized reduction.
-FOLD_UFUNCS = {
-    "+": np.add,
-    "*": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-
-
-def is_builtin(name: str) -> bool:
-    return name in BUILTINS
-
-
-def builtin_arity(name: str) -> int:
-    """The number of arguments builtin ``name`` takes."""
-    fn = inspect.unwrap(BUILTINS[name])
-    return fn.nin if isinstance(fn, np.ufunc) else len(
-        inspect.signature(fn).parameters)
+#: The runtime functions alone, so that a call is one lookup.
+_RUNTIME = {b.name: b.fn for b in BUILTINS.values()}
 
 
 def call_builtin(name: str, args):
-    fn = BUILTINS[name]
-    return fn(*args)
+    return _RUNTIME[name](*args)

@@ -45,7 +45,7 @@ from .ast_nodes import (Block, Expr, FoldOp, For, FunDef, GenarrayOp,
                         ModarrayOp, WithLoop)
 from .ast_visit import mentions
 from .bufplan import ELEMENTWISE, Instr, plan, render, result_bases
-from .builtins import FOLD_UFUNCS, affine_binop
+from .builtins import BUILTINS, FOLD_UFUNCS, affine_binop
 from .errors import SacError, SacRuntimeError, SacTypeError
 from .interp import Env, FunctionTable, Interpreter
 from .optim.rewrite import counted_loop
@@ -183,6 +183,9 @@ class Emitter:
         #: index of the result's first element).
         self.flat_frames: dict[str, tuple[str, tuple[int, ...],
                                           tuple[int, ...], int]] = {}
+        #: The counts of the WITH-loop spaces whose bodies are traced: a
+        #: value whose shape begins with one may hold a cell per point.
+        self.spaces: list[tuple[int, ...]] = []
 
     def assign(self, kind: str, op: str, operands,
                shape: tuple[int, ...], dtype: np.dtype,
@@ -249,8 +252,8 @@ def _slices_code(axes: tuple[AffineAxis, ...], extra_full: int = 0) -> str:
 # The tracer.
 # ---------------------------------------------------------------------------
 
-#: Elementwise builtins whose result dtype is not the operands' promotion.
-_FORCED_DTYPE = {"sqrt": np.dtype(np.float64), "tod": np.dtype(np.float64)}
+#: Elementwise operations that may fault on a value no store reads.
+_FAULTING = {"/", *(b.name for b in BUILTINS.values() if b.faults)}
 
 
 class Tracer(Interpreter):
@@ -561,32 +564,30 @@ class Tracer(Interpreter):
                               np.dtype(np.bool_))
 
     def builtin(self, name: str, args):
-        a = args[0] if args else None
-        if isinstance(a, TArray) and name == "dim":
-            return len(a.shape)
-        if isinstance(a, TArray) and name == "shape":
-            return np.asarray(a.shape, dtype=np.int64)
-        if name in ("dim", "shape") or not _symbolic(*args):
+        b = BUILTINS[name]
+        if b.kind != "elementwise" and any(
+                isinstance(a, (TArray, np.ndarray))
+                and a.shape[:len(count)] == count
+                for a in args for count in self.em.spaces):
+            # Of a cell per point it reads the cell, of a whole array all.
+            raise CodegenUnsupported(
+                f"{name} of what may be a cell per point")
+        if b.kind == "structural":
+            # Of a traced array, the shape is all there is to read.
+            return super().builtin(name, [
+                np.broadcast_to(np.zeros((), a.dtype), a.shape)
+                if isinstance(a, TArray) else a for a in args])
+        if not _symbolic(*args):
             return super().builtin(name, args)
-        if name == "toi":
-            code = "np.trunc({}).astype(np.int64)" if _shape_of(a) \
-                else "int({})"
-            return self.em.assign("alloc", code, (a,), _shape_of(a),
-                                  np.dtype(np.int64))
-        if name in ("sum", "prod"):
-            return self.em.assign("alloc", f"np.{name}({{}})", (a,), (),
-                                  _dtype_of(a))
-        if name in ("abs", "sqrt", "min", "max", "tod"):
-            shape = np.broadcast_shapes(*(_shape_of(a) for a in args))
-            dtype = _FORCED_DTYPE.get(name) or np.promote_types(
-                _dtype_of(args[0]), _dtype_of(args[-1]))
-            if name == "tod":
-                # np.float64(x) *is* x when x is already a double array.
-                return self.em.assign("view", "np.float64({})", tuple(args),
-                                      shape, dtype)
-            return self.em.assign("elementwise", name, tuple(args), shape,
-                                  dtype)
-        raise CodegenUnsupported(f"builtin {name!r} not supported in codegen")
+        shape = () if b.kind == "reduction" else np.broadcast_shapes(
+            *(_shape_of(a) for a in args))
+        dtype = b.dtype or np.promote_types(_dtype_of(args[0]),
+                                            _dtype_of(args[-1]))
+        if b.instr == "elementwise":  # keys bufplan.ELEMENTWISE
+            op = name
+        else:
+            op = b.scalar_code if b.scalar_code and not shape else b.code
+        return self.em.assign(b.instr, op, tuple(args), shape, dtype)
 
     def vector(self, values: list):
         if not _symbolic(*values):
@@ -671,7 +672,7 @@ class Tracer(Interpreter):
         # float arrays stay symbolic so zeros(34^3) is an expression in
         # the generated code, not a constant-pool blob.
         snapshot = len(self.em.instrs)
-        body = self.eval_expr(op.body, body_env)
+        body = self._body(op, body_env, space)
         concrete = self._try_withloop_concrete(op, body, space, shp, base)
         if concrete is not None:
             del self.em.instrs[snapshot:]  # drop any speculative emissions
@@ -743,7 +744,7 @@ class Tracer(Interpreter):
             return None
         for ins in body_instrs:
             if ins.kind != "view" and (
-                    ins.kind != "elementwise" or ins.op in ("/", "sqrt")
+                    ins.kind != "elementwise" or ins.op in _FAULTING
                     or ins.shape != space.count
                     or any(x not in temps and x.isidentifier()
                            for x in ins.operands)):
@@ -784,6 +785,14 @@ class Tracer(Interpreter):
         return (f"np.ndarray({space.count}, np.{body.dtype.name}, {{}}, 0, "
                 f"{tuple(s * body.dtype.itemsize for s in strides)})", first,
                 shape)
+
+    def _body(self, op, body_env, space: IndexSpace):
+        """The value of a WITH-loop's body, traced with its space open."""
+        self.em.spaces.append(space.count)
+        try:
+            return self.eval_expr(op.body, body_env)
+        finally:
+            self.em.spaces.pop()
 
     _CONCRETE_FOLD_LIMIT = 64
 
@@ -831,7 +840,7 @@ class Tracer(Interpreter):
         neutral = self.eval_expr(op.neutral, env)
         if space.is_empty:
             return neutral
-        body = self.eval_expr(op.body, body_env)
+        body = self._body(op, body_env, space)
         ufunc = FOLD_UFUNCS.get(op.fun)
         if ufunc is None:
             raise CodegenUnsupported(

@@ -79,6 +79,7 @@ CODE_CATALOGUE: dict[str, tuple[Severity, str]] = {
     "SAC008": (Severity.ERROR, "'.' bound outside a genarray/modarray frame"),
     "SAC009": (Severity.ERROR, "fold names an undefined function"),
     "SAC010": (Severity.ERROR, "unknown optimization pass name"),
+    "SAC011": (Severity.ERROR, "ragged array literal"),
     # -- SAC1xx: shapes --------------------------------------------------
     "SAC101": (Severity.ERROR, "elementwise operation on mismatched shapes"),
     "SAC102": (Severity.ERROR,

@@ -142,7 +142,7 @@ def _count_rewrites(before: Program, after: Program) -> int:
         return max(len(old), len(new))
     count = 0
     for f_old, f_new in zip(old, new):
-        if f_old is f_new:
+        if f_old is f_new or f_old.body is f_new.body:
             continue
         if ast_key(f_old) != ast_key(f_new):
             count += 1

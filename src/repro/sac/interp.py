@@ -14,7 +14,7 @@ import numpy as np
 
 from .ast_nodes import BinOp, Call, Dot, Expr, FunDef, Program
 from .ast_visit import ReturnValue, StatementExecutor
-from .builtins import apply_binop, apply_unop, call_builtin, is_builtin
+from .builtins import BUILTINS, apply_binop, apply_unop, call_builtin
 from .errors import (
     SacArityError,
     SacNameError,
@@ -183,11 +183,11 @@ class Interpreter(StatementExecutor):
             try:
                 fun = self.functions.resolve(name, argtypes)
             except (SacArityError, SacNameError):
-                if is_builtin(name):
+                if name in BUILTINS:
                     return self.builtin(name, args)
                 raise
             return self.apply_fundef(fun, args)
-        if is_builtin(name):
+        if name in BUILTINS:
             return self.builtin(name, args)
         raise SacNameError(f"undefined function {name!r}")
 

@@ -27,7 +27,7 @@ from ..ast_nodes import (
     VectorLit,
 )
 from ..ast_visit import map_stmt_exprs
-from ..builtins import apply_binop, apply_unop, is_builtin
+from ..builtins import BUILTINS, apply_binop, apply_unop
 from ..errors import SacError
 from ..interp import FunctionTable, Interpreter
 
@@ -154,7 +154,7 @@ class _Folder:
             vals = [literal_value(a) for a in expr.args]
             if any(v is None for v in vals):
                 return expr
-            if not (is_builtin(expr.name) or expr.name in self.pure_names):
+            if not (expr.name in BUILTINS or expr.name in self.pure_names):
                 return expr
             try:
                 result = self.interp.apply_named(expr.name, vals)

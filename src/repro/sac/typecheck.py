@@ -8,12 +8,14 @@ everything at run time; this catches mistakes before any evaluation):
   ``if`` counts as *maybe*-defined afterwards and is accepted, matching
   the interpreter's late binding),
 * calls to unknown functions, and calls for which no overload has a
-  compatible *arity*,
+  compatible *arity* (a builtin's is its record's),
 * duplicate parameter names and duplicate identical signatures,
 * functions whose body can fall off the end without ``return``
   (conservative: every path must end in a return for non-void),
 * ``.`` bounds used outside a WITH-loop generator,
-* fold operations naming unknown functions.
+* array literals whose nested literals differ in shape (``[[1, 2], 3]``),
+* fold operations naming unknown functions, or functions that take
+  other than two arguments.
 
 Findings are emitted as coded :class:`~repro.sac.diagnostics.Diagnostic`
 objects (family ``SAC0xx``; see ``docs/ANALYSIS.md``), collected rather
@@ -23,6 +25,8 @@ carrying the full list.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .ast_nodes import (
     Assign,
@@ -40,13 +44,15 @@ from .ast_nodes import (
     Return,
     Stmt,
     Var,
+    VectorLit,
     While,
     WithLoop,
 )
 from .ast_visit import iter_child_exprs
-from .builtins import builtin_arity, is_builtin
+from .builtins import BUILTINS
 from .diagnostics import Diagnostic
 from .errors import SacTypeError, SourcePos
+from .optim.constfold import literal_value
 
 from .sactypes import BaseType
 
@@ -179,21 +185,29 @@ class _Checker:
                 self.check_expr(child, defined)
             if isinstance(expr, Call):
                 self.check_call(expr)
+            elif isinstance(expr, VectorLit) and _ragged(expr):
+                self.error("SAC011", "ragged array literal", expr.pos)
 
     def check_call(self, call: Call) -> None:
-        arities = set(self.arities.get(call.name, ()))
-        if is_builtin(call.name):
-            arities.add(builtin_arity(call.name))
+        self.check_arity(call.name, len(call.args), call.pos,
+                         ("SAC003", "call to undefined function"))
+
+    def check_arity(self, name: str, nargs: int, pos: SourcePos | None,
+                    undefined: tuple[str, str]) -> None:
+        """SAC004 when neither a user overload nor the builtin called
+        ``name`` takes ``nargs`` arguments; ``undefined`` when none is."""
+        arities = set(self.arities.get(name, ()))
+        if name in BUILTINS:
+            arities.add(BUILTINS[name].arity)
         if not arities:
-            self.error("SAC003",
-                       f"call to undefined function {call.name!r}",
-                       call.pos)
-        elif len(call.args) not in arities:
+            code, message = undefined
+            self.error(code, f"{message} {name!r}", pos)
+        elif nargs not in arities:
             self.error(
                 "SAC004",
-                f"no overload of {call.name!r} takes {len(call.args)} "
+                f"no overload of {name!r} takes {nargs} "
                 f"argument(s); defined arities: {sorted(arities)}",
-                call.pos,
+                pos,
             )
 
     def check_withloop(self, wl: WithLoop, defined: set[str]) -> None:
@@ -216,15 +230,15 @@ class _Checker:
         frame, body = iter_child_exprs(op)
         self.check_expr(frame, defined)
         self.check_expr(body, defined | {gen.var})
-        if (
-            isinstance(op, FoldOp)
-            and op.fun not in _OPERATOR_FOLDS
-            and op.fun not in self.arities
-            and not is_builtin(op.fun)
-        ):
-            self.error("SAC009",
-                       f"fold names undefined function {op.fun!r}",
-                       op.pos or wl.pos)
+        if isinstance(op, FoldOp) and op.fun not in _OPERATOR_FOLDS:
+            self.check_arity(op.fun, 2, op.pos or wl.pos,
+                             ("SAC009", "fold names undefined function"))
+
+
+def _ragged(lit: VectorLit) -> bool:
+    """Whether two literal elements of ``lit`` differ in shape."""
+    values = (literal_value(e) for e in lit.elements)
+    return len({np.shape(v) for v in values if v is not None}) > 1
 
 
 def collect_diagnostics(program: Program) -> list[Diagnostic]:

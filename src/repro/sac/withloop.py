@@ -12,8 +12,8 @@ Two execution strategies, tried in order:
 2. **Scalar loop** — the defining semantics: iterate every index vector
    of the generator and evaluate the body per point.  Used when the body
    leaves the abstract domain (data-dependent control flow, non-affine
-   indexing, ``width`` filters) and as the reference implementation in
-   tests.
+   indexing, ``width`` filters), for a fold over a user function, and as
+   the reference implementation in tests.
 
 The strategy can be forced via ``Interpreter(table, vectorize=...)``.
 """
@@ -190,18 +190,18 @@ def _space_result_to_array(value, space: IndexSpace):
 def _eval_vectorized(interp, env, body_env, op, space: IndexSpace,
                      shp: tuple[int, ...] | None, base):
     if isinstance(op, FoldOp):
+        ufunc = FOLD_UFUNCS.get(op.fun)
+        if ufunc is None:  # a user function: applied per point, in order
+            raise AbstractUnsupported(f"fold over {op.fun!r}")
         neutral = coerce_value(interp.eval_expr(op.neutral, env))
         if space.is_empty:
             return neutral
         value = interp.eval_expr(op.body, body_env)
         data, cell = _space_result_to_array(value, space)
-        ufunc = FOLD_UFUNCS.get(op.fun)
-        if ufunc is not None:
-            reduced = ufunc.reduce(
-                data.reshape((-1,) + cell) if cell else data.reshape(-1), axis=0
-            )
-            return coerce_value(ufunc(neutral, reduced))
-        return _tree_fold(interp, op.fun, neutral, data, cell)
+        reduced = ufunc.reduce(
+            data.reshape((-1,) + cell) if cell else data.reshape(-1), axis=0
+        )
+        return coerce_value(ufunc(neutral, reduced))
 
     # genarray / modarray produce an array.
     if isinstance(op, GenarrayOp):
@@ -229,33 +229,6 @@ def _eval_vectorized(interp, env, body_env, op, space: IndexSpace,
     region = tuple(ax.as_slice(ext) for ax, ext in zip(space.axes(), out.shape))
     out[region] = data
     return out
-
-
-def _tree_fold(interp, fun: str, neutral, data: np.ndarray, cell):
-    """Pairwise reduction through a user-defined fold function.
-
-    The fold function is required to be associative and commutative (SAC
-    semantics), so halving reduction is legal; it is applied to whole
-    arrays, which works whenever the function body is elementwise.
-    """
-    flat = data.reshape((-1,) + cell)
-    values = flat
-    try:
-        while values.shape[0] > 1:
-            k = values.shape[0] // 2
-            left = values[:k]
-            right = values[k : 2 * k]
-            merged = interp.apply_named(fun, [left, right])
-            if values.shape[0] % 2:
-                values = np.concatenate(
-                    [np.asarray(merged).reshape((k,) + cell), values[-1:]], axis=0
-                )
-            else:
-                values = np.asarray(merged).reshape((k,) + cell)
-        scalar = values[0] if cell else coerce_value(values[0])
-        return interp.apply_named(fun, [neutral, scalar])
-    except Exception as exc:  # noqa: BLE001 - any failure => scalar fallback
-        raise AbstractUnsupported(f"tree fold failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

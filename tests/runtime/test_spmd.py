@@ -1,6 +1,8 @@
 """Tests for the SPMD distributed-memory MG (§7's comparison target)."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -93,6 +95,20 @@ class TestWorld:
 
 
 class TestDistributedMG:
+    def test_a_replaced_world_is_freed_without_the_cycle_collector(self):
+        # No channel refers back to its world: the world a second solve
+        # replaces as last_world goes as soon as nothing names it.
+        mg = DistributedMG(2)
+        gc.collect()
+        gc.disable()
+        try:
+            mg.solve("S")
+            previous = weakref.ref(mg.last_world)
+            mg.solve("S")
+            assert previous() is None
+        finally:
+            gc.enable()
+
     def test_rank_count_validated(self):
         with pytest.raises(ValueError):
             DistributedMG(3)

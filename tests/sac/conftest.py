@@ -8,14 +8,20 @@ the buffer planner lets a callee write into, the entry point's
 parameters are its caller's.  One helper, so no test carries its own
 copy of the comparison and a new test in these modules is covered by
 writing it.
+
+It also registers the ``fuzz`` hypothesis profile: 2 000 examples per
+property (``pytest --hypothesis-profile=fuzz``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.sac import codegen
 from repro.sac.driver import KernelCache
 from repro.sac.interp import Interpreter
+
+settings.register_profile("fuzz", max_examples=2_000)
 
 _CONTRACT_MODULES = {"test_codegen", "test_mg_sac", "test_bufplan",
                      "test_donation_property"}

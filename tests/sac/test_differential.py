@@ -8,7 +8,13 @@ program must produce identical results through
 3. the shape-specializing codegen backend,
 
 with and without the optimization pipeline.  This is the repository's
-strongest guard against miscompilation.
+strongest guard against miscompilation.  The error-agreement property
+adds ill-formed programs: every path — typechecker and analyzer, the
+three evaluators, the optimizer on and off — returns the same bytes, or
+every path raises the same coded error.
+
+``--hypothesis-profile=fuzz`` (``conftest.py``) runs each property on
+that profile's number of examples.
 """
 
 import numpy as np
@@ -16,79 +22,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sac import CompileOptions, SacProgram
+from repro.sac import CompileOptions, KernelCache, SacProgram
 from repro.sac.codegen import CodegenUnsupported, compile_function
+from repro.sac.errors import SacError
 
-# --------------------------------------------------------------------------
-# Program generators.
-# --------------------------------------------------------------------------
-
-_N = 8  # extent per axis of the test array
+from .programs import WITHLOOP_N, build, checked_program, withloop_program
 
 
-@st.composite
-def affine_index(draw, rank: int) -> str:
-    """An affine index expression in iv staying within [0, _N)."""
-    form = draw(st.sampled_from(["plain", "shift", "scale", "scale_div"]))
-    if form == "plain":
-        return "iv"
-    if form == "shift":
-        off = draw(st.integers(0, 3))
-        # Bound-safe: generator upper bounds are reduced accordingly.
-        return f"iv + {off}"
-    if form == "scale":
-        return "2 * iv"
-    return "iv / 2"
-
-
-@st.composite
-def body_expr(draw, index: str) -> str:
-    """A scalar body over a[<index>] with arithmetic around it."""
-    base = f"a[{index}]"
-    wrap = draw(st.sampled_from([
-        "{b}",
-        "2.0 * {b}",
-        "{b} + 1.5",
-        "{b} * {b}",
-        "-{b}",
-        "{b} - 0.5 * {b}",
-        "abs({b})",
-    ]))
-    return wrap.format(b=base)
-
-
-@st.composite
-def withloop_program(draw) -> tuple[str, int]:
-    """(source, rank) of a random genarray/modarray program."""
-    rank = draw(st.integers(1, 2))
-    index = draw(affine_index(rank))
-    body = draw(body_expr(index))
-    kind = draw(st.sampled_from(["genarray", "modarray", "fold"]))
-    # Safe bounds for every index form: iv in [0, _N//2 - 4) keeps
-    # iv+3, 2*iv and iv/2 within [0, _N).
-    hi = _N // 2 - 4 + draw(st.integers(0, 3))
-    lo = draw(st.integers(0, 1))
-    lo_vec = "[" + ", ".join([str(lo)] * rank) + "]"
-    hi_vec = "[" + ", ".join([str(hi)] * rank) + "]"
-    shp = "[" + ", ".join([str(_N)] * rank) + "]"
-    rank_ann = "[" + ",".join(["."] * rank) + "]"
-    if kind == "genarray":
-        expr = (f"with ({lo_vec} <= iv < {hi_vec}) "
-                f"genarray({shp}, {body})")
-        ret = f"double{rank_ann}"
-    elif kind == "modarray":
-        expr = f"with ({lo_vec} <= iv < {hi_vec}) modarray(a, {body})"
-        ret = f"double{rank_ann}"
-    else:
-        expr = f"with ({lo_vec} <= iv < {hi_vec}) fold(+, 0.0, {body})"
-        ret = "double"
-    src = f"{ret} f(double{rank_ann} a) {{ return {expr}; }}"
-    return src, rank
+def _examples(n: int) -> int:
+    """``n``, or the ``fuzz`` profile's count when that profile is the
+    one loaded."""
+    fuzz = settings.get_profile("fuzz").max_examples
+    return fuzz if settings.default.max_examples == fuzz else n
 
 
 def _array(rank: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((_N,) * rank)
+    return rng.standard_normal((WITHLOOP_N,) * rank)
 
 
 def _run(src, a, *, vectorize, optimize):
@@ -100,7 +50,7 @@ def _run(src, a, *, vectorize, optimize):
 
 class TestDifferential:
     @given(withloop_program(), st.integers(0, 2 ** 31))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     def test_scalar_vs_vectorized(self, prog_rank, seed):
         src, rank = prog_rank
         a = _array(rank, seed)
@@ -114,7 +64,7 @@ class TestDifferential:
             np.testing.assert_array_equal(vec, ref)
 
     @given(withloop_program(), st.integers(0, 2 ** 31))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=_examples(40), deadline=None)
     def test_optimizer_preserves_semantics(self, prog_rank, seed):
         src, rank = prog_rank
         a = _array(rank, seed)
@@ -123,7 +73,7 @@ class TestDifferential:
         np.testing.assert_allclose(opt, ref, rtol=1e-13, atol=1e-13)
 
     @given(withloop_program(), st.integers(0, 2 ** 31))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=_examples(40), deadline=None)
     def test_codegen_matches_interpreter(self, prog_rank, seed):
         src, rank = prog_rank
         a = _array(rank, seed)
@@ -155,7 +105,7 @@ class TestStencilDifferential:
     )
 
     @given(st.integers(0, 2 ** 31))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=_examples(20), deadline=None)
     def test_all_paths_agree(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(10)
@@ -174,3 +124,52 @@ def _run_multi(src, args, *, vectorize, optimize):
         src, options=CompileOptions(vectorize=vectorize, optimize=optimize)
     )
     return prog.call("f", *args)
+
+
+def _outcome(run, args) -> tuple:
+    """What one path makes of a program: its result's dtype, shape and
+    bytes with the arguments unmutated, or the class and codes of the
+    SAC error it raised; None where the generated path declines.  A zero
+    counts as +0.0: unrolling a fold drops its ``+ 0.0`` neutral, which
+    turns a sum of -0.0 terms from +0.0 into -0.0, and nothing else."""
+    before = [a.copy() for a in args]
+    try:
+        got = np.asarray(run())
+    except CodegenUnsupported:
+        return None
+    except SacError as exc:
+        return (type(exc).__name__,
+                tuple(d.code for d in getattr(exc, "diagnostics", ())))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(args, before))
+    if got.dtype.kind == "f":
+        got = got + 0.0
+    return got.dtype, got.shape, got.tobytes()
+
+
+class TestErrorAgreement:
+    @given(checked_program(), st.integers(0, 2 ** 31))
+    @settings(max_examples=_examples(300), deadline=None, derandomize=True)
+    def test_same_bytes_or_same_coded_error(self, program, seed):
+        src, rank, defect = program
+        # Integer values: every body and fold is exact in any order.
+        args = (np.random.default_rng(seed).integers(
+            -8, 9, (WITHLOOP_N,) * rank).astype(np.float64),)
+        outcomes = set()
+        for optimize in (False, True):
+            cache = KernelCache()
+
+            def path(vectorize: bool) -> SacProgram:
+                return build(src, cache, analyze=True, optimize=optimize,
+                             vectorize=vectorize)
+
+            outcomes |= {
+                _outcome(lambda: path(False).call("f", *args), args),
+                _outcome(lambda: path(True).call("f", *args), args),
+                _outcome(lambda: compile_function(path(True), "f", args)(
+                    *args), args)} - {None}
+        assert len(outcomes) == 1, outcomes
+        (outcome,) = outcomes
+        if defect is None:
+            assert not isinstance(outcome[0], str), outcome
+        else:
+            assert isinstance(outcome[0], str) and outcome[1], outcome

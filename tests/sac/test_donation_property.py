@@ -23,148 +23,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sac import (CompilationSession, CompileOptions, KernelCache,
-                       SacProgram)
 from repro.sac.codegen import compile_function
 
-_N = 6  # extent of every vector
-
-HELPERS = """
-double[.] bump( double[.] p)
-{
-  return( with ([1] <= iv < shape(p) - 1) modarray( p, 0.5 * p[iv] + 1.0));
-}
-
-double[.] wrap( double[.] p)
-{
-  n  = shape(p)[[0]];
-  lo = with ([0] <= iv < [1]) modarray( p, p[iv + (n - 2)]);
-  hi = with ([n - 1] <= iv < [n]) modarray( lo, lo[iv - (n - 2)]);
-  return( hi);
-}
-
-double[.] blend( double[.] p, double[.] q)
-{
-  return( with ([1] <= iv < shape(p) - 1)
-          modarray( p, p[iv] - 0.25 * q[iv - 1]));
-}
-
-double[.] fuse( double[.] p, double[.] q)
-{
-  lo = with ([1] <= iv < shape(p) - 1) modarray( p, 2.0 * p[iv]);
-  hi = with ([0] <= iv < shape(p) - 1) modarray( lo, lo[iv] + q[iv + 1]);
-  return( hi);
-}
-
-double[.] delta( double[.] p)
-{
-  q = with ([1] <= iv < shape(p) - 1) modarray( p, 0.5 * p[iv] + 1.0);
-  return( q - p);
-}
-
-double[.] both( double[.] p)
-{
-  return( bump( wrap( p)));
-}
-
-double[.] same( double[.] p)
-{
-  return( p);
-}
-"""
-
-_UNARY = ["bump", "wrap", "delta", "both", "same"]
-_BINARY = ["blend", "fuse"]
-
-
-@st.composite
-def program(draw) -> str:
-    """Source of ``f(a, b, m)``: up to eight statements over a growing
-    pool of vectors (the parameters ``a`` and ``b`` and two arrays of
-    ``f``'s own to begin with) and matrices (``m``), returning one vector
-    or the sum of two."""
-    vectors, matrices = ["a", "b", "s", "t"], ["m"]
-    body = ["s = a + b;", "t = a - b;"]
-
-    def vec() -> str:  # of the pool as it stands now, the newest likelier
-        return draw(st.sampled_from(vectors[-2:] + vectors))
-
-    def unary() -> str:
-        return draw(st.sampled_from(_UNARY))
-
-    def binary() -> str:
-        return draw(st.sampled_from(_BINARY))
-
-    for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(
-            ["fresh", "frame", "call", "rebind", "binary", "select",
-             "matrix", "loop"]))
-        x = f"x{len(body)}"
-        if kind == "fresh":
-            body.append(f"{x} = 2.0 * {vec()} + 0.5;")
-        elif kind == "frame":   # read again later, or not
-            v = vec()
-            body.append(f"{x} = with ([1] <= iv < [{_N - 1}]) "
-                        f"modarray( {v}, {v}[iv - 1] - {v}[iv + 1]);")
-        elif kind == "call":
-            body.append(f"{x} = {unary()}( {vec()});")
-        elif kind == "rebind":  # the old value is dead after the call
-            x = vec()
-            body.append(f"{x} = {unary()}( {x});")
-        elif kind == "binary":  # every third time the same vector twice
-            v = vec()
-            w = v if draw(st.integers(0, 2)) == 0 else vec()
-            body.append(f"{x} = {binary()}( {v}, {w});")
-        elif kind == "select":
-            row = draw(st.integers(0, 1))
-            body.append(f"{x} = {unary()}( "
-                        f"{draw(st.sampled_from(list(matrices)))}[[{row}]]);")
-        elif kind == "matrix":
-            body.append(
-                f"{x} = {draw(st.sampled_from(list(matrices)))} * 2.0;")
-            matrices.append(x)
-            continue
-        else:  # a counted loop: x and y are carried, r is a result of
-            # each trip, any of them may be read after it, and what
-            # else a trip reads it re-reads on every trip
-            inside = [x, x + "y", x + "r"]
-            for n in inside:
-                body.append(f"{n} = {vec()} + 0.0;" if draw(st.booleans())
-                            else f"{n} = {vec()};")
-
-            def operand() -> str:
-                return draw(st.sampled_from(inside * 2 + vectors))
-
-            steps = [
-                f"{draw(st.sampled_from(inside))} = " + draw(st.sampled_from(
-                    [f"{binary()}( {operand()}, {operand()})",
-                     f"{unary()}( {operand()})", f"2.0 * {operand()}",
-                     f"{operand()} + {unary()}( {operand()})", operand()]))
-                + ";" for _ in range(draw(st.integers(1, 3)))]
-            body.append(f"for (k = 0; k < {draw(st.integers(1, 3))}; k += 1) "
-                        f"{{ {' '.join(steps)} }}")
-            vectors.extend(inside[1:])
-        if x not in vectors:
-            vectors.append(x)
-    result = vec() if draw(st.booleans()) else f"{vec()} + {vec()}"
-    return (HELPERS + "double[.] f( double[.] a, double[.] b, double[.,.] m)\n"
-            "{\n  " + "\n  ".join(body) + f"\n  return( {result});\n}}\n")
-
-
-def _build(src: str, optimize: bool = True) -> SacProgram:
-    return SacProgram(None, _session=CompilationSession(
-        src, options=CompileOptions(optimize=optimize),
-        cache=KernelCache()))
+from .programs import DONATION_N, HELPERS, build, donation_program
 
 
 def _args(seed: int):
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal(_N), rng.standard_normal(_N),
-            rng.standard_normal((2, _N)))
+    return (rng.standard_normal(DONATION_N), rng.standard_normal(DONATION_N),
+            rng.standard_normal((2, DONATION_N)))
 
 
 def _check(src: str, seed: int, optimize: bool = True):
-    prog, args = _build(src, optimize), _args(seed)
+    prog, args = build(src, optimize=optimize), _args(seed)
     before = [a.copy() for a in args]
     want = prog.call("f", *args)
     fn = compile_function(prog, "f", args)
@@ -176,7 +47,7 @@ def _check(src: str, seed: int, optimize: bool = True):
 
 
 class TestGeneratedEqualsInterpreted:
-    @given(program(), st.integers(0, 2 ** 31), st.booleans())
+    @given(donation_program(), st.integers(0, 2 ** 31), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_same_bytes_and_arguments_unmutated(self, src, seed, optimize):
         _check(src, seed, optimize)

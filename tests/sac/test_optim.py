@@ -200,14 +200,15 @@ class TestConstfold:
     def test_ragged_vector_is_the_interpreters_error(self, optimize):
         # A ragged vector is no literal: the folder leaves it alone, the
         # build succeeds either way, and the call fails as the
-        # interpreter says.
+        # interpreter says.  (The typechecker, off here so that the
+        # folder sees the literal, reports it as SAC011.)
         from repro.sac.errors import SacTypeError
         from repro.sac.optim.constfold import literal_value
 
         assert literal_value(parse_expression("[[1, 2], 3]")) is None
         prog = SacProgram(
             parse_program("int f() { return max([[1, 2], 3], 0); }"),
-            CompileOptions(optimize=optimize))
+            CompileOptions(optimize=optimize, typecheck=False))
         with pytest.raises(SacTypeError, match="ragged array literal"):
             prog.call("f")
 

@@ -16,61 +16,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mg_sac.loader import load_mg_program
-from repro.sac import (CompilationSession, CompileOptions, KernelCache,
-                       SacProgram)
+from repro.sac import KernelCache, SacProgram
 from repro.sac.ast_nodes import Assign, Program, WithLoop
 from repro.sac.ast_visit import walk
 from repro.sac.codegen import compile_function, trace_module
 from repro.sac.optim import partialsum_pass
 from repro.sac.optim.rewrite import ast_key
 
-_COEFFS = (0.5, -0.25, 1.0 / 3.0, 2.0, -0.125, 1.0)
+from .programs import build, stencil, vec
 
 
-def _vec(values) -> str:
-    return "[" + ", ".join(map(str, values)) + "]"
-
-
-#: How an offset's coefficient class is chosen: by distance (the MG
-#: stencils), by the distance along each axis, by the distance in the y-z
-#: plane and the signed x offset (shared sums in differently weighted
-#: groups), or per offset.
-_CLASS_OF = {
-    "distance": lambda o: sum(map(abs, o)),
-    "profile": lambda o: tuple(map(abs, o)),
-    "signed": lambda o: (abs(o[0]) + abs(o[1]), o[2]),
-    "offset": lambda o: o,
-}
-
-
-@st.composite
-def stencil(draw) -> str:
-    """``f(a)``: a 3-D relaxation whose body sums ``c * a[iv + o]`` over
-    the offsets of a box of {-1, 0, 1}^3 with holes along each axis, in
-    a random order, each ``c`` the coefficient of its class."""
-    axes = [sorted(draw(st.sets(st.sampled_from((-1, 0, 1)), min_size=1)))
-            for _ in range(3)]
-    offsets = draw(st.permutations(list(itertools.product(*axes))))
-    class_of = _CLASS_OF[draw(st.sampled_from(sorted(_CLASS_OF)))]
-    coeff: dict = {}
-    for o in offsets:
-        coeff.setdefault(class_of(o), draw(st.sampled_from(_COEFFS)))
-    terms = [f"{coeff[class_of(o)]!r} * a[iv + {_vec(o)}]" for o in offsets]
-    return ("double[+] f(double[+] a) { return with (0*shape(a)+1 <= iv "
-            f"< shape(a)-1) modarray(a, {' + '.join(terms)}); }}")
-
-
-def _build(src: str, on: bool, vectorize: bool = True) -> SacProgram:
-    options = CompileOptions(vectorize=vectorize,
-                             pass_overrides=(("partialsum", on),))
-    return SacProgram(None, _session=CompilationSession(
-        src, options=options, cache=KernelCache()))
+def _build(src: str, on: bool, vectorize: bool = True,
+           cache: KernelCache | None = None) -> SacProgram:
+    return build(src, cache, vectorize=vectorize,
+                 pass_overrides=(("partialsum", on),))
 
 
 _A = (-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0)  # NPB's resid coefficients
 _MG_RESID = ("double[+] f(double[+] a) { return with (0*shape(a)+1 <= iv "
              "< shape(a)-1) modarray(a, " + " + ".join(
-                 f"{_A[sum(map(abs, o))]!r} * a[iv + {_vec(o)}]"
+                 f"{_A[sum(map(abs, o))]!r} * a[iv + {vec(o)}]"
                  for o in itertools.product((-1, 0, 1), repeat=3)) + "); }")
 
 
@@ -79,7 +44,7 @@ _MG_RESID = ("double[+] f(double[+] a) { return with (0*shape(a)+1 <= iv "
 _TWO_AXES = ("double[+] f(double[+] a) { return with (0*shape(a)+1 <= iv "
              "< shape(a)-1) modarray(a, " + " + ".join(
                  f"{-0.25 if o[1] == 0 and 0 not in (o[0], o[2]) else 0.5!r}"
-                 f" * a[iv + {_vec(o)}]"
+                 f" * a[iv + {vec(o)}]"
                  for o in itertools.product((-1, 0, 1), repeat=3)) + "); }")
 
 
@@ -91,9 +56,10 @@ class TestThreeEvaluators:
     @example(_TWO_AXES, (5, 6, 7), 1)
     def test_same_bytes_on_and_close_to_off(self, src, shape, seed):
         a = np.random.default_rng(seed).standard_normal(shape)
-        on = _build(src, True)
+        cache = KernelCache()  # one build with the pass on
+        on = _build(src, True, cache=cache)
         want = on.call("f", a)
-        assert _build(src, True, vectorize=False).call("f", a).tobytes() \
+        assert _build(src, True, False, cache).call("f", a).tobytes() \
             == want.tobytes()
         assert compile_function(on, "f", (a,))(a).tobytes() == want.tobytes()
         off = _build(src, False).call("f", a)

@@ -1,5 +1,6 @@
 """Tests for the static semantic checker."""
 
+import numpy as np
 import pytest
 
 from repro.mg_sac import mg_source_path
@@ -129,6 +130,41 @@ class TestCalls:
         src = ("double f(double[.] a) { return with ([0] <= i < shape(a)) "
                "fold(+, 0.0, a[i]); }")
         assert diags(src) == []
+
+    @staticmethod
+    def fold_over(fun: str) -> str:
+        return ("double g(double x) { return x; }\n"
+                "double h(double x, double y) { return x + y; }\n"
+                "double f(double[.] a) { return with ([0] <= i < shape(a)) "
+                f"fold({fun}, 0.0, a[i]); }}")
+
+    @pytest.mark.parametrize("run", ["interpreter", "compile_function"])
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("fun", ["sqrt", "sum", "shape", "g"])
+    def test_fold_function_of_one_argument_is_sac004(self, fun, optimize,
+                                                     run):
+        # The builtin's arity is its record's, the user function's its
+        # overloads': no evaluator gets to call either with two.
+        from repro.sac import CompileOptions, SacProgram
+        from repro.sac.codegen import compile_function
+
+        src = self.fold_over(fun)
+        (d,) = diags(src)
+        assert (d.code, d.pos.line, d.pos.col) == (
+            "SAC004", 3, src.splitlines()[2].index("fold") + 1)
+        a = np.arange(4.0)
+        with pytest.raises(SacTypeError, match=f"SAC004 no overload of "
+                           f"'{fun}' takes 2 argument"):
+            prog = SacProgram.from_source(
+                src, options=CompileOptions(optimize=optimize))
+            if run == "interpreter":
+                prog.call("f", a)
+            else:
+                compile_function(prog, "f", (a,))
+
+    @pytest.mark.parametrize("fun", ["min", "max", "h"])
+    def test_fold_function_of_two_arguments_accepted(self, fun):
+        assert diags(self.fold_over(fun)) == []
 
 
 class TestStructure:

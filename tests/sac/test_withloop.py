@@ -155,9 +155,9 @@ class TestFold:
         src = ("double combine(double a, double b) { return a + 2.0 * b; }\n"
                "double f(double[.] a) { return with ([0] <= iv < shape(a)) "
                "fold(combine, 0.0, a[iv]); }")
-        # combine is not associative; vectorized tree-fold and the scalar
-        # loop may legally differ, so check only the scalar semantics.
-        out = run(src, "f", np.array([1.0, 1.0]), vectorize=False)
+        # combine is not associative: both paths apply it per point, in
+        # order.
+        out = both_paths(src, "f", np.array([1.0, 1.0]))
         assert out == (0.0 + 2 * 1.0) + 2 * 1.0
 
     def test_empty_fold_is_neutral(self):

@@ -167,6 +167,30 @@ class TestCalls:
         assert diags(self.fold_over(fun)) == []
 
 
+#: Programs that got past every diagnostic before builtins had one record
+#: each: a builtin call with a wrong arity, a ragged vector literal, a
+#: builtin fold function of one argument.
+ILL_FORMED = {
+    "sum-of-two": ("int f(int a) { return sum(a, a); }", "SAC004"),
+    "ragged-literal": ("int f() { return max([[1, 2], 3], 0); }", "SAC011"),
+    "fold-sqrt": ("double f(double[.] a) { return with ([0] <= i < "
+                  "shape(a)) fold(sqrt, 0.0, a[i]); }", "SAC004"),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("name", ILL_FORMED)
+def test_ill_formed_program_is_a_coded_error_at_build(name, optimize):
+    # The build stops, so neither the interpreter nor compile_function
+    # ever gets the program.
+    from repro.sac import CompileOptions, SacProgram
+
+    src, code = ILL_FORMED[name]
+    with pytest.raises(SacTypeError) as exc:
+        SacProgram.from_source(src, options=CompileOptions(optimize=optimize))
+    assert [d.code for d in exc.value.diagnostics] == [code]
+
+
 class TestStructure:
     def test_duplicate_params(self):
         assert any("duplicate parameter" in m for m in messages(

@@ -26,6 +26,7 @@ from .values import (
     IndexView,
     SpaceValue,
     coerce_value,
+    raw,
     value_type,
 )
 
@@ -68,36 +69,41 @@ def _is_intlike(v) -> bool:
     return isinstance(v, np.ndarray) and v.dtype == np.int64
 
 
-def _raw(v):
-    """Unwrap SpaceValue to its ndarray; pass concrete values through."""
-    return v.data if isinstance(v, SpaceValue) else v
+def _pad(data: np.ndarray, k: int) -> np.ndarray:
+    return data.reshape(data.shape + (1,) * k)
 
 
-def _check_elementwise_shapes(l, r) -> None:
-    """SAC elementwise ops need equal shapes or a scalar operand."""
-    ls = l.shape if isinstance(l, np.ndarray) else ()
-    rs = r.shape if isinstance(r, np.ndarray) else ()
-    if ls and rs and ls != rs:
-        raise SacTypeError(
-            f"elementwise operation on mismatched shapes {ls} and {rs}"
-        )
-
-
-def _rewrap(result, l, r=None):
-    """Wrap a raw result back into a SpaceValue if an operand was one."""
-    for v in (l, r):
+def align(args, pad=_pad):
+    """The one rule lining up the operands of an elementwise operation,
+    per point or whole: every cell is the result's cell or a scalar
+    (else :class:`SacTypeError`), and a whole array is one cell for
+    every point.  Returns the raw operands, each per-point scalar padded
+    by ``pad`` with a unit axis per axis of a non-scalar cell, so that
+    NumPy broadcasts a whole array over the space axes; and the number
+    of space axes of the result, None when no operand is per point."""
+    space, cell = None, ()
+    for v in args:
         if isinstance(v, SpaceValue):
-            return SpaceValue(np.asarray(result), v.space_ndim)
-    return coerce_value(result)
+            if space is not None and v.space_dims != space.space_dims:
+                raise AbstractUnsupported("mismatched iteration spaces")
+            space, shape = v, v.cell_shape
+        else:
+            shape = getattr(v, "shape", ())
+        if shape and cell and shape != cell:
+            raise SacTypeError(
+                f"elementwise operation on mismatched shapes {cell} and {shape}")
+        cell = shape or cell
+    if space is None:
+        return args, None
+    return [pad(v.data, len(cell)) if isinstance(v, SpaceValue) and cell
+            and not v.cell_shape else raw(v) for v in args], space.space_ndim
 
 
-def _binop_spaces_compatible(l, r) -> None:
-    if (
-        isinstance(l, SpaceValue)
-        and isinstance(r, SpaceValue)
-        and l.space_dims != r.space_dims
-    ):
-        raise AbstractUnsupported("mismatched iteration spaces")
+def _rewrap(result, space_ndim):
+    """A raw result as a SpaceValue when its operands were per point."""
+    if space_ndim is None:
+        return coerce_value(result)
+    return SpaceValue(np.asarray(result), space_ndim)
 
 
 def affine_binop(op: str, l, r):
@@ -147,24 +153,20 @@ def apply_binop(op: str, l, r):
         if isinstance(r, IndexView):
             r = r.materialize()
 
-    _binop_spaces_compatible(l, r)
-    lr, rr = _raw(l), _raw(r)
-    if not isinstance(l, SpaceValue) and not isinstance(r, SpaceValue):
-        _check_elementwise_shapes(lr, rr)
-
+    (lr, rr), space = align((l, r))
     fn = _BINOPS.get(op)
     if fn is not None:
-        return _rewrap(fn(lr, rr), l, r)
+        return _rewrap(fn(lr, rr), space)
     if op == "/":
         if _is_intlike(lr) and _is_intlike(rr):
-            return _rewrap(int_div(lr, rr), l, r)
+            return _rewrap(int_div(lr, rr), space)
         rarr = np.asarray(rr)
         if np.any(rarr == 0.0):
             raise SacRuntimeError("division by zero")
-        return _rewrap(lr / rr, l, r)
+        return _rewrap(lr / rr, space)
     if op == "%":
         if _is_intlike(lr) and _is_intlike(rr):
-            return _rewrap(int_mod(lr, rr), l, r)
+            return _rewrap(int_mod(lr, rr), space)
         raise SacTypeError("'%' requires integer operands")
     raise SacRuntimeError(f"unknown operator {op!r}")
 
@@ -174,11 +176,12 @@ def apply_unop(op: str, v):
         if op == "-":
             return v.mul(-1)
         v = v.materialize()
-    raw = _raw(v)
+    (x,), space = align((v,))
     if op == "-":
-        return _rewrap(-raw, v)
+        return _rewrap(-x, space)
     if op == "!":
-        return _rewrap(np.logical_not(raw) if isinstance(raw, np.ndarray) else (not raw), v)
+        return _rewrap(np.logical_not(x) if isinstance(x, np.ndarray)
+                       else (not x), space)
     raise SacRuntimeError(f"unknown unary operator {op!r}")
 
 
@@ -240,12 +243,8 @@ def _elementwise(fn):
             args = tuple(
                 a.materialize() if isinstance(a, IndexView) else a for a in args
             )
-        raws = tuple(_raw(a) for a in args)
-        result = fn(*raws)
-        for a in args:
-            if isinstance(a, SpaceValue):
-                return SpaceValue(np.asarray(result), a.space_ndim)
-        return coerce_value(result)
+        raws, space = align(args)
+        return _rewrap(fn(*raws), space)
 
     return wrapped
 
@@ -300,9 +299,9 @@ BUILTINS: dict[str, Builtin] = {b.name: b for b in (
             "np.trunc({}).astype(np.int64)", "alloc", _I64,
             scalar_code="int({})"),
     Builtin("sum", 1, "reduction", _reduction(np.add), "np.sum({})",
-            "alloc"),
+            "alloc", ufunc=np.add),
     Builtin("prod", 1, "reduction", _reduction(np.multiply),
-            "np.prod({})", "alloc"),
+            "np.prod({})", "alloc", ufunc=np.multiply),
 )}
 
 #: Fold operations with a vectorized reduction: the two operators and

@@ -41,18 +41,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ast_nodes import (Block, Expr, FoldOp, For, FunDef, GenarrayOp,
-                        ModarrayOp, WithLoop)
-from .ast_visit import mentions
+from .ast_nodes import Block, Expr, FoldOp, For, FunDef, GenarrayOp, WithLoop
+from .ast_visit import free_vars, mentions
 from .bufplan import ELEMENTWISE, Instr, plan, render, result_bases
-from .builtins import BUILTINS, FOLD_UFUNCS, affine_binop
+from .builtins import BUILTINS, FOLD_UFUNCS, affine_binop, align
 from .errors import SacError, SacRuntimeError, SacTypeError
 from .interp import Env, FunctionTable, Interpreter
 from .optim.rewrite import counted_loop
 from .sactypes import SacType
-from .values import (AffineAxis, IndexView, any_abstract, cell_type,
-                     coerce_value, dtype_of)
-from .withloop import IndexSpace, withloop_head
+from .values import (AbstractUnsupported, AffineAxis, IndexView, SpaceValue,
+                     any_abstract, cell_type, coerce_value, dtype_of, raw)
+from .withloop import IndexSpace, _eval_scalar, store, withloop_head
 
 __all__ = ["CodegenUnsupported", "CompiledFunction", "compile_function",
            "trace_fundef", "trace_module", "element_operations",
@@ -82,8 +81,9 @@ class TArray:
     """A symbolic NumPy value living in the generated code.
 
     ``code`` is a Python expression (almost always a temp name); shape
-    and dtype are known exactly thanks to specialization.  ``shape`` may
-    include the WITH-loop space dimensions when the value is per-point.
+    and dtype are known exactly thanks to specialization.  A value per
+    point of a WITH-loop is a :class:`SpaceValue` of one, whose leading
+    axes are the loop's space.
     """
 
     code: str
@@ -93,15 +93,17 @@ class TArray:
 
 def _symbolic(*values) -> bool:
     """Whether any value is one the interpreter's rules cannot finish:
-    a traced array, or the index variable the trace must keep affine."""
-    return any(isinstance(v, (TArray, IndexView)) for v in values)
+    a traced array, whole or per point, or the index variable the trace
+    must keep affine."""
+    return any(isinstance(raw(v), (TArray, IndexView)) for v in values)
 
 
 def _shape_of(v) -> tuple[int, ...]:
-    return getattr(v, "shape", ())
+    return getattr(raw(v), "shape", ())
 
 
 def _dtype_of(v) -> np.dtype:
+    v = raw(v)
     return v.dtype if isinstance(v, TArray) else dtype_of(v)
 
 
@@ -159,9 +161,11 @@ class Module:
         if key not in self.consts:
             literal = np.array2string(
                 arr, separator=", ", threshold=1 << 20, floatmode="unique")
+            # An empty array prints as ``[]``, whatever its shape.
             self.consts[key] = (
                 f"_C{len(self.consts)}",
-                f"np.array({literal}, dtype=np.{arr.dtype.name})")
+                f"np.array({literal}, dtype=np.{arr.dtype.name})"
+                + f".reshape({arr.shape})" * (arr.size == 0))
         return self.consts[key][0]
 
 
@@ -183,9 +187,6 @@ class Emitter:
         #: index of the result's first element).
         self.flat_frames: dict[str, tuple[str, tuple[int, ...],
                                           tuple[int, ...], int]] = {}
-        #: The counts of the WITH-loop spaces whose bodies are traced: a
-        #: value whose shape begins with one may hold a cell per point.
-        self.spaces: list[tuple[int, ...]] = []
 
     def assign(self, kind: str, op: str, operands,
                shape: tuple[int, ...], dtype: np.dtype,
@@ -212,6 +213,7 @@ class Emitter:
 
 def _code_of(mod: Module, v) -> str:
     """Python expression for any traced value."""
+    v = raw(v)
     if isinstance(v, TArray):
         return v.code
     if isinstance(v, np.ndarray):
@@ -513,7 +515,7 @@ class Tracer(Interpreter):
 
     def static(self, expr: Expr, env, what: str):
         v = self.eval_expr(expr, env)
-        if _symbolic(v):
+        if _symbolic(v) or isinstance(v, SpaceValue):
             raise CodegenUnsupported(f"symbolic {what}")
         return coerce_value(v)
 
@@ -523,6 +525,20 @@ class Tracer(Interpreter):
         return super().dispatch_type(v)
 
     # -- operators and builtins -----------------------------------------------
+
+    def _emit(self, kind: str, op: str, args, dtype: np.dtype):
+        """One instruction of ``op`` over ``args`` lined up by the
+        elementwise rule (:func:`~.builtins.align`): per point when an
+        operand is."""
+        raws, space = align(args, self._pad)
+        out = self.em.assign(kind, op, raws, np.broadcast_shapes(
+            *map(_shape_of, raws)), dtype)
+        return out if space is None else SpaceValue(out, space)
+
+    def _pad(self, data, k: int) -> TArray:
+        """``data`` with ``k`` unit axes after its space axes."""
+        return self.em.assign("view", "{}[..." + ", None" * k + "]", (data,),
+                              _shape_of(data) + (1,) * k, _dtype_of(data))
 
     def binop(self, op: str, l, r):
         if isinstance(l, IndexView) or isinstance(r, IndexView):
@@ -535,12 +551,11 @@ class Tracer(Interpreter):
         if not _symbolic(l, r):
             return super().binop(op, l, r)
         self.before_stmt()
-        shape = np.broadcast_shapes(_shape_of(l), _shape_of(r))
         if op in ("/", "%"):
             if _dtype_of(l) == np.int64 and _dtype_of(r) == np.int64:
                 fn = "_sac_idiv" if op == "/" else "_sac_imod"
-                return self.em.assign("alloc", fn + "({}, {})", (l, r),
-                                      shape, np.dtype(np.int64))
+                return self._emit("alloc", fn + "({}, {})", (l, r),
+                                  np.dtype(np.int64))
             if op == "%":
                 raise SacTypeError("'%' requires integer operands")
             dtype = np.dtype(np.float64)
@@ -550,28 +565,19 @@ class Tracer(Interpreter):
             dtype = np.dtype(np.bool_)
         else:
             dtype = np.promote_types(_dtype_of(l), _dtype_of(r))
-        return self.em.assign("elementwise", op, (l, r), shape, dtype)
+        return self._emit("elementwise", op, (l, r), dtype)
 
     def unop(self, op: str, v):
         if isinstance(v, IndexView) and op != "-":
             raise CodegenUnsupported("'!' on an index vector")
-        if not isinstance(v, TArray):
+        if not isinstance(raw(v), TArray):
             return super().unop(op, v)
         if op == "-":
-            return self.em.assign("elementwise", "neg", (v,), v.shape,
-                                  v.dtype)
-        return self.em.assign("elementwise", "!", (v,), v.shape,
-                              np.dtype(np.bool_))
+            return self._emit("elementwise", "neg", (v,), _dtype_of(v))
+        return self._emit("elementwise", "!", (v,), np.dtype(np.bool_))
 
     def builtin(self, name: str, args):
         b = BUILTINS[name]
-        if b.kind != "elementwise" and any(
-                isinstance(a, (TArray, np.ndarray))
-                and a.shape[:len(count)] == count
-                for a in args for count in self.em.spaces):
-            # Of a cell per point it reads the cell, of a whole array all.
-            raise CodegenUnsupported(
-                f"{name} of what may be a cell per point")
         if b.kind == "structural":
             # Of a traced array, the shape is all there is to read.
             return super().builtin(name, [
@@ -579,28 +585,48 @@ class Tracer(Interpreter):
                 if isinstance(a, TArray) else a for a in args])
         if not _symbolic(*args):
             return super().builtin(name, args)
-        shape = () if b.kind == "reduction" else np.broadcast_shapes(
-            *(_shape_of(a) for a in args))
         dtype = b.dtype or np.promote_types(_dtype_of(args[0]),
                                             _dtype_of(args[-1]))
+        if b.kind == "reduction":
+            (a,) = args
+            dtype = b.ufunc.reduce(np.zeros(1, dtype)).dtype  # bool: int
+            if not isinstance(a, SpaceValue):
+                return self.em.assign(b.instr, b.code, (a,), (), dtype)
+            # Of a cell per point: over the cell's axes alone.
+            axes = tuple(range(a.space_ndim, len(_shape_of(a))))
+            if not axes:
+                return a
+            return SpaceValue(self.em.assign(
+                b.instr, f"np.{b.ufunc.__name__}.reduce({{}}, axis={axes})",
+                (a,), a.space_dims, dtype), a.space_ndim)
         if b.instr == "elementwise":  # keys bufplan.ELEMENTWISE
             op = name
         else:
-            op = b.scalar_code if b.scalar_code and not shape else b.code
-        return self.em.assign(b.instr, op, tuple(args), shape, dtype)
+            op = b.scalar_code if b.scalar_code and not _shape_of(
+                args[0]) else b.code
+        return self._emit(b.instr, op, args, dtype)
 
     def vector(self, values: list):
         if not _symbolic(*values):
             return super().vector(values)
-        shapes = {_shape_of(v) for v in values}
-        if len(shapes) != 1:
-            raise CodegenUnsupported("mixed-shape symbolic vector literal")
-        cell = shapes.pop()
-        dtype = np.promote_types(_dtype_of(values[0]), _dtype_of(values[-1]))
+        space = next((v for v in values if isinstance(v, SpaceValue)), None)
+        cells = {v.cell_shape if isinstance(v, SpaceValue) else _shape_of(v)
+                 for v in values}
+        if len(cells) != 1:
+            raise SacTypeError("ragged array literal")
+        dtype = np.result_type(*map(_dtype_of, values))
         slots = ", ".join(["{}"] * len(values))
+        if space is not None:  # the elements stacked after the space axes
+            if len({_shape_of(v) for v in values}) > 1:
+                slots = f"*np.broadcast_arrays({slots})"
+            return SpaceValue(self.em.assign(
+                "alloc", f"np.stack([{slots}], axis={space.space_ndim})",
+                values, space.space_dims + (len(values),) + cells.pop(),
+                dtype), space.space_ndim)
+        cell = cells.pop()
         return self.em.assign(
-            "alloc", f"np.stack([{slots}], axis=-1)" if cell
-            else f"np.array([{slots}])", values, cell + (len(values),), dtype)
+            "alloc", f"np.stack([{slots}])" if cell
+            else f"np.array([{slots}])", values, (len(values),) + cell, dtype)
 
     # -- selection ----------------------------------------------------------------------
 
@@ -616,21 +642,24 @@ class Tracer(Interpreter):
             along = tuple(ax.count if k == j else 1 for k in range(len(dims)))
             code = (f"(np.arange({ax.count}, dtype=np.int64) * {ax.stride} + "
                     f"{ax.offset}).reshape({along})")
-            return self.em.assign("view", f"np.broadcast_to({code}, {dims})",
-                                  (), dims, np.dtype(np.int64))
+            return SpaceValue(self.em.assign(
+                "view", f"np.broadcast_to({code}, {dims})", (), dims,
+                np.dtype(np.int64)), len(dims))
         if isinstance(array, np.ndarray):
             if isinstance(index, IndexView):
                 # Concrete array indexed by the loop index: the per-point
                 # values are known now, as an array over the space.
-                return self._select_gather(array, index.materialize()).data
-            if isinstance(index, TArray):
+                return self._select_gather(array, index.materialize())
+            if _symbolic(index):
                 raise CodegenUnsupported("selection index must be a concrete "
                                          "int or int vector")
-        if not isinstance(array, TArray):
+        if not isinstance(raw(array), TArray):
             return super().select(array, index)
-        if isinstance(index, TArray):
+        if isinstance(index, (TArray, SpaceValue)):
             raise CodegenUnsupported("data-dependent selection")
         if isinstance(index, IndexView):
+            if isinstance(array, SpaceValue):
+                raise CodegenUnsupported("index variable into a cell per point")
             n = index.rank
             self._check_index_length(n, len(array.shape))
             for ax, ext in zip(index.axes, array.shape):
@@ -645,42 +674,61 @@ class Tracer(Interpreter):
             sel = _slices_code(index.axes, len(array.shape) - n)
             shape = index.space_dims + array.shape[n:]
         else:
-            idx = self._checked_index(coerce_value(index), array.shape)
-            sel = ", ".join(str(i) for i in idx)
-            shape = array.shape[len(idx):]
+            space = array.space_ndim if isinstance(array, SpaceValue) else 0
+            cell = _shape_of(array)[space:]
+            idx = self._checked_index(coerce_value(index), cell)
+            sel = ", ".join([":"] * space + [str(i) for i in idx])
+            shape = _shape_of(array)[:space] + cell[len(idx):]
         out = self.em.assign("view", f"{{}}[{sel}]", (array,), shape,
-                             array.dtype)
-        if isinstance(index, IndexView) and n == len(array.shape) and all(
-                ax.stride == 1 for ax in index.axes):
-            self.em.windows[out.code] = (array.code, array.shape, tuple(
-                ax.offset for ax in index.axes))
-        return out
+                             _dtype_of(array))
+        if isinstance(index, IndexView):
+            if n == len(array.shape) and all(
+                    ax.stride == 1 for ax in index.axes):
+                self.em.windows[out.code] = (array.code, array.shape, tuple(
+                    ax.offset for ax in index.axes))
+            return SpaceValue(out, n)
+        return SpaceValue(out, space) if space else out
 
     # -- WITH-loops -----------------------------------------------------------------------
 
     def eval_WithLoop(self, wl: WithLoop, env):
+        op = wl.operation
+        if any_abstract(env.lookup(n) for n in free_vars(wl)
+                        if env.contains(n)):
+            # Nested in a body, and reading its point: a fold runs per
+            # index, each step over the enclosing space; an array would
+            # need a cell per point of both spaces.
+            if not isinstance(op, FoldOp):
+                raise CodegenUnsupported(
+                    "a genarray or modarray per point of an enclosing loop")
+            space = withloop_head(self, env, wl)[0]
+            return _eval_scalar(self, env, wl, space, None, None)
         space, shp, base, body_env = withloop_head(self, env, wl)
         if body_env is None:
             raise CodegenUnsupported("width filters are not specializable")
-        op = wl.operation
         if isinstance(op, FoldOp):
             return self._fold(op, body_env, space, env)
+
+        if space.is_empty and base is not None:
+            return base  # a modarray over no point is its frame
 
         # Compile-time evaluation: when every input is concrete the loop
         # can run now (index vectors like the periodic-border unit vector
         # must, or generator bounds downstream turn symbolic).  Large
         # float arrays stay symbolic so zeros(34^3) is an expression in
-        # the generated code, not a constant-pool blob.
+        # the generated code, not a constant-pool blob.  Over no point a
+        # genarray is double zeros: the interpreter evaluates no body.
         snapshot = len(self.em.instrs)
-        body = self._body(op, body_env, space)
+        body = 0.0 if space.is_empty else self.eval_expr(op.body, body_env)
         concrete = self._try_withloop_concrete(op, body, space, shp, base)
         if concrete is not None:
             del self.em.instrs[snapshot:]  # drop any speculative emissions
             return concrete
 
-        flat = self._flat_body(snapshot, body, space)
+        cell = self._cell_shape(body)
+        flat = self._flat_body(snapshot, body.data, space) \
+            if isinstance(body, SpaceValue) else None
         value = "{}" if flat is None else flat[0]
-        cell = self._cell_shape(body, space)
         if isinstance(op, GenarrayOp):
             dtype = _dtype_of(body)
             out = self.em.assign(
@@ -688,21 +736,24 @@ class Tracer(Interpreter):
                 (), shp + cell, dtype)
             if flat is not None and flat[2] == shp + cell:
                 self.em.flat_frames[out.code] = (
-                    body.code, space.lower, space.count, flat[1])
+                    body.data.code, space.lower, space.count, flat[1])
         else:
             dtype = np.promote_types(_dtype_of(base), _dtype_of(body))
             # A copy in the trace; the plan drops it where the frame is a
             # dead buffer of this trace's own (the body above is an
             # expression over *views* of the frame, and NumPy
             # materializes the right-hand side of an overlapping slice
-            # assignment before writing).
-            out = self.em.assign("copy", "{}.copy()", (base,),
-                                 base.shape, dtype)
+            # assignment before writing).  The frame takes the body's
+            # type when it is the wider one.
+            out = self.em.assign(
+                "copy", "{}.copy()" if dtype == _dtype_of(base)
+                else f"{{}}.astype(np.{dtype.name})", (base,),
+                base.shape, dtype)
             if cell != base.shape[space.rank:]:
                 raise SacTypeError("modarray cell shape mismatch")
         # A fresh np.zeros already holds a stored +0.
         stores_zero = isinstance(op, GenarrayOp) and _is_positive_zero(body)
-        if not space.is_empty and not stores_zero:
+        if not stores_zero:
             region = _slices_code(space.axes(), len(cell))
             self.em.instrs.append(Instr(
                 None, "store", f"{{}}[{region}] = {value}",
@@ -786,70 +837,43 @@ class Tracer(Interpreter):
                 f"{tuple(s * body.dtype.itemsize for s in strides)})", first,
                 shape)
 
-    def _body(self, op, body_env, space: IndexSpace):
-        """The value of a WITH-loop's body, traced with its space open."""
-        self.em.spaces.append(space.count)
-        try:
-            return self.eval_expr(op.body, body_env)
-        finally:
-            self.em.spaces.pop()
-
     _CONCRETE_FOLD_LIMIT = 64
 
     def _try_withloop_concrete(self, op, body, space: IndexSpace,
                                shp, base):
         """The value of a genarray/modarray WITH-loop whose inputs —
-        frame and evaluated ``body`` — are all concrete; None when it
-        must stay symbolic."""
-        if isinstance(op, ModarrayOp) and not isinstance(base, np.ndarray):
+        frame and evaluated ``body`` — are all concrete, by the
+        interpreter's own store; None when it must stay symbolic."""
+        if _symbolic(body, base):
             return None
         frame = tuple(shp) if shp is not None else base.shape
-        if _symbolic(body):
-            return None
-        body_val = coerce_value(body)
-        cell = self._cell_shape(body_val, space)
-        is_float = isinstance(body_val, float) or (
-            isinstance(body_val, np.ndarray)
-            and body_val.dtype == np.float64
-        )
-        if isinstance(op, ModarrayOp):
-            is_float = is_float or base.dtype == np.float64
+        is_float = _dtype_of(body) == np.float64 or (
+            base is not None and base.dtype == np.float64)
         if is_float and math.prod(frame) > self._CONCRETE_FOLD_LIMIT:
             return None  # keep big double arrays symbolic
-        if isinstance(op, GenarrayOp):
-            out = np.zeros(frame + cell, dtype=_dtype_of(body_val))
-        else:
-            out = base.copy()
-        if not space.is_empty:
-            region = tuple(ax.as_slice(ext)
-                           for ax, ext in zip(space.axes(), out.shape))
-            # The body is constant across the space here (it evaluated to
-            # a concrete value with the index variable still abstract).
-            out[region] = body_val
-        return out
+        return store(op, body, space, shp, base)
 
-    def _cell_shape(self, body, space: IndexSpace) -> tuple[int, ...]:
+    @staticmethod
+    def _cell_shape(body) -> tuple[int, ...]:
         if isinstance(body, IndexView):
             raise CodegenUnsupported("raw index vector as loop body")
-        shape = _shape_of(body)
-        if shape[: space.rank] == space.count:  # per point: space dims first
-            return shape[space.rank:]
-        return shape  # constant across the space
+        if isinstance(body, SpaceValue):
+            return body.cell_shape
+        return _shape_of(body)  # constant across the space
 
     def _fold(self, op: FoldOp, body_env, space: IndexSpace, env):
         neutral = self.eval_expr(op.neutral, env)
         if space.is_empty:
             return neutral
-        body = self._body(op, body_env, space)
+        body = self.eval_expr(op.body, body_env)
         ufunc = FOLD_UFUNCS.get(op.fun)
         if ufunc is None:
             raise CodegenUnsupported(
                 f"fold function {op.fun!r} has no vectorized reduction"
             )
         fn = ELEMENTWISE[op.fun][0]
-        body_shape = _shape_of(body)
-        if body_shape[: space.rank] == space.count:
-            cell = body_shape[space.rank:]
+        cell = self._cell_shape(body)
+        if isinstance(body, SpaceValue):
             code = (
                 f"{fn}.reduce({{}}.reshape(-1, *{cell}), axis=0)" if cell
                 else f"{fn}.reduce({{}}.reshape(-1))"
@@ -1018,7 +1042,10 @@ def _trace(table: FunctionTable, fun: FunDef, example_args,
     tracer._fun = fun
     bindings = {p.name: coerce_value(a)
                 for p, a in zip(fun.params, example_args)}
-    entry = tracer.specialization(fun, bindings)
+    try:
+        entry = tracer.specialization(fun, bindings)
+    except AbstractUnsupported as exc:  # an interpreter rule's "per index"
+        raise CodegenUnsupported(str(exc)) from None
     # Plans and renders what the entry point reaches, callees first; its
     # own parameters are its caller's, never donated.
     tracer.variant(entry)

@@ -297,28 +297,17 @@ class Interpreter(StatementExecutor):
 
     @staticmethod
     def _eval_vector_abstract(values):
-        mats = []
-        space_ndim = None
-        for v in values:
-            if isinstance(v, IndexView):
-                v = v.materialize()
-            if isinstance(v, SpaceValue):
-                if space_ndim is None:
-                    space_ndim = v.space_ndim
-                elif v.space_ndim != space_ndim:
-                    raise AbstractUnsupported("vector of mixed spaces")
-            mats.append(v)
-        assert space_ndim is not None
-        dims = next(v.space_dims for v in mats if isinstance(v, SpaceValue))
-        parts = []
-        for v in mats:
-            if isinstance(v, SpaceValue):
-                if v.cell_shape != ():
-                    raise AbstractUnsupported("nested abstract vector literal")
-                parts.append(v.data)
-            else:
-                parts.append(np.broadcast_to(np.asarray(v), dims))
-        return SpaceValue(np.stack(parts, axis=-1), space_ndim)
+        values = [v.materialize() if isinstance(v, IndexView) else v
+                  for v in values]
+        space = next(v for v in values if isinstance(v, SpaceValue))
+        cells = {v.cell_shape if isinstance(v, SpaceValue) else np.shape(v)
+                 for v in values}
+        if len(cells) != 1:
+            raise SacTypeError("ragged array literal")
+        dims = space.space_dims + cells.pop()
+        return SpaceValue(np.stack([
+            v.data if isinstance(v, SpaceValue) else np.broadcast_to(v, dims)
+            for v in values], axis=space.space_ndim), space.space_ndim)
 
     def eval_BinOp(self, expr: BinOp, env: Env):
         # Short-circuit on concrete booleans only.

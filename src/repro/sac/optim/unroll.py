@@ -67,11 +67,10 @@ def _unroll_fold(wl: WithLoop) -> Expr | None:
     var = wl.generator.var
     acc: Expr = op.neutral
     neutral = literal_value(op.neutral)
-    # Drop a literal neutral element of + / * chains.
-    skip_neutral = (
+    # Drop a literal scalar neutral element of + / * chains.
+    skip_neutral = isinstance(neutral, (int, float)) and (
         (op.fun == "+" and neutral == 0)
-        or (op.fun == "*" and neutral == 1)
-    ) and isinstance(neutral, (int, float))
+        or (op.fun == "*" and neutral == 1))
     terms = []
     for pt in points:
         iv_lit = VectorLit(tuple(IntLit(int(x)) for x in pt))

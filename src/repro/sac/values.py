@@ -39,6 +39,7 @@ __all__ = [
     "as_index_vector",
     "AbstractUnsupported",
     "SpaceValue",
+    "raw",
     "IndexView",
     "AffineAxis",
 ]
@@ -194,6 +195,12 @@ class SpaceValue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpaceValue(space={self.space_dims}, cell={self.cell_shape})"
+
+
+def raw(v):
+    """A per-point value's data, space axes first; any other value
+    itself."""
+    return v.data if isinstance(v, SpaceValue) else v
 
 
 class IndexView:

@@ -183,6 +183,15 @@ def _space_result_to_array(value, space: IndexSpace):
     return data, cell.shape
 
 
+def _check_cell(cell: tuple[int, ...], frame: tuple[int, ...],
+                space: IndexSpace) -> None:
+    """A body's value must fill one cell of the frame, without NumPy's
+    broadcasting."""
+    if cell != frame[space.rank:]:
+        raise SacTypeError(f"modarray cell shape {cell} does not match "
+                           f"frame {frame[space.rank:]}")
+
+
 # ---------------------------------------------------------------------------
 # Vectorized path.
 # ---------------------------------------------------------------------------
@@ -202,30 +211,26 @@ def _eval_vectorized(interp, env, body_env, op, space: IndexSpace,
             data.reshape((-1,) + cell) if cell else data.reshape(-1), axis=0
         )
         return coerce_value(ufunc(neutral, reduced))
+    return store(op, None if space.is_empty
+                 else interp.eval_expr(op.body, body_env), space, shp, base)
 
-    # genarray / modarray produce an array.
+
+def store(op, value, space: IndexSpace, shp: tuple[int, ...] | None, base):
+    """The array a genarray or modarray over the affine ``space`` makes
+    of its body's ``value``: a value per point, or one value for every
+    point.  A modarray frame takes the body's type when it is the wider
+    one."""
+    if space.is_empty:
+        # The element type of a genarray is its body's, evaluated
+        # nowhere: the scalar path's default, double.
+        return np.zeros(shp, dtype=np.float64) \
+            if isinstance(op, GenarrayOp) else base.copy()
+    data, cell = _space_result_to_array(value, space)
     if isinstance(op, GenarrayOp):
-        if space.is_empty:
-            # Shape is known; element type defaults to the body's type
-            # evaluated nowhere — use double (SAC's default element 0.0
-            # has the body's type; with an empty region we cannot know it
-            # without type inference, so pick the common case).
-            return np.zeros(shp, dtype=np.float64)
-        value = interp.eval_expr(op.body, body_env)
-        data, cell = _space_result_to_array(value, space)
         out = np.zeros(tuple(shp) + cell, dtype=dtype_of(data))
     else:
-        if space.is_empty:
-            return base.copy()
-        value = interp.eval_expr(op.body, body_env)
-        data, cell = _space_result_to_array(value, space)
-        if cell != base.shape[space.rank:]:
-            raise SacTypeError(
-                f"modarray cell shape {cell} does not match frame "
-                f"{base.shape[space.rank:]}"
-            )
+        _check_cell(cell, base.shape, space)
         out = base.astype(np.promote_types(base.dtype, dtype_of(data)), copy=True)
-
     region = tuple(ax.as_slice(ext) for ax, ext in zip(space.axes(), out.shape))
     out[region] = data
     return out
@@ -248,26 +253,22 @@ def _eval_scalar(interp, env, wl: WithLoop, space: IndexSpace,
             acc = interp.apply_named(op.fun, [acc, val])
         return acc
 
-    if isinstance(op, GenarrayOp):
-        out = None
-        for idx in space.iter_indices():
-            iv = np.asarray(idx, dtype=np.int64)
-            val = coerce_value(interp.eval_expr(op.body, env.child({var: iv})))
-            if out is None:
-                cell = np.asarray(val)
-                out = np.zeros(tuple(shp) + cell.shape, dtype=dtype_of(val))
-            elif not np.can_cast(dtype_of(val), out.dtype):
-                out = out.astype(np.promote_types(out.dtype, dtype_of(val)))
-            out[idx] = val
-        if out is None:  # empty region
-            out = np.zeros(tuple(shp), dtype=np.float64)
-        return out
-
-    out = base.copy()
+    out = None if isinstance(op, GenarrayOp) else base.copy()
     for idx in space.iter_indices():
         iv = np.asarray(idx, dtype=np.int64)
         val = coerce_value(interp.eval_expr(op.body, env.child({var: iv})))
+        if any_abstract([val]):
+            # A cell per point of an enclosing vectorized loop: that
+            # loop runs per index instead.
+            raise AbstractUnsupported("per-point cell of a nested loop")
+        if out is None:
+            out = np.zeros(tuple(shp) + np.shape(val), dtype=dtype_of(val))
+        elif not np.can_cast(dtype_of(val), out.dtype):
+            out = out.astype(np.promote_types(out.dtype, dtype_of(val)))
+        _check_cell(np.shape(val), out.shape, space)
         out[idx] = val
+    if out is None:  # empty region
+        out = np.zeros(tuple(shp), dtype=np.float64)
     return out
 
 
@@ -296,6 +297,8 @@ def withloop_head(ev, env, wl: WithLoop):
         shp = frame_shape = tuple(int(x) for x in shp_vec)
     elif isinstance(op, ModarrayOp):
         base = ev.eval_expr(op.array, env)
+        if any_abstract([base]):
+            raise AbstractUnsupported("per-point modarray frame")
         if not isinstance(base, ev.array_types):
             raise SacTypeError("modarray frame must be an array")
         frame_shape = base.shape

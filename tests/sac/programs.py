@@ -8,6 +8,9 @@ draw them from here:
   (``test_differential.py``);
 * :func:`checked_program` — the same, or with one planted static error
   (``test_differential.py``'s error agreement);
+* :func:`per_point_program` — a WITH-loop over the rows of a matrix
+  whose body mixes values per point with whole arrays
+  (``test_differential.py``);
 * :func:`pair_program` — a producer WITH-loop and a consumer reading it
   at literal offsets (``test_wlfold_property.py``);
 * :func:`donation_program` — calls of helpers that ``modarray`` their
@@ -22,6 +25,7 @@ two interpreters on one program optimizes it once.
 """
 
 import itertools
+import re
 
 from hypothesis import strategies as st
 
@@ -144,6 +148,70 @@ def checked_program(draw) -> tuple[str, int, str | None]:
     well formed, half with one of the :data:`DEFECTS`."""
     defect = draw(st.sampled_from((None,) * len(DEFECTS) + DEFECTS))
     return (*draw(withloop_program(defect)), defect)
+
+
+# --------------------------------------------------------------------------
+# Values per point beside whole arrays.
+# --------------------------------------------------------------------------
+
+PER_POINT_ROWS, PER_POINT_N = 2, 3  # f(a, v, w): a is ROWS x N, v and w N
+
+#: Terms with a scalar cell ("s") and with a vector cell of N ("v"),
+#: per point or whole; ``{s}``/``{v}`` is a smaller term of that cell,
+#: ``{k}`` a literal in [0, N), ``{r}`` one in [0, ROWS).  The ``j`` of
+#: a nested fold is its own index, read beside the enclosing ``iv``;
+#: ``[3, 1][iv]`` is a value per point known before the loop runs.
+_PER_POINT_LEAVES = {
+    "s": ("a[iv][[{k}]]", "w[iv]", "v[[{k}]]", "1.5", "sum(a[iv])",
+          "prod(a[iv])", "g(a[iv])", "tod(dim(a[iv]))",
+          "tod(sum(shape(a[iv])))", "tod([3, 1][iv])"),
+    "v": ("a[iv]", "v", "w", "a[[{r}]]", "h(a[iv])"),
+}
+_PER_POINT_FORMS = {
+    "s": ("{s} + {s}", "{s} * {s}", "-{s}", "abs({s})", "max({s}, {s})",
+          "tod(toi({s}))", "sum({v})", "g({v})", "tod(dim({v}))",
+          "with ([0] <= j < [3]) fold(+, 0.0, {s} * a[iv][j])",
+          "with ([0] <= j < [2, 3][iv]) fold(+, 0.0, {s})"),
+    "v": ("{v} + {v}", "{v} * {s}", "{s} - {v}", "-{v}", "min({v}, {s})",
+          "max({s}, {v})", "abs({v})", "h({v})", "[{s}, {s}, {s}]",
+          "with ([0] <= j < [2]) fold(+, [0.0, 0.0, 0.0], a[j] * {s})"),
+}
+_PER_POINT_HELPERS = ("double g(double[.] x) { return sum(x); }\n"
+                      "double[.] h(double[.] x) { return 2.0 * x + 1.0; }\n")
+
+
+@st.composite
+def per_point_program(draw) -> str:
+    """Source of ``f(a, v, w)``: a genarray, fold or modarray over the
+    rows of ``a`` (the last ones, or none), its body a term of rows ``a[iv]``, their elements,
+    whole vectors, helpers called on a row, vector literals, structural
+    builtins, reductions and a nested fold."""
+
+    def term(cell: str, depth: int) -> str:
+        leaf = depth == 0 or draw(st.booleans())
+        form = draw(st.sampled_from(
+            (_PER_POINT_LEAVES if leaf else _PER_POINT_FORMS)[cell]))
+        return re.sub(r"\{(\w)\}", lambda m: str(draw(st.integers(
+            0, {"k": PER_POINT_N, "r": PER_POINT_ROWS}[m[1]] - 1)))
+            if m[1] in "kr" else f"({term(m[1], depth - 1)})", form)
+
+    cell = draw(st.sampled_from(["s", "v"]))
+    body = term(cell, 3)
+    rows = f"[{PER_POINT_ROWS}]"
+    kind = draw(st.sampled_from(["genarray", "fold"] + ["modarray"] * (
+        cell == "v")))
+    if kind == "genarray":
+        op = f"genarray({rows}, {body})"
+    elif kind == "fold":
+        neutral = draw(st.sampled_from(
+            ["0.0"] + ["[0.0, 0.0, 0.0]"] * (cell == "v")))
+        op = f"fold({draw(st.sampled_from(['+', 'min', 'max']))}, " \
+             f"{neutral}, {body})"
+    else:
+        op = f"modarray({draw(st.sampled_from(['a', 'toi(a)']))}, {body})"
+    lower = draw(st.integers(0, PER_POINT_ROWS))  # ROWS: no point at all
+    return (_PER_POINT_HELPERS + "double[*] f(double[.,.] a, double[.] v, "
+            f"double[.] w) {{ return with ([{lower}] <= iv < {rows}) {op}; }}")
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,8 @@ Parametrized over :data:`repro.sac.builtins.BUILTINS`, so a record added
 there is covered without a test of its own: the scalar interpreter, the
 vectorizing interpreter and generated NumPy return the same bytes and
 dtype on scalar and array operands, directly and per point of a
-WITH-loop (where generated code declines a structural builtin or a
-reduction rather than read the wrong axes); a call with one argument
-too few or too many is SAC004; and the shape analyzer gives its result
-the rank the interpreter's has.
+WITH-loop; a call with one argument too few or too many is SAC004; and
+the shape analyzer gives its result the rank the interpreter's has.
 """
 
 import re
@@ -20,7 +18,6 @@ from repro.sac import KernelCache, compile_function
 from repro.sac.analysis.shapes import Affine, AValue, ShapeAnalyzer
 from repro.sac.ast_nodes import Call, Program, Var
 from repro.sac.builtins import BUILTINS
-from repro.sac.codegen import CodegenUnsupported
 from repro.sac.parser import parse_program
 from repro.sac.typecheck import collect_diagnostics
 
@@ -57,14 +54,7 @@ def test_three_evaluators_give_the_same_bytes(name, operands):
     want = build(src, vectorize=False).call("f", A, B)
     prog = build(src, cache=KernelCache())
     assert_same_bytes(prog.call("f", A, B), want)
-    try:
-        generated = compile_function(prog, "f", (A, B))
-    except CodegenUnsupported:
-        # Per point a trace cannot tell a cell from a whole array, and
-        # only an elementwise builtin does the same to both.
-        assert operands != "arrays" and BUILTINS[name].kind != "elementwise"
-    else:
-        assert_same_bytes(generated(A, B), want)
+    assert_same_bytes(compile_function(prog, "f", (A, B))(A, B), want)
     if BUILTINS[name].dtype is not None:
         assert np.asarray(want).dtype == BUILTINS[name].dtype
 

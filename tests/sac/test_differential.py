@@ -11,7 +11,9 @@ with and without the optimization pipeline.  This is the repository's
 strongest guard against miscompilation.  The error-agreement property
 adds ill-formed programs: every path — typechecker and analyzer, the
 three evaluators, the optimizer on and off — returns the same bytes, or
-every path raises the same coded error.
+every path raises the same coded error.  The per-point property mixes
+values per point of a WITH-loop with whole arrays: every path returns
+the scalar reference's bytes, or generated code declines.
 
 ``--hypothesis-profile=fuzz`` (``conftest.py``) runs each property on
 that profile's number of examples.
@@ -26,7 +28,8 @@ from repro.sac import CompileOptions, KernelCache, SacProgram
 from repro.sac.codegen import CodegenUnsupported, compile_function
 from repro.sac.errors import SacError
 
-from .programs import WITHLOOP_N, build, checked_program, withloop_program
+from .programs import (PER_POINT_N, PER_POINT_ROWS, WITHLOOP_N, build,
+                       checked_program, per_point_program, withloop_program)
 
 
 def _examples(n: int) -> int:
@@ -173,3 +176,90 @@ class TestErrorAgreement:
             assert not isinstance(outcome[0], str), outcome
         else:
             assert isinstance(outcome[0], str) and outcome[1], outcome
+
+
+def _per_point_outcomes(src: str, args) -> dict:
+    """The :func:`_outcome` of every path: the interpreter per index and
+    vectorized and generated code, each with the optimizer off and on."""
+    outcomes = {}
+    for optimize in (False, True):
+        cache = KernelCache()
+
+        def path(vectorize: bool) -> SacProgram:
+            return build(src, cache, optimize=optimize, vectorize=vectorize)
+
+        outcomes[optimize, "scalar"] = _outcome(
+            lambda: path(False).call("f", *args), args)
+        outcomes[optimize, "vectorized"] = _outcome(
+            lambda: path(True).call("f", *args), args)
+        outcomes[optimize, "generated"] = _outcome(
+            lambda: compile_function(path(True), "f", args)(*args), args)
+    return outcomes
+
+
+class TestPerPoint:
+    @given(per_point_program(), st.integers(0, 2 ** 31))
+    @settings(max_examples=_examples(80), deadline=None, derandomize=True)
+    def test_every_path_gives_the_scalar_reference(self, src, seed):
+        rng = np.random.default_rng(seed)
+        args = tuple(rng.integers(-4, 5, shape).astype(np.float64) for shape
+                     in ((PER_POINT_ROWS, PER_POINT_N), (PER_POINT_N,),
+                         (PER_POINT_N,)))
+        outcomes = _per_point_outcomes(src, args)
+        want = outcomes[False, "scalar"]
+        assert not isinstance(want[0], str), want
+        assert {o for (_, path), o in outcomes.items()
+                if path != "generated" or o is not None} == {want}, outcomes
+
+
+#: Programs over ``a``, ``v`` and ``w`` (below) that mix values per
+#: point with whole arrays, and what each gives; ``None``: generated
+#: code may decline it.
+PER_POINT_CASES = {
+    "element of a row": ("with ([0] <= iv < [2]) genarray([2], a[iv][[1]])",
+                         [2.25, 1.5], False),
+    "whole array per point": ("with ([0] <= iv < [2]) genarray([2], a)",
+                              [[[0.5, 2.25, 4.0], [9.0, 1.5, 7.75]]] * 2,
+                              False),
+    "scalar plus vector": ("with ([0] <= iv < [2]) genarray([2], w[iv] + w)",
+                           [[20.0, 30.0], [30.0, 40.0]], False),
+    "builtin of scalar and vector": (
+        "with ([0] <= iv < [3]) genarray([3], min(v[iv], w))",
+        [[1.0, 1.0], [-2.0, -2.0], [4.0, 4.0]], False),
+    "nested genarray": (
+        "with ([0] <= i < [2]) genarray([2], with ([0] <= j < [2]) "
+        "genarray([2], w[i] + 10.0 * w[j]))",
+        [[110.0, 210.0], [120.0, 220.0]], True),
+    "helper of a row": ("with ([0] <= iv < [2]) genarray([2], g(a[iv]))",
+                        [6.75, 18.25], False),
+    "vector of vectors": ("[v, v + 1.0]",
+                          [[1.0, -2.0, 4.0], [2.0, -1.0, 5.0]], False),
+    "vector neutral": ("with ([0] <= iv < [2]) fold(+, [0.0, 0.0], w)",
+                       [20.0, 40.0], False),
+    "reduction of a row": ("with ([0] <= iv < [2]) genarray([2], sum(a[iv]))",
+                           [6.75, 18.25], False),
+    "empty cells": ("with ([0, 0] <= iv < [2, 3]) genarray([2, 3], "
+                    "shape(1.0))", np.zeros((2, 3, 0), np.int64), False),
+    "double body in an int frame": (
+        "with ([0] <= iv < [2]) modarray([1, 2, 3], 0.5)", [0.5, 0.5, 3.0],
+        False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_POINT_CASES))
+def test_per_point_programs(case):
+    body, expected, may_decline = PER_POINT_CASES[case]
+    src = ("double g(double[.] x) { return sum(x); }\n"
+           "double[*] f(double[.,.] a, double[.] v, double[.] w) "
+           f"{{ return {body}; }}")
+    args = (np.array([[0.5, 2.25, 4.0], [9.0, 1.5, 7.75]]),
+            np.array([1.0, -2.0, 4.0]), np.array([10.0, 20.0]))
+    outcomes = _per_point_outcomes(src, args)
+    expected = np.asarray(expected)
+    want = expected.dtype, expected.shape, expected.tobytes()
+    assert outcomes.pop((False, "scalar")) == want
+    for (optimize, path), outcome in outcomes.items():
+        if outcome is None:
+            assert path == "generated" and may_decline, (optimize, path)
+        else:
+            assert outcome == want, (optimize, path)

@@ -263,12 +263,13 @@ class Tracer(Interpreter):
 
     Every rule over concrete values — literals, variables, overload
     dispatch, function application, generator resolution, selection
-    index checks, builtins — is the :class:`Interpreter`'s own.  The
-    overrides below handle only what involves a :class:`TArray` (emit an
-    :class:`~.bufplan.Instr`) or an :class:`IndexView` that a trace must
+    index checks, builtins, values per point — is the
+    :class:`Interpreter`'s own.  The overrides below handle only what
+    involves a :class:`TArray`, whole or per point (emit an
+    :class:`~.bufplan.Instr`), or an :class:`IndexView` that a trace must
     keep affine (refuse with :class:`CodegenUnsupported` where the
-    interpreter would materialize a per-point value or fall back to a
-    scalar loop, neither of which a straight-line trace has).
+    interpreter would materialize the index grid or run a loop per index
+    that is not a nested fold).
     """
 
     array_types = (np.ndarray, TArray)

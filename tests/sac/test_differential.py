@@ -213,8 +213,8 @@ class TestPerPoint:
 
 
 #: Programs over ``a``, ``v`` and ``w`` (below) that mix values per
-#: point with whole arrays, and what each gives; ``None``: generated
-#: code may decline it.
+#: point with whole arrays, what each gives, and whether generated code
+#: may decline it.
 PER_POINT_CASES = {
     "element of a row": ("with ([0] <= iv < [2]) genarray([2], a[iv][[1]])",
                          [2.25, 1.5], False),

@@ -46,7 +46,7 @@ from .ast_visit import free_vars, mentions
 from .bufplan import ELEMENTWISE, Instr, plan, render, result_bases
 from .builtins import BUILTINS, FOLD_UFUNCS, affine_binop, align
 from .errors import SacError, SacRuntimeError, SacTypeError
-from .interp import Env, FunctionTable, Interpreter
+from .interp import Env, FunctionTable, Interpreter, deep_recursion
 from .optim.rewrite import counted_loop
 from .sactypes import SacType
 from .values import (AbstractUnsupported, AffineAxis, IndexView, SpaceValue,
@@ -277,6 +277,7 @@ class Tracer(Interpreter):
     def __init__(self, functions: FunctionTable,
                  max_statements: int = 200_000):
         super().__init__(functions)
+        self.heads = None  # a trace resolves every WITH-loop head itself
         self.module = Module()
         self.em: Emitter = None  # the specialization being traced
         self.max_statements = max_statements
@@ -1044,7 +1045,8 @@ def _trace(table: FunctionTable, fun: FunDef, example_args,
     bindings = {p.name: coerce_value(a)
                 for p, a in zip(fun.params, example_args)}
     try:
-        entry = tracer.specialization(fun, bindings)
+        with deep_recursion():
+            entry = tracer.specialization(fun, bindings)
     except AbstractUnsupported as exc:  # an interpreter rule's "per index"
         raise CodegenUnsupported(str(exc)) from None
     # Plans and renders what the entry point reaches, callees first; its

@@ -25,7 +25,6 @@ from ..optim.cse import cse_pass
 from ..optim.dce import dce_pass
 from ..optim.inline import inline_pass
 from ..optim.partialsum import partialsum_pass
-from ..optim.rewrite import ast_key
 from ..optim.unroll import unroll_pass
 from ..optim.wlfold import wlfold_pass
 
@@ -129,24 +128,15 @@ class PassReport:
 
 
 def _count_rewrites(before: Program, after: Program) -> int:
-    """How many function bodies changed, structurally (position-blind).
-
-    Passes preserve unchanged subtrees by identity *most* of the time,
-    but a few rebuild blocks unconditionally, so identity is only the
-    fast path; the slow path compares :func:`ast_key` per function.
-    """
+    """How many function bodies a pass changed.  Every pass returns an
+    unchanged function, body or program as the same object."""
     if after is before:
         return 0
     old, new = before.functions, after.functions
     if len(old) != len(new):
         return max(len(old), len(new))
-    count = 0
-    for f_old, f_new in zip(old, new):
-        if f_old is f_new or f_old.body is f_new.body:
-            continue
-        if ast_key(f_old) != ast_key(f_new):
-            count += 1
-    return count
+    return sum(f_old is not f_new and f_old.body is not f_new.body
+               for f_old, f_new in zip(old, new))
 
 
 class PassManager:

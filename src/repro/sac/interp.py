@@ -9,6 +9,7 @@ in the affine/abstract domain.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -38,6 +39,18 @@ __all__ = ["Env", "Interpreter", "FunctionTable"]
 
 #: Guard against runaway recursion in user programs.
 MAX_CALL_DEPTH = 200
+
+
+@contextmanager
+def deep_recursion():
+    """Raise CPython's recursion limit for one evaluation: a SAC call takes
+    several Python frames, and the depth guard must fire first."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 25 * MAX_CALL_DEPTH))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class Env:
@@ -145,17 +158,16 @@ class Interpreter(StatementExecutor):
         self.functions = functions
         self.vectorize = vectorize
         self._depth = 0
-        # Each SAC call consumes several Python frames; make sure our own
-        # depth guard fires before CPython's recursion limit does.
-        needed = 25 * MAX_CALL_DEPTH
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
+        #: Resolved WITH-loop heads (withloop.withloop_head), by loop
+        #: node; None while nothing may be kept.
+        self.heads: dict | None = {}
 
     # -- public API ----------------------------------------------------------
 
     def call(self, name: str, *args):
         """Call a SAC function with Python/NumPy values; returns a value."""
-        return self.apply_named(name, [self._ingest(a) for a in args])
+        with deep_recursion():
+            return self.apply_named(name, [self._ingest(a) for a in args])
 
     @staticmethod
     def _ingest(v):

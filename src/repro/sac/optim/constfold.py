@@ -29,7 +29,7 @@ from ..ast_nodes import (
 from ..ast_visit import map_stmt_exprs
 from ..builtins import BUILTINS, apply_binop, apply_unop
 from ..errors import SacError
-from ..interp import FunctionTable, Interpreter
+from ..interp import FunctionTable, Interpreter, deep_recursion
 
 __all__ = ["constfold_pass", "literal_value", "make_literal"]
 
@@ -157,7 +157,8 @@ class _Folder:
             if not (expr.name in BUILTINS or expr.name in self.pure_names):
                 return expr
             try:
-                result = self.interp.apply_named(expr.name, vals)
+                with deep_recursion():
+                    result = self.interp.apply_named(expr.name, vals)
             except SacError:
                 return expr
             lit = make_literal(result)

@@ -133,6 +133,13 @@ def _cse_run(stmts: list[Stmt], fresh) -> list[Stmt]:
     return out
 
 
+def _replaced(node, **fields):
+    """``node`` with ``fields``, or ``node`` itself when none changed."""
+    if all(getattr(node, k) is v for k, v in fields.items()):
+        return node
+    return dataclasses.replace(node, **fields)
+
+
 def _cse_block(block: Block, fresh) -> Block:
     # Split into straight-line runs at control-flow statements; recurse
     # into their bodies independently.
@@ -150,16 +157,14 @@ def _cse_block(block: Block, fresh) -> Block:
             run.append(s)
         elif isinstance(s, If):
             flush()
-            out.append(dataclasses.replace(
+            out.append(_replaced(
                 s,
                 then=_cse_block(s.then, fresh),
                 orelse=_cse_block(s.orelse, fresh) if s.orelse else None,
             ))
         elif isinstance(s, (For, While, DoWhile)):
             flush()
-            out.append(dataclasses.replace(
-                s, body=_cse_block(s.body, fresh)
-            ))
+            out.append(_replaced(s, body=_cse_block(s.body, fresh)))
         elif isinstance(s, Block):
             flush()
             out.append(_cse_block(s, fresh))
@@ -167,14 +172,17 @@ def _cse_block(block: Block, fresh) -> Block:
             flush()
             out.append(s)
     flush()
+    if len(out) == len(block.statements) and all(
+            a is b for a, b in zip(out, block.statements)):
+        return block
     return dataclasses.replace(block, statements=tuple(out))
 
 
 def cse_pass(program: Program) -> Program:
-    new_funs = []
-    for fun in program.functions:
-        fresh = fresh_namer(f"_cse_{fun.name}")
-        new_funs.append(
-            dataclasses.replace(fun, body=_cse_block(fun.body, fresh))
-        )
+    new_funs = [
+        _replaced(fun, body=_cse_block(fun.body, fresh_namer(f"_cse_{fun.name}")))
+        for fun in program.functions
+    ]
+    if all(a is b for a, b in zip(new_funs, program.functions)):
+        return program
     return program.with_functions(new_funs)

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ast_nodes import Dot, FoldOp, GenarrayOp, Generator, ModarrayOp, WithLoop
-from .builtins import FOLD_UFUNCS
+from .ast_nodes import (Call, Dot, FoldOp, GenarrayOp, Generator, ModarrayOp,
+                        Var, WithLoop)
+from .ast_visit import iter_child_nodes
+from .builtins import BUILTINS, FOLD_UFUNCS
 from .errors import SacRuntimeError, SacTypeError
 from .values import (
     AbstractUnsupported,
@@ -244,32 +246,36 @@ def _eval_scalar(interp, env, wl: WithLoop, space: IndexSpace,
                  shp: tuple[int, ...] | None, base):
     op = wl.operation
     var = wl.generator.var
+    # A head in the body may read the index: none is kept meanwhile.
+    heads, interp.heads = interp.heads, None
+    try:
+        if isinstance(op, FoldOp):
+            acc = coerce_value(interp.eval_expr(op.neutral, env))
+            for idx in space.iter_indices():
+                iv = np.asarray(idx, dtype=np.int64)
+                val = coerce_value(interp.eval_expr(op.body, env.child({var: iv})))
+                acc = interp.apply_named(op.fun, [acc, val])
+            return acc
 
-    if isinstance(op, FoldOp):
-        acc = coerce_value(interp.eval_expr(op.neutral, env))
+        out = None if isinstance(op, GenarrayOp) else base.copy()
         for idx in space.iter_indices():
             iv = np.asarray(idx, dtype=np.int64)
             val = coerce_value(interp.eval_expr(op.body, env.child({var: iv})))
-            acc = interp.apply_named(op.fun, [acc, val])
-        return acc
-
-    out = None if isinstance(op, GenarrayOp) else base.copy()
-    for idx in space.iter_indices():
-        iv = np.asarray(idx, dtype=np.int64)
-        val = coerce_value(interp.eval_expr(op.body, env.child({var: iv})))
-        if any_abstract([val]):
-            # A cell per point of an enclosing vectorized loop: that
-            # loop runs per index instead.
-            raise AbstractUnsupported("per-point cell of a nested loop")
-        if out is None:
-            out = np.zeros(tuple(shp) + np.shape(val), dtype=dtype_of(val))
-        elif not np.can_cast(dtype_of(val), out.dtype):
-            out = out.astype(np.promote_types(out.dtype, dtype_of(val)))
-        _check_cell(np.shape(val), out.shape, space)
-        out[idx] = val
-    if out is None:  # empty region
-        out = np.zeros(tuple(shp), dtype=np.float64)
-    return out
+            if any_abstract([val]):
+                # A cell per point of an enclosing vectorized loop: that
+                # loop runs per index instead.
+                raise AbstractUnsupported("per-point cell of a nested loop")
+            if out is None:
+                out = np.zeros(tuple(shp) + np.shape(val), dtype=dtype_of(val))
+            elif not np.can_cast(dtype_of(val), out.dtype):
+                out = out.astype(np.promote_types(out.dtype, dtype_of(val)))
+            _check_cell(np.shape(val), out.shape, space)
+            out[idx] = val
+        if out is None:  # empty region
+            out = np.zeros(tuple(shp), dtype=np.float64)
+        return out
+    finally:
+        interp.heads = heads
 
 
 # ---------------------------------------------------------------------------
@@ -286,31 +292,100 @@ def withloop_head(ev, env, wl: WithLoop):
     ``None`` for the other operations) and ``body_env`` binds the index
     variable to the affine :class:`IndexView` of the whole space —
     ``None`` when a ``width`` filter makes the space non-affine.
+
+    All but the frame is kept in ``ev.heads`` (None: not kept), by loop
+    node and :func:`_head_key`.
     """
     op = wl.operation
-    shp = base = frame_shape = None
-    if isinstance(op, GenarrayOp):
-        shp_val = ev.static(op.shape, env, "genarray shape")
-        shp_vec = as_index_vector(shp_val, None if is_int_vector(shp_val) else 1)
-        if np.any(shp_vec < 0):
-            raise SacRuntimeError("genarray shape must be non-negative")
-        shp = frame_shape = tuple(int(x) for x in shp_vec)
-    elif isinstance(op, ModarrayOp):
+    base = frame_shape = key = head = None
+    if isinstance(op, ModarrayOp):
         base = ev.eval_expr(op.array, env)
         if any_abstract([base]):
             raise AbstractUnsupported("per-point modarray frame")
         if not isinstance(base, ev.array_types):
             raise SacTypeError("modarray frame must be an array")
         frame_shape = base.shape
+    if ev.heads is not None:
+        memo = ev.heads.get(id(wl))
+        if memo is None or memo[0] is not wl:  # the id of a freed node
+            memo = ev.heads[id(wl)] = wl, _head_reads(ev, wl), {}
+        _, reads, entries = memo
+        key = None if reads is None else _head_key(env, reads, frame_shape)
+        head = entries.get(key)
+    if head is None:
+        head = _resolve_head(ev, env, wl, frame_shape)
+        if key is not None and len(entries) < _MAX_HEADS_PER_LOOP:
+            entries[key] = head
+    space, shp, view = head
+    body_env = None if view is None else env.child({wl.generator.var: view})
+    return space, shp, base, body_env
+
+
+def _resolve_head(ev, env, wl: WithLoop, frame_shape):
+    """``wl``'s space, genarray shape and index view, evaluated."""
+    shp = None
+    if isinstance(wl.operation, GenarrayOp):
+        shp_val = ev.static(wl.operation.shape, env, "genarray shape")
+        shp_vec = as_index_vector(shp_val, None if is_int_vector(shp_val) else 1)
+        if np.any(shp_vec < 0):
+            raise SacRuntimeError("genarray shape must be non-negative")
+        shp = frame_shape = tuple(int(x) for x in shp_vec)
     space = _resolve_space(ev, env, wl.generator, frame_shape)
     if shp is not None and space.rank != len(shp):
         # genarray's cells extend its shape: the generator spans all of it.
         raise SacTypeError(f"generator rank {space.rank} does not match "
                            f"genarray shape rank {len(shp)}")
-    body_env = None
-    if space.is_affine:
-        body_env = env.child({wl.generator.var: IndexView(space.axes())})
-    return space, shp, base, body_env
+    return space, shp, IndexView(space.axes()) if space.is_affine else None
+
+
+#: Heads one loop node keeps, at most: one per shape it is called at.
+_MAX_HEADS_PER_LOOP = 64
+#: Longest vector a head may read by value and still be kept.
+_SMALL_VECTOR = 16
+
+
+def _head_reads(ev, wl: WithLoop) -> dict[str, bool] | None:
+    """The free names ``wl``'s head reads, each ``True`` when only a
+    ``structural`` builtin reads it (its shape is all that matters).
+    None when the head holds a nested WITH-loop or a user call.  By
+    position, not node: an optimized tree shares nodes between uses."""
+    reads: dict[str, bool] = {}
+    stack = [(wl.generator, False), (getattr(wl.operation, "shape", None), False)]
+    while stack:
+        node, shape_only = stack.pop()
+        if isinstance(node, Var):
+            reads[node.name] = reads.get(node.name, True) and shape_only
+        elif isinstance(node, WithLoop):
+            return None
+        elif isinstance(node, Call):
+            fn = BUILTINS.get(node.name)
+            if fn is None or ev.functions.overloads(node.name):
+                return None
+            stack += [(a, fn.kind == "structural") for a in node.args]
+        elif node is not None:
+            stack += [(c, False) for c in iter_child_nodes(node)]
+    return reads
+
+
+def _head_key(env, reads: dict[str, bool], frame_shape) -> tuple | None:
+    """What a head's value depends on in ``env``: the frame's shape and,
+    per name it reads, the array's shape or the scalar's or small
+    vector's value.  None when a name holds anything else (a large
+    array read by value, a value per point) or is unbound."""
+    key = [frame_shape]
+    for name, shape_only in reads.items():
+        v = env.lookup(name) if env.contains(name) else None
+        if type(v) in (int, float, bool):
+            key.append((type(v), repr(v)))
+        elif not isinstance(v, np.ndarray):
+            return None
+        elif shape_only:
+            key.append(v.shape)
+        elif v.ndim == 1 and v.size <= _SMALL_VECTOR:
+            key.append((v.dtype.str, v.tobytes()))
+        else:
+            return None
+    return tuple(key)
 
 
 def _inside_vectorized_body(env) -> bool:

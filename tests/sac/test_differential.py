@@ -11,13 +11,16 @@ with and without the optimization pipeline.  This is the repository's
 strongest guard against miscompilation.  The error-agreement property
 adds ill-formed programs: every path — typechecker and analyzer, the
 three evaluators, the optimizer on and off — returns the same bytes, or
-every path raises the same coded error.  The per-point property mixes
+every path raises the same coded error, and each interpreter gives the
+same outcome when it is called again.  The per-point property mixes
 values per point of a WITH-loop with whole arrays: every path returns
 the scalar reference's bytes, or generated code declines.
 
 ``--hypothesis-profile=fuzz`` (``conftest.py``) runs each property on
 that profile's number of examples.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -149,6 +152,15 @@ def _outcome(run, args) -> tuple:
     return got.dtype, got.shape, got.tobytes()
 
 
+def _twice(program, args) -> tuple:
+    """The :func:`_outcome` of calling ``f`` twice on one interpreter
+    (``program`` builds it once): the second call meets the WITH-loop
+    heads the first one resolved, and must give the same outcome."""
+    first = _outcome(lambda: program().call("f", *args), args)
+    assert _outcome(lambda: program().call("f", *args), args) == first
+    return first
+
+
 class TestErrorAgreement:
     @given(checked_program(), st.integers(0, 2 ** 31))
     @settings(max_examples=_examples(300), deadline=None, derandomize=True)
@@ -166,8 +178,8 @@ class TestErrorAgreement:
                              vectorize=vectorize)
 
             outcomes |= {
-                _outcome(lambda: path(False).call("f", *args), args),
-                _outcome(lambda: path(True).call("f", *args), args),
+                _twice(functools.cache(lambda: path(False)), args),
+                _twice(functools.cache(lambda: path(True)), args),
                 _outcome(lambda: compile_function(path(True), "f", args)(
                     *args), args)} - {None}
         assert len(outcomes) == 1, outcomes

@@ -4,10 +4,12 @@ import dataclasses
 
 import pytest
 
+from repro.mg_sac.loader import mg_source_path
 from repro.sac import CompileOptions, SacProgram, parse_program
 from repro.sac.driver import CompilationSession, KernelCache, PassManager
 from repro.sac.driver.passes import PASSES, schedule_for
 from repro.sac.errors import SacOptionError
+from repro.sac.optim.cse import cse_pass
 from repro.sac.optim.rewrite import ast_key
 
 SRC = """
@@ -95,6 +97,16 @@ class TestPassManager:
         out = pm.run(program, ("cse",))
         assert out is program
         assert pm.report.rewrites("cse") == 0
+
+    def test_mg_sac_rewrites_are_pinned(self):
+        # A pass hands back what it did not change as the same object
+        # (cse too), so identity alone counts the bodies a run rewrote.
+        session = _mem_session(mg_source_path().read_text())
+        assert [(e.name, e.rewrites) for e in session.pass_report.executions] \
+            == [("inline", 7), ("constfold", 5), ("wlfold", 2), ("unroll", 6),
+                ("constfold", 6), ("wlfold", 2), ("coeffgroup", 6),
+                ("partialsum", 4), ("cse", 0), ("dce", 2)]
+        assert cse_pass(session.program) is session.program
 
     def test_report_table_lists_passes(self):
         pm = PassManager()

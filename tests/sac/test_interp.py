@@ -1,10 +1,14 @@
 """Tests for the SAC interpreter: scalars, arrays, control flow,
 overloading, selection semantics and error behaviour."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.sac import CompileOptions, SacProgram
+from repro.mg_sac.loader import load_mg_program
+from repro.sac import CompileOptions, SacProgram, compile_function
+from repro.sac.interp import FunctionTable, Interpreter
 from repro.sac.errors import (
     SacArityError,
     SacNameError,
@@ -71,6 +75,20 @@ class TestControlFlow:
         src = "int f(int n) { return f(n + 1); }"
         with pytest.raises(SacRuntimeError):
             run(src, "f", 0)
+
+    def test_recursion_limit_left_as_found(self):
+        limit = sys.getrecursionlimit()
+        load_mg_program()
+        Interpreter(FunctionTable())
+        assert sys.getrecursionlimit() == limit
+        # Raised for an evaluation only, deep enough for the depth guard.
+        prog = SacProgram.from_source("double f(double[.] a) { return f(a); }")
+        a = np.zeros(3)
+        with pytest.raises(SacRuntimeError, match="call depth exceeded"):
+            prog.call("f", a)
+        with pytest.raises(SacRuntimeError, match="call depth exceeded"):
+            compile_function(prog, "f", (a,))
+        assert sys.getrecursionlimit() == limit
 
     def test_non_bool_condition_rejected(self):
         with pytest.raises(SacTypeError):

@@ -88,6 +88,11 @@ class TestControlFlow:
             prog.call("f", a)
         with pytest.raises(SacRuntimeError, match="call depth exceeded"):
             compile_function(prog, "f", (a,))
+        # Constfold calls ``g`` at build time, and it recurses too deep.
+        src = ("int f(int n) { if (n == 0) { r = 0; } else { r = 1 + f(n - 1); }"
+               " return r; }\nint g() { return f(300); }\nint h() { return g(); }")
+        with pytest.raises(SacRuntimeError, match="call depth exceeded"):
+            run(src, "h")
         assert sys.getrecursionlimit() == limit
 
     def test_non_bool_condition_rejected(self):

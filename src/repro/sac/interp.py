@@ -13,7 +13,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .ast_nodes import BinOp, Call, Dot, Expr, FunDef, Program
+from .ast_nodes import (BinOp, BoolLit, Call, Dot, DoubleLit, Expr, FunDef,
+                        IntLit, Program)
 from .ast_visit import ReturnValue, StatementExecutor
 from .builtins import BUILTINS, apply_binop, apply_unop, call_builtin
 from .errors import (
@@ -56,11 +57,14 @@ def deep_recursion():
 class Env:
     """Lexical environment: a binding dict with an optional parent."""
 
-    __slots__ = ("bindings", "parent")
+    __slots__ = ("bindings", "parent", "memo")
 
     def __init__(self, bindings: dict | None = None, parent: "Env | None" = None):
         self.bindings = bindings if bindings is not None else {}
         self.parent = parent
+        #: A WITH-loop body's kept ``IndexView.memo``: read in this env
+        #: only, so a callee or a nested loop sees none.
+        self.memo: dict | None = None
 
     def lookup(self, name: str):
         env = self
@@ -90,9 +94,12 @@ class FunctionTable:
 
     def __init__(self) -> None:
         self._funs: dict[str, list[FunDef]] = {}
+        #: ``resolve``'s answers by name and argument types.
+        self._resolved: dict[tuple, FunDef] = {}
 
     def add(self, fun: FunDef) -> None:
         self._funs.setdefault(fun.name, []).append(fun)
+        self._resolved.clear()
 
     def update(self, program: Program) -> None:
         for fun in program.functions:
@@ -105,7 +112,15 @@ class FunctionTable:
         return self._funs.keys()
 
     def resolve(self, name: str, argtypes: list[SacType]) -> FunDef:
-        """Pick the most specific overload accepting the argument types."""
+        """Pick the most specific overload accepting the argument types,
+        once per name and types (a call that raised keeps nothing)."""
+        key = name, tuple(argtypes)
+        fun = self._resolved.get(key)
+        if fun is None:
+            fun = self._resolved[key] = self._pick(name, argtypes)
+        return fun
+
+    def _pick(self, name: str, argtypes: list[SacType]) -> FunDef:
         candidates = [
             f for f in self.overloads(name)
             if f.arity == len(argtypes)
@@ -161,13 +176,18 @@ class Interpreter(StatementExecutor):
         #: Resolved WITH-loop heads (withloop.withloop_head), by loop
         #: node; None while nothing may be kept.
         self.heads: dict | None = {}
+        #: Constant vector literals, read-only, by node.
+        self.literals: dict = {}
 
     # -- public API ----------------------------------------------------------
 
     def call(self, name: str, *args):
         """Call a SAC function with Python/NumPy values; returns a value."""
         with deep_recursion():
-            return self.apply_named(name, [self._ingest(a) for a in args])
+            value = self.apply_named(name, [self._ingest(a) for a in args])
+        if isinstance(value, np.ndarray) and not value.flags.writeable:
+            value = value.copy()  # a kept literal, or a view of one
+        return value
 
     @staticmethod
     def _ingest(v):
@@ -286,7 +306,16 @@ class Interpreter(StatementExecutor):
         raise SacRuntimeError("'.' is only legal inside a generator")
 
     def eval_VectorLit(self, expr, env: Env):
-        return self.vector([self.eval_expr(e, env) for e in expr.elements])
+        kept = self.literals.get(id(expr)) if self.heads is not None else None
+        if kept is not None and kept[0] is expr:
+            return kept[1]
+        value = self.vector([self.eval_expr(e, env) for e in expr.elements])
+        if self.heads is not None and all(
+                isinstance(e, (IntLit, DoubleLit, BoolLit))
+                for e in expr.elements):
+            value.flags.writeable = False
+            self.literals[id(expr)] = expr, value
+        return value
 
     def vector(self, values: list):
         """The value of a vector literal with these element values."""
@@ -351,7 +380,17 @@ class Interpreter(StatementExecutor):
 
     def eval_Select(self, expr, env: Env):
         array = self.eval_expr(expr.array, env)
-        index = self.eval_expr(expr.index, env)
+        memo, key = env.memo, id(expr.index)
+        if memo is None or key not in memo:
+            return self.select(array, self.eval_expr(expr.index, env))
+        # An index the body's kept view decides (withloop._index_nodes).
+        index = memo[key]
+        if index is None:
+            index = self.eval_expr(expr.index, env)
+            if isinstance(index, IndexView):
+                if index.memo is None:
+                    index.memo = {}
+                memo[key] = index
         return self.select(array, index)
 
     def eval_WithLoop(self, expr, env: Env):
@@ -408,11 +447,14 @@ class Interpreter(StatementExecutor):
             else result.copy()
 
     def _select_affine(self, array: np.ndarray, iv: IndexView):
-        n = iv.rank
-        self._check_index_length(n, array.ndim)
-        sel = tuple(ax.as_slice(ext) for ax, ext in zip(iv.axes, array.shape))
-        data = array[sel + (slice(None),) * (array.ndim - n)]
-        return SpaceValue(data, n)
+        memo = iv.memo if self.heads is not None else None
+        sel = None if memo is None else memo.get(array.shape)
+        if sel is None:
+            self._check_index_length(iv.rank, array.ndim)
+            sel = iv.slices(array.shape)
+            if memo is not None:
+                memo[array.shape] = sel
+        return SpaceValue(array[sel], iv.rank)
 
     def _select_gather(self, array: np.ndarray, index: SpaceValue):
         if index.cell_shape == () :

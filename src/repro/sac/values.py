@@ -213,10 +213,14 @@ class IndexView:
     express an operation.
     """
 
-    __slots__ = ("axes",)
+    __slots__ = ("axes", "memo")
 
     def __init__(self, axes: tuple[AffineAxis, ...]):
         self.axes = axes
+        #: What a kept view has worked out, None for any other view: by
+        #: node id, an index subexpression's view; by array shape, the
+        #: slices of a selection (``withloop.withloop_head``).
+        self.memo: dict | None = None
 
     @property
     def rank(self) -> int:
@@ -235,6 +239,12 @@ class IndexView:
             shape[j] = ax.count
             data[..., j] = ax.values().reshape(shape)
         return SpaceValue(data, n)
+
+    def slices(self, shape: tuple[int, ...]) -> tuple[slice, ...]:
+        """Basic-indexing slices selecting these points from an array of
+        ``shape``, whole cells along its axes past the view's rank."""
+        return tuple(ax.as_slice(ext) for ax, ext in zip(self.axes, shape)) \
+            + (slice(None),) * (len(shape) - self.rank)
 
     # -- affine arithmetic --------------------------------------------------
 

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ast_nodes import (Call, Dot, FoldOp, GenarrayOp, Generator, ModarrayOp,
-                        Var, WithLoop)
+from .ast_nodes import (BinOp, Call, Dot, FoldOp, GenarrayOp, Generator,
+                        IntLit, ModarrayOp, Select, UnOp, Var, VectorLit,
+                        WithLoop)
 from .ast_visit import iter_child_nodes
 from .builtins import BUILTINS, FOLD_UFUNCS
 from .errors import SacRuntimeError, SacTypeError
@@ -294,7 +295,8 @@ def withloop_head(ev, env, wl: WithLoop):
     ``None`` when a ``width`` filter makes the space non-affine.
 
     All but the frame is kept in ``ev.heads`` (None: not kept), by loop
-    node and :func:`_head_key`.
+    node and :func:`_head_key`; a kept view keeps the index work its
+    body's selections do (:func:`_index_nodes`).
     """
     op = wl.operation
     base = frame_shape = key = head = None
@@ -315,9 +317,14 @@ def withloop_head(ev, env, wl: WithLoop):
     if head is None:
         head = _resolve_head(ev, env, wl, frame_shape)
         if key is not None and len(entries) < _MAX_HEADS_PER_LOOP:
+            if head[2] is not None:
+                head[2].memo = dict.fromkeys(_index_nodes(wl, reads))
             entries[key] = head
     space, shp, view = head
-    body_env = None if view is None else env.child({wl.generator.var: view})
+    if view is None:
+        return space, shp, base, None
+    body_env = env.child({wl.generator.var: view})
+    body_env.memo = view.memo
     return space, shp, base, body_env
 
 
@@ -365,6 +372,36 @@ def _head_reads(ev, wl: WithLoop) -> dict[str, bool] | None:
         elif node is not None:
             stack += [(c, False) for c in iter_child_nodes(node)]
     return reads
+
+
+def _index_nodes(wl: WithLoop, reads: dict[str, bool]) -> list[int]:
+    """The ids of the selection indices in ``wl``'s body, outside nested
+    loops, that a kept view decides: literals and vector literals over
+    the index variable and the names the head is keyed on by value,
+    combined by ``+ - * /`` and unary minus."""
+    names = {wl.generator.var} | {n for n, shape_only in reads.items()
+                                  if not shape_only}
+
+    def decided(node) -> bool:
+        if isinstance(node, Var):
+            return node.name in names
+        if isinstance(node, BinOp):
+            return node.op in ("+", "-", "*", "/") and decided(node.left) \
+                and decided(node.right)
+        if isinstance(node, UnOp):
+            return node.op == "-" and decided(node.operand)
+        if isinstance(node, VectorLit):
+            return all(map(decided, node.elements))
+        return isinstance(node, IntLit)
+
+    ids, stack = [], [wl.operation.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Select) and decided(node.index):
+            ids.append(id(node.index))
+        if not isinstance(node, WithLoop):
+            stack += iter_child_nodes(node)
+    return ids
 
 
 def _head_key(env, reads: dict[str, bool], frame_shape) -> tuple | None:

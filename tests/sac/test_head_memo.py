@@ -9,10 +9,16 @@ anything else, or that runs per index of an enclosing loop, is resolved
 on every call and never stored.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.sac import CompileOptions, SacProgram
+from repro.sac import CompileOptions, SacProgram, parse_program
+from repro.sac.ast_nodes import Program, Select, WithLoop
+from repro.sac.ast_visit import map_stmt_exprs, walk
+from repro.sac.errors import SacRuntimeError
+from repro.sac.pprint import pprint_expr
 
 VECTORIZE = pytest.mark.parametrize("vectorize", [True, False])
 
@@ -109,3 +115,97 @@ def test_a_loop_per_index_of_an_enclosing_loop_stores_nothing_per_point(
     prog = _same_as_fresh(src, vectorize, [(a,), (a,)])
     # The outer loop's one head, and none for the inner loops' points.
     assert _entries(prog) == 1
+
+
+# -- what a kept view decides: its body's index work ---------------------
+
+
+TWO_LOOPS = ("double[.] f(double[.] a, double[.] b) {"
+             " x = with ([1] <= iv < shape(a) - 1) modarray(a, a[IDX] - a[iv - 1]);"
+             " y = with ([2] <= iv < shape(b) - 1) modarray(b, b[IDX] - b[iv - 1]);"
+             " return [sum(x), sum(y)]; }")
+
+
+def _two_shapes():
+    # At (6, 7) both loops run over four points, from other offsets.
+    rng = np.random.default_rng(2)
+    small, large = rng.standard_normal(6), rng.standard_normal(7)
+    return [(small, large), (large, small), (small, large)]
+
+
+@VECTORIZE
+@pytest.mark.parametrize("helper", ["inline int[.]", "int[.]"])
+def test_an_index_helper_used_by_two_loops_at_two_shapes(vectorize, helper):
+    # Inlined, each loop has its own copy; called, one node of the
+    # helper is evaluated under both loops' views.
+    src = (f"{helper} nb(int[.] iv) {{ return iv + [1]; }}\n"
+           + TWO_LOOPS.replace("IDX", "nb(iv)"))
+    _same_as_fresh(src, vectorize, _two_shapes())
+
+
+@VECTORIZE
+def test_one_index_node_in_two_loops_at_two_shapes(vectorize):
+    src = TWO_LOOPS.replace("IDX", "iv + [1]")
+    seen = {}
+
+    def share(node):  # each index text one node, in both loops
+        if not isinstance(node, Select):
+            return node
+        index = seen.setdefault(pprint_expr(node.index), node.index)
+        return dataclasses.replace(node, index=index)
+
+    (fun,) = parse_program(src).functions
+    fun = dataclasses.replace(fun, body=map_stmt_exprs(fun.body, share))
+    shared = SacProgram(Program((fun,)),
+                        CompileOptions(optimize=False, vectorize=vectorize))
+    (linked,) = shared.interp.functions.overloads("f")
+    loops = [n for n in walk(linked.body) if isinstance(n, WithLoop)]
+    assert len({id(wl.operation.body.left.index) for wl in loops}) == 1
+    for args in _two_shapes():
+        fresh = _program(src, vectorize).call("f", *args)
+        assert _bytes(shared.call("f", *args)) == _bytes(fresh), args
+
+
+@VECTORIZE
+@pytest.mark.parametrize("generator", [
+    "[0] <= iv < shape(a) - 3",
+    # ``k`` in the head too: each value has a view of its own.
+    "[k] <= iv < shape(a) - 3"])
+def test_an_index_plus_a_scalar_that_changes_at_one_shape(vectorize,
+                                                         generator):
+    src = (f"double[.] f(double[.] a, int k) {{ return with ({generator})"
+           " genarray(shape(a), a[iv + k] + a[2 * iv / 2 + [1]]); }")
+    a = np.arange(1.0, 10.0) ** 2
+    _same_as_fresh(src, vectorize, [(a, k) for k in (0, 1, 3, 1, 0)])
+
+
+@VECTORIZE
+def test_a_nested_loop_whose_index_mixes_two_views(vectorize):
+    src = ("double[.,.] f(double[.,.] a) {"
+           " return with ([0, 0] <= ov < shape(a) - 2)"
+           " genarray(shape(a) - 2, a[ov + [1, 1]]"
+           " + with ([0, 0] <= iv < [3, 3]) fold(+, 0.0, a[iv + ov])); }")
+    rng = np.random.default_rng(3)
+    small, large = rng.standard_normal((4, 5)), rng.standard_normal((6, 6))
+    _same_as_fresh(src, vectorize, [(small,), (large,), (small,)])
+
+
+@VECTORIZE
+def test_an_index_out_of_bounds_raises_on_every_call(vectorize):
+    src = ("double[.] f(double[.] a) { return with ([0] <= iv < shape(a))"
+           " genarray(shape(a), a[iv + [1]]); }")
+    prog = _program(src, vectorize)
+    for _ in range(2):
+        with pytest.raises(SacRuntimeError, match="out of bounds"):
+            prog.call("f", np.arange(4.0))
+
+
+@VECTORIZE
+def test_a_literal_returned_to_python_is_fresh_and_writeable(vectorize):
+    src = "int[3] f() { return [1, 2, 3]; }"
+    prog = _program(src, vectorize)
+    first = prog.call("f")
+    assert first.flags.writeable
+    first[0] = 99
+    assert _bytes(prog.call("f")) == _bytes(_program(src, vectorize).call("f"))
+    assert prog.call("f") is not prog.call("f")

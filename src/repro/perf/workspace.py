@@ -39,6 +39,7 @@ pool buffers; reusing the workspace for another solve overwrites them.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, TypeVar
@@ -48,6 +49,10 @@ import numpy as np
 __all__ = ["Workspace", "WorkspaceCounters"]
 
 _T = TypeVar("_T")
+
+#: Pooled buffers start on a page boundary: ``np.empty`` promises only 16
+#: bytes, so a 64-byte vector access to one could span two cache lines.
+_PAGE = 4096
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,9 @@ class Workspace:
         """Return the buffer for ``(name, shape, dtype)``.
 
         Allocates on first request, reuses afterwards.  Contents are
-        undefined on reuse — the caller must fully overwrite them.
+        undefined on reuse — the caller must fully overwrite them.  The
+        buffer is a C-contiguous view that starts on a page boundary of
+        a padded block its ``.base`` keeps alive.
         """
         key = (name, tuple(shape), np.dtype(dtype).str)
         with self._lock:
@@ -91,10 +98,13 @@ class Workspace:
             if buf is not None:
                 self._hits += 1
                 return buf
-            buf = np.empty(shape, dtype=dtype)
+            nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+            raw = np.empty(nbytes + _PAGE, np.uint8)
+            start = -raw.ctypes.data % _PAGE
+            buf = raw[start:][:nbytes].view(dtype).reshape(shape)
             self._buffers[key] = buf
             self._allocations += 1
-            self._bytes += buf.nbytes
+            self._bytes += nbytes
             return buf
 
     def zeros(self, name: str, shape: tuple[int, ...],

@@ -47,6 +47,59 @@ class TestPooling:
         assert buf.shape == (2, 3, 4) and buf.dtype == np.float32
 
 
+def misaligned(ws: Workspace) -> list[tuple]:
+    """Keys of the pool's buffers that do not start on a page."""
+    return [key for key, buf in ws._buffers.items() if buf.ctypes.data % 4096]
+
+
+class TestAlignment:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (0, 3), (3, 5, 7), (34, 34, 34)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.bool_])
+    @pytest.mark.parametrize("method", ["get", "zeros"])
+    def test_buffers_start_on_a_page(self, shape, dtype, method):
+        buf = getattr(Workspace(), method)("x", shape, dtype)
+        assert buf.ctypes.data % 4096 == 0
+        assert buf.flags.c_contiguous and buf.flags.writeable
+        assert buf.shape == shape and buf.dtype == dtype
+        buf[...] = 1
+        assert buf.all()
+
+    def test_bytes_allocated_counts_what_was_handed_out(self):
+        ws = Workspace()
+        bufs = [ws.get("x", shape, dtype) for shape, dtype in
+                [((0,), np.float64), ((1,), np.int64), ((7, 3), np.bool_),
+                 ((5, 5, 5), np.float64)]]
+        assert ws.bytes_allocated == sum(b.nbytes for b in bufs) == 8 + 21 + 1000
+
+    @pytest.fixture(scope="class")
+    def v_w(self):
+        from repro.core.zran3 import zran3
+        return zran3(64)
+
+    def test_warm_serial_pool_is_aligned(self, v_w):
+        from repro.core.mg import solve
+        ws = Workspace()
+        for _ in range(2):
+            solve("W", 1, v=v_w, ws=ws)
+        assert ws.live_buffers > 0 and misaligned(ws) == []
+
+    def test_warm_threaded_pool_is_aligned(self, v_w):
+        from repro.runtime.parallel_mg import ParallelMG
+        with ParallelMG(2, workspace=True) as solver:
+            for _ in range(2):
+                solver.solve("W", 1, v=v_w)
+            assert solver.workspace.live_buffers > 0
+            assert misaligned(solver.workspace) == []
+
+    def test_warm_rank_pools_are_aligned(self, v_w):
+        from repro.runtime.spmd import DistributedMG
+        solver = DistributedMG(2, workspace=True, transport="inproc")
+        for _ in range(2):
+            solver.solve("W", 1, v=v_w)
+        assert [w.live_buffers > 0 for w in solver.workspaces] == [True, True]
+        assert [misaligned(w) for w in solver.workspaces] == [[], []]
+
+
 class TestAccounting:
     def test_bytes_and_live_buffers(self):
         ws = Workspace()
